@@ -2,7 +2,7 @@
 //!
 //! The city-scale scenario family schedules dozens of devices per subframe,
 //! so the per-subframe setup cost (channel sampling, report assembly, the
-//! per-UE bookkeeping in `CellularNetwork::tick` and `Simulation::run`)
+//! per-UE bookkeeping in `ShardedNetwork::tick_into` and `Simulation::run`)
 //! dominates.  This bench pins that cost: a fixed grid of bulk flows over
 //! one simulated second, at three fleet sizes.  `PR 4` used it to measure
 //! the preallocation / clone-removal pass (numbers in

@@ -15,9 +15,9 @@
 //! (CUBIC flows, no PDCCH monitoring — pure scheduler/HARQ/queue cost),
 //! `city_scale` is a 6-cell driving fleet running the full PBE pipeline
 //! (blind decoding, fusion, capacity estimation, handovers), and `metro` is
-//! the sharded-engine stressor: 1,000 cells and 100k UEs ticked on four
-//! shards, with a single serial reference run folded into the record so the
-//! speedup (and the worker count it was measured at) lands in
+//! the multi-shard stressor: 1,000 cells and 100k UEs ticked on four
+//! shards, with a single one-shard reference run folded into the record so
+//! the speedup (and the worker count it was measured at) lands in
 //! `BENCH_metro.json`.  `fanout` routes 960 CUBIC flows through one shared
 //! aggregation link, pricing the backhaul subsystem's analytic walk.
 
@@ -58,16 +58,16 @@ pub struct PerfRecord {
     /// is informational — process-wide and monotone across cases — and is
     /// not part of the `--check` comparison.
     pub peak_rss_kb: u64,
-    /// Shard-worker count the case ran with (`None` = serial engine).
+    /// Shard-worker count the case ran with (`None` = one shard).
     #[serde(default)]
     pub workers: Option<usize>,
-    /// One serial reference run of the same scenario, ms per simulated
-    /// second — recorded for sharded cases only, so the speedup below is
+    /// One reference run of the same scenario on one shard, ms per simulated
+    /// second — recorded for multi-shard cases only, so the speedup below is
     /// auditable.  Informational; not part of the `--check` comparison.
     #[serde(default)]
     pub serial_ms_per_sim_second: Option<f64>,
-    /// `serial_ms_per_sim_second / ms_per_sim_second`: wall-clock speedup of
-    /// the sharded engine over serial on this machine's core count.
+    /// `serial_ms_per_sim_second / ms_per_sim_second`: wall-clock speedup
+    /// vs. one shard on this machine's core count.
     #[serde(default)]
     pub speedup_vs_serial: Option<f64>,
 }
@@ -162,7 +162,7 @@ pub fn city_scale_config() -> SimConfig {
 /// The metro stressor: a 40×25 grid (1,000 cells) with 100k driving UEs, 64
 /// foreground CUBIC flows (the rest are radio users supplying handover and
 /// scheduling pressure) over 200 simulated milliseconds, ticked on a
-/// four-shard engine.  Sharded output is byte-identical to serial
+/// four-shard engine.  Output is byte-identical for every shard count
 /// (`tests/shard_identity.rs` pins that); this case tracks the wall clock.
 pub fn metro_config() -> SimConfig {
     CityScale::driving(40, 25, 100_000)
@@ -239,12 +239,13 @@ pub fn measure(case: &PerfCase, iterations: usize) -> PerfRecord {
     } else {
         (sorted[sorted.len() / 2 - 1] + sorted[sorted.len() / 2]) / 2.0
     };
-    // Sharded cases fold in one serial reference run of the same scenario so
-    // the record carries an auditable speedup alongside the worker count.
+    // Multi-shard cases fold in one one-shard reference run of the same
+    // scenario so the record carries an auditable speedup alongside the
+    // worker count.
     let (serial_ms, speedup) = match workers {
         Some(n) if n > 1 => {
             let mut cfg = (case.build)();
-            cfg.shards = None;
+            cfg.shards = Some(1);
             let started = Instant::now();
             std::hint::black_box(Simulation::new(cfg).run());
             let ms = started.elapsed().as_secs_f64() * 1000.0 / simulated_seconds;

@@ -79,7 +79,8 @@ pub struct CityScale {
     pub cells_per_ue: usize,
     /// Sampling step of the compiled RSSI traces, milliseconds.
     pub trace_step_ms: u64,
-    /// Shard count handed to the simulator (`None` = serial tick engine).
+    /// Shard count handed to the simulator (`None` = one shard, unless
+    /// `PBE_FORCE_SHARDS` overrides it).
     pub shards: Option<usize>,
     /// Cap on the number of UEs that get a foreground bulk flow (`None` =
     /// every UE).  Metro-scale runs register 100k+ radio users but monitor
@@ -149,8 +150,8 @@ impl CityScale {
         self
     }
 
-    /// Tick the city on a sharded engine with this many shards
-    /// (byte-identical to the serial default; only the wall clock changes).
+    /// Tick the city on this many shards (byte-identical for every count;
+    /// only the wall clock changes).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self

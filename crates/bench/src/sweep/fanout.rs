@@ -45,7 +45,8 @@ pub struct Fanout {
     pub load: CellLoadProfile,
     /// Scheme driving every flow (sweepable via the grid).
     pub scheme: SchemeChoice,
-    /// Shard count handed to the simulator (`None` = serial tick engine).
+    /// Shard count handed to the simulator (`None` = one shard, unless
+    /// `PBE_FORCE_SHARDS` overrides it).
     pub shards: Option<usize>,
     /// Line rate of the shared aggregation link, bits per second.
     pub agg_rate_bps: f64,
@@ -114,9 +115,9 @@ impl Fanout {
         self
     }
 
-    /// Tick the radio network on a sharded engine with this many shards
-    /// (byte-identical to the serial default — the backhaul is stepped in
-    /// the driver loop either way; only the wall clock changes).
+    /// Tick the radio network on this many shards (byte-identical for every
+    /// count — the backhaul is stepped in the driver loop either way; only
+    /// the wall clock changes).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self

@@ -46,9 +46,9 @@ pub struct ScenarioSpec {
     /// scenario JSON loadable.
     #[serde(default)]
     pub trajectories: Vec<CellTrajectory>,
-    /// Shard count for the cellular tick engine (`None` = serial; any `Some`
-    /// value is byte-identical to serial).  `default` keeps pre-shard
-    /// scenario JSON loadable.
+    /// Shard count for the cellular tick engine (`None` = one shard; every
+    /// count is byte-identical).  `default` keeps pre-shard scenario JSON
+    /// loadable.
     #[serde(default)]
     pub shards: Option<usize>,
     /// Shared wired backhaul topology (`None` = per-flow private paths; see

@@ -1,8 +1,9 @@
-//! Serial-vs-sharded byte identity at the scenario level: a scaled-down
-//! metro (the same `CityScale` generator and flow-cap shape as the `metro`
-//! perf case) must serialise to the same `SimResult` JSON on the serial
-//! engine and on every shard count.  This is the acceptance check for the
-//! sharded tick engine at the bench layer; `pbe-cellular` pins the same
+//! Shard-count byte identity at the scenario level: a scaled-down metro
+//! (the same `CityScale` generator and flow-cap shape as the `metro` perf
+//! case) must serialise to the same `SimResult` JSON on every shard count —
+//! the JSON the serial tick engine produced at the commit before it was
+//! deleted, pinned here by FNV-128 digest.  This is the acceptance check for
+//! the tick engine at the bench layer; `pbe-cellular` pins the same
 //! property per subframe, and `pbe-netsim` per simulation.
 
 use pbe_bench::sweep::CityScale;
@@ -11,30 +12,30 @@ use pbe_netsim::{CellOutage, DecodeLossBurst, FaultSchedule, SchemeChoice, Simul
 
 /// A metro in miniature: multi-column grid so shards get contiguous runs of
 /// cells, driving speed so UEs cross shard boundaries, more UEs than flows.
-fn mini_metro(shards: Option<usize>) -> CityScale {
-    let mut city = CityScale::driving(6, 4, 160)
+fn mini_metro(shards: usize) -> CityScale {
+    CityScale::driving(6, 4, 160)
         .seconds(8)
         .seed(0x3E7)
         .scheme(SchemeChoice::named("CUBIC"))
-        .flows_cap(12);
-    city.shards = shards;
-    city
+        .flows_cap(12)
+        .shards(shards)
 }
 
-fn result_json(shards: Option<usize>) -> String {
-    let cfg = mini_metro(shards).scenario().sim_config();
+fn result_digest(shards: usize, faults: Option<FaultSchedule>) -> String {
+    let mut cfg = mini_metro(shards).scenario().sim_config();
+    cfg.faults = faults;
     let result = Simulation::new(cfg).run();
-    serde_json::to_string(&result).expect("result serialises")
+    let json = serde_json::to_string(&result).expect("result serialises");
+    pbe_stats::fnv1a_128_hex(json.as_bytes())
 }
 
 #[test]
 fn metro_is_byte_identical_across_shard_counts() {
-    let serial = result_json(None);
     for shards in [1usize, 2, 3, 4] {
-        let sharded = result_json(Some(shards));
         assert_eq!(
-            serial, sharded,
-            "shards={shards} diverged from the serial engine"
+            result_digest(shards, None),
+            "f571c1472a0429a461a6027db405e5c9",
+            "shards={shards} diverged from the serial engine's result"
         );
     }
 }
@@ -55,30 +56,22 @@ fn metro_faults() -> FaultSchedule {
     }
 }
 
-fn faulted_result_json(shards: Option<usize>) -> String {
-    let mut cfg = mini_metro(shards).scenario().sim_config();
-    cfg.faults = Some(metro_faults());
-    let result = Simulation::new(cfg).run();
-    serde_json::to_string(&result).expect("result serialises")
-}
-
 #[test]
 fn faulted_metro_is_byte_identical_across_shard_counts() {
     // The acceptance check for the fault-injection layer: injecting a
     // primary-cell outage and a decode-loss burst into the metro scenario
-    // must leave serial-vs-sharded byte identity intact — faults are part
-    // of the deterministic schedule, not a source of divergence.
-    let serial = faulted_result_json(None);
+    // must leave shard-count byte identity intact — faults are part of the
+    // deterministic schedule, not a source of divergence.
     for shards in [1usize, 2, 4] {
-        let sharded = faulted_result_json(Some(shards));
         assert_eq!(
-            serial, sharded,
-            "faulted metro: shards={shards} diverged from the serial engine"
+            result_digest(shards, Some(metro_faults())),
+            "79e7a952e84c89053fab8cc34ed3af72",
+            "faulted metro: shards={shards} diverged from the serial engine's result"
         );
     }
     // And the faults actually fired: recovery records exist in the output.
     let cfg = {
-        let mut cfg = mini_metro(Some(2)).scenario().sim_config();
+        let mut cfg = mini_metro(2).scenario().sim_config();
         cfg.faults = Some(metro_faults());
         cfg
     };
@@ -94,7 +87,7 @@ fn faulted_metro_is_byte_identical_across_shard_counts() {
 fn mini_metro_actually_exercises_the_interesting_paths() {
     // Guard against the identity test passing vacuously: the scenario must
     // produce handovers (cross-shard UE migration) and deliver flow traffic.
-    let cfg = mini_metro(Some(4)).scenario().sim_config();
+    let cfg = mini_metro(4).scenario().sim_config();
     let result = Simulation::new(cfg).run();
     assert!(
         !result.handovers.is_empty(),

@@ -30,7 +30,7 @@ pub struct CaEvent {
 /// Opaque per-UE carrier-aggregation state: the active-cell count, the
 /// activation/deactivation streaks and the ever-aggregated flag.  Normally
 /// internal to a [`CarrierAggregationManager`]; exposed as a movable value
-/// so the sharded engine can migrate a UE's state between shard-local
+/// so the tick engine can migrate a UE's state between shard-local
 /// managers when a handover crosses a shard border
 /// ([`CarrierAggregationManager::take_ue`] /
 /// [`CarrierAggregationManager::restore_ue`]).
@@ -104,8 +104,8 @@ impl CarrierAggregationManager {
 
     /// Remove and return a UE's CA state.  Shard migration support: the
     /// `ever_aggregated` flag (and any mid-streak counters) must follow the
-    /// UE to its new shard's manager to stay byte-identical with the serial
-    /// engine's single global manager.
+    /// UE to its new shard's manager, or the result would depend on the
+    /// shard count.
     pub fn take_ue(&mut self, ue: UeId) -> Option<UeCaState> {
         self.states.remove(&ue)
     }

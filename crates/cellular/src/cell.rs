@@ -184,12 +184,6 @@ impl Cell {
         &self.config
     }
 
-    /// Mutable access to the cell's background-traffic generator (used by the
-    /// network orchestrator and the diurnal micro-benchmark).
-    pub fn background_mut(&mut self) -> &mut BackgroundTraffic {
-        &mut self.background
-    }
-
     /// The cell id.
     pub fn id(&self) -> CellId {
         self.config.id
@@ -468,7 +462,7 @@ impl Cell {
 
         // --- Phase 1: HARQ retransmissions take priority. ------------------
         // Slots iterate in sorted UeId order — the cross-process determinism
-        // invariant (see CellularNetwork::tick).
+        // invariant (see ShardedNetwork::tick_into).
         for slot in 0..self.slots.len() {
             let Some(state) = self.channel[slot] else {
                 continue;

@@ -12,7 +12,7 @@
 //! The actual switch — draining the source cell's queue and in-flight HARQ
 //! blocks onto the target, flushing the UE-side reordering buffer, resetting
 //! carrier aggregation — lives in
-//! [`CellularNetwork::tick`](crate::network::CellularNetwork::tick), which
+//! [`ShardedNetwork::tick_into`](crate::shard::ShardedNetwork::tick_into), which
 //! consults [`HandoverManager::observe`] each measurement period and reports
 //! every executed switch as a [`HandoverEvent`].
 
@@ -37,7 +37,7 @@ pub struct HandoverEvent {
 
 /// Opaque per-UE measurement state: the L3 filters, the A3 candidate timer
 /// and the ping-pong guard.  Normally internal to a [`HandoverManager`];
-/// exposed as a movable value so the sharded engine can migrate a UE's
+/// exposed as a movable value so the tick engine can migrate a UE's
 /// state between shard-local managers when a handover crosses a shard
 /// border ([`HandoverManager::take_ue`] / [`HandoverManager::restore_ue`]).
 #[derive(Debug, Default)]
@@ -152,7 +152,7 @@ impl HandoverManager {
     /// support: when a handover moves a UE to a cell owned by another
     /// shard, its L3 filter history and ping-pong guard must follow it to
     /// that shard's manager, or the next A3 evaluation would start from
-    /// scratch and diverge from the serial engine.
+    /// scratch and the result would depend on the shard count.
     pub fn take_ue(&mut self, ue: UeId) -> Option<UeHandoverState> {
         self.states.remove(&ue)
     }

@@ -23,8 +23,10 @@
 //! * Stochastic background users calibrated to the paper's measurements
 //!   (68 % control-traffic users occupying 4 PRBs for one subframe, diurnal
 //!   load, heavy-tailed flow sizes) ([`traffic`]).
-//! * The [`network::CellularNetwork`] orchestrator that ties all of the above
-//!   into the per-subframe data path used by the end-to-end simulator.
+//! * The [`shard::ShardedNetwork`] tick engine that ties all of the above
+//!   into the per-subframe data path used by the end-to-end simulator, as
+//!   one shard ticked inline or several ticked in parallel with
+//!   byte-identical results.
 
 #![warn(missing_docs)]
 

@@ -1,35 +1,22 @@
-//! The cellular network orchestrator: cells, UEs, carrier aggregation,
-//! inter-cell handover and the per-subframe data path.
+//! The report types of the radio-access-network tick and the one-shard
+//! network under its historical name.
 //!
-//! [`CellularNetwork`] is the boundary the end-to-end simulator talks to: the
-//! wired path hands it downlink packets ([`CellularNetwork::enqueue_packet`]),
-//! it advances the radio access network one 1 ms subframe at a time
-//! ([`CellularNetwork::tick`]), and it reports packet deliveries (with the
-//! HARQ/reordering delays the paper analyses), every DCI message transmitted
-//! on every cell's control channel (the PBE-CC monitor's input), PRB usage,
-//! carrier-aggregation events and serving-cell handovers.
-//!
-//! The tick path is allocation-conscious: drivers that advance millions of
-//! subframes should call [`CellularNetwork::tick_into`] with one reused
-//! [`NetworkTickReport`], which clears and refills its buffers in place.
-//! UEs live in a struct-of-arrays slab ([`UeSlots`] index plus a parallel
-//! `Vec<UserEquipment>` lane), cells are addressed through a dense
-//! CellId → index table, and channel states are staged directly into each
-//! cell via [`Cell::set_channel`] instead of per-cell hash maps.
+//! The engine itself — cells, UEs, carrier aggregation, handover and the
+//! per-subframe data path — is [`ShardedNetwork`]; one shard is the whole
+//! network ticked inline on the caller.  This module holds what a tick
+//! reports ([`NetworkTickReport`], [`Delivery`], [`RlfOutcome`]) and the
+//! behavioural unit tests of the engine.
 
-use crate::carrier::{CaEvent, CaObservation, CarrierAggregationManager};
-use crate::cell::{Cell, QueuedPacket, SubframeReport};
-use crate::channel::{ChannelModel, MobilityTrace};
-use crate::config::{CellId, CellularConfig, Rnti, UeConfig, UeId};
+use crate::carrier::CaEvent;
+use crate::cell::SubframeReport;
+use crate::config::{CellId, CellularConfig, UeId};
 use crate::dci::DciMessage;
-use crate::handover::{HandoverEvent, HandoverManager};
-use crate::slab::{SlotInsert, UeSlots};
-use crate::traffic::{BackgroundTraffic, CellLoadProfile};
-use crate::ue::{PacketEvent, UserEquipment};
+use crate::handover::HandoverEvent;
+use crate::shard::ShardedNetwork;
+use crate::traffic::CellLoadProfile;
 use pbe_stats::time::Instant;
-use pbe_stats::{DetRng, FxHashMap};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 
 /// RSRP reported for a cell that is out of service: far below any A3
 /// threshold, so neither the L3 filter nor the RLF re-selection ever ranks a
@@ -37,7 +24,7 @@ use std::collections::HashMap;
 pub const OUTAGE_RSRP_DBM: f64 = -200.0;
 
 /// What a radio-link-failure declaration did (see
-/// [`CellularNetwork::declare_rlf`]).
+/// [`ShardedNetwork::declare_rlf`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RlfOutcome {
     /// The forced re-selections, one per resident UE that found a live
@@ -87,688 +74,47 @@ pub struct NetworkTickReport {
     pub handovers: Vec<HandoverEvent>,
 }
 
-/// The simulated radio access network.
-#[derive(Debug)]
-pub struct CellularNetwork {
-    config: CellularConfig,
-    cells: Vec<Cell>,
-    /// Dense CellId → position in `cells`, sized to the largest configured
-    /// id (metro grids go well past the 256 ids the table used to assume);
-    /// absent ids hold `usize::MAX`.
-    cell_lookup: Vec<usize>,
-    /// Dense CellId → PRB count of that cell (0 for absent ids): the
-    /// per-UE-per-subframe CA bookkeeping must not pay a linear scan of the
-    /// cell list for each active cell.
-    prb_lookup: Vec<u32>,
-    /// Dense cell position → out-of-service flag (injected outages).  Kept
-    /// beside the per-[`Cell`] flag so the phase-1 sampling loop can consult
-    /// it without touching the cell — the same read the sharded engine does
-    /// from its parallel workers.
-    down_lookup: Vec<bool>,
-    /// Sorted dense UeId → slot index; `ues` is its parallel value lane.
-    /// Slot order is UeId order — the per-subframe iteration order that
-    /// keeps scheduling, delivery and RNG-draw order reproducible.
-    ue_slots: UeSlots,
-    /// Lane: UE state, parallel to `ue_slots`.
-    ues: Vec<UserEquipment>,
-    ca: CarrierAggregationManager,
-    handover: HandoverManager,
-    packet_bytes: FxHashMap<u64, u32>,
-    next_rnti: u16,
-    rng: DetRng,
-    /// Subframes ticked so far.
-    pub subframes: u64,
-    /// RSRP measurement scratch for the A3 evaluation, reused per UE.
-    rsrp_scratch: Vec<(CellId, f64)>,
-    /// Handover decisions of the current measurement round.
-    pending_handovers: Vec<(UeId, CellId)>,
-    /// PRBs allocated per UE slot this subframe (CA bookkeeping scratch).
-    alloc_scratch: Vec<u32>,
-    /// Packet-event scratch for UE outcome processing.
-    event_scratch: Vec<PacketEvent>,
-}
-
-/// Build the dense CellId → cell-position and CellId → PRB-count tables for
-/// a configuration, sized to the largest configured id (shared by the serial
-/// and sharded engines).
-pub(crate) fn build_cell_lookup(config: &CellularConfig) -> (Vec<usize>, Vec<u32>) {
-    let len = config
-        .cells
-        .iter()
-        .map(|c| usize::from(c.id.0) + 1)
-        .max()
-        .unwrap_or(0);
-    let mut cell_lookup = vec![usize::MAX; len];
-    let mut prb_lookup = vec![0u32; len];
-    for (i, c) in config.cells.iter().enumerate() {
-        cell_lookup[usize::from(c.id.0)] = i;
-        prb_lookup[usize::from(c.id.0)] = u32::from(c.total_prbs());
-    }
-    (cell_lookup, prb_lookup)
-}
-
-/// The RLF re-selection rule, shared verbatim by the serial and sharded
-/// engines: the best live configured cell by filtered RSRP, ties broken by
-/// configured order; cells the UE never measured rank below any measured one
-/// (but are still eligible, so a UE whose only neighbour is unmeasured
-/// re-selects it rather than staying on a dead cell).
-pub(crate) fn best_rlf_target(
-    configured: &[CellId],
-    failed: CellId,
-    is_down: impl Fn(CellId) -> bool,
-    filtered_rsrp: impl Fn(CellId) -> Option<f64>,
-) -> Option<CellId> {
-    let mut best: Option<(CellId, f64)> = None;
-    for &c in configured {
-        if c == failed || is_down(c) {
-            continue;
-        }
-        let rsrp = filtered_rsrp(c).unwrap_or(f64::NEG_INFINITY);
-        let better = match best {
-            None => true,
-            Some((_, b)) => rsrp > b,
-        };
-        if better {
-            best = Some((c, rsrp));
-        }
-    }
-    best.map(|(c, _)| c)
-}
+/// A one-shard [`ShardedNetwork`] under the name the serial engine had.
+/// The frozen `benchmark/` package constructs the network by this name; a
+/// later benchmark PR may drop it.
+pub struct CellularNetwork(ShardedNetwork);
 
 impl CellularNetwork {
-    /// Build the network with one background-traffic generator per cell using
-    /// the given load profile.
+    /// Build the network as one shard (no worker threads).
     pub fn new(config: CellularConfig, load: CellLoadProfile, seed: u64) -> Self {
-        let rng = DetRng::new(seed);
-        let cells: Vec<Cell> = config
-            .cells
-            .iter()
-            .map(|c| {
-                let mut cell = Cell::new(
-                    c.clone(),
-                    BackgroundTraffic::new(load, rng.split_indexed("bg", u64::from(c.id.0))),
-                    rng.split_indexed("cell", u64::from(c.id.0)),
-                );
-                cell.set_protocol_overhead(config.protocol_overhead);
-                cell
-            })
-            .collect();
-        let (cell_lookup, prb_lookup) = build_cell_lookup(&config);
-        let handover = HandoverManager::new(config.handover);
-        let down_lookup = vec![false; cells.len()];
-        CellularNetwork {
-            config,
-            cells,
-            cell_lookup,
-            prb_lookup,
-            down_lookup,
-            ue_slots: UeSlots::new(),
-            ues: Vec::new(),
-            ca: CarrierAggregationManager::new(),
-            handover,
-            packet_bytes: FxHashMap::default(),
-            next_rnti: 0x0100,
-            rng,
-            subframes: 0,
-            rsrp_scratch: Vec::new(),
-            pending_handovers: Vec::new(),
-            alloc_scratch: Vec::new(),
-            event_scratch: Vec::new(),
-        }
+        CellularNetwork(ShardedNetwork::new(config, load, seed, 1))
     }
+}
 
-    /// Set a different load profile on one cell (used by the diurnal-sweep
-    /// micro-benchmark).
-    pub fn set_cell_load(&mut self, cell: CellId, load: CellLoadProfile) {
-        if let Some(c) = self.cell_mut(cell) {
-            c.background_mut().set_profile(load);
-        }
+impl Deref for CellularNetwork {
+    type Target = ShardedNetwork;
+    fn deref(&self) -> &ShardedNetwork {
+        &self.0
     }
+}
 
-    /// Static configuration of the network.
-    pub fn config(&self) -> &CellularConfig {
-        &self.config
-    }
-
-    /// The handover state machine (e.g. for filtered-RSRP diagnostics).
-    pub fn handover(&self) -> &HandoverManager {
-        &self.handover
-    }
-
-    /// Take a cell out of service (or bring it back).  While down the cell
-    /// schedules nothing, its staged channel states are discarded, and every
-    /// UE measures it at [`OUTAGE_RSRP_DBM`].  Returns the UEs whose serving
-    /// (primary) cell it is, in UeId order — the population a subsequent
-    /// [`CellularNetwork::declare_rlf`] will act on.
-    pub fn set_cell_outage(&mut self, cell: CellId, down: bool) -> Vec<UeId> {
-        let pos = self.cell_pos(cell);
-        let Some(c) = self.cells.get_mut(pos) else {
-            return Vec::new();
-        };
-        c.set_down(down);
-        self.down_lookup[pos] = down;
-        self.ue_slots
-            .ids()
-            .iter()
-            .enumerate()
-            .filter(|(slot, _)| self.ues[*slot].config().primary_cell() == cell)
-            .map(|(_, ue)| *ue)
-            .collect()
-    }
-
-    /// True while a cell is out of service.
-    pub fn cell_is_down(&self, cell: CellId) -> bool {
-        self.down_lookup
-            .get(self.cell_pos(cell))
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// Declare radio-link failure on a (down) cell: every UE whose serving
-    /// cell it is re-selects the best live configured cell by filtered RSRP
-    /// through the ordinary X2 handover procedure (queued data forwarded,
-    /// RLC re-established, CA collapsed).  UEs with no live configured cell
-    /// stay camped, their queued packets counted as stranded.  Reordering
-    /// releases are appended to `deliveries`, exactly as for A3 handovers.
-    pub fn declare_rlf(
-        &mut self,
-        cell: CellId,
-        now: Instant,
-        deliveries: &mut Vec<Delivery>,
-    ) -> RlfOutcome {
-        let mut outcome = RlfOutcome::default();
-        // Residents in UeId order — the deterministic execution order.
-        let residents: Vec<UeId> = self
-            .ue_slots
-            .ids()
-            .iter()
-            .enumerate()
-            .filter(|(slot, _)| self.ues[*slot].config().primary_cell() == cell)
-            .map(|(_, ue)| *ue)
-            .collect();
-        for ue_id in residents {
-            let target = {
-                let ue = self.ue(ue_id).expect("resident ue exists");
-                best_rlf_target(
-                    &ue.config().configured_cells,
-                    cell,
-                    |c| self.cell_is_down(c),
-                    |c| self.handover.filtered_rsrp(ue_id, c),
-                )
-            };
-            match target {
-                Some(target) => {
-                    let event = self.execute_handover(ue_id, target, now, deliveries);
-                    outcome.events.push(event);
-                }
-                None => {
-                    let stranded = self
-                        .cell(cell)
-                        .map(|c| c.queue_packets(ue_id) as u64)
-                        .unwrap_or(0);
-                    outcome.stranded_packets += stranded;
-                    outcome.stayed.push(ue_id);
-                }
-            }
-        }
-        outcome
-    }
-
-    #[inline]
-    fn cell_pos(&self, id: CellId) -> usize {
-        self.cell_lookup
-            .get(usize::from(id.0))
-            .copied()
-            .unwrap_or(usize::MAX)
-    }
-
-    /// PRB count of a cell (0 for unknown ids) via the dense table.
-    #[inline]
-    fn cell_prbs(&self, id: CellId) -> u32 {
-        self.prb_lookup.get(usize::from(id.0)).copied().unwrap_or(0)
-    }
-
-    fn cell_mut(&mut self, id: CellId) -> Option<&mut Cell> {
-        let pos = self.cell_pos(id);
-        self.cells.get_mut(pos)
-    }
-
-    fn cell(&self, id: CellId) -> Option<&Cell> {
-        self.cells.get(self.cell_pos(id))
-    }
-
-    fn ue(&self, id: UeId) -> Option<&UserEquipment> {
-        self.ue_slots.slot_of(id).map(|slot| &self.ues[slot])
-    }
-
-    fn ue_mut(&mut self, id: UeId) -> Option<&mut UserEquipment> {
-        self.ue_slots.slot_of(id).map(|slot| &mut self.ues[slot])
-    }
-
-    /// Register a UE with the given mobility trace applied to all of its
-    /// configured cells (secondary cells see the same large-scale trajectory
-    /// with a small fixed offset; [`CellularNetwork::set_cell_trace`]
-    /// installs genuinely per-cell trajectories for handover scenarios).
-    /// Returns the RNTI assigned to the UE.
-    pub fn add_ue(&mut self, ue_config: UeConfig, trace: MobilityTrace) -> Rnti {
-        let rnti = Rnti(self.next_rnti);
-        self.next_rnti += 1;
-        let mut channels = HashMap::new();
-        for (i, cell_id) in ue_config.configured_cells.iter().enumerate() {
-            let max_streams = self
-                .config
-                .cell(*cell_id)
-                .map(|c| c.max_spatial_streams)
-                .unwrap_or(2);
-            // Secondary carriers typically sit at higher frequencies and are
-            // received a little weaker.
-            let offset = -1.5 * i as f64;
-            let mut shifted = trace.clone();
-            for w in &mut shifted.waypoints {
-                w.1 += offset;
-            }
-            let model = ChannelModel::new(
-                shifted,
-                max_streams,
-                self.channel_rng(ue_config.id, i as u64),
-            );
-            channels.insert(*cell_id, model);
-            if let Some(cell) = self.cell_mut(*cell_id) {
-                cell.attach(ue_config.id, rnti);
-            }
-        }
-        self.ca.register(ue_config.id);
-        let id = ue_config.id;
-        let ue = UserEquipment::new(ue_config, rnti, channels);
-        match self.ue_slots.insert(id) {
-            SlotInsert::Inserted(slot) => self.ues.insert(slot, ue),
-            SlotInsert::Present(slot) => self.ues[slot] = ue,
-        }
-        rnti
-    }
-
-    /// The deterministic random stream of one (UE, configured-cell-index)
-    /// channel — stable across trace overrides so a scenario that replaces a
-    /// trace keeps every other draw identical.
-    fn channel_rng(&self, ue: UeId, cell_position: u64) -> DetRng {
-        self.rng
-            .split_indexed("chan", (u64::from(ue.0) << 8) | cell_position)
-    }
-
-    /// Replace the mobility trace a UE sees towards one of its configured
-    /// cells (multi-cell trajectories: each cell's RSSI evolves
-    /// independently, which is what makes a handover scenario expressible).
-    /// No-op if the UE or cell is unknown.
-    pub fn set_cell_trace(&mut self, ue: UeId, cell: CellId, trace: MobilityTrace) {
-        let rng = {
-            let Some(u) = self.ue(ue) else { return };
-            let Some(pos) = u.config().configured_cells.iter().position(|c| *c == cell) else {
-                return;
-            };
-            self.channel_rng(ue, pos as u64)
-        };
-        let max_streams = self
-            .config
-            .cell(cell)
-            .map(|c| c.max_spatial_streams)
-            .unwrap_or(2);
-        if let Some(u) = self.ue_mut(ue) {
-            u.set_channel(cell, ChannelModel::new(trace, max_streams, rng));
-        }
-    }
-
-    /// The RNTI of a registered UE.
-    pub fn rnti_of(&self, ue: UeId) -> Option<Rnti> {
-        self.ue(ue).map(|u| u.rnti())
-    }
-
-    /// The current serving (primary) cell of a UE.
-    pub fn serving_cell(&self, ue: UeId) -> Option<CellId> {
-        self.ue(ue).map(|u| u.config().primary_cell())
-    }
-
-    /// Number of currently active (aggregated) cells of a UE.
-    fn active_count(&self, ue_config: &UeConfig) -> usize {
-        self.ca
-            .active_cells(ue_config.id)
-            .min(ue_config.max_aggregated_cells)
-            .min(ue_config.configured_cells.len())
-    }
-
-    /// Cells currently active (aggregated) for a UE.
-    pub fn active_cells(&self, ue: UeId) -> Vec<CellId> {
-        self.ue(ue)
-            .map(|u| self.ca.active_cell_ids(u.config()))
-            .unwrap_or_default()
-    }
-
-    /// True if the UE ever had a secondary cell activated.
-    pub fn carrier_aggregation_triggered(&self, ue: UeId) -> bool {
-        self.ca.ever_aggregated(ue)
-    }
-
-    /// Bits queued for a UE across its configured cells.
-    pub fn queue_bits(&self, ue: UeId) -> u64 {
-        self.ue(ue)
-            .map(|u| {
-                u.config()
-                    .configured_cells
-                    .iter()
-                    .filter_map(|c| self.cell(*c))
-                    .map(|c| c.queue_bits(ue))
-                    .sum()
-            })
-            .unwrap_or(0)
-    }
-
-    /// Hand a downlink packet to the base station.  The packet is queued at
-    /// the active cell with the lowest queue-to-capacity ratio (the network's
-    /// internal flow splitting across aggregated carriers).
-    pub fn enqueue_packet(&mut self, ue: UeId, packet_id: u64, bytes: u32, now: Instant) {
-        let Some(u) = self.ue(ue) else { return };
-        let n = self.active_count(u.config());
-        let mut target: Option<(CellId, f64)> = None;
-        for cell_id in &u.config().configured_cells[..n] {
-            let cell = self.cell(*cell_id).expect("active cell exists");
-            let load = cell.queue_bits(ue) as f64 / f64::from(cell.config().total_prbs());
-            let better = match target {
-                None => true,
-                Some((_, best)) => load < best,
-            };
-            if better {
-                target = Some((*cell_id, load));
-            }
-        }
-        let Some((target, _)) = target else { return };
-        self.packet_bytes.insert(packet_id, bytes);
-        if let Some(cell) = self.cell_mut(target) {
-            cell.enqueue(
-                ue,
-                QueuedPacket {
-                    id: packet_id,
-                    bytes,
-                    enqueued_at: now,
-                },
-            );
-        }
-    }
-
-    /// Advance the whole radio access network by one subframe, returning a
-    /// freshly allocated report (see [`CellularNetwork::tick_into`] for the
-    /// allocation-free variant drivers should prefer).
-    pub fn tick(&mut self, now: Instant) -> NetworkTickReport {
-        let mut report = NetworkTickReport::default();
-        self.tick_into(now, &mut report);
-        report
-    }
-
-    /// Advance the whole radio access network by one subframe, writing into
-    /// a caller-owned report whose buffers are cleared and reused.
-    pub fn tick_into(&mut self, now: Instant, report: &mut NetworkTickReport) {
-        let subframe = now.subframe_index();
-        self.subframes += 1;
-        report.subframe = subframe;
-        report.deliveries.clear();
-        report.dci_messages.clear();
-        report.ca_events.clear();
-        report.handovers.clear();
-
-        // --- Phase 1: channel sampling and A3 measurement. ------------------
-        // Per UE, sample every *active* cell (the data path needs its state)
-        // and, on measurement subframes, every configured cell (the A3
-        // ranking needs neighbours too).  Each (UE, cell) channel owns an
-        // independent random stream, so the extra measurement samples leave
-        // every other draw untouched.  Slots iterate in sorted UeId order,
-        // which keeps scheduling, delivery and RNG-draw order reproducible
-        // across processes.  Active-cell states are staged straight into the
-        // owning cell's channel lane.
-        let measure = self.config.handover.enabled && self.handover.is_measurement_subframe(now);
-        self.pending_handovers.clear();
-        for slot in 0..self.ues.len() {
-            let ue_id = self.ue_slots.ids()[slot];
-            let n_cells = self.ues[slot].config().configured_cells.len();
-            let n_active = self
-                .ca
-                .active_cells(ue_id)
-                .min(self.ues[slot].config().max_aggregated_cells)
-                .min(n_cells);
-            let measure_ue = measure && n_cells > 1;
-            self.rsrp_scratch.clear();
-            for i in 0..n_cells {
-                let cell_id = self.ues[slot].config().configured_cells[i];
-                let is_active = i < n_active;
-                if !is_active && !measure_ue {
-                    continue;
-                }
-                let Some(state) = self.ues[slot].sample_channel(cell_id, now) else {
-                    continue;
-                };
-                // A down cell still consumes its channel draw (stream
-                // conservation: the outage must not shift any other draw),
-                // but schedules nothing and measures at the outage floor.
-                let pos = self.cell_pos(cell_id);
-                let cell_down = self.down_lookup.get(pos).copied().unwrap_or(false);
-                if is_active && !cell_down {
-                    if let Some(cell) = self.cells.get_mut(pos) {
-                        cell.set_channel(ue_id, state);
-                    }
-                }
-                if measure_ue {
-                    let rsrp = if cell_down {
-                        OUTAGE_RSRP_DBM
-                    } else {
-                        state.rsrp_dbm()
-                    };
-                    self.rsrp_scratch.push((cell_id, rsrp));
-                }
-            }
-            if measure_ue {
-                let serving = self.ues[slot].config().primary_cell();
-                if let Some(target) = self
-                    .handover
-                    .observe(ue_id, serving, &self.rsrp_scratch, now)
-                {
-                    self.pending_handovers.push((ue_id, target));
-                }
-            }
-        }
-
-        // --- Phase 2: execute handovers decided this measurement round. ----
-        if !self.pending_handovers.is_empty() {
-            let mut pending = std::mem::take(&mut self.pending_handovers);
-            for (ue_id, target) in pending.drain(..) {
-                let event = self.execute_handover(ue_id, target, now, &mut report.deliveries);
-                report.handovers.push(event);
-            }
-            self.pending_handovers = pending;
-        }
-
-        // --- Phase 3: tick every cell and deliver its outcomes to the UEs. --
-        if report.cell_reports.len() != self.cells.len() {
-            report.cell_reports = self
-                .cells
-                .iter()
-                .map(|_| SubframeReport::default())
-                .collect();
-        }
-        self.alloc_scratch.clear();
-        self.alloc_scratch.resize(self.ues.len(), 0);
-        for i in 0..self.cells.len() {
-            let cell_report = &mut report.cell_reports[i];
-            let cell = &mut self.cells[i];
-            cell.tick_prepared(subframe, cell_report);
-            let cell_id = cell.id();
-            report
-                .dci_messages
-                .extend_from_slice(&cell_report.dci_messages);
-            for alloc in &cell_report.prb_usage.allocations {
-                if let Some(slot) = self.ue_slots.slot_of(alloc.ue) {
-                    self.alloc_scratch[slot] += u32::from(alloc.num_prbs);
-                }
-            }
-            for (owner, outcome) in &cell_report.outcomes {
-                let Some(slot) = self.ue_slots.slot_of(*owner) else {
-                    continue;
-                };
-                self.event_scratch.clear();
-                self.ues[slot].process_outcome(cell_id, outcome, now, &mut self.event_scratch);
-                for e in &self.event_scratch {
-                    let bytes = self.packet_bytes.remove(&e.packet_id).unwrap_or(0);
-                    report.deliveries.push(Delivery {
-                        ue: e.ue,
-                        packet_id: e.packet_id,
-                        bytes,
-                        at: e.at,
-                        delivered: e.delivered,
-                        cell: e.cell,
-                    });
-                }
-            }
-        }
-
-        // --- Phase 4: drive carrier aggregation from this subframe's
-        // allocations. --------------------------------------------------------
-        for slot in 0..self.ues.len() {
-            let ue_id = self.ue_slots.ids()[slot];
-            let n_active = self.active_count(self.ues[slot].config());
-            let active = &self.ues[slot].config().configured_cells[..n_active];
-            let active_cell_prbs: u32 = active.iter().map(|c| self.cell_prbs(*c)).sum();
-            let queued_bits = self.queue_bits(ue_id);
-            let obs = CaObservation {
-                allocated_prbs: self.alloc_scratch[slot],
-                active_cell_prbs,
-                queued_bits,
-            };
-            if let Some(event) = self
-                .ca
-                .observe(&self.config, self.ues[slot].config(), obs, now)
-            {
-                report.ca_events.push(event);
-            }
-        }
-    }
-
-    /// Switch the serving cell of one UE: drain and forward everything the
-    /// old active cells still hold, flush the UE-side reordering buffers
-    /// (whose releases are appended to `deliveries`), collapse carrier
-    /// aggregation, and re-establish on the target cell.
-    fn execute_handover(
-        &mut self,
-        ue_id: UeId,
-        target: CellId,
-        now: Instant,
-        deliveries: &mut Vec<Delivery>,
-    ) -> HandoverEvent {
-        let (rnti, from, active): (Rnti, CellId, Vec<CellId>) = {
-            let ue = self.ue(ue_id).expect("ue exists");
-            let n = self.active_count(ue.config());
-            (
-                ue.rnti(),
-                ue.config().primary_cell(),
-                ue.config().configured_cells[..n].to_vec(),
-            )
-        };
-
-        // Source side: take the queued + in-flight payload of every active
-        // cell (serving first), in order.  Detaching also drops any channel
-        // state staged for this subframe on those cells.
-        let mut forwarded: Vec<QueuedPacket> = Vec::new();
-        for cell_id in &active {
-            if let Some(cell) = self.cell_mut(*cell_id) {
-                forwarded.extend(cell.detach(ue_id, now));
-            }
-        }
-        // UE side: RLC re-establishment of every old cell — release what the
-        // reordering buffers hold (handover reordering is visible to the
-        // transport layer, exactly as over the air).  Packets whose final
-        // segment is released here are *complete* as far as the transport
-        // layer is concerned: their ids must not ride along in the forwarded
-        // data, or the target cell would regenerate a second final segment
-        // from the stale remainder and the packet would be delivered twice.
-        for cell_id in &active {
-            let ue = self.ue_mut(ue_id).expect("ue exists");
-            let events = ue.flush_cell(*cell_id, now);
-            for e in &events {
-                let bytes = self.packet_bytes.remove(&e.packet_id).unwrap_or(0);
-                forwarded.retain(|p| p.id != e.packet_id);
-                deliveries.push(Delivery {
-                    ue: e.ue,
-                    packet_id: e.packet_id,
-                    bytes,
-                    at: e.at,
-                    delivered: e.delivered,
-                    cell: e.cell,
-                });
-            }
-        }
-
-        // Re-establish on the target: new serving cell first in the
-        // configured list, carrier aggregation collapsed, data forwarded.
-        // The UE re-attaches to *every* configured cell (fresh queues, HARQ
-        // entities and sequence spaces), not just the target — carrier
-        // aggregation may later re-activate one of the old cells as a
-        // secondary, and an unattached cell would silently black-hole the
-        // flow-split packets routed to it.
-        self.ue_mut(ue_id)
-            .expect("ue exists")
-            .promote_primary(target);
-        self.ca.reset(ue_id);
-        self.handover.note_handover(ue_id, now);
-        let configured = self
-            .ue(ue_id)
-            .expect("ue exists")
-            .config()
-            .configured_cells
-            .clone();
-        for cell_id in configured {
-            if let Some(cell) = self.cell_mut(cell_id) {
-                cell.attach(ue_id, rnti);
-            }
-        }
-        if let Some(cell) = self.cell_mut(target) {
-            for pkt in forwarded {
-                cell.enqueue(ue_id, pkt);
-            }
-        }
-        // The target becomes the UE's only active cell this subframe: stage
-        // its channel state for the scheduler (re-sampling within the same
-        // subframe returns the cached fade, so this draws nothing new).  The
-        // old cells lost their staged states when the UE detached.
-        let state = self
-            .ue_mut(ue_id)
-            .expect("ue exists")
-            .sample_channel(target, now);
-        if let Some(state) = state {
-            if let Some(cell) = self.cell_mut(target) {
-                cell.set_channel(ue_id, state);
-            }
-        }
-        HandoverEvent {
-            ue: ue_id,
-            from,
-            to: target,
-            at: now,
-        }
-    }
-
-    /// Receive-side statistics of a UE: `(delivered, lost)` packet counts.
-    pub fn ue_stats(&self, ue: UeId) -> (u64, u64) {
-        self.ue(ue)
-            .map(|u| (u.packets_delivered, u.packets_lost))
-            .unwrap_or((0, 0))
+impl DerefMut for CellularNetwork {
+    fn deref_mut(&mut self) -> &mut ShardedNetwork {
+        &mut self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::MobilityTrace;
     use crate::config::UeConfig;
 
     fn network(load: CellLoadProfile) -> CellularNetwork {
         CellularNetwork::new(CellularConfig::default(), load, 42)
     }
 
-    fn add_default_ue(net: &mut CellularNetwork, max_cells: usize) -> UeId {
+    /// The shard counts the handover / outage / RLF tests run at: the whole
+    /// network inline, and split so that cell 0 and its neighbours live in
+    /// different shards.
+    const SHARD_COUNTS: [usize; 2] = [1, 2];
+
+    fn add_default_ue(net: &mut ShardedNetwork, max_cells: usize) -> UeId {
         let ue = UeId(1);
         net.add_ue(
             UeConfig::new(ue, vec![CellId(0), CellId(1), CellId(2)], max_cells, -85.0),
@@ -950,10 +296,10 @@ mod tests {
 
     /// Two-cell setup where the UE walks from cell 0's coverage into
     /// cell 1's: cell 0 fades −85 → −110 dBm while cell 1 rises −110 → −85.
-    fn crossing_network() -> (CellularNetwork, UeId) {
+    fn crossing_network(shards: usize) -> (ShardedNetwork, UeId) {
         let mut config = CellularConfig::default();
         config.handover.min_interval_ms = 500;
-        let mut net = CellularNetwork::new(config, CellLoadProfile::none(), 7);
+        let mut net = ShardedNetwork::new(config, CellLoadProfile::none(), 7, shards);
         let ue = UeId(1);
         net.add_ue(
             UeConfig::new(ue, vec![CellId(0), CellId(1)], 1, -85.0),
@@ -974,143 +320,150 @@ mod tests {
 
     #[test]
     fn boundary_crossing_trace_triggers_handover() {
-        let (mut net, ue) = crossing_network();
-        assert_eq!(net.serving_cell(ue), Some(CellId(0)));
-        let mut pid = 0u64;
-        let mut handovers: Vec<HandoverEvent> = Vec::new();
-        let mut delivered_after = 0u64;
-        for sf in 0..6000u64 {
-            let now = Instant::from_millis(sf);
-            for _ in 0..4 {
-                net.enqueue_packet(ue, pid, 1500, now);
-                pid += 1;
+        for shards in SHARD_COUNTS {
+            let (mut net, ue) = crossing_network(shards);
+            assert_eq!(net.serving_cell(ue), Some(CellId(0)));
+            let mut pid = 0u64;
+            let mut handovers: Vec<HandoverEvent> = Vec::new();
+            let mut delivered_after = 0u64;
+            for sf in 0..6000u64 {
+                let now = Instant::from_millis(sf);
+                for _ in 0..4 {
+                    net.enqueue_packet(ue, pid, 1500, now);
+                    pid += 1;
+                }
+                let report = net.tick(now);
+                handovers.extend(report.handovers.iter().copied());
+                if !handovers.is_empty() {
+                    delivered_after +=
+                        report.deliveries.iter().filter(|d| d.delivered).count() as u64;
+                }
             }
-            let report = net.tick(now);
-            handovers.extend(report.handovers.iter().copied());
-            if !handovers.is_empty() {
-                delivered_after += report.deliveries.iter().filter(|d| d.delivered).count() as u64;
-            }
+            assert!(!handovers.is_empty(), "the crossing triggers a handover");
+            let first = handovers[0];
+            assert_eq!(first.ue, ue);
+            assert_eq!(first.from, CellId(0));
+            assert_eq!(first.to, CellId(1));
+            // The trigger should land around the RSRP crossing point (2 s into
+            // the walk), delayed by the L3 filter + TTT, not at the very end.
+            assert!(
+                (1_500..4_000).contains(&first.at.as_millis()),
+                "handover at {}",
+                first.at
+            );
+            assert_eq!(net.serving_cell(ue), Some(CellId(1)));
+            assert!(
+                delivered_after > 1_000,
+                "data keeps flowing on the target cell: {delivered_after}"
+            );
         }
-        assert!(!handovers.is_empty(), "the crossing triggers a handover");
-        let first = handovers[0];
-        assert_eq!(first.ue, ue);
-        assert_eq!(first.from, CellId(0));
-        assert_eq!(first.to, CellId(1));
-        // The trigger should land around the RSRP crossing point (2 s into
-        // the walk), delayed by the L3 filter + TTT, not at the very end.
-        assert!(
-            (1_500..4_000).contains(&first.at.as_millis()),
-            "handover at {}",
-            first.at
-        );
-        assert_eq!(net.serving_cell(ue), Some(CellId(1)));
-        assert!(
-            delivered_after > 1_000,
-            "data keeps flowing on the target cell: {delivered_after}"
-        );
     }
 
     #[test]
     fn handover_forwards_in_flight_data_without_mass_loss() {
-        let (mut net, ue) = crossing_network();
-        let mut pid = 0u64;
-        let mut delivered_ids: Vec<u64> = Vec::new();
-        for sf in 0..6000u64 {
-            let now = Instant::from_millis(sf);
-            for _ in 0..4 {
-                net.enqueue_packet(ue, pid, 1500, now);
-                pid += 1;
+        for shards in SHARD_COUNTS {
+            let (mut net, ue) = crossing_network(shards);
+            let mut pid = 0u64;
+            let mut delivered_ids: Vec<u64> = Vec::new();
+            for sf in 0..6000u64 {
+                let now = Instant::from_millis(sf);
+                for _ in 0..4 {
+                    net.enqueue_packet(ue, pid, 1500, now);
+                    pid += 1;
+                }
+                let report = net.tick(now);
+                delivered_ids.extend(
+                    report
+                        .deliveries
+                        .iter()
+                        .filter(|d| d.delivered)
+                        .map(|d| d.packet_id),
+                );
             }
-            let report = net.tick(now);
-            delivered_ids.extend(
-                report
-                    .deliveries
-                    .iter()
-                    .filter(|d| d.delivered)
-                    .map(|d| d.packet_id),
+            // No packet is delivered twice — in particular not across the
+            // handover, where a flushed final segment and the forwarded HARQ
+            // remainder of the same packet could each produce one.
+            let total = delivered_ids.len();
+            delivered_ids.sort_unstable();
+            delivered_ids.dedup();
+            assert_eq!(total, delivered_ids.len(), "duplicate deliveries");
+            let (delivered, lost) = net.ue_stats(ue);
+            assert!(delivered > 20_000, "delivered {delivered}");
+            // The walk spends seconds at the −110 dBm cell edge, where HARQ
+            // exhaustion losses are expected; the handover itself must not add
+            // bulk loss on top (forwarding, not dropping, the in-flight data).
+            assert!(
+                (lost as f64) < 0.02 * delivered as f64,
+                "lost {lost} vs delivered {delivered}"
             );
         }
-        // No packet is delivered twice — in particular not across the
-        // handover, where a flushed final segment and the forwarded HARQ
-        // remainder of the same packet could each produce one.
-        let total = delivered_ids.len();
-        delivered_ids.sort_unstable();
-        delivered_ids.dedup();
-        assert_eq!(total, delivered_ids.len(), "duplicate deliveries");
-        let (delivered, lost) = net.ue_stats(ue);
-        assert!(delivered > 20_000, "delivered {delivered}");
-        // The walk spends seconds at the −110 dBm cell edge, where HARQ
-        // exhaustion losses are expected; the handover itself must not add
-        // bulk loss on top (forwarding, not dropping, the in-flight data).
-        assert!(
-            (lost as f64) < 0.02 * delivered as f64,
-            "lost {lost} vs delivered {delivered}"
-        );
     }
 
     #[test]
     fn carrier_aggregation_still_works_after_a_handover() {
-        // A CA-capable UE hands over, then offers more than the new serving
-        // cell can carry: the CA machinery must be able to re-activate the
-        // *old* serving cell as a secondary — which requires the handover to
-        // have re-attached the UE to every configured cell (an unattached
-        // cell would black-hole the flow-split packets).
-        let mut config = CellularConfig::default();
-        config.handover.min_interval_ms = 500;
-        config.ca_activation_subframes = 50;
-        let mut net = CellularNetwork::new(config, CellLoadProfile::none(), 7);
-        let ue = UeId(1);
-        net.add_ue(
-            UeConfig::new(ue, vec![CellId(0), CellId(1)], 2, -85.0),
-            MobilityTrace::stationary(-85.0),
-        );
-        // Cross from cell 0 to cell 1, then stay strong on both so the UE
-        // keeps decent rates on the re-activated secondary.
-        net.set_cell_trace(
-            ue,
-            CellId(0),
-            MobilityTrace::from_secs(&[(0.0, -85.0), (2.0, -100.0), (4.0, -88.0)]),
-        );
-        net.set_cell_trace(
-            ue,
-            CellId(1),
-            MobilityTrace::from_secs(&[(0.0, -100.0), (2.0, -85.0), (4.0, -85.0)]),
-        );
-        let mut pid = 0u64;
-        let mut handed_over = false;
-        let mut reaggregated = false;
-        let mut delivered_after_ca = 0u64;
-        for sf in 0..10_000u64 {
-            let now = Instant::from_millis(sf);
-            // Offer far more than one 20 MHz cell can carry.
-            for _ in 0..20 {
-                net.enqueue_packet(ue, pid, 1500, now);
-                pid += 1;
+        for shards in SHARD_COUNTS {
+            // A CA-capable UE hands over, then offers more than the new serving
+            // cell can carry: the CA machinery must be able to re-activate the
+            // *old* serving cell as a secondary — which requires the handover to
+            // have re-attached the UE to every configured cell (an unattached
+            // cell would black-hole the flow-split packets).
+            let mut config = CellularConfig::default();
+            config.handover.min_interval_ms = 500;
+            config.ca_activation_subframes = 50;
+            let mut net = ShardedNetwork::new(config, CellLoadProfile::none(), 7, shards);
+            let ue = UeId(1);
+            net.add_ue(
+                UeConfig::new(ue, vec![CellId(0), CellId(1)], 2, -85.0),
+                MobilityTrace::stationary(-85.0),
+            );
+            // Cross from cell 0 to cell 1, then stay strong on both so the UE
+            // keeps decent rates on the re-activated secondary.
+            net.set_cell_trace(
+                ue,
+                CellId(0),
+                MobilityTrace::from_secs(&[(0.0, -85.0), (2.0, -100.0), (4.0, -88.0)]),
+            );
+            net.set_cell_trace(
+                ue,
+                CellId(1),
+                MobilityTrace::from_secs(&[(0.0, -100.0), (2.0, -85.0), (4.0, -85.0)]),
+            );
+            let mut pid = 0u64;
+            let mut handed_over = false;
+            let mut reaggregated = false;
+            let mut delivered_after_ca = 0u64;
+            for sf in 0..10_000u64 {
+                let now = Instant::from_millis(sf);
+                // Offer far more than one 20 MHz cell can carry.
+                for _ in 0..20 {
+                    net.enqueue_packet(ue, pid, 1500, now);
+                    pid += 1;
+                }
+                let report = net.tick(now);
+                handed_over |= !report.handovers.is_empty();
+                if handed_over && net.active_cells(ue).len() >= 2 {
+                    reaggregated = true;
+                }
+                if reaggregated {
+                    delivered_after_ca +=
+                        report.deliveries.iter().filter(|d| d.delivered).count() as u64;
+                }
             }
-            let report = net.tick(now);
-            handed_over |= !report.handovers.is_empty();
-            if handed_over && net.active_cells(ue).len() >= 2 {
-                reaggregated = true;
-            }
-            if reaggregated {
-                delivered_after_ca +=
-                    report.deliveries.iter().filter(|d| d.delivered).count() as u64;
-            }
+            assert!(handed_over, "the crossing hands over");
+            assert!(
+                reaggregated,
+                "carrier aggregation re-activates a secondary after the handover"
+            );
+            assert!(
+                delivered_after_ca > 1_000,
+                "packets keep flowing on the re-aggregated cells: {delivered_after_ca}"
+            );
         }
-        assert!(handed_over, "the crossing hands over");
-        assert!(
-            reaggregated,
-            "carrier aggregation re-activates a secondary after the handover"
-        );
-        assert!(
-            delivered_after_ca > 1_000,
-            "packets keep flowing on the re-aggregated cells: {delivered_after_ca}"
-        );
     }
 
     #[test]
     fn disabled_handover_keeps_the_serving_cell() {
-        let (mut net_ho, ue) = crossing_network();
+        let (mut net_ho, ue) = crossing_network(1);
         let mut config = CellularConfig::default();
         config.handover.enabled = false;
         let mut net_static = CellularNetwork::new(config, CellLoadProfile::none(), 7);
@@ -1174,90 +527,104 @@ mod tests {
 
     #[test]
     fn cell_outage_forces_rlf_reselection_and_data_continues() {
-        let mut net = network(CellLoadProfile::none());
-        let ue = add_default_ue(&mut net, 1);
-        let mut pid = 0u64;
-        // Warm up: measurements populate the L3 filter for the neighbours.
-        for sf in 0..1000u64 {
-            let now = Instant::from_millis(sf);
-            net.enqueue_packet(ue, pid, 1500, now);
-            pid += 1;
-            net.tick(now);
-        }
-        assert_eq!(net.serving_cell(ue), Some(CellId(0)));
-
-        // Outage: cell 0 goes dark; residents reported in UeId order.
-        let residents = net.set_cell_outage(CellId(0), true);
-        assert_eq!(residents, vec![ue]);
-        assert!(net.cell_is_down(CellId(0)));
-
-        // Detection window: the down cell schedules nothing.
-        for sf in 1000..1040u64 {
-            let now = Instant::from_millis(sf);
-            net.enqueue_packet(ue, pid, 1500, now);
-            pid += 1;
-            let report = net.tick(now);
-            assert!(
-                report.cell_reports[0].dci_messages.is_empty(),
-                "down cell stays silent at subframe {sf}"
+        for shards in SHARD_COUNTS {
+            let mut net = ShardedNetwork::new(
+                CellularConfig::default(),
+                CellLoadProfile::none(),
+                42,
+                shards,
             );
-        }
+            let ue = add_default_ue(&mut net, 1);
+            let mut pid = 0u64;
+            // Warm up: measurements populate the L3 filter for the neighbours.
+            for sf in 0..1000u64 {
+                let now = Instant::from_millis(sf);
+                net.enqueue_packet(ue, pid, 1500, now);
+                pid += 1;
+                net.tick(now);
+            }
+            assert_eq!(net.serving_cell(ue), Some(CellId(0)));
 
-        // RLF: the UE re-selects a live neighbour and its queued data is
-        // forwarded, not stranded.
-        let mut deliveries = Vec::new();
-        let outcome = net.declare_rlf(CellId(0), Instant::from_millis(1040), &mut deliveries);
-        assert_eq!(outcome.events.len(), 1);
-        assert_eq!(outcome.events[0].from, CellId(0));
-        assert_ne!(outcome.events[0].to, CellId(0));
-        assert!(outcome.stayed.is_empty());
-        assert_eq!(outcome.stranded_packets, 0);
-        let target = outcome.events[0].to;
-        assert_eq!(net.serving_cell(ue), Some(target));
+            // Outage: cell 0 goes dark; residents reported in UeId order.
+            let residents = net.set_cell_outage(CellId(0), true);
+            assert_eq!(residents, vec![ue]);
+            assert!(net.cell_is_down(CellId(0)));
 
-        // Data keeps flowing on the target while cell 0 is still down.
-        let mut delivered = 0u64;
-        for sf in 1041..1600u64 {
-            let now = Instant::from_millis(sf);
-            net.enqueue_packet(ue, pid, 1500, now);
-            pid += 1;
-            let report = net.tick(now);
-            delivered += report.deliveries.iter().filter(|d| d.delivered).count() as u64;
+            // Detection window: the down cell schedules nothing.
+            for sf in 1000..1040u64 {
+                let now = Instant::from_millis(sf);
+                net.enqueue_packet(ue, pid, 1500, now);
+                pid += 1;
+                let report = net.tick(now);
+                assert!(
+                    report.cell_reports[0].dci_messages.is_empty(),
+                    "down cell stays silent at subframe {sf}"
+                );
+            }
+
+            // RLF: the UE re-selects a live neighbour and its queued data is
+            // forwarded, not stranded.
+            let mut deliveries = Vec::new();
+            let outcome = net.declare_rlf(CellId(0), Instant::from_millis(1040), &mut deliveries);
+            assert_eq!(outcome.events.len(), 1);
+            assert_eq!(outcome.events[0].from, CellId(0));
+            assert_ne!(outcome.events[0].to, CellId(0));
+            assert!(outcome.stayed.is_empty());
+            assert_eq!(outcome.stranded_packets, 0);
+            let target = outcome.events[0].to;
+            assert_eq!(net.serving_cell(ue), Some(target));
+
+            // Data keeps flowing on the target while cell 0 is still down.
+            let mut delivered = 0u64;
+            for sf in 1041..1600u64 {
+                let now = Instant::from_millis(sf);
+                net.enqueue_packet(ue, pid, 1500, now);
+                pid += 1;
+                let report = net.tick(now);
+                delivered += report.deliveries.iter().filter(|d| d.delivered).count() as u64;
+            }
+            assert!(delivered > 400, "delivered {delivered} on the target cell");
         }
-        assert!(delivered > 400, "delivered {delivered} on the target cell");
     }
 
     #[test]
     fn rlf_with_no_live_neighbour_strands_the_queue() {
-        let mut net = network(CellLoadProfile::none());
-        let ue = UeId(1);
-        net.add_ue(
-            UeConfig::new(ue, vec![CellId(0)], 1, -85.0),
-            MobilityTrace::stationary(-85.0),
-        );
-        for sf in 0..50u64 {
-            let now = Instant::from_millis(sf);
-            net.tick(now);
+        for shards in SHARD_COUNTS {
+            let mut net = ShardedNetwork::new(
+                CellularConfig::default(),
+                CellLoadProfile::none(),
+                42,
+                shards,
+            );
+            let ue = UeId(1);
+            net.add_ue(
+                UeConfig::new(ue, vec![CellId(0)], 1, -85.0),
+                MobilityTrace::stationary(-85.0),
+            );
+            for sf in 0..50u64 {
+                let now = Instant::from_millis(sf);
+                net.tick(now);
+            }
+            net.set_cell_outage(CellId(0), true);
+            // Packets arriving during the outage pile up at the dead cell.
+            for i in 0..10u64 {
+                net.enqueue_packet(ue, i, 1500, Instant::from_millis(50));
+            }
+            let mut deliveries = Vec::new();
+            let outcome = net.declare_rlf(CellId(0), Instant::from_millis(90), &mut deliveries);
+            assert!(outcome.events.is_empty(), "nowhere to go");
+            assert_eq!(outcome.stayed, vec![ue]);
+            assert_eq!(outcome.stranded_packets, 10);
+            assert_eq!(net.serving_cell(ue), Some(CellId(0)));
+            // Service returns: the stranded queue drains.
+            net.set_cell_outage(CellId(0), false);
+            let mut delivered = 0u64;
+            for sf in 91..200u64 {
+                let report = net.tick(Instant::from_millis(sf));
+                delivered += report.deliveries.iter().filter(|d| d.delivered).count() as u64;
+            }
+            assert_eq!(delivered, 10, "the stranded packets deliver on recovery");
         }
-        net.set_cell_outage(CellId(0), true);
-        // Packets arriving during the outage pile up at the dead cell.
-        for i in 0..10u64 {
-            net.enqueue_packet(ue, i, 1500, Instant::from_millis(50));
-        }
-        let mut deliveries = Vec::new();
-        let outcome = net.declare_rlf(CellId(0), Instant::from_millis(90), &mut deliveries);
-        assert!(outcome.events.is_empty(), "nowhere to go");
-        assert_eq!(outcome.stayed, vec![ue]);
-        assert_eq!(outcome.stranded_packets, 10);
-        assert_eq!(net.serving_cell(ue), Some(CellId(0)));
-        // Service returns: the stranded queue drains.
-        net.set_cell_outage(CellId(0), false);
-        let mut delivered = 0u64;
-        for sf in 91..200u64 {
-            let report = net.tick(Instant::from_millis(sf));
-            delivered += report.deliveries.iter().filter(|d| d.delivered).count() as u64;
-        }
-        assert_eq!(delivered, 10, "the stranded packets deliver on recovery");
     }
 
     #[test]

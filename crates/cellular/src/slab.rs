@@ -1,7 +1,7 @@
 //! Dense struct-of-arrays storage for per-UE hot state.
 //!
 //! The per-subframe loops of [`crate::cell::Cell`] and
-//! [`crate::network::CellularNetwork`] touch several pieces of state for
+//! [`crate::shard::ShardedNetwork`] touch several pieces of state for
 //! every attached UE, every millisecond.  Keyed `HashMap`s pay a hash per
 //! touch; this module replaces them with *slabs*: one sorted id vector
 //! ([`UeSlots`]) shared by any number of parallel value lanes (`Vec<T>`

@@ -155,11 +155,6 @@ impl BackgroundTraffic {
         }
     }
 
-    /// Replace the load profile (e.g. when sweeping the diurnal factor).
-    pub fn set_profile(&mut self, profile: CellLoadProfile) {
-        self.profile = profile;
-    }
-
     /// Currently active data sessions.
     pub fn active_data_sessions(&self) -> usize {
         self.sessions.len()

@@ -141,9 +141,9 @@ impl SimBuilder {
         self
     }
 
-    /// Tick the radio access network on the sharded engine with this many
-    /// shards.  Results are byte-identical to the serial default for every
-    /// shard count; only the wall clock changes.
+    /// Tick the radio access network on this many shards (the default is
+    /// one, ticked inline on the calling thread).  Results are
+    /// byte-identical for every shard count; only the wall clock changes.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self

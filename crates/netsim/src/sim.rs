@@ -25,7 +25,7 @@ use pbe_cellular::carrier::CaEvent;
 use pbe_cellular::channel::MobilityTrace;
 use pbe_cellular::config::{CellId, CellularConfig, UeConfig, UeId};
 use pbe_cellular::handover::HandoverEvent;
-use pbe_cellular::network::{CellularNetwork, Delivery, NetworkTickReport, RlfOutcome};
+use pbe_cellular::network::NetworkTickReport;
 use pbe_cellular::shard::ShardedNetwork;
 use pbe_cellular::traffic::CellLoadProfile;
 use pbe_core::receiver::{ReceiverAgent, ReceiverCtx};
@@ -58,14 +58,15 @@ pub struct SimConfig {
     /// pre-handover scenario JSON loadable.
     #[serde(default)]
     pub trajectories: Vec<CellTrajectory>,
-    /// Shard count for the cellular tick engine.  `None` (the default, and
-    /// what pre-shard configuration JSON loads as) ticks the radio access
-    /// network serially; `Some(n)` partitions the cell grid into `n`
-    /// geo-contiguous shards ticked in parallel on a persistent worker pool.
-    /// Every shard count produces byte-identical results; only the wall
-    /// clock changes.  When this is `None`, the `PBE_FORCE_SHARDS`
-    /// environment variable (a positive integer) overrides it — the CI lever
-    /// that runs the whole test suite over the sharded path.
+    /// Shard count for the cellular tick engine.  `Some(n)` partitions the
+    /// cell grid into `n` geo-contiguous shards ticked in parallel on a
+    /// persistent worker pool; one shard ticks the whole grid inline on the
+    /// calling thread.  Every shard count produces byte-identical results;
+    /// only the wall clock changes.  `None` (the default, and what pre-shard
+    /// configuration JSON loads as) means one shard unless the
+    /// `PBE_FORCE_SHARDS` environment variable (a positive integer) names
+    /// another count — the CI lever that runs the whole test suite at a
+    /// multi-shard count.
     #[serde(default)]
     pub shards: Option<usize>,
     /// Shared wired backhaul topology.  `None` (the default, and what every
@@ -80,110 +81,31 @@ pub struct SimConfig {
     /// Deterministic fault schedule: cell outages, backhaul link flaps and
     /// control-channel decode-loss bursts, all keyed purely by simulated
     /// time.  `None` (the default, and what every pre-fault configuration
-    /// JSON loads as) injects nothing; a schedule is applied identically by
-    /// the serial and sharded engines, so faulted runs stay byte-identical
+    /// JSON loads as) injects nothing; a schedule is applied by the
+    /// single-threaded driver loop, so faulted runs stay byte-identical
     /// across shard counts.
     #[serde(default)]
     pub faults: Option<FaultSchedule>,
 }
 
-/// The radio access network behind one simulation: the serial engine, or
-/// the shard-parallel engine when [`SimConfig::shards`] (or the
-/// `PBE_FORCE_SHARDS` environment variable) asks for it.  Both produce
-/// byte-identical reports; the dispatch exists so the serial engine stays
-/// the default and pays no synchronisation cost.
-enum Ran {
-    Serial(CellularNetwork),
-    Sharded(ShardedNetwork),
+/// Parse a `PBE_FORCE_SHARDS` value: unset means no override; anything but
+/// a positive integer is an error naming the variable and the value, so a
+/// typo cannot silently run the default shard count.
+fn parse_forced_shards(value: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(value) = value else { return Ok(None) };
+    match value.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(format!(
+            "PBE_FORCE_SHARDS must be a positive integer, got {value:?}"
+        )),
+    }
 }
 
-impl Ran {
-    fn new(cfg: &SimConfig) -> Self {
-        let shards = cfg.shards.or_else(|| {
-            std::env::var("PBE_FORCE_SHARDS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|n| *n > 0)
-        });
-        match shards {
-            Some(n) => Ran::Sharded(ShardedNetwork::new(
-                cfg.cellular.clone(),
-                cfg.load,
-                cfg.seed,
-                n,
-            )),
-            None => Ran::Serial(CellularNetwork::new(
-                cfg.cellular.clone(),
-                cfg.load,
-                cfg.seed,
-            )),
-        }
-    }
-
-    fn add_ue(&mut self, ue: UeConfig, trace: MobilityTrace) {
-        match self {
-            Ran::Serial(n) => {
-                n.add_ue(ue, trace);
-            }
-            Ran::Sharded(n) => {
-                n.add_ue(ue, trace);
-            }
-        }
-    }
-
-    fn set_cell_trace(&mut self, ue: UeId, cell: CellId, trace: MobilityTrace) {
-        match self {
-            Ran::Serial(n) => n.set_cell_trace(ue, cell, trace),
-            Ran::Sharded(n) => n.set_cell_trace(ue, cell, trace),
-        }
-    }
-
-    fn rnti_of(&self, ue: UeId) -> Option<pbe_cellular::config::Rnti> {
-        match self {
-            Ran::Serial(n) => n.rnti_of(ue),
-            Ran::Sharded(n) => n.rnti_of(ue),
-        }
-    }
-
-    fn enqueue_packet(&mut self, ue: UeId, packet_id: u64, bytes: u32, now: Instant) {
-        match self {
-            Ran::Serial(n) => n.enqueue_packet(ue, packet_id, bytes, now),
-            Ran::Sharded(n) => n.enqueue_packet(ue, packet_id, bytes, now),
-        }
-    }
-
-    fn tick_into(&mut self, now: Instant, report: &mut NetworkTickReport) {
-        match self {
-            Ran::Serial(n) => n.tick_into(now, report),
-            Ran::Sharded(n) => n.tick_into(now, report),
-        }
-    }
-
-    fn carrier_aggregation_triggered(&self, ue: UeId) -> bool {
-        match self {
-            Ran::Serial(n) => n.carrier_aggregation_triggered(ue),
-            Ran::Sharded(n) => n.carrier_aggregation_triggered(ue),
-        }
-    }
-
-    fn set_cell_outage(&mut self, cell: CellId, down: bool) -> Vec<UeId> {
-        match self {
-            Ran::Serial(n) => n.set_cell_outage(cell, down),
-            Ran::Sharded(n) => n.set_cell_outage(cell, down),
-        }
-    }
-
-    fn declare_rlf(
-        &mut self,
-        cell: CellId,
-        now: Instant,
-        deliveries: &mut Vec<Delivery>,
-    ) -> RlfOutcome {
-        match self {
-            Ran::Serial(n) => n.declare_rlf(cell, now, deliveries),
-            Ran::Sharded(n) => n.declare_rlf(cell, now, deliveries),
-        }
-    }
+/// The shard count the environment asks for when [`SimConfig::shards`] does
+/// not name one.
+fn forced_shards() -> Option<usize> {
+    let value = std::env::var_os("PBE_FORCE_SHARDS").map(|v| v.to_string_lossy().into_owned());
+    parse_forced_shards(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One per-cell trajectory override of [`SimConfig::trajectories`].
@@ -396,7 +318,8 @@ impl Simulation {
             .unwrap_or(CellId(0));
         let mut metrics = MetricsCollector::new(&cfg.flows, primary_cell);
 
-        let mut net = Ran::new(cfg);
+        let shards = cfg.shards.or_else(forced_shards).unwrap_or(1);
+        let mut net = ShardedNetwork::new(cfg.cellular.clone(), cfg.load, cfg.seed, shards);
         for (ue_cfg, trace) in &cfg.ues {
             net.add_ue(ue_cfg.clone(), trace.clone());
         }
@@ -1187,23 +1110,46 @@ mod tests {
         assert!(!result.primary_prb_timeline.is_empty());
     }
 
+    /// FNV-128 of the `SimResult` JSON of `cfg` run at `shards` shards.
+    /// The constants the identity tests compare it with were captured from
+    /// the serial tick engine at the commit before it was deleted.
+    fn result_digest(cfg: &SimConfig, shards: usize) -> String {
+        let mut cfg = cfg.clone();
+        cfg.shards = Some(shards);
+        let json = serde_json::to_string(&Simulation::new(cfg).run()).unwrap();
+        pbe_stats::fnv1a_128_hex(json.as_bytes())
+    }
+
     #[test]
-    fn sharded_simulation_is_byte_identical_to_serial() {
-        // The engine dispatch must be invisible end to end: a whole
-        // simulation (flows, metrics, CA on the 3-cell default network)
-        // serialises identically whatever the shard count.
+    fn simulation_is_byte_identical_across_shard_counts() {
+        // The shard count must be invisible end to end: a whole simulation
+        // (flows, metrics, CA on the 3-cell default network) serialises to
+        // the serial engine's bytes whatever the shard count.
         let cfg = SimConfig::single_flow(
             SchemeChoice::Pbe,
             Duration::from_secs(2),
             CellLoadProfile::busy(),
             13,
         );
-        let serial = serde_json::to_string(&Simulation::new(cfg.clone()).run()).unwrap();
         for shards in [1usize, 2, 3] {
-            let mut sharded_cfg = cfg.clone();
-            sharded_cfg.shards = Some(shards);
-            let sharded = serde_json::to_string(&Simulation::new(sharded_cfg).run()).unwrap();
-            assert_eq!(serial, sharded, "{shards} shards diverged from serial");
+            assert_eq!(
+                result_digest(&cfg, shards),
+                "4f35125cee6d016f0b5ff89e293acb1f",
+                "{shards} shards diverged from the serial engine's result"
+            );
+        }
+    }
+
+    #[test]
+    fn forced_shard_count_parses_or_fails_loudly() {
+        assert_eq!(parse_forced_shards(None), Ok(None));
+        assert_eq!(parse_forced_shards(Some("3")), Ok(Some(3)));
+        for bad in ["0", "three", "", "-1", "2 "] {
+            let err = parse_forced_shards(Some(bad)).expect_err(bad);
+            assert!(
+                err.contains("PBE_FORCE_SHARDS") && err.contains(&format!("{bad:?}")),
+                "{err}"
+            );
         }
     }
 
@@ -1211,9 +1157,12 @@ mod tests {
     fn backhaul_simulation_is_byte_identical_across_shard_counts() {
         // The backhaul is stepped in the single-threaded driver loop
         // ("owned by shard 0"), so its arrivals — and everything downstream
-        // of them — must serialise identically whatever the shard count,
-        // across seeds.
-        for seed in [13u64, 29] {
+        // of them — must serialise to the serial engine's bytes whatever the
+        // shard count, across seeds.
+        for (seed, digest) in [
+            (13u64, "51af63845d3697922fb215ab3fd7a546"),
+            (29, "d4728fac18f1966a32919e97e81fe097"),
+        ] {
             let mut cfg = SimConfig::single_flow(
                 SchemeChoice::Pbe,
                 Duration::from_secs(2),
@@ -1233,14 +1182,11 @@ mod tests {
                     )
                 },
             ));
-            let serial = serde_json::to_string(&Simulation::new(cfg.clone()).run()).unwrap();
             for shards in [1usize, 2, 3] {
-                let mut sharded_cfg = cfg.clone();
-                sharded_cfg.shards = Some(shards);
-                let sharded = serde_json::to_string(&Simulation::new(sharded_cfg).run()).unwrap();
                 assert_eq!(
-                    serial, sharded,
-                    "{shards} shards diverged from serial (seed {seed})"
+                    result_digest(&cfg, shards),
+                    digest,
+                    "{shards} shards diverged from the serial engine's result (seed {seed})"
                 );
             }
         }
@@ -1251,9 +1197,12 @@ mod tests {
         // Fault injection is config/time-derived and applied in the
         // single-threaded driver, so a faulted run — a cell outage with RLF
         // re-selection, a drained link flap and a decode-loss burst — must
-        // serialise identically whatever the shard count.
+        // serialise to the serial engine's bytes whatever the shard count.
         use crate::faults::{CellOutage, DecodeLossBurst, FaultKind, FlapPolicy, LinkFlap};
-        for seed in [13u64, 29] {
+        for (seed, digest) in [
+            (13u64, "e96fbe41069700a7bd7db7f763ea16af"),
+            (29, "0fb51d1a34f290d2a773e3d03fcb735e"),
+        ] {
             let mut cfg = SimConfig::single_flow(
                 SchemeChoice::Pbe,
                 Duration::from_secs(3),
@@ -1292,27 +1241,24 @@ mod tests {
                 }],
                 rlf_detection_ms: None,
             });
-            let serial_result = Simulation::new(cfg.clone()).run();
+            let result = Simulation::new(cfg.clone()).run();
             assert_eq!(
-                serial_result.fault_recovery.len(),
+                result.fault_recovery.len(),
                 3,
                 "every injected fault produces a recovery record (seed {seed})"
             );
             assert!(
-                serial_result
+                result
                     .fault_recovery
                     .iter()
                     .any(|r| r.kind == FaultKind::CellOutage && !r.reconnect_ms.is_empty()),
                 "the outage triggered an RLF re-selection (seed {seed})"
             );
-            let serial = serde_json::to_string(&serial_result).unwrap();
             for shards in [1usize, 2, 3, 7] {
-                let mut sharded_cfg = cfg.clone();
-                sharded_cfg.shards = Some(shards);
-                let sharded = serde_json::to_string(&Simulation::new(sharded_cfg).run()).unwrap();
                 assert_eq!(
-                    serial, sharded,
-                    "{shards} shards diverged from serial (seed {seed})"
+                    result_digest(&cfg, shards),
+                    digest,
+                    "{shards} shards diverged from the serial engine's result (seed {seed})"
                 );
             }
         }
