@@ -102,6 +102,7 @@ mod tests {
             assert_eq!(find(fig.name).unwrap().default_seconds, fig.default_seconds);
         }
         let mut names: Vec<&str> = figures.iter().map(|f| f.name).collect();
+        names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 6, "registry names are unique");
         assert!(find("fig99_nonexistent").is_none());

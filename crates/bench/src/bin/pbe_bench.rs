@@ -1,20 +1,5 @@
-//! `pbe-bench` — the harness CLI.
-//!
-//! ```text
-//! pbe-bench perf [--check] [--bless] [--tolerance 0.15] [--iterations 5]
-//!                [--baseline-dir DIR] [--out-dir DIR] [--case NAME]...
-//! pbe-bench artifact (--all | --figure NAME)... [--list] [--store DIR]
-//!                    [--out DIR] [--seconds N] [--workers N] [--serial]
-//!                    [--format text|csv|json]
-//! ```
-//!
-//! `perf` runs the deterministic wall-clock cases (`many_ue`, `city_scale`,
-//! `metro`, `fanout`),
-//! writes `BENCH_<name>.json` into `--out-dir`, and prints the markdown
-//! delta table.  With `--check` it compares each case against the committed
-//! `BENCH_<name>.json` in `--baseline-dir` and exits 1 if any case regressed
-//! past the tolerance (or its baseline is missing/stale).  With `--bless`
-//! it rewrites the baselines in `--baseline-dir` instead.
+//! `pbe-bench` — the harness CLI.  `artifact` is its one subcommand; the
+//! usage text is [`artifact::USAGE`].
 //!
 //! `artifact` reproduces the registered evaluation figures in one command.
 //! With `--store DIR` every executed grid point is persisted under its
@@ -23,166 +8,24 @@
 //! every simulation exactly once total.
 
 use pbe_bench::artifact::{self, ArtifactArgs};
-use pbe_bench::perf::{
-    check, default_cases, delta_table, load_baseline, measure, write_record, CheckOutcome,
-};
-use std::path::PathBuf;
 use std::process::ExitCode;
-
-const USAGE: &str = "usage: pbe-bench perf [--check] [--bless] [--tolerance FRAC] \
-[--iterations N] [--baseline-dir DIR] [--out-dir DIR] [--case NAME]...\n       \
-pbe-bench artifact (--all | --figure NAME)... [--list] [--store DIR] [--out DIR] \
-[--seconds N] [--workers N] [--serial] [--format text|csv|json]";
-
-struct PerfArgs {
-    run_check: bool,
-    bless: bool,
-    tolerance: f64,
-    iterations: usize,
-    baseline_dir: PathBuf,
-    out_dir: PathBuf,
-    cases: Vec<String>,
-}
-
-fn parse_perf_args(args: &[String]) -> Result<PerfArgs, String> {
-    let mut parsed = PerfArgs {
-        run_check: false,
-        bless: false,
-        tolerance: 0.15,
-        iterations: 5,
-        baseline_dir: PathBuf::from("."),
-        out_dir: PathBuf::from("."),
-        cases: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--check" => parsed.run_check = true,
-            "--bless" => parsed.bless = true,
-            "--tolerance" => {
-                parsed.tolerance = value_of("--tolerance")?
-                    .parse()
-                    .map_err(|_| "--tolerance expects a fraction like 0.15".to_string())?
-            }
-            "--iterations" => {
-                parsed.iterations = value_of("--iterations")?
-                    .parse()
-                    .map_err(|_| "--iterations expects a positive integer".to_string())?
-            }
-            "--baseline-dir" => parsed.baseline_dir = PathBuf::from(value_of("--baseline-dir")?),
-            "--out-dir" => parsed.out_dir = PathBuf::from(value_of("--out-dir")?),
-            "--case" => parsed.cases.push(value_of("--case")?),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    if parsed.iterations == 0 {
-        return Err("--iterations must be at least 1".to_string());
-    }
-    Ok(parsed)
-}
-
-fn run_perf(args: PerfArgs) -> ExitCode {
-    let cases: Vec<_> = default_cases()
-        .into_iter()
-        .filter(|c| args.cases.is_empty() || args.cases.iter().any(|n| n == c.name))
-        .collect();
-    if cases.is_empty() {
-        eprintln!("no matching perf cases (available: many_ue, city_scale, metro, fanout)");
-        return ExitCode::FAILURE;
-    }
-    let mut rows = Vec::new();
-    for case in &cases {
-        eprintln!(
-            "perf: running {} ({} iterations + warm-up)...",
-            case.name, args.iterations
-        );
-        let fresh = measure(case, args.iterations);
-        let baseline = load_baseline(&args.baseline_dir, case.name);
-        let outcome = check(&fresh, baseline.as_ref(), args.tolerance);
-        if let Err(err) = write_record(&args.out_dir, &fresh) {
-            eprintln!("perf: cannot write BENCH_{}.json: {err}", case.name);
-            return ExitCode::FAILURE;
-        }
-        rows.push((fresh, baseline, outcome));
-    }
-    if args.bless {
-        for (fresh, _, _) in &rows {
-            if let Err(err) = write_record(&args.baseline_dir, fresh) {
-                eprintln!("perf: cannot bless BENCH_{}.json: {err}", fresh.name);
-                return ExitCode::FAILURE;
-            }
-            eprintln!("perf: blessed BENCH_{}.json", fresh.name);
-        }
-    }
-    println!("{}", delta_table(&rows));
-    if args.run_check && !args.bless {
-        let mut failed = false;
-        for (fresh, _, outcome) in &rows {
-            match outcome {
-                CheckOutcome::Pass { .. } => {}
-                CheckOutcome::Regression { delta } => {
-                    eprintln!(
-                        "perf: REGRESSION in {}: {:+.1}% vs baseline (tolerance {:.0}%)",
-                        fresh.name,
-                        delta * 100.0,
-                        args.tolerance * 100.0
-                    );
-                    failed = true;
-                }
-                CheckOutcome::ConfigMismatch => {
-                    eprintln!(
-                        "perf: {} config hash changed — re-bless with `pbe-bench perf --bless`",
-                        fresh.name
-                    );
-                    failed = true;
-                }
-                CheckOutcome::MissingBaseline => {
-                    eprintln!(
-                        "perf: {} has no committed baseline — bless with `pbe-bench perf --bless`",
-                        fresh.name
-                    );
-                    failed = true;
-                }
-            }
-        }
-        if failed {
-            return ExitCode::FAILURE;
-        }
-        eprintln!("perf: all cases within tolerance");
-    }
-    ExitCode::SUCCESS
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("perf") => match parse_perf_args(&args[1..]) {
-            Ok(parsed) => run_perf(parsed),
+    if args.first().map(String::as_str) != Some("artifact") {
+        eprintln!("{}", artifact::USAGE);
+        return ExitCode::FAILURE;
+    }
+    match ArtifactArgs::parse(&args[1..]) {
+        Ok(parsed) => match artifact::run_artifact(&parsed) {
+            Ok(_) => ExitCode::SUCCESS,
             Err(err) => {
-                eprintln!("pbe-bench: {err}\n{USAGE}");
+                eprintln!("pbe-bench: artifact failed: {err}");
                 ExitCode::FAILURE
             }
         },
-        Some("artifact") => match ArtifactArgs::parse(&args[1..]) {
-            Ok(parsed) => match artifact::run_artifact(&parsed) {
-                Ok(_) => ExitCode::SUCCESS,
-                Err(err) => {
-                    eprintln!("pbe-bench: artifact failed: {err}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(err) => {
-                eprintln!("pbe-bench: {err}\n{USAGE}");
-                ExitCode::FAILURE
-            }
-        },
-        _ => {
-            eprintln!("{USAGE}");
+        Err(err) => {
+            eprintln!("pbe-bench: {err}\n{}", artifact::USAGE);
             ExitCode::FAILURE
         }
     }

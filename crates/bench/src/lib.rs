@@ -2,10 +2,9 @@
 //!
 //! Every table and figure of the paper's evaluation maps to one binary in
 //! `src/bin/` (the top-level `README.md` carries the figure → binary
-//! reproduction table).  The binaries print plot-ready tables;
-//! the Criterion benches under `benches/` measure the computational cost of
-//! the building blocks (capacity estimation, scheduling, blind decoding, the
-//! congestion-control update paths, and a short end-to-end simulation).
+//! reproduction table).  The binaries print plot-ready tables.  What the
+//! building blocks cost to compute is measured by the repo benchmark under
+//! `benchmark/`, not here.
 //!
 //! The evaluation grid itself — scenario × scheme × seed — is a first-class
 //! subsystem in [`sweep`]: declarative [`ScenarioSpec`]s expand through a

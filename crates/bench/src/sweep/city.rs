@@ -125,13 +125,6 @@ impl CityScale {
         self
     }
 
-    /// Set the simulated duration in milliseconds (metro-scale runs pay per
-    /// subframe across 100k+ UEs; a few hundred is already a real workout).
-    pub fn millis(mut self, millis: u64) -> Self {
-        self.duration = Duration::from_millis(millis);
-        self
-    }
-
     /// Set the seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;

@@ -1,6 +1,6 @@
 //! Shard-count byte identity at the scenario level: a scaled-down metro
-//! (the same `CityScale` generator and flow-cap shape as the `metro` perf
-//! case) must serialise to the same `SimResult` JSON on every shard count —
+//! (the `CityScale` generator with a flow cap: far more radio users than
+//! flows) must serialise to the same `SimResult` JSON on every shard count —
 //! the JSON the serial tick engine produced at the commit before it was
 //! deleted, pinned here by FNV-128 digest.  This is the acceptance check for
 //! the tick engine at the bench layer; `pbe-cellular` pins the same

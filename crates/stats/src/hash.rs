@@ -1,31 +1,15 @@
-//! Deterministic content hashing (FNV-1a) for configs and result-store keys.
+//! Deterministic content hashing (FNV-1a) for result-store keys and digests.
 //!
-//! Two consumers, two widths.  The perf gate fingerprints each benchmark's
-//! `SimConfig` with the 64-bit variant — a mismatch only means "re-bless the
-//! baseline", so 64 bits is plenty.  The artifact result store addresses
-//! every executed grid point by content, where a silent collision would
-//! serve one scenario's results as another's; it uses the 128-bit variant.
-//! Both are plain FNV-1a with the standard parameters, so hashes are stable
-//! across platforms, processes and releases.
+//! The artifact result store addresses every executed grid point by
+//! content, where a silent collision would serve one scenario's results as
+//! another's, so the repo's one content hash is the 128-bit FNV-1a.  It uses
+//! the standard parameters, so hashes are stable across platforms, processes
+//! and releases.
 
-/// 64-bit FNV-1a offset basis.
-const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// 64-bit FNV-1a prime.
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// 128-bit FNV-1a offset basis.
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 /// 128-bit FNV-1a prime.
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-
-/// 64-bit FNV-1a over a byte string.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV64_OFFSET;
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(FNV64_PRIME);
-    }
-    hash
-}
 
 /// 128-bit FNV-1a over a byte string.
 pub fn fnv1a_128(bytes: &[u8]) -> u128 {
@@ -35,11 +19,6 @@ pub fn fnv1a_128(bytes: &[u8]) -> u128 {
         hash = hash.wrapping_mul(FNV128_PRIME);
     }
     hash
-}
-
-/// 64-bit FNV-1a rendered as 16 lowercase hex digits.
-pub fn fnv1a_64_hex(bytes: &[u8]) -> String {
-    format!("{:016x}", fnv1a_64(bytes))
 }
 
 /// 128-bit FNV-1a rendered as 32 lowercase hex digits.
@@ -54,24 +33,15 @@ mod tests {
     #[test]
     fn matches_published_fnv1a_test_vectors() {
         // Empty input hashes to the offset basis.
-        assert_eq!(fnv1a_64(b""), FNV64_OFFSET);
         assert_eq!(fnv1a_128(b""), FNV128_OFFSET);
         // Classic vectors from the FNV reference code.
-        assert_eq!(fnv1a_64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv1a_128(b"a"), 0xd228cb696f1a8caf78912b704e4a8964);
+        assert_eq!(fnv1a_128(b"foobar"), 0x343e1662793c64bf6f0d3597ba446f18);
     }
 
     #[test]
     fn hex_rendering_is_fixed_width() {
-        assert_eq!(fnv1a_64_hex(b"").len(), 16);
         assert_eq!(fnv1a_128_hex(b"").len(), 32);
-        assert_eq!(fnv1a_64_hex(b"a"), "af63dc4c8601ec8c");
-    }
-
-    #[test]
-    fn widths_disagree_so_collisions_are_independent() {
-        let a = fnv1a_64(b"scenario");
-        let b = fnv1a_128(b"scenario");
-        assert_ne!(u128::from(a), b);
+        assert_eq!(fnv1a_128_hex(b"a"), "d228cb696f1a8caf78912b704e4a8964");
     }
 }

@@ -8,8 +8,8 @@
 //!   the cellular MAC (1 ms subframes are expressed in this base).
 //! * [`rng`] — a splittable, deterministic random-number generator so that a
 //!   single `u64` seed reproduces an entire experiment bit-for-bit.
-//! * [`hash`] — stable FNV-1a content hashing (64- and 128-bit) for perf-gate
-//!   config fingerprints and the artifact result store's point keys.
+//! * [`hash`] — stable 128-bit FNV-1a content hashing for the artifact result
+//!   store's point keys and the result digests tests pin.
 //! * [`pool`] — the in-tree worker pool: one-shot [`run_indexed`] for the
 //!   sweep harness and the persistent [`WorkerPool`] the sharded tick engine
 //!   dispatches shard batches on every subframe.
@@ -33,7 +33,7 @@ pub mod window;
 
 pub use cdf::Cdf;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use hash::{fnv1a_128, fnv1a_128_hex, fnv1a_64, fnv1a_64_hex};
+pub use hash::{fnv1a_128, fnv1a_128_hex};
 pub use jain::jain_index;
 pub use percentile::{percentile, OnlineStats};
 pub use pool::{run_indexed, WorkerPool};

@@ -275,24 +275,6 @@ impl WorkerPool {
         });
         (slots, panics)
     }
-
-    /// Apply `f(i, &mut items[i])` to every element in parallel.
-    ///
-    /// Each element is visited by exactly one worker, so the mutable borrows
-    /// handed out are disjoint.
-    pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        let base = SendPtr(items.as_mut_ptr());
-        self.run(items.len(), |i| {
-            // SAFETY: index `i` is claimed by exactly one worker, so this is
-            // the only live reference to `items[i]`.
-            let item = unsafe { &mut *base.at(i) };
-            f(i, item);
-        });
-    }
 }
 
 impl Drop for WorkerPool {
@@ -403,25 +385,8 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = workers.clamp(1, count.max(1));
-    if workers <= 1 {
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(count);
-        let mut panics = Vec::new();
-        for i in 0..count {
-            match catch_unwind(AssertUnwindSafe(|| job(i))) {
-                Ok(v) => slots.push(Some(v)),
-                Err(payload) => {
-                    slots.push(None);
-                    panics.push(JobPanic {
-                        index: i,
-                        message: panic_message(payload.as_ref()),
-                    });
-                }
-            }
-        }
-        return (slots, panics);
-    }
-    WorkerPool::new(workers).run_collect_partial(count, job)
+    // A one-worker pool spawns nothing and runs the batch inline.
+    WorkerPool::new(workers.clamp(1, count.max(1))).run_collect_partial(count, job)
 }
 
 #[cfg(test)]
@@ -459,18 +424,6 @@ mod tests {
             let out = pool.run_collect(17, |i| round * 100 + i as u64);
             assert_eq!(out, (0..17).map(|i| round * 100 + i).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn for_each_mut_visits_every_element_once() {
-        let pool = WorkerPool::new(4);
-        let mut items: Vec<u32> = vec![0; 57];
-        pool.for_each_mut(&mut items, |i, item| *item = i as u32 + 1);
-        assert_eq!(items, (0..57).map(|i| i + 1).collect::<Vec<u32>>());
-        // Re-use with a different element count.
-        let mut small: Vec<u32> = vec![0; 3];
-        pool.for_each_mut(&mut small, |i, item| *item = 10 - i as u32);
-        assert_eq!(small, vec![10, 9, 8]);
     }
 
     #[test]
