@@ -1,18 +1,18 @@
-//! The artifact pipeline: one command that reproduces every figure, with a
+//! The artifact pipeline: the one way to run a figure, with a
 //! content-addressed result store so re-runs only execute what changed.
 //!
 //! ```text
 //! pbe-bench artifact --all --store results/ --out figures/
 //! pbe-bench artifact --figure fig16_17_mobility --seconds 4 --store results/
+//! pbe-bench artifact --figure table1 --format text
 //! pbe-bench artifact --list
 //! ```
 //!
 //! The pipeline is three orthogonal pieces:
 //!
-//! * [`mod@registry`] — every sweep-backed figure as a [`FigureSpec`]: a grid
-//!   builder (`fn(seconds) -> SweepGrid`) plus a renderer
-//!   (`fn(&SweepReport, seconds, &ReportWriter)`).  The `fig*` binaries call
-//!   the same two functions, so binary and pipeline output are identical.
+//! * [`mod@registry`] — every figure and table of the evaluation as a
+//!   [`FigureSpec`]: a grid builder (`fn(seconds) -> SweepGrid`) plus a
+//!   renderer (`fn(&SweepReport, seconds, &ReportWriter)`).
 //! * [`store`] — the on-disk [`ResultStore`]: one JSON blob per executed
 //!   grid point, addressed by the spec's
 //!   [content key](crate::sweep::ScenarioSpec::content_key), joined by an
@@ -118,7 +118,9 @@ impl ArtifactArgs {
                     parsed.seconds = Some(
                         value_of("--seconds")?
                             .parse()
-                            .map_err(|_| "--seconds expects a positive integer".to_string())?,
+                            .ok()
+                            .filter(|s: &u64| *s > 0)
+                            .ok_or_else(|| "--seconds expects a positive integer".to_string())?,
                     )
                 }
                 "--workers" | "-w" => {
@@ -433,7 +435,7 @@ mod tests {
     #[test]
     fn all_selects_the_whole_registry_in_order() {
         let a = parse(&["--all"]).unwrap();
-        assert_eq!(a.selected().unwrap().len(), 6);
+        assert_eq!(a.selected().unwrap().len(), 16);
         assert_eq!(a.format, OutputFormat::Csv, "artifact defaults to CSV");
     }
 
@@ -441,6 +443,8 @@ mod tests {
     fn rejects_an_empty_selection_and_unknown_figures() {
         assert!(parse(&[]).is_err());
         assert!(parse(&["--bogus"]).is_err());
+        assert!(parse(&["--all", "--seconds", "0"]).is_err());
+        assert!(parse(&["--all", "--seconds", "abc"]).is_err());
         let a = parse(&["--figure", "fig99_nope"]).unwrap();
         assert!(a.selected().is_err());
     }

@@ -1,8 +1,9 @@
 //! `pbe-bench` — the harness CLI.  `artifact` is its one subcommand; the
 //! usage text is [`artifact::USAGE`].
 //!
-//! `artifact` reproduces the registered evaluation figures in one command.
-//! With `--store DIR` every executed grid point is persisted under its
+//! `artifact` is the one way to run a figure: `--figure NAME` runs one,
+//! `--all` the whole evaluation.  With `--store DIR` every executed grid
+//! point is persisted under its
 //! content key and a re-run executes only the points whose key is missing —
 //! so `pbe-bench artifact --all --store results/ --out figures/` twice runs
 //! every simulation exactly once total.

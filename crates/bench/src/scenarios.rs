@@ -8,11 +8,8 @@
 //! with a deterministic per-location seed.
 
 use pbe_cc_algorithms::api::SchemeName;
-use pbe_cellular::channel::MobilityTrace;
-use pbe_cellular::config::{CellId, CellularConfig, UeConfig, UeId};
 use pbe_cellular::traffic::CellLoadProfile;
-use pbe_netsim::{FlowConfig, SchemeChoice, SimConfig};
-use pbe_stats::time::Duration;
+use pbe_netsim::SchemeChoice;
 use serde::{Deserialize, Serialize};
 
 /// Indoor or outdoor placement (affects the baseline RSSI).
@@ -52,27 +49,6 @@ impl Location {
     /// Deterministic seed for this location.
     pub fn seed(&self) -> u64 {
         0xC0FFEE ^ (self.index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
-
-    /// Build a single-flow simulation config for this location.
-    pub fn sim_config(&self, scheme: SchemeChoice, duration: Duration) -> SimConfig {
-        let ue = UeId(1);
-        let cells: Vec<CellId> = (0..3).map(|i| CellId(i as u16)).collect();
-        SimConfig {
-            cellular: CellularConfig::default(),
-            load: self.load(),
-            seed: self.seed(),
-            duration,
-            ues: vec![(
-                UeConfig::new(ue, cells, self.aggregated_cells, self.rssi_dbm),
-                MobilityTrace::stationary(self.rssi_dbm),
-            )],
-            flows: vec![FlowConfig::bulk(1, ue, scheme, duration)],
-            trajectories: Vec::new(),
-            shards: None,
-            backhaul: None,
-            faults: None,
-        }
     }
 }
 
@@ -170,6 +146,8 @@ pub fn high_throughput_schemes() -> Vec<(SchemeChoice, &'static str)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::ScenarioSpec;
+    use pbe_stats::time::Duration;
 
     #[test]
     fn library_matches_paper_counts() {
@@ -204,12 +182,16 @@ mod tests {
     }
 
     #[test]
-    fn sim_config_reflects_location() {
+    fn from_location_reflects_location() {
         let lib = ScenarioLibrary::paper_40_locations();
         let loc = &lib.locations()[1];
-        let cfg = loc.sim_config(SchemeChoice::Pbe, Duration::from_secs(5));
+        let spec = ScenarioSpec::from_location("loc1", loc, Duration::from_secs(5));
+        let cfg = spec.sim_config();
         assert_eq!(cfg.ues[0].0.max_aggregated_cells, loc.aggregated_cells);
+        assert_eq!(cfg.ues[0].0.rssi_dbm, loc.rssi_dbm);
+        assert_eq!(cfg.load, loc.load());
         assert_eq!(cfg.flows.len(), 1);
+        assert_eq!(cfg.flows[0].scheme, SchemeChoice::Pbe);
         assert_eq!(cfg.seed, loc.seed());
     }
 

@@ -1,9 +1,9 @@
 //! Declarative scenario catalog and parallel sweep harness.
 //!
 //! The paper's evaluation is a grid — locations/mobility traces × eight
-//! congestion-control schemes × seeds — and before this module existed every
-//! `fig*` binary hand-rolled its own corner of that grid and ran each point
-//! serially.  The sweep harness makes the grid a first-class object:
+//! congestion-control schemes × seeds.  The sweep harness makes the grid a
+//! first-class object, and every figure of the
+//! [artifact pipeline](crate::artifact) is one:
 //!
 //! * [`ScenarioSpec`] — one fully specified grid point: cell profile, devices
 //!   with mobility traces, flows, the scheme under test, a seed and a
@@ -24,8 +24,7 @@
 //!   (total elapsed, summed per-scenario busy time, parallel speedup), with
 //!   JSON export and lookups by label/scheme.
 //! * [`report`] — the single shared table writer (aligned text, CSV, JSON,
-//!   stdout or `--out` directory) and the common CLI argument parser every
-//!   migrated `fig*` binary uses.
+//!   stdout or `--out` directory) every figure renders through.
 //! * [`city`] — the `city_scale` scenario family: a grid of cells under a
 //!   log-distance path-loss model with a fleet of UEs on random-waypoint
 //!   trajectories, compiled into per-cell RSSI traces that exercise the
@@ -57,6 +56,6 @@ pub mod spec;
 pub use city::CityScale;
 pub use fanout::Fanout;
 pub use pbe_stats::pool::run_indexed;
-pub use report::{OutputFormat, ReportWriter, SweepArgs};
+pub use report::{OutputFormat, ReportWriter};
 pub use runner::{ScenarioOutcome, SweepReport, SweepRunner};
 pub use spec::{canonical_json, canonical_value, content_key_of_value, ScenarioSpec, SweepGrid};

@@ -1,17 +1,10 @@
-//! The shared report writer and common CLI arguments of the `fig*` binaries.
+//! The one report writer of the figure renderers.
 //!
-//! Before the sweep harness, every experiment binary hand-rolled its own
-//! stdout formatting, and adding CSV output or an output directory meant
-//! copying that code again.  This module is the single copy: a
-//! [`ReportWriter`] renders each named table as aligned text, CSV or JSON
-//! and sends it to stdout or a `--out` directory, and [`SweepArgs`] parses
-//! the command line every migrated binary shares:
-//!
-//! ```text
-//! fig13_14_stationary [SECONDS] [--workers N] [--serial] [--out DIR] [--format text|csv|json]
-//! ```
+//! A [`ReportWriter`] renders each named table as aligned text, CSV or JSON
+//! and sends it to stdout or a `--out` directory; `pbe-bench artifact`'s
+//! `--format` and `--out` flags pick which.
 
-use super::runner::{SweepReport, SweepRunner};
+use super::runner::SweepReport;
 use crate::table::TextTable;
 use std::fs;
 use std::io;
@@ -20,91 +13,13 @@ use std::path::PathBuf;
 /// Output format of the sweep tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutputFormat {
-    /// Aligned plain-text tables (the default; what the paper's figures are
-    /// transcribed from).
+    /// Aligned plain-text tables (what the paper's figures are transcribed
+    /// from).
     Text,
     /// Comma-separated values, one table per file (or stdout stream).
     Csv,
     /// The full [`SweepReport`] as JSON (specs, results and timing).
     Json,
-}
-
-/// Command-line arguments shared by every sweep-based experiment binary.
-#[derive(Debug, Clone)]
-pub struct SweepArgs {
-    /// Simulated seconds per scenario (binaries supply their own default).
-    pub seconds: Option<u64>,
-    /// Worker threads; 0 means all available cores.
-    pub workers: usize,
-    /// Directory to write report files into (stdout when absent).
-    pub out_dir: Option<PathBuf>,
-    /// Table output format.
-    pub format: OutputFormat,
-}
-
-impl SweepArgs {
-    /// Parse `std::env::args()`.  Panics with a usage message on malformed
-    /// input — these are experiment binaries, not long-running services.
-    pub fn parse() -> Self {
-        SweepArgs::from_iter(std::env::args().skip(1))
-    }
-
-    fn from_iter(args: impl IntoIterator<Item = String>) -> Self {
-        let mut parsed = SweepArgs {
-            seconds: None,
-            workers: 0,
-            out_dir: None,
-            format: OutputFormat::Text,
-        };
-        let usage =
-            "usage: [SECONDS] [--workers N] [--serial] [--out DIR] [--format text|csv|json]";
-        let mut iter = args.into_iter();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--workers" | "-w" => {
-                    let n = iter.next().and_then(|v| v.parse().ok());
-                    parsed.workers =
-                        n.unwrap_or_else(|| panic!("--workers needs a count; {usage}"));
-                }
-                "--serial" => parsed.workers = 1,
-                "--out" | "-o" => {
-                    let dir = iter
-                        .next()
-                        .unwrap_or_else(|| panic!("--out needs a directory; {usage}"));
-                    parsed.out_dir = Some(PathBuf::from(dir));
-                }
-                "--format" | "-f" => match iter.next().as_deref() {
-                    Some("text") => parsed.format = OutputFormat::Text,
-                    Some("csv") => parsed.format = OutputFormat::Csv,
-                    Some("json") => parsed.format = OutputFormat::Json,
-                    _ => panic!("--format takes text, csv or json; {usage}"),
-                },
-                "--csv" => parsed.format = OutputFormat::Csv,
-                "--json" => parsed.format = OutputFormat::Json,
-                other => match other.parse() {
-                    Ok(seconds) => parsed.seconds = Some(seconds),
-                    Err(_) => panic!("unrecognized argument {other:?}; {usage}"),
-                },
-            }
-        }
-        parsed
-    }
-
-    /// The per-scenario duration, with the binary's default.
-    pub fn seconds_or(&self, default: u64) -> u64 {
-        self.seconds.unwrap_or(default)
-    }
-
-    /// A [`SweepRunner`] honouring `--workers` / `--serial`.
-    pub fn runner(&self) -> SweepRunner {
-        SweepRunner::new().workers(self.workers)
-    }
-
-    /// The report writer honouring `--out` and `--format` (creates the
-    /// output directory if needed).
-    pub fn writer(&self) -> io::Result<ReportWriter> {
-        ReportWriter::new(self.format, self.out_dir.clone())
-    }
 }
 
 /// Renders named tables in the selected format, to stdout or an output
@@ -157,13 +72,6 @@ impl ReportWriter {
         }
     }
 
-    /// Emit the sweep's wall-clock statistics — on **stderr**, because the
-    /// numbers change run to run and stdout must stay byte-identical across
-    /// processes (the repo's determinism check `cmp`s it).
-    pub fn timing(&self, report: &SweepReport) {
-        eprintln!("sweep: {}", report.stats_line());
-    }
-
     fn emit(&self, name: &str, title: &str, rendered: &str, extension: &str) -> io::Result<()> {
         // Aligned-text output keeps its section title (CSV/JSON stay pure
         // data — for files the title lives in the file name).
@@ -189,43 +97,6 @@ impl ReportWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn args(list: &[&str]) -> SweepArgs {
-        SweepArgs::from_iter(list.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn parses_the_shared_flag_set() {
-        let a = args(&["12", "--workers", "4", "--out", "/tmp/x", "--format", "csv"]);
-        assert_eq!(a.seconds_or(8), 12);
-        assert_eq!(a.workers, 4);
-        assert_eq!(a.out_dir.as_deref(), Some(std::path::Path::new("/tmp/x")));
-        assert_eq!(a.format, OutputFormat::Csv);
-        assert_eq!(a.runner().worker_count(), 4);
-    }
-
-    #[test]
-    fn defaults_are_all_cores_text_stdout() {
-        let a = args(&[]);
-        assert_eq!(a.seconds_or(8), 8);
-        assert_eq!(a.workers, 0);
-        assert!(a.out_dir.is_none());
-        assert_eq!(a.format, OutputFormat::Text);
-        assert!(a.runner().worker_count() >= 1);
-    }
-
-    #[test]
-    fn serial_and_format_shortcuts() {
-        let a = args(&["--serial", "--json"]);
-        assert_eq!(a.runner().worker_count(), 1);
-        assert_eq!(a.format, OutputFormat::Json);
-    }
-
-    #[test]
-    #[should_panic(expected = "unrecognized argument")]
-    fn rejects_unknown_flags() {
-        args(&["--frobnicate"]);
-    }
 
     #[test]
     fn tables_land_in_the_output_directory() {

@@ -170,11 +170,6 @@ impl SweepRunner {
         self
     }
 
-    /// The worker count this runner will use.
-    pub fn worker_count(&self) -> usize {
-        self.workers
-    }
-
     /// Execute every spec and aggregate the outcomes in input order.
     pub fn run(&self, specs: Vec<ScenarioSpec>) -> SweepReport {
         let started = Instant::now();

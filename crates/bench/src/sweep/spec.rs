@@ -393,20 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn from_location_matches_the_legacy_sim_config() {
-        let library = crate::scenarios::ScenarioLibrary::paper_40_locations();
-        let loc = &library.locations()[7];
-        let duration = Duration::from_secs(3);
-        let spec = ScenarioSpec::from_location("loc7", loc, duration);
-        let via_spec = spec.sim_config();
-        let legacy = loc.sim_config(SchemeChoice::Pbe, duration);
-        assert_eq!(
-            serde_json::to_string(&via_spec).unwrap(),
-            serde_json::to_string(&legacy).unwrap()
-        );
-    }
-
-    #[test]
     fn expansion_is_the_exact_cross_product() {
         let duration = Duration::from_millis(100);
         let grid = SweepGrid::over(vec![

@@ -1,4 +1,4 @@
-//! Minimal aligned-text table printer used by every experiment binary.
+//! Minimal aligned-text table printer used by every figure renderer.
 
 /// A simple text table with a header row and aligned columns.
 #[derive(Debug, Clone, Default)]

@@ -1,5 +1,6 @@
-//! Artifact-pipeline regression tests: resume after an interrupted run and
-//! point-level cache invalidation, asserted through the public
+//! Artifact-pipeline regression tests: resume after an interrupted run,
+//! point-level cache invalidation and the repeatability of the figures that
+//! run no simulation, asserted through the public
 //! `run_artifact` entry point (the same code path as `pbe-bench artifact`).
 
 use pbe_bench::artifact::{run_artifact, ArtifactArgs};
@@ -106,5 +107,24 @@ fn resume_executes_only_the_missing_points_and_reproduces_the_csvs() {
     );
     assert_eq!(dir_contents(&root.join("repaired")), baseline);
 
+    fs::remove_dir_all(&root).unwrap();
+}
+
+/// The figures that run no simulation compute their tables in the renderer,
+/// outside the store's reach: two runs must still write the same bytes.
+#[test]
+fn figures_without_a_simulation_render_the_same_bytes_twice() {
+    let root = temp_root("no_sim");
+    for run in ["a", "b"] {
+        run_artifact(&ArtifactArgs {
+            figures: ["fig6_overhead", "fig7_active_users", "fig11_cell_status"]
+                .map(String::from)
+                .to_vec(),
+            store: None,
+            ..args(&root, &root.join(run))
+        })
+        .unwrap();
+    }
+    assert_eq!(dir_contents(&root.join("a")), dir_contents(&root.join("b")));
     fs::remove_dir_all(&root).unwrap();
 }

@@ -29,7 +29,7 @@ fn artifact_list_names_every_registered_figure() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     let figures = registry();
-    assert_eq!(figures.len(), 6);
+    assert_eq!(figures.len(), 16);
     for fig in figures {
         assert!(
             stdout.contains(fig.name),
