@@ -82,7 +82,10 @@ pub struct FlowConfig {
     pub stop: Instant,
     /// One-way propagation delay of the wired path to this flow's server.
     pub server_one_way_delay: Duration,
-    /// Optional wired bottleneck rate (bits per second).
+    /// Optional wired bottleneck rate (bits per second) of the flow's private
+    /// wired path.  A run with a shared backhaul
+    /// ([`SimConfig::backhaul`](crate::sim::SimConfig::backhaul)) has no
+    /// private paths and panics at start if a flow sets one.
     pub wired_bottleneck_bps: Option<f64>,
     /// Wired bottleneck queue limit in bytes.
     pub wired_queue_bytes: u64,

@@ -29,7 +29,7 @@
 //!   scheduled, ACKs processed, packets delivered, capacity estimates,
 //!   carrier and bottleneck-state changes) to any registered
 //!   [`Observer`].  The standard [`SimResult`] is assembled by the built-in
-//!   metrics observer from the same stream the experiment binaries tap.
+//!   metrics observer from the same stream any other observer taps.
 //!
 //! # Entry points
 //!

@@ -3,9 +3,9 @@
 //! Everything the simulator reports — per-flow summaries, throughput/delay
 //! timelines, the primary-cell PRB fairness timeline, carrier-aggregation
 //! events — is derived purely from the [`SimEvent`] stream.  The engine
-//! registers one [`MetricsCollector`] for every run; experiment binaries
-//! that need a different cut of the same telemetry register their own
-//! observers beside it.
+//! registers one [`MetricsCollector`] for every run; experiments that need a
+//! different cut of the same telemetry register their own observers beside
+//! it.
 
 use crate::backhaul::BackhaulLinkResult;
 use crate::faults::{FaultKind, FaultRecoveryRecord};

@@ -5,9 +5,9 @@
 //! [`SimBuilder::observe`](crate::builder::SimBuilder::observe) receive every
 //! event; the built-in metrics collector that produces
 //! [`SimResult`](crate::sim::SimResult) is itself an observer of the same
-//! stream, so an experiment binary that needs a custom telemetry cut (the
-//! `fig*` binaries, for instance) taps the events instead of re-deriving
-//! numbers from bespoke simulator hooks.
+//! stream, so an experiment that needs a custom telemetry cut (the
+//! `handover_estimate` and `competing_flows` examples, for instance) taps the
+//! events instead of re-deriving numbers from bespoke simulator hooks.
 
 use crate::wired::LinkStats;
 use pbe_cc_algorithms::api::{AckInfo, PbeFeedback};

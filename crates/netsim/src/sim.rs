@@ -8,9 +8,20 @@
 //! occurrence is narrated to the registered [`Observer`]s as typed
 //! [`SimEvent`]s — the standard [`SimResult`] is produced by the built-in
 //! [`MetricsCollector`] listening to that same stream.
+//!
+//! [`Simulation::run`] is a short loop over private stages, one per phase
+//! of the numbered steps of a subframe: the fault driver (0a, 4b); the
+//! senders (0 near-source signals, 1 ACKs and loss reports, 2 pacing); the
+//! wire (3), the only stage that knows whether each flow has a private
+//! [`WiredPath`] or all share one [`Backhaul`], whose marks it turns into
+//! signals back to the senders; the radio access network (4, 5 carrier and
+//! handover events, 6 control channels), narrated to the receivers; and
+//! the receivers (7), which acknowledge deliveries.  One packet table holds
+//! every released packet until it is delivered or dropped, every loss takes
+//! one path back to its sender, and every event passes one sink.
 
 use crate::backhaul::{Backhaul, BackhaulConfig, BackhaulLinkResult, BackhaulTickReport};
-use crate::faults::{FaultRecoveryRecord, FaultSchedule};
+use crate::faults::{FaultRecoveryRecord, FaultSchedule, LinkFlap};
 use crate::flow::{AppModel, FlowConfig, FlowResult, SchemeChoice};
 use crate::metrics::MetricsCollector;
 use crate::observer::{Observer, SimEvent};
@@ -25,7 +36,7 @@ use pbe_cellular::carrier::CaEvent;
 use pbe_cellular::channel::MobilityTrace;
 use pbe_cellular::config::{CellId, CellularConfig, UeConfig, UeId};
 use pbe_cellular::handover::HandoverEvent;
-use pbe_cellular::network::NetworkTickReport;
+use pbe_cellular::network::{Delivery, NetworkTickReport};
 use pbe_cellular::shard::ShardedNetwork;
 use pbe_cellular::traffic::CellLoadProfile;
 use pbe_core::receiver::{ReceiverAgent, ReceiverCtx};
@@ -33,8 +44,7 @@ use pbe_pdcch::batch::DciBatcher;
 use pbe_stats::time::{Duration, Instant};
 use pbe_stats::DetRng;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -201,9 +211,13 @@ impl SimResult {
     }
 }
 
+/// News travelling back to a sender: an acknowledgement, or a loss report
+/// (which carries only its arrival time and the bytes it returns).
+#[derive(Default)]
 struct PendingEvent {
     arrive_at: Instant,
     packet_id: u64,
+    /// Bytes the news takes out of flight.
     bytes: u64,
     sent_at: Instant,
     one_way_delay_ms: f64,
@@ -212,48 +226,519 @@ struct PendingEvent {
     lost: bool,
 }
 
-/// A near-source congestion signal in flight towards one sender, ordered by
-/// `(delivery time, mark sequence)` so signal delivery is deterministic.
-struct SignalEntry {
-    at: Instant,
-    seq: u64,
+/// The packet table's entry for a released packet, from its release until
+/// its delivery or drop.
+struct Packet {
     flow: usize,
-    signal: CongestionSignal,
+    sent_at: Instant,
+    /// ECN-marked by a backhaul queue on the way.
+    marked: bool,
 }
 
-impl PartialEq for SignalEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
+/// The event sink: every event reaches the built-in metrics collector, then
+/// each registered observer in order.
+struct Sink {
+    metrics: MetricsCollector,
+    observers: Vec<Box<dyn Observer>>,
+}
+
+impl Sink {
+    fn emit(&mut self, event: SimEvent<'_>) {
+        self.metrics.on_event(&event);
+        for o in self.observers.iter_mut() {
+            o.on_event(&event);
+        }
     }
 }
 
-impl Eq for SignalEntry {}
+/// Steps 0a and 4b: the fault schedule, applied at its subframes.  Link
+/// flaps act inside the backhaul (the wire installs them); their boundaries
+/// are only narrated here.
+struct FaultDriver {
+    schedule: FaultSchedule,
+}
 
-impl PartialOrd for SignalEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+impl FaultDriver {
+    fn new(schedule: Option<FaultSchedule>) -> Self {
+        let schedule = schedule.unwrap_or_default();
+        if let Err(e) = schedule.validate() {
+            panic!("invalid fault schedule: {e}");
+        }
+        FaultDriver { schedule }
+    }
+
+    /// Step 0a: the fault boundaries crossing subframe `t_ms`.
+    fn boundaries(&self, t_ms: u64, ran: &mut Ran, receivers: &mut [Receiver], sink: &mut Sink) {
+        let at = Instant::from_millis(t_ms);
+        for o in &self.schedule.cell_outages {
+            // Overlapping windows on one cell: the cell only comes back once
+            // no window covers this subframe.
+            let down = o.start_ms == t_ms;
+            if down || (o.end_ms == t_ms && !self.schedule.cell_is_down(o.cell, t_ms)) {
+                let residents = ran.net.set_cell_outage(o.cell, down);
+                sink.emit(SimEvent::FaultCellOutage {
+                    cell: o.cell,
+                    at,
+                    down,
+                    residents: if down { &residents } else { &[] },
+                });
+            }
+        }
+        for f in &self.schedule.link_flaps {
+            for (edge_ms, down) in [(f.start_ms, true), (f.end_ms, false)] {
+                if edge_ms == t_ms {
+                    let name = &f.link;
+                    sink.emit(SimEvent::FaultLinkFlap { name, at, down });
+                }
+            }
+        }
+        for d in &self.schedule.decode_loss {
+            if d.start_ms == t_ms {
+                for r in receivers.iter_mut().filter(|r| r.config.id == d.flow) {
+                    r.agent.on_decode_loss(d.end_ms);
+                }
+                sink.emit(SimEvent::FaultDecodeLoss {
+                    flow: d.flow,
+                    at,
+                    until_ms: d.end_ms,
+                });
+            }
+        }
+    }
+
+    /// Step 4b: residents of a cell that has been dark for the detection
+    /// delay abandon it through the ordinary handover machinery.  The
+    /// resulting events join the subframe's report before it is narrated, so
+    /// receiver re-targeting, backhaul re-routing and metrics all see them
+    /// like any A3 handover.
+    fn radio_link_failures(&self, t_ms: u64, ran: &mut Ran, sink: &mut Sink) {
+        let detection_ms = self.schedule.rlf_detection();
+        for o in &self.schedule.cell_outages {
+            if t_ms == o.start_ms + detection_ms && self.schedule.cell_is_down(o.cell, t_ms) {
+                let at = Instant::from_millis(t_ms);
+                let outcome = ran.net.declare_rlf(o.cell, at, &mut ran.report.deliveries);
+                let reconnected: Vec<(UeId, CellId)> =
+                    outcome.events.iter().map(|e| (e.ue, e.to)).collect();
+                sink.emit(SimEvent::FaultRlf {
+                    cell: o.cell,
+                    at,
+                    reconnected: &reconnected,
+                    stranded_ues: &outcome.stayed,
+                    stranded_packets: outcome.stranded_packets,
+                });
+                ran.report.handovers.extend(outcome.events);
+            }
+        }
     }
 }
 
-impl Ord for SignalEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-struct FlowState<'a> {
-    config: &'a FlowConfig,
+/// The sending half of one flow: its congestion controller, pacing and
+/// in-flight account, and the news travelling back to it.
+struct Sender {
+    config: FlowConfig,
     cc: Option<Box<dyn CongestionControl>>,
-    receiver: Box<dyn ReceiverAgent>,
-    /// Last bottleneck-state flag fed back, for `StateChanged` events.
-    last_internet_flag: bool,
-    downlink: WiredPath,
     allowance_bytes: f64,
     inflight_bytes: u64,
-    sent_packets: HashMap<u64, (u64, Instant)>,
     rate_est: DeliveryRateEstimator,
     srtt: Duration,
     pending: VecDeque<PendingEvent>,
+}
+
+impl Sender {
+    /// Step 1: the ACKs and loss reports that reached the sender by `now`,
+    /// each handed to the congestion controller.
+    fn take_feedback(&mut self, now: Instant, sink: &mut Sink) {
+        while self.pending.front().is_some_and(|ev| ev.arrive_at <= now) {
+            let ev = self.pending.pop_front().expect("non-empty");
+            self.inflight_bytes = self.inflight_bytes.saturating_sub(ev.bytes);
+            if ev.lost {
+                if let Some(cc) = self.cc.as_mut() {
+                    cc.on_loss(now);
+                }
+                continue;
+            }
+            let rtt = now.saturating_since(ev.sent_at);
+            self.srtt = Duration::from_secs_f64(
+                self.srtt.as_secs_f64() * 0.875 + rtt.as_secs_f64() * 0.125,
+            );
+            self.rate_est.set_window(self.srtt);
+            let ack = AckInfo {
+                now,
+                packet_id: ev.packet_id,
+                bytes_acked: ev.bytes,
+                rtt,
+                one_way_delay_ms: ev.one_way_delay_ms,
+                delivery_rate_bps: self.rate_est.on_ack(now, ev.bytes),
+                inflight_bytes: self.inflight_bytes,
+                loss_detected: false,
+                ecn_ce: ev.ecn_ce,
+                pbe: ev.pbe,
+            };
+            if let Some(cc) = self.cc.as_mut() {
+                cc.on_ack(&ack);
+            }
+            let flow = self.config.id;
+            sink.emit(SimEvent::AckProcessed { flow, ack: &ack });
+        }
+    }
+
+    /// The one loss path.  A packet lost at `at` is narrated at once and
+    /// reported to the sender one reverse trip later, returning `charged`
+    /// bytes to the in-flight account: a smoothed RTT later for a wired drop
+    /// (`one_way` is `None`), one server delay later for a radio loss the
+    /// receiver noticed after `one_way` of travel.
+    fn lose(&mut self, sink: &mut Sink, at: Instant, one_way: Option<Duration>, charged: u64) {
+        let reverse_trip = one_way.map_or(self.srtt, |_| self.config.server_one_way_delay);
+        self.pending.push_back(PendingEvent {
+            arrive_at: at + reverse_trip,
+            bytes: charged,
+            lost: true,
+            ..PendingEvent::default()
+        });
+        sink.emit(SimEvent::PacketDelivered {
+            flow: self.config.id,
+            at,
+            bytes: MSS_BYTES,
+            one_way: one_way.unwrap_or(Duration::ZERO),
+            delivered: false,
+            wired_drop: one_way.is_none(),
+        });
+    }
+}
+
+/// Steps 0–2: the servers, and the one packet table (packet id → owner,
+/// release time, ECN mark) of everything they released that has been neither
+/// delivered nor dropped.
+struct Senders {
+    flows: Vec<Sender>,
+    packets: HashMap<u64, Packet>,
+    next_packet_id: u64,
+}
+
+impl Senders {
+    fn tick(&mut self, now: Instant, wire: &mut Wire, sink: &mut Sink) {
+        // 0. Near-source congestion signals reach their senders (they
+        //    undercut the ACK clock, so they are delivered first).
+        while let Some((idx, signal)) = wire.signal_due(now) {
+            if let Some(cc) = self.flows[idx].cc.as_mut() {
+                cc.on_signal(now, &signal);
+            }
+        }
+        // 1. ACKs and loss reports.
+        for flow in &mut self.flows {
+            flow.take_feedback(now, sink);
+        }
+        // 2. Senders release packets under pacing + cwnd control.
+        for (idx, flow) in self.flows.iter_mut().enumerate() {
+            if now < flow.config.start || now >= flow.config.stop {
+                continue;
+            }
+            let (budget_bps, gate_by_cwnd) = match (&flow.config.app, flow.cc.as_ref()) {
+                (AppModel::ConstantRate(r), _) => (*r, false),
+                (AppModel::Bulk, Some(cc)) => (cc.pacing_rate_bps(), true),
+                (AppModel::Bulk, None) => (12e6, false),
+            };
+            flow.allowance_bytes += budget_bps / 8.0 * 1e-3;
+            // Cap the carried-over allowance at one burst worth of data so
+            // an idle app cannot accumulate an unbounded token bucket.
+            let burst = budget_bps / 8.0 * 0.05 + 2.0 * MSS_BYTES as f64;
+            flow.allowance_bytes = flow.allowance_bytes.min(burst);
+            while flow.allowance_bytes >= MSS_BYTES as f64 {
+                if gate_by_cwnd {
+                    let cwnd = flow.cc.as_ref().map(|c| c.cwnd_bytes()).unwrap_or(u64::MAX);
+                    if flow.inflight_bytes + MSS_BYTES > cwnd {
+                        break;
+                    }
+                }
+                let id = self.next_packet_id;
+                self.next_packet_id += 1;
+                flow.allowance_bytes -= MSS_BYTES as f64;
+                if !wire.send(idx, &flow.config, id, now) {
+                    // Refused at a private bottleneck before it was charged
+                    // to the window, so its loss report returns no bytes.
+                    flow.lose(sink, now, None, 0);
+                    continue;
+                }
+                let packet = Packet {
+                    flow: idx,
+                    sent_at: now,
+                    marked: false,
+                };
+                self.packets.insert(id, packet);
+                flow.inflight_bytes += MSS_BYTES;
+                if let Some(cc) = flow.cc.as_mut() {
+                    cc.on_packet_sent(now, MSS_BYTES, flow.inflight_bytes);
+                }
+            }
+        }
+    }
+}
+
+/// Step 3: the wire from the servers to the base stations — the only stage
+/// that knows which wired model is in use — and the near-source signals its
+/// marks send back towards the senders.
+struct Wire {
+    /// Each flow's private path (unused when a backhaul is shared).
+    paths: Vec<WiredPath>,
+    /// The shared link DAG, stepped outside the RAN tick (as if by shard 0).
+    backhaul: Option<Backhaul>,
+    report: BackhaulTickReport,
+    /// The cell each flow's packets route towards (updated on handover).
+    serving_cell: Vec<CellId>,
+    /// Signals in flight, keyed by (delivery time, mark sequence) so their
+    /// delivery order is deterministic.
+    signals: BTreeMap<(Instant, u64), (usize, CongestionSignal)>,
+    signal_seq: u64,
+}
+
+impl Wire {
+    fn new(cfg: &SimConfig, serving_cell: Vec<CellId>, flaps: &[LinkFlap]) -> Self {
+        let mut backhaul = cfg.backhaul.clone().map(Backhaul::new);
+        let mut paths = Vec::new();
+        for f in &cfg.flows {
+            let d = f.server_one_way_delay;
+            paths.push(match (f.wired_bottleneck_bps, &backhaul) {
+                (None, _) => WiredPath::unconstrained(d),
+                (Some(rate), None) => WiredPath::with_bottleneck(d, rate, f.wired_queue_bytes),
+                (Some(_), Some(_)) => panic!(
+                    "invalid flow configuration: flow {} sets a private wired bottleneck, \
+                     which the shared backhaul would ignore",
+                    f.id
+                ),
+            });
+        }
+        if !flaps.is_empty() {
+            let bh = backhaul
+                .as_mut()
+                .expect("link flaps require a backhaul topology");
+            if let Err(e) = bh.set_flaps(flaps) {
+                panic!("invalid fault schedule: {e}");
+            }
+        }
+        Wire {
+            paths,
+            backhaul,
+            report: BackhaulTickReport::default(),
+            serving_cell,
+            signals: BTreeMap::new(),
+            signal_seq: 0,
+        }
+    }
+
+    /// The next near-source signal due at its sender by `now`.
+    fn signal_due(&mut self, now: Instant) -> Option<(usize, CongestionSignal)> {
+        let next = self.signals.first_entry()?;
+        (next.key().0 <= now).then(|| next.remove())
+    }
+
+    /// Put flow `idx`'s packet `id` on the wire at `now`; false if a private
+    /// path's bottleneck queue refused it.  In the shared backhaul, routing
+    /// (and any drop) resolves inside the link DAG at the ingress time.
+    fn send(&mut self, idx: usize, flow: &FlowConfig, id: u64, now: Instant) -> bool {
+        let bytes = MSS_BYTES as u32;
+        let Some(backhaul) = self.backhaul.as_mut() else {
+            return self.paths[idx].send(id, bytes, now);
+        };
+        let ingress = now + flow.server_one_way_delay;
+        backhaul.submit(idx, self.serving_cell[idx], id, bytes, ingress);
+        true
+    }
+
+    /// Step 3: wired arrivals reach the base stations.  A backhaul mark
+    /// flags its packet's ACK and, at the first marking link on the path,
+    /// signals the sender; a backhaul drop takes the loss path.
+    fn tick(
+        &mut self,
+        now: Instant,
+        senders: &mut Senders,
+        net: &mut ShardedNetwork,
+        sink: &mut Sink,
+    ) {
+        let Some(backhaul) = self.backhaul.as_mut() else {
+            for (path, flow) in self.paths.iter_mut().zip(&senders.flows) {
+                for pkt in path.arrivals(now) {
+                    net.enqueue_packet(flow.config.ue, pkt.id, pkt.bytes, now);
+                }
+            }
+            return;
+        };
+        backhaul.tick(now, &mut self.report);
+        for m in &self.report.marks {
+            if let Some(packet) = senders.packets.get_mut(&m.packet_id) {
+                packet.marked = true;
+            }
+            let flow = &senders.flows[m.flow].config;
+            sink.emit(SimEvent::BackhaulMark {
+                flow: flow.id,
+                link: m.link,
+                name: &backhaul.config().links[m.link].name,
+                at: m.at,
+                queued_bytes: m.queued_bytes,
+            });
+            if m.first_on_path {
+                // The signal travels back upstream: it reaches the sender
+                // after the server-side delay plus the propagation of the
+                // links before the marking one.
+                let at = m.at + (flow.server_one_way_delay + m.upstream_delay);
+                let signal = CongestionSignal {
+                    at: m.at,
+                    link_rate_bps: m.link_rate_bps,
+                    queue_bytes: m.queued_bytes,
+                    queue_delay: m.queue_delay,
+                };
+                self.signals.insert((at, self.signal_seq), (m.flow, signal));
+                self.signal_seq += 1;
+            }
+        }
+        for d in &self.report.drops {
+            senders.packets.remove(&d.packet_id);
+            let flow = &mut senders.flows[d.flow];
+            sink.emit(SimEvent::BackhaulDrop {
+                flow: flow.config.id,
+                link: d.link,
+                name: &backhaul.config().links[d.link].name,
+                at: d.at,
+                queued_bytes: d.queued_bytes,
+            });
+            // Unlike a private path's drop, the packet was charged to the
+            // window when it was submitted: its loss returns its bytes.
+            flow.lose(sink, now, None, d.bytes);
+        }
+        for d in &self.report.deliveries {
+            net.enqueue_packet(senders.flows[d.flow].config.ue, d.packet_id, d.bytes, now);
+        }
+        let queued_bytes = backhaul.occupancy();
+        sink.emit(SimEvent::BackhaulSampled { now, queued_bytes });
+    }
+
+    /// Finalise the backhaul links through the event stream.
+    fn close(&self, sink: &mut Sink) {
+        let links = self.backhaul.as_ref().map(Backhaul::link_summaries);
+        for (link, summary) in links.unwrap_or_default().iter().enumerate() {
+            sink.emit(SimEvent::BackhaulLinkClosed {
+                link,
+                name: &summary.name,
+                rate_bps: summary.rate_bps,
+                stats: summary.stats,
+                max_queued_bytes: summary.max_queued_bytes,
+                p50_queue_delay_ms: summary.p50_queue_delay_ms,
+                p95_queue_delay_ms: summary.p95_queue_delay_ms,
+            });
+        }
+    }
+}
+
+/// Steps 4–6: the radio access network, narrated subframe by subframe.  The
+/// report and the DCI batcher are refilled in place every subframe.
+struct Ran {
+    cellular: CellularConfig,
+    net: ShardedNetwork,
+    report: NetworkTickReport,
+    batcher: DciBatcher,
+}
+
+impl Ran {
+    fn total_prbs(&self, cell: CellId) -> u16 {
+        let cell = self.cellular.cell(cell).expect("configured cell");
+        cell.total_prbs()
+    }
+
+    /// Narrate the ticked subframe, then hand its news to the receivers:
+    /// carrier and handover events (5, with backhaul re-routing) and the
+    /// control channels (6), which are grouped by cell once so every agent
+    /// gets pre-sliced message runs instead of re-scanning the whole
+    /// network's DCI traffic.
+    fn narrate(
+        &mut self,
+        now: Instant,
+        receivers: &mut [Receiver],
+        senders: &[Sender],
+        wire: &mut Wire,
+        sink: &mut Sink,
+    ) {
+        let report = &self.report;
+        sink.emit(SimEvent::SubframeScheduled { now, report });
+        for &event in &report.ca_events {
+            sink.emit(SimEvent::CaTriggered { event });
+            let total_prbs = self.total_prbs(event.cell);
+            for r in receivers.iter_mut().filter(|r| r.config.ue == event.ue) {
+                r.agent.on_carrier_event(&event, total_prbs);
+            }
+        }
+        let gap = self.cellular.handover.reacquisition_gap_ms;
+        for event in &report.handovers {
+            let (at, ue, from, to) = (event.at, event.ue, event.from, event.to);
+            sink.emit(SimEvent::Handover { at, ue, from, to });
+            let total_prbs = self.total_prbs(to);
+            for (idx, r) in receivers.iter_mut().enumerate() {
+                if r.config.ue == event.ue {
+                    r.agent.on_handover(event, total_prbs, gap);
+                    // Its packets now route through the target's backhaul.
+                    wire.serving_cell[idx] = event.to;
+                }
+            }
+        }
+        let subframe = now.subframe_index();
+        let batch = self.batcher.batch(subframe, &report.dci_messages);
+        for (r, s) in receivers.iter_mut().zip(senders) {
+            r.agent.on_subframe(&batch);
+            // Keep receiver-side averaging windows matched to the flow RTT.
+            r.agent.set_rtprop_ms(s.srtt.as_millis_f64());
+        }
+    }
+}
+
+/// The receiving half of one flow: its agent on the mobile device.
+struct Receiver {
+    config: FlowConfig,
+    agent: Box<dyn ReceiverAgent>,
+    /// Last bottleneck-state flag fed back, for `StateChanged` events.
+    last_internet_flag: bool,
+}
+
+impl Receiver {
+    /// Step 7: a delivery of this flow's `packet` at the UE.  A delivered
+    /// packet is acknowledged, with whatever the agent piggybacks on the
+    /// ACK; a packet lost on the radio link takes the loss path.
+    fn acknowledge(&mut self, d: &Delivery, packet: &Packet, sender: &mut Sender, sink: &mut Sink) {
+        let one_way = d.at.saturating_since(packet.sent_at);
+        if !d.delivered {
+            sender.lose(sink, d.at, Some(one_way), MSS_BYTES);
+            return;
+        }
+        let (flow, at) = (self.config.id, d.at);
+        let pbe = self.agent.on_packet(at, one_way.as_millis_f64());
+        sink.emit(SimEvent::PacketDelivered {
+            flow,
+            at,
+            bytes: MSS_BYTES,
+            one_way,
+            delivered: true,
+            wired_drop: false,
+        });
+        if let Some(feedback) = pbe {
+            sink.emit(SimEvent::CapacityEstimated { flow, at, feedback });
+            let internet_bottleneck = feedback.internet_bottleneck;
+            if internet_bottleneck != self.last_internet_flag {
+                self.last_internet_flag = internet_bottleneck;
+                sink.emit(SimEvent::StateChanged {
+                    flow,
+                    at,
+                    internet_bottleneck,
+                });
+            }
+        }
+        sender.pending.push_back(PendingEvent {
+            arrive_at: at + self.config.server_one_way_delay,
+            packet_id: d.packet_id,
+            bytes: MSS_BYTES,
+            sent_at: packet.sent_at,
+            one_way_delay_ms: one_way.as_millis_f64(),
+            ecn_ce: packet.marked,
+            pbe,
+            lost: false,
+        });
+    }
 }
 
 /// The simulation driver.
@@ -261,13 +746,6 @@ pub struct Simulation {
     config: SimConfig,
     table: SchemeTable,
     observers: Vec<Box<dyn Observer>>,
-}
-
-fn emit(observers: &mut [Box<dyn Observer>], metrics: &mut MetricsCollector, event: SimEvent<'_>) {
-    metrics.on_event(&event);
-    for o in observers.iter_mut() {
-        o.on_event(&event);
-    }
 }
 
 impl Simulation {
@@ -302,21 +780,15 @@ impl Simulation {
     }
 
     /// Run the simulation to completion and produce the per-flow results.
+    #[deny(clippy::too_many_lines)]
     pub fn run(&mut self) -> SimResult {
-        // Split borrows: flow state borrows the configuration for the whole
-        // run while the observer list stays mutably emittable.
-        let Simulation {
-            config: cfg,
-            table,
-            observers,
-        } = self;
-        let primary_cell = cfg
-            .cellular
-            .cells
-            .first()
-            .map(|c| c.id)
-            .unwrap_or(CellId(0));
-        let mut metrics = MetricsCollector::new(&cfg.flows, primary_cell);
+        let (cfg, table) = (&self.config, &self.table);
+        let primary_cell = cfg.cellular.cells.first().map_or(CellId(0), |c| c.id);
+        let metrics = MetricsCollector::new(&cfg.flows, primary_cell);
+        // The sink holds the observers for the run and hands them back after.
+        let observers = std::mem::take(&mut self.observers);
+        let mut sink = Sink { metrics, observers };
+        let faults = FaultDriver::new(cfg.faults.clone());
 
         let shards = cfg.shards.or_else(forced_shards).unwrap_or(1);
         let mut net = ShardedNetwork::new(cfg.cellular.clone(), cfg.load, cfg.seed, shards);
@@ -326,663 +798,86 @@ impl Simulation {
         for t in &cfg.trajectories {
             net.set_cell_trace(t.ue, t.cell, t.trace.clone());
         }
+        let mut ran = Ran {
+            cellular: cfg.cellular.clone(),
+            net,
+            report: NetworkTickReport::default(),
+            batcher: DciBatcher::new(),
+        };
+
+        // Each flow's two halves.  Congestion controller and receiver agent
+        // both come from the scheme table — the engine knows no scheme by
+        // name.  The receiver first watches the primary cell of the flow's
+        // UE, which is also where its packets first route.
         let decoder_rng = DetRng::new(cfg.seed).split("decoders");
-
-        // Build per-flow state: congestion controller and receiver agent both
-        // come from the scheme table — the engine knows no scheme by name.
-        let mut flows: Vec<FlowState<'_>> = cfg
-            .flows
-            .iter()
-            .map(|f| {
-                let rtprop_hint =
-                    Duration::from_micros(2 * f.server_one_way_delay.as_micros() + 10_000);
-                let scheme = f.scheme.id();
-                let cc = table.build_cc(
-                    &scheme,
-                    &SchemeCtx {
-                        rtprop_hint,
-                        seed: cfg.seed,
-                    },
-                );
-                let rnti = net.rnti_of(f.ue).expect("flow UE registered");
-                let primary = cfg
-                    .ues
-                    .iter()
-                    .find(|(u, _)| u.id == f.ue)
-                    .map(|(u, _)| u.primary_cell())
-                    .expect("flow UE configured");
-                let total_prbs = cfg
-                    .cellular
-                    .cell(primary)
-                    .expect("primary cell exists")
-                    .total_prbs();
-                let receiver = table.build_receiver(
-                    &scheme,
-                    &ReceiverCtx {
-                        flow: f.id,
-                        rnti,
-                        cells: vec![(primary, total_prbs)],
-                        rng: decoder_rng.clone(),
-                    },
-                );
-                let downlink = match f.wired_bottleneck_bps {
-                    Some(rate) => WiredPath::with_bottleneck(
-                        f.server_one_way_delay,
-                        rate,
-                        f.wired_queue_bytes,
-                    ),
-                    None => WiredPath::unconstrained(f.server_one_way_delay),
-                };
-                FlowState {
-                    cc,
-                    receiver,
-                    last_internet_flag: false,
-                    downlink,
-                    allowance_bytes: 0.0,
-                    inflight_bytes: 0,
-                    sent_packets: HashMap::new(),
-                    rate_est: DeliveryRateEstimator::new(rtprop_hint),
-                    srtt: rtprop_hint,
-                    pending: VecDeque::new(),
-                    config: f,
-                }
-            })
-            .collect();
-
-        let mut packet_owner: HashMap<u64, usize> = HashMap::new();
-        let mut next_packet_id: u64 = 1;
-
-        // Shared-backhaul state: the link DAG itself, the cell each flow's
-        // packets currently route towards (updated on handover), the ids of
-        // ECN-marked packets awaiting their ACK echo, and the near-source
-        // signals in flight back towards the senders.
-        let mut backhaul = cfg.backhaul.clone().map(Backhaul::new);
-        let mut bh_report = BackhaulTickReport::default();
-
-        // Fault schedule: validated up front; link flaps install on the
-        // backhaul, outage and decode-loss boundaries are applied by this
-        // loop at their scheduled subframes.  Everything is keyed by
-        // configuration and simulated time only, so a faulted run stays
-        // byte-identical across shard counts.
-        let faults = cfg.faults.clone().unwrap_or_default();
-        if let Err(e) = faults.validate() {
-            panic!("invalid fault schedule: {e}");
+        let (mut flows, mut receivers, mut primary) = (Vec::new(), Vec::new(), Vec::new());
+        for f in &cfg.flows {
+            let ue = cfg.ues.iter().find(|(u, _)| u.id == f.ue);
+            let cell = ue.expect("flow UE configured").0.primary_cell();
+            primary.push(cell);
+            let rtprop_hint =
+                Duration::from_micros(2 * f.server_one_way_delay.as_micros() + 10_000);
+            let scheme = f.scheme.id();
+            let seed = cfg.seed;
+            flows.push(Sender {
+                config: f.clone(),
+                cc: table.build_cc(&scheme, &SchemeCtx { rtprop_hint, seed }),
+                allowance_bytes: 0.0,
+                inflight_bytes: 0,
+                rate_est: DeliveryRateEstimator::new(rtprop_hint),
+                srtt: rtprop_hint,
+                pending: VecDeque::new(),
+            });
+            let ctx = ReceiverCtx {
+                flow: f.id,
+                rnti: ran.net.rnti_of(f.ue).expect("flow UE registered"),
+                cells: vec![(cell, ran.total_prbs(cell))],
+                rng: decoder_rng.clone(),
+            };
+            let agent = table.build_receiver(&scheme, &ctx);
+            receivers.push(Receiver {
+                config: f.clone(),
+                agent,
+                last_internet_flag: false,
+            });
         }
-        if !faults.link_flaps.is_empty() {
-            let bh = backhaul
-                .as_mut()
-                .expect("link flaps require a backhaul topology");
-            if let Err(e) = bh.set_flaps(&faults.link_flaps) {
-                panic!("invalid fault schedule: {e}");
-            }
-        }
-        let rlf_detection_ms = faults.rlf_detection();
-        let mut serving_cell: Vec<CellId> = cfg
-            .flows
-            .iter()
-            .map(|f| {
-                cfg.ues
-                    .iter()
-                    .find(|(u, _)| u.id == f.ue)
-                    .map(|(u, _)| u.primary_cell())
-                    .expect("flow UE configured")
-            })
-            .collect();
-        let mut marked: HashSet<u64> = HashSet::new();
-        let mut signals: BinaryHeap<Reverse<SignalEntry>> = BinaryHeap::new();
-        let mut signal_seq: u64 = 0;
+        let mut senders = Senders {
+            flows,
+            packets: HashMap::new(),
+            next_packet_id: 1,
+        };
+        let mut wire = Wire::new(cfg, primary, &faults.schedule.link_flaps);
 
-        // One report, reused across every subframe: its buffers are cleared
-        // and refilled in place, so the per-subframe loop stops allocating
-        // once they reach their working size.
-        let mut report = NetworkTickReport::default();
-        // Likewise one DCI batcher: its per-cell run table is rebuilt in
-        // place every subframe.
-        let mut batcher = DciBatcher::new();
-        let total_ms = cfg.duration.as_millis();
-        for t_ms in 0..total_ms {
+        for t_ms in 0..cfg.duration.as_millis() {
             let now = Instant::from_millis(t_ms);
-
-            // 0a. Scheduled fault boundaries crossing this subframe.
-            if !faults.is_empty() {
-                for o in &faults.cell_outages {
-                    if o.start_ms == t_ms {
-                        let residents = net.set_cell_outage(o.cell, true);
-                        emit(
-                            observers,
-                            &mut metrics,
-                            SimEvent::FaultCellOutage {
-                                cell: o.cell,
-                                at: now,
-                                down: true,
-                                residents: &residents,
-                            },
-                        );
-                    }
-                    // Overlapping windows on one cell: the cell only comes
-                    // back once no window covers this subframe.
-                    if o.end_ms == t_ms && !faults.cell_is_down(o.cell, t_ms) {
-                        net.set_cell_outage(o.cell, false);
-                        emit(
-                            observers,
-                            &mut metrics,
-                            SimEvent::FaultCellOutage {
-                                cell: o.cell,
-                                at: now,
-                                down: false,
-                                residents: &[],
-                            },
-                        );
-                    }
-                }
-                for f in &faults.link_flaps {
-                    // Behaviour lives in the backhaul (flaps were installed
-                    // up front); the boundaries are narrated for observers
-                    // and the recovery metrics.
-                    if f.start_ms == t_ms {
-                        emit(
-                            observers,
-                            &mut metrics,
-                            SimEvent::FaultLinkFlap {
-                                name: &f.link,
-                                at: now,
-                                down: true,
-                            },
-                        );
-                    }
-                    if f.end_ms == t_ms {
-                        emit(
-                            observers,
-                            &mut metrics,
-                            SimEvent::FaultLinkFlap {
-                                name: &f.link,
-                                at: now,
-                                down: false,
-                            },
-                        );
-                    }
-                }
-                for d in &faults.decode_loss {
-                    if d.start_ms == t_ms {
-                        for flow in flows.iter_mut() {
-                            if flow.config.id == d.flow {
-                                flow.receiver.on_decode_loss(d.end_ms);
-                            }
-                        }
-                        emit(
-                            observers,
-                            &mut metrics,
-                            SimEvent::FaultDecodeLoss {
-                                flow: d.flow,
-                                at: now,
-                                until_ms: d.end_ms,
-                            },
-                        );
-                    }
-                }
-            }
-
-            // 0. Near-source congestion signals reach their senders (they
-            //    undercut the ACK clock, so they are delivered first).
-            while let Some(Reverse(head)) = signals.peek() {
-                if head.at > now {
-                    break;
-                }
-                let Reverse(entry) = signals.pop().expect("non-empty");
-                if let Some(cc) = flows[entry.flow].cc.as_mut() {
-                    cc.on_signal(now, &entry.signal);
-                }
-            }
-
-            // 1. Deliver ACKs / loss notifications that have reached the
-            //    sender, and let the congestion controller react.
-            for flow in flows.iter_mut() {
-                while let Some(front) = flow.pending.front() {
-                    if front.arrive_at > now {
-                        break;
-                    }
-                    let ev = flow.pending.pop_front().expect("non-empty");
-                    flow.sent_packets.remove(&ev.packet_id);
-                    flow.inflight_bytes = flow.inflight_bytes.saturating_sub(ev.bytes);
-                    if ev.lost {
-                        if let Some(cc) = flow.cc.as_mut() {
-                            cc.on_loss(now);
-                        }
-                        continue;
-                    }
-                    let rtt = now.saturating_since(ev.sent_at);
-                    flow.srtt = Duration::from_secs_f64(
-                        flow.srtt.as_secs_f64() * 0.875 + rtt.as_secs_f64() * 0.125,
-                    );
-                    flow.rate_est.set_window(flow.srtt);
-                    let delivery_rate = flow.rate_est.on_ack(now, ev.bytes);
-                    let ack = AckInfo {
-                        now,
-                        packet_id: ev.packet_id,
-                        bytes_acked: ev.bytes,
-                        rtt,
-                        one_way_delay_ms: ev.one_way_delay_ms,
-                        delivery_rate_bps: delivery_rate,
-                        inflight_bytes: flow.inflight_bytes,
-                        loss_detected: false,
-                        ecn_ce: ev.ecn_ce,
-                        pbe: ev.pbe,
-                    };
-                    if let Some(cc) = flow.cc.as_mut() {
-                        cc.on_ack(&ack);
-                    }
-                    emit(
-                        observers,
-                        &mut metrics,
-                        SimEvent::AckProcessed {
-                            flow: flow.config.id,
-                            ack: &ack,
-                        },
-                    );
-                }
-            }
-
-            // 2. Senders release packets under pacing + cwnd control.
-            for (idx, flow) in flows.iter_mut().enumerate() {
-                if now < flow.config.start || now >= flow.config.stop {
-                    continue;
-                }
-                let (budget_bps, gate_by_cwnd) = match (&flow.config.app, flow.cc.as_ref()) {
-                    (AppModel::ConstantRate(r), _) => (*r, false),
-                    (AppModel::Bulk, Some(cc)) => (cc.pacing_rate_bps(), true),
-                    (AppModel::Bulk, None) => (12e6, false),
-                };
-                flow.allowance_bytes += budget_bps / 8.0 * 1e-3;
-                // Cap the carried-over allowance at one burst worth of data so
-                // an idle app cannot accumulate an unbounded token bucket.
-                flow.allowance_bytes = flow
-                    .allowance_bytes
-                    .min(budget_bps / 8.0 * 0.05 + 2.0 * MSS_BYTES as f64);
-                while flow.allowance_bytes >= MSS_BYTES as f64 {
-                    if gate_by_cwnd {
-                        let cwnd = flow.cc.as_ref().map(|c| c.cwnd_bytes()).unwrap_or(u64::MAX);
-                        if flow.inflight_bytes + MSS_BYTES > cwnd {
-                            break;
-                        }
-                    }
-                    let id = next_packet_id;
-                    next_packet_id += 1;
-                    flow.allowance_bytes -= MSS_BYTES as f64;
-                    if let Some(bh) = backhaul.as_mut() {
-                        // Shared backhaul: routing (and any drop) resolves
-                        // inside the link DAG at the packet's ingress time.
-                        flow.sent_packets.insert(id, (MSS_BYTES, now));
-                        flow.inflight_bytes += MSS_BYTES;
-                        packet_owner.insert(id, idx);
-                        if let Some(cc) = flow.cc.as_mut() {
-                            cc.on_packet_sent(now, MSS_BYTES, flow.inflight_bytes);
-                        }
-                        bh.submit(
-                            idx,
-                            serving_cell[idx],
-                            id,
-                            MSS_BYTES as u32,
-                            now + flow.config.server_one_way_delay,
-                        );
-                    } else if flow.downlink.send(id, MSS_BYTES as u32, now) {
-                        flow.sent_packets.insert(id, (MSS_BYTES, now));
-                        flow.inflight_bytes += MSS_BYTES;
-                        packet_owner.insert(id, idx);
-                        if let Some(cc) = flow.cc.as_mut() {
-                            cc.on_packet_sent(now, MSS_BYTES, flow.inflight_bytes);
-                        }
-                    } else {
-                        // Dropped at the wired bottleneck queue: the sender
-                        // learns about it roughly one RTT later.
-                        let notify = now + flow.srtt;
-                        flow.pending.push_back(PendingEvent {
-                            arrive_at: notify,
-                            packet_id: id,
-                            bytes: 0,
-                            sent_at: now,
-                            one_way_delay_ms: 0.0,
-                            ecn_ce: false,
-                            pbe: None,
-                            lost: true,
-                        });
-                        emit(
-                            observers,
-                            &mut metrics,
-                            SimEvent::PacketDelivered {
-                                flow: flow.config.id,
-                                at: now,
-                                bytes: MSS_BYTES,
-                                one_way: Duration::ZERO,
-                                delivered: false,
-                                wired_drop: true,
-                            },
-                        );
-                    }
-                }
-            }
-
-            // 3. Wired arrivals reach the base stations — through the
-            //    shared backhaul DAG when one is configured, through each
-            //    flow's private path otherwise.
-            if let Some(bh) = backhaul.as_mut() {
-                bh.tick(now, &mut bh_report);
-                for m in &bh_report.marks {
-                    marked.insert(m.packet_id);
-                    emit(
-                        observers,
-                        &mut metrics,
-                        SimEvent::BackhaulMark {
-                            flow: flows[m.flow].config.id,
-                            link: m.link,
-                            name: &bh.config().links[m.link].name,
-                            at: m.at,
-                            queued_bytes: m.queued_bytes,
-                        },
-                    );
-                    if m.first_on_path {
-                        // The signal travels back upstream: it reaches the
-                        // sender after the server-side delay plus the
-                        // propagation of the links before the marking one.
-                        let delay = flows[m.flow].config.server_one_way_delay + m.upstream_delay;
-                        signals.push(Reverse(SignalEntry {
-                            at: m.at + delay,
-                            seq: signal_seq,
-                            flow: m.flow,
-                            signal: CongestionSignal {
-                                at: m.at,
-                                link_rate_bps: m.link_rate_bps,
-                                queue_bytes: m.queued_bytes,
-                                queue_delay: m.queue_delay,
-                            },
-                        }));
-                        signal_seq += 1;
-                    }
-                }
-                for d in &bh_report.drops {
-                    emit(
-                        observers,
-                        &mut metrics,
-                        SimEvent::BackhaulDrop {
-                            flow: flows[d.flow].config.id,
-                            link: d.link,
-                            name: &bh.config().links[d.link].name,
-                            at: d.at,
-                            queued_bytes: d.queued_bytes,
-                        },
-                    );
-                    emit(
-                        observers,
-                        &mut metrics,
-                        SimEvent::PacketDelivered {
-                            flow: flows[d.flow].config.id,
-                            at: now,
-                            bytes: d.bytes,
-                            one_way: Duration::ZERO,
-                            delivered: false,
-                            wired_drop: true,
-                        },
-                    );
-                    packet_owner.remove(&d.packet_id);
-                    marked.remove(&d.packet_id);
-                    // Unlike the synchronous per-flow wired drop, the packet
-                    // was charged to the congestion window when it was
-                    // submitted, so the loss notification must return its
-                    // bytes to the in-flight account.
-                    let flow = &mut flows[d.flow];
-                    let notify = now + flow.srtt;
-                    flow.pending.push_back(PendingEvent {
-                        arrive_at: notify,
-                        packet_id: d.packet_id,
-                        bytes: d.bytes,
-                        sent_at: now,
-                        one_way_delay_ms: 0.0,
-                        ecn_ce: false,
-                        pbe: None,
-                        lost: true,
-                    });
-                }
-                for d in &bh_report.deliveries {
-                    net.enqueue_packet(flows[d.flow].config.ue, d.packet_id, d.bytes, now);
-                }
-                let occupancy = bh.occupancy();
-                emit(
-                    observers,
-                    &mut metrics,
-                    SimEvent::BackhaulSampled {
-                        now,
-                        queued_bytes: occupancy,
-                    },
-                );
-            } else {
-                for flow in flows.iter_mut() {
-                    for pkt in flow.downlink.arrivals(now) {
-                        net.enqueue_packet(flow.config.ue, pkt.id, pkt.bytes, now);
-                    }
-                }
-            }
-
-            // 4. The radio access network advances one subframe.
-            net.tick_into(now, &mut report);
-
-            // 4b. Radio-link failure: residents of a cell that has been dark
-            //     for the detection delay abandon it through the ordinary
-            //     handover machinery.  The resulting events join the report
-            //     before it is narrated, so receiver re-targeting, backhaul
-            //     re-routing and metrics all see them like any A3 handover.
-            for o in &faults.cell_outages {
-                if t_ms == o.start_ms + rlf_detection_ms && faults.cell_is_down(o.cell, t_ms) {
-                    let outcome = net.declare_rlf(o.cell, now, &mut report.deliveries);
-                    let reconnected: Vec<(UeId, CellId)> =
-                        outcome.events.iter().map(|e| (e.ue, e.to)).collect();
-                    emit(
-                        observers,
-                        &mut metrics,
-                        SimEvent::FaultRlf {
-                            cell: o.cell,
-                            at: now,
-                            reconnected: &reconnected,
-                            stranded_ues: &outcome.stayed,
-                            stranded_packets: outcome.stranded_packets,
-                        },
-                    );
-                    report.handovers.extend(outcome.events);
-                }
-            }
-            emit(
-                observers,
-                &mut metrics,
-                SimEvent::SubframeScheduled {
-                    now,
-                    report: &report,
-                },
-            );
-            for event in &report.ca_events {
-                emit(
-                    observers,
-                    &mut metrics,
-                    SimEvent::CaTriggered { event: *event },
-                );
-            }
-            for event in &report.handovers {
-                emit(
-                    observers,
-                    &mut metrics,
-                    SimEvent::Handover {
-                        at: event.at,
-                        ue: event.ue,
-                        from: event.from,
-                        to: event.to,
-                    },
-                );
-            }
-
-            // 5. Carrier and handover events reach the receiver agents of
-            //    affected flows.
-            for event in &report.ca_events {
-                let total_prbs = cfg
-                    .cellular
-                    .cell(event.cell)
-                    .map(|c| c.total_prbs())
-                    .unwrap_or(50);
-                for flow in flows.iter_mut() {
-                    if flow.config.ue == event.ue {
-                        flow.receiver.on_carrier_event(event, total_prbs);
-                    }
-                }
-            }
-            for event in &report.handovers {
-                let total_prbs = cfg
-                    .cellular
-                    .cell(event.to)
-                    .map(|c| c.total_prbs())
-                    .unwrap_or(50);
-                let gap = cfg.cellular.handover.reacquisition_gap_ms;
-                for (idx, flow) in flows.iter_mut().enumerate() {
-                    if flow.config.ue == event.ue {
-                        flow.receiver.on_handover(event, total_prbs, gap);
-                        // Packets the flow sends from now on route through
-                        // the target cell's backhaul path.
-                        serving_cell[idx] = event.to;
-                    }
-                }
-            }
-
-            // 6. Receiver agents observe this subframe's control channels.
-            //    The stream is grouped by cell once, so every agent hands its
-            //    per-cell decoders pre-sliced message runs instead of each
-            //    decoder re-scanning the whole network's DCI traffic.
-            let subframe = now.subframe_index();
-            let batch = batcher.batch(subframe, &report.dci_messages);
-            for flow in flows.iter_mut() {
-                flow.receiver.on_subframe(&batch);
-                // Keep receiver-side averaging windows matched to the flow RTT.
-                flow.receiver.set_rtprop_ms(flow.srtt.as_millis_f64());
-            }
-
-            // 7. Packet deliveries at the UEs generate acknowledgements.
-            for d in &report.deliveries {
-                let Some(&owner) = packet_owner.get(&d.packet_id) else {
-                    continue;
-                };
-                let flow = &mut flows[owner];
-                let Some(&(bytes, sent_at)) = flow.sent_packets.get(&d.packet_id) else {
-                    continue;
-                };
-                packet_owner.remove(&d.packet_id);
-                let one_way = d.at.saturating_since(sent_at);
-                let ack_at = d.at + flow.config.server_one_way_delay;
-                let ecn_ce = marked.remove(&d.packet_id);
-                if d.delivered {
-                    let pbe = flow.receiver.on_packet(d.at, one_way.as_millis_f64());
-                    emit(
-                        observers,
-                        &mut metrics,
-                        SimEvent::PacketDelivered {
-                            flow: flow.config.id,
-                            at: d.at,
-                            bytes,
-                            one_way,
-                            delivered: true,
-                            wired_drop: false,
-                        },
-                    );
-                    if let Some(feedback) = pbe {
-                        emit(
-                            observers,
-                            &mut metrics,
-                            SimEvent::CapacityEstimated {
-                                flow: flow.config.id,
-                                at: d.at,
-                                feedback,
-                            },
-                        );
-                        if feedback.internet_bottleneck != flow.last_internet_flag {
-                            flow.last_internet_flag = feedback.internet_bottleneck;
-                            emit(
-                                observers,
-                                &mut metrics,
-                                SimEvent::StateChanged {
-                                    flow: flow.config.id,
-                                    at: d.at,
-                                    internet_bottleneck: feedback.internet_bottleneck,
-                                },
-                            );
-                        }
-                    }
-                    flow.pending.push_back(PendingEvent {
-                        arrive_at: ack_at,
-                        packet_id: d.packet_id,
-                        bytes,
-                        sent_at,
-                        one_way_delay_ms: one_way.as_millis_f64(),
-                        ecn_ce,
-                        pbe,
-                        lost: false,
-                    });
-                } else {
-                    emit(
-                        observers,
-                        &mut metrics,
-                        SimEvent::PacketDelivered {
-                            flow: flow.config.id,
-                            at: d.at,
-                            bytes,
-                            one_way,
-                            delivered: false,
-                            wired_drop: false,
-                        },
-                    );
-                    flow.pending.push_back(PendingEvent {
-                        arrive_at: ack_at,
-                        packet_id: d.packet_id,
-                        bytes,
-                        sent_at,
-                        one_way_delay_ms: one_way.as_millis_f64(),
-                        ecn_ce: false,
-                        pbe: None,
-                        lost: true,
-                    });
+            faults.boundaries(t_ms, &mut ran, &mut receivers, &mut sink); // 0a
+            senders.tick(now, &mut wire, &mut sink); // 0-2
+            wire.tick(now, &mut senders, &mut ran.net, &mut sink); // 3
+            ran.net.tick_into(now, &mut ran.report); // 4
+            faults.radio_link_failures(t_ms, &mut ran, &mut sink); // 4b
+            ran.narrate(now, &mut receivers, &senders.flows, &mut wire, &mut sink); // 4-6
+                                                                                    // 7: each tabled packet the UEs received or lost reaches its receiver.
+            for d in &ran.report.deliveries {
+                if let Some(packet) = senders.packets.remove(&d.packet_id) {
+                    let sender = &mut senders.flows[packet.flow];
+                    receivers[packet.flow].acknowledge(d, &packet, sender, &mut sink);
                 }
             }
         }
 
-        // Finalise the backhaul links through the event stream.
-        if let Some(bh) = backhaul.as_ref() {
-            for (link, summary) in bh.link_summaries().iter().enumerate() {
-                emit(
-                    observers,
-                    &mut metrics,
-                    SimEvent::BackhaulLinkClosed {
-                        link,
-                        name: &summary.name,
-                        rate_bps: summary.rate_bps,
-                        stats: summary.stats,
-                        max_queued_bytes: summary.max_queued_bytes,
-                        p50_queue_delay_ms: summary.p50_queue_delay_ms,
-                        p95_queue_delay_ms: summary.p95_queue_delay_ms,
-                    },
-                );
-            }
+        // Finalise the links and the per-flow results through the stream.
+        wire.close(&mut sink);
+        for flow in &senders.flows {
+            let cc = flow.cc.as_ref();
+            let ue = flow.config.ue;
+            sink.emit(SimEvent::FlowClosed {
+                flow: flow.config.id,
+                internet_bottleneck_fraction: cc.map_or(0.0, |c| c.internet_bottleneck_fraction()),
+                carrier_aggregation_triggered: ran.net.carrier_aggregation_triggered(ue),
+            });
         }
-
-        // Finalise per-flow results through the event stream.
-        for flow in flows.iter() {
-            emit(
-                observers,
-                &mut metrics,
-                SimEvent::FlowClosed {
-                    flow: flow.config.id,
-                    internet_bottleneck_fraction: flow
-                        .cc
-                        .as_ref()
-                        .map(|cc| cc.internet_bottleneck_fraction())
-                        .unwrap_or(0.0),
-                    carrier_aggregation_triggered: net
-                        .carrier_aggregation_triggered(flow.config.ue),
-                },
-            );
-        }
-        metrics.finish()
+        self.observers = sink.observers;
+        sink.metrics.finish()
     }
 }
 
@@ -1347,6 +1242,164 @@ mod tests {
             "estimate re-converged to the 10 MHz cell within gap + fill: \
              held {held:.0} bit/s vs converged {converged:.0} bit/s"
         );
+    }
+
+    /// A shared `agg` link (rate, queue limit, marking threshold) over one
+    /// 100 Mbit/s link per cell; `(40e6, 150_000, 45_000)` is the tree of
+    /// the backhaul identity tests.
+    fn marking_aggregation(rate_bps: f64, queue_bytes: u64, mark_bytes: u64) -> BackhaulConfig {
+        BackhaulConfig::shared_aggregation(
+            &[CellId(0), CellId(1), CellId(2)],
+            BackhaulLinkSpec::new("agg", rate_bps, Duration::from_millis(2), queue_bytes)
+                .with_mark_threshold(mark_bytes),
+            |cell| {
+                BackhaulLinkSpec::new(
+                    format!("cell-{}", cell.0),
+                    100e6,
+                    Duration::from_millis(1),
+                    300_000,
+                )
+            },
+        )
+    }
+
+    /// A PBE flow on the paper's walking trace, whose fades exhaust HARQ:
+    /// packets are lost on the radio link.
+    fn walking_flow() -> SimConfig {
+        let mut cfg = SimConfig::single_flow(
+            SchemeChoice::Pbe,
+            Duration::from_secs(4),
+            CellLoadProfile::busy(),
+            13,
+        );
+        cfg.ues[0].1 = MobilityTrace::paper_mobility_walk();
+        cfg
+    }
+
+    /// An SFC flow behind a 4 Mbit/s marking aggregation link: its sender
+    /// reacts to the near-source signals the marks send back.
+    fn signalled_flow() -> SimConfig {
+        let mut cfg = SimConfig::single_flow(
+            SchemeChoice::named("SFC"),
+            Duration::from_secs(2),
+            CellLoadProfile::busy(),
+            13,
+        );
+        cfg.backhaul = Some(marking_aggregation(4e6, 60_000, 15_000));
+        cfg
+    }
+
+    /// How often one run took each loss and marking branch of the driver.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct BranchCounts {
+        wired_drops: u64,
+        backhaul_marks: u64,
+        backhaul_drops: u64,
+        radio_losses: u64,
+    }
+
+    fn branch_counts(cfg: SimConfig) -> BranchCounts {
+        use crate::builder::SimBuilder;
+        use std::cell::Cell;
+        use std::rc::Rc;
+        let counts: Rc<Cell<BranchCounts>> = Rc::default();
+        let sink = counts.clone();
+        SimBuilder::from_config(cfg)
+            .observe(move |event: &SimEvent<'_>| {
+                let mut c = sink.get();
+                match event {
+                    SimEvent::PacketDelivered {
+                        delivered: false,
+                        wired_drop: true,
+                        ..
+                    } => c.wired_drops += 1,
+                    SimEvent::PacketDelivered {
+                        delivered: false,
+                        wired_drop: false,
+                        ..
+                    } => c.radio_losses += 1,
+                    SimEvent::BackhaulMark { .. } => c.backhaul_marks += 1,
+                    SimEvent::BackhaulDrop { .. } => c.backhaul_drops += 1,
+                    _ => {}
+                }
+                sink.set(c);
+            })
+            .run();
+        counts.get()
+    }
+
+    #[test]
+    fn pinned_scenarios_reach_every_loss_and_marking_branch() {
+        // Guards the digest pins against passing vacuously: between them,
+        // the pinned scenarios drop at a private wired bottleneck, mark and
+        // drop in the shared backhaul, and lose packets on the radio link.
+        let mut golden = SimConfig::single_flow(
+            SchemeChoice::Pbe,
+            Duration::from_secs(2),
+            CellLoadProfile::busy(),
+            41,
+        );
+        golden.flows[0] = golden.flows[0].clone().with_wired_bottleneck(12e6, 60_000);
+        let golden = branch_counts(golden);
+        assert!(golden.wired_drops > 0, "{golden:?}");
+
+        let mut shared = SimConfig::single_flow(
+            SchemeChoice::Pbe,
+            Duration::from_secs(2),
+            CellLoadProfile::busy(),
+            13,
+        );
+        shared.backhaul = Some(marking_aggregation(40e6, 150_000, 45_000));
+        let shared = branch_counts(shared);
+        assert!(
+            shared.backhaul_marks > 0 && shared.backhaul_drops > 0,
+            "{shared:?}"
+        );
+
+        let walking = branch_counts(walking_flow());
+        assert!(walking.radio_losses > 0, "{walking:?}");
+        let signalled = branch_counts(signalled_flow());
+        assert!(signalled.backhaul_marks > 0, "{signalled:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid flow configuration: flow 1 sets a private wired bottleneck")]
+    fn a_private_wired_bottleneck_behind_a_shared_backhaul_is_rejected() {
+        // The shared backhaul replaces every private path, so the flow's
+        // bottleneck would be silently ignored.
+        let mut cfg = SimConfig::single_flow(
+            SchemeChoice::Pbe,
+            Duration::from_millis(10),
+            CellLoadProfile::none(),
+            1,
+        );
+        cfg.flows[0] = cfg.flows[0].clone().with_wired_bottleneck(12e6, 60_000);
+        cfg.backhaul = Some(marking_aggregation(40e6, 150_000, 45_000));
+        Simulation::new(cfg).run();
+    }
+
+    #[test]
+    fn radio_loss_and_signalled_runs_are_byte_identical_across_shard_counts() {
+        for (name, cfg, digest) in [
+            (
+                "walking",
+                walking_flow(),
+                "6a631920bfb213160d0060a9d2d0e9a3",
+            ),
+            (
+                "signalled",
+                signalled_flow(),
+                "e4b503aab354918ace8cee06da05186b",
+            ),
+        ] {
+            for shards in [1usize, 2, 3] {
+                assert_eq!(
+                    result_digest(&cfg, shards),
+                    digest,
+                    "{name}: {shards} shards diverged from the pinned result"
+                );
+            }
+        }
     }
 
     #[test]
