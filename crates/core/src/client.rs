@@ -4,12 +4,18 @@
 //! subframe it folds the fused control-channel messages into the PDCCH
 //! monitor; every received data packet it (1) updates its one-way
 //! propagation-delay estimate `Dprop` (the minimum delay over a 10-second
-//! window, §4.2.2), (2) checks the bottleneck-state switching rule — the
-//! delay threshold `Dth = Dprop + 3·8 + 3` ms must be exceeded by `Npkt`
-//! consecutive packets, where `Npkt = 6 · Ct / MSS` (Eqn. 6) — and (3)
-//! produces the feedback carried on the acknowledgement: the estimated
-//! capacity encoded as an inter-packet interval, the bottleneck-state bit,
-//! and the fair-share cap `Cf` (§5).
+//! window, §4.2.2, kept by a windowed-minimum filter), (2) checks the
+//! bottleneck-state switching rule — the delay threshold
+//! `Dth = Dprop + 3·8 + 3` ms must be exceeded by `Npkt` consecutive packets,
+//! where `Npkt = 6 · Ct / MSS` (Eqn. 6) — and (3) produces the feedback
+//! carried on the acknowledgement: the estimated capacity encoded as an
+//! inter-packet interval, the bottleneck-state bit, and the fair-share cap
+//! `Cf` (§5).
+//!
+//! Both paths are cheap enough to run per packet and per subframe: a packet
+//! costs O(1) amortised (two windowed minima), and a subframe costs
+//! O(messages + users) (the monitor keeps running window totals), with no
+//! steady-state allocation.
 
 use crate::capacity::{CapacityEstimate, CapacityEstimator};
 use crate::translate::RateTranslator;
@@ -17,7 +23,7 @@ use pbe_cc_algorithms::api::{PbeFeedback, MSS_BYTES};
 use pbe_cc_algorithms::windowed::WindowedMin;
 use pbe_cellular::config::{CellId, Rnti};
 use pbe_pdcch::fusion::FusedSubframe;
-use pbe_pdcch::monitor::{CellStatusMonitor, MonitorConfig};
+use pbe_pdcch::monitor::{CellSnapshot, CellStatusMonitor, MonitorConfig};
 use pbe_stats::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
@@ -47,7 +53,8 @@ pub struct PbeClientConfig {
     /// Network-jitter margin (the paper measures jitter ≤ 3 ms 94 % of the
     /// time).
     pub jitter_margin_ms: f64,
-    /// Window over which `Dprop` is taken as the minimum observed delay.
+    /// Window over which `Dprop` is taken as the minimum observed delay
+    /// (a windowed minimum, not a stored sample list).
     pub dprop_window: Duration,
 }
 
@@ -74,8 +81,9 @@ pub struct PbeClient {
     estimator: CapacityEstimator,
     translator: RateTranslator,
     state: BottleneckState,
-    /// (time, delay_ms) samples used for the Dprop minimum window.
-    delay_samples: Vec<(Instant, f64)>,
+    /// `Dprop`: the windowed minimum of the one-way delay (ms) over
+    /// `config.dprop_window`.
+    dprop: WindowedMin,
     /// Minimum one-way delay over the last RTprop: the *standing* delay.  A
     /// HARQ spike affects a few packets and leaves the minimum alone; a real
     /// backlog raises every sample, minimum included.
@@ -83,6 +91,8 @@ pub struct PbeClient {
     consecutive_over: u64,
     consecutive_under: u64,
     rtprop_ms: f64,
+    /// Scratch for the monitor's per-cell snapshots, reused every subframe.
+    snapshots: Vec<CellSnapshot>,
     /// Latest capacity estimate (physical layer).
     last_estimate: CapacityEstimate,
     /// Latest transport-layer capacity (bits per subframe).
@@ -104,17 +114,19 @@ impl PbeClient {
         let monitor =
             CellStatusMonitor::new(MonitorConfig::new(config.own_rnti, config.cells.clone()));
         let translator = RateTranslator::new(config.protocol_overhead);
+        let dprop = WindowedMin::new(config.dprop_window);
         PbeClient {
             config,
             monitor,
             estimator: CapacityEstimator::new(),
             translator,
             state: BottleneckState::Wireless,
-            delay_samples: Vec::new(),
+            dprop,
             standing_delay: WindowedMin::new(Duration::from_millis(40)),
             consecutive_over: 0,
             consecutive_under: 0,
             rtprop_ms: 40.0,
+            snapshots: Vec::new(),
             last_estimate: CapacityEstimate {
                 fair_share_bits_per_subframe: 0.0,
                 available_bits_per_subframe: 0.0,
@@ -193,10 +205,7 @@ impl PbeClient {
 
     /// One-way propagation-delay estimate (minimum over the window), ms.
     pub fn dprop_ms(&self) -> f64 {
-        self.delay_samples
-            .iter()
-            .map(|(_, d)| *d)
-            .fold(f64::INFINITY, f64::min)
+        self.dprop.get()
     }
 
     /// The switching threshold `Dth` in ms.
@@ -239,12 +248,13 @@ impl PbeClient {
             }
             self.estimate_hold = false;
         }
-        let snapshots = self.monitor.snapshots();
-        self.last_estimate = self.estimator.estimate(&snapshots);
+        self.monitor.snapshots_into(&mut self.snapshots);
+        self.last_estimate = self.estimator.estimate(&self.snapshots);
         // Use the measured retransmission fraction when available (it already
         // reflects the true transport-block error rate); otherwise fall back
         // to the analytic Eqn. 5 solution at the configured BER.
-        let retx = snapshots
+        let retx = self
+            .snapshots
             .iter()
             .map(|s| s.own_retransmission_fraction)
             .fold(0.0f64, f64::max);
@@ -276,17 +286,10 @@ impl PbeClient {
             .max(2.0) as u64
     }
 
-    fn prune_delay_window(&mut self, now: Instant) {
-        let window = self.config.dprop_window;
-        self.delay_samples
-            .retain(|(t, _)| now.saturating_since(*t) <= window);
-    }
-
     /// Process one received data packet and produce the feedback to piggyback
     /// on its acknowledgement.
     pub fn on_packet(&mut self, now: Instant, one_way_delay_ms: f64) -> PbeFeedback {
-        self.delay_samples.push((now, one_way_delay_ms));
-        self.prune_delay_window(now);
+        self.dprop.update(now, one_way_delay_ms);
 
         let dth = self.delay_threshold_ms();
         let npkt = self.npkt_threshold();

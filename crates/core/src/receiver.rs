@@ -20,7 +20,7 @@ use pbe_cellular::config::{CellId, Rnti};
 use pbe_cellular::handover::HandoverEvent;
 use pbe_pdcch::batch::DciBatch;
 use pbe_pdcch::decoder::{ControlChannelDecoder, DecoderConfig};
-use pbe_pdcch::fusion::MessageFusion;
+use pbe_pdcch::fusion::{FusedSubframe, MessageFusion};
 use pbe_stats::time::Instant;
 use pbe_stats::DetRng;
 use std::collections::BTreeMap;
@@ -96,6 +96,8 @@ pub struct PbeReceiverAgent {
     decoders: BTreeMap<CellId, ControlChannelDecoder>,
     fusion: MessageFusion,
     client: PbeClient,
+    /// Scratch for the subframes fusion completes, reused every subframe.
+    fused_ready: Vec<FusedSubframe>,
     flow: u32,
     rng: DetRng,
 }
@@ -112,6 +114,7 @@ impl PbeReceiverAgent {
             fusion: MessageFusion::new(cells),
             client: PbeClient::new(PbeClientConfig::new(ctx.rnti, ctx.cells.clone())),
             decoders,
+            fused_ready: Vec::new(),
             flow: ctx.flow,
             rng: ctx.rng.clone(),
         }
@@ -177,7 +180,6 @@ impl ReceiverAgent for PbeReceiverAgent {
 
     fn on_subframe(&mut self, batch: &DciBatch<'_>) {
         let subframe = batch.subframe();
-        let mut fused_ready = Vec::new();
         for (cell, decoder) in self.decoders.iter_mut() {
             // Each decoder sees only its own cell's slice of the stream:
             // same decode (the decoder filters by cell anyway, and draws
@@ -192,9 +194,10 @@ impl ReceiverAgent for PbeReceiverAgent {
                 continue;
             }
             let decoded = decoder.decode_subframe(subframe, messages);
-            fused_ready.extend(self.fusion.ingest(*cell, subframe, decoded));
+            self.fused_ready
+                .extend(self.fusion.ingest(*cell, subframe, decoded));
         }
-        for fused in fused_ready {
+        for fused in self.fused_ready.drain(..) {
             self.client.on_subframe(&fused);
         }
     }

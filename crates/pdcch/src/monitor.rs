@@ -15,6 +15,14 @@
 //!   measured from its own grants (TBS / allocated PRBs), and
 //! * the fraction of this user's grants that were HARQ retransmissions (the
 //!   new-data-indicator bit), used by the cross-layer rate translation.
+//!
+//! Each cell's window keeps running totals — own, idle and other PRBs, a
+//! per-RNTI activity count `Ta` and PRB sum, own grants and retransmissions —
+//! that are added when a subframe enters the window and subtracted when it is
+//! evicted, so a snapshot reads them in O(users) instead of re-folding the
+//! window.  They are integer sums, so they are exact: `u64 as f64` of a
+//! total gives the same bits as adding the window's values one by one in
+//! `f64`, and no count depends on the order subframes came and went.
 
 use crate::fusion::FusedSubframe;
 use pbe_cellular::config::{CellId, Rnti};
@@ -95,10 +103,71 @@ struct SubframeRecord {
     own_grants: Vec<(u16, u32, bool)>,
 }
 
+/// Running totals over one tracker's window (see the module doc).
+#[derive(Debug, Default)]
+struct WindowTotals {
+    own_prbs: u64,
+    idle_prbs: u64,
+    other_prbs: u64,
+    /// `(rnti, Ta, ΣPRB)` per user seen in the window: `Ta` counts its
+    /// appearances.  A user leaves when its last appearance is evicted.
+    /// A `Vec`, not a map: a cell has a few dozen users at most.
+    users: Vec<(Rnti, u64, u64)>,
+    own_grants: u64,
+    own_retransmissions: u64,
+}
+
+impl WindowTotals {
+    fn add(&mut self, record: &SubframeRecord) {
+        self.own_prbs += u64::from(record.own_prbs);
+        self.idle_prbs += u64::from(record.idle_prbs);
+        self.other_prbs += u64::from(record.other_prbs);
+        for &(rnti, prbs) in &record.users {
+            match self.users.iter_mut().find(|(r, _, _)| *r == rnti) {
+                Some(user) => {
+                    user.1 += 1;
+                    user.2 += u64::from(prbs);
+                }
+                None => self.users.push((rnti, 1, u64::from(prbs))),
+            }
+        }
+        for &(_, _, retx) in &record.own_grants {
+            self.own_grants += 1;
+            self.own_retransmissions += u64::from(retx);
+        }
+    }
+
+    fn remove(&mut self, record: &SubframeRecord) {
+        self.own_prbs -= u64::from(record.own_prbs);
+        self.idle_prbs -= u64::from(record.idle_prbs);
+        self.other_prbs -= u64::from(record.other_prbs);
+        for &(rnti, prbs) in &record.users {
+            let i = self
+                .users
+                .iter()
+                .position(|(r, _, _)| *r == rnti)
+                .expect("an evicted user was counted when it entered");
+            let user = &mut self.users[i];
+            user.1 -= 1;
+            user.2 -= u64::from(prbs);
+            if user.1 == 0 {
+                self.users.swap_remove(i);
+            }
+        }
+        for &(_, _, retx) in &record.own_grants {
+            self.own_grants -= 1;
+            self.own_retransmissions -= u64::from(retx);
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct CellTracker {
     total_prbs: u16,
     window: VecDeque<SubframeRecord>,
+    totals: WindowTotals,
+    /// The last evicted record, whose buffers the next ingest refills.
+    spare: Option<SubframeRecord>,
     last_bits_per_prb: Option<f64>,
 }
 
@@ -204,28 +273,41 @@ impl CellStatusMonitor {
     pub fn ingest(&mut self, fused: &FusedSubframe) {
         for (cell, tracker) in self.trackers.iter_mut() {
             let messages = fused.cell_messages(*cell);
-            let record =
-                Self::build_record(&self.config, tracker.total_prbs, fused.subframe, messages);
+            let mut record = tracker.spare.take().unwrap_or_default();
+            Self::fill_record(
+                &self.config,
+                tracker.total_prbs,
+                fused.subframe,
+                messages,
+                &mut record,
+            );
             if let Some(rate) = Self::record_bits_per_prb(&record) {
                 tracker.last_bits_per_prb = Some(rate);
             }
+            tracker.totals.add(&record);
             tracker.window.push_back(record);
             while tracker.window.len() > self.config.window_subframes {
-                tracker.window.pop_front();
+                let evicted = tracker.window.pop_front().expect("window is non-empty");
+                tracker.totals.remove(&evicted);
+                tracker.spare = Some(evicted);
             }
         }
     }
 
-    fn build_record(
+    /// Overwrite `record` with one subframe of a cell's messages, reusing
+    /// its buffers.
+    fn fill_record(
         config: &MonitorConfig,
         total_prbs: u16,
         subframe: u64,
         messages: &[DciMessage],
-    ) -> SubframeRecord {
-        let mut record = SubframeRecord {
-            subframe,
-            ..SubframeRecord::default()
-        };
+        record: &mut SubframeRecord,
+    ) {
+        record.subframe = subframe;
+        record.own_prbs = 0;
+        record.other_prbs = 0;
+        record.users.clear();
+        record.own_grants.clear();
         let mut allocated: u32 = 0;
         for m in messages {
             if !m.format.is_downlink_assignment() {
@@ -246,7 +328,6 @@ impl CellStatusMonitor {
             }
         }
         record.idle_prbs = total_prbs.saturating_sub(allocated.min(u32::from(total_prbs)) as u16);
-        record
     }
 
     fn record_bits_per_prb(record: &SubframeRecord) -> Option<f64> {
@@ -282,46 +363,20 @@ impl CellStatusMonitor {
                 own_retransmission_fraction: 0.0,
             });
         }
-        let mut own = 0.0;
-        let mut idle = 0.0;
-        let mut other = 0.0;
-        let mut per_user: HashMap<Rnti, (u64, u64)> = HashMap::new(); // (active subframes, total prbs)
-        let mut own_grants = 0u64;
-        let mut own_retx = 0u64;
-        for rec in &tracker.window {
-            own += f64::from(rec.own_prbs);
-            idle += f64::from(rec.idle_prbs);
-            other += f64::from(rec.other_prbs);
-            for (rnti, prbs) in &rec.users {
-                let e = per_user.entry(*rnti).or_insert((0, 0));
-                e.0 += 1;
-                e.1 += u64::from(*prbs);
-            }
-            for (_, _, retx) in &rec.own_grants {
-                own_grants += 1;
-                own_retx += u64::from(*retx);
-            }
-        }
+        let totals = &tracker.totals;
         let nf = n as f64;
-        let detected_users = per_user.len();
         // Ta / Pa filter: a competitor counts only if it was active for more
         // than `ta_threshold` subframes AND averaged more than `pa_threshold`
         // PRBs while active.  The user itself always counts.
-        let mut active_users = 0usize;
-        for (rnti, (ta, total_prbs)) in &per_user {
-            if *rnti == self.config.own_rnti {
-                continue;
-            }
-            let pa = if *ta == 0 {
-                0.0
-            } else {
-                *total_prbs as f64 / *ta as f64
-            };
-            if *ta > self.config.ta_threshold && pa > self.config.pa_threshold {
-                active_users += 1;
-            }
-        }
-        active_users += 1; // self
+        let competitors = totals
+            .users
+            .iter()
+            .filter(|&&(rnti, ta, prbs)| {
+                rnti != self.config.own_rnti
+                    && ta > self.config.ta_threshold
+                    && prbs as f64 / ta as f64 > self.config.pa_threshold
+            })
+            .count();
         let own_bits_per_prb = tracker
             .last_bits_per_prb
             .unwrap_or(self.config.default_bits_per_prb);
@@ -329,27 +384,37 @@ impl CellStatusMonitor {
             cell,
             subframe: tracker.window.back().map(|r| r.subframe).unwrap_or(0),
             total_prbs: tracker.total_prbs,
-            own_prbs: own / nf,
-            idle_prbs: idle / nf,
-            other_prbs: other / nf,
-            active_users,
-            detected_users,
+            own_prbs: totals.own_prbs as f64 / nf,
+            idle_prbs: totals.idle_prbs as f64 / nf,
+            other_prbs: totals.other_prbs as f64 / nf,
+            active_users: competitors + 1,
+            detected_users: totals.users.len(),
             own_bits_per_prb,
-            own_retransmission_fraction: if own_grants == 0 {
+            own_retransmission_fraction: if totals.own_grants == 0 {
                 0.0
             } else {
-                own_retx as f64 / own_grants as f64
+                totals.own_retransmissions as f64 / totals.own_grants as f64
             },
         })
     }
 
-    /// Snapshots of every tracked cell.
+    /// Snapshots of every tracked cell, in configuration order.
     pub fn snapshots(&self) -> Vec<CellSnapshot> {
-        self.config
-            .cells
-            .iter()
-            .filter_map(|(c, _)| self.snapshot(*c))
-            .collect()
+        let mut out = Vec::new();
+        self.snapshots_into(&mut out);
+        out
+    }
+
+    /// [`Self::snapshots`] into a caller-owned buffer (cleared first), so a
+    /// per-subframe caller allocates nothing.
+    pub fn snapshots_into(&self, out: &mut Vec<CellSnapshot>) {
+        out.clear();
+        out.extend(
+            self.config
+                .cells
+                .iter()
+                .filter_map(|(c, _)| self.snapshot(*c)),
+        );
     }
 }
 
@@ -358,6 +423,8 @@ mod tests {
     use super::*;
     use pbe_cellular::dci::DciFormat;
     use pbe_cellular::mcs::McsIndex;
+    use pbe_stats::DetRng;
+    use proptest::prelude::*;
 
     const OWN: Rnti = Rnti(0x0100);
     const OTHER: Rnti = Rnti(0x0200);
@@ -541,5 +608,129 @@ mod tests {
         // The new primary survives `remove_cell` like any primary.
         m.remove_cell(CellId(2));
         assert_eq!(m.cells(), vec![CellId(2)]);
+    }
+
+    /// The snapshot as it was before the running totals: fold the whole
+    /// window into a fresh per-user map.
+    fn reference_snapshot(m: &CellStatusMonitor, cell: CellId) -> Option<CellSnapshot> {
+        let tracker = m.trackers.get(&cell)?;
+        let n = tracker.window.len();
+        if n == 0 {
+            return Some(CellSnapshot {
+                cell,
+                subframe: 0,
+                total_prbs: tracker.total_prbs,
+                own_prbs: 0.0,
+                idle_prbs: f64::from(tracker.total_prbs),
+                other_prbs: 0.0,
+                active_users: 1,
+                detected_users: 0,
+                own_bits_per_prb: m.config.default_bits_per_prb,
+                own_retransmission_fraction: 0.0,
+            });
+        }
+        let mut own = 0.0;
+        let mut idle = 0.0;
+        let mut other = 0.0;
+        let mut per_user: HashMap<Rnti, (u64, u64)> = HashMap::new();
+        let mut own_grants = 0u64;
+        let mut own_retx = 0u64;
+        for rec in &tracker.window {
+            own += f64::from(rec.own_prbs);
+            idle += f64::from(rec.idle_prbs);
+            other += f64::from(rec.other_prbs);
+            for (rnti, prbs) in &rec.users {
+                let e = per_user.entry(*rnti).or_insert((0, 0));
+                e.0 += 1;
+                e.1 += u64::from(*prbs);
+            }
+            for (_, _, retx) in &rec.own_grants {
+                own_grants += 1;
+                own_retx += u64::from(*retx);
+            }
+        }
+        let nf = n as f64;
+        let mut active_users = 0usize;
+        for (rnti, (ta, total_prbs)) in &per_user {
+            if *rnti == m.config.own_rnti {
+                continue;
+            }
+            let pa = if *ta == 0 {
+                0.0
+            } else {
+                *total_prbs as f64 / *ta as f64
+            };
+            if *ta > m.config.ta_threshold && pa > m.config.pa_threshold {
+                active_users += 1;
+            }
+        }
+        active_users += 1;
+        Some(CellSnapshot {
+            cell,
+            subframe: tracker.window.back().map(|r| r.subframe).unwrap_or(0),
+            total_prbs: tracker.total_prbs,
+            own_prbs: own / nf,
+            idle_prbs: idle / nf,
+            other_prbs: other / nf,
+            active_users,
+            detected_users: per_user.len(),
+            own_bits_per_prb: tracker
+                .last_bits_per_prb
+                .unwrap_or(m.config.default_bits_per_prb),
+            own_retransmission_fraction: if own_grants == 0 {
+                0.0
+            } else {
+                own_retx as f64 / own_grants as f64
+            },
+        })
+    }
+
+    /// One subframe of random traffic on cells 0–2: downlink grants and
+    /// uplink grants (0 PRBs), new data and retransmissions, from a small
+    /// RNTI pool so one RNTI often appears twice in a subframe.
+    fn random_subframe(rng: &mut DetRng, subframe: u64) -> FusedSubframe {
+        const RNTIS: [Rnti; 5] = [OWN, OTHER, CTRL, Rnti(0x0201), Rnti(0x0202)];
+        let mut per_cell = HashMap::new();
+        for cell in 0..3u16 {
+            let count = rng.uniform_usize(0, 7);
+            let messages = (0..count)
+                .map(|_| {
+                    let rnti = RNTIS[rng.uniform_usize(0, RNTIS.len())];
+                    let prbs = rng.uniform_usize(0, 41) as u16;
+                    let mut m = msg(rnti, prbs, subframe, rng.bernoulli(0.8));
+                    m.cell = CellId(cell);
+                    m.format = DciFormat::ALL[rng.uniform_usize(0, DciFormat::ALL.len())];
+                    m
+                })
+                .collect();
+            per_cell.insert(CellId(cell), messages);
+        }
+        FusedSubframe { subframe, per_cell }
+    }
+
+    proptest! {
+        /// After every ingest, every tracked cell's snapshot from the running
+        /// totals equals the fold of the whole window — through window
+        /// shrinks and grows, cells added and removed, and handovers.
+        #[test]
+        fn running_totals_match_the_window_fold(seed in 0u64..1_000_000_000) {
+            let mut rng = DetRng::new(seed);
+            let mut m = monitor();
+            for sf in 0..400u64 {
+                let cell = CellId(rng.uniform_usize(0, 3) as u16);
+                let prbs = [25u16, 50, 100][rng.uniform_usize(0, 3)];
+                match rng.uniform_usize(0, 40) {
+                    0..=2 => m.set_window_subframes(rng.uniform_usize(0, 60)),
+                    3 => m.add_cell(cell, prbs),
+                    4 => m.remove_cell(cell),
+                    5 => m.handover_to(cell, prbs),
+                    _ => {}
+                }
+                m.ingest(&random_subframe(&mut rng, sf));
+                for c in 0..4u16 {
+                    prop_assert_eq!(m.snapshot(CellId(c)), reference_snapshot(&m, CellId(c)));
+                }
+            }
+        }
     }
 }
