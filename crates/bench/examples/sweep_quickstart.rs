@@ -6,8 +6,9 @@
 //! cargo run --release -p pbe-bench --example sweep_quickstart
 //! ```
 
+use pbe_bench::artifact::run_cached;
 use pbe_bench::scenarios::ScenarioLibrary;
-use pbe_bench::sweep::{ScenarioSpec, SweepGrid, SweepRunner};
+use pbe_bench::sweep::{ScenarioSpec, SweepGrid};
 use pbe_bench::TextTable;
 use pbe_netsim::SchemeChoice;
 use pbe_stats::time::Duration;
@@ -22,7 +23,9 @@ fn main() {
         .schemes([SchemeChoice::Pbe, SchemeChoice::named("CUBIC")])
         .seed_replicas(2);
 
-    let report = SweepRunner::new().run(grid.expand());
+    let report = run_cached("sweep_quickstart", grid.expand(), None, 0)
+        .expect("no store, no I/O")
+        .report;
 
     let mut table = TextTable::new(&["scenario", "scheme", "seed", "tput (Mbit/s)", "p95 delay"]);
     for o in &report.outcomes {

@@ -1,9 +1,8 @@
 //! Store-aware grid execution: run only the points whose key is missing.
 //!
-//! [`run_cached`] is the artifact pipeline's replacement for
-//! [`SweepRunner::run`](crate::sweep::SweepRunner): same input (expanded
-//! specs), same output shape ([`SweepReport`], grid order preserved), but
-//! each point is first looked up in the result store by content key.  Hits
+//! [`run_cached`] is the one grid executor: it takes expanded specs and
+//! returns a [`SweepReport`] in grid order.  Without a store every point
+//! executes; with one, each point is first looked up by content key.  Hits
 //! are served from disk with zero simulation; misses execute on the worker
 //! pool in small batches and are persisted as each batch completes, so an
 //! interrupted run resumes from its last finished batch instead of
@@ -68,9 +67,9 @@ pub struct CachedRun {
 /// Execute `specs`, serving store hits and persisting fresh results, under
 /// the default (permissive) [`ExecPolicy`].
 ///
-/// With `store = None` every point executes (a plain sweep).  `workers`
-/// follows [`SweepRunner`](crate::sweep::SweepRunner) semantics except that
-/// `0` means "all available cores".  `figure` labels the manifest entries of
+/// With `store = None` every point executes (a plain sweep).  `workers` is
+/// the worker-thread count, `0` meaning "all available cores"; results are
+/// byte-identical for every count.  `figure` labels the manifest entries of
 /// freshly executed points.
 pub fn run_cached(
     figure: &str,
@@ -282,7 +281,7 @@ fn execute_one(spec: &ScenarioSpec) -> ScenarioOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{SweepGrid, SweepRunner};
+    use crate::sweep::SweepGrid;
     use pbe_netsim::SchemeChoice;
     use pbe_stats::time::Duration;
 
@@ -300,11 +299,14 @@ mod tests {
     #[test]
     fn without_a_store_everything_executes_and_matches_the_sweep_runner() {
         let specs = tiny_specs();
-        let plain = SweepRunner::serial().run(specs.clone());
-        let run = run_cached("fig_test", specs, None, 1).unwrap();
+        let plain: Vec<_> = specs.iter().map(|s| (s, s.run())).collect();
+        let run = run_cached("fig_test", specs.clone(), None, 1).unwrap();
         assert_eq!(run.executed, 2);
         assert_eq!(run.cached, 0);
-        assert_eq!(run.report.deterministic_json(), plain.deterministic_json());
+        assert_eq!(
+            run.report.deterministic_json(),
+            serde_json::to_string(&plain).unwrap()
+        );
     }
 
     #[test]

@@ -44,10 +44,8 @@ pub struct ManifestEntry {
     /// The expanded experiment seed.
     pub seed: u64,
     /// 128-bit FNV-1a over the blob's exact bytes, written at insert time so
-    /// `verify` can detect truncated or corrupted blobs.  `default` keeps
-    /// pre-checksum manifests loadable (their blobs verify by parse only).
-    #[serde(default)]
-    pub checksum: Option<String>,
+    /// `verify` can detect truncated or corrupted blobs.
+    pub checksum: String,
 }
 
 /// Why a grid point failed to execute (see [`PointFailure`]).
@@ -130,8 +128,9 @@ pub struct ResultStore {
 impl ResultStore {
     /// Open (creating if needed) a store rooted at `dir`.
     ///
-    /// Malformed manifest lines — e.g. the torn final line of an interrupted
-    /// run — are skipped, not fatal: their points simply count as absent and
+    /// Manifest lines that do not parse — the torn final line of an
+    /// interrupted run, or a line an older build wrote in another shape — are
+    /// skipped, not fatal: their points simply count as absent and
     /// re-execute.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
@@ -257,7 +256,7 @@ impl ResultStore {
             label: point.spec.label.clone(),
             scheme: point.spec.scheme.id().to_string(),
             seed: point.spec.seed,
-            checksum: Some(pbe_stats::fnv1a_128_hex(blob.as_bytes())),
+            checksum: pbe_stats::fnv1a_128_hex(blob.as_bytes()),
         };
         let path = self.point_path(&point.key);
         let tmp = self.dir.join("points").join(format!(".{}.tmp", point.key));
@@ -321,8 +320,8 @@ impl ResultStore {
     ///
     /// Reports, in manifest order: blobs whose bytes no longer match the
     /// checksum recorded at insert time (truncation, corruption), and blobs
-    /// that no longer parse (covers pre-checksum manifest lines).  A clean
-    /// store returns an empty list.
+    /// whose checksum matches but that do not parse as a [`StoredPoint`] of
+    /// this build.  A clean store returns an empty list.
     pub fn verify(&self) -> Vec<StoreIssue> {
         let mut issues = Vec::new();
         for entry in self.present_entries() {
@@ -338,16 +337,17 @@ impl ResultStore {
                     continue;
                 }
             };
-            if let Some(expected) = &entry.checksum {
-                let actual = pbe_stats::fnv1a_128_hex(text.as_bytes());
-                if actual != *expected {
-                    issues.push(StoreIssue {
-                        key: entry.key.clone(),
-                        figure: entry.figure.clone(),
-                        problem: format!("checksum mismatch (manifest {expected}, blob {actual})"),
-                    });
-                    continue;
-                }
+            let actual = pbe_stats::fnv1a_128_hex(text.as_bytes());
+            if actual != entry.checksum {
+                issues.push(StoreIssue {
+                    key: entry.key.clone(),
+                    figure: entry.figure.clone(),
+                    problem: format!(
+                        "checksum mismatch (manifest {}, blob {actual})",
+                        entry.checksum
+                    ),
+                });
+                continue;
             }
             if serde_json::from_str::<StoredPoint>(&text).is_err() {
                 issues.push(StoreIssue {
@@ -375,8 +375,10 @@ impl ResultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::run_cached;
     use pbe_netsim::SchemeChoice;
     use pbe_stats::time::Duration;
+    use serde::Value;
 
     fn temp_store(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pbe_store_{tag}_{}", std::process::id()));
@@ -475,37 +477,49 @@ mod tests {
     }
 
     #[test]
-    fn pre_checksum_manifest_lines_still_load_and_verify_by_parse() {
-        let dir = temp_store("precksum");
-        let a = tiny_point(7);
-        {
-            let mut store = ResultStore::open(&dir).unwrap();
-            store.insert("figX", &a).unwrap();
-        }
-        // Strip the checksum field, as a manifest written before the field
-        // existed would look.
-        let manifest = fs::read_to_string(dir.join("manifest.jsonl")).unwrap();
-        let entry: ManifestEntry = serde_json::from_str(manifest.lines().next().unwrap()).unwrap();
-        let legacy = ManifestEntry {
-            checksum: None,
-            ..entry
+    fn entries_an_older_build_wrote_count_as_absent_and_re_execute() {
+        let dir = temp_store("older");
+        let (a, b) = (tiny_point(7), tiny_point(9));
+        let specs = vec![a.spec.clone(), b.spec.clone()];
+        let mut store = ResultStore::open(&dir).unwrap();
+        let first = run_cached("figX", specs.clone(), Some(&mut store), 1).unwrap();
+        assert_eq!(first.executed, 2);
+
+        // `a`: a manifest line without a checksum.  `b`: a blob that lacks
+        // one result field, under a manifest line whose checksum matches it.
+        let manifest = fs::read_to_string(store.manifest_path()).unwrap();
+        let mut lines: Vec<String> = manifest.lines().map(str::to_string).collect();
+        let Value::Object(mut fields) = serde_json::parse(&lines[0]).unwrap() else {
+            panic!("a manifest line is an object")
         };
-        fs::write(
-            dir.join("manifest.jsonl"),
-            format!("{}\n", serde_json::to_string(&legacy).unwrap()),
-        )
+        fields.retain(|(k, _)| k != "checksum");
+        lines[0] = serde_json::to_string(&Value::Object(fields)).unwrap();
+        let blob = fs::read_to_string(store.point_path(&b.key)).unwrap();
+        let old_blob = blob.replace(",\"fault_recovery\":[]", "");
+        assert_ne!(old_blob, blob, "the field was removed");
+        fs::write(store.point_path(&b.key), &old_blob).unwrap();
+        let entry: ManifestEntry = serde_json::from_str(&lines[1]).unwrap();
+        lines[1] = serde_json::to_string(&ManifestEntry {
+            checksum: pbe_stats::fnv1a_128_hex(old_blob.as_bytes()),
+            ..entry
+        })
         .unwrap();
-        let store = ResultStore::open(&dir).unwrap();
-        assert!(store.contains(&a.key));
+        fs::write(store.manifest_path(), lines.join("\n") + "\n").unwrap();
+
+        let mut store = ResultStore::open(&dir).unwrap();
         assert!(
-            store.verify().is_empty(),
-            "parseable blob passes without a checksum"
+            !store.contains(&a.key),
+            "a line without a checksum is absent"
         );
-        // But a corrupted blob is still caught by the parse fallback.
-        fs::write(store.point_path(&a.key), "{\"key\": \"gar").unwrap();
-        let issues = ResultStore::open(&dir).unwrap().verify();
-        assert_eq!(issues.len(), 1);
-        assert!(issues[0].problem.contains("does not parse"));
+        assert!(
+            store.get(&b.key).is_none(),
+            "an unreadable blob is not served"
+        );
+        assert_eq!(store.verify().len(), 1, "verify names the unreadable blob");
+        let rerun = run_cached("figX", specs.clone(), Some(&mut store), 1).unwrap();
+        assert_eq!((rerun.executed, rerun.cached), (2, 0));
+        let store = ResultStore::open(&dir).unwrap();
+        assert!(store.verify().is_empty(), "re-executed points verify clean");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -8,8 +8,8 @@
 //!
 //! The evaluation grid itself — scenario × scheme × seed — is a first-class
 //! subsystem in [`sweep`]: declarative [`ScenarioSpec`]s expand through a
-//! [`SweepGrid`] and execute on all cores via [`SweepRunner`], with results
-//! aggregated into a [`SweepReport`] and rendered by one shared
+//! [`SweepGrid`] and execute on all cores via [`artifact::run_cached`], with
+//! results aggregated into a [`SweepReport`] and rendered by one shared
 //! text/CSV/JSON writer.
 //!
 //! On top of the sweep sits the [`artifact`] pipeline: the figure registry
@@ -27,5 +27,5 @@ pub mod table;
 
 pub use artifact::{ArtifactArgs, ArtifactSummary, FigureSpec, ResultStore};
 pub use scenarios::{Location, LocationKind, ScenarioLibrary};
-pub use sweep::{CityScale, ScenarioSpec, SweepGrid, SweepReport, SweepRunner};
+pub use sweep::{CityScale, ScenarioSpec, SweepGrid, SweepReport};
 pub use table::TextTable;

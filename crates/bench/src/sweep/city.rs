@@ -12,11 +12,10 @@
 //! A3 handover machinery.
 //!
 //! ```
-//! use pbe_bench::sweep::{CityScale, SweepRunner};
+//! use pbe_bench::sweep::CityScale;
 //!
-//! let spec = CityScale::walking(2, 1, 2).seconds(2).scenario();
-//! let report = SweepRunner::serial().run(vec![spec]);
-//! assert_eq!(report.outcomes[0].result.flows.len(), 2);
+//! let result = CityScale::walking(2, 1, 2).seconds(2).scenario().run();
+//! assert_eq!(result.flows.len(), 2);
 //! ```
 
 use super::spec::ScenarioSpec;
@@ -341,7 +340,6 @@ impl CityScale {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::SweepRunner;
 
     #[test]
     fn path_loss_is_monotone_and_clamped() {
@@ -426,9 +424,11 @@ mod tests {
     fn driving_across_the_city_hands_over() {
         // Two cells side by side, fast UEs, long enough to cross the border:
         // at least one UE must hand over at least once.
-        let spec = CityScale::driving(2, 1, 4).seconds(20).seed(3).scenario();
-        let report = SweepRunner::serial().run(vec![spec]);
-        let result = &report.outcomes[0].result;
+        let result = CityScale::driving(2, 1, 4)
+            .seconds(20)
+            .seed(3)
+            .scenario()
+            .run();
         assert!(
             !result.handovers.is_empty(),
             "city mobility produced no handovers"

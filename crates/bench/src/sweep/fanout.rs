@@ -12,12 +12,11 @@
 //! sized relative to the offered load.
 //!
 //! ```
-//! use pbe_bench::sweep::{Fanout, SweepRunner};
+//! use pbe_bench::sweep::Fanout;
 //!
-//! let spec = Fanout::new(2, 4).millis(400).scenario();
-//! let report = SweepRunner::serial().run(vec![spec]);
-//! assert_eq!(report.outcomes[0].result.flows.len(), 4);
-//! assert_eq!(report.outcomes[0].result.backhaul_links.len(), 3);
+//! let result = Fanout::new(2, 4).millis(400).scenario().run();
+//! assert_eq!(result.flows.len(), 4);
+//! assert_eq!(result.backhaul_links.len(), 3);
 //! ```
 
 use super::spec::ScenarioSpec;
@@ -206,7 +205,6 @@ impl Fanout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::SweepRunner;
 
     #[test]
     fn scenario_shape_matches_the_fanout() {
@@ -241,9 +239,11 @@ mod tests {
         // 8 flows behind a 12 Mbit/s aggregation link: the shared queue must
         // mark, and total delivered goodput must track the link, not the
         // (much faster) radio.
-        let spec = Fanout::new(2, 8).seconds(1).agg(12e6, 90_000).scenario();
-        let report = SweepRunner::serial().run(vec![spec]);
-        let result = &report.outcomes[0].result;
+        let result = Fanout::new(2, 8)
+            .seconds(1)
+            .agg(12e6, 90_000)
+            .scenario()
+            .run();
         let agg = &result.backhaul_links[0];
         assert!(agg.stats.marked_packets > 0, "no marks at the shared link");
         let delivered_mbps: f64 = result

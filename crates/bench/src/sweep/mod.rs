@@ -7,18 +7,18 @@
 //!
 //! * [`ScenarioSpec`] — one fully specified grid point: cell profile, devices
 //!   with mobility traces, flows, the scheme under test, a seed and a
-//!   duration.  It is serde-serializable, so a scenario can live in a JSON
-//!   file as easily as in code, and `sim_config()` lowers it onto the
-//!   simulator's [`SimConfig`](pbe_netsim::SimConfig).
+//!   duration.  Its canonical JSON is hashed into the content key that
+//!   addresses the point in the artifact result store, and `sim_config()`
+//!   lowers it onto the simulator's [`SimConfig`](pbe_netsim::SimConfig).
 //! * [`SweepGrid`] — a set of base scenarios crossed with a scheme axis and a
 //!   seed axis.  [`SweepGrid::expand`] produces the full cross product,
 //!   exactly once per point, in a deterministic order.
-//! * [`SweepRunner`] — executes a list of specs across OS threads using the
-//!   shared in-tree worker pool ([`pbe_stats::pool`], also the dispatch layer
-//!   of the sharded tick engine; no external dependencies).  Every
-//!   scenario's randomness derives from its spec alone
-//!   ([`pbe_stats::derive_seed`]), so a parallel sweep is byte-identical to a
-//!   serial one; only the wall clock changes.
+//! * [`run_cached`](crate::artifact::run_cached) — executes a list of specs
+//!   across OS threads on the shared in-tree worker pool
+//!   ([`pbe_stats::pool`], also the dispatch layer of the sharded tick
+//!   engine), with or without a result store.  Every scenario's randomness
+//!   derives from its spec alone ([`pbe_stats::derive_seed`]), so a parallel
+//!   sweep is byte-identical to a serial one; only the wall clock changes.
 //! * [`SweepReport`] — the aggregated outcome: per-scenario
 //!   [`SimResult`](pbe_netsim::SimResult)s plus wall-clock accounting
 //!   (total elapsed, summed per-scenario busy time, parallel speedup), with
@@ -35,7 +35,8 @@
 //!   migrates from the radio into the backhaul.
 //!
 //! ```
-//! use pbe_bench::sweep::{ScenarioSpec, SweepGrid, SweepRunner};
+//! use pbe_bench::artifact::run_cached;
+//! use pbe_bench::sweep::{ScenarioSpec, SweepGrid};
 //! use pbe_netsim::SchemeChoice;
 //! use pbe_stats::time::Duration;
 //!
@@ -43,7 +44,7 @@
 //! let grid = SweepGrid::over(vec![base])
 //!     .schemes([SchemeChoice::Pbe, SchemeChoice::named("BBR")])
 //!     .seed_replicas(2);
-//! let report = SweepRunner::new().workers(2).run(grid.expand());
+//! let report = run_cached("demo", grid.expand(), None, 2).unwrap().report;
 //! assert_eq!(report.outcomes.len(), 4); // 1 scenario × 2 schemes × 2 seeds
 //! ```
 
@@ -55,7 +56,6 @@ pub mod spec;
 
 pub use city::CityScale;
 pub use fanout::Fanout;
-pub use pbe_stats::pool::run_indexed;
 pub use report::{OutputFormat, ReportWriter};
-pub use runner::{ScenarioOutcome, SweepReport, SweepRunner};
+pub use runner::{ScenarioOutcome, SweepReport};
 pub use spec::{canonical_json, canonical_value, content_key_of_value, ScenarioSpec, SweepGrid};

@@ -1,10 +1,9 @@
-//! Parallel execution of scenario lists and the aggregated sweep report.
+//! The aggregated sweep report: what executing a list of scenario specs
+//! returns ([`run_cached`](crate::artifact::run_cached) builds it).
 
 use super::spec::ScenarioSpec;
-use pbe_netsim::{SimResult, Simulation};
-use pbe_stats::pool::run_indexed;
+use pbe_netsim::SimResult;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// One executed grid point: the spec that defined it, the simulator's
 /// result, and how long the simulation took on its worker.
@@ -19,17 +18,12 @@ pub struct ScenarioOutcome {
     pub wall_ms: f64,
     /// The spec's [content key](ScenarioSpec::content_key) — the address of
     /// this point in an artifact result store, so report rows and store
-    /// entries join without re-expanding the grid.  Serde-defaulted: report
-    /// JSON written before the artifact pipeline loads with an empty key.
-    #[serde(default)]
+    /// entries join without re-expanding the grid.
     pub key: String,
     /// The scheme label (`spec.scheme.id()`), duplicated at top level so
-    /// report consumers need not interpret the spec.  Serde-defaulted.
-    #[serde(default)]
+    /// report consumers need not interpret the spec.
     pub scheme: String,
     /// The expanded experiment seed, duplicated from the spec.
-    /// Serde-defaulted.
-    #[serde(default)]
     pub seed: u64,
 }
 
@@ -128,75 +122,17 @@ impl SweepReport {
     }
 }
 
-/// Executes scenario lists across OS threads.
-///
-/// Each worker builds its scenario through the ordinary
-/// [`Simulation`] path from the spec alone, so the
-/// schedule (which worker, what order) cannot leak into the results: a
-/// 16-worker sweep and a serial sweep of the same grid produce byte-identical
-/// per-scenario [`SimResult`]s.
-#[derive(Debug, Clone)]
-pub struct SweepRunner {
-    workers: usize,
-}
-
-impl Default for SweepRunner {
-    fn default() -> Self {
-        SweepRunner::new()
-    }
-}
-
-impl SweepRunner {
-    /// A runner using all available cores.
-    pub fn new() -> Self {
-        SweepRunner {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        }
-    }
-
-    /// A single-worker runner (the serial baseline).
-    pub fn serial() -> Self {
-        SweepRunner { workers: 1 }
-    }
-
-    /// Set the worker count explicitly (0 means "all available cores").
-    pub fn workers(mut self, workers: usize) -> Self {
-        if workers == 0 {
-            return SweepRunner::new();
-        }
-        self.workers = workers;
-        self
-    }
-
-    /// Execute every spec and aggregate the outcomes in input order.
-    pub fn run(&self, specs: Vec<ScenarioSpec>) -> SweepReport {
-        let started = Instant::now();
-        let outcomes = run_indexed(specs.len(), self.workers, |i| {
-            let spec = specs[i].clone();
-            let scenario_started = Instant::now();
-            let result = Simulation::new(spec.sim_config()).run();
-            let wall_ms = scenario_started.elapsed().as_secs_f64() * 1000.0;
-            ScenarioOutcome::new(spec, result, wall_ms)
-        });
-        let elapsed_ms = started.elapsed().as_secs_f64() * 1000.0;
-        let busy_ms = outcomes.iter().map(|o| o.wall_ms).sum();
-        SweepReport {
-            outcomes,
-            workers: self.workers,
-            elapsed_ms,
-            busy_ms,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::run_cached;
     use crate::sweep::spec::SweepGrid;
     use pbe_netsim::SchemeChoice;
     use pbe_stats::time::Duration;
+
+    fn sweep(specs: Vec<ScenarioSpec>, workers: usize) -> SweepReport {
+        run_cached("sweep", specs, None, workers).unwrap().report
+    }
 
     fn tiny_grid() -> SweepGrid {
         let duration = Duration::from_millis(400);
@@ -211,7 +147,7 @@ mod tests {
 
     #[test]
     fn report_preserves_grid_order_and_lookups_work() {
-        let report = SweepRunner::serial().run(tiny_grid().expand());
+        let report = sweep(tiny_grid().expand(), 1);
         assert_eq!(report.outcomes.len(), 2);
         assert_eq!(report.labels(), vec!["tiny"]);
         assert_eq!(report.by_label("tiny").len(), 2);
@@ -228,8 +164,8 @@ mod tests {
     #[test]
     fn parallel_results_match_serial_byte_for_byte() {
         let specs = tiny_grid().expand();
-        let serial = SweepRunner::serial().run(specs.clone());
-        let parallel = SweepRunner::new().workers(2).run(specs);
+        let serial = sweep(specs.clone(), 1);
+        let parallel = sweep(specs, 2);
         assert_eq!(serial.deterministic_json(), parallel.deterministic_json());
     }
 }

@@ -18,8 +18,8 @@ use serde::{Deserialize, Serialize, Value};
 /// a human-readable `label` (carried through to reports), the `scheme` under
 /// test, and the set of flows that scheme drives (`sweep_flows` — background
 /// flows such as the §6.3.3 competitor keep their own configured scheme).
-/// Specs serialize to JSON, so a scenario catalog can live beside the code;
-/// see `docs/MIGRATION.md` for a commented example.
+/// Specs serialize to JSON; that serialization is what
+/// [`ScenarioSpec::content_key`] hashes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Scenario name shown in reports (location, trace, case, …).
@@ -42,25 +42,17 @@ pub struct ScenarioSpec {
     /// scheme (competitors, fixed-rate probes).
     pub sweep_flows: Vec<u32>,
     /// Per-cell trajectory overrides (multi-cell mobility — the city-scale
-    /// and handover scenario families).  `default` keeps pre-handover
-    /// scenario JSON loadable.
-    #[serde(default)]
+    /// and handover scenario families).
     pub trajectories: Vec<CellTrajectory>,
     /// Shard count for the cellular tick engine (`None` = one shard; every
-    /// count is byte-identical).  `default` keeps pre-shard scenario JSON
-    /// loadable.
-    #[serde(default)]
+    /// count is byte-identical).
     pub shards: Option<usize>,
     /// Shared wired backhaul topology (`None` = per-flow private paths; see
-    /// [`SimConfig::backhaul`]).  `default` keeps pre-backhaul scenario JSON
-    /// loadable.
-    #[serde(default)]
+    /// [`SimConfig::backhaul`]).
     pub backhaul: Option<BackhaulConfig>,
     /// Deterministic fault schedule (cell outages, link flaps, decode-loss
-    /// bursts; see [`SimConfig::faults`]).  `default` keeps pre-fault
-    /// scenario JSON loadable, and an empty schedule elides from the content
-    /// key exactly like `None`.
-    #[serde(default)]
+    /// bursts; see [`SimConfig::faults`]).  An empty schedule elides from
+    /// the content key exactly like `None`.
     pub faults: Option<FaultSchedule>,
 }
 
@@ -201,7 +193,7 @@ impl ScenarioSpec {
     }
 
     /// Run this single scenario to completion (sugar for the one-off case;
-    /// sweeps go through [`SweepRunner`](crate::sweep::SweepRunner)).
+    /// grids go through [`run_cached`](crate::artifact::run_cached)).
     pub fn run(&self) -> SimResult {
         Simulation::new(self.sim_config()).run()
     }
@@ -209,10 +201,9 @@ impl ScenarioSpec {
     /// The stable content key addressing this spec in the artifact result
     /// store: a 128-bit FNV-1a over the [canonical](canonical_json)
     /// serialization.  Two specs share a key exactly when they describe the
-    /// same experiment, however their JSON was spelled (field order, explicit
-    /// serde defaults) and whichever release wrote it (fields later added
-    /// with `#[serde(default)]` do not disturb old keys while they stay at
-    /// their default).
+    /// same experiment, whatever the field order, and a field added at its
+    /// `null`/`[]`/`{}` default leaves every existing key unchanged (see
+    /// `docs/ARCHITECTURE.md` § "Compatibility policy").
     pub fn content_key(&self) -> String {
         content_key_of_value(&serde_json::to_value(self).expect("spec serializes"))
     }
@@ -235,10 +226,10 @@ impl ScenarioSpec {
 /// 1. **Object entries sort by key**, so the hash is independent of struct
 ///    field declaration order and of the order a JSON file spelled them in.
 /// 2. **Entries whose canonical value is `null`, `[]` or `{}` are dropped.**
-///    Serde-defaulted optional fields (`shards: None`, `backhaul: None`,
-///    `trajectories: []`) hash identically whether they are written out or
-///    omitted — and a field added in a later release does not change the key
-///    of any already-stored point that leaves it at its default.
+///    Optional fields left at their default (`shards: None`,
+///    `backhaul: None`, `trajectories: []`) do not contribute, so adding a
+///    field at such a default keeps every stored key and benchmark input
+///    digest unchanged.
 pub fn canonical_value(v: &Value) -> Value {
     match v {
         Value::Array(items) => Value::Array(items.iter().map(canonical_value).collect()),

@@ -2,10 +2,13 @@
 //!
 //! The artifact result store addresses every executed grid point by a
 //! content key — 128-bit FNV-1a over the spec's canonical JSON.  These
-//! goldens pin the exact keys of representative specs, so any accidental
-//! change to the canonicalization rules, the hash function or the spec's
-//! serialized shape shows up as a test failure (and a deliberate change is
-//! made consciously, knowing it orphans every existing store).
+//! goldens pin the exact keys of representative specs.  The content key is
+//! one of the two things `docs/ARCHITECTURE.md` § "Compatibility policy"
+//! keeps stable across commits, so any accidental change to the
+//! canonicalization rules, the hash function or the spec's serialized shape
+//! shows up as a test failure (and a deliberate change is made consciously,
+//! knowing it orphans every existing store and moves the benchmark's input
+//! digests).
 
 use pbe_bench::sweep::{content_key_of_value, ScenarioSpec};
 use pbe_netsim::SchemeChoice;
@@ -23,8 +26,8 @@ fn single_flow_spec() -> ScenarioSpec {
     .seed(7)
 }
 
-/// A spec exercising the serde-defaulted optional fields (`shards` set, a
-/// named baseline scheme).
+/// A spec exercising the optional fields (`shards` set, a named baseline
+/// scheme).
 fn sharded_spec() -> ScenarioSpec {
     let mut spec = ScenarioSpec::single_flow(
         "golden sharded",
@@ -79,10 +82,10 @@ fn content_key_is_invariant_under_field_reordering() {
     }
 }
 
-/// Explicitly spelling out serde defaults (`"shards":null`, `"backhaul":null`,
+/// Explicitly spelling out defaults (`"shards":null`, `"backhaul":null`,
 /// `"trajectories":[]`) or omitting those fields entirely hashes the same —
-/// the forward-compatibility rule that keeps old stores valid when a new
-/// defaulted field is added.
+/// the rule that keeps stored keys and benchmark input digests unchanged
+/// when a field is added at such a default.
 #[test]
 fn content_key_is_invariant_under_explicit_serde_defaults() {
     let spec = single_flow_spec();

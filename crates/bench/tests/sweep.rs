@@ -3,7 +3,7 @@
 
 use pbe_bench::artifact::{run_cached, ResultStore};
 use pbe_bench::scenarios::ScenarioLibrary;
-use pbe_bench::sweep::{CityScale, ScenarioSpec, SweepGrid, SweepRunner};
+use pbe_bench::sweep::{CityScale, ScenarioSpec, SweepGrid, SweepReport};
 use pbe_cellular::channel::MobilityTrace;
 use pbe_cellular::config::{CellId, UeConfig, UeId};
 use pbe_cellular::traffic::CellLoadProfile;
@@ -11,6 +11,11 @@ use pbe_netsim::{FlowConfig, SchemeChoice};
 use pbe_stats::rng::derive_seed;
 use pbe_stats::time::Duration;
 use proptest::prelude::*;
+
+/// Execute `specs` on `workers` threads without a store.
+fn sweep(specs: Vec<ScenarioSpec>, workers: usize) -> SweepReport {
+    run_cached("sweep", specs, None, workers).unwrap().report
+}
 
 /// A small fig13/14-style stationary grid: three library locations crossed
 /// with two schemes and two seed replicas.
@@ -34,8 +39,8 @@ fn four_worker_sweep_is_byte_identical_to_serial() {
     let specs = grid.expand();
     assert_eq!(specs.len(), 3 * 2 * 2);
 
-    let serial = SweepRunner::serial().run(specs.clone());
-    let parallel = SweepRunner::new().workers(4).run(specs);
+    let serial = sweep(specs.clone(), 1);
+    let parallel = sweep(specs, 4);
     assert_eq!(parallel.workers, 4);
     assert_eq!(serial.outcomes.len(), parallel.outcomes.len());
 
@@ -91,8 +96,8 @@ fn handover_sweep_is_byte_identical_between_serial_and_four_workers() {
         .expand();
     specs.push(CityScale::driving(2, 1, 3).seconds(6).seed(9).scenario());
 
-    let serial = SweepRunner::serial().run(specs.clone());
-    let parallel = SweepRunner::new().workers(4).run(specs);
+    let serial = sweep(specs.clone(), 1);
+    let parallel = sweep(specs, 4);
     assert_eq!(serial.deterministic_json(), parallel.deterministic_json());
     for (s, p) in serial.outcomes.iter().zip(&parallel.outcomes) {
         assert_eq!(
@@ -117,8 +122,8 @@ fn handover_sweep_is_byte_identical_between_serial_and_four_workers() {
 }
 
 /// Cache equivalence on a sampled sub-grid: results served from a warm
-/// artifact store are byte-identical to a fresh serial run *and* to a fresh
-/// 4-worker run.  The sub-grid is a deterministic sample of the stationary
+/// artifact store are byte-identical to standalone runs of each spec *and*
+/// to a fresh 4-worker run.  The sub-grid is a deterministic sample of the stationary
 /// grid (every point whose seed-derived coin lands heads, floor 4 points),
 /// so the test exercises an irregular point set rather than a full cross
 /// product.
@@ -140,8 +145,10 @@ fn store_served_results_are_byte_identical_to_fresh_runs() {
     }
     assert!(specs.len() >= 4, "sampled sub-grid is non-trivial");
 
-    let fresh_serial = SweepRunner::serial().run(specs.clone());
-    let fresh_parallel = SweepRunner::new().workers(4).run(specs.clone());
+    // `(spec, result)` pairs, in the shape of `deterministic_json`.
+    let standalone: Vec<_> = specs.iter().map(|s| (s, s.run())).collect();
+    let standalone = serde_json::to_string(&standalone).unwrap();
+    let fresh_parallel = sweep(specs.clone(), 4);
 
     let dir = std::env::temp_dir().join(format!("pbe_cache_equiv_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -153,8 +160,8 @@ fn store_served_results_are_byte_identical_to_fresh_runs() {
 
     assert_eq!(
         served.report.deterministic_json(),
-        fresh_serial.deterministic_json(),
-        "store-served results must be byte-identical to a fresh serial run"
+        standalone,
+        "store-served results must be byte-identical to standalone runs"
     );
     assert_eq!(
         served.report.deterministic_json(),
@@ -174,9 +181,7 @@ fn replica_zero_reproduces_the_standalone_run() {
     let spec = ScenarioSpec::from_location("loc5", loc, duration);
 
     let standalone = spec.run();
-    let report = SweepRunner::new()
-        .workers(2)
-        .run(SweepGrid::over(vec![spec]).seed_replicas(2).expand());
+    let report = sweep(SweepGrid::over(vec![spec]).seed_replicas(2).expand(), 2);
     assert_eq!(report.outcomes[0].spec.seed, loc.seed());
     assert_eq!(
         serde_json::to_string(&standalone).unwrap(),

@@ -142,9 +142,7 @@ pub struct AckInfo {
     /// SACK-style indication from the receiver).
     pub loss_detected: bool,
     /// True if the acknowledged packet carried an ECN congestion-experienced
-    /// mark set by a wired queue on the path (RFC 3168 echo).  Pre-backhaul
-    /// scenario JSON lacks the field and loads as `false`.
-    #[serde(default)]
+    /// mark set by a wired queue on the path (RFC 3168 echo).
     pub ecn_ce: bool,
     /// PBE feedback fields, present when the receiver runs the PBE-CC client.
     pub pbe: Option<PbeFeedback>,

@@ -46,37 +46,3 @@ pub use sfc::Sfc;
 pub use sprout::Sprout;
 pub use verus::Verus;
 pub use vivace::Vivace;
-
-use pbe_stats::time::Duration;
-
-/// Construct a baseline algorithm by name — a thin shim over the
-/// [`registry::SchemeRegistry`] kept for callers that sweep the closed
-/// [`SchemeName`] list.  PBE-CC itself registers through the same registry
-/// from `pbe-core` because it needs receiver-side feedback the baselines do
-/// not use.
-pub fn baseline_by_name(name: SchemeName, rtprop_hint: Duration) -> Box<dyn CongestionControl> {
-    SchemeRegistry::with_baselines()
-        .build(&SchemeId::from(name), &SchemeCtx::new(rtprop_hint))
-        .unwrap_or_else(|| panic!("{name} is not a baseline; PBE-CC is registered from pbe-core"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn factory_builds_every_baseline() {
-        for name in SchemeName::BASELINES {
-            let cc = baseline_by_name(*name, Duration::from_millis(40));
-            assert_eq!(cc.name(), name.as_str());
-            assert!(cc.pacing_rate_bps() > 0.0);
-            assert!(cc.cwnd_bytes() >= MSS_BYTES);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "pbe-core")]
-    fn factory_rejects_pbe() {
-        baseline_by_name(SchemeName::PbeCc, Duration::from_millis(40));
-    }
-}

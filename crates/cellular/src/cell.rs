@@ -25,7 +25,7 @@ use crate::traffic::{BackgroundGrant, BackgroundTraffic};
 use pbe_stats::time::Instant;
 use pbe_stats::{DetRng, FxHashMap};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Upper bound on recycled segment buffers kept in the cell's pool.
 const SEGMENT_POOL_CAP: usize = 128;
@@ -68,7 +68,7 @@ pub struct SubframeReport {
 
 impl Default for SubframeReport {
     /// An empty report for cell 0 — a placeholder buffer that
-    /// [`Cell::tick_into`] overwrites entirely.
+    /// [`Cell::tick_prepared`] overwrites entirely.
     fn default() -> Self {
         SubframeReport {
             cell: CellId(0),
@@ -390,37 +390,6 @@ impl Cell {
         }
     }
 
-    /// Advance the cell by one subframe.
-    ///
-    /// `channels` supplies the current channel state of every attached
-    /// foreground UE (missing UEs are simply not scheduled this subframe).
-    pub fn tick(
-        &mut self,
-        subframe: u64,
-        channels: &HashMap<UeId, ChannelState>,
-    ) -> SubframeReport {
-        let mut report = SubframeReport::default();
-        self.tick_into(subframe, channels, &mut report);
-        report
-    }
-
-    /// Advance the cell by one subframe, writing into a caller-owned report.
-    ///
-    /// Compatibility wrapper over [`Cell::set_channel`] +
-    /// [`Cell::tick_prepared`] for callers that carry channel state in a map.
-    pub fn tick_into(
-        &mut self,
-        subframe: u64,
-        channels: &HashMap<UeId, ChannelState>,
-        report: &mut SubframeReport,
-    ) {
-        // Staging order does not matter: writes land in disjoint slots.
-        for (ue, state) in channels {
-            self.set_channel(*ue, *state);
-        }
-        self.tick_prepared(subframe, report);
-    }
-
     /// Advance the cell by one subframe using the channel states staged via
     /// [`Cell::set_channel`], writing into a caller-owned report.
     ///
@@ -694,16 +663,20 @@ mod tests {
             .sample(Instant::ZERO)
     }
 
-    fn channels_for(ue: UeId, state: ChannelState) -> HashMap<UeId, ChannelState> {
-        let mut m = HashMap::new();
-        m.insert(ue, state);
-        m
+    /// Stage `channels` and tick once into a fresh report.
+    fn tick(cell: &mut Cell, subframe: u64, channels: &[(UeId, ChannelState)]) -> SubframeReport {
+        for &(ue, state) in channels {
+            cell.set_channel(ue, state);
+        }
+        let mut report = SubframeReport::default();
+        cell.tick_prepared(subframe, &mut report);
+        report
     }
 
     #[test]
     fn empty_cell_emits_no_dci_and_stays_idle() {
         let mut cell = quiet_cell();
-        let report = cell.tick(0, &HashMap::new());
+        let report = tick(&mut cell, 0, &[]);
         assert!(report.dci_messages.is_empty());
         assert_eq!(report.prb_usage.idle(), 100);
         assert!(report.outcomes.is_empty());
@@ -723,7 +696,7 @@ mod tests {
             },
         );
         assert_eq!(cell.queue_bits(ue), 12_000);
-        let report = cell.tick(0, &channels_for(ue, good_channel()));
+        let report = tick(&mut cell, 0, &[(ue, good_channel())]);
         // One DCI for the UE, new data, covering the whole packet.
         assert_eq!(report.dci_messages.len(), 1);
         let dci = &report.dci_messages[0];
@@ -758,7 +731,7 @@ mod tests {
         let mut subframes_with_data = 0;
         let mut last_seen = false;
         for sf in 0..200u64 {
-            let report = cell.tick(sf, &channels_for(ue, ch));
+            let report = tick(&mut cell, sf, &[(ue, ch)]);
             for (_, o) in &report.outcomes {
                 subframes_with_data += 1;
                 if o.block
@@ -802,13 +775,11 @@ mod tests {
                 },
             );
         }
-        let mut channels = HashMap::new();
-        channels.insert(a, good_channel());
-        channels.insert(b, good_channel());
+        let channels = [(a, good_channel()), (b, good_channel())];
         let mut prbs_a = 0u64;
         let mut prbs_b = 0u64;
         for sf in 0..50u64 {
-            let report = cell.tick(sf, &channels);
+            let report = tick(&mut cell, sf, &channels);
             prbs_a += u64::from(report.prb_usage.allocated_to(a));
             prbs_b += u64::from(report.prb_usage.allocated_to(b));
         }
@@ -834,14 +805,14 @@ mod tests {
         }
         let mut bad = good_channel();
         bad.bit_error_rate = 5e-4; // enormous: every block fails.
-        let report0 = cell.tick(0, &channels_for(ue, bad));
+        let report0 = tick(&mut cell, 0, &[(ue, bad)]);
         assert!(!report0.outcomes[0].1.success);
         // No retransmission before subframe 8.
         for sf in 1..8u64 {
-            let r = cell.tick(sf, &channels_for(ue, bad));
+            let r = tick(&mut cell, sf, &[(ue, bad)]);
             assert!(r.dci_messages.iter().all(|d| d.new_data_indicator));
         }
-        let report8 = cell.tick(8, &channels_for(ue, bad));
+        let report8 = tick(&mut cell, 8, &[(ue, bad)]);
         assert!(
             report8.dci_messages.iter().any(|d| !d.new_data_indicator),
             "a retransmission DCI is sent at +8 ms"
@@ -854,7 +825,7 @@ mod tests {
         let ue = UeId(1);
         cell.attach(ue, Rnti(0x100));
         for sf in 0..100u64 {
-            cell.tick(sf, &channels_for(ue, good_channel()));
+            tick(&mut cell, sf, &[(ue, good_channel())]);
         }
         assert_eq!(cell.utilisation(), 0.0);
         for i in 0..100_000 {
@@ -868,7 +839,7 @@ mod tests {
             );
         }
         for sf in 100..200u64 {
-            cell.tick(sf, &channels_for(ue, good_channel()));
+            tick(&mut cell, sf, &[(ue, good_channel())]);
         }
         assert!(
             cell.utilisation() > 0.4,
@@ -897,7 +868,7 @@ mod tests {
             );
         }
         for sf in 0..500u64 {
-            let report = cell.tick(sf, &channels_for(ue, good_channel()));
+            let report = tick(&mut cell, sf, &[(ue, good_channel())]);
             assert!(report.prb_usage.is_consistent(), "subframe {sf}");
         }
     }
@@ -921,7 +892,7 @@ mod tests {
         assert!(cell.is_down());
         let before = cell.queue_bits(ue);
         for sf in 0..20u64 {
-            let report = cell.tick(sf, &channels_for(ue, good_channel()));
+            let report = tick(&mut cell, sf, &[(ue, good_channel())]);
             assert!(report.dci_messages.is_empty(), "down cell emits no DCI");
             assert!(report.outcomes.is_empty());
             assert_eq!(report.prb_usage.allocated(), 0);
@@ -930,58 +901,8 @@ mod tests {
         assert_eq!(cell.queue_bits(ue), before);
         // Back in service: the frozen queue drains again.
         cell.set_down(false);
-        let report = cell.tick(20, &channels_for(ue, good_channel()));
+        let report = tick(&mut cell, 20, &[(ue, good_channel())]);
         assert!(!report.dci_messages.is_empty(), "service resumed");
         assert!(cell.queue_bits(ue) < before);
-    }
-
-    #[test]
-    fn prepared_tick_matches_map_based_tick() {
-        // The set_channel + tick_prepared path and the map-based tick must
-        // produce byte-identical reports on the same seed.
-        let mk = || {
-            let mut cell = Cell::new(
-                CellConfig::primary_20mhz(CellId(0)),
-                BackgroundTraffic::new(CellLoadProfile::busy(), DetRng::new(3)),
-                DetRng::new(4),
-            );
-            for u in 0..4u32 {
-                let ue = UeId(u);
-                cell.attach(ue, Rnti(0x100 + u as u16));
-                for i in 0..200 {
-                    cell.enqueue(
-                        ue,
-                        QueuedPacket {
-                            id: u64::from(u) * 1000 + i,
-                            bytes: 1500,
-                            enqueued_at: Instant::ZERO,
-                        },
-                    );
-                }
-            }
-            cell
-        };
-        let mut a = mk();
-        let mut b = mk();
-        let mut report_a = SubframeReport::default();
-        let mut report_b = SubframeReport::default();
-        for sf in 0..50u64 {
-            let mut channels = HashMap::new();
-            for u in 0..4u32 {
-                if sf % 5 != u64::from(u) % 5 {
-                    channels.insert(UeId(u), good_channel());
-                }
-            }
-            a.tick_into(sf, &channels, &mut report_a);
-            for (ue, state) in &channels {
-                b.set_channel(*ue, *state);
-            }
-            b.tick_prepared(sf, &mut report_b);
-            assert_eq!(
-                serde_json::to_string(&report_a).unwrap(),
-                serde_json::to_string(&report_b).unwrap(),
-                "subframe {sf}"
-            );
-        }
     }
 }

@@ -5,9 +5,8 @@ use std::fmt;
 
 /// Identifier of one component carrier (cell).
 ///
-/// `u16` so metro-scale grids (1,000+ cells) fit; values up to 255
-/// round-trip identically with configuration JSON written when this was a
-/// `u8`.
+/// `u16` so metro-scale grids (1,000+ cells) fit.  It serializes as a bare
+/// number, so the width is invisible to content keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct CellId(pub u16);
 
@@ -233,9 +232,7 @@ pub struct CellularConfig {
     /// Protocol (RLC/PDCP/MAC header) overhead fraction γ of the paper's
     /// Eqn. 5 (measured as 6.8 %).
     pub protocol_overhead: f64,
-    /// Inter-cell handover (A3 reselection) parameters.  `default` so
-    /// configuration JSON written before handover existed still loads.
-    #[serde(default)]
+    /// Inter-cell handover (A3 reselection) parameters.
     pub handover: HandoverConfig,
 }
 

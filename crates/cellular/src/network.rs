@@ -70,7 +70,6 @@ pub struct NetworkTickReport {
     /// Carrier activation / deactivation events.
     pub ca_events: Vec<CaEvent>,
     /// Serving-cell handovers executed this subframe.
-    #[serde(default)]
     pub handovers: Vec<HandoverEvent>,
 }
 

@@ -96,19 +96,6 @@ pub fn field<T: Deserialize>(obj: &[(String, Value)], name: &str) -> Result<T, E
     }
 }
 
-/// Fetch and deserialize a `#[serde(default)]` struct field: absent fields
-/// take their `Default` value, so new configuration fields stay readable
-/// from JSON written before they existed (used by the derive macro).
-pub fn field_or_default<T: Deserialize + Default>(
-    obj: &[(String, Value)],
-    name: &str,
-) -> Result<T, Error> {
-    match obj.iter().find(|(k, _)| k == name) {
-        Some((_, v)) => T::deserialize(v),
-        None => Ok(T::default()),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Primitive impls
 // ---------------------------------------------------------------------------

@@ -5,21 +5,24 @@
 //! `syn`/`quote`), supporting the shapes this workspace uses:
 //!
 //! * structs with named fields (including `#[serde(skip)]` fields, which are
-//!   omitted on serialize and `Default`-filled on deserialize),
+//!   omitted on serialize and `Default`-filled on deserialize; every other
+//!   field is required on deserialize),
 //! * tuple structs (newtypes serialize as their inner value, wider tuples as
 //!   arrays, matching serde),
 //! * enums with unit and one-field tuple variants, externally tagged exactly
 //!   like serde's default representation (`"Variant"` / `{"Variant": value}`).
 //!
-//! Generics are not supported; the derive panics with a clear message if it
-//! meets a shape it cannot handle, so failures are loud, not silent.
+//! `skip` on a named field is the only `#[serde(...)]` argument it
+//! understands; any other on the type, a named field or a variant (`default`,
+//! `rename`, …) makes it panic.  Generics are not supported.  The derive
+//! panics with a clear message when it meets an argument or shape it cannot
+//! handle, so failures are loud, not silent.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 struct Field {
     name: String,
     skip: bool,
-    default: bool,
 }
 
 struct Variant {
@@ -58,31 +61,37 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 // Parsing
 // ---------------------------------------------------------------------------
 
-/// Skip leading attributes; report whether any was `#[serde(skip)]` or
-/// `#[serde(default)]`.
-fn skip_attrs(tokens: &[TokenTree], mut pos: usize) -> (usize, bool, bool) {
-    let mut skip = false;
-    let mut default = false;
+/// Skip leading attributes and return the `#[serde(...)]` arguments among
+/// them, trimmed, in order.
+fn skip_attrs(tokens: &[TokenTree], mut pos: usize) -> (usize, Vec<String>) {
+    let mut args = Vec::new();
     while matches!(&tokens.get(pos), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
         if let Some(TokenTree::Group(g)) = tokens.get(pos + 1) {
             let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-            if let Some(TokenTree::Ident(id)) = inner.first() {
+            if let (Some(TokenTree::Ident(id)), Some(TokenTree::Group(list))) =
+                (inner.first(), inner.get(1))
+            {
                 if id.to_string() == "serde" {
-                    if let Some(TokenTree::Group(args)) = inner.get(1) {
-                        let text = args.stream().to_string();
-                        if text.split(',').any(|a| a.trim() == "skip") {
-                            skip = true;
-                        }
-                        if text.split(',').any(|a| a.trim() == "default") {
-                            default = true;
-                        }
-                    }
+                    let text = list.stream().to_string();
+                    args.extend(text.split(',').map(|a| a.trim().to_string()));
                 }
             }
         }
         pos += 2;
     }
-    (pos, skip, default)
+    (pos, args)
+}
+
+/// Panic on any `#[serde(...)]` argument other than `skip` (and on `skip`
+/// itself where `skip_allowed` is false), naming where it sits (`Type` or
+/// `Type::field`) and the argument.  Returns whether `skip` was given.
+fn check_args(site: &str, args: &[String], skip_allowed: bool) -> bool {
+    for arg in args {
+        if arg != "skip" || !skip_allowed {
+            panic!("serde derive stand-in: unsupported attribute `#[serde({arg})]` on `{site}`");
+        }
+    }
+    !args.is_empty()
 }
 
 /// Skip a `pub` / `pub(...)` visibility qualifier.
@@ -99,7 +108,7 @@ fn skip_vis(tokens: &[TokenTree], mut pos: usize) -> usize {
 
 fn parse(input: TokenStream) -> Input {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
-    let (mut pos, _, _) = skip_attrs(&tokens, 0);
+    let (mut pos, type_args) = skip_attrs(&tokens, 0);
     pos = skip_vis(&tokens, pos);
 
     let kind = match &tokens[pos] {
@@ -115,11 +124,12 @@ fn parse(input: TokenStream) -> Input {
     if matches!(&tokens.get(pos), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
         panic!("serde derive stand-in does not support generic type `{name}`");
     }
+    check_args(&name, &type_args, false);
 
     let shape = match kind.as_str() {
         "struct" => match tokens.get(pos) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Shape::Named(parse_named_fields(g.stream()))
+                Shape::Named(parse_named_fields(g.stream(), &name))
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 Shape::Tuple(count_tuple_fields(g.stream()))
@@ -137,17 +147,18 @@ fn parse(input: TokenStream) -> Input {
     Input { name, shape }
 }
 
-fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
+fn parse_named_fields(stream: TokenStream, type_name: &str) -> Vec<Field> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut fields = Vec::new();
     let mut pos = 0;
     while pos < tokens.len() {
-        let (next, skip, default) = skip_attrs(&tokens, pos);
+        let (next, args) = skip_attrs(&tokens, pos);
         pos = skip_vis(&tokens, next);
         let name = match &tokens[pos] {
             TokenTree::Ident(id) => id.to_string(),
             other => panic!("serde derive: expected field name, found {other}"),
         };
+        let skip = check_args(&format!("{type_name}::{name}"), &args, true);
         pos += 1;
         assert!(
             matches!(&tokens.get(pos), Some(TokenTree::Punct(p)) if p.as_char() == ':'),
@@ -170,11 +181,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
             }
             pos += 1;
         }
-        fields.push(Field {
-            name,
-            skip,
-            default,
-        });
+        fields.push(Field { name, skip });
     }
     fields
 }
@@ -212,12 +219,13 @@ fn parse_variants(stream: TokenStream, enum_name: &str) -> Vec<Variant> {
     let mut variants = Vec::new();
     let mut pos = 0;
     while pos < tokens.len() {
-        let (next, _, _) = skip_attrs(&tokens, pos);
+        let (next, args) = skip_attrs(&tokens, pos);
         pos = next;
         let name = match &tokens[pos] {
             TokenTree::Ident(id) => id.to_string(),
             other => panic!("serde derive: expected variant name in `{enum_name}`, found {other}"),
         };
+        check_args(&format!("{enum_name}::{name}"), &args, false);
         pos += 1;
         let mut has_payload = false;
         if let Some(TokenTree::Group(g)) = tokens.get(pos) {
@@ -307,11 +315,6 @@ fn gen_deserialize(item: &Input) -> String {
                 if f.skip {
                     inits.push_str(&format!(
                         "{}: ::std::default::Default::default(),\n",
-                        f.name
-                    ));
-                } else if f.default {
-                    inits.push_str(&format!(
-                        "{0}: ::serde::field_or_default(__obj, \"{0}\")?,\n",
                         f.name
                     ));
                 } else {

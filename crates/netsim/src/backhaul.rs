@@ -45,7 +45,6 @@ pub struct BackhaulLinkSpec {
     pub queue_limit_bytes: u64,
     /// RED-style marking threshold: a packet arriving to find at least this
     /// many bytes already queued is ECN-marked.  `None` disables marking.
-    #[serde(default)]
     pub mark_threshold_bytes: Option<u64>,
 }
 
@@ -99,7 +98,6 @@ pub struct BackhaulConfig {
     /// Fallback path for cells without an explicit route (a handover target
     /// outside the configured set, for instance).  `None` means such a cell
     /// is a configuration error.
-    #[serde(default)]
     pub default_path: Option<Vec<usize>>,
 }
 
@@ -281,7 +279,6 @@ pub struct BackhaulLinkResult {
     /// 95th-percentile per-packet queueing delay, milliseconds.
     pub p95_queue_delay_ms: f64,
     /// Per-100 ms maximum queue occupancy, bytes (sampled each subframe).
-    #[serde(default)]
     pub queue_timeline_bytes: Vec<u64>,
 }
 

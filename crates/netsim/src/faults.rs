@@ -1,8 +1,8 @@
 //! Deterministic fault injection: the schedule of everything that goes
 //! wrong, on purpose, in one simulation run.
 //!
-//! A [`FaultSchedule`] is part of [`SimConfig`](crate::SimConfig) (a
-//! serde-defaulted field, so every existing config and stored content key is
+//! A [`FaultSchedule`] is part of [`SimConfig`](crate::SimConfig) (an
+//! optional field; `None` or an empty schedule leaves every content key
 //! untouched) and describes three fault families, all keyed purely by
 //! simulation time and configuration — never by wall clock, thread timing or
 //! worker completion order — so a faulted run is byte-identical across shard
@@ -74,7 +74,6 @@ pub struct LinkFlap {
     /// First simulated millisecond after the flap (exclusive).
     pub end_ms: u64,
     /// Queueing policy while the link is down.
-    #[serde(default)]
     pub policy: FlapPolicy,
 }
 
@@ -97,19 +96,15 @@ pub struct DecodeLossBurst {
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultSchedule {
     /// Scheduled cell outages.
-    #[serde(default)]
     pub cell_outages: Vec<CellOutage>,
     /// Scheduled backhaul link flaps.
-    #[serde(default)]
     pub link_flaps: Vec<LinkFlap>,
     /// Scheduled control-channel decode-loss bursts.
-    #[serde(default)]
     pub decode_loss: Vec<DecodeLossBurst>,
     /// Milliseconds a cell must be dark before its resident UEs declare
     /// radio-link failure and re-select (3GPP T310-style timer, scaled to
     /// the simulator's subframe clock).  `None` means
     /// [`DEFAULT_RLF_DETECTION_MS`].
-    #[serde(default)]
     pub rlf_detection_ms: Option<u64>,
 }
 
@@ -194,20 +189,16 @@ pub struct FaultRecoveryRecord {
     pub end_ms: u64,
     /// UEs resident on the faulted element when the fault hit (cell
     /// outages only; empty otherwise).
-    #[serde(default)]
     pub affected_ues: Vec<u32>,
     /// Per-UE time-to-reconnect in milliseconds, measured from the outage
     /// start to the RLF re-selection that moved the UE to a live cell.
-    #[serde(default)]
     pub reconnect_ms: Vec<(u32, u64)>,
     /// Downlink packets still queued at the faulted cell when its residents
     /// re-selected (data the RLF could not forward).
-    #[serde(default)]
     pub packets_stranded: u64,
     /// Mean relative capacity-estimate error during the fault window,
     /// against the last estimate before the fault (0 when no flow produced
     /// estimates in the window).
-    #[serde(default)]
     pub estimate_error: f64,
 }
 
@@ -223,9 +214,6 @@ mod tests {
         let mut s = FaultSchedule::none();
         s.rlf_detection_ms = Some(100);
         assert_eq!(s.rlf_detection(), 100, "explicit value wins");
-        // Deserializing an empty object applies every serde default.
-        let parsed: FaultSchedule = serde_json::from_str("{}").unwrap();
-        assert_eq!(parsed, FaultSchedule::none());
     }
 
     #[test]

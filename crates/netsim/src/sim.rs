@@ -64,37 +64,30 @@ pub struct SimConfig {
     /// Per-cell trajectory overrides for multi-cell mobility: each entry
     /// replaces the RSSI trace one UE sees towards one of its configured
     /// cells, so different cells can strengthen and fade independently —
-    /// the prerequisite for any handover scenario.  `default` keeps
-    /// pre-handover scenario JSON loadable.
-    #[serde(default)]
+    /// the prerequisite for any handover scenario.
     pub trajectories: Vec<CellTrajectory>,
     /// Shard count for the cellular tick engine.  `Some(n)` partitions the
     /// cell grid into `n` geo-contiguous shards ticked in parallel on a
     /// persistent worker pool; one shard ticks the whole grid inline on the
     /// calling thread.  Every shard count produces byte-identical results;
-    /// only the wall clock changes.  `None` (the default, and what pre-shard
-    /// configuration JSON loads as) means one shard unless the
-    /// `PBE_FORCE_SHARDS` environment variable (a positive integer) names
-    /// another count — the CI lever that runs the whole test suite at a
-    /// multi-shard count.
-    #[serde(default)]
+    /// only the wall clock changes.  `None` (the default) means one shard
+    /// unless the `PBE_FORCE_SHARDS` environment variable (a positive
+    /// integer) names another count — the CI lever that runs the whole test
+    /// suite at a multi-shard count.
     pub shards: Option<usize>,
-    /// Shared wired backhaul topology.  `None` (the default, and what every
-    /// pre-backhaul configuration JSON loads as) keeps each flow on its
-    /// private [`WiredPath`]; `Some` routes every flow through the shared
-    /// link DAG by the cell its UE is attached to, re-routing on handover.
+    /// Shared wired backhaul topology.  `None` (the default) keeps each flow
+    /// on its private [`WiredPath`]; `Some` routes every flow through the
+    /// shared link DAG by the cell its UE is attached to, re-routing on
+    /// handover.
     /// The backhaul is stepped by the driver loop outside the RAN tick
     /// (conceptually owned by shard 0), so results stay byte-identical for
     /// every shard count.
-    #[serde(default)]
     pub backhaul: Option<BackhaulConfig>,
     /// Deterministic fault schedule: cell outages, backhaul link flaps and
     /// control-channel decode-loss bursts, all keyed purely by simulated
-    /// time.  `None` (the default, and what every pre-fault configuration
-    /// JSON loads as) injects nothing; a schedule is applied by the
-    /// single-threaded driver loop, so faulted runs stay byte-identical
+    /// time.  `None` (the default) injects nothing; a schedule is applied by
+    /// the single-threaded driver loop, so faulted runs stay byte-identical
     /// across shard counts.
-    #[serde(default)]
     pub faults: Option<FaultSchedule>,
 }
 
@@ -192,15 +185,12 @@ pub struct SimResult {
     /// Carrier aggregation events that occurred.
     pub ca_events: Vec<CaEvent>,
     /// Serving-cell handovers that occurred.
-    #[serde(default)]
     pub handovers: Vec<HandoverEvent>,
     /// Per-link backhaul summaries, in configuration order (empty when no
     /// backhaul topology was configured).
-    #[serde(default)]
     pub backhaul_links: Vec<BackhaulLinkResult>,
     /// Recovery metrics of every injected fault, in fault-closure order
     /// (empty when [`SimConfig::faults`] schedules nothing).
-    #[serde(default)]
     pub fault_recovery: Vec<FaultRecoveryRecord>,
 }
 

@@ -10,9 +10,10 @@
 //!   single `u64` seed reproduces an entire experiment bit-for-bit.
 //! * [`hash`] — stable 128-bit FNV-1a content hashing for the artifact result
 //!   store's point keys and the result digests tests pin.
-//! * [`pool`] — the in-tree worker pool: one-shot [`run_indexed`] for the
-//!   sweep harness and the persistent [`WorkerPool`] the sharded tick engine
-//!   dispatches shard batches on every subframe.
+//! * [`pool`] — the in-tree worker pool: one-shot
+//!   [`pool::run_indexed_partial`] for the sweep harness and the persistent
+//!   [`WorkerPool`] the sharded tick engine dispatches shard batches on every
+//!   subframe.
 //! * [`percentile`](mod@percentile), [`cdf`], [`window`], [`jain`],
 //!   [`summary`] — the
 //!   order-statistics, empirical-CDF, time-window aggregation, fairness-index
@@ -36,7 +37,7 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use hash::{fnv1a_128, fnv1a_128_hex};
 pub use jain::jain_index;
 pub use percentile::{percentile, OnlineStats};
-pub use pool::{run_indexed, WorkerPool};
+pub use pool::WorkerPool;
 pub use rng::{derive_seed, DetRng};
 pub use summary::FlowSummary;
 pub use time::{Duration, Instant, MICROS_PER_MS, MICROS_PER_SEC};

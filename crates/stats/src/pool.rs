@@ -4,11 +4,11 @@
 //! Two layers of the workspace need "run N independent jobs on all cores":
 //! the sweep harness fans scenarios out across processes-worth of work per
 //! job, and the sharded cellular engine ticks a handful of shards every
-//! simulated millisecond.  The first shape is served by [`run_indexed`]
-//! (spawn, run, join — jobs are seconds long, thread startup is noise); the
-//! second by a persistent [`WorkerPool`] whose threads park on a condvar
-//! between subframes, because spawning threads every millisecond would cost
-//! more than the tick itself.
+//! simulated millisecond.  The first shape is served by
+//! [`run_indexed_partial`] (spawn, run, join — jobs are seconds long, thread
+//! startup is noise); the second by a persistent [`WorkerPool`] whose
+//! threads park on a condvar between subframes, because spawning threads
+//! every millisecond would cost more than the tick itself.
 //!
 //! In the same spirit as the offline stand-ins under `crates/compat/`, both
 //! are implemented directly on `std::thread` instead of pulling in an
@@ -352,29 +352,15 @@ fn run_chunks<F>(
 }
 
 /// Run `count` independent jobs across `workers` OS threads and collect the
-/// results in index order.
+/// results in index order, containing panics.
 ///
 /// The one-shot entry point the sweep harness uses: builds a [`WorkerPool`],
 /// runs the batch, and tears the pool down.  `job(i)` must depend only on
 /// `i` (and captured shared state) — each index runs exactly once, on an
 /// unspecified thread.  With `workers <= 1` the jobs run inline on the
 /// calling thread, which is the serial baseline the determinism tests
-/// compare against.
-pub fn run_indexed<T, F>(count: usize, workers: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.clamp(1, count.max(1));
-    if workers <= 1 {
-        return (0..count).map(job).collect();
-    }
-    WorkerPool::new(workers).run_collect(count, job)
-}
-
-/// Like [`run_indexed`], but panics are contained: the result carries one
-/// slot per index (`None` where the job panicked) plus the [`JobPanic`]
-/// records in index order.  Every non-panicking index completes — a failure
+/// compare against.  The result carries one slot per index (`None` where
+/// the job panicked) plus the [`JobPanic`] records in index order: a failure
 /// loses exactly its own slot, never the batch.
 pub fn run_indexed_partial<T, F>(
     count: usize,
@@ -397,15 +383,16 @@ mod tests {
     #[test]
     fn results_are_in_index_order_for_any_worker_count() {
         for workers in [1, 2, 3, 4, 7] {
-            let out = run_indexed(23, workers, |i| i * i);
-            assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>());
+            let (out, panics) = run_indexed_partial(23, workers, |i| i * i);
+            assert!(panics.is_empty());
+            assert_eq!(out, (0..23).map(|i| Some(i * i)).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn every_index_runs_exactly_once() {
         let seen = Mutex::new(Vec::new());
-        run_indexed(101, 4, |i| seen.lock().unwrap().push(i));
+        WorkerPool::new(4).run(101, |i| seen.lock().unwrap().push(i));
         let ran = seen.into_inner().unwrap();
         assert_eq!(ran.len(), 101);
         assert_eq!(ran.iter().collect::<HashSet<_>>().len(), 101);
@@ -413,8 +400,9 @@ mod tests {
 
     #[test]
     fn zero_jobs_is_fine() {
-        let out: Vec<u8> = run_indexed(0, 4, |_| unreachable!("no jobs to run"));
-        assert!(out.is_empty());
+        let (out, panics): (Vec<Option<u8>>, _) =
+            run_indexed_partial(0, 4, |_| unreachable!("no jobs to run"));
+        assert!(out.is_empty() && panics.is_empty());
     }
 
     #[test]

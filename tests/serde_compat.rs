@@ -1,91 +1,34 @@
-//! Serde compatibility: configuration JSON written before the scheme-registry
-//! redesign still deserializes.
+//! Serde wire-format pins: the encodings that feed content keys, and JSON
+//! round trips of the configuration types.
 //!
-//! The redesign replaced the closed `SchemeName`/`SchemeChoice` resolution
-//! path with the open registry, keeping the enums as serde shims.  These
-//! tests pin the wire format: hand-written JSON in the exact pre-redesign
-//! shape (externally tagged enums, newtype ids as bare numbers) must load
-//! into today's types, and today's types must round-trip.
+//! `docs/ARCHITECTURE.md` § "Compatibility policy" keeps exactly two things
+//! stable across commits: `ScenarioSpec::content_key` and `SimResult` bytes.
+//! `SchemeChoice`'s four encodings are content-key inputs (the benchmark's
+//! `paper_sweep` input digest hashes `{"Baseline":"Bbr"}`), so they are
+//! pinned in both directions here.
 
-use pbe_bench::sweep::{ScenarioSpec, SweepGrid, SweepReport, SweepRunner};
 use pbe_cc_algorithms::api::SchemeName;
-use pbe_netsim::{AppModel, FlowConfig, SchemeChoice, SimConfig, Simulation};
-use pbe_stats::time::{Duration, Instant};
-use serde::Value;
-
-/// A `FlowConfig` captured from the pre-redesign serializer (scheme as the
-/// externally tagged `{"Baseline": "Bbr"}` form, `u64::MAX` queue limit).
-const PRE_REDESIGN_BASELINE_FLOW: &str = r#"{
-    "id": 2,
-    "ue": 7,
-    "scheme": {"Baseline": "Bbr"},
-    "app": "Bulk",
-    "start": 0,
-    "stop": 20000000,
-    "server_one_way_delay": 20000,
-    "wired_bottleneck_bps": null,
-    "wired_queue_bytes": 18446744073709551615
-}"#;
-
-/// Pre-redesign unit-variant schemes serialized as bare strings.
-const PRE_REDESIGN_PBE_FLOW: &str = r#"{
-    "id": 1,
-    "ue": 1,
-    "scheme": "Pbe",
-    "app": {"ConstantRate": 12000000.0},
-    "start": 4000000,
-    "stop": 8000000,
-    "server_one_way_delay": 148000,
-    "wired_bottleneck_bps": 24000000.0,
-    "wired_queue_bytes": 250000
-}"#;
-
-#[test]
-fn pre_redesign_baseline_flow_json_deserializes() {
-    let flow: FlowConfig = serde_json::from_str(PRE_REDESIGN_BASELINE_FLOW).expect("parses");
-    assert_eq!(flow.id, 2);
-    assert_eq!(flow.ue.0, 7);
-    assert_eq!(flow.scheme, SchemeChoice::Baseline(SchemeName::Bbr));
-    assert_eq!(flow.scheme.id().as_str(), "BBR");
-    assert_eq!(flow.app, AppModel::Bulk);
-    assert_eq!(flow.stop, Instant::from_secs(20));
-    assert_eq!(flow.wired_bottleneck_bps, None);
-    assert_eq!(flow.wired_queue_bytes, u64::MAX);
-}
-
-#[test]
-fn pre_redesign_pbe_flow_json_deserializes() {
-    let flow: FlowConfig = serde_json::from_str(PRE_REDESIGN_PBE_FLOW).expect("parses");
-    assert_eq!(flow.scheme, SchemeChoice::Pbe);
-    assert_eq!(flow.app, AppModel::ConstantRate(12e6));
-    assert_eq!(flow.start, Instant::from_secs(4));
-    assert_eq!(flow.server_one_way_delay, Duration::from_millis(148));
-    assert_eq!(flow.wired_bottleneck_bps, Some(24e6));
-}
+use pbe_netsim::{FlowConfig, SchemeChoice, SimConfig, Simulation};
+use pbe_stats::time::Duration;
 
 #[test]
 fn scheme_choice_wire_format_is_stable() {
-    // The shims keep their pre-redesign encodings...
-    assert_eq!(
-        serde_json::to_string(&SchemeChoice::Pbe).unwrap(),
-        "\"Pbe\""
-    );
-    assert_eq!(
-        serde_json::to_string(&SchemeChoice::Baseline(SchemeName::Cubic)).unwrap(),
-        "{\"Baseline\":\"Cubic\"}"
-    );
-    assert_eq!(
-        serde_json::to_string(&SchemeChoice::FixedRate).unwrap(),
-        "\"FixedRate\""
-    );
-    // ...and the new open variant has its own tag, so old readers fail
-    // loudly rather than misparse.
-    assert_eq!(
-        serde_json::to_string(&SchemeChoice::named("TOY")).unwrap(),
-        "{\"Named\":\"TOY\"}"
-    );
-    let back: SchemeChoice = serde_json::from_str("{\"Named\":\"TOY\"}").unwrap();
-    assert_eq!(back, SchemeChoice::named("TOY"));
+    let pins = [
+        (SchemeChoice::Pbe, "\"Pbe\""),
+        (
+            SchemeChoice::Baseline(SchemeName::Cubic),
+            "{\"Baseline\":\"Cubic\"}",
+        ),
+        (SchemeChoice::FixedRate, "\"FixedRate\""),
+        // The open variant has its own tag, so a reader that predates it
+        // fails loudly rather than misparses.
+        (SchemeChoice::named("TOY"), "{\"Named\":\"TOY\"}"),
+    ];
+    for (scheme, json) in pins {
+        assert_eq!(serde_json::to_string(&scheme).unwrap(), json);
+        let back: SchemeChoice = serde_json::from_str(json).unwrap();
+        assert_eq!(back, scheme, "{json} parses back");
+    }
 }
 
 #[test]
@@ -169,98 +112,5 @@ fn no_backhaul_config_reproduces_the_pre_backhaul_engine_byte_for_byte() {
     assert!(
         result.backhaul_links.is_empty(),
         "no backhaul configured, no backhaul telemetry"
-    );
-}
-
-#[test]
-fn pre_artifact_sweep_report_json_still_loads() {
-    // PR 9 gave every `ScenarioOutcome` a content `key` plus top-level
-    // `scheme`/`seed` labels, all serde-defaulted.  Report JSON written
-    // before then has none of those fields; it must keep parsing, with the
-    // new fields at their defaults.
-    let grid = SweepGrid::over(vec![ScenarioSpec::single_flow(
-        "compat",
-        SchemeChoice::Pbe,
-        Duration::from_millis(200),
-    )
-    .seed(5)])
-    .schemes([SchemeChoice::Pbe, SchemeChoice::named("CUBIC")]);
-    let report = SweepRunner::serial().run(grid.expand());
-
-    // Today's serializer writes the new fields…
-    let json = serde_json::to_string(&report).unwrap();
-    assert!(json.contains("\"key\":"));
-    let roundtripped: SweepReport = serde_json::from_str(&json).unwrap();
-    assert_eq!(roundtripped.outcomes[0].key, report.outcomes[0].key);
-
-    // …so strip them from every outcome to reconstruct the old wire shape.
-    let value = serde_json::parse(&json).unwrap();
-    let Value::Object(top) = &value else {
-        panic!("report serializes as an object")
-    };
-    let pre_artifact = Value::Object(
-        top.iter()
-            .map(|(k, v)| {
-                if k != "outcomes" {
-                    return (k.clone(), v.clone());
-                }
-                let Value::Array(outcomes) = v else {
-                    panic!("outcomes serialize as an array")
-                };
-                let stripped = outcomes
-                    .iter()
-                    .map(|o| {
-                        let Value::Object(fields) = o else {
-                            panic!("outcome serializes as an object")
-                        };
-                        Value::Object(
-                            fields
-                                .iter()
-                                .filter(|(name, _)| {
-                                    name != "key" && name != "scheme" && name != "seed"
-                                })
-                                .cloned()
-                                .collect(),
-                        )
-                    })
-                    .collect();
-                (k.clone(), Value::Array(stripped))
-            })
-            .collect(),
-    );
-    let old_json = serde_json::to_string(&pre_artifact).unwrap();
-    assert_ne!(old_json, json, "strip actually removed the new fields");
-
-    let parsed: SweepReport = serde_json::from_str(&old_json).unwrap();
-    assert_eq!(parsed.outcomes.len(), report.outcomes.len());
-    for (old, new) in parsed.outcomes.iter().zip(&report.outcomes) {
-        assert_eq!(old.key, "", "missing key defaults to empty");
-        assert_eq!(old.scheme, "", "missing scheme label defaults to empty");
-        assert_eq!(old.seed, 0, "missing seed label defaults to zero");
-        // The science is untouched: spec and result survive the round trip.
-        assert_eq!(
-            serde_json::to_string(&old.result).unwrap(),
-            serde_json::to_string(&new.result).unwrap()
-        );
-        assert_eq!(old.spec.content_key(), new.spec.content_key());
-    }
-}
-
-#[test]
-fn pre_backhaul_sim_config_json_still_loads_and_runs_identically() {
-    // JSON written before the backhaul field existed has no "backhaul" key;
-    // `#[serde(default)]` must load it as `None` and the run must match a
-    // config built today.
-    let config = pinned_no_backhaul_scenario();
-    let json = serde_json::to_string(&config).expect("serializes");
-    let pre_backhaul_json = json.replace(",\"backhaul\":null", "");
-    assert_ne!(json, pre_backhaul_json, "strip actually removed the field");
-    let parsed: SimConfig = serde_json::from_str(&pre_backhaul_json).expect("parses");
-    assert!(parsed.backhaul.is_none());
-    let a = Simulation::new(config).run();
-    let b = Simulation::new(parsed).run();
-    assert_eq!(
-        serde_json::to_string(&a).unwrap(),
-        serde_json::to_string(&b).unwrap()
     );
 }
