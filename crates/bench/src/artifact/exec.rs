@@ -14,7 +14,7 @@
 use super::store::{FailureKind, PointFailure, ResultStore, StoredPoint};
 use crate::sweep::{ScenarioOutcome, ScenarioSpec, SweepReport};
 use pbe_netsim::Simulation;
-use pbe_stats::pool::{panic_message, run_indexed_partial};
+use pbe_stats::pool::{panic_message, WorkerPool};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -135,9 +135,11 @@ pub fn run_cached_with(
     // panic containment is a second line of defense for harness bugs.
     let mut executed = 0usize;
     let batch = (workers * 2).max(4);
+    let pool = WorkerPool::new(workers.clamp(1, misses.len().max(1)));
     for batch_indices in misses.chunks(batch) {
-        let (results, pool_panics) = run_indexed_partial(batch_indices.len(), workers, |j| {
-            execute_guarded(&specs[batch_indices[j]], policy)
+        let mut results: Vec<Option<_>> = batch_indices.iter().map(|_| None).collect();
+        let pool_panics = pool.for_each(results.iter_mut().zip(batch_indices), |_, (slot, &i)| {
+            *slot = Some(execute_guarded(&specs[i], policy));
         });
         for (j, slot) in results.into_iter().enumerate() {
             let i = batch_indices[j];

@@ -18,6 +18,7 @@
 //! and a re-run only executes the grid points whose content key is missing.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod artifact;
 pub mod perf;

@@ -17,6 +17,7 @@
 //! evaluation exercises.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod api;
 pub mod bbr;

@@ -29,6 +29,7 @@
 //!   byte-identical results.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod carrier;
 pub mod cell;

@@ -18,7 +18,9 @@
 //! [`CarrierAggregationManager`] instances holding exactly the resident
 //! UEs' states.  One shard is the whole network: it spawns no threads, runs
 //! every phase inline on the caller and crosses no barrier messages.  More
-//! shards run the same phase functions on a persistent [`WorkerPool`].
+//! shards run the same phase functions on a persistent [`WorkerPool`], each
+//! phase borrowing its shard's state as a disjoint `&mut` — the module has
+//! no `unsafe`, and the crate forbids it.
 //!
 //! The correctness bar is **byte-identity**: the [`NetworkTickReport`]
 //! stream (and everything downstream of it) is the same bytes for every
@@ -85,30 +87,24 @@ use pbe_stats::time::Instant;
 use pbe_stats::{DetRng, FxHashMap};
 use std::collections::HashMap;
 
-/// A raw pointer that may cross thread boundaries.  Soundness is this
-/// module's obligation: every parallel section hands each shard index to
-/// exactly one worker, so the pointed-to element is accessed by one thread
-/// at a time.
-struct ShardPtr<T>(*mut T);
-
-unsafe impl<T> Send for ShardPtr<T> {}
-unsafe impl<T> Sync for ShardPtr<T> {}
-
-impl<T> ShardPtr<T> {
-    /// Pointer to element `i`.  Going through a method makes closures
-    /// capture the whole `ShardPtr`, which carries the `Sync` promise.
-    fn at(&self, i: usize) -> *mut T {
-        // SAFETY: callers only pass indices inside the allocation.
-        unsafe { self.0.add(i) }
-    }
-}
-
-/// Run `phase(i)` for every shard index: on the pool, or inline on the
-/// caller when the network is one shard and has no pool.
-fn run_phase(pool: &Option<WorkerPool>, shards: usize, phase: impl Fn(usize) + Sync) {
-    match pool {
-        Some(pool) => pool.run(shards, phase),
-        None => phase(0),
+/// Run `phase(i, shard)` for the `i`-th item of `shards`: on the pool, or
+/// inline on the caller when the network is one shard and has no pool.  The
+/// items are disjoint `&mut` borrows of shard state, so a phase can write
+/// its own shard only.  A panicking phase is re-raised once every other
+/// shard has finished.
+fn run_phase<I>(pool: &Option<WorkerPool>, shards: I, phase: impl Fn(usize, I::Item) + Sync)
+where
+    I: IntoIterator,
+    I::IntoIter: Send,
+{
+    let Some(pool) = pool else {
+        return shards
+            .into_iter()
+            .enumerate()
+            .for_each(|(i, shard)| phase(i, shard));
+    };
+    if let Some(p) = pool.for_each(shards, phase).first() {
+        panic!("shard {} panicked: {}", p.index, p.message);
     }
 }
 
@@ -141,26 +137,18 @@ fn entry_of(table: &[CellEntry], id: CellId) -> Option<&CellEntry> {
     table.get(usize::from(id.0)).filter(|e| e.shard != ABSENT)
 }
 
-fn cell_at<'a>(shards: &'a [CellShard], table: &[CellEntry], id: CellId) -> Option<&'a Cell> {
+fn cell_at<'a>(shards: &'a [Vec<Cell>], table: &[CellEntry], id: CellId) -> Option<&'a Cell> {
     let e = entry_of(table, id)?;
-    Some(&shards[e.shard as usize].cells[e.local as usize])
+    Some(&shards[e.shard as usize][e.local as usize])
 }
 
 fn cell_at_mut<'a>(
-    shards: &'a mut [CellShard],
+    shards: &'a mut [Vec<Cell>],
     table: &[CellEntry],
     id: CellId,
 ) -> Option<&'a mut Cell> {
     let e = entry_of(table, id)?;
-    Some(&mut shards[e.shard as usize].cells[e.local as usize])
-}
-
-/// The cells one shard owns: a contiguous run of the configured cell order.
-struct CellShard {
-    /// Global position (index into the configured cell order) of `cells[0]`.
-    start: usize,
-    /// The owned cells, in configured order.
-    cells: Vec<Cell>,
+    Some(&mut shards[e.shard as usize][e.local as usize])
 }
 
 /// The resident-UE state one shard owns: one sorted [`UeSlots`] index plus
@@ -238,7 +226,9 @@ fn close_delivery(packet_bytes: &mut FxHashMap<u64, u32>, e: &PacketEvent) -> De
 /// every shard count.
 pub struct ShardedNetwork {
     config: CellularConfig,
-    cell_shards: Vec<CellShard>,
+    /// The cells each shard owns: contiguous runs of the configured cell
+    /// order, in that order.
+    cell_shards: Vec<Vec<Cell>>,
     ue_shards: Vec<UeShard>,
     /// Dense CellId → [`CellEntry`].
     cell_table: Vec<CellEntry>,
@@ -281,7 +271,7 @@ impl ShardedNetwork {
                 // Balanced contiguous partition of the configured order.
                 let start = s * n_cells / n_shards;
                 let end = (s + 1) * n_cells / n_shards;
-                let cells = config.cells[start..end]
+                config.cells[start..end]
                     .iter()
                     .enumerate()
                     .map(|(local, c)| {
@@ -300,8 +290,7 @@ impl ShardedNetwork {
                         cell.set_protocol_overhead(config.protocol_overhead);
                         cell
                     })
-                    .collect();
-                CellShard { start, cells }
+                    .collect()
             })
             .collect();
         let ue_shards = (0..n_shards).map(|_| UeShard::new(&config)).collect();
@@ -627,25 +616,18 @@ impl ShardedNetwork {
         report.ca_events.clear();
         report.handovers.clear();
 
-        let n = self.cell_shards.len();
         let measure =
             self.config.handover.enabled && self.ue_shards[0].handover.is_measurement_subframe(now);
 
         // --- Phase 1 (parallel): channel sampling, staging, A3. ------------
-        // Worker i owns (cell_shards[i], ue_shards[i]); states for foreign
+        // Worker i borrows (cell_shards[i], ue_shards[i]); states for foreign
         // cells land in the shard's outbox.
-        {
-            let cells_ptr = ShardPtr(self.cell_shards.as_mut_ptr());
-            let ues_ptr = ShardPtr(self.ue_shards.as_mut_ptr());
-            let table = &self.cell_table;
-            run_phase(&self.pool, n, |i| {
-                // SAFETY: each shard index is claimed by exactly one worker,
-                // so these are the only live references to shard i.
-                let cs = unsafe { &mut *cells_ptr.at(i) };
-                let us = unsafe { &mut *ues_ptr.at(i) };
-                shard_phase1(i, cs, us, table, measure, now);
-            });
-        }
+        let table = &self.cell_table;
+        run_phase(
+            &self.pool,
+            self.cell_shards.iter_mut().zip(&mut self.ue_shards),
+            |i, (cells, us)| shard_phase1(i, cells, us, table, measure, now),
+        );
 
         // --- Phase-1 barrier: apply the cross-shard channel outboxes. ------
         // Applied in (source shard, resident UeId) order; the order is
@@ -653,7 +635,7 @@ impl ShardedNetwork {
         // once) but fixed regardless of worker completion order.
         for us in &mut self.ue_shards {
             for (shard, local, ue, state) in us.outbox.drain(..) {
-                self.cell_shards[shard as usize].cells[local as usize].set_channel(ue, state);
+                self.cell_shards[shard as usize][local as usize].set_channel(ue, state);
             }
         }
 
@@ -672,8 +654,8 @@ impl ShardedNetwork {
         self.pending = pending;
 
         // --- Phase 3 (parallel): tick every cell. --------------------------
-        // Shards own contiguous runs of the configured cell order, so each
-        // worker writes a disjoint slice of the global report vector.
+        // Shards own contiguous runs of the configured cell order, so the
+        // global report vector splits into one disjoint run per shard.
         if report.cell_reports.len() != self.config.cells.len() {
             report.cell_reports = self
                 .config
@@ -682,19 +664,17 @@ impl ShardedNetwork {
                 .map(|_| SubframeReport::default())
                 .collect();
         }
-        {
-            let cells_ptr = ShardPtr(self.cell_shards.as_mut_ptr());
-            let reports_ptr = ShardPtr(report.cell_reports.as_mut_ptr());
-            run_phase(&self.pool, n, |i| {
-                // SAFETY: shard i is claimed by one worker, and its report
-                // indices [start, start + len) overlap no other shard's.
-                let cs = unsafe { &mut *cells_ptr.at(i) };
-                for (j, cell) in cs.cells.iter_mut().enumerate() {
-                    let cell_report = unsafe { &mut *reports_ptr.at(cs.start + j) };
-                    cell.tick_prepared(subframe, cell_report);
-                }
-            });
-        }
+        let mut rest = report.cell_reports.as_mut_slice();
+        let shards = self.cell_shards.iter_mut().map(move |cells| {
+            let (reports, tail) = std::mem::take(&mut rest).split_at_mut(cells.len());
+            rest = tail;
+            (cells, reports)
+        });
+        run_phase(&self.pool, shards, |_, (cells, reports)| {
+            for (cell, cell_report) in cells.iter_mut().zip(reports) {
+                cell.tick_prepared(subframe, cell_report);
+            }
+        });
 
         // DCI messages concatenate in global cell order.
         for r in &report.cell_reports {
@@ -705,19 +685,11 @@ impl ShardedNetwork {
         // Every shard scans all cell reports read-only and picks out its
         // residents' outcomes/allocations; cells are only read (queue
         // depths), so the whole section mutates UE shards alone.
-        {
-            let ues_ptr = ShardPtr(self.ue_shards.as_mut_ptr());
-            let config = &self.config;
-            let cell_shards = &self.cell_shards;
-            let table = &self.cell_table;
-            let cell_reports = &report.cell_reports;
-            run_phase(&self.pool, n, |i| {
-                // SAFETY: each UE shard index is claimed by exactly one
-                // worker; everything else captured is shared-read.
-                let us = unsafe { &mut *ues_ptr.at(i) };
-                shard_post(us, config, cell_shards, table, cell_reports, now);
-            });
-        }
+        let (config, cell_shards, table) = (&self.config, &self.cell_shards, &self.cell_table);
+        let cell_reports = &report.cell_reports;
+        run_phase(&self.pool, &mut self.ue_shards, |_, us| {
+            shard_post(us, config, cell_shards, table, cell_reports, now);
+        });
 
         // --- Phase-4 barrier: sort-merge into global cell / UeId order. ----
         let mut merged = std::mem::take(&mut self.event_merge);
@@ -856,7 +828,7 @@ impl ShardedNetwork {
 
 /// Bits queued for a UE across its configured cells, whichever shards own
 /// them.
-fn queued_bits(cell_shards: &[CellShard], table: &[CellEntry], ue: &UeConfig) -> u64 {
+fn queued_bits(cell_shards: &[Vec<Cell>], table: &[CellEntry], ue: &UeConfig) -> u64 {
     ue.configured_cells
         .iter()
         .filter_map(|c| cell_at(cell_shards, table, *c))
@@ -874,7 +846,7 @@ fn queued_bits(cell_shards: &[CellShard], table: &[CellEntry], ue: &UeConfig) ->
 /// shard-local manager.
 fn shard_phase1(
     me: usize,
-    cs: &mut CellShard,
+    cells: &mut [Cell],
     us: &mut UeShard,
     table: &[CellEntry],
     measure: bool,
@@ -903,7 +875,7 @@ fn shard_phase1(
             let cell_down = entry.is_some_and(|e| e.down);
             if let Some(e) = entry.filter(|_| is_active && !cell_down) {
                 if e.shard as usize == me {
-                    cs.cells[e.local as usize].set_channel(ue_id, state);
+                    cells[e.local as usize].set_channel(ue_id, state);
                 } else {
                     us.outbox.push((e.shard, e.local, ue_id, state));
                 }
@@ -933,7 +905,7 @@ fn shard_phase1(
 fn shard_post(
     us: &mut UeShard,
     config: &CellularConfig,
-    cell_shards: &[CellShard],
+    cell_shards: &[Vec<Cell>],
     table: &[CellEntry],
     cell_reports: &[SubframeReport],
     now: Instant,

@@ -27,6 +27,7 @@
 //! PBE-CC and its competitors identically.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod capacity;
 pub mod client;

@@ -59,6 +59,7 @@
 //! `ScenarioSpec` onto a [`SimConfig`] and runs it through this engine.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod backhaul;
 pub mod builder;

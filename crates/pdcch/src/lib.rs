@@ -21,6 +21,7 @@
 //!   control-traffic filter, and the user's own physical data rate.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod decoder;

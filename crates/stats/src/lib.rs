@@ -10,16 +10,19 @@
 //!   single `u64` seed reproduces an entire experiment bit-for-bit.
 //! * [`hash`] — stable 128-bit FNV-1a content hashing for the artifact result
 //!   store's point keys and the result digests tests pin.
-//! * [`pool`] — the in-tree worker pool: one-shot
-//!   [`pool::run_indexed_partial`] for the sweep harness and the persistent
-//!   [`WorkerPool`] the sharded tick engine dispatches shard batches on every
-//!   subframe.
+//! * [`pool`] — the in-tree [`WorkerPool`] the sweep harness and the
+//!   sharded tick engine share: one primitive, [`WorkerPool::for_each`],
+//!   that hands each job a disjoint item by value.
 //! * [`percentile`](mod@percentile), [`cdf`], [`window`], [`jain`],
 //!   [`summary`] — the
 //!   order-statistics, empirical-CDF, time-window aggregation, fairness-index
 //!   and per-flow summary machinery the paper's evaluation plots are built
 //!   from (throughput averaged over 100 ms windows, 95th-percentile one-way
 //!   delay, Jain's fairness index over allocated PRBs, …).
+
+// The worker pool's lifetime erasure is the one `unsafe` block outside
+// `compat/`; it opts in locally.
+#![deny(unsafe_code)]
 
 pub mod cdf;
 pub mod fxhash;

@@ -2,35 +2,38 @@
 //! engine.
 //!
 //! Two layers of the workspace need "run N independent jobs on all cores":
-//! the sweep harness fans scenarios out across processes-worth of work per
-//! job, and the sharded cellular engine ticks a handful of shards every
-//! simulated millisecond.  The first shape is served by
-//! [`run_indexed_partial`] (spawn, run, join — jobs are seconds long, thread
-//! startup is noise); the second by a persistent [`WorkerPool`] whose
-//! threads park on a condvar between subframes, because spawning threads
-//! every millisecond would cost more than the tick itself.
+//! the sweep harness fans scenarios out (jobs are seconds long), and the
+//! sharded cellular engine ticks a handful of shards every simulated
+//! millisecond.  Both use one persistent [`WorkerPool`] whose threads park
+//! on a condvar between batches, because spawning threads every millisecond
+//! would cost more than the tick itself.  In the same spirit as the offline
+//! stand-ins under `crates/compat/`, it is built directly on `std::thread`
+//! instead of pulling in an external executor.
 //!
-//! In the same spirit as the offline stand-ins under `crates/compat/`, both
-//! are implemented directly on `std::thread` instead of pulling in an
-//! external executor.  Workers claim contiguous chunks of the index range
-//! from a shared atomic cursor (cheap, and neighbouring jobs tend to have
-//! similar cost, which keeps the tail balanced); every result is written to
-//! its own index's slot, so output order equals input order no matter which
-//! worker ran what — the property every determinism test in the workspace
-//! leans on.
-
-//! Job panics are *contained*: every index runs under `catch_unwind`, so one
-//! panicking job can neither take down sibling jobs in its chunk nor unwind
-//! through the pool's gate while other workers still hold the (lifetime-
-//! laundered) job reference.  The `*_partial` entry points surface panics as
-//! structured [`JobPanic`] records next to the results that did complete;
-//! the classic entry points keep their fail-fast contract but only re-raise
-//! *after* every in-flight job has drained.
+//! There is one primitive, [`WorkerPool::for_each`]: every item of an
+//! iterator goes to exactly one worker, together with its index.  Workers
+//! claim items one at a time from the iterator behind a mutex, so a job gets
+//! its item *by value* — a `&mut` into a slice, two of them zipped, a
+//! disjoint sub-slice — and the borrow checker, not a raw pointer, proves
+//! that no two jobs touch the same state.  [`WorkerPool::run_collect`] is
+//! the one wrapper: results in index order, fail-fast.  Output order equals
+//! input order no matter which worker ran what — the property every
+//! determinism test in the workspace leans on.
+//!
+//! Job panics are *contained*: every item runs under `catch_unwind`, so one
+//! panicking job can neither take down its siblings nor unwind through the
+//! pool while other workers still hold the batch.  [`WorkerPool::for_each`]
+//! returns panics as structured [`JobPanic`] records; `run_collect`
+//! re-raises, but only *after* every in-flight job has drained.
+//!
+//! The module's one `unsafe` block is the lifetime erasure in
+//! `WorkerPool::broadcast` that lets parked threads run a closure borrowed
+//! from the caller's stack; every other crate of the workspace (outside
+//! `compat/`) forbids `unsafe` outright.
 
 use std::any::Any;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// A job index whose closure panicked, with the rendered panic payload.
@@ -54,40 +57,21 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// A raw pointer that may cross thread boundaries.
-///
-/// Soundness is the caller's obligation: every use in this module hands each
-/// claimed index to exactly one worker, so the pointed-to slots are accessed
-/// by at most one thread at a time.
-struct SendPtr<T>(*mut T);
-
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Pointer to element `i` of the array this points at.  Going through a
-    /// method (rather than the field) makes closures capture the whole
-    /// `SendPtr`, which carries the `Sync` promise.
-    fn at(&self, i: usize) -> *mut T {
-        // SAFETY: callers only pass indices inside the allocation.
-        unsafe { self.0.add(i) }
-    }
-}
-
-/// The job reference workers execute.  The `'static` lifetime is a lie told
-/// under controlled conditions: [`WorkerPool::run`] transmutes the caller's
-/// stack closure to this type and does not return until every worker has
-/// finished the epoch, so the reference never outlives the closure.
-type Job = &'static (dyn Fn(usize) + Sync);
+/// The task every worker runs once per batch.  The `'static` lifetime is a
+/// lie told under controlled conditions: `WorkerPool::broadcast` erases the
+/// caller's borrow to this type and neither returns nor unwinds until every
+/// worker has finished the batch, so the reference never outlives the task.
+type Task = &'static (dyn Fn() + Sync);
 
 struct Gate {
     /// Monotonic batch counter; workers run one batch per increment.
     epoch: u64,
-    /// The active batch: job, index count, chunk size.
-    batch: Option<(Job, usize, usize)>,
+    /// The active batch's task.
+    task: Option<Task>,
     /// Spawned workers still running the active batch.
     remaining: usize,
-    /// Set when a worker's job panicked; re-raised on the calling thread.
+    /// Set when a worker's task panicked outside a job (a harness bug);
+    /// re-raised on the calling thread.
     panicked: bool,
     shutdown: bool,
 }
@@ -98,39 +82,36 @@ struct Shared {
     work: Condvar,
     /// Signals the caller that `remaining` reached zero.
     done: Condvar,
-    /// Next unclaimed index of the active batch.
-    cursor: AtomicUsize,
-    /// Indices whose job panicked during the active batch.
-    panics: Mutex<Vec<JobPanic>>,
 }
 
-/// A persistent pool of worker threads executing indexed batches.
+/// A persistent pool of worker threads executing batches.
 ///
 /// `WorkerPool::new(workers)` spawns `workers - 1` OS threads; the thread
-/// calling [`WorkerPool::run`] participates as the final worker, so
-/// `new(1)` spawns nothing and runs every batch inline — the serial
-/// baseline the byte-identity tests compare against.
+/// calling [`WorkerPool::for_each`] participates as the final worker, so
+/// `new(1)` spawns nothing and runs every batch inline, in item order — the
+/// serial baseline the byte-identity tests compare against.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
+    /// Held for a whole batch, so callers on two threads sharing the pool
+    /// take turns instead of publishing over each other's batch.
+    dispatch: Mutex<()>,
 }
 
 impl WorkerPool {
     /// Create a pool that executes batches on `workers` threads total
-    /// (including the caller of [`WorkerPool::run`]).
+    /// (including the caller of [`WorkerPool::for_each`]).
     pub fn new(workers: usize) -> Self {
         let shared = Arc::new(Shared {
             gate: Mutex::new(Gate {
                 epoch: 0,
-                batch: None,
+                task: None,
                 remaining: 0,
                 panicked: false,
                 shutdown: false,
             }),
             work: Condvar::new(),
             done: Condvar::new(),
-            cursor: AtomicUsize::new(0),
-            panics: Mutex::new(Vec::new()),
         });
         let threads = (1..workers.max(1))
             .map(|_| {
@@ -138,113 +119,66 @@ impl WorkerPool {
                 std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
-        WorkerPool { shared, threads }
-    }
-
-    /// Total worker count, including the calling thread.
-    pub fn workers(&self) -> usize {
-        self.threads.len() + 1
-    }
-
-    /// Run `job(i)` for every `i in 0..count` across the pool and block until
-    /// all indices have run.
-    ///
-    /// `job` must depend only on `i` (and captured shared state) — each index
-    /// runs exactly once, on an unspecified thread.  With a single-worker
-    /// pool the indices run inline in ascending order.
-    ///
-    /// A panicking job is re-raised on the calling thread — but only after
-    /// every other in-flight index has drained, so siblings complete and the
-    /// pool stays usable.  Use [`WorkerPool::run_partial`] to receive panics
-    /// as data instead.
-    pub fn run<F>(&self, count: usize, job: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let panics = self.run_partial(count, job);
-        if let Some(p) = panics.first() {
-            panic!(
-                "worker pool job panicked at index {}: {}",
-                p.index, p.message
-            );
+        WorkerPool {
+            shared,
+            threads,
+            dispatch: Mutex::new(()),
         }
     }
 
-    /// Run `job(i)` for every `i in 0..count`, containing panics: every index
-    /// runs (panicking ones under `catch_unwind`), and the panicked indices
-    /// come back as [`JobPanic`] records in index order.
-    pub fn run_partial<F>(&self, count: usize, job: F) -> Vec<JobPanic>
+    /// Run `job(i, item)` for the `i`-th item of `items` across the pool and
+    /// block until every item has run.
+    ///
+    /// Each item goes to exactly one job, on an unspecified thread.  Panics
+    /// are contained: every item runs (panicking ones under `catch_unwind`),
+    /// and the panicked indices come back as [`JobPanic`] records in index
+    /// order.  Calls from two threads sharing the pool take turns; a call
+    /// from inside one of the pool's own jobs deadlocks.
+    #[must_use = "job panics are returned, not raised"]
+    pub fn for_each<I, F>(&self, items: I, job: F) -> Vec<JobPanic>
     where
-        F: Fn(usize) + Sync,
+        I: IntoIterator,
+        I::IntoIter: Send,
+        F: Fn(usize, I::Item) + Sync,
     {
-        if count == 0 {
-            return Vec::new();
-        }
-        if self.threads.is_empty() {
-            let mut panics = Vec::new();
-            for i in 0..count {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(i))) {
-                    panics.push(JobPanic {
+        let items = Mutex::new(items.into_iter().enumerate());
+        let panics = Mutex::new(Vec::new());
+        self.broadcast(&|| loop {
+            // The claim lock is held for `next` only, never while a job runs.
+            let Some((i, item)) = items.lock().expect("pool items poisoned").next() else {
+                break;
+            };
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(i, item))) {
+                panics
+                    .lock()
+                    .expect("pool panic log poisoned")
+                    .push(JobPanic {
                         index: i,
                         message: panic_message(payload.as_ref()),
                     });
-                }
             }
-            return panics;
-        }
-        let chunk = (count / (self.workers() * 4)).max(1);
-        let job_ref: &(dyn Fn(usize) + Sync) = &job;
-        // SAFETY: the reference is only reachable by workers between the
-        // batch publication below and the `remaining == 0` wait at the end of
-        // this function, during which `job` is alive on this stack frame.
-        // Jobs run under per-index `catch_unwind`, so a panicking job cannot
-        // unwind this frame while workers still hold the reference.
-        let job_static: Job = unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(job_ref)
-        };
-        {
-            let mut gate = self.shared.gate.lock().expect("pool gate poisoned");
-            self.shared.cursor.store(0, Ordering::Relaxed);
-            self.shared
-                .panics
-                .lock()
-                .expect("pool panic log poisoned")
-                .clear();
-            gate.batch = Some((job_static, count, chunk));
-            gate.epoch += 1;
-            gate.remaining = self.threads.len();
-            self.shared.work.notify_all();
-        }
-        // Participate as the final worker.
-        run_chunks(&self.shared.cursor, count, chunk, &job, &self.shared.panics);
-        let mut gate = self.shared.gate.lock().expect("pool gate poisoned");
-        while gate.remaining > 0 {
-            gate = self.shared.done.wait(gate).expect("pool gate poisoned");
-        }
-        gate.batch = None;
-        if std::mem::take(&mut gate.panicked) {
-            drop(gate);
-            panic!("worker pool harness panicked outside a job");
-        }
-        drop(gate);
-        let mut panics =
-            std::mem::take(&mut *self.shared.panics.lock().expect("pool panic log poisoned"));
+        });
+        let mut panics = panics.into_inner().expect("pool panic log poisoned");
         // Claim order is nondeterministic across threads; report in index
         // order so callers see a stable failure list.
         panics.sort_by_key(|p| p.index);
         panics
     }
 
-    /// Run `job(i)` for every index and collect the results in index order.
+    /// Run `job(i)` for every `i in 0..count` and collect the results in
+    /// index order.
     ///
-    /// Panics (after draining, like [`WorkerPool::run`]) if any job panicked;
-    /// use [`WorkerPool::run_collect_partial`] to keep the completed results.
+    /// A panicking job is re-raised on the calling thread — but only after
+    /// every other index has drained, so siblings complete and the pool stays
+    /// usable.  Use [`WorkerPool::for_each`] over result slots to keep the
+    /// completed results and receive panics as data instead.
     pub fn run_collect<T, F>(&self, count: usize, job: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let (slots, panics) = self.run_collect_partial(count, job);
+        let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
+        let panics = self.for_each(&mut slots, |i, slot| *slot = Some(job(i)));
         if let Some(p) = panics.first() {
             panic!(
                 "worker pool job panicked at index {}: {}",
@@ -257,23 +191,44 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Run `job(i)` for every index, containing panics.  Returns one slot per
-    /// index — `Some(result)` where the job completed, `None` where it
-    /// panicked — plus the panic records in index order.
-    pub fn run_collect_partial<T, F>(&self, count: usize, job: F) -> (Vec<Option<T>>, Vec<JobPanic>)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-        let base = SendPtr(slots.as_mut_ptr());
-        let panics = self.run_partial(count, |i| {
-            // SAFETY: each index is claimed exactly once, so this is the only
-            // thread writing slot `i`, and `slots` outlives `run_partial`.
-            // A panicking `job(i)` leaves slot `i` untouched (`None`).
-            unsafe { *base.at(i) = Some(job(i)) };
-        });
-        (slots, panics)
+    /// Run `task` once on every worker, the caller included, and return when
+    /// all of them have finished.
+    #[allow(unsafe_code)]
+    fn broadcast(&self, task: &(dyn Fn() + Sync)) {
+        if self.threads.is_empty() {
+            return task();
+        }
+        // The guarded value is `()`, so a poisoned lock holds nothing stale.
+        let turn = self.dispatch.lock().unwrap_or_else(PoisonError::into_inner);
+        // SAFETY: workers can reach the erased reference only between the
+        // publication below and the `remaining == 0` wait further down, and
+        // `turn` keeps any other batch from being published in between.  The
+        // caller's own run of `task` is caught, so this frame — which keeps
+        // `task` alive — neither returns nor unwinds before that wait ends.
+        let erased: Task = unsafe { std::mem::transmute::<&(dyn Fn() + Sync), Task>(task) };
+        {
+            let mut gate = self.shared.gate.lock().expect("pool gate poisoned");
+            gate.task = Some(erased);
+            gate.epoch += 1;
+            gate.remaining = self.threads.len();
+            self.shared.work.notify_all();
+        }
+        // Participate as the final worker.
+        let outcome = catch_unwind(AssertUnwindSafe(task));
+        let mut gate = self.shared.gate.lock().expect("pool gate poisoned");
+        while gate.remaining > 0 {
+            gate = self.shared.done.wait(gate).expect("pool gate poisoned");
+        }
+        gate.task = None;
+        let worker_panicked = std::mem::take(&mut gate.panicked);
+        drop(gate);
+        drop(turn);
+        if let Err(payload) = outcome {
+            resume_unwind(payload);
+        }
+        if worker_panicked {
+            panic!("worker pool harness panicked outside a job");
+        }
     }
 }
 
@@ -293,7 +248,7 @@ impl Drop for WorkerPool {
 fn worker_loop(shared: &Shared) {
     let mut seen_epoch = 0u64;
     loop {
-        let (job, count, chunk) = {
+        let task = {
             let mut gate = shared.gate.lock().expect("pool gate poisoned");
             loop {
                 if gate.shutdown {
@@ -301,17 +256,15 @@ fn worker_loop(shared: &Shared) {
                 }
                 if gate.epoch > seen_epoch {
                     seen_epoch = gate.epoch;
-                    break gate.batch.expect("batch published with epoch");
+                    break gate.task.expect("task published with epoch");
                 }
                 gate = shared.work.wait(gate).expect("pool gate poisoned");
             }
         };
-        // Job panics are caught per index inside `run_chunks`; this outer
-        // catch only trips on harness bugs (e.g. a poisoned panic log), and
-        // exists so `remaining` is decremented no matter what.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_chunks(&shared.cursor, count, chunk, job, &shared.panics);
-        }));
+        // Job panics are caught per item inside the task; this outer catch
+        // only trips on harness bugs (e.g. a poisoned lock), and exists so
+        // `remaining` is decremented no matter what.
+        let outcome = catch_unwind(AssertUnwindSafe(task));
         let mut gate = shared.gate.lock().expect("pool gate poisoned");
         if outcome.is_err() {
             gate.panicked = true;
@@ -323,58 +276,6 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-fn run_chunks<F>(
-    cursor: &AtomicUsize,
-    count: usize,
-    chunk: usize,
-    job: &F,
-    panics: &Mutex<Vec<JobPanic>>,
-) where
-    F: Fn(usize) + Sync + ?Sized,
-{
-    loop {
-        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-        if start >= count {
-            break;
-        }
-        for i in start..(start + chunk).min(count) {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(i))) {
-                panics
-                    .lock()
-                    .expect("pool panic log poisoned")
-                    .push(JobPanic {
-                        index: i,
-                        message: panic_message(payload.as_ref()),
-                    });
-            }
-        }
-    }
-}
-
-/// Run `count` independent jobs across `workers` OS threads and collect the
-/// results in index order, containing panics.
-///
-/// The one-shot entry point the sweep harness uses: builds a [`WorkerPool`],
-/// runs the batch, and tears the pool down.  `job(i)` must depend only on
-/// `i` (and captured shared state) — each index runs exactly once, on an
-/// unspecified thread.  With `workers <= 1` the jobs run inline on the
-/// calling thread, which is the serial baseline the determinism tests
-/// compare against.  The result carries one slot per index (`None` where
-/// the job panicked) plus the [`JobPanic`] records in index order: a failure
-/// loses exactly its own slot, never the batch.
-pub fn run_indexed_partial<T, F>(
-    count: usize,
-    workers: usize,
-    job: F,
-) -> (Vec<Option<T>>, Vec<JobPanic>)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    // A one-worker pool spawns nothing and runs the batch inline.
-    WorkerPool::new(workers.clamp(1, count.max(1))).run_collect_partial(count, job)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,16 +284,19 @@ mod tests {
     #[test]
     fn results_are_in_index_order_for_any_worker_count() {
         for workers in [1, 2, 3, 4, 7] {
-            let (out, panics) = run_indexed_partial(23, workers, |i| i * i);
-            assert!(panics.is_empty());
-            assert_eq!(out, (0..23).map(|i| Some(i * i)).collect::<Vec<_>>());
+            let out = WorkerPool::new(workers).run_collect(23, |i| i * i);
+            assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn every_index_runs_exactly_once() {
         let seen = Mutex::new(Vec::new());
-        WorkerPool::new(4).run(101, |i| seen.lock().unwrap().push(i));
+        let panics = WorkerPool::new(4).for_each(0..101, |i, item| {
+            assert_eq!(i, item, "the index is the item's position");
+            seen.lock().unwrap().push(i);
+        });
+        assert!(panics.is_empty());
         let ran = seen.into_inner().unwrap();
         assert_eq!(ran.len(), 101);
         assert_eq!(ran.iter().collect::<HashSet<_>>().len(), 101);
@@ -400,9 +304,11 @@ mod tests {
 
     #[test]
     fn zero_jobs_is_fine() {
-        let (out, panics): (Vec<Option<u8>>, _) =
-            run_indexed_partial(0, 4, |_| unreachable!("no jobs to run"));
-        assert!(out.is_empty() && panics.is_empty());
+        let pool = WorkerPool::new(4);
+        let out: Vec<u8> = pool.run_collect(0, |_| unreachable!("no jobs to run"));
+        assert!(out.is_empty());
+        let panics = pool.for_each(std::iter::empty::<u8>(), |_, _| unreachable!());
+        assert!(panics.is_empty());
     }
 
     #[test]
@@ -417,22 +323,84 @@ mod tests {
     #[test]
     fn single_worker_pool_runs_inline_in_order() {
         let pool = WorkerPool::new(1);
-        assert_eq!(pool.workers(), 1);
+        let caller = std::thread::current().id();
         let seen = Mutex::new(Vec::new());
-        pool.run(9, |i| seen.lock().unwrap().push(i));
+        let panics = pool.for_each(0..9, |i, _| {
+            assert_eq!(std::thread::current().id(), caller, "ran inline");
+            seen.lock().unwrap().push(i);
+        });
+        assert!(panics.is_empty());
         assert_eq!(seen.into_inner().unwrap(), (0..9).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn jobs_borrow_disjoint_mutable_items() {
+        // Two slices zipped, plus a slice cut into uneven disjoint runs: the
+        // shapes the sharded tick engine hands its phases.
+        let pool = WorkerPool::new(3);
+        let mut left = vec![0u32; 5];
+        let mut right = vec![0u32; 5];
+        let panics = pool.for_each(left.iter_mut().zip(&mut right), |i, (l, r)| {
+            *l = i as u32;
+            *r = 10 * i as u32;
+        });
+        assert!(panics.is_empty());
+        assert_eq!(
+            (left, right),
+            (vec![0, 1, 2, 3, 4], vec![0, 10, 20, 30, 40])
+        );
+
+        let mut flat = vec![0usize; 9];
+        let mut rest = flat.as_mut_slice();
+        let runs = [2usize, 4, 3].into_iter().map(move |len| {
+            let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            run
+        });
+        let panics = pool.for_each(runs, |i, run| run.fill(i + 1));
+        assert!(panics.is_empty());
+        assert_eq!(flat, vec![1, 1, 2, 2, 2, 2, 3, 3, 3]);
+    }
+
+    #[test]
+    fn callers_on_two_threads_take_turns() {
+        // Without the dispatch lock, a second caller republishes its batch
+        // while the first one's workers still run, and the first caller can
+        // return while a worker still reads its stack.  The barrier starts
+        // both callers' batches together every round.
+        let pool = WorkerPool::new(3);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for caller in 0..2u64 {
+                let (pool, start) = (&pool, &start);
+                s.spawn(move || {
+                    for round in 0..500u64 {
+                        let mut slots = vec![0u64; 7];
+                        start.wait();
+                        let panics = pool.for_each(&mut slots, |i, slot| {
+                            *slot = caller * 1_000_000 + round * 100 + i as u64;
+                        });
+                        assert!(panics.is_empty());
+                        let want: Vec<u64> = (0..7)
+                            .map(|i| caller * 1_000_000 + round * 100 + i)
+                            .collect();
+                        assert_eq!(slots, want, "caller {caller} round {round}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]
     fn a_panicking_job_loses_only_its_own_slot() {
         for workers in [1, 4] {
-            let (slots, panics) = run_indexed_partial(13, workers, |i| {
+            let mut slots = vec![None; 13];
+            let panics = WorkerPool::new(workers).for_each(&mut slots, |i, slot| {
                 if i == 5 || i == 9 {
                     panic!("boom at {i}");
                 }
-                i * 2
+                *slot = Some(i * 2);
             });
-            assert_eq!(slots.len(), 13);
             for (i, slot) in slots.iter().enumerate() {
                 if i == 5 || i == 9 {
                     assert_eq!(*slot, None, "panicked index {i} has no result");
@@ -460,11 +428,12 @@ mod tests {
     #[test]
     fn pool_survives_a_job_panic_and_stays_usable() {
         let pool = WorkerPool::new(3);
-        let (slots, panics) = pool.run_collect_partial(9, |i| {
+        let mut slots = vec![None; 9];
+        let panics = pool.for_each(&mut slots, |i, slot| {
             if i == 2 {
                 panic!("transient");
             }
-            i + 100
+            *slot = Some(i + 100);
         });
         assert_eq!(panics.len(), 1);
         assert_eq!(slots.iter().filter(|s| s.is_some()).count(), 8);
@@ -479,14 +448,14 @@ mod tests {
         let pool = WorkerPool::new(4);
         let ran = Mutex::new(HashSet::new());
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(21, |i| {
+            pool.run_collect(21, |i| {
                 ran.lock().unwrap().insert(i);
                 if i == 3 {
                     panic!("index 3 is poison");
                 }
             });
         }));
-        let message = panic_message(outcome.expect_err("run re-raises the job panic").as_ref());
+        let message = panic_message(outcome.expect_err("run_collect re-raises").as_ref());
         assert!(
             message.contains("index 3") && message.contains("poison"),
             "re-raise names the failing index and payload: {message}"
@@ -500,7 +469,7 @@ mod tests {
 
     #[test]
     fn panic_payloads_render_for_str_and_string() {
-        let (_, panics) = run_indexed_partial(2, 1, |i| {
+        let panics = WorkerPool::new(1).for_each(0..2, |i, _| {
             if i == 0 {
                 panic!("plain str");
             }
