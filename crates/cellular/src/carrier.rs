@@ -124,6 +124,21 @@ impl CarrierAggregationManager {
             .unwrap_or(false)
     }
 
+    /// True if [`CarrierAggregationManager::observe`] on a subframe that
+    /// allocates the UE nothing would change nothing: one active cell, no
+    /// activation streak under way, and either no secondary cell to
+    /// activate or an activation threshold that zero utilisation misses.
+    pub fn is_quiescent(&self, config: &CellularConfig, ue_config: &UeConfig) -> bool {
+        let max_cells = ue_config
+            .max_aggregated_cells
+            .min(ue_config.configured_cells.len());
+        self.states.get(&ue_config.id).is_some_and(|s| {
+            s.active == 1
+                && s.high_streak == 0
+                && (max_cells <= 1 || config.ca_activation_utilisation > 0.0)
+        })
+    }
+
     /// Update the CA state machine of one UE with this subframe's
     /// observation.  Returns an event if a cell was activated or deactivated.
     pub fn observe(
@@ -332,6 +347,40 @@ mod tests {
         assert_eq!(ca.active_cells(UeId(1)), 1);
         // ever_aggregated stays true after deactivation (Fig. 15 counts it).
         assert!(ca.ever_aggregated(UeId(1)));
+    }
+
+    #[test]
+    fn quiescent_means_an_unallocated_subframe_changes_nothing() {
+        let zero = CaObservation {
+            allocated_prbs: 0,
+            ..low_obs(100)
+        };
+        for (util, max_cells, quiescent) in [(0.85, 3, true), (0.0, 3, false), (0.0, 1, true)] {
+            let cfg = CellularConfig {
+                ca_activation_utilisation: util,
+                ..config()
+            };
+            let uc = ue_config(max_cells);
+            let mut ca = CarrierAggregationManager::new();
+            ca.register(UeId(1));
+            assert_eq!(ca.is_quiescent(&cfg, &uc), quiescent, "util {util}");
+            let before = format!("{:?}", ca.states[&UeId(1)]);
+            ca.observe(&cfg, &uc, zero, Instant::ZERO);
+            let after = format!("{:?}", ca.states[&UeId(1)]);
+            assert_eq!(before == after, quiescent, "util {util}");
+        }
+        // A streak under way is not quiescent, nor is an aggregated UE.
+        let (cfg, uc) = (config(), ue_config(3));
+        let mut ca = CarrierAggregationManager::new();
+        ca.register(UeId(1));
+        ca.observe(&cfg, &uc, high_obs(), Instant::ZERO);
+        assert!(!ca.is_quiescent(&cfg, &uc));
+        for sf in 1..200 {
+            ca.observe(&cfg, &uc, high_obs(), Instant::from_millis(sf));
+        }
+        assert_eq!(ca.active_cells(UeId(1)), 3);
+        ca.observe(&cfg, &uc, zero, Instant::from_millis(200));
+        assert!(!ca.is_quiescent(&cfg, &uc));
     }
 
     #[test]

@@ -338,6 +338,14 @@ impl Cell {
             .unwrap_or(0)
     }
 
+    /// True while the cell holds anything for the UE: queued packets or
+    /// transport blocks awaiting HARQ retransmission.
+    pub fn holds_data(&self, ue: UeId) -> bool {
+        self.slots.slot_of(ue).is_some_and(|slot| {
+            !self.queues[slot].is_empty() || self.harq[slot].pending_count() > 0
+        })
+    }
+
     /// Long-run PRB utilisation of the cell.
     pub fn utilisation(&self) -> f64 {
         if self.subframes_ticked == 0 {

@@ -10,7 +10,7 @@
 //! with a configurable coherence time, mapped to SINR, CQI and BER.
 
 use crate::mcs::Cqi;
-use pbe_stats::time::{Duration, Instant};
+use pbe_stats::time::{Duration, Instant, MICROS_PER_MS};
 use pbe_stats::DetRng;
 use serde::{Deserialize, Serialize};
 
@@ -237,25 +237,7 @@ impl ChannelModel {
     /// Sample the channel state for the subframe starting at `t`.
     pub fn sample(&mut self, t: Instant) -> ChannelState {
         if t >= self.fading_valid_until {
-            self.current_fading_db = if self.fading_depth_db > 0.0 {
-                // Rayleigh-like fades: mostly shallow, occasionally deep.
-                let u = self.rng.uniform();
-                let deep = self.rng.bernoulli(0.05);
-                let depth = if deep {
-                    self.fading_depth_db * 3.0
-                } else {
-                    self.fading_depth_db
-                };
-                -depth * u
-            } else {
-                0.0
-            };
-            self.current_shadowing_db = if self.shadowing_std_db > 0.0 {
-                self.rng.normal(0.0, self.shadowing_std_db)
-            } else {
-                0.0
-            };
-            self.fading_valid_until = t + self.coherence_time;
+            self.redraw(t);
         }
         let base_rssi = self.trace.rssi_at(t);
         let rssi = base_rssi + self.current_shadowing_db + self.current_fading_db;
@@ -275,10 +257,54 @@ impl ChannelModel {
         }
     }
 
+    /// Start a new coherence interval at `t`: draw its fade and shadowing.
+    /// Every redraw makes the same draws (a uniform and a Bernoulli when
+    /// fading is on, a normal when shadowing is on), whatever `t` is.
+    fn redraw(&mut self, t: Instant) {
+        self.current_fading_db = if self.fading_depth_db > 0.0 {
+            // Rayleigh-like fades: mostly shallow, occasionally deep.
+            let u = self.rng.uniform();
+            let deep = self.rng.bernoulli(0.05);
+            let depth = if deep {
+                self.fading_depth_db * 3.0
+            } else {
+                self.fading_depth_db
+            };
+            -depth * u
+        } else {
+            0.0
+        };
+        self.current_shadowing_db = if self.shadowing_std_db > 0.0 {
+            self.rng.normal(0.0, self.shadowing_std_db)
+        } else {
+            0.0
+        };
+        self.fading_valid_until = t + self.coherence_time;
+    }
+
+    /// Make the redraws that [`ChannelModel::sample`] would have made had it
+    /// been called on every subframe in `[from, to)`, leaving the model (and
+    /// its random stream) exactly where those calls would have.  Subframes
+    /// before the current coherence interval ends draw nothing, so a range
+    /// that overlaps subframes already sampled is harmless.  Costs one step
+    /// per coherence interval, not per subframe.
+    pub fn replay(&mut self, from: Instant, to: Instant) {
+        let mut t = next_subframe(from.max(self.fading_valid_until));
+        while t < to {
+            self.redraw(t);
+            t = next_subframe(self.fading_valid_until);
+        }
+    }
+
     /// The underlying mobility trace.
     pub fn trace(&self) -> &MobilityTrace {
         &self.trace
     }
+}
+
+/// The first subframe boundary at or after `t`.
+fn next_subframe(t: Instant) -> Instant {
+    Instant::from_millis(t.as_micros().div_ceil(MICROS_PER_MS))
 }
 
 /// Residual post-FEC bit error rate as a function of SINR.
@@ -415,6 +441,59 @@ mod tests {
             let p1 = tb_error_probability(bits, ber);
             let p2 = tb_error_probability(bits + extra, ber);
             prop_assert!(p2 >= p1);
+        }
+
+        /// Replaying the subframes a channel skipped is the same as having
+        /// sampled each of them: the state at `to` and the next 100 samples
+        /// (so the random stream position) are bit-identical, for fractional
+        /// coherence times, for deterministic and fade-free channels, and
+        /// for a replay range that reaches back over subframes already
+        /// sampled.
+        #[test]
+        fn replay_matches_sampling_every_subframe(
+            seed in 0u64..1_000_000,
+            from in 0u64..500,
+            len in 1u64..=500,
+            coherence_us in 1_000u64..=50_000,
+            kind in 0usize..3,
+            back in 0u64..100,
+        ) {
+            let to = (from + len).min(500).max(from + 1);
+            let model = || {
+                let ch = ChannelModel::new(
+                    MobilityTrace::from_secs(&[(0.0, -85.0), (0.6, -105.0)]),
+                    2,
+                    DetRng::new(seed),
+                )
+                .with_coherence_time(Duration::from_micros(coherence_us));
+                match kind {
+                    0 => ch,
+                    1 => ch.deterministic(),
+                    _ => ch.with_fading_depth(0.0),
+                }
+            };
+            let bits = |s: ChannelState| {
+                (
+                    s.rssi_dbm.to_bits(),
+                    s.sinr_db.to_bits(),
+                    s.cqi.0,
+                    s.spatial_streams,
+                    s.bit_error_rate.to_bits(),
+                )
+            };
+            let (mut skipped, mut sampled) = (model(), model());
+            for sf in 0..from {
+                let t = Instant::from_millis(sf);
+                prop_assert_eq!(bits(skipped.sample(t)), bits(sampled.sample(t)));
+            }
+            for sf in from..to {
+                sampled.sample(Instant::from_millis(sf));
+            }
+            skipped.replay(Instant::from_millis(from - back.min(from)), Instant::from_millis(to));
+            for sf in to..=to + 100 {
+                let t = Instant::from_millis(sf);
+                prop_assert_eq!(bits(skipped.sample(t)), bits(sampled.sample(t)), "subframe {}", sf);
+            }
         }
 
         #[test]

@@ -65,6 +65,21 @@
 //! state migrate to the target shard ([`HandoverManager::take_ue`],
 //! [`CarrierAggregationManager::take_ue`]).
 //!
+//! Idle UEs cost nothing on ordinary subframes.  Each shard keeps an
+//! `awake` lane parallel to its `ues`: adding a UE, enqueueing a packet for
+//! it, replacing one of its traces or handing it over wakes it, and phase 4
+//! puts it to sleep on a subframe that allocated it nothing once its active
+//! cell holds no queued packet and no pending HARQ process and its CA state
+//! is quiescent ([`CarrierAggregationManager::is_quiescent`]).  A sleeper's
+//! visit would change no byte: its staged channel state would go unread and
+//! its CA observation would leave the state as it is.  Phases 1 and 4 skip
+//! sleepers, except that measurement subframes still visit every multi-cell
+//! UE for A3.  The (UE, cell) streams stay sequential because a channel
+//! draws only when its coherence interval expires, always the same three
+//! draws: every subframe a sleeper skipped is replayed
+//! ([`ChannelModel::replay`] through [`UserEquipment::catch_up`]) before
+//! its channel is sampled again, handed over or leaves the active set.
+//!
 //! The tick path is allocation-conscious: drivers that advance millions of
 //! subframes call [`ShardedNetwork::tick_into`] with one reused
 //! [`NetworkTickReport`], which clears and refills its buffers in place.
@@ -83,7 +98,7 @@ use crate::slab::{SlotInsert, UeSlots};
 use crate::traffic::{BackgroundTraffic, CellLoadProfile};
 use crate::ue::{PacketEvent, UserEquipment};
 use pbe_stats::pool::WorkerPool;
-use pbe_stats::time::Instant;
+use pbe_stats::time::{Duration, Instant};
 use pbe_stats::{DetRng, FxHashMap};
 use std::collections::HashMap;
 
@@ -160,6 +175,9 @@ struct UeShard {
     slots: UeSlots,
     /// Lane: UE receive-side state.
     ues: Vec<UserEquipment>,
+    /// Lane: false while the UE sleeps — it holds no data on its active
+    /// cell and its CA state is quiescent, so ordinary subframes skip it.
+    awake: Vec<bool>,
     /// Shard-local A3 state machine holding exactly the resident UEs.
     handover: HandoverManager,
     /// Shard-local CA state machine holding exactly the resident UEs.
@@ -187,6 +205,7 @@ impl UeShard {
         UeShard {
             slots: UeSlots::new(),
             ues: Vec::new(),
+            awake: Vec::new(),
             handover: HandoverManager::new(config.handover),
             ca: CarrierAggregationManager::new(),
             rsrp_scratch: Vec::new(),
@@ -196,6 +215,30 @@ impl UeShard {
             pending: Vec::new(),
             events_buf: Vec::new(),
             ca_buf: Vec::new(),
+        }
+    }
+
+    /// Insert (or replace) a resident UE's lanes.
+    fn insert(&mut self, id: UeId, ue: UserEquipment, awake: bool) {
+        match self.slots.insert(id) {
+            SlotInsert::Inserted(slot) => {
+                self.ues.insert(slot, ue);
+                self.awake.insert(slot, awake);
+            }
+            SlotInsert::Present(slot) => {
+                self.ues[slot] = ue;
+                self.awake[slot] = awake;
+            }
+        }
+    }
+
+    /// Wake the UE in `slot`, first replaying its active channels up to
+    /// `to`, the first subframe phase 1 has not sampled yet.
+    fn wake(&mut self, slot: usize, to: Instant) {
+        if !self.awake[slot] {
+            let active = self.active_count(slot);
+            self.ues[slot].catch_up(active, to);
+            self.awake[slot] = true;
         }
     }
 
@@ -243,6 +286,9 @@ pub struct ShardedNetwork {
     pending: Vec<(UeId, CellId)>,
     /// Merge scratch: tagged packet events of the current subframe.
     event_merge: Vec<(DeliveryKey, PacketEvent)>,
+    /// The first subframe phase 1 has not sampled yet: where a UE woken
+    /// between phase 1 and the next tick's catches up to.
+    sampled_until: Instant,
 }
 
 impl ShardedNetwork {
@@ -305,6 +351,7 @@ impl ShardedNetwork {
             pool: (n_shards > 1).then(|| WorkerPool::new(n_shards)),
             pending: Vec::new(),
             event_merge: Vec::new(),
+            sampled_until: Instant::ZERO,
         }
     }
 
@@ -352,11 +399,6 @@ impl ShardedNetwork {
     fn ue(&self, id: UeId) -> Option<&UserEquipment> {
         let (home, slot) = self.locate(id)?;
         Some(&self.ue_shards[home].ues[slot])
-    }
-
-    fn ue_mut(&mut self, id: UeId) -> Option<&mut UserEquipment> {
-        let (home, slot) = self.locate(id)?;
-        Some(&mut self.ue_shards[home].ues[slot])
     }
 
     /// Take a cell out of service (or bring it back).  While down the cell
@@ -503,10 +545,7 @@ impl ShardedNetwork {
         let ue = UserEquipment::new(ue_config, rnti, channels);
         let us = &mut self.ue_shards[home];
         us.ca.register(id);
-        match us.slots.insert(id) {
-            SlotInsert::Inserted(slot) => us.ues.insert(slot, ue),
-            SlotInsert::Present(slot) => us.ues[slot] = ue,
-        }
+        us.insert(id, ue, true);
         rnti
     }
 
@@ -515,8 +554,11 @@ impl ShardedNetwork {
     /// independently, which is what makes a handover scenario expressible).
     /// No-op if the UE or cell is unknown.
     pub fn set_cell_trace(&mut self, ue: UeId, cell: CellId, trace: MobilityTrace) {
-        let Some(u) = self.ue(ue) else { return };
-        let Some(pos) = u.config().configured_cells.iter().position(|c| *c == cell) else {
+        let Some((home, slot)) = self.locate(ue) else {
+            return;
+        };
+        let configured = &self.ue_shards[home].ues[slot].config().configured_cells;
+        let Some(pos) = configured.iter().position(|c| *c == cell) else {
             return;
         };
         let model = ChannelModel::new(
@@ -524,9 +566,11 @@ impl ShardedNetwork {
             self.max_streams(cell),
             self.channel_rng(ue, pos as u64),
         );
-        if let Some(u) = self.ue_mut(ue) {
-            u.set_channel(cell, model);
-        }
+        // The new model is sampled from the next tick on, as an awake UE's
+        // is: a sleeper must not replay it over subframes before it existed.
+        let us = &mut self.ue_shards[home];
+        us.wake(slot, self.sampled_until);
+        us.ues[slot].set_channel(cell, model);
     }
 
     /// The RNTI of a registered UE.
@@ -584,6 +628,7 @@ impl ShardedNetwork {
             }
         }
         let Some((target, _)) = target else { return };
+        self.ue_shards[home].wake(slot, self.sampled_until);
         self.packet_bytes.insert(packet_id, bytes);
         if let Some(cell) = self.cell_mut(target) {
             cell.enqueue(
@@ -618,6 +663,17 @@ impl ShardedNetwork {
 
         let measure =
             self.config.handover.enabled && self.ue_shards[0].handover.is_measurement_subframe(now);
+        // Sleepers replay every 1 ms subframe they missed.  A tick that
+        // skips subframes samples none of them, so it wakes every sleeper at
+        // the old frontier first.
+        if now > self.sampled_until {
+            for us in &mut self.ue_shards {
+                for slot in 0..us.ues.len() {
+                    us.wake(slot, self.sampled_until);
+                }
+            }
+        }
+        self.sampled_until = now + Duration::MILLISECOND;
 
         // --- Phase 1 (parallel): channel sampling, staging, A3. ------------
         // Worker i borrows (cell_shards[i], ue_shards[i]); states for foreign
@@ -720,6 +776,9 @@ impl ShardedNetwork {
         deliveries: &mut Vec<Delivery>,
     ) -> HandoverEvent {
         let (home, slot) = self.locate(ue_id).expect("ue exists");
+        // The old active cells leave the active set: replay what a sleeper
+        // skipped before they do.
+        self.ue_shards[home].wake(slot, self.sampled_until);
         let (rnti, from, active): (Rnti, CellId, Vec<CellId>) = {
             let us = &self.ue_shards[home];
             let cfg = us.ues[slot].config();
@@ -802,20 +861,18 @@ impl ShardedNetwork {
     /// Move a resident UE's slab lane and handover/CA states from shard
     /// `from` to shard `to`.
     fn migrate_ue(&mut self, ue_id: UeId, from: usize, to: usize) {
-        let (ue, ho_state, ca_state) = {
+        let (ue, awake, ho_state, ca_state) = {
             let us = &mut self.ue_shards[from];
             let slot = us.slots.remove(ue_id).expect("resident in old shard");
             (
                 us.ues.remove(slot),
+                us.awake.remove(slot),
                 us.handover.take_ue(ue_id),
                 us.ca.take_ue(ue_id),
             )
         };
         let us = &mut self.ue_shards[to];
-        match us.slots.insert(ue_id) {
-            SlotInsert::Inserted(slot) => us.ues.insert(slot, ue),
-            SlotInsert::Present(slot) => us.ues[slot] = ue,
-        }
+        us.insert(ue_id, ue, awake);
         if let Some(state) = ho_state {
             us.handover.restore_ue(ue_id, state);
         }
@@ -836,14 +893,15 @@ fn queued_bits(cell_shards: &[Vec<Cell>], table: &[CellEntry], ue: &UeConfig) ->
         .sum()
 }
 
-/// Phase 1 for shard `me`: per resident UE in UeId order, sample every
-/// *active* cell (the data path needs its state) and, on measurement
-/// subframes, every configured cell (the A3 ranking needs neighbours too).
-/// Each (UE, cell) channel owns an independent random stream, so the extra
-/// measurement samples leave every other draw untouched.  Active-cell states
-/// are staged straight into the owning cell's channel lane (own cells
-/// directly, foreign cells via the outbox); the A3 event is evaluated on the
-/// shard-local manager.
+/// Phase 1 for shard `me`: per awake resident UE in UeId order, sample
+/// every *active* cell (the data path needs its state) and, on measurement
+/// subframes, every configured cell of every multi-cell resident, asleep or
+/// not (the A3 ranking needs neighbours too); a sleeper first replays the
+/// subframes its active cell skipped.  Each (UE, cell) channel owns an
+/// independent random stream, so the extra measurement samples leave every
+/// other draw untouched.  Active-cell states are staged straight into the
+/// owning cell's channel lane (own cells directly, foreign cells via the
+/// outbox); the A3 event is evaluated on the shard-local manager.
 fn shard_phase1(
     me: usize,
     cells: &mut [Cell],
@@ -854,10 +912,22 @@ fn shard_phase1(
 ) {
     us.pending.clear();
     for slot in 0..us.ues.len() {
-        let ue_id = us.slots.ids()[slot];
+        // Sleepers are skipped from the lane alone, without touching the UE,
+        // unless A3 measures them this subframe.
+        let asleep = !us.awake[slot];
+        if asleep && !measure {
+            continue;
+        }
         let n_cells = us.ues[slot].config().configured_cells.len();
-        let n_active = us.active_count(slot);
         let measure_ue = measure && n_cells > 1;
+        if asleep && !measure_ue {
+            continue;
+        }
+        let ue_id = us.slots.ids()[slot];
+        let n_active = us.active_count(slot);
+        if asleep {
+            us.ues[slot].catch_up(n_active, now);
+        }
         us.rsrp_scratch.clear();
         for i in 0..n_cells {
             let cell_id = us.ues[slot].config().configured_cells[i];
@@ -900,8 +970,10 @@ fn shard_phase1(
 
 /// Phase 4 for one shard: scan every cell report in global order, hand
 /// resident UEs their HARQ outcomes (the resulting packet events tagged with
-/// their order key), accumulate allocations, and drive the CA state machine
-/// from this subframe's allocations.
+/// their order key) and accumulate allocations — all of which land on awake
+/// UEs — then, per awake UE, drive the CA state machine from this
+/// subframe's allocations and put the UE to sleep if the next ticks would
+/// change nothing for it.
 fn shard_post(
     us: &mut UeShard,
     config: &CellularConfig,
@@ -915,6 +987,7 @@ fn shard_post(
     for (ci, r) in cell_reports.iter().enumerate() {
         for alloc in &r.prb_usage.allocations {
             if let Some(slot) = us.slots.slot_of(alloc.ue) {
+                debug_assert!(us.awake[slot], "PRBs allocated to sleeping {}", alloc.ue);
                 us.alloc_scratch[slot] += u32::from(alloc.num_prbs);
             }
         }
@@ -922,6 +995,7 @@ fn shard_post(
             let Some(slot) = us.slots.slot_of(*owner) else {
                 continue;
             };
+            debug_assert!(us.awake[slot], "HARQ outcome for sleeping {owner}");
             us.event_scratch.clear();
             us.ues[slot].process_outcome(r.cell, outcome, now, &mut us.event_scratch);
             for (k, e) in us.event_scratch.iter().enumerate() {
@@ -930,6 +1004,9 @@ fn shard_post(
         }
     }
     for slot in 0..us.ues.len() {
+        if !us.awake[slot] {
+            continue;
+        }
         let ue = us.ues[slot].config();
         let active = &ue.configured_cells[..us.active_count(slot)];
         let obs = CaObservation {
@@ -942,6 +1019,19 @@ fn shard_post(
         };
         if let Some(event) = us.ca.observe(config, ue, obs, now) {
             us.ca_buf.push(event);
+        }
+        // Sleep once nothing is left to schedule and an unallocated
+        // subframe would leave the CA state as it is: until data or a
+        // handover wakes it, the UE's ticks would change nothing.
+        let asleep = obs.allocated_prbs == 0
+            && us.ca.is_quiescent(config, ue)
+            && !active
+                .iter()
+                .filter_map(|c| cell_at(cell_shards, table, *c))
+                .any(|cell| cell.holds_data(ue.id));
+        if asleep {
+            us.awake[slot] = false;
+            us.ues[slot].fall_asleep(now);
         }
     }
 }
@@ -1233,6 +1323,239 @@ mod tests {
                 prop_assert_eq!(ue_view(&one, ue), ue_view(&many, ue));
             }
         }
+    }
+
+    /// A 6-cell row whose UEs go idle and wake up in every way the radio
+    /// engine distinguishes, under `ca_activation_utilisation = util`:
+    /// (a) UEs idle for hundreds of milliseconds across many measurement
+    /// subframes, then bursting; (b) a cell-edge UE whose last transport
+    /// blocks fail and wait for retransmission after its queue drained;
+    /// (c) a CA UE that drains while its secondary carrier is in deactivation
+    /// hold-down; (d) an idle and a busy UE whose serving cell goes down and
+    /// re-selects through RLF; (e) a UE whose first packets arrive on
+    /// measurement subframes; plus a UE whose trace is replaced while idle
+    /// and one that hands over by A3 while idle.
+    fn sleepy_city(util: f64, seed: u64, shards: usize) -> ShardedNetwork {
+        let config = CellularConfig {
+            ca_activation_utilisation: util,
+            ..city_config()
+        };
+        let mut net = ShardedNetwork::new(config, CellLoadProfile::none(), seed, shards);
+        let ues: [(u32, Vec<u16>, usize, f64); 10] = [
+            (20, vec![1, 2], 2, -86.0),
+            (21, vec![5], 1, -90.0),
+            (22, vec![3], 1, -112.0),
+            (23, vec![4, 5], 2, -83.0),
+            (24, vec![0, 1], 1, -88.0),
+            (25, vec![0, 2], 1, -87.0),
+            (26, vec![2, 3], 2, -85.0),
+            (27, vec![1], 1, -95.0),
+            (28, vec![3, 4], 1, -86.0),
+            (29, vec![5, 4], 2, -84.0),
+        ];
+        for (id, cells, max_cells, rssi) in ues {
+            let cells = cells.into_iter().map(CellId).collect();
+            net.add_ue(
+                UeConfig::new(UeId(id), cells, max_cells, rssi),
+                MobilityTrace::stationary(rssi),
+            );
+        }
+        // UE 28 walks from cell 3 into cell 4 with no traffic at all.
+        net.set_cell_trace(
+            UeId(28),
+            CellId(3),
+            MobilityTrace::from_secs(&[(0.0, -84.0), (1.2, -108.0)]),
+        );
+        net.set_cell_trace(
+            UeId(28),
+            CellId(4),
+            MobilityTrace::from_secs(&[(0.0, -108.0), (1.2, -84.0)]),
+        );
+        net
+    }
+
+    const SLEEPY_UES: [u32; 10] = [20, 21, 22, 23, 24, 25, 26, 27, 28, 29];
+
+    /// The downlink packets of subframe `sf` in [`sleepy_city`].
+    fn drive_sleepy(net: &mut ShardedNetwork, sf: u64) {
+        let now = Instant::from_millis(sf);
+        let mut send = |ue: u32, n: u64| {
+            for i in 0..n {
+                net.enqueue_packet(UeId(ue), sf * 1_000 + u64::from(ue) * 30 + i, 1500, now);
+            }
+        };
+        // (a) idle for 600 ms, a 100 ms burst, idle again, a trickle.
+        if (600..700).contains(&sf) {
+            send(20, 4);
+        }
+        if (1300..1350).contains(&sf) {
+            send(20, 1);
+        }
+        if ((250..260).contains(&sf) || (1500..1510).contains(&sf)) && sf.is_multiple_of(3) {
+            send(21, 1);
+        }
+        // (b) short bursts on a cell-edge channel: failed blocks outlive
+        // the queue.
+        if (100..1800).contains(&sf) && sf.is_multiple_of(50) {
+            send(22, 5);
+        }
+        // (c) enough load to aggregate cell 5, then silence.
+        if (200..500).contains(&sf) {
+            send(23, 15);
+        }
+        // (d) UE 25 keeps its serving cell busy through the outage.
+        if sf.is_multiple_of(5) && sf < 1600 {
+            send(25, 1);
+        }
+        if (1200..1250).contains(&sf) {
+            send(24, 2);
+        }
+        // (e) first packets on measurement subframes (period 40 ms).
+        if [400, 440, 480].contains(&sf) {
+            send(26, 5);
+        }
+        if (1000..1100).contains(&sf) && sf.is_multiple_of(7) {
+            send(26, 2);
+        }
+        if (900..1400).contains(&sf) && sf.is_multiple_of(2) {
+            send(29, 3);
+        }
+        if (1500..1520).contains(&sf) && sf.is_multiple_of(4) {
+            send(27, 1);
+        }
+    }
+
+    /// FNV-128 of [`sleepy_city`]'s stream ([`run_sleepy`], then every UE's
+    /// final [`ue_view`]) by `ca_activation_utilisation`, captured from the
+    /// engine that sampled every UE's channels on every subframe.
+    const SLEEP_WAKE_DIGESTS: [(f64, &str); 2] = [
+        (0.85, "5b8cb8136763960f971b61f8643c4e30"),
+        (0.0, "e1276ab7158b0ad5c0fb3a4eefc5807d"),
+    ];
+
+    /// Drive [`sleepy_city`] for 2,000 subframes, calling `look(net, sf,
+    /// report)` ahead of each subframe with the previous subframe's report.
+    /// Cell 0 is down over [800, 1100) with RLF declared at 870 (between
+    /// measurement subframes, after a coherence boundary), UE 27's trace is replaced at 1000, and
+    /// subframes 1600..1650 are never ticked.  Returns the report JSON, the
+    /// RLF outcome and, every 100 subframes, every UE's filtered RSRP
+    /// towards each configured cell (which moves if any channel draw does).
+    fn run_sleepy(
+        net: &mut ShardedNetwork,
+        mut look: impl FnMut(&ShardedNetwork, u64, &NetworkTickReport),
+    ) -> String {
+        let mut report = NetworkTickReport::default();
+        let mut stream = String::new();
+        for sf in (0..1600u64).chain(1650..2000) {
+            let now = Instant::from_millis(sf);
+            look(net, sf, &report);
+            if sf == 800 {
+                net.set_cell_outage(CellId(0), true);
+            }
+            if sf == 1000 {
+                net.set_cell_trace(
+                    UeId(27),
+                    CellId(1),
+                    MobilityTrace::from_secs(&[(1.0, -95.0), (2.0, -100.0)]),
+                );
+            }
+            if sf == 1100 {
+                net.set_cell_outage(CellId(0), false);
+            }
+            drive_sleepy(net, sf);
+            net.tick_into(now, &mut report);
+            if sf == 870 {
+                let outcome = net.declare_rlf(CellId(0), now, &mut report.deliveries);
+                stream.push_str(&format!("{outcome:?}"));
+            }
+            stream.push_str(&serde_json::to_string(&report).unwrap());
+            if sf.is_multiple_of(100) {
+                for ue in SLEEPY_UES {
+                    for c in 0..6 {
+                        let rsrp = net.filtered_rsrp(UeId(ue), CellId(c));
+                        stream.push_str(&format!("{rsrp:?}"));
+                    }
+                }
+            }
+        }
+        stream
+    }
+
+    /// Idle UEs change no byte: the sleep/wake scenarios reproduce the
+    /// stream of the engine that visited every UE every subframe, at every
+    /// shard count.
+    #[test]
+    fn sleep_and_wake_reproduce_the_eager_engine() {
+        for (util, digest) in SLEEP_WAKE_DIGESTS {
+            for shards in [1usize, 2, 3, 7] {
+                let mut net = sleepy_city(util, 9, shards);
+                let mut stream = run_sleepy(&mut net, |_, _, _| {});
+                for ue in SLEEPY_UES {
+                    stream.push_str(&ue_view(&net, UeId(ue)));
+                }
+                assert_eq!(
+                    pbe_stats::fnv1a_128_hex(stream.as_bytes()),
+                    digest,
+                    "util {util}, {shards} shards"
+                );
+            }
+        }
+    }
+
+    fn is_awake(net: &ShardedNetwork, ue: u32) -> bool {
+        let (home, slot) = net.locate(UeId(ue)).expect("registered");
+        net.ue_shards[home].awake[slot]
+    }
+
+    /// The pinned scenarios are not vacuous: each case sleeps, or stays
+    /// awake, where the sleep rule says it must.
+    #[test]
+    fn sleepy_city_exercises_every_sleep_and_wake_case() {
+        let mut net = sleepy_city(0.85, 9, 3);
+        let (mut harq_wait, mut holddown_wait, mut a3_asleep) = (false, false, false);
+        let mut before_28 = true;
+        run_sleepy(&mut net, |net, sf, report| {
+            // (a), (d), (e): idle UEs sleep through measurement subframes
+            // until their data, outage or first packet arrives.
+            if [599, 800, 870].contains(&sf) {
+                assert!(!is_awake(net, 20) && !is_awake(net, 24), "subframe {sf}");
+            }
+            if sf == 400 {
+                assert!(!is_awake(net, 26));
+            }
+            // (b) awake on HARQ alone; (c) awake on the CA hold-down alone.
+            let cell3 = net.cell(CellId(3)).expect("cell 3");
+            harq_wait |=
+                is_awake(net, 22) && net.queue_bits(UeId(22)) == 0 && cell3.holds_data(UeId(22));
+            holddown_wait |= is_awake(net, 23)
+                && net.queue_bits(UeId(23)) == 0
+                && net.active_cells(UeId(23)).len() == 2;
+            if report.handovers.iter().any(|h| h.ue == UeId(28)) {
+                a3_asleep = !before_28;
+            }
+            before_28 = is_awake(net, 28);
+            if [999, 1001, 1499].contains(&sf) {
+                assert!(!is_awake(net, 27), "subframe {sf}");
+            }
+        });
+        assert!(harq_wait && holddown_wait && a3_asleep);
+        assert_eq!(
+            net.serving_cell(UeId(24)),
+            Some(CellId(1)),
+            "RLF re-selected"
+        );
+        // (f) with every multi-cell UE activating on zero utilisation, those
+        // UEs never sleep, while single-cell UEs still do.
+        let mut net = sleepy_city(0.0, 9, 1);
+        run_sleepy(&mut net, |net, sf, _| {
+            assert!(
+                sf == 0 || (is_awake(net, 20) && is_awake(net, 26)),
+                "subframe {sf}"
+            );
+            if [999, 1499].contains(&sf) {
+                assert!(!is_awake(net, 27), "subframe {sf}");
+            }
+        });
     }
 
     #[test]

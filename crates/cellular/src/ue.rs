@@ -10,7 +10,7 @@ use crate::channel::{ChannelModel, ChannelState};
 use crate::config::{CellId, Rnti, UeConfig, UeId};
 use crate::harq::HarqOutcome;
 use crate::reorder::ReorderBuffer;
-use pbe_stats::time::Instant;
+use pbe_stats::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -39,6 +39,9 @@ pub struct UserEquipment {
     reorder: HashMap<CellId, ReorderBuffer>,
     /// Packets that lost at least one segment (marked lost once).
     lost_packets: HashMap<u64, bool>,
+    /// While the tick engine lets the UE sleep: the first subframe its
+    /// channels were not sampled for (see [`UserEquipment::catch_up`]).
+    idle_since: Instant,
     /// Cumulative statistics.
     pub packets_delivered: u64,
     /// Cumulative lost packets.
@@ -59,6 +62,7 @@ impl UserEquipment {
             channels,
             reorder,
             lost_packets: HashMap::new(),
+            idle_since: Instant::ZERO,
             packets_delivered: 0,
             packets_lost: 0,
         }
@@ -82,6 +86,24 @@ impl UserEquipment {
     /// Sample the channel towards one cell for the subframe at `t`.
     pub fn sample_channel(&mut self, cell: CellId, t: Instant) -> Option<ChannelState> {
         self.channels.get_mut(&cell).map(|ch| ch.sample(t))
+    }
+
+    /// Stop sampling: the channels were last sampled for the subframe at
+    /// `now`, and are next brought current by [`UserEquipment::catch_up`].
+    pub fn fall_asleep(&mut self, now: Instant) {
+        self.idle_since = now + Duration::MILLISECOND;
+    }
+
+    /// Replay on the channels of the first `active` configured cells every
+    /// redraw that sampling them on each subframe from the first one the UE
+    /// slept through up to (not including) `to` would have made
+    /// ([`ChannelModel::replay`]).
+    pub fn catch_up(&mut self, active: usize, to: Instant) {
+        for cell in &self.config.configured_cells[..active] {
+            if let Some(ch) = self.channels.get_mut(cell) {
+                ch.replay(self.idle_since, to);
+            }
+        }
     }
 
     /// Replace the channel model of one cell (e.g. to switch mobility traces).
