@@ -286,11 +286,6 @@ impl Cell {
         forwarded
     }
 
-    /// True if the UE is attached to this cell.
-    pub fn is_attached(&self, ue: UeId) -> bool {
-        self.slots.contains(ue)
-    }
-
     /// Enqueue a downlink packet for an attached UE.
     pub fn enqueue(&mut self, ue: UeId, packet: QueuedPacket) {
         let Some(slot) = self.slots.slot_of(ue) else {
@@ -310,14 +305,6 @@ impl Cell {
     pub fn set_channel(&mut self, ue: UeId, state: ChannelState) {
         if let Some(slot) = self.slots.slot_of(ue) {
             self.channel[slot] = Some(state);
-        }
-    }
-
-    /// Clear a previously staged channel state (e.g. when a handover removes
-    /// the UE from this carrier mid-subframe).
-    pub fn clear_channel(&mut self, ue: UeId) {
-        if let Some(slot) = self.slots.slot_of(ue) {
-            self.channel[slot] = None;
         }
     }
 

@@ -13,14 +13,14 @@
 //! blocks onto the target, flushing the UE-side reordering buffer, resetting
 //! carrier aggregation — lives in
 //! [`ShardedNetwork::tick_into`](crate::shard::ShardedNetwork::tick_into), which
-//! consults [`HandoverManager::observe`] each measurement period and reports
-//! every executed switch as a [`HandoverEvent`].
+//! hands each measurement round to the UE's record
+//! ([`UserEquipment::observe_a3`](crate::ue::UserEquipment::observe_a3)) and
+//! reports every executed switch as a [`HandoverEvent`].
 
-use crate::channel::{rank_cells_by_rsrp, L3Filter};
+use crate::channel::rank_cells_by_rsrp;
 use crate::config::{CellId, HandoverConfig, UeId};
 use pbe_stats::time::Instant;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A completed change of a UE's serving cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -35,152 +35,77 @@ pub struct HandoverEvent {
     pub at: Instant,
 }
 
-/// Opaque per-UE measurement state: the L3 filters, the A3 candidate timer
-/// and the ping-pong guard.  Normally internal to a [`HandoverManager`];
-/// exposed as a movable value so the tick engine can migrate a UE's
-/// state between shard-local managers when a handover crosses a shard
-/// border ([`HandoverManager::take_ue`] / [`HandoverManager::restore_ue`]).
-#[derive(Debug, Default)]
-pub struct UeHandoverState {
-    /// One L3 filter per measured cell.
-    filters: HashMap<CellId, L3Filter>,
+/// One UE's A3 timer and ping-pong guard (its L3 filters live in the
+/// per-cell rows of its [`UserEquipment`](crate::ue::UserEquipment)).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct A3State {
     /// The neighbour currently satisfying the A3 condition, if any.
-    a3_candidate: Option<CellId>,
+    pub a3_candidate: Option<CellId>,
     /// When `a3_candidate` first satisfied the condition.
-    a3_since: Instant,
+    pub a3_since: Instant,
     /// Time of the UE's last executed handover (ping-pong guard).
-    last_handover: Option<Instant>,
+    pub last_handover: Option<Instant>,
 }
 
-/// Per-UE A3 reselection state machine for the whole network.
-#[derive(Debug)]
-pub struct HandoverManager {
-    config: HandoverConfig,
-    states: HashMap<UeId, UeHandoverState>,
-    /// Scratch buffer for the per-observation cell ranking.
-    ranking: Vec<(CellId, f64)>,
+/// True if `now` lands on a neighbour-measurement subframe.
+pub fn is_measurement_subframe(config: &HandoverConfig, now: Instant) -> bool {
+    now.as_millis()
+        .is_multiple_of(config.measurement_period_ms.max(1))
 }
 
-impl HandoverManager {
-    /// A manager with the given trigger parameters and no UEs registered.
-    pub fn new(config: HandoverConfig) -> Self {
-        HandoverManager {
-            config,
-            states: HashMap::new(),
-            ranking: Vec::new(),
-        }
+/// Evaluate the A3 event on one measurement round.  `filtered` carries the
+/// L3-filtered RSRP of every configured cell (serving included) in
+/// configured order, and is ranked in place; the returned cell, if any, is
+/// the target the network should hand the UE over to.
+pub fn observe(
+    config: &HandoverConfig,
+    state: &mut A3State,
+    serving: CellId,
+    filtered: &mut [(CellId, f64)],
+    now: Instant,
+) -> Option<CellId> {
+    if !config.enabled {
+        return None;
     }
+    rank_cells_by_rsrp(filtered);
+    let serving_rsrp = filtered
+        .iter()
+        .find(|(c, _)| *c == serving)
+        .map(|(_, r)| *r)?;
+    let (best, best_rsrp) = *filtered.iter().find(|(c, _)| *c != serving)?;
 
-    /// The trigger parameters.
-    pub fn config(&self) -> &HandoverConfig {
-        &self.config
-    }
-
-    /// True if `now` lands on a neighbour-measurement subframe.
-    pub fn is_measurement_subframe(&self, now: Instant) -> bool {
-        let period = self.config.measurement_period_ms.max(1);
-        now.as_millis().is_multiple_of(period)
-    }
-
-    /// Fold one measurement round into the UE's filters and evaluate the A3
-    /// event.  `samples` carries the raw per-cell RSRP of every configured
-    /// cell (serving included) sampled this round; the returned cell, if
-    /// any, is the target the network should hand the UE over to.
-    pub fn observe(
-        &mut self,
-        ue: UeId,
-        serving: CellId,
-        samples: &[(CellId, f64)],
-        now: Instant,
-    ) -> Option<CellId> {
-        if !self.config.enabled {
-            return None;
-        }
-        let tau_ms = self.config.l3_filter_ms;
-        let state = self.states.entry(ue).or_default();
-
-        // L3-filter every measured cell and rank by filtered RSRP.
-        self.ranking.clear();
-        for (cell, rsrp) in samples {
-            let filter = state
-                .filters
-                .entry(*cell)
-                .or_insert_with(|| L3Filter::new(tau_ms));
-            self.ranking.push((*cell, filter.update(now, *rsrp)));
-        }
-        rank_cells_by_rsrp(&mut self.ranking);
-
-        let serving_rsrp = self
-            .ranking
-            .iter()
-            .find(|(c, _)| *c == serving)
-            .map(|(_, r)| *r)?;
-        let (best, best_rsrp) = *self.ranking.iter().find(|(c, _)| *c != serving)?;
-
-        // The A3 entry condition, with hysteresis.
-        if best_rsrp <= serving_rsrp + self.config.a3_hysteresis_db {
-            state.a3_candidate = None;
-            return None;
-        }
-        // A different neighbour taking the lead restarts the timer.
-        if state.a3_candidate != Some(best) {
-            state.a3_candidate = Some(best);
-            state.a3_since = now;
-        }
-        // Time-to-trigger: the condition must have held for the full window.
-        if now.saturating_since(state.a3_since).as_millis() < self.config.time_to_trigger_ms {
-            return None;
-        }
-        // Ping-pong guard.
-        if let Some(last) = state.last_handover {
-            if now.saturating_since(last).as_millis() < self.config.min_interval_ms {
-                return None;
-            }
-        }
-        Some(best)
-    }
-
-    /// Record that a handover of `ue` was executed at `now` (resets the A3
-    /// timer and arms the minimum-interval guard).
-    pub fn note_handover(&mut self, ue: UeId, now: Instant) {
-        let state = self.states.entry(ue).or_default();
+    // The A3 entry condition, with hysteresis.
+    if best_rsrp <= serving_rsrp + config.a3_hysteresis_db {
         state.a3_candidate = None;
-        state.last_handover = Some(now);
+        return None;
     }
-
-    /// Remove and return a UE's measurement state.  Shard migration
-    /// support: when a handover moves a UE to a cell owned by another
-    /// shard, its L3 filter history and ping-pong guard must follow it to
-    /// that shard's manager, or the next A3 evaluation would start from
-    /// scratch and the result would depend on the shard count.
-    pub fn take_ue(&mut self, ue: UeId) -> Option<UeHandoverState> {
-        self.states.remove(&ue)
+    // A different neighbour taking the lead restarts the timer.
+    if state.a3_candidate != Some(best) {
+        state.a3_candidate = Some(best);
+        state.a3_since = now;
     }
-
-    /// Re-insert a state previously removed with [`HandoverManager::take_ue`].
-    pub fn restore_ue(&mut self, ue: UeId, state: UeHandoverState) {
-        self.states.insert(ue, state);
+    // Time-to-trigger: the condition must have held for the full window.
+    if now.saturating_since(state.a3_since).as_millis() < config.time_to_trigger_ms {
+        return None;
     }
-
-    /// The current filtered RSRP of one (UE, cell) pair, if measured.
-    pub fn filtered_rsrp(&self, ue: UeId, cell: CellId) -> Option<f64> {
-        self.states
-            .get(&ue)
-            .and_then(|s| s.filters.get(&cell))
-            .and_then(|f| f.get())
+    // Ping-pong guard.
+    if let Some(last) = state.last_handover {
+        if now.saturating_since(last).as_millis() < config.min_interval_ms {
+            return None;
+        }
     }
+    Some(best)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const UE: UeId = UeId(1);
     const A: CellId = CellId(0);
     const B: CellId = CellId(1);
 
-    fn manager() -> HandoverManager {
-        HandoverManager::new(HandoverConfig {
+    fn config() -> HandoverConfig {
+        HandoverConfig {
             enabled: true,
             a3_hysteresis_db: 3.0,
             time_to_trigger_ms: 160,
@@ -190,16 +115,24 @@ mod tests {
             measurement_period_ms: 40,
             min_interval_ms: 1000,
             reacquisition_gap_ms: 40,
-        })
+        }
     }
 
-    fn run(m: &mut HandoverManager, serving: CellId, a: f64, b: f64, t_ms: u64) -> Option<CellId> {
-        m.observe(UE, serving, &[(A, a), (B, b)], Instant::from_millis(t_ms))
+    /// A UE's A3 state under `config`.
+    struct Ue(HandoverConfig, A3State);
+
+    fn ue() -> Ue {
+        Ue(config(), A3State::default())
+    }
+
+    fn run(m: &mut Ue, serving: CellId, a: f64, b: f64, t_ms: u64) -> Option<CellId> {
+        let now = Instant::from_millis(t_ms);
+        observe(&m.0, &mut m.1, serving, &mut [(A, a), (B, b)], now)
     }
 
     #[test]
     fn a3_honours_hysteresis() {
-        let mut m = manager();
+        let mut m = ue();
         // The neighbour is stronger, but within the 3 dB hysteresis: never
         // triggers no matter how long it holds.
         for t in (0..4000).step_by(40) {
@@ -211,7 +144,7 @@ mod tests {
 
     #[test]
     fn a3_honours_time_to_trigger() {
-        let mut m = manager();
+        let mut m = ue();
         // Condition satisfied from t=0; must hold 160 ms before firing.
         assert_eq!(run(&mut m, A, -90.0, -85.0, 0), None);
         assert_eq!(run(&mut m, A, -90.0, -85.0, 40), None);
@@ -222,7 +155,7 @@ mod tests {
 
     #[test]
     fn a3_timer_resets_when_condition_lapses() {
-        let mut m = manager();
+        let mut m = ue();
         assert_eq!(run(&mut m, A, -90.0, -85.0, 0), None);
         assert_eq!(run(&mut m, A, -90.0, -85.0, 80), None);
         // The neighbour dips back inside the hysteresis: timer restarts.
@@ -234,10 +167,14 @@ mod tests {
 
     #[test]
     fn min_interval_suppresses_ping_pong() {
-        let mut m = manager();
+        let mut m = ue();
         assert_eq!(run(&mut m, A, -90.0, -85.0, 0), None);
         assert_eq!(run(&mut m, A, -90.0, -85.0, 160), Some(B));
-        m.note_handover(UE, Instant::from_millis(160));
+        m.1 = A3State {
+            a3_candidate: None,
+            a3_since: m.1.a3_since,
+            last_handover: Some(Instant::from_millis(160)),
+        };
         // B is now serving and A immediately looks stronger again — the
         // guard holds the UE on B for a second.
         for t in (200..1160).step_by(40) {
@@ -248,10 +185,13 @@ mod tests {
 
     #[test]
     fn disabled_manager_never_triggers() {
-        let mut m = HandoverManager::new(HandoverConfig {
-            enabled: false,
-            ..HandoverConfig::default()
-        });
+        let mut m = Ue(
+            HandoverConfig {
+                enabled: false,
+                ..HandoverConfig::default()
+            },
+            A3State::default(),
+        );
         for t in (0..4000).step_by(40) {
             assert_eq!(run(&mut m, A, -100.0, -60.0, t), None);
         }
@@ -259,9 +199,9 @@ mod tests {
 
     #[test]
     fn measurement_subframes_follow_the_period() {
-        let m = manager();
-        assert!(m.is_measurement_subframe(Instant::from_millis(0)));
-        assert!(!m.is_measurement_subframe(Instant::from_millis(39)));
-        assert!(m.is_measurement_subframe(Instant::from_millis(40)));
+        let c = config();
+        assert!(is_measurement_subframe(&c, Instant::from_millis(0)));
+        assert!(!is_measurement_subframe(&c, Instant::from_millis(39)));
+        assert!(is_measurement_subframe(&c, Instant::from_millis(40)));
     }
 }

@@ -48,7 +48,6 @@ pub mod slab;
 pub mod traffic;
 pub mod ue;
 
-pub use carrier::CarrierAggregationManager;
 pub use cell::{Cell, SubframeReport};
 pub use channel::{ChannelModel, ChannelState, MobilityTrace};
 pub use config::{CellConfig, CellId, CellularConfig, Rnti, UeConfig, UeId};

@@ -12,11 +12,11 @@
 //!
 //! The cell grid is partitioned into geo-contiguous shards (contiguous runs
 //! of the configured cell order, which the `CityScale` generator emits
-//! row-major).  Each shard owns its cells and the SoA lanes of its
-//! *resident* UEs — a UE resides in the shard of its serving (primary)
-//! cell — plus shard-local [`HandoverManager`] and
-//! [`CarrierAggregationManager`] instances holding exactly the resident
-//! UEs' states.  One shard is the whole network: it spawns no threads, runs
+//! row-major).  Each shard owns its cells and the lanes of its *resident*
+//! UEs — a UE resides in the shard of its serving (primary) cell.  A
+//! resident's [`UserEquipment`] is its one record: channels, reordering
+//! buffers, L3 filters, A3 and carrier-aggregation state.  One shard is the
+//! whole network: it spawns no threads, runs
 //! every phase inline on the caller and crosses no barrier messages.  More
 //! shards run the same phase functions on a persistent [`WorkerPool`], each
 //! phase borrowing its shard's state as a disjoint `&mut` — the module has
@@ -61,16 +61,15 @@
 //! cell it does not reside with: staging a channel state into a foreign
 //! cell (a boundary UE whose secondary carrier lives in another shard), and
 //! the X2 handover drain/forwarding when an A3 event moves a UE across a
-//! shard border — in which case the UE's slab lanes and its handover/CA
-//! state migrate to the target shard ([`HandoverManager::take_ue`],
-//! [`CarrierAggregationManager::take_ue`]).
+//! shard border — in which case its record and `awake` flag migrate to the
+//! target shard.
 //!
 //! Idle UEs cost nothing on ordinary subframes.  Each shard keeps an
 //! `awake` lane parallel to its `ues`: adding a UE, enqueueing a packet for
 //! it, replacing one of its traces or handing it over wakes it, and phase 4
 //! puts it to sleep on a subframe that allocated it nothing once its active
 //! cell holds no queued packet and no pending HARQ process and its CA state
-//! is quiescent ([`CarrierAggregationManager::is_quiescent`]).  A sleeper's
+//! is quiescent ([`is_quiescent`](crate::carrier::is_quiescent)).  A sleeper's
 //! visit would change no byte: its staged channel state would go unread and
 //! its CA observation would leave the state as it is.  Phases 1 and 4 skip
 //! sleepers, except that measurement subframes still visit every multi-cell
@@ -88,11 +87,11 @@
 //! CellId-indexed table, and channel states are staged directly into each
 //! cell via [`Cell::set_channel`] instead of per-cell hash maps.
 
-use crate::carrier::{CaEvent, CaObservation, CarrierAggregationManager};
+use crate::carrier::{CaEvent, CaObservation};
 use crate::cell::{Cell, QueuedPacket, SubframeReport};
 use crate::channel::{ChannelModel, ChannelState, MobilityTrace};
-use crate::config::{CellId, CellularConfig, Rnti, UeConfig, UeId};
-use crate::handover::{HandoverEvent, HandoverManager};
+use crate::config::{CellId, CellularConfig, HandoverConfig, Rnti, UeConfig, UeId};
+use crate::handover::{self, HandoverEvent};
 use crate::network::{Delivery, NetworkTickReport, RlfOutcome, OUTAGE_RSRP_DBM};
 use crate::slab::{SlotInsert, UeSlots};
 use crate::traffic::{BackgroundTraffic, CellLoadProfile};
@@ -100,7 +99,6 @@ use crate::ue::{PacketEvent, UserEquipment};
 use pbe_stats::pool::WorkerPool;
 use pbe_stats::time::{Duration, Instant};
 use pbe_stats::{DetRng, FxHashMap};
-use std::collections::HashMap;
 
 /// Run `phase(i, shard)` for the `i`-th item of `shards`: on the pool, or
 /// inline on the caller when the network is one shard and has no pool.  The
@@ -173,15 +171,11 @@ fn cell_at_mut<'a>(
 struct UeShard {
     /// Sorted dense UeId → slot index of the resident UEs.
     slots: UeSlots,
-    /// Lane: UE receive-side state.
+    /// Lane: the UE records.
     ues: Vec<UserEquipment>,
     /// Lane: false while the UE sleeps — it holds no data on its active
     /// cell and its CA state is quiescent, so ordinary subframes skip it.
     awake: Vec<bool>,
-    /// Shard-local A3 state machine holding exactly the resident UEs.
-    handover: HandoverManager,
-    /// Shard-local CA state machine holding exactly the resident UEs.
-    ca: CarrierAggregationManager,
     /// Scratch: RSRP measurements of the UE under evaluation.
     rsrp_scratch: Vec<(CellId, f64)>,
     /// Scratch: packet events of the outcome under processing.
@@ -201,13 +195,11 @@ struct UeShard {
 }
 
 impl UeShard {
-    fn new(config: &CellularConfig) -> Self {
+    fn new() -> Self {
         UeShard {
             slots: UeSlots::new(),
             ues: Vec::new(),
             awake: Vec::new(),
-            handover: HandoverManager::new(config.handover),
-            ca: CarrierAggregationManager::new(),
             rsrp_scratch: Vec::new(),
             event_scratch: Vec::new(),
             alloc_scratch: Vec::new(),
@@ -218,7 +210,7 @@ impl UeShard {
         }
     }
 
-    /// Insert (or replace) a resident UE's lanes.
+    /// Insert (or replace) a resident UE.
     fn insert(&mut self, id: UeId, ue: UserEquipment, awake: bool) {
         match self.slots.insert(id) {
             SlotInsert::Inserted(slot) => {
@@ -236,19 +228,9 @@ impl UeShard {
     /// `to`, the first subframe phase 1 has not sampled yet.
     fn wake(&mut self, slot: usize, to: Instant) {
         if !self.awake[slot] {
-            let active = self.active_count(slot);
-            self.ues[slot].catch_up(active, to);
+            self.ues[slot].catch_up(to);
             self.awake[slot] = true;
         }
-    }
-
-    /// Number of currently active (aggregated) cells of the UE in `slot`.
-    fn active_count(&self, slot: usize) -> usize {
-        let cfg = self.ues[slot].config();
-        self.ca
-            .active_cells(cfg.id)
-            .min(cfg.max_aggregated_cells)
-            .min(cfg.configured_cells.len())
     }
 }
 
@@ -339,7 +321,7 @@ impl ShardedNetwork {
                     .collect()
             })
             .collect();
-        let ue_shards = (0..n_shards).map(|_| UeShard::new(&config)).collect();
+        let ue_shards = (0..n_shards).map(|_| UeShard::new()).collect();
         ShardedNetwork {
             config,
             cell_shards,
@@ -365,11 +347,9 @@ impl ShardedNetwork {
         &self.config
     }
 
-    /// The current L3-filtered RSRP of one (UE, cell) pair, if measured
-    /// (lives in the UE's home-shard handover manager).
+    /// The current L3-filtered RSRP of one (UE, cell) pair, if measured.
     pub fn filtered_rsrp(&self, ue: UeId, cell: CellId) -> Option<f64> {
-        let (home, _) = self.locate(ue)?;
-        self.ue_shards[home].handover.filtered_rsrp(ue, cell)
+        self.ue(ue)?.filtered_rsrp(cell)
     }
 
     /// The shard a cell belongs to, or shard 0 for unknown cells.
@@ -512,7 +492,7 @@ impl ShardedNetwork {
         let rnti = Rnti(self.next_rnti);
         self.next_rnti += 1;
         let id = ue_config.id;
-        let mut channels = HashMap::new();
+        let mut channels = Vec::with_capacity(ue_config.configured_cells.len());
         for (i, cell_id) in ue_config.configured_cells.iter().enumerate() {
             // Secondary carriers typically sit at higher frequencies and are
             // received a little weaker.
@@ -526,7 +506,7 @@ impl ShardedNetwork {
                 self.max_streams(*cell_id),
                 self.channel_rng(id, i as u64),
             );
-            channels.insert(*cell_id, model);
+            channels.push(model);
             if let Some(cell) = self.cell_mut(*cell_id) {
                 cell.attach(id, rnti);
             }
@@ -535,17 +515,16 @@ impl ShardedNetwork {
             .configured_cells
             .first()
             .map_or(0, |c| self.home_of(*c));
-        // A re-added UE may currently reside elsewhere: bring its lanes and
-        // manager states home first so the replacement lands in one shard.
+        // A re-added UE may currently reside elsewhere: bring it home first
+        // so the replacement record lands in one shard.
         if let Some((old_home, _)) = self.locate(id) {
             if old_home != home {
                 self.migrate_ue(id, old_home, home);
             }
         }
-        let ue = UserEquipment::new(ue_config, rnti, channels);
-        let us = &mut self.ue_shards[home];
-        us.ca.register(id);
-        us.insert(id, ue, true);
+        let l3_filter_ms = self.config.handover.l3_filter_ms;
+        let ue = UserEquipment::new(ue_config, rnti, channels, l3_filter_ms);
+        self.ue_shards[home].insert(id, ue, true);
         rnti
     }
 
@@ -585,17 +564,13 @@ impl ShardedNetwork {
 
     /// Cells currently active (aggregated) for a UE.
     pub fn active_cells(&self, ue: UeId) -> Vec<CellId> {
-        let Some((home, slot)) = self.locate(ue) else {
-            return Vec::new();
-        };
-        let us = &self.ue_shards[home];
-        us.ca.active_cell_ids(us.ues[slot].config())
+        self.ue(ue)
+            .map_or_else(Vec::new, |u| u.active_cells().to_vec())
     }
 
     /// True if the UE ever had a secondary cell activated.
     pub fn carrier_aggregation_triggered(&self, ue: UeId) -> bool {
-        self.locate(ue)
-            .is_some_and(|(home, _)| self.ue_shards[home].ca.ever_aggregated(ue))
+        self.ue(ue).is_some_and(|u| u.ever_aggregated())
     }
 
     /// Bits queued for a UE across its configured cells.
@@ -618,9 +593,8 @@ impl ShardedNetwork {
         let Some((home, slot)) = self.locate(ue) else {
             return;
         };
-        let us = &self.ue_shards[home];
         let mut target: Option<(CellId, f64)> = None;
-        for cell_id in &us.ues[slot].config().configured_cells[..us.active_count(slot)] {
+        for cell_id in self.ue_shards[home].ues[slot].active_cells() {
             let cell = self.cell(*cell_id).expect("active cell exists");
             let load = cell.queue_bits(ue) as f64 / f64::from(cell.config().total_prbs());
             if target.is_none_or(|(_, best)| load < best) {
@@ -661,8 +635,8 @@ impl ShardedNetwork {
         report.ca_events.clear();
         report.handovers.clear();
 
-        let measure =
-            self.config.handover.enabled && self.ue_shards[0].handover.is_measurement_subframe(now);
+        let measure = self.config.handover.enabled
+            && handover::is_measurement_subframe(&self.config.handover, now);
         // Sleepers replay every 1 ms subframe they missed.  A tick that
         // skips subframes samples none of them, so it wakes every sleeper at
         // the old frontier first.
@@ -678,11 +652,11 @@ impl ShardedNetwork {
         // --- Phase 1 (parallel): channel sampling, staging, A3. ------------
         // Worker i borrows (cell_shards[i], ue_shards[i]); states for foreign
         // cells land in the shard's outbox.
-        let table = &self.cell_table;
+        let (table, ho) = (&self.cell_table, &self.config.handover);
         run_phase(
             &self.pool,
             self.cell_shards.iter_mut().zip(&mut self.ue_shards),
-            |i, (cells, us)| shard_phase1(i, cells, us, table, measure, now),
+            |i, (cells, us)| shard_phase1(i, cells, us, table, ho, measure, now),
         );
 
         // --- Phase-1 barrier: apply the cross-shard channel outboxes. ------
@@ -779,15 +753,9 @@ impl ShardedNetwork {
         // The old active cells leave the active set: replay what a sleeper
         // skipped before they do.
         self.ue_shards[home].wake(slot, self.sampled_until);
-        let (rnti, from, active): (Rnti, CellId, Vec<CellId>) = {
-            let us = &self.ue_shards[home];
-            let cfg = us.ues[slot].config();
-            (
-                us.ues[slot].rnti(),
-                cfg.primary_cell(),
-                cfg.configured_cells[..us.active_count(slot)].to_vec(),
-            )
-        };
+        let ue = &self.ue_shards[home].ues[slot];
+        let (rnti, from) = (ue.rnti(), ue.config().primary_cell());
+        let active = ue.active_cells().to_vec();
 
         // Source side: take the queued + in-flight payload of every active
         // cell (serving first), in order.  Detaching also drops any channel
@@ -820,9 +788,7 @@ impl ShardedNetwork {
         // aggregation may later re-activate one of the old cells as a
         // secondary, and an unattached cell would silently black-hole the
         // flow-split packets routed to it.
-        us.ues[slot].promote_primary(target);
-        us.ca.reset(ue_id);
-        us.handover.note_handover(ue_id, now);
+        us.ues[slot].hand_over(target, now);
         let configured = us.ues[slot].config().configured_cells.clone();
         // The target becomes the UE's only active cell this subframe: stage
         // its channel state for the scheduler (re-sampling within the same
@@ -843,8 +809,8 @@ impl ShardedNetwork {
             }
         }
 
-        // Cross-shard handover: the UE's slab lanes and manager states
-        // migrate to the shard owning its new serving cell.
+        // Cross-shard handover: the UE migrates to the shard owning its new
+        // serving cell.
         if let Some(new_home) = entry_of(&self.cell_table, target).map(|e| e.shard as usize) {
             if new_home != home {
                 self.migrate_ue(ue_id, home, new_home);
@@ -858,28 +824,13 @@ impl ShardedNetwork {
         }
     }
 
-    /// Move a resident UE's slab lane and handover/CA states from shard
-    /// `from` to shard `to`.
+    /// Move a resident UE's record and `awake` flag from shard `from` to
+    /// shard `to`.
     fn migrate_ue(&mut self, ue_id: UeId, from: usize, to: usize) {
-        let (ue, awake, ho_state, ca_state) = {
-            let us = &mut self.ue_shards[from];
-            let slot = us.slots.remove(ue_id).expect("resident in old shard");
-            (
-                us.ues.remove(slot),
-                us.awake.remove(slot),
-                us.handover.take_ue(ue_id),
-                us.ca.take_ue(ue_id),
-            )
-        };
-        let us = &mut self.ue_shards[to];
-        us.insert(ue_id, ue, awake);
-        if let Some(state) = ho_state {
-            us.handover.restore_ue(ue_id, state);
-        }
-        match ca_state {
-            Some(state) => us.ca.restore_ue(ue_id, state),
-            None => us.ca.register(ue_id),
-        }
+        let us = &mut self.ue_shards[from];
+        let slot = us.slots.remove(ue_id).expect("resident in old shard");
+        let (ue, awake) = (us.ues.remove(slot), us.awake.remove(slot));
+        self.ue_shards[to].insert(ue_id, ue, awake);
     }
 }
 
@@ -901,12 +852,13 @@ fn queued_bits(cell_shards: &[Vec<Cell>], table: &[CellEntry], ue: &UeConfig) ->
 /// independent random stream, so the extra measurement samples leave every
 /// other draw untouched.  Active-cell states are staged straight into the
 /// owning cell's channel lane (own cells directly, foreign cells via the
-/// outbox); the A3 event is evaluated on the shard-local manager.
+/// outbox); the A3 event is evaluated on the UE's record.
 fn shard_phase1(
     me: usize,
     cells: &mut [Cell],
     us: &mut UeShard,
     table: &[CellEntry],
+    ho: &HandoverConfig,
     measure: bool,
     now: Instant,
 ) {
@@ -918,24 +870,25 @@ fn shard_phase1(
         if asleep && !measure {
             continue;
         }
-        let n_cells = us.ues[slot].config().configured_cells.len();
+        let ue = &mut us.ues[slot];
+        let n_cells = ue.config().configured_cells.len();
         let measure_ue = measure && n_cells > 1;
         if asleep && !measure_ue {
             continue;
         }
         let ue_id = us.slots.ids()[slot];
-        let n_active = us.active_count(slot);
+        let n_active = ue.active_cells().len();
         if asleep {
-            us.ues[slot].catch_up(n_active, now);
+            ue.catch_up(now);
         }
         us.rsrp_scratch.clear();
         for i in 0..n_cells {
-            let cell_id = us.ues[slot].config().configured_cells[i];
             let is_active = i < n_active;
             if !is_active && !measure_ue {
                 continue;
             }
-            let Some(state) = us.ues[slot].sample_channel(cell_id, now) else {
+            let cell_id = ue.config().configured_cells[i];
+            let Some(state) = ue.sample_channel(cell_id, now) else {
                 continue;
             };
             // A down cell still consumes its channel draw (stream
@@ -960,8 +913,7 @@ fn shard_phase1(
             }
         }
         if measure_ue {
-            let serving = us.ues[slot].config().primary_cell();
-            if let Some(target) = us.handover.observe(ue_id, serving, &us.rsrp_scratch, now) {
+            if let Some(target) = ue.observe_a3(ho, &mut us.rsrp_scratch, now) {
                 us.pending.push((ue_id, target));
             }
         }
@@ -1007,31 +959,31 @@ fn shard_post(
         if !us.awake[slot] {
             continue;
         }
-        let ue = us.ues[slot].config();
-        let active = &ue.configured_cells[..us.active_count(slot)];
+        let ue = &mut us.ues[slot];
         let obs = CaObservation {
             allocated_prbs: us.alloc_scratch[slot],
-            active_cell_prbs: active
+            active_cell_prbs: ue
+                .active_cells()
                 .iter()
                 .map(|c| entry_of(table, *c).map_or(0, |e| e.prbs))
                 .sum(),
-            queued_bits: queued_bits(cell_shards, table, ue),
         };
-        if let Some(event) = us.ca.observe(config, ue, obs, now) {
+        if let Some(event) = ue.observe_ca(config, obs, now) {
             us.ca_buf.push(event);
         }
         // Sleep once nothing is left to schedule and an unallocated
         // subframe would leave the CA state as it is: until data or a
         // handover wakes it, the UE's ticks would change nothing.
         let asleep = obs.allocated_prbs == 0
-            && us.ca.is_quiescent(config, ue)
-            && !active
+            && ue.ca_is_quiescent(config)
+            && !ue
+                .active_cells()
                 .iter()
                 .filter_map(|c| cell_at(cell_shards, table, *c))
-                .any(|cell| cell.holds_data(ue.id));
+                .any(|cell| cell.holds_data(ue.id()));
         if asleep {
             us.awake[slot] = false;
-            us.ues[slot].fall_asleep(now);
+            ue.fall_asleep(now);
         }
     }
 }

@@ -170,12 +170,6 @@ impl<T> UeSlab<T> {
         &self.values[slot]
     }
 
-    /// Mutable value at a slot.
-    #[inline]
-    pub fn value_at_mut(&mut self, slot: usize) -> &mut T {
-        &mut self.values[slot]
-    }
-
     /// Iterate `(id, &value)` in sorted id order.
     pub fn iter(&self) -> impl Iterator<Item = (UeId, &T)> {
         self.slots.ids().iter().copied().zip(self.values.iter())

@@ -155,11 +155,6 @@ impl BackgroundTraffic {
         }
     }
 
-    /// Currently active data sessions.
-    pub fn active_data_sessions(&self) -> usize {
-        self.sessions.len()
-    }
-
     fn fresh_rnti(&mut self) -> Rnti {
         let r = Rnti(self.next_rnti);
         // Wrap within the C-RNTI range, skipping the low reserved values.

@@ -1,18 +1,25 @@
-//! User-equipment receive path: per-cell reordering and packet reassembly.
+//! User equipment: the one record of a mobile device.
 //!
-//! The UE receives HARQ outcomes from every cell it is aggregated with,
-//! pushes successfully decoded transport blocks through the per-cell
-//! reordering buffer, reassembles the packet segments the blocks carry, and
-//! reports each packet's delivery time to the transport layer (or its loss,
-//! if a block exhausted its retransmissions).
+//! A [`UserEquipment`] holds everything the network keeps per UE: its
+//! configuration, one row per configured cell (the channel model, the RLC
+//! reordering buffer and the L3 measurement filter), its A3 handover state
+//! ([`A3State`]) and its carrier-aggregation state ([`CaState`]).
+//!
+//! On the receive path the UE gets HARQ outcomes from every cell it is
+//! aggregated with, pushes successfully decoded transport blocks through
+//! that cell's reordering buffer, reassembles the packet segments the
+//! blocks carry, and reports each packet's delivery time to the transport
+//! layer (or its loss, if a block exhausted its retransmissions).
 
-use crate::channel::{ChannelModel, ChannelState};
-use crate::config::{CellId, Rnti, UeConfig, UeId};
+use crate::carrier::{self, CaEvent, CaObservation, CaState};
+use crate::channel::{ChannelModel, ChannelState, L3Filter};
+use crate::config::{CellId, CellularConfig, HandoverConfig, Rnti, UeConfig, UeId};
+use crate::handover::{self, A3State};
 use crate::harq::HarqOutcome;
-use crate::reorder::ReorderBuffer;
+use crate::reorder::{ReleasedBlock, ReorderBuffer};
 use pbe_stats::time::{Duration, Instant};
+use pbe_stats::FxHashSet;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A packet delivered (or lost) at the UE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -30,15 +37,28 @@ pub struct PacketEvent {
     pub cell: CellId,
 }
 
-/// Receive-side state of one mobile device.
+/// A UE's state towards one of its configured cells.
+#[derive(Debug)]
+struct CellRow {
+    /// The (UE, cell) channel, which owns its random stream.
+    channel: ChannelModel,
+    /// RLC reordering of the cell's transport blocks.
+    reorder: ReorderBuffer,
+    /// L3 filter of the cell's RSRP measurements.
+    l3: L3Filter,
+}
+
+/// The one record of a mobile device.
 #[derive(Debug)]
 pub struct UserEquipment {
     config: UeConfig,
     rnti: Rnti,
-    channels: HashMap<CellId, ChannelModel>,
-    reorder: HashMap<CellId, ReorderBuffer>,
+    /// One row per configured cell, in `config.configured_cells` order.
+    rows: Vec<CellRow>,
+    a3: A3State,
+    ca: CaState,
     /// Packets that lost at least one segment (marked lost once).
-    lost_packets: HashMap<u64, bool>,
+    lost_packets: FxHashSet<u64>,
     /// While the tick engine lets the UE sleep: the first subframe its
     /// channels were not sampled for (see [`UserEquipment::catch_up`]).
     idle_since: Instant,
@@ -49,19 +69,35 @@ pub struct UserEquipment {
 }
 
 impl UserEquipment {
-    /// Create the UE with one channel model per configured cell.
-    pub fn new(config: UeConfig, rnti: Rnti, channels: HashMap<CellId, ChannelModel>) -> Self {
-        let reorder = config
-            .configured_cells
-            .iter()
-            .map(|c| (*c, ReorderBuffer::new()))
+    /// Create the UE with `channels[i]` the channel model towards its `i`-th
+    /// configured cell, L3 filters of time constant `l3_filter_ms` that have
+    /// measured nothing yet, and only its primary cell active.
+    pub fn new(
+        config: UeConfig,
+        rnti: Rnti,
+        channels: Vec<ChannelModel>,
+        l3_filter_ms: f64,
+    ) -> Self {
+        assert_eq!(
+            channels.len(),
+            config.configured_cells.len(),
+            "one channel per configured cell"
+        );
+        let rows = channels
+            .into_iter()
+            .map(|channel| CellRow {
+                channel,
+                reorder: ReorderBuffer::new(),
+                l3: L3Filter::new(l3_filter_ms),
+            })
             .collect();
         UserEquipment {
             config,
             rnti,
-            channels,
-            reorder,
-            lost_packets: HashMap::new(),
+            rows,
+            a3: A3State::default(),
+            ca: CaState::default(),
+            lost_packets: FxHashSet::default(),
             idle_since: Instant::ZERO,
             packets_delivered: 0,
             packets_lost: 0,
@@ -83,9 +119,74 @@ impl UserEquipment {
         &self.config
     }
 
+    fn row(&self, cell: CellId) -> Option<usize> {
+        self.config.configured_cells.iter().position(|c| *c == cell)
+    }
+
+    /// The row of a cell that serves the UE, which is always configured.
+    fn served_row(&mut self, cell: CellId) -> &mut CellRow {
+        let i = self.row(cell).expect("a serving cell is configured");
+        &mut self.rows[i]
+    }
+
+    /// The prefix of the configured cells that is currently active.
+    pub fn active_cells(&self) -> &[CellId] {
+        let n = self.ca.active.min(carrier::max_cells(&self.config));
+        &self.config.configured_cells[..n]
+    }
+
+    /// True if the UE ever had a secondary cell activated.
+    pub fn ever_aggregated(&self) -> bool {
+        self.ca.ever_aggregated
+    }
+
+    /// The current L3-filtered RSRP towards one cell, if it was measured.
+    pub fn filtered_rsrp(&self, cell: CellId) -> Option<f64> {
+        self.rows[self.row(cell)?].l3.get()
+    }
+
     /// Sample the channel towards one cell for the subframe at `t`.
     pub fn sample_channel(&mut self, cell: CellId, t: Instant) -> Option<ChannelState> {
-        self.channels.get_mut(&cell).map(|ch| ch.sample(t))
+        let i = self.row(cell)?;
+        Some(self.rows[i].channel.sample(t))
+    }
+
+    /// Fold one measurement round — the raw RSRP of every configured cell,
+    /// in configured order — into the L3 filters, then evaluate the A3 event
+    /// on the filtered values ([`handover::observe`]).  Returns the handover
+    /// target, if any.
+    pub fn observe_a3(
+        &mut self,
+        config: &HandoverConfig,
+        samples: &mut [(CellId, f64)],
+        now: Instant,
+    ) -> Option<CellId> {
+        debug_assert!(samples
+            .iter()
+            .map(|s| s.0)
+            .eq(self.config.configured_cells.iter().copied()));
+        for (row, (_, rsrp)) in self.rows.iter_mut().zip(samples.iter_mut()) {
+            *rsrp = row.l3.update(now, *rsrp);
+        }
+        let serving = self.config.primary_cell();
+        handover::observe(config, &mut self.a3, serving, samples, now)
+    }
+
+    /// Drive the carrier-aggregation state machine with this subframe's
+    /// observation (see [`carrier::observe`]).
+    pub fn observe_ca(
+        &mut self,
+        config: &CellularConfig,
+        obs: CaObservation,
+        now: Instant,
+    ) -> Option<CaEvent> {
+        carrier::observe(config, &self.config, &mut self.ca, obs, now)
+    }
+
+    /// True if an unallocated subframe would leave the CA state as it is
+    /// (see [`carrier::is_quiescent`]).
+    pub fn ca_is_quiescent(&self, config: &CellularConfig) -> bool {
+        carrier::is_quiescent(config, &self.config, &self.ca)
     }
 
     /// Stop sampling: the channels were last sampled for the subframe at
@@ -94,21 +195,23 @@ impl UserEquipment {
         self.idle_since = now + Duration::MILLISECOND;
     }
 
-    /// Replay on the channels of the first `active` configured cells every
-    /// redraw that sampling them on each subframe from the first one the UE
-    /// slept through up to (not including) `to` would have made
+    /// Replay on the channels of the active cells every redraw that
+    /// sampling them on each subframe from the first one the UE slept
+    /// through up to (not including) `to` would have made
     /// ([`ChannelModel::replay`]).
-    pub fn catch_up(&mut self, active: usize, to: Instant) {
-        for cell in &self.config.configured_cells[..active] {
-            if let Some(ch) = self.channels.get_mut(cell) {
-                ch.replay(self.idle_since, to);
-            }
+    pub fn catch_up(&mut self, to: Instant) {
+        let active = self.active_cells().len();
+        for row in &mut self.rows[..active] {
+            row.channel.replay(self.idle_since, to);
         }
     }
 
-    /// Replace the channel model of one cell (e.g. to switch mobility traces).
+    /// Replace the channel model of one cell (e.g. to switch mobility
+    /// traces).  No-op if the cell is not configured.
     pub fn set_channel(&mut self, cell: CellId, model: ChannelModel) {
-        self.channels.insert(cell, model);
+        if let Some(i) = self.row(cell) {
+            self.rows[i].channel = model;
+        }
     }
 
     /// Process the HARQ outcomes of one subframe from one cell and return the
@@ -137,9 +240,8 @@ impl UserEquipment {
     ) {
         if outcome.success {
             let released = self
+                .served_row(cell)
                 .reorder
-                .entry(cell)
-                .or_default()
                 .on_block_received(outcome.block.clone(), now);
             self.emit_released(cell, &released, events);
         } else if outcome.dropped {
@@ -148,18 +250,17 @@ impl UserEquipment {
             // segment is released, or immediately if this block carried
             // the final segment.
             for seg in &outcome.block.segments {
-                self.lost_packets.insert(seg.packet_id, true);
+                self.lost_packets.insert(seg.packet_id);
             }
             let released = self
+                .served_row(cell)
                 .reorder
-                .entry(cell)
-                .or_default()
                 .on_block_abandoned(outcome.block.sequence, now);
             self.emit_released(cell, &released, events);
             // If the dropped block itself carried a final segment, that
             // packet will never be completed: report the loss now.
             for seg in &outcome.block.segments {
-                if seg.is_last && self.lost_packets.remove(&seg.packet_id).is_some() {
+                if seg.is_last && self.lost_packets.remove(&seg.packet_id) {
                     self.packets_lost += 1;
                     events.push(PacketEvent {
                         ue: self.config.id,
@@ -181,13 +282,13 @@ impl UserEquipment {
     fn emit_released(
         &mut self,
         cell: CellId,
-        released: &[crate::reorder::ReleasedBlock],
+        released: &[ReleasedBlock],
         events: &mut Vec<PacketEvent>,
     ) {
         for r in released {
             for seg in &r.block.segments {
                 if seg.is_last {
-                    let lost = self.lost_packets.remove(&seg.packet_id).is_some();
+                    let lost = self.lost_packets.remove(&seg.packet_id);
                     if lost {
                         self.packets_lost += 1;
                     } else {
@@ -211,26 +312,34 @@ impl UserEquipment {
     /// events of the flushed blocks.
     pub fn flush_cell(&mut self, cell: CellId, now: Instant) -> Vec<PacketEvent> {
         let mut events = Vec::new();
-        let released = self.reorder.entry(cell).or_default().flush(now);
+        let released = self.served_row(cell).reorder.flush(now);
         self.emit_released(cell, &released, &mut events);
         events
     }
 
-    /// Make `cell` the UE's serving (primary) cell, moving it to the front
-    /// of the configured-cell list.  The previous serving cell becomes the
-    /// first secondary candidate.  No-op if the cell is not configured.
-    pub fn promote_primary(&mut self, cell: CellId) {
-        let Some(pos) = self.config.configured_cells.iter().position(|c| *c == cell) else {
-            return;
+    /// Re-establish on `cell` after a handover at `now`: it becomes the
+    /// serving (primary) cell, moving to the front of the configured-cell
+    /// list with its row, so every channel keeps its random stream, and the
+    /// previous serving cell becomes the first secondary candidate.  Carrier
+    /// aggregation collapses to the new primary and the A3 timer restarts
+    /// behind the ping-pong guard.
+    pub fn hand_over(&mut self, cell: CellId, now: Instant) {
+        if let Some(i) = self.row(cell) {
+            self.config.configured_cells[..=i].rotate_right(1);
+            self.rows[..=i].rotate_right(1);
+        }
+        self.ca = CaState {
+            ever_aggregated: self.ca.ever_aggregated,
+            ..CaState::default()
         };
-        self.config.configured_cells.remove(pos);
-        self.config.configured_cells.insert(0, cell);
+        self.a3.a3_candidate = None;
+        self.a3.last_handover = Some(now);
     }
 
     /// Number of transport blocks currently buffered out of order across all
     /// cells (diagnostic for the reordering-delay experiments).
     pub fn buffered_blocks(&self) -> usize {
-        self.reorder.values().map(|r| r.buffered_count()).sum()
+        self.rows.iter().map(|r| r.reorder.buffered_count()).sum()
     }
 }
 
@@ -242,16 +351,11 @@ mod tests {
 
     fn ue() -> UserEquipment {
         let cfg = UeConfig::new(UeId(1), vec![CellId(0), CellId(1)], 2, -85.0);
-        let mut channels = HashMap::new();
-        channels.insert(
-            CellId(0),
+        let channels = vec![
             ChannelModel::stationary(-85.0, 2, DetRng::new(1)),
-        );
-        channels.insert(
-            CellId(1),
             ChannelModel::stationary(-90.0, 2, DetRng::new(2)),
-        );
-        UserEquipment::new(cfg, Rnti(0x100), channels)
+        ];
+        UserEquipment::new(cfg, Rnti(0x100), channels, 0.0)
     }
 
     fn block(seq: u64, packet_id: u64, is_last: bool) -> TransportBlock {
@@ -397,5 +501,33 @@ mod tests {
         assert!(ue.sample_channel(CellId(7), Instant::ZERO).is_none());
         assert_eq!(ue.id(), UeId(1));
         assert_eq!(ue.rnti(), Rnti(0x100));
+    }
+
+    #[test]
+    fn hand_over_rotates_each_row_with_its_cell() {
+        let (mut ue, mut reference) = (ue(), ue());
+        // An out-of-order block waits in cell 1's reordering buffer, and
+        // cell 1 is aggregated.
+        ue.process_outcomes(CellId(1), &[ok(1, 10, 1)], Instant::from_millis(1));
+        ue.ca.active = 2;
+        ue.ca.ever_aggregated = true;
+        ue.hand_over(CellId(1), Instant::from_millis(2));
+        assert_eq!(ue.config().configured_cells, [CellId(1), CellId(0)]);
+        assert_eq!(ue.active_cells(), [CellId(1)]);
+        assert!(ue.ever_aggregated());
+        assert_eq!(ue.a3.last_handover, Some(Instant::from_millis(2)));
+        // Every channel kept its own random stream and trajectory.
+        for t in [0u64, 5, 50, 500] {
+            for cell in [CellId(0), CellId(1)] {
+                let now = Instant::from_millis(t);
+                assert_eq!(
+                    format!("{:?}", ue.sample_channel(cell, now)),
+                    format!("{:?}", reference.sample_channel(cell, now))
+                );
+            }
+        }
+        // The buffered block stayed with cell 1.
+        let flushed = ue.flush_cell(CellId(1), Instant::from_millis(3));
+        assert_eq!((flushed.len(), flushed[0].cell), (1, CellId(1)));
     }
 }

@@ -98,6 +98,9 @@ pub struct PbeReceiverAgent {
     client: PbeClient,
     /// Scratch for the subframes fusion completes, reused every subframe.
     fused_ready: Vec<FusedSubframe>,
+    /// The subframe (exclusive) until which every decoder is blind: the end
+    /// of the current re-acquisition gap or decode-loss burst.
+    blind_until: u64,
     flow: u32,
     rng: DetRng,
 }
@@ -115,6 +118,7 @@ impl PbeReceiverAgent {
             client: PbeClient::new(PbeClientConfig::new(ctx.rnti, ctx.cells.clone())),
             decoders,
             fused_ready: Vec::new(),
+            blind_until: 0,
             flow: ctx.flow,
             rng: ctx.rng.clone(),
         }
@@ -145,11 +149,14 @@ impl PbeReceiverAgent {
 impl ReceiverAgent for PbeReceiverAgent {
     fn on_carrier_event(&mut self, event: &CaEvent, total_prbs: u16) {
         if event.activated {
-            let flow = self.flow;
-            let rng = &self.rng;
-            self.decoders
-                .entry(event.cell)
-                .or_insert_with(|| Self::decoder(event.cell, total_prbs, flow, rng));
+            // A decoder started while the others are blind is blind too: it
+            // must not complete fusion subframes they skip.
+            let (flow, rng, blind_until) = (self.flow, &self.rng, self.blind_until);
+            self.decoders.entry(event.cell).or_insert_with(|| {
+                let mut decoder = Self::decoder(event.cell, total_prbs, flow, rng);
+                decoder.set_resync_until(blind_until);
+                decoder
+            });
             self.client.add_cell(event.cell, total_prbs);
         } else {
             self.decoders.remove(&event.cell);
@@ -168,8 +175,9 @@ impl ReceiverAgent for PbeReceiverAgent {
         // One decoder, freshly re-tuning onto the target cell: everything
         // transmitted during the re-acquisition gap is invisible.
         self.decoders.clear();
+        self.blind_until = event.at.subframe_index() + reacquisition_gap_subframes;
         let mut decoder = Self::decoder(event.to, target_total_prbs, self.flow, &self.rng);
-        decoder.set_resync_until(event.at.subframe_index() + reacquisition_gap_subframes);
+        decoder.set_resync_until(self.blind_until);
         self.decoders.insert(event.to, decoder);
         // Fresh fusion stage (the old one waits on cells we stopped
         // watching) and a re-targeted monitor whose estimates are held until
@@ -211,6 +219,7 @@ impl ReceiverAgent for PbeReceiverAgent {
         // until the burst ends, fusion ingests nothing meanwhile, and the
         // client rides the gap on its held estimate (the same path a
         // handover gap exercises).
+        self.blind_until = until_subframe;
         for decoder in self.decoders.values_mut() {
             decoder.set_resync_until(until_subframe);
         }
@@ -389,5 +398,36 @@ mod tests {
         };
         agent.on_carrier_event(&deactivate, 50);
         assert_eq!(agent.decoders.len(), 1);
+    }
+
+    /// A carrier activated while the receiver is blind joins the blindness:
+    /// its fresh decoder must not feed fusion subframes the older decoders
+    /// skip, or fusion waits on them forever and every later subframe with
+    /// them.
+    #[test]
+    fn carrier_activated_while_blind_does_not_stall_fusion() {
+        let mut agent = PbeReceiverAgent::new(&ctx());
+        let grants = |sf| {
+            [
+                dci(CellId(0), Rnti(0x0100), 40, sf),
+                dci(CellId(1), Rnti(0x0100), 30, sf),
+            ]
+        };
+        agent.on_decode_loss(200);
+        for sf in 0..1000u64 {
+            if sf == 150 {
+                let activate = CaEvent {
+                    ue: pbe_cellular::config::UeId(1),
+                    cell: CellId(1),
+                    activated: true,
+                    at: Instant::from_millis(sf),
+                };
+                agent.on_carrier_event(&activate, 50);
+            }
+            feed(&mut agent, sf, &grants(sf));
+        }
+        assert_eq!(agent.fusion.pending_count(), 0);
+        assert!(!agent.client().is_holding_estimates());
+        assert!(agent.client().monitor().window_len(CellId(1)) > 0);
     }
 }

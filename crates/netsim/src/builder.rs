@@ -164,13 +164,6 @@ impl SimBuilder {
         self
     }
 
-    /// Replace the whole scheme table (rarely needed; prefer
-    /// [`SimBuilder::scheme`]).
-    pub fn scheme_table(mut self, table: SchemeTable) -> Self {
-        self.table = table;
-        self
-    }
-
     /// Register a congestion-control scheme under a registry key.  Flows
     /// select it with [`SchemeChoice::named`](crate::flow::SchemeChoice::named).
     pub fn scheme<F>(mut self, id: impl Into<SchemeId>, factory: F) -> Self

@@ -75,12 +75,6 @@ impl SchemeTable {
         self.receivers.insert(id.into(), factory);
     }
 
-    /// Mark a scheme as application-limited: its flows run without a
-    /// congestion controller, paced purely by the traffic model.
-    pub fn register_app_limited(&mut self, id: impl Into<SchemeId>) {
-        self.app_limited.insert(id.into());
-    }
-
     /// The underlying congestion-control registry.
     pub fn registry(&self) -> &SchemeRegistry {
         &self.registry

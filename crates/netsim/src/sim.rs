@@ -759,11 +759,6 @@ impl Simulation {
         }
     }
 
-    /// Register an additional observer.
-    pub fn add_observer(&mut self, observer: Box<dyn Observer>) {
-        self.observers.push(observer);
-    }
-
     /// The simulation's configuration.
     pub fn config(&self) -> &SimConfig {
         &self.config

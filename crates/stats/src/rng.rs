@@ -88,12 +88,6 @@ impl DetRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform float in `[lo, hi)`.
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(hi >= lo);
-        lo + (hi - lo) * self.uniform()
-    }
-
     /// Uniform integer in `[lo, hi)` (empty range returns `lo`).
     pub fn uniform_usize(&mut self, lo: usize, hi: usize) -> usize {
         if hi <= lo {

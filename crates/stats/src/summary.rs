@@ -66,14 +66,6 @@ impl FlowSummaryBuilder {
         }
     }
 
-    /// New builder with a custom aggregation window.
-    pub fn with_window(label: impl Into<String>, window: Duration) -> Self {
-        FlowSummaryBuilder {
-            windows: WindowAggregator::new(window),
-            ..FlowSummaryBuilder::new(label)
-        }
-    }
-
     /// Record a packet delivered to the application at `t` with the given
     /// payload size and one-way delay.
     pub fn record_packet(&mut self, t: Instant, bytes: u64, one_way_delay: Duration) {

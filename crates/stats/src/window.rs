@@ -86,11 +86,6 @@ impl WindowAggregator {
         self.last_time = self.last_time.max(t);
     }
 
-    /// Number of windows touched so far.
-    pub fn window_count(&self) -> usize {
-        self.bytes.len()
-    }
-
     /// The aggregated window series.
     pub fn windows(&self) -> Vec<Window> {
         let window_secs = self.window.as_secs_f64();
