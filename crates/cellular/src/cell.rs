@@ -62,8 +62,6 @@ pub struct SubframeReport {
     pub outcomes: Vec<(UeId, HarqOutcome)>,
     /// PRB accounting for the subframe.
     pub prb_usage: PrbUsage,
-    /// Queue depth in bits per foreground UE after this subframe.
-    pub queue_bits: FxHashMap<UeId, u64>,
 }
 
 impl Default for SubframeReport {
@@ -76,7 +74,6 @@ impl Default for SubframeReport {
             dci_messages: Vec::new(),
             outcomes: Vec::new(),
             prb_usage: PrbUsage::default(),
-            queue_bits: FxHashMap::default(),
         }
     }
 }
@@ -86,7 +83,9 @@ impl Default for SubframeReport {
 /// Per-UE hot state is stored struct-of-arrays: a [`UeSlots`] index maps
 /// UeId → slot by binary search over a sorted dense id vector, and every
 /// lane below it is indexed by that slot.  Attach/detach shift all lanes
-/// together; the per-subframe tick never hashes.
+/// together; the per-subframe tick never hashes, and it visits only the
+/// slots staged for it, so an attached UE with no staged channel costs it
+/// nothing.
 #[derive(Debug)]
 pub struct Cell {
     config: CellConfig,
@@ -111,6 +110,9 @@ pub struct Cell {
     /// `None` means the UE is not scheduled this subframe.  Consumed (reset
     /// to `None`) by [`Cell::tick_prepared`].
     channel: Vec<Option<ChannelState>>,
+    /// The slots whose `channel` is `Some`, in staging order; kept valid
+    /// across attach/detach and sorted into slot order by the tick.
+    staged: Vec<u32>,
     tb_counter: u64,
     /// RLC/PDCP/MAC header overhead fraction γ: a transport block of
     /// `tbs_bits` physical bits carries `tbs_bits · (1 − γ)` payload bits
@@ -157,6 +159,7 @@ impl Cell {
             harq: Vec::new(),
             next_sequence: Vec::new(),
             channel: Vec::new(),
+            staged: Vec::new(),
             tb_counter: 0,
             protocol_overhead: 0.0,
             down: false,
@@ -212,6 +215,11 @@ impl Cell {
                 self.harq.insert(slot, HarqEntity::default());
                 self.next_sequence.insert(slot, 0);
                 self.channel.insert(slot, None);
+                for s in &mut self.staged {
+                    if *s as usize >= slot {
+                        *s += 1;
+                    }
+                }
             }
             SlotInsert::Present(slot) => {
                 // Re-attaching only refreshes the RNTI; queues, HARQ and the
@@ -236,6 +244,12 @@ impl Cell {
         self.next_sequence.remove(slot);
         self.queued_bits.remove(slot);
         self.channel.remove(slot);
+        self.staged.retain(|&s| s as usize != slot);
+        for s in &mut self.staged {
+            if *s as usize > slot {
+                *s -= 1;
+            }
+        }
         let mut harq = self.harq.remove(slot);
         let queue = self.queues.remove(slot);
 
@@ -304,7 +318,9 @@ impl Cell {
     /// staged state is simply not scheduled that subframe.
     pub fn set_channel(&mut self, ue: UeId, state: ChannelState) {
         if let Some(slot) = self.slots.slot_of(ue) {
-            self.channel[slot] = Some(state);
+            if self.channel[slot].replace(state).is_none() {
+                self.staged.push(slot as u32);
+            }
         }
     }
 
@@ -388,15 +404,16 @@ impl Cell {
     /// Advance the cell by one subframe using the channel states staged via
     /// [`Cell::set_channel`], writing into a caller-owned report.
     ///
-    /// The hot-loop entry point: the report's vectors and maps are cleared
-    /// and refilled in place, previously reported transport blocks donate
-    /// their segment buffers back to the pool, and all per-UE state is read
-    /// from dense lanes — a driver that reuses one report per cell allocates
+    /// The hot-loop entry point: the report's vectors are cleared and
+    /// refilled in place, previously reported transport blocks donate their
+    /// segment buffers back to the pool, and all per-UE state is read from
+    /// dense lanes — a driver that reuses one report per cell allocates
     /// nothing per subframe once the buffers have grown to their working
-    /// size.  Staged channel states are consumed (reset to `None`).
+    /// size.  Only the staged slots are visited, so the cost is
+    /// O(staged UEs + allocations + background), not O(attached UEs).
+    /// Staged channel states are consumed (reset to `None`).
     pub fn tick_prepared(&mut self, subframe: u64, report: &mut SubframeReport) {
         self.subframes_ticked += 1;
-        let total_prbs = self.config.total_prbs();
         report.cell = self.config.id;
         report.subframe = subframe;
         report.dci_messages.clear();
@@ -405,29 +422,37 @@ impl Cell {
         for (_, o) in report.outcomes.drain(..) {
             self.recycle_segments(o.block.segments);
         }
-        report.prb_usage.total = total_prbs;
+        report.prb_usage.total = self.config.total_prbs();
         report.prb_usage.allocations.clear();
-        report.queue_bits.clear();
 
+        // Slot order is UeId order — the cross-process determinism invariant
+        // (see ShardedNetwork::tick_into) — so `schedule` walks the staged
+        // slots sorted.
+        let mut staged = std::mem::take(&mut self.staged);
+        staged.sort_unstable();
         // An out-of-service cell transmits nothing and draws no randomness:
-        // the report stays empty (queue depths excepted, so observers can see
-        // the data stranding up), staged channel states are consumed as
+        // the report stays empty, staged channel states are consumed as
         // usual, and every queue/HARQ timer freezes in place.
-        if self.down {
-            for (slot, ue) in self.slots.ids().iter().enumerate() {
-                report.queue_bits.insert(*ue, self.queued_bits[slot]);
-            }
-            for c in &mut self.channel {
-                *c = None;
-            }
-            return;
+        if !self.down {
+            self.schedule(subframe, &staged, report);
         }
+        // Staged channel states are good for exactly one subframe.
+        for &slot in &staged {
+            self.channel[slot as usize] = None;
+        }
+        staged.clear();
+        self.staged = staged;
+    }
+
+    /// Schedule one subframe of an in-service cell over the sorted `staged`
+    /// slots, filling the cleared `report`.
+    fn schedule(&mut self, subframe: u64, staged: &[u32], report: &mut SubframeReport) {
+        let total_prbs = self.config.total_prbs();
         let mut cursor: u16 = 0;
 
         // --- Phase 1: HARQ retransmissions take priority. ------------------
-        // Slots iterate in sorted UeId order — the cross-process determinism
-        // invariant (see ShardedNetwork::tick_into).
-        for slot in 0..self.slots.len() {
+        for &slot in staged {
+            let slot = slot as usize;
             let Some(state) = self.channel[slot] else {
                 continue;
             };
@@ -488,7 +513,8 @@ impl Cell {
         self.background.tick_into(subframe, &mut self.bg_grants);
         self.demands.clear();
         BackgroundTraffic::append_demands(&self.bg_grants, &mut self.demands);
-        for slot in 0..self.slots.len() {
+        for &slot in staged {
+            let slot = slot as usize;
             let Some(state) = self.channel[slot] else {
                 continue;
             };
@@ -538,12 +564,16 @@ impl Cell {
         }
 
         // Dense per-slot grant totals replace the O(allocations) scans of
-        // `ScheduleResult::granted_to` in the foreground loop below.
+        // `ScheduleResult::granted_to` in the foreground loop below.  The
+        // lanes are all zero between ticks: resized (zero-filled) only when
+        // the slot count changed, and re-zeroed below where granted.
         let n = self.slots.len();
-        self.granted_prbs.clear();
-        self.granted_prbs.resize(n, 0);
-        self.granted_first.clear();
-        self.granted_first.resize(n, 0);
+        if self.granted_prbs.len() != n {
+            self.granted_prbs.clear();
+            self.granted_prbs.resize(n, 0);
+            self.granted_first.clear();
+            self.granted_first.resize(n, 0);
+        }
         for a in &self.sched.allocations {
             if let Some(slot) = self.slots.slot_of(a.ue) {
                 if self.granted_prbs[slot] == 0 {
@@ -554,7 +584,8 @@ impl Cell {
         }
 
         // Foreground transport blocks.
-        for slot in 0..self.slots.len() {
+        for &slot in staged {
+            let slot = slot as usize;
             let Some(state) = self.channel[slot] else {
                 continue;
             };
@@ -619,6 +650,9 @@ impl Cell {
 
         // --- Phase 3: bookkeeping. ------------------------------------------
         for alloc in &self.sched.allocations {
+            if let Some(slot) = self.slots.slot_of(alloc.ue) {
+                self.granted_prbs[slot] = 0;
+            }
             report.prb_usage.allocations.push(PrbAllocation {
                 ue: alloc.ue,
                 rnti: alloc.rnti,
@@ -627,13 +661,6 @@ impl Cell {
             });
         }
         self.total_allocated_prbs += u64::from(report.prb_usage.allocated());
-        for (slot, ue) in self.slots.ids().iter().enumerate() {
-            report.queue_bits.insert(*ue, self.queued_bits[slot]);
-        }
-        // Staged channel states are good for exactly one subframe.
-        for c in &mut self.channel {
-            *c = None;
-        }
     }
 }
 
@@ -705,7 +732,6 @@ mod tests {
         assert_eq!(seg[0].packet_id, 1);
         assert!(seg[0].is_last);
         assert_eq!(cell.queue_bits(ue), 0);
-        assert_eq!(report.queue_bits[&ue], 0);
     }
 
     #[test]
@@ -891,7 +917,7 @@ mod tests {
             assert!(report.dci_messages.is_empty(), "down cell emits no DCI");
             assert!(report.outcomes.is_empty());
             assert_eq!(report.prb_usage.allocated(), 0);
-            assert_eq!(report.queue_bits[&ue], before, "queue frozen in place");
+            assert_eq!(cell.queue_bits(ue), before, "queue frozen in place");
         }
         assert_eq!(cell.queue_bits(ue), before);
         // Back in service: the frozen queue drains again.
@@ -899,5 +925,115 @@ mod tests {
         let report = tick(&mut cell, 20, &[(ue, good_channel())]);
         assert!(!report.dci_messages.is_empty(), "service resumed");
         assert!(cell.queue_bits(ue) < before);
+    }
+
+    /// A handover attaches and detaches UEs between phase-1 staging and the
+    /// tick: the staged slots must follow their UEs through the shift.
+    #[test]
+    fn staged_slots_survive_a_mid_subframe_attach_and_detach() {
+        let mut cell = quiet_cell();
+        let (two, three, four) = (UeId(2), UeId(3), UeId(4));
+        for (ue, rnti) in [(two, Rnti(0x102)), (four, Rnti(0x104))] {
+            cell.attach(ue, rnti);
+            cell.enqueue(
+                ue,
+                QueuedPacket {
+                    id: u64::from(ue.0),
+                    bytes: 1500,
+                    enqueued_at: Instant::ZERO,
+                },
+            );
+        }
+        let weak = ChannelModel::stationary(-100.0, 2, DetRng::new(1))
+            .deterministic()
+            .sample(Instant::ZERO);
+        assert_ne!(weak.cqi, good_channel().cqi);
+        cell.set_channel(two, good_channel());
+        cell.set_channel(four, weak);
+        // UE 3 lands between the two staged slots, with data but no staged
+        // channel; then UE 2 leaves.
+        cell.attach(three, Rnti(0x103));
+        cell.enqueue(
+            three,
+            QueuedPacket {
+                id: 3,
+                bytes: 1500,
+                enqueued_at: Instant::ZERO,
+            },
+        );
+        assert!(!cell.detach(two, Instant::ZERO).is_empty());
+
+        let report = tick(&mut cell, 0, &[]);
+        assert_eq!(report.dci_messages.len(), 1, "only UE 4 is scheduled");
+        let dci = &report.dci_messages[0];
+        assert_eq!(dci.rnti, Rnti(0x104));
+        assert_eq!(dci.mcs, weak.cqi.to_mcs(), "with its staged MCS");
+        assert_eq!(dci.spatial_streams, weak.spatial_streams);
+        assert_eq!(report.outcomes.len(), 1);
+        assert_eq!(report.outcomes[0].0, four);
+
+        // The tick consumed every staged state: nothing is scheduled next,
+        // although UE 3 still holds its packet.
+        let report = tick(&mut cell, 1, &[]);
+        assert!(report.dci_messages.is_empty());
+        assert!(report.outcomes.is_empty());
+        assert!(cell.holds_data(three));
+    }
+
+    /// A cell's report depends only on the UEs that are scheduled: 300
+    /// attached UEs with no data, half of them staged every subframe,
+    /// change no byte of it.
+    #[test]
+    fn idle_attached_ues_change_no_byte_of_the_report() {
+        let loaded_cell = || {
+            Cell::new(
+                CellConfig::primary_20mhz(CellId(0)),
+                BackgroundTraffic::new(CellLoadProfile::busy(), DetRng::new(3)),
+                DetRng::new(4),
+            )
+        };
+        let (mut alone, mut crowded) = (loaded_cell(), loaded_cell());
+        let busy = UeId(150);
+        alone.attach(busy, Rnti(0x100));
+        crowded.attach(busy, Rnti(0x100));
+        // Idle ids on both sides of the busy UE's slot.
+        let idle: Vec<UeId> = (0..301u32).filter(|&i| i != 150).map(UeId).collect();
+        for (i, ue) in idle.iter().enumerate() {
+            crowded.attach(*ue, Rnti(0x200 + i as u16));
+        }
+        let mut channel = ChannelModel::stationary(-96.0, 2, DetRng::new(5));
+        let (mut report_a, mut report_b) = (SubframeReport::default(), SubframeReport::default());
+        let mut scheduled = 0usize;
+        for sf in 0..500u64 {
+            if sf % 4 == 0 {
+                for cell in [&mut alone, &mut crowded] {
+                    for k in 0..6 {
+                        cell.enqueue(
+                            busy,
+                            QueuedPacket {
+                                id: sf * 10 + k,
+                                bytes: 1500,
+                                enqueued_at: Instant::from_millis(sf),
+                            },
+                        );
+                    }
+                }
+            }
+            let state = channel.sample(Instant::from_millis(sf));
+            alone.set_channel(busy, state);
+            crowded.set_channel(busy, state);
+            for ue in idle.iter().step_by(2) {
+                crowded.set_channel(*ue, state);
+            }
+            alone.tick_prepared(sf, &mut report_a);
+            crowded.tick_prepared(sf, &mut report_b);
+            assert_eq!(
+                serde_json::to_string(&report_a).unwrap(),
+                serde_json::to_string(&report_b).unwrap(),
+                "subframe {sf}"
+            );
+            scheduled += report_a.outcomes.len();
+        }
+        assert!(scheduled > 100, "the busy UE was served: {scheduled}");
     }
 }

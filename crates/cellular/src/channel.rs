@@ -122,6 +122,9 @@ pub struct L3Filter {
     time_constant_ms: f64,
     state_dbm: Option<f64>,
     last_sample: Instant,
+    /// The last `(Δt, α)` pair computed: measurements arrive on a fixed
+    /// period, so the `exp` is almost always a repeat.
+    memo: (f64, f64),
 }
 
 impl L3Filter {
@@ -131,6 +134,7 @@ impl L3Filter {
             time_constant_ms: time_constant_ms.max(0.0),
             state_dbm: None,
             last_sample: Instant::ZERO,
+            memo: (f64::NAN, 0.0),
         }
     }
 
@@ -143,8 +147,12 @@ impl L3Filter {
                 let dt_ms = t.saturating_since(self.last_sample).as_millis_f64();
                 let alpha = if self.time_constant_ms <= 0.0 {
                     1.0
+                } else if dt_ms == self.memo.0 {
+                    self.memo.1
                 } else {
-                    1.0 - (-dt_ms / self.time_constant_ms).exp()
+                    let alpha = 1.0 - (-dt_ms / self.time_constant_ms).exp();
+                    self.memo = (dt_ms, alpha);
+                    alpha
                 };
                 prev + alpha * (rsrp_dbm - prev)
             }
@@ -236,11 +244,7 @@ impl ChannelModel {
 
     /// Sample the channel state for the subframe starting at `t`.
     pub fn sample(&mut self, t: Instant) -> ChannelState {
-        if t >= self.fading_valid_until {
-            self.redraw(t);
-        }
-        let base_rssi = self.trace.rssi_at(t);
-        let rssi = base_rssi + self.current_shadowing_db + self.current_fading_db;
+        let rssi = self.rsrp(t);
         let sinr = rssi - NOISE_FLOOR_DBM;
         let cqi = Cqi::from_sinr_db(sinr);
         let spatial_streams = if sinr >= 13.0 {
@@ -255,6 +259,17 @@ impl ChannelModel {
             spatial_streams,
             bit_error_rate: ber_from_sinr(sinr),
         }
+    }
+
+    /// The [`ChannelState::rsrp_dbm`] that [`ChannelModel::sample`] would
+    /// return for the subframe at `t`, making the same draws, without
+    /// deriving CQI, rank and bit error rate: the A3 measurement of a cell
+    /// that is not scheduled.
+    pub(crate) fn rsrp(&mut self, t: Instant) -> f64 {
+        if t >= self.fading_valid_until {
+            self.redraw(t);
+        }
+        self.trace.rssi_at(t) + self.current_shadowing_db + self.current_fading_db
     }
 
     /// Start a new coherence interval at `t`: draw its fade and shadowing.

@@ -65,7 +65,7 @@ pub struct NetworkTickReport {
     pub deliveries: Vec<Delivery>,
     /// Every DCI message transmitted in every cell this subframe.
     pub dci_messages: Vec<DciMessage>,
-    /// Per-cell detail (PRB usage, HARQ outcomes, queue depths).
+    /// Per-cell detail (DCIs, HARQ outcomes, PRB usage).
     pub cell_reports: Vec<SubframeReport>,
     /// Carrier activation / deactivation events.
     pub ca_events: Vec<CaEvent>,

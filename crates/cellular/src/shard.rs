@@ -73,11 +73,14 @@
 //! visit would change no byte: its staged channel state would go unread and
 //! its CA observation would leave the state as it is.  Phases 1 and 4 skip
 //! sleepers, except that measurement subframes still visit every multi-cell
-//! UE for A3.  The (UE, cell) streams stay sequential because a channel
-//! draws only when its coherence interval expires, always the same three
-//! draws: every subframe a sleeper skipped is replayed
-//! ([`ChannelModel::replay`] through [`UserEquipment::catch_up`]) before
-//! its channel is sampled again, handed over or leaves the active set.
+//! UE for A3; a sleeper's samples there feed A3 only and are never staged,
+//! so phase 3, which ticks each cell over the UEs staged on it
+//! ([`Cell::tick_prepared`]), never visits a sleeper at all.  The (UE, cell)
+//! streams stay sequential because a channel draws only when its coherence
+//! interval expires, always the same three draws: every subframe a sleeper
+//! skipped is replayed ([`ChannelModel::replay`] through
+//! [`UserEquipment::catch_up`]) before its channel is sampled again, handed
+//! over or leaves the active set.
 //!
 //! The tick path is allocation-conscious: drivers that advance millions of
 //! subframes call [`ShardedNetwork::tick_into`] with one reused
@@ -846,13 +849,19 @@ fn queued_bits(cell_shards: &[Vec<Cell>], table: &[CellEntry], ue: &UeConfig) ->
 
 /// Phase 1 for shard `me`: per awake resident UE in UeId order, sample
 /// every *active* cell (the data path needs its state) and, on measurement
-/// subframes, every configured cell of every multi-cell resident, asleep or
-/// not (the A3 ranking needs neighbours too); a sleeper first replays the
-/// subframes its active cell skipped.  Each (UE, cell) channel owns an
-/// independent random stream, so the extra measurement samples leave every
-/// other draw untouched.  Active-cell states are staged straight into the
-/// owning cell's channel lane (own cells directly, foreign cells via the
-/// outbox); the A3 event is evaluated on the UE's record.
+/// subframes, measure every configured cell of every multi-cell resident,
+/// asleep or not (the A3 ranking needs neighbours too); a sleeper first
+/// replays the subframes its active cell skipped.  Each (UE, cell) channel
+/// owns an independent random stream, so the extra measurement samples
+/// leave every other draw untouched.  An awake UE's active-cell states are
+/// staged straight into the owning cell's channel lane (own cells directly,
+/// foreign cells via the outbox); every other sample draws only the RSRP
+/// ([`UserEquipment::measure_channel`]) for the A3 event on the UE's
+/// record, or nothing more than its draws on a down cell that is not
+/// measured.  A sleeper's active cells are not staged: it
+/// holds no data and no HARQ process there, so no scheduler would read the
+/// state, and the one thing that can wake it before the cells tick — its
+/// own handover — re-stages the target itself.
 fn shard_phase1(
     me: usize,
     cells: &mut [Cell],
@@ -877,39 +886,44 @@ fn shard_phase1(
             continue;
         }
         let ue_id = us.slots.ids()[slot];
-        let n_active = ue.active_cells().len();
+        // Awake UEs stage their active cells, the first n_stage configured.
+        let n_stage = if asleep { 0 } else { ue.active_cells().len() };
         if asleep {
             ue.catch_up(now);
         }
         us.rsrp_scratch.clear();
         for i in 0..n_cells {
-            let is_active = i < n_active;
-            if !is_active && !measure_ue {
-                continue;
+            if i >= n_stage && !measure_ue {
+                break;
             }
             let cell_id = ue.config().configured_cells[i];
-            let Some(state) = ue.sample_channel(cell_id, now) else {
-                continue;
-            };
             // A down cell still consumes its channel draw (stream
             // conservation: the outage must not shift any other draw), but
             // gets no staged state and measures at the outage floor.
             let entry = entry_of(table, cell_id);
             let cell_down = entry.is_some_and(|e| e.down);
-            if let Some(e) = entry.filter(|_| is_active && !cell_down) {
-                if e.shard as usize == me {
-                    cells[e.local as usize].set_channel(ue_id, state);
-                } else {
-                    us.outbox.push((e.shard, e.local, ue_id, state));
-                }
-            }
-            if measure_ue {
-                let rsrp = if cell_down {
-                    OUTAGE_RSRP_DBM
-                } else {
+            let rsrp = match entry.filter(|_| i < n_stage && !cell_down) {
+                Some(e) => {
+                    let Some(state) = ue.sample_channel(cell_id, now) else {
+                        continue;
+                    };
+                    if e.shard as usize == me {
+                        cells[e.local as usize].set_channel(ue_id, state);
+                    } else {
+                        us.outbox.push((e.shard, e.local, ue_id, state));
+                    }
                     state.rsrp_dbm()
-                };
-                us.rsrp_scratch.push((cell_id, rsrp));
+                }
+                None => {
+                    let Some(rsrp) = ue.measure_channel(cell_id, now) else {
+                        continue;
+                    };
+                    rsrp
+                }
+            };
+            if measure_ue {
+                us.rsrp_scratch
+                    .push((cell_id, if cell_down { OUTAGE_RSRP_DBM } else { rsrp }));
             }
         }
         if measure_ue {
@@ -1102,12 +1116,13 @@ mod tests {
     }
 
     /// FNV-128 of the report stream (4,500 subframes of `NetworkTickReport`
-    /// JSON, then every UE's final [`ue_view`]) that the deleted serial
-    /// engine produced for this scenario at the commit before it was
-    /// removed, by seed.
+    /// JSON, then every UE's final [`ue_view`]) for this scenario, by seed:
+    /// the deleted serial engine's stream with `SubframeReport::queue_bits`
+    /// removed, derived at `232b5d5` by deleting that field, its fills and
+    /// its test reads and nothing else.
     const SERIAL_STREAM_DIGESTS: [(u64, &str); 2] = [
-        (3, "99481436ff2473982550f0daf0da5f2c"),
-        (11, "d1d6acc0c9df5cf234646dec52cce0fd"),
+        (3, "6b7b25d7a4b9529846381970517ae4e1"),
+        (11, "2367810a46a3cc6821b9081fb13214fa"),
     ];
 
     /// The tentpole invariant: for every shard count, the report stream is
@@ -1378,11 +1393,13 @@ mod tests {
     }
 
     /// FNV-128 of [`sleepy_city`]'s stream ([`run_sleepy`], then every UE's
-    /// final [`ue_view`]) by `ca_activation_utilisation`, captured from the
-    /// engine that sampled every UE's channels on every subframe.
+    /// final [`ue_view`]) by `ca_activation_utilisation`: the stream of the
+    /// engine that sampled every UE's channels on every subframe, with
+    /// `SubframeReport::queue_bits` removed, derived at `232b5d5` by
+    /// deleting that field, its fills and its test reads and nothing else.
     const SLEEP_WAKE_DIGESTS: [(f64, &str); 2] = [
-        (0.85, "5b8cb8136763960f971b61f8643c4e30"),
-        (0.0, "e1276ab7158b0ad5c0fb3a4eefc5807d"),
+        (0.85, "f7810819dcb8570109f91ae6de51e509"),
+        (0.0, "813c81aeda25fae34e6c277473d9fbfb"),
     ];
 
     /// Drive [`sleepy_city`] for 2,000 subframes, calling `look(net, sf,

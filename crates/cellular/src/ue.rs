@@ -151,6 +151,14 @@ impl UserEquipment {
         Some(self.rows[i].channel.sample(t))
     }
 
+    /// The raw RSRP towards one cell for the subframe at `t`
+    /// ([`ChannelModel::rsrp`]): the draws of
+    /// [`UserEquipment::sample_channel`] without the scheduling state.
+    pub(crate) fn measure_channel(&mut self, cell: CellId, t: Instant) -> Option<f64> {
+        let i = self.row(cell)?;
+        Some(self.rows[i].channel.rsrp(t))
+    }
+
     /// Fold one measurement round — the raw RSRP of every configured cell,
     /// in configured order — into the L3 filters, then evaluate the A3 event
     /// on the filtered values ([`handover::observe`]).  Returns the handover

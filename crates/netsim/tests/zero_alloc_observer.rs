@@ -59,7 +59,6 @@ fn report(subframe: u64) -> NetworkTickReport {
             first_prb: 25 * (u16::try_from(ue.0).unwrap() - 1),
             num_prbs: 25,
         });
-        cr.queue_bits.insert(ue, 48_000);
         report.dci_messages.push(dci(CellId(0), rnti, subframe));
     }
     report.cell_reports.push(cr);
