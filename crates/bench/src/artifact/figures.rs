@@ -259,7 +259,7 @@ pub fn render_active_users(
             }
             monitor.ingest(&FusedSubframe {
                 subframe: sf,
-                per_cell: HashMap::from([(CellId(0), msgs)]),
+                per_cell: vec![(CellId(0), msgs)],
             });
         }
         raw_users.push(per_window.len() as f64);

@@ -57,6 +57,13 @@ impl Cubic {
         self.cwnd
     }
 
+    /// The cubic curve's anchor `W_max` and time offset `K` in seconds (for
+    /// tests).
+    #[cfg(test)]
+    pub(crate) fn curve(&self) -> (f64, f64) {
+        (self.w_max, self.k)
+    }
+
     fn cubic_update(&mut self, now: Instant) {
         if self.epoch_start.is_none() {
             // First update of this congestion-avoidance epoch: anchor the

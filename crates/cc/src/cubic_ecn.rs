@@ -116,6 +116,39 @@ mod tests {
     }
 
     #[test]
+    fn one_ce_echo_is_exactly_cubics_loss_backoff_and_k() {
+        // 30 unmarked ACKs in slow start: cwnd = 10 + 30 = 40 segments.
+        // The CE echo at 100 ms is a loss (no earlier loss, so no guard):
+        //   W_max = 40 (cwnd ≥ the old W_max of 0, no fast convergence),
+        //   cwnd  = 40 · 0.7 = 28 = ssthresh.
+        // The same ACK then opens the congestion-avoidance epoch:
+        //   K     = ∛((W_max − cwnd) / C) = ∛(12 / 0.4) = ∛30
+        //         = 3.107232505953859 s,
+        //   target at t = 0: 40 + 0.4 · (0 − K)³ = 40 − 0.4 · 30 = 28,
+        //   w_est = 28 + 3 · (1 − 0.7) / (1 + 0.7) / 28 = 28 + 0.9 / 47.6
+        //         = 28.018907563025210,
+        //   cwnd  = max(≈ 28, w_est) = 28.018907563025210.
+        let mut ecn = CubicEcn::new(Duration::from_millis(40));
+        let mut plain = Cubic::new(Duration::from_millis(40));
+        for i in 0..30u64 {
+            ecn.on_ack(&ack(i, false));
+            plain.on_ack(&ack(i, false));
+        }
+        assert_eq!(ecn.cwnd_segments(), 40.0);
+        ecn.on_ack(&ack(100, true));
+        plain.on_loss(Instant::from_millis(100));
+        assert_eq!(plain.cwnd_segments(), 28.0);
+        plain.on_ack(&ack(100, false));
+        let (w_max, k) = ecn.inner.curve();
+        assert_eq!(w_max, 40.0);
+        assert!((k - 30f64.cbrt()).abs() < 1e-12);
+        assert!((k - 3.107_232_505_953_859).abs() < 1e-12);
+        assert!((ecn.cwnd_segments() - 28.018_907_563_025_21).abs() < 1e-12);
+        // Bit for bit the state plain CUBIC reaches through a loss.
+        assert_eq!(format!("{:?}", ecn.inner), format!("{plain:?}"));
+    }
+
+    #[test]
     fn marks_within_one_rtt_count_as_one_congestion_event() {
         let mut cc = CubicEcn::new(Duration::from_millis(40));
         for i in 0..60u64 {

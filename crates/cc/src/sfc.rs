@@ -234,6 +234,95 @@ mod tests {
         assert!(b.pacing_rate_bps() < a.pacing_rate_bps());
     }
 
+    /// An ACK at `now_us` whose RTT sample is 62.5 ms: 0.0625 s is exact in
+    /// binary, and so is the EWMA of equal samples, so the hand computations
+    /// below are exact.
+    fn exact_ack(now_us: u64) -> AckInfo {
+        AckInfo {
+            now: Instant::from_micros(now_us),
+            rtt: Duration::from_micros(62_500),
+            ..ack(0)
+        }
+    }
+
+    #[test]
+    fn additive_step_matches_hand_computation() {
+        // rate = 1.2 Mbit/s, srtt = 0.0625 s, one segment = 1500·8 = 12,000
+        // bits.  Step = (MSS·8)² / (rate · srtt²):
+        //   ack 1: 12,000² / (1,200,000 · 0.0625²) = 144e6 / 4,687.5
+        //        = 30,720 → rate 1,230,720
+        //   ack 2: 144e6 / (1,230,720 · 0.00390625) = 144e6 / 4,807.5
+        //        = 29,953.198127925… → rate 1,260,673.198127925…
+        let mut cc = Sfc::new(Duration::from_micros(62_500));
+        assert_eq!(cc.pacing_rate_bps(), 1_200_000.0);
+        cc.on_ack(&exact_ack(1_000));
+        assert_eq!(cc.srtt, Duration::from_micros(62_500));
+        assert_eq!(cc.pacing_rate_bps(), 1_230_720.0);
+        cc.on_ack(&exact_ack(2_000));
+        assert!((cc.pacing_rate_bps() - 1_260_673.198_127_925).abs() < 1e-6);
+    }
+
+    #[test]
+    fn signal_and_loss_backoffs_match_hand_computation() {
+        // Signal on a 1 Gbit/s link: no cap, then × 0.85:
+        //   1,200,000 · 0.85 = 1,020,000.
+        let mut signalled = Sfc::new(Duration::from_micros(62_500));
+        signalled.on_signal(Instant::from_millis(1), &signal(1, 1e9, 1_000));
+        assert!((signalled.pacing_rate_bps() - 1_020_000.0).abs() < 1e-6);
+        // Signal on a 500 kbit/s link: cap at the line rate, then × 0.85:
+        //   min(1,200,000, 500,000) · 0.85 = 425,000.
+        let mut capped = Sfc::new(Duration::from_micros(62_500));
+        capped.on_signal(Instant::from_millis(1), &signal(1, 500e3, 1_000));
+        assert!((capped.pacing_rate_bps() - 425_000.0).abs() < 1e-6);
+        // Loss: × 0.7: 1,200,000 · 0.7 = 840,000.
+        let mut lost = Sfc::new(Duration::from_micros(62_500));
+        lost.on_loss(Instant::from_millis(1));
+        assert!((lost.pacing_rate_bps() - 840_000.0).abs() < 1e-6);
+        // Losses an srtt apart: six leave 1.2e6 · 0.7⁶ = 141,178.8 bit/s,
+        // above the 100 kbit/s floor; a seventh would give 98,825.16, so it
+        // lands on the floor.
+        let mut floored = Sfc::new(Duration::from_micros(62_500));
+        for i in 0..6u64 {
+            floored.on_loss(Instant::from_millis(i * 100));
+        }
+        assert!((floored.pacing_rate_bps() - 1.2e6 * 0.7f64.powi(6)).abs() < 1e-6);
+        floored.on_loss(Instant::from_millis(600));
+        assert_eq!(floored.pacing_rate_bps(), MIN_RATE_BPS);
+    }
+
+    #[test]
+    fn signal_guard_is_a_quarter_rtt_floored_at_two_ms() {
+        // srtt = 40 ms: guard = 40 / 4 = 10 ms.  A signal 9.999 ms after a
+        // back-off only caps; one at 10 ms backs off again.
+        let mut cc = Sfc::new(Duration::from_millis(40));
+        cc.on_signal(Instant::from_millis(100), &signal(100, 1e9, 1_000));
+        let once = cc.pacing_rate_bps();
+        cc.on_signal(Instant::from_micros(109_999), &signal(109, 1e9, 1_000));
+        assert_eq!(cc.pacing_rate_bps(), once);
+        cc.on_signal(Instant::from_millis(110), &signal(110, 1e9, 1_000));
+        assert!((cc.pacing_rate_bps() - once * SIGNAL_BETA).abs() < 1e-6);
+        // srtt = 4 ms: a quarter is 1 ms, floored at 2 ms.
+        let mut fast = Sfc::new(Duration::from_millis(4));
+        fast.on_signal(Instant::from_millis(100), &signal(100, 1e9, 1_000));
+        let once = fast.pacing_rate_bps();
+        fast.on_signal(Instant::from_micros(101_999), &signal(101, 1e9, 1_000));
+        assert_eq!(fast.pacing_rate_bps(), once);
+        fast.on_signal(Instant::from_millis(102), &signal(102, 1e9, 1_000));
+        assert!((fast.pacing_rate_bps() - once * SIGNAL_BETA).abs() < 1e-6);
+    }
+
+    #[test]
+    fn cwnd_is_two_bdps_floored_at_four_segments() {
+        // rate 1.2 Mbit/s, srtt 62.5 ms: BDP = 1,200,000 / 8 · 0.0625
+        //   = 9,375 bytes, so cwnd = max(2 · 9,375, 4 · 1,500) = 18,750.
+        let cc = Sfc::new(Duration::from_micros(62_500));
+        assert_eq!(cc.cwnd_bytes(), 18_750);
+        // srtt 15.625 ms: BDP = 150,000 · 0.015625 = 2,343.75 bytes, and
+        // 2 · BDP = 4,687.5 < 6,000, so the four-segment floor binds.
+        let short = Sfc::new(Duration::from_micros(15_625));
+        assert_eq!(short.cwnd_bytes(), 4 * MSS_BYTES);
+    }
+
     #[test]
     fn rate_never_falls_below_the_floor() {
         let mut cc = Sfc::new(Duration::from_millis(40));

@@ -356,7 +356,6 @@ mod tests {
     use super::*;
     use pbe_cellular::dci::{DciFormat, DciMessage};
     use pbe_cellular::mcs::McsIndex;
-    use std::collections::HashMap;
 
     const OWN: Rnti = Rnti(0x0100);
     const OTHER: Rnti = Rnti(0x0200);
@@ -378,9 +377,10 @@ mod tests {
     }
 
     fn fused(subframe: u64, messages: Vec<DciMessage>) -> FusedSubframe {
-        let mut per_cell = HashMap::new();
-        per_cell.insert(CellId(0), messages);
-        FusedSubframe { subframe, per_cell }
+        FusedSubframe {
+            subframe,
+            per_cell: vec![(CellId(0), messages)],
+        }
     }
 
     fn client() -> PbeClient {
@@ -540,12 +540,11 @@ mod tests {
         // and the refreshed estimate reflects the *new* cell, not a
         // spurious fully-idle one.
         for sf in 100..108u64 {
-            let mut per_cell = HashMap::new();
             let mut own = dci(OWN, 10, sf);
             own.cell = CellId(1);
             let mut other = dci(OTHER, 40, sf);
             other.cell = CellId(1);
-            per_cell.insert(CellId(1), vec![own, other]);
+            let per_cell = vec![(CellId(1), vec![own, other])];
             if sf < 107 {
                 assert!(c.is_holding_estimates(), "holding at subframe {sf}");
             }
@@ -579,11 +578,9 @@ mod tests {
         let mut c = client();
         c.add_cell(CellId(1), 50);
         for sf in 0..40u64 {
-            let mut per_cell = HashMap::new();
-            per_cell.insert(CellId(0), vec![dci(OWN, 20, sf)]);
             let mut dci1 = dci(OWN, 10, sf);
             dci1.cell = CellId(1);
-            per_cell.insert(CellId(1), vec![dci1]);
+            let per_cell = vec![(CellId(0), vec![dci(OWN, 20, sf)]), (CellId(1), vec![dci1])];
             c.on_subframe(&FusedSubframe {
                 subframe: sf,
                 per_cell,

@@ -20,7 +20,7 @@ use pbe_cellular::config::{CellId, Rnti};
 use pbe_cellular::handover::HandoverEvent;
 use pbe_pdcch::batch::DciBatch;
 use pbe_pdcch::decoder::{ControlChannelDecoder, DecoderConfig};
-use pbe_pdcch::fusion::{FusedSubframe, MessageFusion};
+use pbe_pdcch::fusion::FusedSubframe;
 use pbe_stats::time::Instant;
 use pbe_stats::DetRng;
 use std::collections::BTreeMap;
@@ -91,15 +91,21 @@ pub struct ReceiverCtx {
 pub type ReceiverFactory = Box<dyn Fn(&ReceiverCtx) -> Box<dyn ReceiverAgent> + Send + Sync>;
 
 /// PBE-CC's receiver pipeline: per-cell blind decoders, message fusion and
-/// the mobile client, exactly as `sim.rs` used to hand-wire them.
+/// the mobile client.
+///
+/// Fusion is a gather in place.  Every decoder is driven for the same
+/// subframe in one [`ReceiverAgent::on_subframe`] call and all of them share
+/// one blindness window, so a subframe is complete as soon as the last
+/// decoder has run: each decodes into its cell's reused buffer in `fused`,
+/// and the client ingests that one subframe unless the receiver is blind.
 pub struct PbeReceiverAgent {
     decoders: BTreeMap<CellId, ControlChannelDecoder>,
-    fusion: MessageFusion,
+    /// The current subframe's decoded messages, one entry per decoder in
+    /// `decoders` order; rebuilt only when the decoder set changes.
+    fused: FusedSubframe,
     client: PbeClient,
-    /// Scratch for the subframes fusion completes, reused every subframe.
-    fused_ready: Vec<FusedSubframe>,
     /// The subframe (exclusive) until which every decoder is blind: the end
-    /// of the current re-acquisition gap or decode-loss burst.
+    /// of the latest-ending re-acquisition gap or decode-loss burst.
     blind_until: u64,
     flow: u32,
     rng: DetRng,
@@ -112,12 +118,14 @@ impl PbeReceiverAgent {
         for (cell, total_prbs) in &ctx.cells {
             decoders.insert(*cell, Self::decoder(*cell, *total_prbs, ctx.flow, &ctx.rng));
         }
-        let cells: Vec<CellId> = decoders.keys().copied().collect();
+        let fused = FusedSubframe {
+            subframe: 0,
+            per_cell: decoders.keys().map(|cell| (*cell, Vec::new())).collect(),
+        };
         PbeReceiverAgent {
-            fusion: MessageFusion::new(cells),
+            fused,
             client: PbeClient::new(PbeClientConfig::new(ctx.rnti, ctx.cells.clone())),
             decoders,
-            fused_ready: Vec::new(),
             blind_until: 0,
             flow: ctx.flow,
             rng: ctx.rng.clone(),
@@ -148,22 +156,28 @@ impl PbeReceiverAgent {
 
 impl ReceiverAgent for PbeReceiverAgent {
     fn on_carrier_event(&mut self, event: &CaEvent, total_prbs: u16) {
+        let per_cell = &mut self.fused.per_cell;
+        let slot = per_cell.binary_search_by_key(&event.cell, |(cell, _)| *cell);
         if event.activated {
-            // A decoder started while the others are blind is blind too: it
-            // must not complete fusion subframes they skip.
+            // A decoder started while the others are blind is blind too:
+            // every decoder shares the one window.
             let (flow, rng, blind_until) = (self.flow, &self.rng, self.blind_until);
             self.decoders.entry(event.cell).or_insert_with(|| {
                 let mut decoder = Self::decoder(event.cell, total_prbs, flow, rng);
                 decoder.set_resync_until(blind_until);
                 decoder
             });
+            if let Err(at) = slot {
+                per_cell.insert(at, (event.cell, Vec::new()));
+            }
             self.client.add_cell(event.cell, total_prbs);
         } else {
             self.decoders.remove(&event.cell);
+            if let Ok(at) = slot {
+                per_cell.remove(at);
+            }
             self.client.remove_cell(event.cell);
         }
-        let cells: Vec<CellId> = self.decoders.keys().copied().collect();
-        self.fusion.set_watched_cells(cells);
     }
 
     fn on_handover(
@@ -173,40 +187,44 @@ impl ReceiverAgent for PbeReceiverAgent {
         reacquisition_gap_subframes: u64,
     ) {
         // One decoder, freshly re-tuning onto the target cell: everything
-        // transmitted during the re-acquisition gap is invisible.
+        // transmitted during the re-acquisition gap is invisible.  A gap
+        // inside a longer decode-loss burst does not end the burst early.
         self.decoders.clear();
-        self.blind_until = event.at.subframe_index() + reacquisition_gap_subframes;
+        self.blind_until = self
+            .blind_until
+            .max(event.at.subframe_index() + reacquisition_gap_subframes);
         let mut decoder = Self::decoder(event.to, target_total_prbs, self.flow, &self.rng);
         decoder.set_resync_until(self.blind_until);
         self.decoders.insert(event.to, decoder);
-        // Fresh fusion stage (the old one waits on cells we stopped
-        // watching) and a re-targeted monitor whose estimates are held until
-        // the new cell's window carries real data.
-        self.fusion = MessageFusion::new(vec![event.to]);
+        self.fused.per_cell.clear();
+        self.fused.per_cell.push((event.to, Vec::new()));
+        // A re-targeted monitor whose estimates are held until the new
+        // cell's window carries real data.
         self.client.on_handover(event.to, target_total_prbs);
     }
 
     fn on_subframe(&mut self, batch: &DciBatch<'_>) {
         let subframe = batch.subframe();
-        for (cell, decoder) in self.decoders.iter_mut() {
+        self.fused.subframe = subframe;
+        debug_assert!(self
+            .decoders
+            .keys()
+            .eq(self.fused.per_cell.iter().map(|(cell, _)| cell)));
+        for ((cell, decoder), (_, decoded)) in
+            self.decoders.iter_mut().zip(self.fused.per_cell.iter_mut())
+        {
             // Each decoder sees only its own cell's slice of the stream:
             // same decode (the decoder filters by cell anyway, and draws
             // randomness only for matching messages), far less scanning.
-            let messages = batch.cell_messages(*cell);
-            if decoder.is_resynchronising(subframe) {
-                // Feed nothing into fusion during the re-acquisition gap: a
-                // blind decoder's "empty subframe" is absence of telemetry,
-                // not evidence of an idle cell, and must not enter the
-                // monitor's averaging window.
-                decoder.decode_subframe(subframe, messages);
-                continue;
-            }
-            let decoded = decoder.decode_subframe(subframe, messages);
-            self.fused_ready
-                .extend(self.fusion.ingest(*cell, subframe, decoded));
+            decoded.clear();
+            decoder.decode_into(subframe, batch.cell_messages(*cell), decoded);
         }
-        for fused in self.fused_ready.drain(..) {
-            self.client.on_subframe(&fused);
+        // Feed nothing to the client during a re-acquisition gap or
+        // decode-loss burst: a blind decoder's "empty subframe" is absence
+        // of telemetry, not evidence of an idle cell, and must not enter the
+        // monitor's averaging window.
+        if subframe >= self.blind_until {
+            self.client.on_subframe(&self.fused);
         }
     }
 
@@ -216,12 +234,12 @@ impl ReceiverAgent for PbeReceiverAgent {
 
     fn on_decode_loss(&mut self, until_subframe: u64) {
         // Reuse the re-acquisition machinery: every decoder goes silent
-        // until the burst ends, fusion ingests nothing meanwhile, and the
-        // client rides the gap on its held estimate (the same path a
-        // handover gap exercises).
-        self.blind_until = until_subframe;
+        // until the burst ends, the client ingests nothing meanwhile, and
+        // rides the gap on its held estimate (the same path a handover gap
+        // exercises).  A burst inside a longer gap does not shorten it.
+        self.blind_until = self.blind_until.max(until_subframe);
         for decoder in self.decoders.values_mut() {
-            decoder.set_resync_until(until_subframe);
+            decoder.set_resync_until(self.blind_until);
         }
         self.client.hold_estimates();
     }
@@ -237,6 +255,8 @@ mod tests {
     use pbe_cellular::dci::{DciFormat, DciMessage};
     use pbe_cellular::mcs::McsIndex;
     use pbe_pdcch::batch::DciBatcher;
+    use pbe_pdcch::fusion::MessageFusion;
+    use proptest::prelude::*;
 
     fn feed(agent: &mut impl ReceiverAgent, subframe: u64, messages: &[DciMessage]) {
         let mut batcher = DciBatcher::new();
@@ -401,9 +421,9 @@ mod tests {
     }
 
     /// A carrier activated while the receiver is blind joins the blindness:
-    /// its fresh decoder must not feed fusion subframes the older decoders
-    /// skip, or fusion waits on them forever and every later subframe with
-    /// them.
+    /// its fresh decoder must not hand the client subframes the older
+    /// decoders skip.  The client's first subframe is exactly the one at
+    /// `blind_until`, and from then on it tracks the new cell too.
     #[test]
     fn carrier_activated_while_blind_does_not_stall_fusion() {
         let mut agent = PbeReceiverAgent::new(&ctx());
@@ -425,9 +445,210 @@ mod tests {
                 agent.on_carrier_event(&activate, 50);
             }
             feed(&mut agent, sf, &grants(sf));
+            let monitor = agent.client().monitor();
+            let expected = if sf < 200 { 0 } else { 1 };
+            if sf <= 200 {
+                assert_eq!(monitor.window_len(CellId(0)), expected, "subframe {sf}");
+                assert_eq!(monitor.window_len(CellId(1)), expected, "subframe {sf}");
+            }
         }
-        assert_eq!(agent.fusion.pending_count(), 0);
         assert!(!agent.client().is_holding_estimates());
+        assert_eq!(agent.client().monitor().cells(), vec![CellId(0), CellId(1)]);
         assert!(agent.client().monitor().window_len(CellId(1)) > 0);
+    }
+
+    fn handover_to(cell: CellId, at_ms: u64) -> HandoverEvent {
+        HandoverEvent {
+            ue: pbe_cellular::config::UeId(1),
+            from: CellId(0),
+            to: cell,
+            at: Instant::from_millis(at_ms),
+        }
+    }
+
+    /// The subframe from which the client ingests again, found by feeding
+    /// `agent` one grant per subframe from `from` on.
+    fn first_ingested_subframe(agent: &mut PbeReceiverAgent, cell: CellId, from: u64) -> u64 {
+        for sf in from..from + 1_000 {
+            feed(agent, sf, &[dci(cell, Rnti(0x0100), 40, sf)]);
+            if agent.client().monitor().window_len(cell) > 0 {
+                return sf;
+            }
+        }
+        panic!("the receiver never saw again");
+    }
+
+    /// A handover inside a decode-loss burst does not end the burst at the
+    /// end of its (shorter) re-acquisition gap.
+    #[test]
+    fn handover_inside_a_decode_loss_burst_keeps_the_burst() {
+        let mut agent = PbeReceiverAgent::new(&ctx());
+        agent.on_decode_loss(300);
+        agent.on_handover(&handover_to(CellId(1), 100), 50, 40);
+        assert_eq!(agent.blind_until, 300);
+        assert_eq!(first_ingested_subframe(&mut agent, CellId(1), 100), 300);
+    }
+
+    /// A short decode-loss burst inside a re-acquisition gap does not cut
+    /// the gap short.
+    #[test]
+    fn decode_loss_inside_a_reacquisition_gap_keeps_the_gap() {
+        let mut agent = PbeReceiverAgent::new(&ctx());
+        agent.on_handover(&handover_to(CellId(1), 100), 50, 40);
+        agent.on_decode_loss(110);
+        assert_eq!(agent.blind_until, 140);
+        assert_eq!(first_ingested_subframe(&mut agent, CellId(1), 100), 140);
+    }
+
+    /// The receiver as it was before the in-place gather: every decoder's
+    /// output goes through a [`MessageFusion`] stage and the client ingests
+    /// whatever subframes it completes.  Blindness and the decoder set are
+    /// the wrapped agent's, so only the gather differs.
+    struct FusionReference {
+        agent: PbeReceiverAgent,
+        fusion: MessageFusion,
+        ready: Vec<FusedSubframe>,
+    }
+
+    impl FusionReference {
+        fn new(ctx: &ReceiverCtx) -> Self {
+            let agent = PbeReceiverAgent::new(ctx);
+            let fusion = MessageFusion::new(agent.decoders.keys().copied().collect());
+            FusionReference {
+                agent,
+                fusion,
+                ready: Vec::new(),
+            }
+        }
+    }
+
+    impl ReceiverAgent for FusionReference {
+        fn on_carrier_event(&mut self, event: &CaEvent, total_prbs: u16) {
+            self.agent.on_carrier_event(event, total_prbs);
+            let cells = self.agent.decoders.keys().copied().collect();
+            self.fusion.set_watched_cells(cells);
+        }
+
+        fn on_handover(&mut self, event: &HandoverEvent, prbs: u16, gap: u64) {
+            self.agent.on_handover(event, prbs, gap);
+            self.fusion = MessageFusion::new(vec![event.to]);
+        }
+
+        fn on_subframe(&mut self, batch: &DciBatch<'_>) {
+            let subframe = batch.subframe();
+            for (cell, decoder) in self.agent.decoders.iter_mut() {
+                let messages = batch.cell_messages(*cell);
+                if decoder.is_resynchronising(subframe) {
+                    decoder.decode_subframe(subframe, messages);
+                    continue;
+                }
+                let decoded = decoder.decode_subframe(subframe, messages);
+                self.ready
+                    .extend(self.fusion.ingest(*cell, subframe, decoded));
+            }
+            for fused in self.ready.drain(..) {
+                self.agent.client.on_subframe(&fused);
+            }
+        }
+
+        fn set_rtprop_ms(&mut self, rtprop_ms: f64) {
+            self.agent.set_rtprop_ms(rtprop_ms);
+        }
+
+        fn on_decode_loss(&mut self, until_subframe: u64) {
+            self.agent.on_decode_loss(until_subframe);
+        }
+
+        fn on_packet(&mut self, at: Instant, one_way_delay_ms: f64) -> Option<PbeFeedback> {
+            self.agent.on_packet(at, one_way_delay_ms)
+        }
+    }
+
+    /// One subframe of random traffic on cells 0–2, cell by cell as the
+    /// network emits it: our grants and competitors', new data and
+    /// retransmissions, and now and then a grant too large for the cell.
+    fn random_stream(rng: &mut DetRng, subframe: u64, out: &mut Vec<DciMessage>) {
+        const RNTIS: [Rnti; 4] = [Rnti(0x0100), Rnti(0x0200), Rnti(0x0201), Rnti(0x0300)];
+        out.clear();
+        for cell in 0..3u16 {
+            for _ in 0..rng.uniform_usize(0, 5) {
+                let prbs = rng.uniform_usize(1, 61) as u16;
+                let mut m = dci(CellId(cell), RNTIS[rng.uniform_usize(0, 4)], prbs, subframe);
+                m.mcs = McsIndex(rng.uniform_usize(0, 29) as u8);
+                m.new_data_indicator = rng.bernoulli(0.9);
+                out.push(m);
+            }
+        }
+    }
+
+    proptest! {
+        /// The in-place gather hands the client exactly what the fusion
+        /// stage did: through carrier activations and deactivations, a
+        /// handover and a decode-loss burst, the capacity estimate after
+        /// every subframe and the feedback on every packet are the same
+        /// bits.
+        #[test]
+        fn in_place_gather_matches_message_fusion(seed in 0u64..1_000_000_000) {
+            let mut rng = DetRng::new(seed);
+            let ctx = ReceiverCtx {
+                rng: DetRng::new(seed).split("decoders"),
+                ..ctx()
+            };
+            let mut agent = PbeReceiverAgent::new(&ctx);
+            let mut reference = FusionReference::new(&ctx);
+            let mut batcher = DciBatcher::new();
+            let mut stream = Vec::new();
+            let handover_at = rng.uniform_usize(100, 500) as u64;
+            let loss_at = rng.uniform_usize(50, 550) as u64;
+            // The network never deactivates the primary cell.
+            let mut primary = CellId(0);
+            for sf in 0..600u64 {
+                let cell = CellId(rng.uniform_usize(1, 3) as u16);
+                let ca = CaEvent {
+                    ue: pbe_cellular::config::UeId(1),
+                    cell,
+                    activated: rng.bernoulli(0.6),
+                    at: Instant::from_millis(sf),
+                };
+                if rng.bernoulli(0.03) && cell != primary {
+                    agent.on_carrier_event(&ca, 50);
+                    reference.on_carrier_event(&ca, 50);
+                }
+                if sf == handover_at {
+                    let gap = rng.uniform_usize(0, 60) as u64;
+                    agent.on_handover(&handover_to(cell, sf), 75, gap);
+                    reference.on_handover(&handover_to(cell, sf), 75, gap);
+                    primary = cell;
+                }
+                if sf == loss_at {
+                    let until = sf + rng.uniform_usize(1, 80) as u64;
+                    agent.on_decode_loss(until);
+                    reference.on_decode_loss(until);
+                }
+                if rng.bernoulli(0.02) {
+                    let rtprop = rng.uniform_usize(10, 80) as f64;
+                    agent.set_rtprop_ms(rtprop);
+                    reference.set_rtprop_ms(rtprop);
+                }
+                random_stream(&mut rng, sf, &mut stream);
+                let batch = batcher.batch(sf, &stream);
+                agent.on_subframe(&batch);
+                reference.on_subframe(&batch);
+                prop_assert_eq!(
+                    format!("{:?}", agent.client().capacity()),
+                    format!("{:?}", reference.agent.client().capacity()),
+                    "subframe {}", sf
+                );
+                for k in 0..rng.uniform_usize(0, 4) as u64 {
+                    let at = Instant::from_micros(sf * 1_000 + k * 250);
+                    let delay = 25.0 + 40.0 * rng.uniform();
+                    prop_assert_eq!(
+                        format!("{:?}", agent.on_packet(at, delay)),
+                        format!("{:?}", reference.on_packet(at, delay)),
+                        "subframe {} packet {}", sf, k
+                    );
+                }
+            }
+        }
     }
 }

@@ -61,7 +61,7 @@ fn steady_state_client_allocates_nothing() {
     let mut fused = FusedSubframe::default();
     fused
         .per_cell
-        .insert(CellId(0), vec![dci(OWN, 40), dci(OTHER, 30)]);
+        .push((CellId(0), vec![dci(OWN, 40), dci(OTHER, 30)]));
 
     // Warm-up: fill the 40-subframe monitor window (and evict past it, so a
     // recycled record is waiting), size the snapshot buffer, and cache the

@@ -16,6 +16,7 @@ use pbe_cellular::carrier::CaEvent;
 use pbe_cellular::config::{CellId, UeId};
 use pbe_cellular::handover::HandoverEvent;
 use pbe_stats::summary::FlowSummaryBuilder;
+use pbe_stats::FxHashMap;
 use std::collections::HashMap;
 
 /// One fault whose window is still open: recovery metrics accumulate here
@@ -34,7 +35,7 @@ struct OpenFault {
     /// accumulates over every flow.
     flow_filter: Option<u32>,
     /// Last capacity estimate per flow just before the fault hit.
-    baseline: HashMap<u32, f64>,
+    baseline: FxHashMap<u32, f64>,
     err_sum: f64,
     err_count: u64,
 }
@@ -71,7 +72,7 @@ struct FlowMetrics {
 /// Accumulates the standard [`SimResult`] from the event stream.
 pub struct MetricsCollector {
     flows: Vec<FlowMetrics>,
-    index_of: HashMap<u32, usize>,
+    index_of: FxHashMap<u32, usize>,
     /// UE → flow id used for the primary-cell PRB timeline.
     flow_of_ue: HashMap<UeId, u32>,
     primary_cell: CellId,
@@ -88,7 +89,7 @@ pub struct MetricsCollector {
     bh_samples_since_close: u64,
     bh_links: Vec<BackhaulLinkResult>,
     /// Last capacity estimate seen per flow (baseline for fault error).
-    last_capacity: HashMap<u32, f64>,
+    last_capacity: FxHashMap<u32, f64>,
     open_faults: Vec<OpenFault>,
     fault_records: Vec<FaultRecoveryRecord>,
     /// Newest subframe time seen, for closing still-open faults at the end.
@@ -129,7 +130,7 @@ impl MetricsCollector {
             bh_accum: Vec::new(),
             bh_samples_since_close: 0,
             bh_links: Vec::new(),
-            last_capacity: HashMap::new(),
+            last_capacity: FxHashMap::default(),
             open_faults: Vec::new(),
             fault_records: Vec::new(),
             last_subframe_ms: 0,

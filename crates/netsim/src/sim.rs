@@ -42,7 +42,7 @@ use pbe_cellular::traffic::CellLoadProfile;
 use pbe_core::receiver::{ReceiverAgent, ReceiverCtx};
 use pbe_pdcch::batch::DciBatcher;
 use pbe_stats::time::{Duration, Instant};
-use pbe_stats::DetRng;
+use pbe_stats::{DetRng, FxHashMap};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -401,7 +401,7 @@ impl Sender {
 /// delivered nor dropped.
 struct Senders {
     flows: Vec<Sender>,
-    packets: HashMap<u64, Packet>,
+    packets: FxHashMap<u64, Packet>,
     next_packet_id: u64,
 }
 
@@ -828,7 +828,7 @@ impl Simulation {
         }
         let mut senders = Senders {
             flows,
-            packets: HashMap::new(),
+            packets: FxHashMap::default(),
             next_packet_id: 1,
         };
         let mut wire = Wire::new(cfg, primary, &faults.schedule.link_flaps);

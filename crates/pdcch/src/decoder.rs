@@ -140,15 +140,27 @@ impl ControlChannelDecoder {
         subframe: u64,
         transmitted: &[DciMessage],
     ) -> Vec<DciMessage> {
-        self.stats.subframes += 1;
         let mut decoded = Vec::new();
+        self.decode_into(subframe, transmitted, &mut decoded);
+        decoded
+    }
+
+    /// [`Self::decode_subframe`] appending to a caller-owned buffer, so a
+    /// per-subframe caller that clears and reuses `out` allocates nothing.
+    pub fn decode_into(
+        &mut self,
+        subframe: u64,
+        transmitted: &[DciMessage],
+        out: &mut Vec<DciMessage>,
+    ) {
+        self.stats.subframes += 1;
         if self.is_resynchronising(subframe) {
             // Everything transmitted while re-tuning is lost to the monitor.
             self.stats.missed += transmitted
                 .iter()
                 .filter(|m| m.cell == self.cell && m.subframe == subframe)
                 .count() as u64;
-            return decoded;
+            return;
         }
 
         // Real messages: re-encode into their on-air form, walk the search
@@ -175,7 +187,7 @@ impl ControlChannelDecoder {
             match encoded.blind_decode().filter(|m| self.is_plausible(m)) {
                 Some(m) => {
                     self.stats.decoded += 1;
-                    decoded.push(m);
+                    out.push(m);
                 }
                 None => {
                     self.stats.missed += 1;
@@ -205,8 +217,6 @@ impl ControlChannelDecoder {
                 None => self.stats.noise_rejected += 1,
             }
         }
-
-        decoded
     }
 
     /// Plausibility filter applied to every decoded candidate: a downlink
@@ -369,5 +379,26 @@ mod tests {
         }
         assert!(dec.stats().candidates_per_subframe() >= 2.0);
         assert_eq!(dec.cell(), CellId(0));
+    }
+
+    #[test]
+    fn decode_into_appends_what_decode_subframe_returns() {
+        let cfg = DecoderConfig {
+            miss_probability: 0.2,
+            ..DecoderConfig::default()
+        };
+        let mut fresh = ControlChannelDecoder::new(CellId(0), cfg, DetRng::new(11));
+        let mut reused = ControlChannelDecoder::new(CellId(0), cfg, DetRng::new(11));
+        let mut out = vec![msg(3, 0, 0x300, 5)];
+        for sf in 0..200u64 {
+            let transmitted = vec![msg(0, sf, 0x100, 10), msg(0, sf, 0x200, 20)];
+            let expected = fresh.decode_subframe(sf, &transmitted);
+            out.truncate(1);
+            reused.decode_into(sf, &transmitted, &mut out);
+            assert_eq!(out[0].cell, CellId(3), "decode_into appends");
+            assert_eq!(out[1..], expected[..]);
+        }
+        assert_eq!(fresh.stats().decoded, reused.stats().decoded);
+        assert_eq!(fresh.stats().noise_rejected, reused.stats().noise_rejected);
     }
 }

@@ -6,6 +6,11 @@
 //! control module one consolidated view per subframe (paper §5: "Our Message
 //! Fusion module aligns the decoded control messages from multiple decoders
 //! according to their subframe indices").
+//!
+//! [`MessageFusion`] is the standalone aligner, for decoders that report
+//! asynchronously.  The simulator's receiver agent drives all of its
+//! decoders for the same subframe in one call, so it gathers their output
+//! straight into one reused [`FusedSubframe`] instead.
 
 use pbe_cellular::config::CellId;
 use pbe_cellular::dci::DciMessage;
@@ -17,19 +22,24 @@ use std::collections::{BTreeMap, HashMap};
 pub struct FusedSubframe {
     /// Subframe index.
     pub subframe: u64,
-    /// Decoded messages per cell (cells with no messages are absent).
-    pub per_cell: HashMap<CellId, Vec<DciMessage>>,
+    /// Decoded messages per cell, at most one entry per cell.  A cell with
+    /// no messages is absent or holds an empty `Vec`.  An aggregating
+    /// receiver watches a handful of cells, so a linear search beats a map.
+    pub per_cell: Vec<(CellId, Vec<DciMessage>)>,
 }
 
 impl FusedSubframe {
-    /// All messages of the subframe regardless of cell.
+    /// All messages of the subframe regardless of cell, in `per_cell` order.
     pub fn all_messages(&self) -> impl Iterator<Item = &DciMessage> {
-        self.per_cell.values().flatten()
+        self.per_cell.iter().flat_map(|(_, messages)| messages)
     }
 
     /// Messages of one cell.
     pub fn cell_messages(&self, cell: CellId) -> &[DciMessage] {
-        self.per_cell.get(&cell).map(Vec::as_slice).unwrap_or(&[])
+        self.per_cell
+            .iter()
+            .find(|(c, _)| *c == cell)
+            .map_or(&[], |(_, messages)| messages.as_slice())
     }
 }
 
@@ -69,7 +79,8 @@ impl MessageFusion {
 
     /// Ingest the messages one cell's decoder produced for one subframe.
     /// Returns every subframe that is now complete (all watched cells have
-    /// reported), in order.
+    /// reported), in order; each lists its cells in the order they first
+    /// reported messages.
     pub fn ingest(
         &mut self,
         cell: CellId,
@@ -86,10 +97,13 @@ impl MessageFusion {
             .entry(subframe)
             .or_insert_with(|| FusedSubframe {
                 subframe,
-                per_cell: HashMap::new(),
+                per_cell: Vec::new(),
             });
         if !messages.is_empty() {
-            entry.per_cell.entry(cell).or_default().extend(messages);
+            match entry.per_cell.iter_mut().find(|(c, _)| *c == cell) {
+                Some((_, seen)) => seen.extend(messages),
+                None => entry.per_cell.push((cell, messages)),
+            }
         }
         let reporters = self.reported.entry(subframe).or_default();
         if !reporters.contains(&cell) {
@@ -167,6 +181,19 @@ mod tests {
         assert_eq!(fused.len(), 1);
         assert_eq!(fused[0].per_cell.len(), 2);
         assert_eq!(fusion.pending_count(), 0);
+    }
+
+    #[test]
+    fn all_messages_follow_the_order_cells_reported_in() {
+        let mut fusion = MessageFusion::new(vec![CellId(0), CellId(1)]);
+        assert!(fusion
+            .ingest(CellId(1), 7, vec![msg(1, 7, 0x200)])
+            .is_empty());
+        let fused = fusion.ingest(CellId(0), 7, vec![msg(0, 7, 0x100), msg(0, 7, 0x101)]);
+        let rntis: Vec<u16> = fused[0].all_messages().map(|m| m.rnti.0).collect();
+        assert_eq!(rntis, vec![0x200, 0x100, 0x101]);
+        assert_eq!(fused[0].cell_messages(CellId(0)).len(), 2);
+        assert!(fused[0].cell_messages(CellId(2)).is_empty());
     }
 
     #[test]

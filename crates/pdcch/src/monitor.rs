@@ -28,7 +28,7 @@ use crate::fusion::FusedSubframe;
 use pbe_cellular::config::{CellId, Rnti};
 use pbe_cellular::dci::DciMessage;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Static configuration of the monitor.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -175,7 +175,9 @@ struct CellTracker {
 #[derive(Debug)]
 pub struct CellStatusMonitor {
     config: MonitorConfig,
-    trackers: HashMap<CellId, CellTracker>,
+    /// One tracker per watched cell (a handful at most, so a linear search
+    /// beats a map).
+    trackers: Vec<(CellId, CellTracker)>,
 }
 
 impl CellStatusMonitor {
@@ -184,11 +186,11 @@ impl CellStatusMonitor {
         let trackers = config
             .cells
             .iter()
-            .map(|(cell, prbs)| {
+            .map(|&(cell, total_prbs)| {
                 (
-                    *cell,
+                    cell,
                     CellTracker {
-                        total_prbs: *prbs,
+                        total_prbs,
                         ..CellTracker::default()
                     },
                 )
@@ -210,17 +212,17 @@ impl CellStatusMonitor {
 
     /// Start tracking an additional cell (e.g. after a carrier activation).
     pub fn add_cell(&mut self, cell: CellId, total_prbs: u16) {
-        if self.trackers.contains_key(&cell) {
+        if self.tracker(cell).is_some() {
             return;
         }
         self.config.cells.push((cell, total_prbs));
-        self.trackers.insert(
+        self.trackers.push((
             cell,
             CellTracker {
                 total_prbs,
                 ..CellTracker::default()
             },
-        );
+        ));
     }
 
     /// Stop tracking a cell (after a carrier deactivation).  The primary cell
@@ -230,7 +232,7 @@ impl CellStatusMonitor {
             return;
         }
         self.config.cells.retain(|(c, _)| *c != cell);
-        self.trackers.remove(&cell);
+        self.trackers.retain(|(c, _)| *c != cell);
     }
 
     /// Cells currently tracked.
@@ -241,10 +243,14 @@ impl CellStatusMonitor {
     /// Number of subframes currently folded into a cell's window (0 if the
     /// cell is untracked or nothing has been ingested since it was added).
     pub fn window_len(&self, cell: CellId) -> usize {
+        self.tracker(cell).map_or(0, |t| t.window.len())
+    }
+
+    fn tracker(&self, cell: CellId) -> Option<&CellTracker> {
         self.trackers
-            .get(&cell)
-            .map(|t| t.window.len())
-            .unwrap_or(0)
+            .iter()
+            .find(|(c, _)| *c == cell)
+            .map(|(_, tracker)| tracker)
     }
 
     /// Re-target the monitor after a handover: drop every tracked cell and
@@ -260,13 +266,13 @@ impl CellStatusMonitor {
         self.config.cells.clear();
         self.config.cells.push((cell, total_prbs));
         self.trackers.clear();
-        self.trackers.insert(
+        self.trackers.push((
             cell,
             CellTracker {
                 total_prbs,
                 ..CellTracker::default()
             },
-        );
+        ));
     }
 
     /// Fold one fused subframe of decoded control messages into the window.
@@ -347,7 +353,7 @@ impl CellStatusMonitor {
 
     /// Current windowed snapshot of one cell.
     pub fn snapshot(&self, cell: CellId) -> Option<CellSnapshot> {
-        let tracker = self.trackers.get(&cell)?;
+        let tracker = self.tracker(cell)?;
         let n = tracker.window.len();
         if n == 0 {
             return Some(CellSnapshot {
@@ -425,6 +431,7 @@ mod tests {
     use pbe_cellular::mcs::McsIndex;
     use pbe_stats::DetRng;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     const OWN: Rnti = Rnti(0x0100);
     const OTHER: Rnti = Rnti(0x0200);
@@ -447,9 +454,10 @@ mod tests {
     }
 
     fn fused(subframe: u64, messages: Vec<DciMessage>) -> FusedSubframe {
-        let mut per_cell = HashMap::new();
-        per_cell.insert(CellId(0), messages);
-        FusedSubframe { subframe, per_cell }
+        FusedSubframe {
+            subframe,
+            per_cell: vec![(CellId(0), messages)],
+        }
     }
 
     fn monitor() -> CellStatusMonitor {
@@ -613,7 +621,7 @@ mod tests {
     /// The snapshot as it was before the running totals: fold the whole
     /// window into a fresh per-user map.
     fn reference_snapshot(m: &CellStatusMonitor, cell: CellId) -> Option<CellSnapshot> {
-        let tracker = m.trackers.get(&cell)?;
+        let tracker = m.tracker(cell)?;
         let n = tracker.window.len();
         if n == 0 {
             return Some(CellSnapshot {
@@ -690,7 +698,7 @@ mod tests {
     /// RNTI pool so one RNTI often appears twice in a subframe.
     fn random_subframe(rng: &mut DetRng, subframe: u64) -> FusedSubframe {
         const RNTIS: [Rnti; 5] = [OWN, OTHER, CTRL, Rnti(0x0201), Rnti(0x0202)];
-        let mut per_cell = HashMap::new();
+        let mut per_cell = Vec::new();
         for cell in 0..3u16 {
             let count = rng.uniform_usize(0, 7);
             let messages = (0..count)
@@ -703,7 +711,7 @@ mod tests {
                     m
                 })
                 .collect();
-            per_cell.insert(CellId(cell), messages);
+            per_cell.push((CellId(cell), messages));
         }
         FusedSubframe { subframe, per_cell }
     }
