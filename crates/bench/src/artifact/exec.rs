@@ -22,29 +22,16 @@ use std::time::{Duration, Instant};
 
 /// Failure-containment policy for grid execution.
 ///
-/// The default policy is fully permissive — no deadline, no retries — which
-/// still contains panics (a panicking scenario becomes a [`PointFailure`],
-/// never a crashed sweep).
-#[derive(Debug, Clone)]
+/// The default policy is fully permissive — no deadline — which still
+/// contains panics (a panicking scenario becomes a [`PointFailure`], never a
+/// crashed sweep).  A failed point is not retried: a panic is deterministic,
+/// and a deadline overrun leaves its abandoned run still going.
+#[derive(Debug, Clone, Default)]
 pub struct ExecPolicy {
-    /// Wall-clock budget per scenario *attempt*.  A scenario still running
-    /// at the deadline counts as failed ([`FailureKind::Deadline`]); its
-    /// thread is abandoned, not joined.  `None` means unbounded.
+    /// Wall-clock budget per scenario.  A scenario still running at the
+    /// deadline counts as failed ([`FailureKind::Deadline`]); its thread is
+    /// abandoned, not joined.  `None` means unbounded.
     pub deadline: Option<Duration>,
-    /// Extra attempts after the first failure (0 = fail immediately).
-    pub retries: u32,
-    /// Base delay between attempts; attempt `n` waits `backoff * 2^(n-1)`.
-    pub backoff: Duration,
-}
-
-impl Default for ExecPolicy {
-    fn default() -> Self {
-        ExecPolicy {
-            deadline: None,
-            retries: 0,
-            backoff: Duration::from_millis(100),
-        }
-    }
 }
 
 /// Outcome of a cached run: the assembled report plus the cache accounting
@@ -59,8 +46,8 @@ pub struct CachedRun {
     pub executed: usize,
     /// Number of points served from the store.
     pub cached: usize,
-    /// Points that failed (panic or deadline) after exhausting the policy's
-    /// attempts, plus quarantined points skipped on resume — in grid order.
+    /// Points that failed (panic or deadline), plus quarantined points
+    /// skipped on resume — in grid order.
     pub failures: Vec<PointFailure>,
 }
 
@@ -84,8 +71,7 @@ pub fn run_cached(
 ///
 /// Execution is failure-contained end to end: a panicking scenario is caught
 /// and reported as a structured [`PointFailure`]; a scenario exceeding the
-/// policy's deadline is abandoned and reported likewise; failures retry per
-/// the policy (exponential backoff) before giving up.  Exhausted points are
+/// policy's deadline is abandoned and reported likewise.  Failed points are
 /// quarantined in the store, so a later resume skips-and-reports them
 /// instead of re-poisoning every invocation, and **every other point still
 /// executes exactly once** — one poison point costs its own slot, never the
@@ -131,7 +117,7 @@ pub fn run_cached_with(
 
     // Phase 2: execute the misses in small batches, persisting after each
     // batch so a kill loses at most one batch of work.  Each point runs
-    // guarded (catch_unwind + deadline watchdog + retries); the pool-level
+    // guarded (catch_unwind + deadline watchdog); the pool-level
     // panic containment is a second line of defense for harness bugs.
     let mut executed = 0usize;
     let batch = (workers * 2).max(4);
@@ -139,7 +125,7 @@ pub fn run_cached_with(
     for batch_indices in misses.chunks(batch) {
         let mut results: Vec<Option<_>> = batch_indices.iter().map(|_| None).collect();
         let pool_panics = pool.for_each(results.iter_mut().zip(batch_indices), |_, (slot, &i)| {
-            *slot = Some(execute_guarded(&specs[i], policy));
+            *slot = Some(execute_guarded(&specs[i], policy.deadline));
         });
         for (j, slot) in results.into_iter().enumerate() {
             let i = batch_indices[j];
@@ -160,7 +146,7 @@ pub fn run_cached_with(
                     slots[i] = Some(outcome);
                     continue;
                 }
-                Some(Err((kind, message, attempts))) => PointFailure {
+                Some(Err((kind, message))) => PointFailure {
                     key: keys[i].clone(),
                     figure: figure.to_string(),
                     label: spec.label.clone(),
@@ -168,7 +154,6 @@ pub fn run_cached_with(
                     seed: spec.seed,
                     kind,
                     message,
-                    attempts,
                 },
                 // The guarded job itself panicked (harness bug): the pool
                 // contained it; report it like a scenario panic.
@@ -186,7 +171,6 @@ pub fn run_cached_with(
                         seed: spec.seed,
                         kind: FailureKind::Panic,
                         message: panic,
-                        attempts: 1,
                     }
                 }
             };
@@ -216,34 +200,13 @@ pub fn run_cached_with(
     })
 }
 
-/// Run one scenario under the policy: per-attempt panic containment and
-/// deadline watchdog, retries with exponential backoff.  Total — never
-/// panics, never blocks past `attempts * deadline` (plus backoff).
+/// Run one scenario with its panics contained.  Without a deadline the
+/// simulation runs on the calling (pool) thread under `catch_unwind`; with
+/// one it runs on a fresh watchdog thread, and on timeout the thread is
+/// *abandoned* — it finishes (or spins) in the background while the sweep
+/// moves on, which is the only containment available without killing
+/// threads.  Total — never panics, never blocks past the deadline.
 fn execute_guarded(
-    spec: &ScenarioSpec,
-    policy: &ExecPolicy,
-) -> Result<ScenarioOutcome, (FailureKind, String, u32)> {
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        match attempt(spec, policy.deadline) {
-            Ok(outcome) => return Ok(outcome),
-            Err((kind, message)) => {
-                if attempts > policy.retries {
-                    return Err((kind, message, attempts));
-                }
-                std::thread::sleep(policy.backoff * 2u32.saturating_pow(attempts - 1));
-            }
-        }
-    }
-}
-
-/// One execution attempt.  Without a deadline the simulation runs on the
-/// calling (pool) thread under `catch_unwind`; with one it runs on a fresh
-/// watchdog thread, and on timeout the thread is *abandoned* — it finishes
-/// (or spins) in the background while the sweep moves on, which is the only
-/// containment available without killing threads.
-fn attempt(
     spec: &ScenarioSpec,
     deadline: Option<Duration>,
 ) -> Result<ScenarioOutcome, (FailureKind, String)> {
@@ -333,8 +296,6 @@ mod tests {
         .expand();
         let policy = ExecPolicy {
             deadline: Some(std::time::Duration::from_millis(300)),
-            retries: 0,
-            backoff: std::time::Duration::from_millis(1),
         };
         let run =
             run_cached_with("fig_chaos", specs.clone(), Some(&mut store), 1, &policy).unwrap();
@@ -356,7 +317,6 @@ mod tests {
             .find(|f| f.scheme == "CHAOS_HANG")
             .expect("deadline failure recorded");
         assert_eq!(hang.kind, FailureKind::Deadline);
-        assert_eq!((panic.attempts, hang.attempts), (1, 1));
         assert_eq!(store.len(), 2, "only healthy points persisted");
 
         // Resume: quarantined points are skipped-and-reported, healthy ones
@@ -365,31 +325,6 @@ mod tests {
         assert_eq!((resumed.executed, resumed.cached), (0, 2));
         assert_eq!(resumed.failures.len(), 2, "quarantine reported on resume");
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn retries_are_counted_before_a_point_is_given_up() {
-        // CHAOS_PANIC panics deterministically, so every retry fails too;
-        // the failure must record all attempts.
-        let specs = SweepGrid::over(vec![ScenarioSpec::single_flow(
-            "retry",
-            SchemeChoice::named("CHAOS_PANIC"),
-            Duration::from_millis(150),
-        )
-        .seed(5)])
-        .expand();
-        let policy = ExecPolicy {
-            deadline: None,
-            retries: 2,
-            backoff: std::time::Duration::from_millis(1),
-        };
-        let run = run_cached_with("fig_retry", specs, None, 1, &policy).unwrap();
-        assert_eq!(run.failures.len(), 1);
-        assert_eq!(
-            run.failures[0].attempts, 3,
-            "initial attempt plus two retries"
-        );
-        assert_eq!(run.failures[0].kind, FailureKind::Panic);
     }
 
     #[test]

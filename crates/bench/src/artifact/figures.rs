@@ -1013,10 +1013,17 @@ pub fn render_competition(
     }
     writer.table("fig18_schemes", "Fig18: all schemes", &table)?;
 
-    let pbe = &report
-        .outcome(COMPETITION_LABEL, "PBE")
-        .expect("PBE ran")
-        .result;
+    let pbe_outcome = report.outcome(COMPETITION_LABEL, "PBE").expect("PBE ran");
+    let pbe = &pbe_outcome.result;
+    // The competitor is on exactly while one of the point's background
+    // flows (the flows the swept scheme does not drive) is running.
+    let spec = &pbe_outcome.spec;
+    let bursts: Vec<(Instant, Instant)> = spec
+        .flows
+        .iter()
+        .filter(|f| !spec.sweep_flows.contains(&f.id))
+        .map(|f| (f.start, f.stop))
+        .collect();
     let bbr = &report
         .outcome(COMPETITION_LABEL, "BBR")
         .expect("BBR ran")
@@ -1032,8 +1039,8 @@ pub fn render_competition(
     let windows = pbe.flows[0].throughput_timeline_mbps.len();
     for w in (0..windows).step_by(2) {
         let time_s = w as f64 * 0.1;
-        let competitor_on =
-            ((time_s as u64).saturating_sub(4) / 4).is_multiple_of(2) && time_s >= 4.0;
+        let at = Instant::from_millis(w as u64 * 100);
+        let competitor_on = bursts.iter().any(|&(start, stop)| start <= at && at < stop);
         let cell = |r: &SimResult| {
             let f = &r.flows[0];
             (

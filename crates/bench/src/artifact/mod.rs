@@ -46,7 +46,7 @@ use std::time::Duration;
 /// Usage string of the `artifact` subcommand.
 pub const USAGE: &str = "usage: pbe-bench artifact (--all | --figure NAME)... [--list] \
 [--store DIR] [--out DIR] [--seconds N] [--workers N] [--serial] [--format text|csv|json] \
-[--deadline SECS] [--retries N]\n\
+[--deadline SECS]\n\
        pbe-bench artifact verify --store DIR [--repair] [--seconds N] [--workers N]";
 
 /// Parsed command line of `pbe-bench artifact`.
@@ -68,11 +68,9 @@ pub struct ArtifactArgs {
     pub workers: usize,
     /// Table output format (CSV by default — artifact output is plot input).
     pub format: OutputFormat,
-    /// Wall-clock deadline per scenario attempt, in seconds (unbounded when
+    /// Wall-clock deadline per scenario, in seconds (unbounded when
     /// absent).
     pub deadline: Option<f64>,
-    /// Extra execution attempts after a scenario fails.
-    pub retries: u32,
     /// `verify` subcommand: check every stored blob against its manifest
     /// checksum instead of running figures.
     pub verify: bool,
@@ -93,7 +91,6 @@ impl ArtifactArgs {
             workers: 0,
             format: OutputFormat::Csv,
             deadline: None,
-            retries: 0,
             verify: false,
             repair: false,
         };
@@ -138,11 +135,6 @@ impl ArtifactArgs {
                             .filter(|s: &f64| *s > 0.0)
                             .ok_or_else(|| "--deadline expects seconds > 0".to_string())?,
                     )
-                }
-                "--retries" => {
-                    parsed.retries = value_of("--retries")?
-                        .parse()
-                        .map_err(|_| "--retries expects a count".to_string())?
                 }
                 "--format" | "-f" => {
                     parsed.format = match value_of("--format")?.as_str() {
@@ -278,8 +270,6 @@ pub fn run_artifact(args: &ArtifactArgs) -> io::Result<ArtifactSummary> {
 fn exec_policy(args: &ArtifactArgs) -> ExecPolicy {
     ExecPolicy {
         deadline: args.deadline.map(Duration::from_secs_f64),
-        retries: args.retries,
-        ..ExecPolicy::default()
     }
 }
 
@@ -287,8 +277,8 @@ fn exec_policy(args: &ArtifactArgs) -> ExecPolicy {
 fn report_failures(failures: &[PointFailure]) {
     for f in failures {
         eprintln!(
-            "artifact: FAILED {} [{}] scheme={} seed={} after {} attempt(s): {}: {}",
-            f.label, f.key, f.scheme, f.seed, f.attempts, f.kind, f.message
+            "artifact: FAILED {} [{}] scheme={} seed={}: {}: {}",
+            f.label, f.key, f.scheme, f.seed, f.kind, f.message
         );
     }
 }
@@ -458,19 +448,16 @@ mod tests {
             "--repair",
             "--deadline",
             "2.5",
-            "--retries",
-            "3",
         ])
         .unwrap();
         assert!(a.verify);
         assert!(a.repair);
         assert_eq!(a.deadline, Some(2.5));
-        assert_eq!(a.retries, 3);
         // verify needs a store; --repair belongs to verify alone.
         assert!(parse(&["verify"]).is_err());
         assert!(parse(&["--all", "--store", "/tmp/s", "--repair"]).is_err());
         // A figure run accepts the containment flags without verify.
-        let b = parse(&["--all", "--deadline", "10", "--retries", "1"]).unwrap();
+        let b = parse(&["--all", "--deadline", "10"]).unwrap();
         assert!(!b.verify);
         assert_eq!(b.deadline, Some(10.0));
         assert!(parse(&["--all", "--deadline", "0"]).is_err());

@@ -66,8 +66,8 @@ impl std::fmt::Display for FailureKind {
     }
 }
 
-/// One line of `quarantine.jsonl`: a grid point that exhausted its execution
-/// attempts.  Quarantined keys are skipped-and-reported on resume instead of
+/// One line of `quarantine.jsonl`: a grid point whose execution failed.
+/// Quarantined keys are skipped-and-reported on resume instead of
 /// re-poisoning every invocation; deleting the file (or repairing the cause)
 /// lifts the quarantine.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -86,8 +86,6 @@ pub struct PointFailure {
     pub kind: FailureKind,
     /// The rendered panic payload, or a deadline description.
     pub message: String,
-    /// How many execution attempts were made before giving up.
-    pub attempts: u32,
 }
 
 /// One problem `verify` found with a stored point.
@@ -535,7 +533,6 @@ mod tests {
             seed: a.spec.seed,
             kind: FailureKind::Panic,
             message: "boom".to_string(),
-            attempts: 2,
         };
         {
             let mut store = ResultStore::open(&dir).unwrap();

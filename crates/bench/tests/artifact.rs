@@ -1,6 +1,7 @@
 //! Artifact-pipeline regression tests: resume after an interrupted run,
-//! point-level cache invalidation and the repeatability of the figures that
-//! run no simulation, asserted through the public
+//! point-level cache invalidation, the repeatability of the figures that
+//! run no simulation and the Fig. 19 competitor column, asserted through the
+//! public
 //! `run_artifact` entry point (the same code path as `pbe-bench artifact`).
 
 use pbe_bench::artifact::{run_artifact, ArtifactArgs};
@@ -29,7 +30,6 @@ fn args(store: &Path, out: &Path) -> ArtifactArgs {
         workers: 1,
         format: OutputFormat::Csv,
         deadline: None,
-        retries: 0,
         verify: false,
         repair: false,
     }
@@ -126,5 +126,32 @@ fn figures_without_a_simulation_render_the_same_bytes_twice() {
         .unwrap();
     }
     assert_eq!(dir_contents(&root.join("a")), dir_contents(&root.join("b")));
+    fs::remove_dir_all(&root).unwrap();
+}
+
+/// Fig. 19 marks the competitor "on" exactly while a competitor flow runs.
+/// At 14 s the grid schedules one burst, 4–8 s: the 12–14 s stretch, where
+/// an every-other-4-s rule would also say "on", has no competitor at all.
+#[test]
+fn fig19_marks_the_competitor_on_only_while_it_runs() {
+    let root = temp_root("fig19");
+    let out = root.join("out");
+    run_artifact(&ArtifactArgs {
+        figures: vec!["fig18_19_competition".to_string()],
+        store: None,
+        seconds: Some(14),
+        ..args(&root, &out)
+    })
+    .unwrap();
+    let csv = fs::read_to_string(out.join("fig19_timeline.csv")).unwrap();
+    let mut rows = 0;
+    for line in csv.lines().skip(1) {
+        let cols: Vec<&str> = line.split(',').collect();
+        let t: f64 = cols[0].parse().unwrap();
+        let expected = if (4.0..8.0).contains(&t) { "on" } else { "" };
+        assert_eq!(cols[1], expected, "competitor column at t = {t} s");
+        rows += 1;
+    }
+    assert_eq!(rows, 70, "one row per 200 ms over 14 s");
     fs::remove_dir_all(&root).unwrap();
 }

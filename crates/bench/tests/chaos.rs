@@ -41,8 +41,6 @@ fn chaos_specs() -> Vec<ScenarioSpec> {
 fn tight_policy() -> ExecPolicy {
     ExecPolicy {
         deadline: Some(std::time::Duration::from_millis(300)),
-        retries: 0,
-        backoff: std::time::Duration::from_millis(1),
     }
 }
 
@@ -109,7 +107,6 @@ fn figure_args(store: &Path, out: &Path) -> ArtifactArgs {
         workers: 1,
         format: OutputFormat::Csv,
         deadline: None,
-        retries: 0,
         verify: false,
         repair: false,
     }
@@ -126,7 +123,6 @@ fn verify_args(store: &Path, repair: bool) -> ArtifactArgs {
         workers: 1,
         format: OutputFormat::Csv,
         deadline: None,
-        retries: 0,
         verify: true,
         repair,
     }

@@ -1,62 +1,20 @@
-//! Property tests pinning the struct-of-arrays slab to map semantics.
+//! Property tests pinning the struct-of-arrays slot index to map semantics.
 //!
-//! The hot-path refactor replaced the cell's per-UE `HashMap`s with
-//! [`UeSlab`]/[`UeSlots`] lanes.  Correctness of that swap rests on one
-//! claim: a slab driven by any interleaving of insert / remove / lookup
-//! behaves exactly like a `HashMap<UeId, T>` whose iteration is read in
-//! sorted key order — the iteration order the simulator's determinism
-//! invariants are stated in.  These properties drive both containers with
-//! the same random operation sequences and require identical observable
-//! behaviour at every step.
+//! The cell and the shard keep per-UE state in value lanes indexed by one
+//! [`UeSlots`] index instead of per-UE `HashMap`s.  Correctness of that
+//! rests on one claim: lanes kept in lock-step through the slots, under any
+//! interleaving of insert / remove, behave exactly like per-key
+//! `HashMap<UeId, T>`s read in sorted key order — the iteration order the
+//! simulator's determinism invariants are stated in.  The property drives
+//! both with the same random operation sequences and requires identical
+//! observable behaviour at every step.
 
 use pbe_cellular::config::UeId;
-use pbe_cellular::slab::{SlotInsert, UeSlab, UeSlots};
+use pbe_cellular::slab::{SlotInsert, UeSlots};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 proptest! {
-    /// Insert/replace/remove return values, lookups, totals and sorted
-    /// iteration all match the HashMap model under random interleavings.
-    #[test]
-    fn slab_matches_sorted_hashmap_semantics(
-        ops in proptest::collection::vec((0u8..3, 0u32..24, 0u64..1000), 0..200),
-    ) {
-        let mut slab: UeSlab<u64> = UeSlab::new();
-        let mut model: HashMap<UeId, u64> = HashMap::new();
-        for (op, id, value) in ops {
-            let ue = UeId(id);
-            match op {
-                0 => prop_assert_eq!(slab.insert(ue, value), model.insert(ue, value)),
-                1 => prop_assert_eq!(slab.remove(ue), model.remove(&ue)),
-                _ => {
-                    prop_assert_eq!(slab.get(ue), model.get(&ue));
-                    prop_assert_eq!(slab.contains(ue), model.contains_key(&ue));
-                }
-            }
-            // Observable state matches after every single operation.
-            prop_assert_eq!(slab.len(), model.len());
-            prop_assert_eq!(slab.is_empty(), model.is_empty());
-            let mut sorted: Vec<(UeId, u64)> =
-                model.iter().map(|(k, v)| (*k, *v)).collect();
-            sorted.sort_by_key(|(k, _)| *k);
-            let ids: Vec<UeId> = sorted.iter().map(|(k, _)| *k).collect();
-            prop_assert_eq!(slab.ids(), &ids[..]);
-            let via_iter: Vec<(UeId, u64)> =
-                slab.iter().map(|(k, v)| (k, *v)).collect();
-            prop_assert_eq!(&via_iter, &sorted);
-            prop_assert_eq!(
-                slab.values().iter().sum::<u64>(),
-                model.values().sum::<u64>()
-            );
-            // Slot positions agree with sorted rank, and dense access through
-            // them sees the same values as keyed access.
-            for (rank, (k, v)) in sorted.iter().enumerate() {
-                prop_assert_eq!(slab.slot_of(*k), Some(rank));
-                prop_assert_eq!(slab.value_at(rank), v);
-            }
-        }
-    }
-
     /// Multi-lane use: lanes kept in lock-step through `UeSlots` slots stay
     /// consistent with per-key maps under random interleavings, as the
     /// cell's queue/HARQ/counter lanes rely on.

@@ -12,9 +12,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// The first three variants are the pre-registry serde shims (their JSON
 /// representation is unchanged); [`SchemeChoice::Named`] addresses any scheme
-/// registered in the simulation's
-/// [`SchemeTable`](crate::scheme::SchemeTable), so experiments can run
-/// schemes this workspace has never heard of.
+/// registered with the simulation (see
+/// [`SimBuilder::scheme`](crate::builder::SimBuilder::scheme)), so
+/// experiments can run schemes this workspace has never heard of.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchemeChoice {
     /// PBE-CC: the sender from `pbe-core`, with the PDCCH decoders, message

@@ -15,9 +15,8 @@
 //!
 //! * **Schemes** — congestion controllers are built from the string-keyed
 //!   [`SchemeRegistry`](pbe_cc_algorithms::registry::SchemeRegistry).  The
-//!   [`SchemeTable`] used by a simulation maps each
-//!   registry key to its sender-side factory; PBE-CC is one entry like any
-//!   baseline.  [`SchemeChoice::Named`] selects externally registered
+//!   [`scheme`] table used by a simulation maps each registry key to its
+//!   sender-side factory; PBE-CC is one entry like any baseline.  [`SchemeChoice::Named`] selects externally registered
 //!   schemes, so an experiment can add one without touching this crate.
 //! * **Receiver agents** — per-flow, receiver-side state machines
 //!   implementing [`ReceiverAgent`] (re-exported from `pbe-core`): they
@@ -33,27 +32,33 @@
 //!
 //! # Entry points
 //!
-//! [`SimBuilder`] is the fluent front door:
+//! A [`SimConfig`] is the one description of a scenario: it serializes, it
+//! is what `pbe-bench`'s content key hashes, and [`Simulation::new`] runs
+//! it with the standard schemes.  Unset fields come from
+//! [`SimConfig::default`]:
 //!
 //! ```
-//! use pbe_netsim::{SimBuilder, FlowConfig, SchemeChoice};
+//! use pbe_netsim::{FlowConfig, SchemeChoice, SimConfig, Simulation};
 //! use pbe_cellular::config::{CellId, UeConfig, UeId};
 //! use pbe_cellular::channel::MobilityTrace;
 //! use pbe_stats::time::Duration;
 //!
 //! let duration = Duration::from_secs(1);
 //! let ue = UeId(1);
-//! let result = SimBuilder::new()
-//!     .seed(1)
-//!     .duration(duration)
-//!     .ue(UeConfig::new(ue, vec![CellId(0)], 1, -85.0), MobilityTrace::stationary(-85.0))
-//!     .flow(FlowConfig::bulk(1, ue, SchemeChoice::Pbe, duration))
-//!     .run();
+//! let result = Simulation::new(SimConfig {
+//!     seed: 1,
+//!     duration,
+//!     ues: vec![(UeConfig::new(ue, vec![CellId(0)], 1, -85.0), MobilityTrace::stationary(-85.0))],
+//!     flows: vec![FlowConfig::bulk(1, ue, SchemeChoice::Pbe, duration)],
+//!     ..SimConfig::default()
+//! })
+//! .run();
 //! assert_eq!(result.flows.len(), 1);
 //! ```
 //!
-//! [`Simulation::new`] with a plain [`SimConfig`] remains for serialized
-//! scenarios and existing callers; both paths run the identical engine.
+//! [`SimBuilder::from_config`] wraps the same record when a run needs what
+//! a record cannot hold: extra schemes, receiver agents or observers.
+//!
 //! Scenario grids (scheme × trace × seed) and parallel execution live one
 //! level up, in `pbe-bench`'s `sweep` module, which lowers each declarative
 //! `ScenarioSpec` onto a [`SimConfig`] and runs it through this engine.
@@ -83,6 +88,6 @@ pub use observer::{Observer, SimEvent};
 pub use pbe_cellular::handover::HandoverEvent;
 pub use pbe_core::receiver::{NullReceiverAgent, ReceiverAgent, ReceiverCtx, ReceiverFactory};
 pub use rate::DeliveryRateEstimator;
-pub use scheme::{SchemeTable, FIXED_SCHEME_ID};
+pub use scheme::FIXED_SCHEME_ID;
 pub use sim::{CellTrajectory, PrbInterval, SimConfig, SimResult, Simulation};
 pub use wired::{LinkStats, WiredPath};

@@ -3,67 +3,43 @@
 //! A transport scheme, as the simulator sees it, is two factories under one
 //! [`SchemeId`] key: the sender-side congestion controller (from the open
 //! [`SchemeRegistry`] in `pbe-cc-algorithms`) and an optional receiver-side
-//! [`ReceiverAgent`].  The [`SchemeTable::standard`] table carries the eight
-//! baselines, PBE-CC (whose receiver agent is the decoder → fusion → client
-//! pipeline from `pbe-core`) and the congestion-control-free `"Fixed"`
-//! scheme — and new schemes are registered from the outside via
-//! [`SimBuilder`](crate::builder::SimBuilder) without touching this crate.
+//! [`ReceiverAgent`].  Every simulation starts from the standard table: the
+//! eight baselines, PBE-CC (whose receiver agent is the decoder → fusion →
+//! client pipeline from `pbe-core`) and the congestion-control-free
+//! [`FIXED_SCHEME_ID`] scheme.  New schemes are registered from the outside
+//! via [`SimBuilder`](crate::builder::SimBuilder) without touching this
+//! crate.
 
 use pbe_cc_algorithms::registry::{SchemeCtx, SchemeId, SchemeRegistry};
 use pbe_cc_algorithms::CongestionControl;
 use pbe_core::receiver::{NullReceiverAgent, ReceiverAgent, ReceiverCtx, ReceiverFactory};
 use pbe_core::PbeReceiverAgent;
-use std::collections::{HashMap, HashSet};
-use std::fmt;
+use std::collections::HashMap;
 
-/// Registry key of the congestion-control-free fixed-rate scheme.
+/// Registry key of the congestion-control-free fixed-rate scheme, whose
+/// flows are paced by their application model alone.
 pub const FIXED_SCHEME_ID: SchemeId = SchemeId::from_static("Fixed");
 
 /// Scheme-resolution table used by the simulation engine.
-pub struct SchemeTable {
+pub(crate) struct SchemeTable {
     registry: SchemeRegistry,
     receivers: HashMap<SchemeId, ReceiverFactory>,
-    /// Schemes whose flows are paced by the application model alone.
-    app_limited: HashSet<SchemeId>,
-}
-
-impl fmt::Debug for SchemeTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SchemeTable")
-            .field("registry", &self.registry)
-            .field("receivers", &self.receivers.keys().collect::<Vec<_>>())
-            .field("app_limited", &self.app_limited)
-            .finish()
-    }
 }
 
 impl SchemeTable {
-    /// An empty table (no schemes at all).
-    pub fn empty() -> Self {
+    /// The standard table: all eight baselines, PBE-CC with its receiver
+    /// pipeline, and the fixed-rate scheme.
+    pub(crate) fn standard() -> Self {
+        let mut receivers = HashMap::new();
+        receivers.insert(pbe_core::PBE_SCHEME_ID, PbeReceiverAgent::factory());
         SchemeTable {
-            registry: SchemeRegistry::empty(),
-            receivers: HashMap::new(),
-            app_limited: HashSet::new(),
+            registry: pbe_core::default_scheme_registry(),
+            receivers,
         }
     }
 
-    /// The standard table: all eight baselines, PBE-CC with its receiver
-    /// pipeline, and the fixed-rate scheme.
-    pub fn standard() -> Self {
-        let mut table = SchemeTable {
-            registry: pbe_core::default_scheme_registry(),
-            receivers: HashMap::new(),
-            app_limited: HashSet::new(),
-        };
-        table
-            .receivers
-            .insert(pbe_core::PBE_SCHEME_ID, PbeReceiverAgent::factory());
-        table.app_limited.insert(FIXED_SCHEME_ID);
-        table
-    }
-
     /// Register (or replace) a congestion-control factory.
-    pub fn register_scheme<F>(&mut self, id: impl Into<SchemeId>, factory: F)
+    pub(crate) fn register_scheme<F>(&mut self, id: impl Into<SchemeId>, factory: F)
     where
         F: Fn(&SchemeCtx) -> Box<dyn CongestionControl> + Send + Sync + 'static,
     {
@@ -71,34 +47,23 @@ impl SchemeTable {
     }
 
     /// Register (or replace) a receiver-agent factory for a scheme.
-    pub fn register_receiver(&mut self, id: impl Into<SchemeId>, factory: ReceiverFactory) {
+    pub(crate) fn register_receiver(&mut self, id: impl Into<SchemeId>, factory: ReceiverFactory) {
         self.receivers.insert(id.into(), factory);
     }
 
-    /// The underlying congestion-control registry.
-    pub fn registry(&self) -> &SchemeRegistry {
-        &self.registry
-    }
-
-    /// True if the scheme runs without a congestion controller.
-    pub fn is_app_limited(&self, id: &SchemeId) -> bool {
-        self.app_limited.contains(id)
-    }
-
-    /// True if the scheme is known to this table in any capacity.
-    pub fn contains(&self, id: &SchemeId) -> bool {
-        self.registry.contains(id) || self.app_limited.contains(id)
-    }
-
-    /// Build the congestion controller for a scheme (`None` for
-    /// application-limited schemes).
+    /// Build the congestion controller for a scheme (`None` for the
+    /// fixed-rate scheme).
     ///
     /// # Panics
     /// Panics if the scheme is entirely unknown, naming the key — a
     /// mis-spelled scheme should fail loudly at flow setup, not run silently
     /// uncontrolled.
-    pub fn build_cc(&self, id: &SchemeId, ctx: &SchemeCtx) -> Option<Box<dyn CongestionControl>> {
-        if self.app_limited.contains(id) {
+    pub(crate) fn build_cc(
+        &self,
+        id: &SchemeId,
+        ctx: &SchemeCtx,
+    ) -> Option<Box<dyn CongestionControl>> {
+        if *id == FIXED_SCHEME_ID {
             return None;
         }
         match self.registry.build(id, ctx) {
@@ -112,17 +77,15 @@ impl SchemeTable {
 
     /// Build the receiver agent for a scheme (the no-op agent if none is
     /// registered).
-    pub fn build_receiver(&self, id: &SchemeId, ctx: &ReceiverCtx) -> Box<dyn ReceiverAgent> {
+    pub(crate) fn build_receiver(
+        &self,
+        id: &SchemeId,
+        ctx: &ReceiverCtx,
+    ) -> Box<dyn ReceiverAgent> {
         match self.receivers.get(id) {
             Some(factory) => factory(ctx),
             None => Box::new(NullReceiverAgent),
         }
-    }
-}
-
-impl Default for SchemeTable {
-    fn default() -> Self {
-        SchemeTable::standard()
     }
 }
 
@@ -149,13 +112,11 @@ mod tests {
     #[test]
     fn standard_table_knows_pbe_baselines_and_fixed() {
         let table = SchemeTable::standard();
-        assert!(table.contains(&pbe_core::PBE_SCHEME_ID));
-        assert!(table.contains(&SchemeId::new("BBR")));
-        assert!(table.contains(&FIXED_SCHEME_ID));
-        assert!(table.is_app_limited(&FIXED_SCHEME_ID));
         assert!(table.build_cc(&FIXED_SCHEME_ID, &cc_ctx()).is_none());
         let pbe = table.build_cc(&pbe_core::PBE_SCHEME_ID, &cc_ctx()).unwrap();
         assert_eq!(pbe.name(), "PBE");
+        let bbr = table.build_cc(&SchemeId::new("BBR"), &cc_ctx()).unwrap();
+        assert_eq!(bbr.name(), "BBR");
     }
 
     #[test]

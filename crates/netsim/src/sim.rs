@@ -3,11 +3,12 @@
 //! time.
 //!
 //! The engine is scheme-agnostic.  Congestion controllers come from the
-//! [`SchemeTable`], receiver-side per-flow state machines are
-//! [`ReceiverAgent`]s built through the same table, and every measurable
-//! occurrence is narrated to the registered [`Observer`]s as typed
-//! [`SimEvent`]s — the standard [`SimResult`] is produced by the built-in
-//! [`MetricsCollector`] listening to that same stream.
+//! simulation's scheme table (see [`crate::scheme`]), receiver-side
+//! per-flow state machines are [`ReceiverAgent`]s built through the same
+//! table, and every measurable occurrence is narrated to the registered
+//! [`Observer`]s as typed [`SimEvent`]s — the standard [`SimResult`] is
+//! produced by the built-in [`MetricsCollector`] listening to that same
+//! stream.
 //!
 //! [`Simulation::run`] is a short loop over private stages, one per phase
 //! of the numbered steps of a subframe: the fault driver (0a, 4b); the
@@ -122,6 +123,25 @@ pub struct CellTrajectory {
     pub trace: MobilityTrace,
 }
 
+impl Default for SimConfig {
+    /// The default three-cell network with no background load, seed 0, a
+    /// 10-second horizon, and no devices, flows or overrides.
+    fn default() -> Self {
+        SimConfig {
+            cellular: CellularConfig::default(),
+            load: CellLoadProfile::none(),
+            seed: 0,
+            duration: Duration::from_secs(10),
+            ues: Vec::new(),
+            flows: Vec::new(),
+            trajectories: Vec::new(),
+            shards: None,
+            backhaul: None,
+            faults: None,
+        }
+    }
+}
+
 impl SimConfig {
     /// A single-UE, single-flow scenario on the default three-cell network.
     pub fn single_flow(
@@ -132,7 +152,6 @@ impl SimConfig {
     ) -> Self {
         let ue = UeId(1);
         SimConfig {
-            cellular: CellularConfig::default(),
             load,
             seed,
             duration,
@@ -141,10 +160,7 @@ impl SimConfig {
                 MobilityTrace::stationary(-85.0),
             )],
             flows: vec![FlowConfig::bulk(1, ue, scheme, duration)],
-            trajectories: Vec::new(),
-            shards: None,
-            backhaul: None,
-            faults: None,
+            ..SimConfig::default()
         }
     }
 }
@@ -734,34 +750,20 @@ impl Receiver {
 /// The simulation driver.
 pub struct Simulation {
     config: SimConfig,
-    table: SchemeTable,
-    observers: Vec<Box<dyn Observer>>,
+    pub(crate) table: SchemeTable,
+    pub(crate) observers: Vec<Box<dyn Observer>>,
 }
 
 impl Simulation {
     /// Create a simulation from its configuration, with the standard scheme
-    /// table and no external observers.
+    /// table and no external observers (add either through
+    /// [`SimBuilder`](crate::builder::SimBuilder)).
     pub fn new(config: SimConfig) -> Self {
-        Simulation::with_parts(config, SchemeTable::standard(), Vec::new())
-    }
-
-    /// Create a simulation with a custom scheme table and observers (the
-    /// [`SimBuilder`](crate::builder::SimBuilder) entry point).
-    pub fn with_parts(
-        config: SimConfig,
-        table: SchemeTable,
-        observers: Vec<Box<dyn Observer>>,
-    ) -> Self {
         Simulation {
             config,
-            table,
-            observers,
+            table: SchemeTable::standard(),
+            observers: Vec::new(),
         }
-    }
-
-    /// The simulation's configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
     }
 
     /// Run the simulation to completion and produce the per-flow results.

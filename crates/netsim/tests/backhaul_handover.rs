@@ -9,10 +9,11 @@
 //! backhaul drops anywhere in between.
 
 use pbe_cellular::channel::MobilityTrace;
-use pbe_cellular::config::{CellId, CellularConfig, UeConfig, UeId};
+use pbe_cellular::config::{CellId, UeConfig, UeId};
 use pbe_cellular::traffic::CellLoadProfile;
 use pbe_netsim::{
-    BackhaulConfig, BackhaulLinkSpec, FlowConfig, SchemeChoice, SimBuilder, SimEvent,
+    BackhaulConfig, BackhaulLinkSpec, CellTrajectory, FlowConfig, SchemeChoice, SimBuilder,
+    SimConfig, SimEvent,
 };
 use pbe_stats::time::Duration;
 use std::cell::RefCell;
@@ -47,26 +48,31 @@ fn handover_reroutes_the_backhaul_path_without_losing_packets() {
     let drop_sink = drops.clone();
     let ho_sink = handovers.clone();
 
-    let result = SimBuilder::new()
-        .seed(42)
-        .duration(duration)
-        .cell_profile(CellularConfig::default(), CellLoadProfile::idle())
-        .ue(
+    let config = SimConfig {
+        load: CellLoadProfile::idle(),
+        seed: 42,
+        duration,
+        ues: vec![(
             UeConfig::new(ue, vec![CellId(0), CellId(1)], 1, -85.0),
             MobilityTrace::stationary(-85.0),
-        )
-        .trajectory(
-            ue,
-            CellId(0),
-            MobilityTrace::from_secs(&[(0.0, -85.0), (7.0, -110.0)]),
-        )
-        .trajectory(
-            ue,
-            CellId(1),
-            MobilityTrace::from_secs(&[(0.0, -110.0), (7.0, -85.0)]),
-        )
-        .flow(FlowConfig::bulk(1, ue, SchemeChoice::Pbe, duration))
-        .backhaul(backhaul)
+        )],
+        trajectories: vec![
+            CellTrajectory {
+                ue,
+                cell: CellId(0),
+                trace: MobilityTrace::from_secs(&[(0.0, -85.0), (7.0, -110.0)]),
+            },
+            CellTrajectory {
+                ue,
+                cell: CellId(1),
+                trace: MobilityTrace::from_secs(&[(0.0, -110.0), (7.0, -85.0)]),
+            },
+        ],
+        flows: vec![FlowConfig::bulk(1, ue, SchemeChoice::Pbe, duration)],
+        backhaul: Some(backhaul),
+        ..SimConfig::default()
+    };
+    let result = SimBuilder::from_config(config)
         .observe(move |event: &SimEvent<'_>| match event {
             SimEvent::BackhaulMark { at, link, .. } => {
                 mark_sink.borrow_mut().push((at.as_millis(), *link))

@@ -3,9 +3,9 @@
 //! miniature.  Prints per-second throughput of each flow and the primary
 //! cell's PRB split.
 //!
-//! Built on `SimBuilder`; the per-second capacity-estimate column is tapped
-//! live from the `CapacityEstimated` observer events — telemetry the old
-//! `SimConfig`-only API could not expose without simulator changes.
+//! The scenario is one `SimConfig`; `SimBuilder` attaches an observer that
+//! taps the per-second capacity-estimate column live from the
+//! `CapacityEstimated` events.
 //!
 //! ```sh
 //! cargo run --release --example competing_flows
@@ -13,9 +13,9 @@
 
 use pbe_cc_algorithms::api::SchemeName;
 use pbe_cellular::channel::MobilityTrace;
-use pbe_cellular::config::{CellId, CellularConfig, UeConfig, UeId};
+use pbe_cellular::config::{CellId, UeConfig, UeId};
 use pbe_cellular::traffic::CellLoadProfile;
-use pbe_netsim::{AppModel, FlowConfig, SchemeChoice, SimBuilder, SimEvent};
+use pbe_netsim::{AppModel, FlowConfig, SchemeChoice, SimBuilder, SimConfig, SimEvent};
 use pbe_stats::jain::jain_index;
 use pbe_stats::time::{Duration, Instant};
 use std::cell::RefCell;
@@ -27,7 +27,6 @@ fn main() {
     let pbe_ue = UeId(1);
     let bbr_ue = UeId(2);
     let burst_ue = UeId(3);
-    let stationary = |rssi: f64| MobilityTrace::stationary(rssi);
 
     // Per-second average of the PBE client's capacity feedback, collected
     // from the observer event stream.
@@ -35,37 +34,31 @@ fn main() {
         Rc::new(RefCell::new(vec![(0.0, 0); seconds as usize]));
     let sink = estimates.clone();
 
-    let result = SimBuilder::new()
-        .cell_profile(CellularConfig::default(), CellLoadProfile::idle())
-        .seed(3)
-        .duration(duration)
-        .ue(
-            UeConfig::new(pbe_ue, vec![CellId(0)], 1, -87.0),
-            stationary(-87.0),
-        )
-        .ue(
-            UeConfig::new(bbr_ue, vec![CellId(0)], 1, -87.0),
-            stationary(-87.0),
-        )
-        .ue(
-            UeConfig::new(burst_ue, vec![CellId(0)], 1, -87.0),
-            stationary(-87.0),
-        )
-        .flow(FlowConfig::bulk(1, pbe_ue, SchemeChoice::Pbe, duration))
-        .flow(FlowConfig::bulk(
-            2,
-            bbr_ue,
-            SchemeChoice::Baseline(SchemeName::Bbr),
-            duration,
-        ))
-        // A 40 Mbit/s burst between t = 4 s and t = 8 s.
-        .flow(
+    let config = SimConfig {
+        load: CellLoadProfile::idle(),
+        seed: 3,
+        duration,
+        ues: [pbe_ue, bbr_ue, burst_ue]
+            .map(|ue| {
+                (
+                    UeConfig::new(ue, vec![CellId(0)], 1, -87.0),
+                    MobilityTrace::stationary(-87.0),
+                )
+            })
+            .to_vec(),
+        flows: vec![
+            FlowConfig::bulk(1, pbe_ue, SchemeChoice::Pbe, duration),
+            FlowConfig::bulk(2, bbr_ue, SchemeChoice::Baseline(SchemeName::Bbr), duration),
+            // A 40 Mbit/s burst between t = 4 s and t = 8 s.
             FlowConfig {
                 app: AppModel::ConstantRate(40e6),
                 ..FlowConfig::bulk(3, burst_ue, SchemeChoice::FixedRate, duration)
             }
             .with_lifetime(Instant::from_secs(4), Instant::from_secs(8)),
-        )
+        ],
+        ..SimConfig::default()
+    };
+    let result = SimBuilder::from_config(config)
         .observe(move |event: &SimEvent<'_>| {
             if let SimEvent::CapacityEstimated {
                 flow: 1,

@@ -9,7 +9,7 @@ use pbe_cc_algorithms::api::SchemeName;
 use pbe_cellular::channel::MobilityTrace;
 use pbe_cellular::config::{CellId, UeConfig, UeId};
 use pbe_cellular::traffic::CellLoadProfile;
-use pbe_netsim::{FlowConfig, SchemeChoice, SimBuilder};
+use pbe_netsim::{FlowConfig, SchemeChoice, SimConfig, Simulation};
 use pbe_stats::time::Duration;
 
 fn main() {
@@ -20,22 +20,24 @@ fn main() {
         (SchemeChoice::Baseline(SchemeName::Bbr), "BBR"),
         (SchemeChoice::Baseline(SchemeName::Cubic), "CUBIC"),
     ] {
-        // `SimBuilder` wires up the whole stack: the wired path, the eNodeB
+        // `Simulation` wires up the whole stack: the wired path, the eNodeB
         // scheduler with carrier aggregation, HARQ and the reordering
         // buffer.  The scheme string resolves through the open registry, and
         // for PBE-CC the registered receiver agent (control-channel
         // decoders, message fusion, the PBE client) plugs in automatically.
         let ue = UeId(1);
-        let result = SimBuilder::new()
-            .seed(42)
-            .duration(duration)
-            .cell_profile(Default::default(), CellLoadProfile::idle())
-            .ue(
+        let result = Simulation::new(SimConfig {
+            load: CellLoadProfile::idle(),
+            seed: 42,
+            duration,
+            ues: vec![(
                 UeConfig::new(ue, vec![CellId(0), CellId(1), CellId(2)], 3, -85.0),
                 MobilityTrace::stationary(-85.0),
-            )
-            .flow(FlowConfig::bulk(1, ue, scheme, duration))
-            .run();
+            )],
+            flows: vec![FlowConfig::bulk(1, ue, scheme, duration)],
+            ..SimConfig::default()
+        })
+        .run();
         let flow = &result.flows[0];
         println!(
             "{label:>7}: {:6.1} Mbit/s average throughput, {:5.1} ms average one-way delay, {:5.1} ms p95, {} packets ({} lost), CA triggered: {}",

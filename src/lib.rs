@@ -12,3 +12,9 @@ pub use pbe_core as core;
 pub use pbe_netsim as netsim;
 pub use pbe_pdcch as pdcch;
 pub use pbe_stats as stats;
+
+/// The README's `rust` blocks, compiled and run as doc-tests so the
+/// README cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

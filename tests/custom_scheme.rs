@@ -8,7 +8,7 @@
 use pbe_cc_algorithms::api::{AckInfo, CongestionControl, MSS_BYTES};
 use pbe_cellular::channel::MobilityTrace;
 use pbe_cellular::config::{CellId, UeConfig, UeId};
-use pbe_netsim::{FlowConfig, SchemeChoice, SimBuilder, SimEvent};
+use pbe_netsim::{FlowConfig, SchemeChoice, SimBuilder, SimConfig, SimEvent};
 use pbe_stats::time::{Duration, Instant};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -49,19 +49,22 @@ fn toy_scheme_runs_through_the_simulator_by_name() {
     let acked: Rc<Cell<u64>> = Rc::default();
     let sink = acked.clone();
 
-    let result = SimBuilder::new()
-        .seed(11)
-        .duration(duration)
-        .ue(
+    let config = SimConfig {
+        seed: 11,
+        duration,
+        ues: vec![(
             UeConfig::new(ue, vec![CellId(0)], 1, -85.0),
             MobilityTrace::stationary(-85.0),
-        )
-        .flow(FlowConfig::bulk(
+        )],
+        flows: vec![FlowConfig::bulk(
             1,
             ue,
             SchemeChoice::named("TOY"),
             duration,
-        ))
+        )],
+        ..SimConfig::default()
+    };
+    let result = SimBuilder::from_config(config)
         .scheme("TOY", |ctx| {
             Box::new(ToyCc {
                 rtprop: ctx.rtprop_hint,
@@ -107,29 +110,29 @@ fn toy_scheme_competes_against_a_registered_baseline() {
     let toy_ue = UeId(1);
     let cubic_ue = UeId(2);
     let duration = Duration::from_secs(3);
-    let result = SimBuilder::new()
-        .seed(13)
-        .duration(duration)
-        .ue(
-            UeConfig::new(toy_ue, vec![CellId(0)], 1, -85.0),
-            MobilityTrace::stationary(-85.0),
-        )
-        .ue(
-            UeConfig::new(cubic_ue, vec![CellId(0)], 1, -85.0),
-            MobilityTrace::stationary(-85.0),
-        )
-        .flow(FlowConfig::bulk(
-            1,
-            toy_ue,
-            SchemeChoice::named("TOY"),
-            duration,
-        ))
-        .flow(FlowConfig::bulk(
-            2,
-            cubic_ue,
-            SchemeChoice::Baseline(pbe_cc_algorithms::api::SchemeName::Cubic),
-            duration,
-        ))
+    let config = SimConfig {
+        seed: 13,
+        duration,
+        ues: [toy_ue, cubic_ue]
+            .map(|ue| {
+                (
+                    UeConfig::new(ue, vec![CellId(0)], 1, -85.0),
+                    MobilityTrace::stationary(-85.0),
+                )
+            })
+            .to_vec(),
+        flows: vec![
+            FlowConfig::bulk(1, toy_ue, SchemeChoice::named("TOY"), duration),
+            FlowConfig::bulk(
+                2,
+                cubic_ue,
+                SchemeChoice::Baseline(pbe_cc_algorithms::api::SchemeName::Cubic),
+                duration,
+            ),
+        ],
+        ..SimConfig::default()
+    };
+    let result = SimBuilder::from_config(config)
         .scheme("TOY", |ctx| {
             Box::new(ToyCc {
                 rtprop: ctx.rtprop_hint,

@@ -5,7 +5,9 @@ use pbe_cc_algorithms::api::SchemeName;
 use pbe_cellular::channel::MobilityTrace;
 use pbe_cellular::config::{CellId, CellularConfig, UeConfig, UeId};
 use pbe_cellular::traffic::CellLoadProfile;
-use pbe_netsim::{FlowConfig, SchemeChoice, SimBuilder, SimConfig, SimEvent, Simulation};
+use pbe_netsim::{
+    CellTrajectory, FlowConfig, SchemeChoice, SimBuilder, SimConfig, SimEvent, Simulation,
+};
 use pbe_stats::jain::jain_index;
 use pbe_stats::time::Duration;
 use std::cell::RefCell;
@@ -207,25 +209,30 @@ fn cell_crossing_hands_over_and_pbe_reconverges_within_the_gap() {
     let ho_events: Rc<RefCell<Vec<(u64, CellId, CellId)>>> = Rc::default();
     let est_sink = estimates.clone();
     let ho_sink = ho_events.clone();
-    let result = SimBuilder::new()
-        .seed(42)
-        .duration(duration)
-        .cell_profile(CellularConfig::default(), CellLoadProfile::idle())
-        .ue(
+    let config = SimConfig {
+        load: CellLoadProfile::idle(),
+        seed: 42,
+        duration,
+        ues: vec![(
             UeConfig::new(ue, vec![CellId(0), CellId(1)], 1, -85.0),
             MobilityTrace::stationary(-85.0),
-        )
-        .trajectory(
-            ue,
-            CellId(0),
-            MobilityTrace::from_secs(&[(0.0, -85.0), (7.0, -110.0)]),
-        )
-        .trajectory(
-            ue,
-            CellId(1),
-            MobilityTrace::from_secs(&[(0.0, -110.0), (7.0, -85.0)]),
-        )
-        .flow(FlowConfig::bulk(1, ue, SchemeChoice::Pbe, duration))
+        )],
+        trajectories: vec![
+            CellTrajectory {
+                ue,
+                cell: CellId(0),
+                trace: MobilityTrace::from_secs(&[(0.0, -85.0), (7.0, -110.0)]),
+            },
+            CellTrajectory {
+                ue,
+                cell: CellId(1),
+                trace: MobilityTrace::from_secs(&[(0.0, -110.0), (7.0, -85.0)]),
+            },
+        ],
+        flows: vec![FlowConfig::bulk(1, ue, SchemeChoice::Pbe, duration)],
+        ..SimConfig::default()
+    };
+    let result = SimBuilder::from_config(config)
         .observe(move |event: &SimEvent<'_>| match event {
             SimEvent::CapacityEstimated { at, feedback, .. } => est_sink
                 .borrow_mut()
