@@ -82,8 +82,9 @@ pub struct CityScale {
     /// `PBE_FORCE_SHARDS` overrides it).
     pub shards: Option<usize>,
     /// Cap on the number of UEs that get a foreground bulk flow (`None` =
-    /// every UE).  Metro-scale runs register 100k+ radio users but monitor
-    /// a handful of end-to-end flows through them — the many-viewers shape.
+    /// every UE).  Metro-scale runs register thousands of radio users (at
+    /// most 65,268, the foreground RNTI space) but monitor a handful of
+    /// end-to-end flows through them — the many-viewers shape.
     pub max_flows: Option<u32>,
 }
 

@@ -317,11 +317,19 @@ impl Cell {
     /// staged state is consumed by [`Cell::tick_prepared`]; a UE with no
     /// staged state is simply not scheduled that subframe.
     pub fn set_channel(&mut self, ue: UeId, state: ChannelState) {
-        if let Some(slot) = self.slots.slot_of(ue) {
-            if self.channel[slot].replace(state).is_none() {
-                self.staged.push(slot as u32);
-            }
+        let Some(slot) = self.slots.slot_of(ue) else {
+            debug_assert!(false, "channel staged for unattached {ue}");
+            return;
+        };
+        if self.channel[slot].replace(state).is_none() {
+            self.staged.push(slot as u32);
         }
+    }
+
+    /// True while the cell holds lanes for the UE.
+    #[cfg(test)]
+    pub(crate) fn is_attached(&self, ue: UeId) -> bool {
+        self.slots.slot_of(ue).is_some()
     }
 
     /// Bits waiting in the downlink queue of a UE (O(log n): a binary search

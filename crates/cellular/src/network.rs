@@ -403,9 +403,9 @@ mod tests {
         for shards in SHARD_COUNTS {
             // A CA-capable UE hands over, then offers more than the new serving
             // cell can carry: the CA machinery must be able to re-activate the
-            // *old* serving cell as a secondary — which requires the handover to
-            // have re-attached the UE to every configured cell (an unattached
-            // cell would black-hole the flow-split packets).
+            // *old* serving cell as a secondary — which the handover detached
+            // the UE from, so the activation must attach it again (an
+            // unattached cell would black-hole the flow-split packets).
             let mut config = CellularConfig::default();
             config.handover.min_interval_ms = 500;
             config.ca_activation_subframes = 50;

@@ -65,11 +65,12 @@
 //! target shard.
 //!
 //! Idle UEs cost nothing on ordinary subframes.  Each shard keeps an
-//! `awake` lane parallel to its `ues`: adding a UE, enqueueing a packet for
-//! it, replacing one of its traces or handing it over wakes it, and phase 4
+//! `awake` lane parallel to its `ues`: enqueueing a packet for a UE,
+//! replacing one of its traces or handing it over wakes it, and phase 4
 //! puts it to sleep on a subframe that allocated it nothing once its active
 //! cell holds no queued packet and no pending HARQ process and its CA state
-//! is quiescent ([`is_quiescent`](crate::carrier::is_quiescent)).  A sleeper's
+//! is quiescent ([`is_quiescent`](crate::carrier::is_quiescent)).  A UE that
+//! meets that rule when it is added joins asleep.  A sleeper's
 //! visit would change no byte: its staged channel state would go unread and
 //! its CA observation would leave the state as it is.  Phases 1 and 4 skip
 //! sleepers, except that measurement subframes still visit every multi-cell
@@ -81,6 +82,15 @@
 //! skipped is replayed ([`ChannelModel::replay`] through
 //! [`UserEquipment::catch_up`]) before its channel is sampled again, handed
 //! over or leaves the active set.
+//!
+//! A cell holds lanes only for the UEs it has been active for: adding a UE
+//! attaches it to its primary cell, a carrier-aggregation activation
+//! attaches the secondary at the phase-4 barrier (before anything can
+//! enqueue or stage there), and a handover attaches the target.  So every
+//! active cell of a UE has it attached; a deactivated secondary keeps its
+//! lane.  Cells schedule staged UEs only and read an unattached UE as
+//! holding nothing, so a lane created on activation is indistinguishable
+//! from one that had sat empty since the UE was added.
 //!
 //! The tick path is allocation-conscious: drivers that advance millions of
 //! subframes call [`ShardedNetwork::tick_into`] with one reused
@@ -130,6 +140,13 @@ type DeliveryKey = (u32, u32, u32);
 
 /// `CellEntry::shard` of a CellId the configuration does not name.
 const ABSENT: u32 = u32::MAX;
+
+/// The first RNTI handed to a foreground UE.
+const FIRST_UE_RNTI: u16 = 0x0100;
+
+/// The last RNTI a foreground UE may hold: `0xFFF4`–`0xFFFF` are reserved
+/// (TS 36.321 Table 7.1-1), so a network registers at most 65,268 UEs.
+const LAST_UE_RNTI: u16 = 0xFFF3;
 
 /// One row of the dense CellId-indexed table: where the cell lives and what
 /// the per-UE loops need to know about it without touching the cell.  Sized
@@ -331,7 +348,7 @@ impl ShardedNetwork {
             ue_shards,
             cell_table,
             packet_bytes: FxHashMap::default(),
-            next_rnti: 0x0100,
+            next_rnti: FIRST_UE_RNTI,
             rng,
             pool: (n_shards > 1).then(|| WorkerPool::new(n_shards)),
             pending: Vec::new(),
@@ -485,39 +502,72 @@ impl ShardedNetwork {
         self.config.cell(cell).map_or(2, |c| c.max_spatial_streams)
     }
 
+    /// The trace a UE registered with `trace` sees towards its
+    /// `position`-th configured cell: secondary carriers typically sit at
+    /// higher frequencies and are received a little weaker, 1.5 dB per
+    /// position.
+    pub fn configured_cell_trace(trace: &MobilityTrace, position: usize) -> MobilityTrace {
+        let offset = -1.5 * position as f64;
+        let mut shifted = trace.clone();
+        for w in &mut shifted.waypoints {
+            w.1 += offset;
+        }
+        shifted
+    }
+
     /// Register a UE with the given mobility trace applied to all of its
-    /// configured cells (secondary cells see the same large-scale trajectory
-    /// with a small fixed offset; [`ShardedNetwork::set_cell_trace`]
-    /// installs genuinely per-cell trajectories for handover scenarios).
-    /// The UE becomes resident in the shard owning its primary cell.
-    /// Returns the RNTI assigned to the UE.
+    /// configured cells, shifted per position
+    /// ([`ShardedNetwork::configured_cell_trace`]).  Returns the RNTI
+    /// assigned to the UE; see [`ShardedNetwork::add_ue_with_traces`].
     pub fn add_ue(&mut self, ue_config: UeConfig, trace: MobilityTrace) -> Rnti {
+        let traces = (0..ue_config.configured_cells.len())
+            .map(|i| Self::configured_cell_trace(&trace, i))
+            .collect();
+        self.add_ue_with_traces(ue_config, traces)
+    }
+
+    /// Register a UE with `traces[i]` the mobility trace it sees towards its
+    /// `i`-th configured cell (per-cell trajectories are what make a
+    /// handover scenario expressible).  The UE becomes resident in the shard
+    /// owning its primary cell and is attached to that cell only; other
+    /// cells attach it when they become active.  A UE with nothing to
+    /// schedule and a quiescent CA state joins asleep: its first tick would
+    /// have staged a state no scheduler reads and then put it to sleep.
+    /// Returns the RNTI assigned to the UE.
+    ///
+    /// # Panics
+    ///
+    /// If `traces` does not hold one trace per configured cell, or if the
+    /// network already registered 65,268 UEs (RNTIs `0x0100`–`0xFFF3`).
+    pub fn add_ue_with_traces(&mut self, ue_config: UeConfig, traces: Vec<MobilityTrace>) -> Rnti {
+        assert_eq!(
+            traces.len(),
+            ue_config.configured_cells.len(),
+            "one trace per configured cell"
+        );
+        assert!(
+            self.next_rnti <= LAST_UE_RNTI,
+            "RNTI space exhausted: foreground RNTIs end at {LAST_UE_RNTI:#06X}, \
+             so a network holds at most 65,268 UEs"
+        );
         let rnti = Rnti(self.next_rnti);
         self.next_rnti += 1;
         let id = ue_config.id;
-        let mut channels = Vec::with_capacity(ue_config.configured_cells.len());
-        for (i, cell_id) in ue_config.configured_cells.iter().enumerate() {
-            // Secondary carriers typically sit at higher frequencies and are
-            // received a little weaker.
-            let offset = -1.5 * i as f64;
-            let mut shifted = trace.clone();
-            for w in &mut shifted.waypoints {
-                w.1 += offset;
-            }
-            let model = ChannelModel::new(
-                shifted,
-                self.max_streams(*cell_id),
-                self.channel_rng(id, i as u64),
-            );
-            channels.push(model);
-            if let Some(cell) = self.cell_mut(*cell_id) {
-                cell.attach(id, rnti);
-            }
-        }
-        let home = ue_config
+        let channels = ue_config
             .configured_cells
-            .first()
-            .map_or(0, |c| self.home_of(*c));
+            .iter()
+            .zip(traces)
+            .enumerate()
+            .map(|(i, (cell, trace))| {
+                ChannelModel::new(
+                    trace,
+                    self.max_streams(*cell),
+                    self.channel_rng(id, i as u64),
+                )
+            })
+            .collect();
+        let primary = ue_config.configured_cells.first().copied();
+        let home = primary.map_or(0, |c| self.home_of(c));
         // A re-added UE may currently reside elsewhere: bring it home first
         // so the replacement record lands in one shard.
         if let Some((old_home, _)) = self.locate(id) {
@@ -525,9 +575,19 @@ impl ShardedNetwork {
                 self.migrate_ue(id, old_home, home);
             }
         }
+        let mut holds_data = false;
+        if let Some(cell) = primary.and_then(|c| self.cell_mut(c)) {
+            cell.attach(id, rnti);
+            // A re-added UE may still hold data there: it joins awake.
+            holds_data = cell.holds_data(id);
+        }
         let l3_filter_ms = self.config.handover.l3_filter_ms;
-        let ue = UserEquipment::new(ue_config, rnti, channels, l3_filter_ms);
-        self.ue_shards[home].insert(id, ue, true);
+        let mut ue = UserEquipment::new(ue_config, rnti, channels, l3_filter_ms);
+        let awake = holds_data || !ue.ca_is_quiescent(&self.config);
+        if !awake {
+            ue.sleep_from(self.sampled_until);
+        }
+        self.ue_shards[home].insert(id, ue, awake);
         rnti
     }
 
@@ -738,13 +798,24 @@ impl ShardedNetwork {
         }
         self.event_merge = merged;
         report.ca_events.sort_unstable_by_key(|e| e.ue.0);
+        // An activated secondary serves the UE from the next tick on: attach
+        // it before anything can enqueue or stage there.
+        for e in report.ca_events.iter().filter(|e| e.activated) {
+            let Some(rnti) = self.rnti_of(e.ue) else {
+                continue;
+            };
+            if let Some(cell) = self.cell_mut(e.cell) {
+                cell.attach(e.ue, rnti);
+            }
+        }
     }
 
     /// Switch the serving cell of one UE: drain and forward everything the
-    /// old active cells still hold, flush the UE-side reordering buffers
-    /// (whose releases are appended to `deliveries`), collapse carrier
-    /// aggregation, re-establish on the target cell, and migrate the UE to
-    /// the target's shard when that is another one.
+    /// old active cells still hold (detaching the UE from them), flush the
+    /// UE-side reordering buffers (whose releases are appended to
+    /// `deliveries`), collapse carrier aggregation, attach the UE to the
+    /// target cell alone, and migrate the UE to the target's shard when that
+    /// is another one.
     fn execute_handover(
         &mut self,
         ue_id: UeId,
@@ -786,24 +857,18 @@ impl ShardedNetwork {
 
         // Re-establish on the target: new serving cell first in the
         // configured list, carrier aggregation collapsed, data forwarded.
-        // The UE re-attaches to *every* configured cell (fresh queues, HARQ
-        // entities and sequence spaces), not just the target — carrier
-        // aggregation may later re-activate one of the old cells as a
-        // secondary, and an unattached cell would silently black-hole the
-        // flow-split packets routed to it.
+        // Only the target attaches the UE.  If carrier aggregation later
+        // re-activates one of the detached old cells as a secondary, the
+        // activation attaches it afresh (empty queue, new HARQ entity,
+        // sequence 0).
         us.ues[slot].hand_over(target, now);
-        let configured = us.ues[slot].config().configured_cells.clone();
         // The target becomes the UE's only active cell this subframe: stage
         // its channel state for the scheduler (re-sampling within the same
         // subframe returns the cached fade, so this draws nothing new).  The
         // old cells lost their staged states when the UE detached.
         let state = us.ues[slot].sample_channel(target, now);
-        for cell_id in configured {
-            if let Some(cell) = self.cell_mut(cell_id) {
-                cell.attach(ue_id, rnti);
-            }
-        }
         if let Some(cell) = self.cell_mut(target) {
+            cell.attach(ue_id, rnti);
             for pkt in forwarded {
                 cell.enqueue(ue_id, pkt);
             }
@@ -997,7 +1062,7 @@ fn shard_post(
                 .any(|cell| cell.holds_data(ue.id()));
         if asleep {
             us.awake[slot] = false;
-            ue.fall_asleep(now);
+            ue.sleep_from(now + Duration::MILLISECOND);
         }
     }
 }
@@ -1533,5 +1598,144 @@ mod tests {
         assert_eq!(net.shards(), 6, "one shard per cell at most");
         let net = ShardedNetwork::new(city_config(), CellLoadProfile::none(), 1, 0);
         assert_eq!(net.shards(), 1, "at least one shard");
+    }
+
+    fn attached(net: &ShardedNetwork, ue: UeId, cell: CellId) -> bool {
+        net.cell(cell).expect("configured cell").is_attached(ue)
+    }
+
+    /// A cell holds lanes only for UEs it has been active for: a new UE's
+    /// primary, a secondary from the tick that activates it (before the next
+    /// tick stages it there), and a handover's target but none of the old
+    /// active cells.
+    #[test]
+    fn cells_attach_a_ue_only_where_it_has_been_active() {
+        for shards in [1usize, 3] {
+            let mut net = ShardedNetwork::new(city_config(), CellLoadProfile::none(), 4, shards);
+            let ue = UeId(5);
+            let cells = [CellId(0), CellId(3), CellId(4)];
+            net.add_ue_with_traces(
+                UeConfig::new(ue, cells.to_vec(), 2, -85.0),
+                vec![
+                    MobilityTrace::from_secs(&[(0.0, -85.0), (2.0, -110.0)]),
+                    MobilityTrace::stationary(-100.0),
+                    MobilityTrace::from_secs(&[(0.0, -115.0), (2.0, -80.0)]),
+                ],
+            );
+            assert!(attached(&net, ue, CellId(0)), "{shards} shards");
+            assert!(!attached(&net, ue, CellId(3)) && !attached(&net, ue, CellId(4)));
+
+            let mut report = NetworkTickReport::default();
+            let (mut first_activation, mut handover_from_ca) = (None, false);
+            for sf in 0..3000u64 {
+                let now = Instant::from_millis(sf);
+                for i in 0..20 {
+                    net.enqueue_packet(ue, sf * 100 + i, 1500, now);
+                }
+                let active_before = net.active_cells(ue);
+                let attached_before = cells.map(|c| attached(&net, ue, c));
+                net.tick_into(now, &mut report);
+                for e in report.ca_events.iter().filter(|e| e.activated) {
+                    assert!(attached(&net, ue, e.cell), "subframe {sf}: {e:?}");
+                    if first_activation.is_none() {
+                        let i = cells.iter().position(|c| *c == e.cell).expect("configured");
+                        assert!(!attached_before[i], "the activation attached {:?}", e.cell);
+                        first_activation = Some(e.cell);
+                    }
+                }
+                for h in &report.handovers {
+                    assert!(attached(&net, ue, h.to), "subframe {sf}: {h:?}");
+                    for c in active_before.iter().filter(|c| **c != h.to) {
+                        assert!(!attached(&net, ue, *c), "subframe {sf}: {c:?} kept lanes");
+                    }
+                    handover_from_ca |= active_before.len() > 1;
+                }
+            }
+            assert_eq!(first_activation, Some(CellId(3)), "{shards} shards");
+            assert!(
+                handover_from_ca,
+                "{shards} shards: no handover left a CA pair"
+            );
+        }
+    }
+
+    /// [`city`]'s UEs, each with its trace towards every configured cell.
+    fn city_ues(cross_secs: f64) -> Vec<(UeConfig, Vec<MobilityTrace>)> {
+        let walk = |from, to| MobilityTrace::from_secs(&[(0.0, from), (cross_secs, to)]);
+        let still = MobilityTrace::stationary;
+        vec![
+            (
+                UeConfig::new(UeId(1), vec![CellId(0), CellId(3)], 1, -85.0),
+                vec![walk(-85.0, -110.0), walk(-110.0, -85.0)],
+            ),
+            (
+                UeConfig::new(UeId(2), vec![CellId(2), CellId(4)], 2, -83.0),
+                vec![still(-83.0), still(-84.5)],
+            ),
+            (
+                UeConfig::new(UeId(3), vec![CellId(5)], 1, -88.0),
+                vec![still(-88.0)],
+            ),
+            (
+                UeConfig::new(UeId(7), vec![CellId(1), CellId(0)], 1, -86.0),
+                vec![walk(-85.0, -108.0), walk(-108.0, -85.0)],
+            ),
+        ]
+    }
+
+    /// Building each UE once from its per-cell traces produces the report
+    /// stream of adding it with one trace and then replacing the trace of
+    /// every configured cell, through handovers and a CA activation.
+    #[test]
+    fn building_once_equals_building_then_replacing_every_trace() {
+        let digest = |build_once: bool, shards: usize| {
+            let mut net = ShardedNetwork::new(city_config(), CellLoadProfile::none(), 13, shards);
+            for (config, traces) in city_ues(1.0) {
+                if build_once {
+                    net.add_ue_with_traces(config, traces);
+                    continue;
+                }
+                let (id, cells) = (config.id, config.configured_cells.clone());
+                net.add_ue(config, traces[0].clone());
+                for (cell, trace) in cells.into_iter().zip(traces) {
+                    net.set_cell_trace(id, cell, trace);
+                }
+            }
+            let mut report = NetworkTickReport::default();
+            let mut stream = String::new();
+            let mut handovers = 0;
+            for sf in 0..2000u64 {
+                drive_packets(&mut net, sf);
+                net.tick_into(Instant::from_millis(sf), &mut report);
+                handovers += report.handovers.len();
+                stream.push_str(&serde_json::to_string(&report).unwrap());
+            }
+            assert!(handovers >= 2, "both crossings hand over: {handovers}");
+            assert!(net.carrier_aggregation_triggered(UeId(2)));
+            for ue in UES {
+                stream.push_str(&ue_view(&net, ue));
+            }
+            pbe_stats::fnv1a_128_hex(stream.as_bytes())
+        };
+        let replaced = digest(false, 1);
+        for shards in [1usize, 3] {
+            assert_eq!(digest(true, shards), replaced, "{shards} shards");
+            assert_eq!(digest(false, shards), replaced, "{shards} shards");
+        }
+    }
+
+    /// Foreground RNTIs stop short of the reserved `0xFFF4`–`0xFFFF`:
+    /// the 65,269th UE is refused rather than wrapping to a duplicate.
+    #[test]
+    #[should_panic(expected = "RNTI space exhausted")]
+    fn the_foreground_rnti_space_ends_before_the_reserved_values() {
+        assert_eq!(usize::from(LAST_UE_RNTI - FIRST_UE_RNTI) + 1, 65_268);
+        let mut net = ShardedNetwork::new(city_config(), CellLoadProfile::none(), 1, 1);
+        // Skip to the last free RNTI rather than register 65,267 UEs first.
+        net.next_rnti = LAST_UE_RNTI;
+        let ue = |id| UeConfig::new(UeId(id), vec![CellId(0)], 1, -85.0);
+        let trace = MobilityTrace::stationary(-85.0);
+        assert_eq!(net.add_ue(ue(1), trace.clone()), Rnti(LAST_UE_RNTI));
+        net.add_ue(ue(2), trace);
     }
 }

@@ -17,7 +17,7 @@ use crate::config::{CellId, CellularConfig, HandoverConfig, Rnti, UeConfig, UeId
 use crate::handover::{self, A3State};
 use crate::harq::HarqOutcome;
 use crate::reorder::{ReleasedBlock, ReorderBuffer};
-use pbe_stats::time::{Duration, Instant};
+use pbe_stats::time::Instant;
 use pbe_stats::FxHashSet;
 use serde::{Deserialize, Serialize};
 
@@ -197,10 +197,10 @@ impl UserEquipment {
         carrier::is_quiescent(config, &self.config, &self.ca)
     }
 
-    /// Stop sampling: the channels were last sampled for the subframe at
-    /// `now`, and are next brought current by [`UserEquipment::catch_up`].
-    pub fn fall_asleep(&mut self, now: Instant) {
-        self.idle_since = now + Duration::MILLISECOND;
+    /// Stop sampling: `from` is the first subframe the channels are not
+    /// sampled for, and [`UserEquipment::catch_up`] next brings them current.
+    pub fn sleep_from(&mut self, from: Instant) {
+        self.idle_since = from;
     }
 
     /// Replay on the channels of the active cells every redraw that

@@ -4,8 +4,8 @@
 //! Idle UEs are the bulk of a metro-scale network, and a tick that allocated
 //! per UE would make them cost something after all.  This test installs a
 //! counting global allocator, builds 600 two-cell UEs on 6 cells with no
-//! traffic, warms the network up for 400 subframes (every UE wakes on
-//! attach, then falls asleep) and then requires zero allocations across 200
+//! traffic, warms the network up for 400 subframes (every UE joins asleep)
+//! and then requires zero allocations across 200
 //! further subframes — ordinary ones and the A3 measurement subframes that
 //! visit every sleeper.
 //!

@@ -747,6 +747,32 @@ impl Receiver {
     }
 }
 
+/// The radio access network of `cfg` on `shards` shards, each UE built once
+/// from its final per-cell traces.  An override replaces the trace towards
+/// the first configured position of its cell; the last override of a pair
+/// wins, and a pair whose UE or cell is not configured is ignored.
+fn build_network(cfg: &SimConfig, shards: usize) -> ShardedNetwork {
+    let mut net = ShardedNetwork::new(cfg.cellular.clone(), cfg.load, cfg.seed, shards);
+    let overrides: FxHashMap<(UeId, CellId), &MobilityTrace> = cfg
+        .trajectories
+        .iter()
+        .map(|t| ((t.ue, t.cell), &t.trace))
+        .collect();
+    for (ue_cfg, trace) in &cfg.ues {
+        let cells = &ue_cfg.configured_cells;
+        let traces = cells
+            .iter()
+            .enumerate()
+            .map(|(i, cell)| match overrides.get(&(ue_cfg.id, *cell)) {
+                Some(t) if !cells[..i].contains(cell) => (*t).clone(),
+                _ => ShardedNetwork::configured_cell_trace(trace, i),
+            })
+            .collect();
+        net.add_ue_with_traces(ue_cfg.clone(), traces);
+    }
+    net
+}
+
 /// The simulation driver.
 pub struct Simulation {
     config: SimConfig,
@@ -778,16 +804,9 @@ impl Simulation {
         let faults = FaultDriver::new(cfg.faults.clone());
 
         let shards = cfg.shards.or_else(forced_shards).unwrap_or(1);
-        let mut net = ShardedNetwork::new(cfg.cellular.clone(), cfg.load, cfg.seed, shards);
-        for (ue_cfg, trace) in &cfg.ues {
-            net.add_ue(ue_cfg.clone(), trace.clone());
-        }
-        for t in &cfg.trajectories {
-            net.set_cell_trace(t.ue, t.cell, t.trace.clone());
-        }
         let mut ran = Ran {
             cellular: cfg.cellular.clone(),
-            net,
+            net: build_network(cfg, shards),
             report: NetworkTickReport::default(),
             batcher: DciBatcher::new(),
         };
@@ -798,9 +817,14 @@ impl Simulation {
         // UE, which is also where its packets first route.
         let decoder_rng = DetRng::new(cfg.seed).split("decoders");
         let (mut flows, mut receivers, mut primary) = (Vec::new(), Vec::new(), Vec::new());
+        // A flow's UE is the first `ues` entry with its id.
+        let mut first_entry: FxHashMap<UeId, &UeConfig> = FxHashMap::default();
+        for (ue_cfg, _) in &cfg.ues {
+            first_entry.entry(ue_cfg.id).or_insert(ue_cfg);
+        }
         for f in &cfg.flows {
-            let ue = cfg.ues.iter().find(|(u, _)| u.id == f.ue);
-            let cell = ue.expect("flow UE configured").0.primary_cell();
+            let ue = first_entry.get(&f.ue);
+            let cell = ue.expect("flow UE configured").primary_cell();
             primary.push(cell);
             let rtprop_hint =
                 Duration::from_micros(2 * f.server_one_way_delay.as_micros() + 10_000);
