@@ -103,7 +103,7 @@ fn fanout_smoke_every_flow_moves_data_through_the_shared_tree() {
 
 #[test]
 fn fanout_is_byte_identical_across_shard_counts_and_seeds() {
-    // The backhaul is stepped by the driver loop (shard 0 ownership), so
+    // The backhaul is stepped by the single-threaded driver loop, so
     // the whole result must serialize identically whatever the shard count:
     // to the bytes (pinned by FNV-128 digest) the serial tick engine
     // produced at the commit before it was deleted.

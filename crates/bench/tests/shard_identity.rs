@@ -86,7 +86,8 @@ fn faulted_metro_is_byte_identical_across_shard_counts() {
 #[test]
 fn mini_metro_actually_exercises_the_interesting_paths() {
     // Guard against the identity test passing vacuously: the scenario must
-    // produce handovers (cross-shard UE migration) and deliver flow traffic.
+    // produce handovers (across shards' runs of cells) and deliver flow
+    // traffic.
     let cfg = mini_metro(4).scenario().sim_config();
     let result = Simulation::new(cfg).run();
     assert!(

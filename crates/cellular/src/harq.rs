@@ -93,16 +93,6 @@ impl HarqEntity {
         self.pending.len()
     }
 
-    /// PRBs needed by retransmissions due at `subframe` (they take priority
-    /// over new data in the scheduler).
-    pub fn due_retransmission_prbs(&self, subframe: u64) -> u16 {
-        self.pending
-            .iter()
-            .filter(|p| p.due_subframe <= subframe)
-            .map(|p| p.block.num_prbs)
-            .sum()
-    }
-
     /// True if the entity has a retransmission due at `subframe`.
     pub fn has_due_retransmission(&self, subframe: u64) -> bool {
         self.pending.iter().any(|p| p.due_subframe <= subframe)
@@ -253,7 +243,6 @@ mod tests {
         assert!(!h.has_due_retransmission(107));
         assert_eq!(h.retransmit_due(107, |_| false).len(), 0);
         assert!(h.has_due_retransmission(108));
-        assert_eq!(h.due_retransmission_prbs(108), 10);
         let outcomes = h.retransmit_due(108, |_| false);
         assert_eq!(outcomes.len(), 1);
         assert!(outcomes[0].success);

@@ -24,8 +24,9 @@
 //!   (68 % control-traffic users occupying 4 PRBs for one subframe, diurnal
 //!   load, heavy-tailed flow sizes) ([`traffic`]).
 //! * The [`shard::ShardedNetwork`] tick engine that ties all of the above
-//!   into the per-subframe data path used by the end-to-end simulator, as
-//!   one shard ticked inline or several ticked in parallel with
+//!   into the per-subframe data path used by the end-to-end simulator: the
+//!   per-UE phases walk one UeId-ordered lane on the caller, and the cell
+//!   tick runs inline or split across shards of contiguous cells, with
 //!   byte-identical results.
 
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! The radio-access-network tick engine: cells, UEs, carrier aggregation,
-//! inter-cell handover and the per-subframe data path, ticked as one or
-//! more deterministic shards.
+//! inter-cell handover and the per-subframe data path, with the cell tick
+//! split across one or more deterministic shards.
 //!
 //! [`ShardedNetwork`] is the boundary the end-to-end simulator talks to: the
 //! wired path hands it downlink packets ([`ShardedNetwork::enqueue_packet`]),
@@ -10,72 +10,51 @@
 //! transmitted on every cell's control channel (the PBE-CC monitor's input),
 //! PRB usage, carrier-aggregation events and serving-cell handovers.
 //!
-//! The cell grid is partitioned into geo-contiguous shards (contiguous runs
-//! of the configured cell order, which the `CityScale` generator emits
-//! row-major).  Each shard owns its cells and the lanes of its *resident*
-//! UEs — a UE resides in the shard of its serving (primary) cell.  A
-//! resident's [`UserEquipment`] is its one record: channels, reordering
-//! buffers, L3 filters, A3 and carrier-aggregation state.  One shard is the
-//! whole network: it spawns no threads, runs
-//! every phase inline on the caller and crosses no barrier messages.  More
-//! shards run the same phase functions on a persistent [`WorkerPool`], each
-//! phase borrowing its shard's state as a disjoint `&mut` — the module has
-//! no `unsafe`, and the crate forbids it.
+//! A UE's [`UserEquipment`] is its one record: channels, reordering buffers,
+//! L3 filters, A3 and carrier-aggregation state.  The records live in one
+//! lane in UeId order, and every per-UE phase walks that lane on the calling
+//! thread.  UEs couple cells — an aggregated UE is staged into, and takes
+//! outcomes from, several cells, and a handover drains one cell into
+//! another — so only the cell tick is independent per cell, and it is the
+//! one phase that runs in parallel.  Shards split cells, not UEs: the
+//! configured cell order is cut into `shards` contiguous runs (the
+//! `CityScale` generator emits its grid row-major, so a run is
+//! geo-contiguous), and each run ticks on a persistent [`WorkerPool`] into
+//! the matching run of the report's per-cell slots.  One shard has no pool
+//! and ticks every cell inline.  The module has no `unsafe`, and the crate
+//! forbids it.
+//!
+//! ```text
+//! phase 1  sample, stage, A3     the UE lane, UeId order         caller
+//! phase 2  execute handovers     A3 decisions, UeId order        caller
+//! phase 3  tick cells            run 0 │ run 1 │ … │ run n-1      pool
+//! phase 4  deliver, CA, sleep    cell reports in configured      caller
+//!                                order, then the UE lane
+//! ```
 //!
 //! The correctness bar is **byte-identity**: the [`NetworkTickReport`]
 //! stream (and everything downstream of it) is the same bytes for every
-//! shard count.  That works because every tick-time random draw comes from a
-//! stream owned by exactly one cell (`split_indexed("cell"/"bg", cell_id)`)
-//! or one (UE, cell) channel (`split_indexed("chan", …)`) — streams derived
-//! from the seed at construction and carried by whichever shard owns the
-//! object — and because everything that crosses a shard border travels as
-//! an explicit message applied in an order fixed by logical keys, never by
-//! worker completion order:
+//! shard count.  Every tick-time random draw comes from a stream owned by
+//! exactly one cell (`split_indexed("cell"/"bg", cell_id)`) or one (UE, cell)
+//! channel (`split_indexed("chan", …)`), derived from the seed at
+//! construction.  A cell's tick reads only its own state and the channel
+//! states staged on it, and writes only its own report slot, so the runs
+//! cannot see one another.  Everything else happens on the caller in a fixed
+//! order: handovers in UeId order, deliveries in (cell, outcome, event)
+//! order, CA events in UeId order.
 //!
-//! ```text
-//!            shard 0            shard 1            shard 2
-//!         ┌───────────┐      ┌───────────┐      ┌───────────┐
-//! phase 1 │ sample+A3 │      │ sample+A3 │      │ sample+A3 │   parallel
-//!         └─────┬─────┘      └─────┬─────┘      └─────┬─────┘
-//!               │  channel outboxes (foreign active cells)
-//!               │  pending handovers (A3 decisions)
-//!               ▼
-//!         ═════ barrier: apply outboxes; merge handovers by UeId; ═════
-//!         ═════ execute X2 drain/forward + UE migration in order  ═════
-//!               │
-//!         ┌─────┴─────┐      ┌───────────┐      ┌───────────┐
-//! phase 3 │ tick cells│      │ tick cells│      │ tick cells│   parallel
-//!         └─────┬─────┘      └─────┬─────┘      └─────┬─────┘
-//!               │  per-cell SubframeReports (disjoint slices)
-//!               ▼
-//!         ┌───────────┐      ┌───────────┐      ┌───────────┐
-//! phase 4 │deliver+CA │      │deliver+CA │      │deliver+CA │   parallel
-//!         └─────┬─────┘      └─────┬─────┘      └─────┬─────┘
-//!               │  packet events keyed (cell, outcome, event)
-//!               │  CA events keyed UeId
-//!               ▼
-//!         ═════ barrier: sort-merge into global cell / UeId order ═════
-//! ```
-//!
-//! The cross-shard messages are the two interactions between a UE and a
-//! cell it does not reside with: staging a channel state into a foreign
-//! cell (a boundary UE whose secondary carrier lives in another shard), and
-//! the X2 handover drain/forwarding when an A3 event moves a UE across a
-//! shard border — in which case its record and `awake` flag migrate to the
-//! target shard.
-//!
-//! Idle UEs cost nothing on ordinary subframes.  Each shard keeps an
-//! `awake` lane parallel to its `ues`: enqueueing a packet for a UE,
-//! replacing one of its traces or handing it over wakes it, and phase 4
-//! puts it to sleep on a subframe that allocated it nothing once its active
-//! cell holds no queued packet and no pending HARQ process and its CA state
-//! is quiescent ([`is_quiescent`](crate::carrier::is_quiescent)).  A UE that
-//! meets that rule when it is added joins asleep.  A sleeper's
-//! visit would change no byte: its staged channel state would go unread and
-//! its CA observation would leave the state as it is.  Phases 1 and 4 skip
-//! sleepers, except that measurement subframes still visit every multi-cell
-//! UE for A3; a sleeper's samples there feed A3 only and are never staged,
-//! so phase 3, which ticks each cell over the UEs staged on it
+//! Idle UEs cost nothing on ordinary subframes.  The lane keeps an `awake`
+//! flag per UE: enqueueing a packet for a UE, replacing one of its traces or
+//! handing it over wakes it, and phase 4 puts it to sleep on a subframe that
+//! allocated it nothing once its active cell holds no queued packet and no
+//! pending HARQ process and its CA state is quiescent
+//! ([`is_quiescent`](crate::carrier::is_quiescent)).  A UE that meets that
+//! rule when it is added joins asleep.  A sleeper's visit would change no
+//! byte: its staged channel state would go unread and its CA observation
+//! would leave the state as it is.  Phases 1 and 4 skip sleepers, except
+//! that measurement subframes still visit every multi-cell UE for A3; a
+//! sleeper's samples there feed A3 only and are never staged, so phase 3,
+//! which ticks each cell over the UEs staged on it
 //! ([`Cell::tick_prepared`]), never visits a sleeper at all.  The (UE, cell)
 //! streams stay sequential because a channel draws only when its coherence
 //! interval expires, always the same three draws: every subframe a sleeper
@@ -85,7 +64,7 @@
 //!
 //! A cell holds lanes only for the UEs it has been active for: adding a UE
 //! attaches it to its primary cell, a carrier-aggregation activation
-//! attaches the secondary at the phase-4 barrier (before anything can
+//! attaches the secondary at the end of phase 4 (before anything can
 //! enqueue or stage there), and a handover attaches the target.  So every
 //! active cell of a UE has it attached; a deactivated secondary keeps its
 //! lane.  Cells schedule staged UEs only and read an unattached UE as
@@ -95,15 +74,15 @@
 //! The tick path is allocation-conscious: drivers that advance millions of
 //! subframes call [`ShardedNetwork::tick_into`] with one reused
 //! [`NetworkTickReport`], which clears and refills its buffers in place.
-//! UEs live in a struct-of-arrays slab ([`UeSlots`] index plus a parallel
-//! `Vec<UserEquipment>` lane), cells are addressed through one dense
-//! CellId-indexed table, and channel states are staged directly into each
-//! cell via [`Cell::set_channel`] instead of per-cell hash maps.
+//! UEs live in a struct-of-arrays slab ([`UeSlots`] index plus parallel
+//! lanes), cells are addressed through one dense CellId-indexed table, and
+//! channel states are staged directly into each cell via
+//! [`Cell::set_channel`] instead of per-cell hash maps.
 
-use crate::carrier::{CaEvent, CaObservation};
+use crate::carrier::CaObservation;
 use crate::cell::{Cell, QueuedPacket, SubframeReport};
-use crate::channel::{ChannelModel, ChannelState, MobilityTrace};
-use crate::config::{CellId, CellularConfig, HandoverConfig, Rnti, UeConfig, UeId};
+use crate::channel::{ChannelModel, MobilityTrace};
+use crate::config::{CellId, CellularConfig, Rnti, UeConfig, UeId};
 use crate::handover::{self, HandoverEvent};
 use crate::network::{Delivery, NetworkTickReport, RlfOutcome, OUTAGE_RSRP_DBM};
 use crate::slab::{SlotInsert, UeSlots};
@@ -113,32 +92,7 @@ use pbe_stats::pool::WorkerPool;
 use pbe_stats::time::{Duration, Instant};
 use pbe_stats::{DetRng, FxHashMap};
 
-/// Run `phase(i, shard)` for the `i`-th item of `shards`: on the pool, or
-/// inline on the caller when the network is one shard and has no pool.  The
-/// items are disjoint `&mut` borrows of shard state, so a phase can write
-/// its own shard only.  A panicking phase is re-raised once every other
-/// shard has finished.
-fn run_phase<I>(pool: &Option<WorkerPool>, shards: I, phase: impl Fn(usize, I::Item) + Sync)
-where
-    I: IntoIterator,
-    I::IntoIter: Send,
-{
-    let Some(pool) = pool else {
-        return shards
-            .into_iter()
-            .enumerate()
-            .for_each(|(i, shard)| phase(i, shard));
-    };
-    if let Some(p) = pool.for_each(shards, phase).first() {
-        panic!("shard {} panicked: {}", p.index, p.message);
-    }
-}
-
-/// Sort key fixing the delivery order: (cell position, outcome index within
-/// the cell report, event index within the outcome).
-type DeliveryKey = (u32, u32, u32);
-
-/// `CellEntry::shard` of a CellId the configuration does not name.
+/// `CellEntry::index` of a CellId the configuration does not name.
 const ABSENT: u32 = u32::MAX;
 
 /// The first RNTI handed to a foreground UE.
@@ -153,43 +107,27 @@ const LAST_UE_RNTI: u16 = 0xFFF3;
 /// to the largest configured id (metro grids go well past 256 cells).
 #[derive(Clone, Copy)]
 struct CellEntry {
-    /// Owning shard, or [`ABSENT`].
-    shard: u32,
-    /// Position inside the owning shard's `cells`.
-    local: u32,
+    /// Position in the configured cell order, or [`ABSENT`].
+    index: u32,
     /// PRB count of the cell (the per-UE-per-subframe CA bookkeeping must
     /// not pay a scan of the cell list for each active cell).
     prbs: u32,
-    /// Out of service (injected outage).  Read by every worker during
-    /// phase 1; written only between ticks.
+    /// Out of service (injected outage).  Written only between ticks.
     down: bool,
 }
 
 #[inline]
 fn entry_of(table: &[CellEntry], id: CellId) -> Option<&CellEntry> {
-    table.get(usize::from(id.0)).filter(|e| e.shard != ABSENT)
+    table.get(usize::from(id.0)).filter(|e| e.index != ABSENT)
 }
 
-fn cell_at<'a>(shards: &'a [Vec<Cell>], table: &[CellEntry], id: CellId) -> Option<&'a Cell> {
-    let e = entry_of(table, id)?;
-    Some(&shards[e.shard as usize][e.local as usize])
-}
-
-fn cell_at_mut<'a>(
-    shards: &'a mut [Vec<Cell>],
-    table: &[CellEntry],
-    id: CellId,
-) -> Option<&'a mut Cell> {
-    let e = entry_of(table, id)?;
-    Some(&mut shards[e.shard as usize][e.local as usize])
-}
-
-/// The resident-UE state one shard owns: one sorted [`UeSlots`] index plus
-/// its parallel `ues` lane.  Slot order is UeId order — the per-subframe
-/// iteration order that keeps scheduling, delivery and RNG-draw order
-/// reproducible across processes.
-struct UeShard {
-    /// Sorted dense UeId → slot index of the resident UEs.
+/// Every registered UE: one sorted [`UeSlots`] index plus its parallel
+/// lanes.  Slot order is UeId order — the per-subframe iteration order that
+/// keeps scheduling, delivery and RNG-draw order reproducible across
+/// processes.
+#[derive(Default)]
+struct UeLane {
+    /// Sorted dense UeId → slot index.
     slots: UeSlots,
     /// Lane: the UE records.
     ues: Vec<UserEquipment>,
@@ -200,37 +138,14 @@ struct UeShard {
     rsrp_scratch: Vec<(CellId, f64)>,
     /// Scratch: packet events of the outcome under processing.
     event_scratch: Vec<PacketEvent>,
-    /// Scratch: PRBs allocated per resident slot this subframe.
+    /// Scratch: PRBs allocated per slot this subframe.
     alloc_scratch: Vec<u32>,
-    /// Outbox: channel states staged for cells owned by other shards
-    /// (owning shard, position in it, UE, state), applied at the phase-1
-    /// barrier.
-    outbox: Vec<(u32, u32, UeId, ChannelState)>,
-    /// Handover decisions of this measurement round (resident UeId order).
+    /// Handover decisions of this measurement round, in UeId order.
     pending: Vec<(UeId, CellId)>,
-    /// Packet events produced this subframe, tagged with their order key.
-    events_buf: Vec<(DeliveryKey, PacketEvent)>,
-    /// CA events produced this subframe (resident UeId order).
-    ca_buf: Vec<CaEvent>,
 }
 
-impl UeShard {
-    fn new() -> Self {
-        UeShard {
-            slots: UeSlots::new(),
-            ues: Vec::new(),
-            awake: Vec::new(),
-            rsrp_scratch: Vec::new(),
-            event_scratch: Vec::new(),
-            alloc_scratch: Vec::new(),
-            outbox: Vec::new(),
-            pending: Vec::new(),
-            events_buf: Vec::new(),
-            ca_buf: Vec::new(),
-        }
-    }
-
-    /// Insert (or replace) a resident UE.
+impl UeLane {
+    /// Insert (or replace) a UE.
     fn insert(&mut self, id: UeId, ue: UserEquipment, awake: bool) {
         match self.slots.insert(id) {
             SlotInsert::Inserted(slot) => {
@@ -267,40 +182,42 @@ fn close_delivery(packet_bytes: &mut FxHashMap<u64, u32>, e: &PacketEvent) -> De
     }
 }
 
+/// Tick a run of cells into the matching run of per-cell report slots.
+fn tick_cells(cells: &mut [Cell], reports: &mut [SubframeReport], subframe: u64) {
+    for (cell, report) in cells.iter_mut().zip(reports) {
+        cell.tick_prepared(subframe, report);
+    }
+}
+
 /// The simulated radio access network.  Reports are byte-identical for
 /// every shard count.
 pub struct ShardedNetwork {
     config: CellularConfig,
-    /// The cells each shard owns: contiguous runs of the configured cell
-    /// order, in that order.
-    cell_shards: Vec<Vec<Cell>>,
-    ue_shards: Vec<UeShard>,
+    /// Every cell, in configured order.
+    cells: Vec<Cell>,
+    /// Number of contiguous cell runs phase 3 ticks in parallel.
+    shards: usize,
     /// Dense CellId → [`CellEntry`].
     cell_table: Vec<CellEntry>,
+    lane: UeLane,
     /// Sizes of the packets in flight, by (globally unique) packet id.
-    /// Touched only outside the parallel phases.
     packet_bytes: FxHashMap<u64, u32>,
     next_rnti: u16,
     rng: DetRng,
     /// One worker per shard; `None` for one shard, which needs no threads.
     pool: Option<WorkerPool>,
-    /// Merge scratch: pending handovers of the current round.
-    pending: Vec<(UeId, CellId)>,
-    /// Merge scratch: tagged packet events of the current subframe.
-    event_merge: Vec<(DeliveryKey, PacketEvent)>,
     /// The first subframe phase 1 has not sampled yet: where a UE woken
     /// between phase 1 and the next tick's catches up to.
     sampled_until: Instant,
 }
 
 impl ShardedNetwork {
-    /// Build the network partitioned into `shards` geo-contiguous shards
-    /// (clamped to `1..=cells`), with one background-traffic generator per
-    /// cell using the given load profile.
+    /// Build the network with its cell tick split into `shards` contiguous
+    /// runs of the configured cell order (clamped to `1..=cells`), with one
+    /// background-traffic generator per cell using the given load profile.
     pub fn new(config: CellularConfig, load: CellLoadProfile, seed: u64, shards: usize) -> Self {
         let rng = DetRng::new(seed);
-        let n_cells = config.cells.len();
-        let n_shards = shards.clamp(1, n_cells.max(1));
+        let shards = shards.clamp(1, config.cells.len().max(1));
         let table_len = config
             .cells
             .iter()
@@ -308,58 +225,48 @@ impl ShardedNetwork {
             .max()
             .unwrap_or(0);
         let absent = CellEntry {
-            shard: ABSENT,
-            local: 0,
+            index: ABSENT,
             prbs: 0,
             down: false,
         };
         let mut cell_table = vec![absent; table_len];
-        let cell_shards = (0..n_shards)
-            .map(|s| {
-                // Balanced contiguous partition of the configured order.
-                let start = s * n_cells / n_shards;
-                let end = (s + 1) * n_cells / n_shards;
-                config.cells[start..end]
-                    .iter()
-                    .enumerate()
-                    .map(|(local, c)| {
-                        cell_table[usize::from(c.id.0)] = CellEntry {
-                            shard: s as u32,
-                            local: local as u32,
-                            prbs: u32::from(c.total_prbs()),
-                            down: false,
-                        };
-                        let stream = u64::from(c.id.0);
-                        let mut cell = Cell::new(
-                            c.clone(),
-                            BackgroundTraffic::new(load, rng.split_indexed("bg", stream)),
-                            rng.split_indexed("cell", stream),
-                        );
-                        cell.set_protocol_overhead(config.protocol_overhead);
-                        cell
-                    })
-                    .collect()
+        let cells = config
+            .cells
+            .iter()
+            .enumerate()
+            .map(|(index, c)| {
+                cell_table[usize::from(c.id.0)] = CellEntry {
+                    index: index as u32,
+                    prbs: u32::from(c.total_prbs()),
+                    down: false,
+                };
+                let stream = u64::from(c.id.0);
+                let mut cell = Cell::new(
+                    c.clone(),
+                    BackgroundTraffic::new(load, rng.split_indexed("bg", stream)),
+                    rng.split_indexed("cell", stream),
+                );
+                cell.set_protocol_overhead(config.protocol_overhead);
+                cell
             })
             .collect();
-        let ue_shards = (0..n_shards).map(|_| UeShard::new()).collect();
         ShardedNetwork {
             config,
-            cell_shards,
-            ue_shards,
+            cells,
+            shards,
             cell_table,
+            lane: UeLane::default(),
             packet_bytes: FxHashMap::default(),
             next_rnti: FIRST_UE_RNTI,
             rng,
-            pool: (n_shards > 1).then(|| WorkerPool::new(n_shards)),
-            pending: Vec::new(),
-            event_merge: Vec::new(),
+            pool: (shards > 1).then(|| WorkerPool::new(shards)),
             sampled_until: Instant::ZERO,
         }
     }
 
     /// Number of shards (== worker threads, including the caller).
     pub fn shards(&self) -> usize {
-        self.cell_shards.len()
+        self.shards
     }
 
     /// Static configuration of the network.
@@ -372,33 +279,19 @@ impl ShardedNetwork {
         self.ue(ue)?.filtered_rsrp(cell)
     }
 
-    /// The shard a cell belongs to, or shard 0 for unknown cells.
-    fn home_of(&self, cell: CellId) -> usize {
-        entry_of(&self.cell_table, cell).map_or(0, |e| e.shard as usize)
-    }
-
     fn cell(&self, id: CellId) -> Option<&Cell> {
-        cell_at(&self.cell_shards, &self.cell_table, id)
+        let e = entry_of(&self.cell_table, id)?;
+        Some(&self.cells[e.index as usize])
     }
 
     fn cell_mut(&mut self, id: CellId) -> Option<&mut Cell> {
-        cell_at_mut(&mut self.cell_shards, &self.cell_table, id)
-    }
-
-    /// The home shard (the shard of its serving cell) and slot of a
-    /// registered UE, found by probing each shard's sorted index: one binary
-    /// search per shard, paid per packet and per query, never per UE per
-    /// subframe.
-    fn locate(&self, id: UeId) -> Option<(usize, usize)> {
-        self.ue_shards
-            .iter()
-            .enumerate()
-            .find_map(|(home, us)| Some((home, us.slots.slot_of(id)?)))
+        let e = entry_of(&self.cell_table, id)?;
+        Some(&mut self.cells[e.index as usize])
     }
 
     fn ue(&self, id: UeId) -> Option<&UserEquipment> {
-        let (home, slot) = self.locate(id)?;
-        Some(&self.ue_shards[home].ues[slot])
+        let slot = self.lane.slots.slot_of(id)?;
+        Some(&self.lane.ues[slot])
     }
 
     /// Take a cell out of service (or bring it back).  While down the cell
@@ -420,33 +313,25 @@ impl ShardedNetwork {
         entry_of(&self.cell_table, cell).is_some_and(|e| e.down)
     }
 
-    /// UEs whose serving (primary) cell is `cell`, in global UeId order.
+    /// UEs whose serving (primary) cell is `cell`, in UeId order.
     fn residents_of(&self, cell: CellId) -> Vec<UeId> {
-        let mut residents: Vec<UeId> = self
-            .ue_shards
+        let lane = &self.lane;
+        lane.slots
+            .ids()
             .iter()
-            .flat_map(|us| {
-                us.slots
-                    .ids()
-                    .iter()
-                    .zip(&us.ues)
-                    .filter(move |(_, u)| u.config().primary_cell() == cell)
-                    .map(|(id, _)| *id)
-            })
-            .collect();
-        // Residents of one cell all live in its shard, but sort anyway: the
-        // contract is global UeId order, not an artifact of shard layout.
-        residents.sort_unstable_by_key(|ue| ue.0);
-        residents
+            .zip(&lane.ues)
+            .filter(|(_, u)| u.config().primary_cell() == cell)
+            .map(|(id, _)| *id)
+            .collect()
     }
 
     /// Declare radio-link failure on a (down) cell: every UE whose serving
     /// cell it is re-selects the best live configured cell by filtered RSRP
     /// through the ordinary X2 handover procedure (queued data forwarded,
-    /// RLC re-established, CA collapsed, shard migration when the target
-    /// lives elsewhere), in UeId order.  UEs with no live configured cell
-    /// stay camped, their queued packets counted as stranded.  Reordering
-    /// releases are appended to `deliveries`, exactly as for A3 handovers.
+    /// RLC re-established, CA collapsed), in UeId order.  UEs with no live
+    /// configured cell stay camped, their queued packets counted as
+    /// stranded.  Reordering releases are appended to `deliveries`, exactly
+    /// as for A3 handovers.
     pub fn declare_rlf(
         &mut self,
         cell: CellId,
@@ -528,12 +413,11 @@ impl ShardedNetwork {
 
     /// Register a UE with `traces[i]` the mobility trace it sees towards its
     /// `i`-th configured cell (per-cell trajectories are what make a
-    /// handover scenario expressible).  The UE becomes resident in the shard
-    /// owning its primary cell and is attached to that cell only; other
-    /// cells attach it when they become active.  A UE with nothing to
-    /// schedule and a quiescent CA state joins asleep: its first tick would
-    /// have staged a state no scheduler reads and then put it to sleep.
-    /// Returns the RNTI assigned to the UE.
+    /// handover scenario expressible).  The UE is attached to its primary
+    /// cell only; other cells attach it when they become active.  A UE with
+    /// nothing to schedule and a quiescent CA state joins asleep: its first
+    /// tick would have staged a state no scheduler reads and then put it to
+    /// sleep.  Returns the RNTI assigned to the UE.
     ///
     /// # Panics
     ///
@@ -567,14 +451,6 @@ impl ShardedNetwork {
             })
             .collect();
         let primary = ue_config.configured_cells.first().copied();
-        let home = primary.map_or(0, |c| self.home_of(c));
-        // A re-added UE may currently reside elsewhere: bring it home first
-        // so the replacement record lands in one shard.
-        if let Some((old_home, _)) = self.locate(id) {
-            if old_home != home {
-                self.migrate_ue(id, old_home, home);
-            }
-        }
         let mut holds_data = false;
         if let Some(cell) = primary.and_then(|c| self.cell_mut(c)) {
             cell.attach(id, rnti);
@@ -587,7 +463,7 @@ impl ShardedNetwork {
         if !awake {
             ue.sleep_from(self.sampled_until);
         }
-        self.ue_shards[home].insert(id, ue, awake);
+        self.lane.insert(id, ue, awake);
         rnti
     }
 
@@ -596,10 +472,10 @@ impl ShardedNetwork {
     /// independently, which is what makes a handover scenario expressible).
     /// No-op if the UE or cell is unknown.
     pub fn set_cell_trace(&mut self, ue: UeId, cell: CellId, trace: MobilityTrace) {
-        let Some((home, slot)) = self.locate(ue) else {
+        let Some(slot) = self.lane.slots.slot_of(ue) else {
             return;
         };
-        let configured = &self.ue_shards[home].ues[slot].config().configured_cells;
+        let configured = &self.lane.ues[slot].config().configured_cells;
         let Some(pos) = configured.iter().position(|c| *c == cell) else {
             return;
         };
@@ -610,9 +486,8 @@ impl ShardedNetwork {
         );
         // The new model is sampled from the next tick on, as an awake UE's
         // is: a sleeper must not replay it over subframes before it existed.
-        let us = &mut self.ue_shards[home];
-        us.wake(slot, self.sampled_until);
-        us.ues[slot].set_channel(cell, model);
+        self.lane.wake(slot, self.sampled_until);
+        self.lane.ues[slot].set_channel(cell, model);
     }
 
     /// The RNTI of a registered UE.
@@ -639,7 +514,12 @@ impl ShardedNetwork {
     /// Bits queued for a UE across its configured cells.
     pub fn queue_bits(&self, ue: UeId) -> u64 {
         self.ue(ue).map_or(0, |u| {
-            queued_bits(&self.cell_shards, &self.cell_table, u.config())
+            u.config()
+                .configured_cells
+                .iter()
+                .filter_map(|c| self.cell(*c))
+                .map(|cell| cell.queue_bits(ue))
+                .sum()
         })
     }
 
@@ -653,11 +533,11 @@ impl ShardedNetwork {
     /// the active cell with the lowest queue-to-capacity ratio (the network's
     /// internal flow splitting across aggregated carriers).
     pub fn enqueue_packet(&mut self, ue: UeId, packet_id: u64, bytes: u32, now: Instant) {
-        let Some((home, slot)) = self.locate(ue) else {
+        let Some(slot) = self.lane.slots.slot_of(ue) else {
             return;
         };
         let mut target: Option<(CellId, f64)> = None;
-        for cell_id in self.ue_shards[home].ues[slot].active_cells() {
+        for cell_id in self.lane.ues[slot].active_cells() {
             let cell = self.cell(*cell_id).expect("active cell exists");
             let load = cell.queue_bits(ue) as f64 / f64::from(cell.config().total_prbs());
             if target.is_none_or(|(_, best)| load < best) {
@@ -665,7 +545,7 @@ impl ShardedNetwork {
             }
         }
         let Some((target, _)) = target else { return };
-        self.ue_shards[home].wake(slot, self.sampled_until);
+        self.lane.wake(slot, self.sampled_until);
         self.packet_bytes.insert(packet_id, bytes);
         if let Some(cell) = self.cell_mut(target) {
             cell.enqueue(
@@ -698,106 +578,69 @@ impl ShardedNetwork {
         report.ca_events.clear();
         report.handovers.clear();
 
-        let measure = self.config.handover.enabled
-            && handover::is_measurement_subframe(&self.config.handover, now);
         // Sleepers replay every 1 ms subframe they missed.  A tick that
         // skips subframes samples none of them, so it wakes every sleeper at
         // the old frontier first.
         if now > self.sampled_until {
-            for us in &mut self.ue_shards {
-                for slot in 0..us.ues.len() {
-                    us.wake(slot, self.sampled_until);
-                }
+            for slot in 0..self.lane.ues.len() {
+                self.lane.wake(slot, self.sampled_until);
             }
         }
         self.sampled_until = now + Duration::MILLISECOND;
 
-        // --- Phase 1 (parallel): channel sampling, staging, A3. ------------
-        // Worker i borrows (cell_shards[i], ue_shards[i]); states for foreign
-        // cells land in the shard's outbox.
-        let (table, ho) = (&self.cell_table, &self.config.handover);
-        run_phase(
-            &self.pool,
-            self.cell_shards.iter_mut().zip(&mut self.ue_shards),
-            |i, (cells, us)| shard_phase1(i, cells, us, table, ho, measure, now),
-        );
+        // --- Phase 1: channel sampling, staging, A3. ------------------------
+        self.stage_channels(now);
 
-        // --- Phase-1 barrier: apply the cross-shard channel outboxes. ------
-        // Applied in (source shard, resident UeId) order; the order is
-        // immaterial to the state (each (cell, UE) slot is staged at most
-        // once) but fixed regardless of worker completion order.
-        for us in &mut self.ue_shards {
-            for (shard, local, ue, state) in us.outbox.drain(..) {
-                self.cell_shards[shard as usize][local as usize].set_channel(ue, state);
-            }
-        }
-
-        // --- Phase 2 (in order): merge and execute handovers. --------------
-        // Shards report their decisions in resident UeId order; residents
-        // are disjoint, so a key sort yields the global UeId order.
-        let mut pending = std::mem::take(&mut self.pending);
-        for s in &mut self.ue_shards {
-            pending.append(&mut s.pending);
-        }
-        pending.sort_unstable_by_key(|(ue, _)| ue.0);
+        // --- Phase 2: execute handovers in UeId order. ----------------------
+        let mut pending = std::mem::take(&mut self.lane.pending);
         for (ue_id, target) in pending.drain(..) {
             let event = self.execute_handover(ue_id, target, now, &mut report.deliveries);
             report.handovers.push(event);
         }
-        self.pending = pending;
+        self.lane.pending = pending;
 
-        // --- Phase 3 (parallel): tick every cell. --------------------------
-        // Shards own contiguous runs of the configured cell order, so the
-        // global report vector splits into one disjoint run per shard.
-        if report.cell_reports.len() != self.config.cells.len() {
+        // --- Phase 3 (parallel): tick every cell. ---------------------------
+        // Each shard ticks one contiguous run of the configured cell order
+        // into the matching run of the report's per-cell slots.
+        if report.cell_reports.len() != self.cells.len() {
             report.cell_reports = self
-                .config
                 .cells
                 .iter()
                 .map(|_| SubframeReport::default())
                 .collect();
         }
-        let mut rest = report.cell_reports.as_mut_slice();
-        let shards = self.cell_shards.iter_mut().map(move |cells| {
-            let (reports, tail) = std::mem::take(&mut rest).split_at_mut(cells.len());
-            rest = tail;
-            (cells, reports)
-        });
-        run_phase(&self.pool, shards, |_, (cells, reports)| {
-            for (cell, cell_report) in cells.iter_mut().zip(reports) {
-                cell.tick_prepared(subframe, cell_report);
+        match &self.pool {
+            None => tick_cells(&mut self.cells, &mut report.cell_reports, subframe),
+            Some(pool) => {
+                let (n, shards) = (self.cells.len(), self.shards);
+                let mut cells = self.cells.as_mut_slice();
+                let mut reports = report.cell_reports.as_mut_slice();
+                let runs = (0..shards).map(move |s| {
+                    // Balanced contiguous partition of the configured order.
+                    let len = (s + 1) * n / shards - s * n / shards;
+                    let (run, rest) = std::mem::take(&mut cells).split_at_mut(len);
+                    cells = rest;
+                    let (run_reports, rest) = std::mem::take(&mut reports).split_at_mut(len);
+                    reports = rest;
+                    (run, run_reports)
+                });
+                let panics = pool.for_each(runs, |_, (cells, reports)| {
+                    tick_cells(cells, reports, subframe);
+                });
+                if let Some(p) = panics.first() {
+                    panic!("shard {} panicked: {}", p.index, p.message);
+                }
             }
-        });
+        }
 
-        // DCI messages concatenate in global cell order.
+        // DCI messages concatenate in configured cell order.
         for r in &report.cell_reports {
             report.dci_messages.extend_from_slice(&r.dci_messages);
         }
 
-        // --- Phase 4 (parallel): deliver outcomes to resident UEs, drive CA.
-        // Every shard scans all cell reports read-only and picks out its
-        // residents' outcomes/allocations; cells are only read (queue
-        // depths), so the whole section mutates UE shards alone.
-        let (config, cell_shards, table) = (&self.config, &self.cell_shards, &self.cell_table);
-        let cell_reports = &report.cell_reports;
-        run_phase(&self.pool, &mut self.ue_shards, |_, us| {
-            shard_post(us, config, cell_shards, table, cell_reports, now);
-        });
+        // --- Phase 4: deliver outcomes, drive CA, put idle UEs to sleep. ----
+        self.settle(report, now);
 
-        // --- Phase-4 barrier: sort-merge into global cell / UeId order. ----
-        let mut merged = std::mem::take(&mut self.event_merge);
-        for s in &mut self.ue_shards {
-            merged.append(&mut s.events_buf);
-            report.ca_events.append(&mut s.ca_buf);
-        }
-        merged.sort_unstable_by_key(|(key, _)| *key);
-        for (_, e) in merged.drain(..) {
-            report
-                .deliveries
-                .push(close_delivery(&mut self.packet_bytes, &e));
-        }
-        self.event_merge = merged;
-        report.ca_events.sort_unstable_by_key(|e| e.ue.0);
         // An activated secondary serves the UE from the next tick on: attach
         // it before anything can enqueue or stage there.
         for e in report.ca_events.iter().filter(|e| e.activated) {
@@ -810,12 +653,153 @@ impl ShardedNetwork {
         }
     }
 
+    /// Phase 1: per awake UE in UeId order, sample every *active* cell (the
+    /// data path needs its state) and, on measurement subframes, measure
+    /// every configured cell of every multi-cell UE, asleep or not (the A3
+    /// ranking needs neighbours too); a sleeper first replays the subframes
+    /// its active cell skipped.  Each (UE, cell) channel owns an independent
+    /// random stream, so the extra measurement samples leave every other
+    /// draw untouched.  An awake UE's active-cell states are staged straight
+    /// into the cell's channel lane; every other sample draws only the RSRP
+    /// ([`UserEquipment::measure_channel`]) for the A3 event on the UE's
+    /// record, or nothing more than its draws on a down cell that is not
+    /// measured.  A sleeper's active cells are not staged: it holds no data
+    /// and no HARQ process there, so no scheduler would read the state, and
+    /// the one thing that can wake it before the cells tick — its own
+    /// handover — re-stages the target itself.  A3 decisions land in
+    /// `lane.pending`, in UeId order.
+    fn stage_channels(&mut self, now: Instant) {
+        let ho = &self.config.handover;
+        let measure = ho.enabled && handover::is_measurement_subframe(ho, now);
+        let (cells, table, lane) = (&mut self.cells, &self.cell_table, &mut self.lane);
+        lane.pending.clear();
+        for slot in 0..lane.ues.len() {
+            // Sleepers are skipped from the lane alone, without touching the
+            // UE, unless A3 measures them this subframe.
+            let asleep = !lane.awake[slot];
+            if asleep && !measure {
+                continue;
+            }
+            let ue = &mut lane.ues[slot];
+            let n_cells = ue.config().configured_cells.len();
+            let measure_ue = measure && n_cells > 1;
+            if asleep && !measure_ue {
+                continue;
+            }
+            let ue_id = lane.slots.ids()[slot];
+            // Awake UEs stage their active cells, the first n_stage
+            // configured.
+            let n_stage = if asleep { 0 } else { ue.active_cells().len() };
+            if asleep {
+                ue.catch_up(now);
+            }
+            lane.rsrp_scratch.clear();
+            for i in 0..n_cells {
+                if i >= n_stage && !measure_ue {
+                    break;
+                }
+                let cell_id = ue.config().configured_cells[i];
+                // A down cell still consumes its channel draw (stream
+                // conservation: the outage must not shift any other draw),
+                // but gets no staged state and measures at the outage floor.
+                let entry = entry_of(table, cell_id);
+                let cell_down = entry.is_some_and(|e| e.down);
+                let rsrp = match entry.filter(|_| i < n_stage && !cell_down) {
+                    Some(e) => {
+                        let Some(state) = ue.sample_channel(cell_id, now) else {
+                            continue;
+                        };
+                        cells[e.index as usize].set_channel(ue_id, state);
+                        state.rsrp_dbm()
+                    }
+                    None => {
+                        let Some(rsrp) = ue.measure_channel(cell_id, now) else {
+                            continue;
+                        };
+                        rsrp
+                    }
+                };
+                if measure_ue {
+                    lane.rsrp_scratch
+                        .push((cell_id, if cell_down { OUTAGE_RSRP_DBM } else { rsrp }));
+                }
+            }
+            if measure_ue {
+                if let Some(target) = ue.observe_a3(ho, &mut lane.rsrp_scratch, now) {
+                    lane.pending.push((ue_id, target));
+                }
+            }
+        }
+    }
+
+    /// Phase 4: scan every cell report in configured order, hand each UE its
+    /// HARQ outcomes (the resulting deliveries pushed straight into the
+    /// report, in (cell, outcome, event) order) and accumulate allocations —
+    /// all of which land on awake UEs — then, per awake UE in UeId order,
+    /// drive the CA state machine from this subframe's allocations and put
+    /// the UE to sleep if the next ticks would change nothing for it.
+    fn settle(&mut self, report: &mut NetworkTickReport, now: Instant) {
+        let (config, cells, table) = (&self.config, &self.cells, &self.cell_table);
+        let (lane, packet_bytes) = (&mut self.lane, &mut self.packet_bytes);
+        lane.alloc_scratch.clear();
+        lane.alloc_scratch.resize(lane.ues.len(), 0);
+        for r in &report.cell_reports {
+            for alloc in &r.prb_usage.allocations {
+                if let Some(slot) = lane.slots.slot_of(alloc.ue) {
+                    debug_assert!(lane.awake[slot], "PRBs allocated to sleeping {}", alloc.ue);
+                    lane.alloc_scratch[slot] += u32::from(alloc.num_prbs);
+                }
+            }
+            for (owner, outcome) in &r.outcomes {
+                let Some(slot) = lane.slots.slot_of(*owner) else {
+                    continue;
+                };
+                debug_assert!(lane.awake[slot], "HARQ outcome for sleeping {owner}");
+                lane.event_scratch.clear();
+                lane.ues[slot].process_outcome(r.cell, outcome, now, &mut lane.event_scratch);
+                for e in &lane.event_scratch {
+                    report.deliveries.push(close_delivery(packet_bytes, e));
+                }
+            }
+        }
+        for slot in 0..lane.ues.len() {
+            if !lane.awake[slot] {
+                continue;
+            }
+            let ue = &mut lane.ues[slot];
+            let obs = CaObservation {
+                allocated_prbs: lane.alloc_scratch[slot],
+                active_cell_prbs: ue
+                    .active_cells()
+                    .iter()
+                    .map(|c| entry_of(table, *c).map_or(0, |e| e.prbs))
+                    .sum(),
+            };
+            if let Some(event) = ue.observe_ca(config, obs, now) {
+                report.ca_events.push(event);
+            }
+            // Sleep once nothing is left to schedule and an unallocated
+            // subframe would leave the CA state as it is: until data or a
+            // handover wakes it, the UE's ticks would change nothing.
+            let asleep = obs.allocated_prbs == 0
+                && ue.ca_is_quiescent(config)
+                && !ue
+                    .active_cells()
+                    .iter()
+                    .filter_map(|c| entry_of(table, *c))
+                    .any(|e| cells[e.index as usize].holds_data(ue.id()));
+            if asleep {
+                lane.awake[slot] = false;
+                ue.sleep_from(now + Duration::MILLISECOND);
+            }
+        }
+    }
+
     /// Switch the serving cell of one UE: drain and forward everything the
     /// old active cells still hold (detaching the UE from them), flush the
     /// UE-side reordering buffers (whose releases are appended to
-    /// `deliveries`), collapse carrier aggregation, attach the UE to the
-    /// target cell alone, and migrate the UE to the target's shard when that
-    /// is another one.
+    /// `deliveries`), collapse carrier aggregation, and attach the UE to the
+    /// target cell alone.
     fn execute_handover(
         &mut self,
         ue_id: UeId,
@@ -823,11 +807,11 @@ impl ShardedNetwork {
         now: Instant,
         deliveries: &mut Vec<Delivery>,
     ) -> HandoverEvent {
-        let (home, slot) = self.locate(ue_id).expect("ue exists");
+        let slot = self.lane.slots.slot_of(ue_id).expect("ue exists");
         // The old active cells leave the active set: replay what a sleeper
         // skipped before they do.
-        self.ue_shards[home].wake(slot, self.sampled_until);
-        let ue = &self.ue_shards[home].ues[slot];
+        self.lane.wake(slot, self.sampled_until);
+        let ue = &self.lane.ues[slot];
         let (rnti, from) = (ue.rnti(), ue.config().primary_cell());
         let active = ue.active_cells().to_vec();
 
@@ -847,9 +831,9 @@ impl ShardedNetwork {
         // layer is concerned: their ids must not ride along in the forwarded
         // data, or the target cell would regenerate a second final segment
         // from the stale remainder and the packet would be delivered twice.
-        let us = &mut self.ue_shards[home];
+        let ue = &mut self.lane.ues[slot];
         for cell_id in &active {
-            for e in &us.ues[slot].flush_cell(*cell_id, now) {
+            for e in &ue.flush_cell(*cell_id, now) {
                 forwarded.retain(|p| p.id != e.packet_id);
                 deliveries.push(close_delivery(&mut self.packet_bytes, e));
             }
@@ -861,12 +845,12 @@ impl ShardedNetwork {
         // re-activates one of the detached old cells as a secondary, the
         // activation attaches it afresh (empty queue, new HARQ entity,
         // sequence 0).
-        us.ues[slot].hand_over(target, now);
+        ue.hand_over(target, now);
         // The target becomes the UE's only active cell this subframe: stage
         // its channel state for the scheduler (re-sampling within the same
         // subframe returns the cached fade, so this draws nothing new).  The
         // old cells lost their staged states when the UE detached.
-        let state = us.ues[slot].sample_channel(target, now);
+        let state = ue.sample_channel(target, now);
         if let Some(cell) = self.cell_mut(target) {
             cell.attach(ue_id, rnti);
             for pkt in forwarded {
@@ -876,193 +860,11 @@ impl ShardedNetwork {
                 cell.set_channel(ue_id, state);
             }
         }
-
-        // Cross-shard handover: the UE migrates to the shard owning its new
-        // serving cell.
-        if let Some(new_home) = entry_of(&self.cell_table, target).map(|e| e.shard as usize) {
-            if new_home != home {
-                self.migrate_ue(ue_id, home, new_home);
-            }
-        }
         HandoverEvent {
             ue: ue_id,
             from,
             to: target,
             at: now,
-        }
-    }
-
-    /// Move a resident UE's record and `awake` flag from shard `from` to
-    /// shard `to`.
-    fn migrate_ue(&mut self, ue_id: UeId, from: usize, to: usize) {
-        let us = &mut self.ue_shards[from];
-        let slot = us.slots.remove(ue_id).expect("resident in old shard");
-        let (ue, awake) = (us.ues.remove(slot), us.awake.remove(slot));
-        self.ue_shards[to].insert(ue_id, ue, awake);
-    }
-}
-
-/// Bits queued for a UE across its configured cells, whichever shards own
-/// them.
-fn queued_bits(cell_shards: &[Vec<Cell>], table: &[CellEntry], ue: &UeConfig) -> u64 {
-    ue.configured_cells
-        .iter()
-        .filter_map(|c| cell_at(cell_shards, table, *c))
-        .map(|cell| cell.queue_bits(ue.id))
-        .sum()
-}
-
-/// Phase 1 for shard `me`: per awake resident UE in UeId order, sample
-/// every *active* cell (the data path needs its state) and, on measurement
-/// subframes, measure every configured cell of every multi-cell resident,
-/// asleep or not (the A3 ranking needs neighbours too); a sleeper first
-/// replays the subframes its active cell skipped.  Each (UE, cell) channel
-/// owns an independent random stream, so the extra measurement samples
-/// leave every other draw untouched.  An awake UE's active-cell states are
-/// staged straight into the owning cell's channel lane (own cells directly,
-/// foreign cells via the outbox); every other sample draws only the RSRP
-/// ([`UserEquipment::measure_channel`]) for the A3 event on the UE's
-/// record, or nothing more than its draws on a down cell that is not
-/// measured.  A sleeper's active cells are not staged: it
-/// holds no data and no HARQ process there, so no scheduler would read the
-/// state, and the one thing that can wake it before the cells tick — its
-/// own handover — re-stages the target itself.
-fn shard_phase1(
-    me: usize,
-    cells: &mut [Cell],
-    us: &mut UeShard,
-    table: &[CellEntry],
-    ho: &HandoverConfig,
-    measure: bool,
-    now: Instant,
-) {
-    us.pending.clear();
-    for slot in 0..us.ues.len() {
-        // Sleepers are skipped from the lane alone, without touching the UE,
-        // unless A3 measures them this subframe.
-        let asleep = !us.awake[slot];
-        if asleep && !measure {
-            continue;
-        }
-        let ue = &mut us.ues[slot];
-        let n_cells = ue.config().configured_cells.len();
-        let measure_ue = measure && n_cells > 1;
-        if asleep && !measure_ue {
-            continue;
-        }
-        let ue_id = us.slots.ids()[slot];
-        // Awake UEs stage their active cells, the first n_stage configured.
-        let n_stage = if asleep { 0 } else { ue.active_cells().len() };
-        if asleep {
-            ue.catch_up(now);
-        }
-        us.rsrp_scratch.clear();
-        for i in 0..n_cells {
-            if i >= n_stage && !measure_ue {
-                break;
-            }
-            let cell_id = ue.config().configured_cells[i];
-            // A down cell still consumes its channel draw (stream
-            // conservation: the outage must not shift any other draw), but
-            // gets no staged state and measures at the outage floor.
-            let entry = entry_of(table, cell_id);
-            let cell_down = entry.is_some_and(|e| e.down);
-            let rsrp = match entry.filter(|_| i < n_stage && !cell_down) {
-                Some(e) => {
-                    let Some(state) = ue.sample_channel(cell_id, now) else {
-                        continue;
-                    };
-                    if e.shard as usize == me {
-                        cells[e.local as usize].set_channel(ue_id, state);
-                    } else {
-                        us.outbox.push((e.shard, e.local, ue_id, state));
-                    }
-                    state.rsrp_dbm()
-                }
-                None => {
-                    let Some(rsrp) = ue.measure_channel(cell_id, now) else {
-                        continue;
-                    };
-                    rsrp
-                }
-            };
-            if measure_ue {
-                us.rsrp_scratch
-                    .push((cell_id, if cell_down { OUTAGE_RSRP_DBM } else { rsrp }));
-            }
-        }
-        if measure_ue {
-            if let Some(target) = ue.observe_a3(ho, &mut us.rsrp_scratch, now) {
-                us.pending.push((ue_id, target));
-            }
-        }
-    }
-}
-
-/// Phase 4 for one shard: scan every cell report in global order, hand
-/// resident UEs their HARQ outcomes (the resulting packet events tagged with
-/// their order key) and accumulate allocations — all of which land on awake
-/// UEs — then, per awake UE, drive the CA state machine from this
-/// subframe's allocations and put the UE to sleep if the next ticks would
-/// change nothing for it.
-fn shard_post(
-    us: &mut UeShard,
-    config: &CellularConfig,
-    cell_shards: &[Vec<Cell>],
-    table: &[CellEntry],
-    cell_reports: &[SubframeReport],
-    now: Instant,
-) {
-    us.alloc_scratch.clear();
-    us.alloc_scratch.resize(us.ues.len(), 0);
-    for (ci, r) in cell_reports.iter().enumerate() {
-        for alloc in &r.prb_usage.allocations {
-            if let Some(slot) = us.slots.slot_of(alloc.ue) {
-                debug_assert!(us.awake[slot], "PRBs allocated to sleeping {}", alloc.ue);
-                us.alloc_scratch[slot] += u32::from(alloc.num_prbs);
-            }
-        }
-        for (oi, (owner, outcome)) in r.outcomes.iter().enumerate() {
-            let Some(slot) = us.slots.slot_of(*owner) else {
-                continue;
-            };
-            debug_assert!(us.awake[slot], "HARQ outcome for sleeping {owner}");
-            us.event_scratch.clear();
-            us.ues[slot].process_outcome(r.cell, outcome, now, &mut us.event_scratch);
-            for (k, e) in us.event_scratch.iter().enumerate() {
-                us.events_buf.push(((ci as u32, oi as u32, k as u32), *e));
-            }
-        }
-    }
-    for slot in 0..us.ues.len() {
-        if !us.awake[slot] {
-            continue;
-        }
-        let ue = &mut us.ues[slot];
-        let obs = CaObservation {
-            allocated_prbs: us.alloc_scratch[slot],
-            active_cell_prbs: ue
-                .active_cells()
-                .iter()
-                .map(|c| entry_of(table, *c).map_or(0, |e| e.prbs))
-                .sum(),
-        };
-        if let Some(event) = ue.observe_ca(config, obs, now) {
-            us.ca_buf.push(event);
-        }
-        // Sleep once nothing is left to schedule and an unallocated
-        // subframe would leave the CA state as it is: until data or a
-        // handover wakes it, the UE's ticks would change nothing.
-        let asleep = obs.allocated_prbs == 0
-            && ue.ca_is_quiescent(config)
-            && !ue
-                .active_cells()
-                .iter()
-                .filter_map(|c| cell_at(cell_shards, table, *c))
-                .any(|cell| cell.holds_data(ue.id()));
-        if asleep {
-            us.awake[slot] = false;
-            ue.sleep_from(now + Duration::MILLISECOND);
         }
     }
 }
@@ -1073,10 +875,10 @@ mod tests {
     use crate::config::{Bandwidth, CellConfig};
     use proptest::prelude::*;
 
-    /// A 6-cell "city row" with traffic that exercises every cross-shard
-    /// interaction: a UE handing over across the grid (cells 0 → 3), a
-    /// CA-capable UE whose secondary carrier lives in another shard
-    /// (cells 2 + 4), and plain single-cell users.
+    /// A 6-cell "city row" whose UEs couple cells in different shards' runs:
+    /// a UE handing over across the grid (cells 0 → 3), a CA-capable UE
+    /// whose secondary carrier lies in another run (cells 2 + 4), and plain
+    /// single-cell users.
     fn city_config() -> CellularConfig {
         let mut config = CellularConfig {
             cells: (0..6u16)
@@ -1119,9 +921,8 @@ mod tests {
             CellId(3),
             MobilityTrace::from_secs(&[(0.0, -110.0), (cross_secs, -85.0)]),
         );
-        // UE 2 aggregates cells 2 and 4 under load: its secondary carrier is
-        // foreign for shard counts 2 and 3, exercising the channel outbox
-        // and cross-shard queue reads.
+        // UE 2 aggregates cells 2 and 4 under load: its secondary carrier
+        // ticks in another run than its primary for shard counts 2 and 3.
         net.add_ue(
             UeConfig::new(UeId(2), vec![CellId(2), CellId(4)], 2, -83.0),
             MobilityTrace::stationary(-83.0),
@@ -1225,34 +1026,28 @@ mod tests {
         }
     }
 
-    /// A UE whose serving cell moves to another shard migrates with all of
-    /// its state: the home shard changes and its stats stay coherent.
+    /// A UE whose serving cell moves into another shard's run of cells
+    /// keeps receiving: its data is forwarded to the target and delivered
+    /// from there.
     #[test]
-    fn cross_shard_handover_migrates_the_ue() {
+    fn cross_shard_handover_keeps_data_flowing() {
         let mut net = city(CellLoadProfile::none(), 7, 2, 4.0);
-        assert_eq!(net.home_of(CellId(0)), 0);
-        assert_eq!(net.home_of(CellId(3)), 1);
-        assert_eq!(net.locate(UeId(1)).unwrap().0, 0);
         for sf in 0..4500u64 {
             let now = Instant::from_millis(sf);
             net.enqueue_packet(UeId(1), sf, 1500, now);
             net.tick(now);
         }
         assert_eq!(net.serving_cell(UeId(1)), Some(CellId(3)));
-        assert_eq!(
-            net.locate(UeId(1)).unwrap().0,
-            1,
-            "the UE now resides in the shard owning cell 3"
-        );
         let (delivered, _lost) = net.ue_stats(UeId(1));
-        assert!(delivered > 1_000, "data flowed across the migration");
+        assert!(delivered > 1_000, "data flowed across the handover");
     }
 
-    /// The merged report order comes from logical sort keys, not worker
-    /// completion order: repeated runs of a racy multi-worker configuration
-    /// must agree byte-for-byte.
+    /// The parallel cell tick is independent of worker completion order:
+    /// each shard writes only its own run of cells and report slots, so
+    /// repeated runs of a racy multi-worker configuration must agree
+    /// byte-for-byte.
     #[test]
-    fn merge_order_is_independent_of_worker_completion_order() {
+    fn parallel_cell_tick_is_independent_of_worker_completion_order() {
         let run = || {
             let mut net = city(CellLoadProfile::busy(), 5, 3, 4.0);
             let mut out = String::new();
@@ -1537,8 +1332,8 @@ mod tests {
     }
 
     fn is_awake(net: &ShardedNetwork, ue: u32) -> bool {
-        let (home, slot) = net.locate(UeId(ue)).expect("registered");
-        net.ue_shards[home].awake[slot]
+        let slot = net.lane.slots.slot_of(UeId(ue)).expect("registered");
+        net.lane.awake[slot]
     }
 
     /// The pinned scenarios are not vacuous: each case sleeps, or stays

@@ -251,13 +251,6 @@ impl BackgroundTraffic {
         self.sessions.retain(|s| s.remaining_subframes > 0);
     }
 
-    /// Convert grants into scheduler demands.
-    pub fn to_demands(grants: &[BackgroundGrant]) -> Vec<Demand> {
-        let mut demands = Vec::with_capacity(grants.len());
-        BackgroundTraffic::append_demands(grants, &mut demands);
-        demands
-    }
-
     /// Append the demands for a slice of grants to a caller-owned buffer.
     pub fn append_demands(grants: &[BackgroundGrant], demands: &mut Vec<Demand>) {
         demands.extend(grants.iter().map(|g| Demand {
@@ -426,7 +419,8 @@ mod tests {
                 is_control: false,
             },
         ];
-        let demands = BackgroundTraffic::to_demands(&grants);
+        let mut demands = Vec::new();
+        BackgroundTraffic::append_demands(&grants, &mut demands);
         assert_eq!(demands.len(), 2);
         assert_eq!(demands[0].class, DemandClass::Control);
         assert_eq!(demands[1].class, DemandClass::Data);

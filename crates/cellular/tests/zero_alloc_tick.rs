@@ -7,7 +7,8 @@
 //! traffic, warms the network up for 400 subframes (every UE joins asleep)
 //! and then requires zero allocations across 200
 //! further subframes — ordinary ones and the A3 measurement subframes that
-//! visit every sleeper.
+//! visit every sleeper — on one shard and on three, whose cell tick runs on
+//! the worker pool.
 //!
 //! A *loaded* tick still allocates: the same network with 6 UEs receiving
 //! four packets each per subframe made about 14 allocations per subframe.
@@ -24,41 +25,45 @@ static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocato
 
 #[test]
 fn idle_network_steady_state_tick_allocates_nothing() {
-    let config = CellularConfig {
-        cells: (0..6)
-            .map(|i| CellConfig::primary_20mhz(CellId(i)))
-            .collect(),
-        ..CellularConfig::default()
-    };
-    let handover_config = config.handover;
-    let mut net = ShardedNetwork::new(config, CellLoadProfile::none(), 1, 1);
-    for u in 0..600u32 {
-        let primary = (u % 6) as u16;
-        let cells = vec![CellId(primary), CellId((primary + 1) % 6)];
-        let rssi = -84.0 - f64::from(u % 20);
-        net.add_ue(
-            UeConfig::new(UeId(u), cells, 2, rssi),
-            MobilityTrace::stationary(rssi),
+    // Three shards dispatch the cell tick to the worker pool every subframe:
+    // that dispatch must not allocate either.
+    for shards in [1, 3] {
+        let config = CellularConfig {
+            cells: (0..6)
+                .map(|i| CellConfig::primary_20mhz(CellId(i)))
+                .collect(),
+            ..CellularConfig::default()
+        };
+        let handover_config = config.handover;
+        let mut net = ShardedNetwork::new(config, CellLoadProfile::none(), 1, shards);
+        for u in 0..600u32 {
+            let primary = (u % 6) as u16;
+            let cells = vec![CellId(primary), CellId((primary + 1) % 6)];
+            let rssi = -84.0 - f64::from(u % 20);
+            net.add_ue(
+                UeConfig::new(UeId(u), cells, 2, rssi),
+                MobilityTrace::stationary(rssi),
+            );
+        }
+        let mut report = NetworkTickReport::default();
+        for sf in 0..400u64 {
+            net.tick_into(Instant::from_millis(sf), &mut report);
+        }
+
+        let mut measurement_subframes = 0;
+        let before = alloc_counter::allocation_count();
+        for sf in 400..600u64 {
+            let now = Instant::from_millis(sf);
+            net.tick_into(now, &mut report);
+            measurement_subframes +=
+                usize::from(handover::is_measurement_subframe(&handover_config, now));
+        }
+        let allocations = alloc_counter::allocation_count() - before;
+        assert!(measurement_subframes >= 4, "A3 measured the sleepers");
+        assert!(report.handovers.is_empty() && report.dci_messages.is_empty());
+        assert_eq!(
+            allocations, 0,
+            "{shards} shards: the idle steady-state tick allocated {allocations} times"
         );
     }
-    let mut report = NetworkTickReport::default();
-    for sf in 0..400u64 {
-        net.tick_into(Instant::from_millis(sf), &mut report);
-    }
-
-    let mut measurement_subframes = 0;
-    let before = alloc_counter::allocation_count();
-    for sf in 400..600u64 {
-        let now = Instant::from_millis(sf);
-        net.tick_into(now, &mut report);
-        measurement_subframes +=
-            usize::from(handover::is_measurement_subframe(&handover_config, now));
-    }
-    let allocations = alloc_counter::allocation_count() - before;
-    assert!(measurement_subframes >= 4, "A3 measured the sleepers");
-    assert!(report.handovers.is_empty() && report.dci_messages.is_empty());
-    assert_eq!(
-        allocations, 0,
-        "the idle steady-state tick allocated {allocations} times"
-    );
 }

@@ -18,10 +18,10 @@
 //! arrivals in nondecreasing time order, so a FIFO queue can be simulated by
 //! a single forward pass per packet.
 //!
-//! Determinism and sharding: the backhaul is stepped by the simulation
-//! driver loop, outside the radio-access-network tick — conceptually it is
-//! owned by shard 0.  All of its ordering is by `(time, submission
-//! sequence)` pairs, so results are byte-identical for every shard count.
+//! Determinism and sharding: the backhaul is stepped by the single-threaded
+//! simulation driver loop, outside the radio-access-network tick, and all
+//! of its ordering is by `(time, submission sequence)` pairs, so results
+//! are byte-identical for every shard count.
 
 use crate::faults::{FlapPolicy, LinkFlap};
 use crate::wired::LinkStats;

@@ -67,22 +67,21 @@ pub struct SimConfig {
     /// cells, so different cells can strengthen and fade independently —
     /// the prerequisite for any handover scenario.
     pub trajectories: Vec<CellTrajectory>,
-    /// Shard count for the cellular tick engine.  `Some(n)` partitions the
-    /// cell grid into `n` geo-contiguous shards ticked in parallel on a
-    /// persistent worker pool; one shard ticks the whole grid inline on the
-    /// calling thread.  Every shard count produces byte-identical results;
-    /// only the wall clock changes.  `None` (the default) means one shard
-    /// unless the `PBE_FORCE_SHARDS` environment variable (a positive
-    /// integer) names another count — the CI lever that runs the whole test
-    /// suite at a multi-shard count.
+    /// Shard count for the cellular tick engine.  `Some(n)` cuts the cell
+    /// grid into `n` geo-contiguous runs whose cell ticks run in parallel
+    /// on a persistent worker pool; every per-UE phase stays on the calling
+    /// thread, and one shard ticks the whole grid inline.  Every shard
+    /// count produces byte-identical results; only the wall clock changes.
+    /// `None` (the default) means one shard unless the `PBE_FORCE_SHARDS`
+    /// environment variable (a positive integer) names another count — the
+    /// CI lever that runs the whole test suite at a multi-shard count.
     pub shards: Option<usize>,
     /// Shared wired backhaul topology.  `None` (the default) keeps each flow
     /// on its private [`WiredPath`]; `Some` routes every flow through the
     /// shared link DAG by the cell its UE is attached to, re-routing on
     /// handover.
-    /// The backhaul is stepped by the driver loop outside the RAN tick
-    /// (conceptually owned by shard 0), so results stay byte-identical for
-    /// every shard count.
+    /// The backhaul is stepped by the single-threaded driver loop outside
+    /// the RAN tick, so results stay byte-identical for every shard count.
     pub backhaul: Option<BackhaulConfig>,
     /// Deterministic fault schedule: cell outages, backhaul link flaps and
     /// control-channel decode-loss bursts, all keyed purely by simulated
@@ -486,7 +485,7 @@ impl Senders {
 struct Wire {
     /// Each flow's private path (unused when a backhaul is shared).
     paths: Vec<WiredPath>,
-    /// The shared link DAG, stepped outside the RAN tick (as if by shard 0).
+    /// The shared link DAG, stepped by the driver loop outside the RAN tick.
     backhaul: Option<Backhaul>,
     report: BackhaulTickReport,
     /// The cell each flow's packets route towards (updated on handover).
@@ -867,7 +866,8 @@ impl Simulation {
             ran.net.tick_into(now, &mut ran.report); // 4
             faults.radio_link_failures(t_ms, &mut ran, &mut sink); // 4b
             ran.narrate(now, &mut receivers, &senders.flows, &mut wire, &mut sink); // 4-6
-                                                                                    // 7: each tabled packet the UEs received or lost reaches its receiver.
+
+            // 7: each tabled packet the UEs received or lost reaches its receiver.
             for d in &ran.report.deliveries {
                 if let Some(packet) = senders.packets.remove(&d.packet_id) {
                     let sender = &mut senders.flows[packet.flow];
@@ -1061,10 +1061,10 @@ mod tests {
 
     #[test]
     fn backhaul_simulation_is_byte_identical_across_shard_counts() {
-        // The backhaul is stepped in the single-threaded driver loop
-        // ("owned by shard 0"), so its arrivals — and everything downstream
-        // of them — must serialise to the serial engine's bytes whatever the
-        // shard count, across seeds.
+        // The backhaul is stepped in the single-threaded driver loop, so
+        // its arrivals — and everything downstream of them — must serialise
+        // to the serial engine's bytes whatever the shard count, across
+        // seeds.
         for (seed, digest) in [
             (13u64, "51af63845d3697922fb215ab3fd7a546"),
             (29, "d4728fac18f1966a32919e97e81fe097"),

@@ -68,32 +68,6 @@ impl Cdf {
             self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
         }
     }
-
-    /// The full `(value, cumulative fraction)` staircase, one point per sample.
-    pub fn points(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len();
-        self.sorted
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| (x, (i + 1) as f64 / n as f64))
-            .collect()
-    }
-
-    /// A down-sampled point series with at most `max_points` points, suitable
-    /// for printing a plot-ready table.
-    pub fn sampled_points(&self, max_points: usize) -> Vec<(f64, f64)> {
-        let pts = self.points();
-        if pts.len() <= max_points || max_points == 0 {
-            return pts;
-        }
-        let step = pts.len() as f64 / max_points as f64;
-        let mut out = Vec::with_capacity(max_points);
-        for i in 0..max_points {
-            let idx = ((i as f64 + 1.0) * step).ceil() as usize - 1;
-            out.push(pts[idx.min(pts.len() - 1)]);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -128,25 +102,6 @@ mod tests {
         assert!((q50 - 50.5).abs() < 1e-9);
         assert_eq!(cdf.min(), Some(1.0));
         assert_eq!(cdf.max(), Some(100.0));
-    }
-
-    #[test]
-    fn points_staircase_is_monotone() {
-        let cdf = Cdf::from_samples([5.0, 1.0, 3.0]);
-        let pts = cdf.points();
-        assert_eq!(pts.len(), 3);
-        assert!(pts.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 < w[1].1));
-        assert_eq!(pts.last().unwrap().1, 1.0);
-    }
-
-    #[test]
-    fn sampled_points_respects_limit_and_endpoint() {
-        let cdf = Cdf::from_samples((0..1000).map(|x| x as f64));
-        let pts = cdf.sampled_points(50);
-        assert_eq!(pts.len(), 50);
-        assert_eq!(pts.last().unwrap().1, 1.0);
-        let all = cdf.sampled_points(0);
-        assert_eq!(all.len(), 1000);
     }
 
     #[test]

@@ -24,26 +24,6 @@ pub fn jain_index(allocations: &[f64]) -> f64 {
     (sum * sum) / (n * sum_sq)
 }
 
-/// Jain's index computed over per-flow time averages of a sequence of
-/// per-interval allocations (rows = intervals, columns = flows).
-///
-/// Intervals where every flow received zero are ignored.
-pub fn jain_index_over_time(per_interval: &[Vec<f64>]) -> f64 {
-    let mut totals: Vec<f64> = Vec::new();
-    for row in per_interval {
-        if row.iter().all(|x| *x <= 0.0) {
-            continue;
-        }
-        if totals.len() < row.len() {
-            totals.resize(row.len(), 0.0);
-        }
-        for (t, x) in totals.iter_mut().zip(row) {
-            *t += x;
-        }
-    }
-    jain_index(&totals)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,19 +53,6 @@ mod tests {
     fn degenerate_inputs() {
         assert_eq!(jain_index(&[]), 1.0);
         assert_eq!(jain_index(&[0.0, 0.0]), 1.0);
-    }
-
-    #[test]
-    fn over_time_ignores_idle_intervals() {
-        let rows = vec![
-            vec![0.0, 0.0],
-            vec![50.0, 50.0],
-            vec![30.0, 70.0],
-            vec![70.0, 30.0],
-        ];
-        let idx = jain_index_over_time(&rows);
-        // Totals are equal (150, 150) so the index is 1.
-        assert!((idx - 1.0).abs() < 1e-12);
     }
 
     proptest! {

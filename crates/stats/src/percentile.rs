@@ -5,7 +5,8 @@
 //! 18, 20, Table 1).  [`percentile`] implements the linear-interpolation
 //! estimator (type 7, the same convention MATLAB/NumPy use by default, which
 //! is what the authors' plotting scripts would have produced), and
-//! [`OnlineStats`] keeps Welford running moments for cheap averages.
+//! [`OnlineStats`] keeps a Welford running mean (plus count and maximum)
+//! for cheap averages.
 
 use serde::{Deserialize, Serialize};
 
@@ -43,30 +44,16 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Convenience: several percentiles at once over one sort.
-pub fn percentiles(samples: &[f64], ps: &[f64]) -> Vec<Option<f64>> {
-    let mut sorted: Vec<f64> = samples.iter().copied().filter(|x| x.is_finite()).collect();
-    if sorted.is_empty() {
-        return ps.iter().map(|_| None).collect();
-    }
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-    ps.iter()
-        .map(|p| Some(percentile_of_sorted(&sorted, *p)))
-        .collect()
-}
-
 /// Median of a sample set.
 pub fn median(samples: &[f64]) -> Option<f64> {
     percentile(samples, 50.0)
 }
 
-/// Running mean / variance / min / max via Welford's algorithm.
+/// Running count / mean / max, the mean updated by Welford's algorithm.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
     max: f64,
 }
 
@@ -76,8 +63,6 @@ impl OnlineStats {
         OnlineStats {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
     }
@@ -90,8 +75,6 @@ impl OnlineStats {
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
 
@@ -109,29 +92,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance (0 if fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.min)
-        }
-    }
-
     /// Maximum observation (`None` if empty).
     pub fn max(&self) -> Option<f64> {
         if self.count == 0 {
@@ -139,28 +99,6 @@ impl OnlineStats {
         } else {
             Some(self.max)
         }
-    }
-
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -194,27 +132,15 @@ mod tests {
     }
 
     #[test]
-    fn multi_percentiles_match_single() {
-        let v: Vec<f64> = (0..100).map(|x| (x * 37 % 100) as f64).collect();
-        let ps = [10.0, 25.0, 50.0, 75.0, 90.0, 95.0];
-        let multi = percentiles(&v, &ps);
-        for (p, got) in ps.iter().zip(multi) {
-            assert_eq!(got, percentile(&v, *p));
-        }
-    }
-
-    #[test]
     fn online_stats_basic() {
         let mut s = OnlineStats::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), None);
+        assert_eq!(s.max(), None);
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             s.push(x);
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
     }
 
@@ -226,30 +152,6 @@ mod tests {
         s.push(3.0);
         assert_eq!(s.count(), 2);
         assert!((s.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_equals_combined_stream() {
-        let data: Vec<f64> = (0..200)
-            .map(|i| (i as f64 * 0.37).sin() * 10.0 + 5.0)
-            .collect();
-        let mut all = OnlineStats::new();
-        for &x in &data {
-            all.push(x);
-        }
-        let (left, right) = data.split_at(73);
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in left {
-            a.push(x);
-        }
-        for &x in right {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
     }
 
     proptest! {

@@ -335,8 +335,8 @@ mod tests {
 
     #[test]
     fn jobs_borrow_disjoint_mutable_items() {
-        // Two slices zipped, plus a slice cut into uneven disjoint runs: the
-        // shapes the sharded tick engine hands its phases.
+        // Two slices zipped, plus a slice cut into uneven disjoint runs (the
+        // shape the sharded tick engine hands its cell tick).
         let pool = WorkerPool::new(3);
         let mut left = vec![0u32; 5];
         let mut right = vec![0u32; 5];

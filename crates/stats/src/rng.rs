@@ -153,13 +153,6 @@ impl DetRng {
         }
     }
 
-    /// Pareto sample with scale `xm` and shape `alpha` (heavy-tailed flow sizes).
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        debug_assert!(xm > 0.0 && alpha > 0.0);
-        let u = 1.0 - self.uniform();
-        xm / u.powf(1.0 / alpha)
-    }
-
     /// Choose an index according to a slice of non-negative weights.
     /// Returns 0 for an all-zero or empty slice.
     pub fn weighted_choice(&mut self, weights: &[f64]) -> usize {
@@ -314,14 +307,6 @@ mod tests {
         let mean = (0..n).map(|_| r.poisson(4.0) as f64).sum::<f64>() / n as f64;
         assert!((mean - 4.0).abs() < 0.2, "mean = {mean}");
         assert_eq!(r.poisson(0.0), 0);
-    }
-
-    #[test]
-    fn pareto_is_at_least_scale() {
-        let mut r = DetRng::new(19);
-        for _ in 0..1000 {
-            assert!(r.pareto(2.0, 1.5) >= 2.0);
-        }
     }
 
     #[test]

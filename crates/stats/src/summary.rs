@@ -128,18 +128,6 @@ impl FlowSummaryBuilder {
 }
 
 impl FlowSummary {
-    /// Format a compact single-line report.
-    pub fn one_line(&self) -> String {
-        format!(
-            "{:<10} tput {:6.2} Mbit/s  delay avg {:6.1} ms  p95 {:6.1} ms  pkts {:7}",
-            self.label,
-            self.avg_throughput_mbps,
-            self.avg_delay_ms,
-            self.p95_delay_ms,
-            self.packets
-        )
-    }
-
     /// Throughput speedup of `self` relative to `other` (paper Table 1
     /// convention: PBE-CC throughput / other throughput).
     pub fn throughput_speedup_vs(&self, other: &FlowSummary) -> f64 {
@@ -231,11 +219,5 @@ mod tests {
         let s = b.build();
         assert_eq!(s.internet_bottleneck_fraction, 1.0);
         assert!(s.carrier_aggregation_triggered);
-    }
-
-    #[test]
-    fn one_line_contains_label() {
-        let s = build_flow("pbe", 1, 10.0, 100);
-        assert!(s.one_line().contains("pbe"));
     }
 }

@@ -70,11 +70,6 @@ impl Instant {
     pub fn saturating_since(self, earlier: Instant) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference, `None` if `earlier` is later than `self`.
-    pub fn checked_since(self, earlier: Instant) -> Option<Duration> {
-        self.0.checked_sub(earlier.0).map(Duration)
-    }
 }
 
 impl Duration {
@@ -233,7 +228,6 @@ mod tests {
         let later = t + Duration::from_millis(8);
         assert_eq!((later - t).as_millis(), 8);
         assert_eq!(later.saturating_since(t), Duration::from_millis(8));
-        assert_eq!(t.checked_since(later), None);
     }
 
     #[test]

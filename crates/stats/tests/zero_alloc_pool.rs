@@ -1,11 +1,11 @@
 //! Regression test: a `WorkerPool::for_each` dispatch allocates nothing.
 //!
-//! The sharded tick engine dispatches three phases per simulated subframe,
-//! each handing every worker a disjoint `&mut` borrow of its shard (two
-//! slices zipped, or one slice cut into runs with `split_at_mut`).  This test
-//! installs a counting global allocator and drives those shapes on a
-//! three-worker pool: once the pool's threads exist, steady-state dispatch
-//! must perform zero allocations and zero frees on any thread.
+//! The sharded tick engine dispatches its cell tick every simulated
+//! subframe, handing every worker a disjoint `&mut` run of cells and report
+//! slots cut with `split_at_mut`.  This test installs a counting global
+//! allocator and drives that shape, and two slices zipped, on a three-worker
+//! pool: once the pool's threads exist, steady-state dispatch must perform
+//! zero allocations and zero frees on any thread.
 
 use pbe_stats::WorkerPool;
 
