@@ -198,11 +198,10 @@ pub trait CongestionControl: Send {
     fn on_signal(&mut self, _now: Instant, _signal: &CongestionSignal) {}
 }
 
-/// Helper shared by several schemes: a conservative initial state.
-pub(crate) fn initial_rate_bps() -> f64 {
-    // 10 packets per 100 ms ≈ 1.2 Mbit/s.
-    1.2e6
-}
+/// The conservative pacing rate every rate-based scheme, PBE-CC included,
+/// starts from before its first feedback: ten packets per 100 ms, about
+/// 1.2 Mbit/s.  PBE-CC's sender also keeps it as its pacing floor.
+pub const INITIAL_RATE_BPS: f64 = 1.2e6;
 
 #[cfg(test)]
 mod tests {

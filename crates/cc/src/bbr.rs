@@ -10,7 +10,7 @@
 //! empties the queue Startup built; ProbeRTT periodically shrinks the window
 //! to re-measure the propagation delay.
 
-use crate::api::{initial_rate_bps, AckInfo, CongestionControl, MSS_BYTES};
+use crate::api::{AckInfo, CongestionControl, INITIAL_RATE_BPS, MSS_BYTES};
 use crate::windowed::{WindowedMax, WindowedMin};
 use pbe_stats::time::{Duration, Instant};
 
@@ -88,7 +88,7 @@ impl Bbr {
     pub fn btl_bw_bps(&self) -> f64 {
         let bw = self.btl_bw.get();
         if bw <= 0.0 {
-            initial_rate_bps()
+            INITIAL_RATE_BPS
         } else {
             bw
         }

@@ -11,7 +11,7 @@
 //! the default registry (not the baseline set) so sweeps only run them when
 //! a grid asks by name.
 
-use crate::api::{AckInfo, CongestionControl, MSS_BYTES};
+use crate::api::{AckInfo, CongestionControl, INITIAL_RATE_BPS, MSS_BYTES};
 use pbe_stats::time::Instant;
 
 /// Fixed window for both chaos schemes: 20 packets, enough to keep ACKs
@@ -62,7 +62,7 @@ impl CongestionControl for ChaosPanic {
     fn on_packet_sent(&mut self, _now: Instant, _bytes: u64, _inflight_bytes: u64) {}
 
     fn pacing_rate_bps(&self) -> f64 {
-        crate::api::initial_rate_bps()
+        INITIAL_RATE_BPS
     }
 
     fn cwnd_bytes(&self) -> u64 {
@@ -118,7 +118,7 @@ impl CongestionControl for ChaosHang {
     fn on_packet_sent(&mut self, _now: Instant, _bytes: u64, _inflight_bytes: u64) {}
 
     fn pacing_rate_bps(&self) -> f64 {
-        crate::api::initial_rate_bps()
+        INITIAL_RATE_BPS
     }
 
     fn cwnd_bytes(&self) -> u64 {

@@ -10,7 +10,7 @@
 //! disagree, which keeps PCC's rate conservative — matching the low
 //! throughput the paper observes.
 
-use crate::api::{initial_rate_bps, AckInfo, CongestionControl, MSS_BYTES};
+use crate::api::{AckInfo, CongestionControl, INITIAL_RATE_BPS, MSS_BYTES};
 use pbe_stats::time::{Duration, Instant};
 
 /// Allegro's probing step ε.
@@ -52,7 +52,7 @@ impl Pcc {
     /// New PCC Allegro instance.
     pub fn new(rtprop_hint: Duration) -> Self {
         Pcc {
-            rate_bps: initial_rate_bps(),
+            rate_bps: INITIAL_RATE_BPS,
             phase: Phase::Starting,
             srtt: rtprop_hint,
             interval_start: Instant::ZERO,

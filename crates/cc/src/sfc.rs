@@ -20,7 +20,7 @@
 //! filling a full bandwidth-delay product the way an ACK-clocked scheme
 //! does.
 
-use crate::api::{initial_rate_bps, AckInfo, CongestionControl, CongestionSignal, MSS_BYTES};
+use crate::api::{AckInfo, CongestionControl, CongestionSignal, INITIAL_RATE_BPS, MSS_BYTES};
 use pbe_stats::time::{Duration, Instant};
 
 /// Multiplicative back-off applied on each signal (once per RTT).
@@ -44,7 +44,7 @@ impl Sfc {
     /// New instance starting at the conservative shared initial rate.
     pub fn new(rtprop_hint: Duration) -> Self {
         Sfc {
-            rate_bps: initial_rate_bps(),
+            rate_bps: INITIAL_RATE_BPS,
             srtt: rtprop_hint,
             last_backoff: None,
             signals_seen: 0,

@@ -8,7 +8,7 @@
 //! cellular link whose delay jitters with HARQ retransmissions this produces
 //! the conservative rates the paper observes.
 
-use crate::api::{initial_rate_bps, AckInfo, CongestionControl, MSS_BYTES};
+use crate::api::{AckInfo, CongestionControl, INITIAL_RATE_BPS, MSS_BYTES};
 use pbe_stats::time::{Duration, Instant};
 
 /// Exponent of the throughput term.
@@ -40,7 +40,7 @@ impl Vivace {
     /// New Vivace instance.
     pub fn new(rtprop_hint: Duration) -> Self {
         Vivace {
-            rate_bps: initial_rate_bps(),
+            rate_bps: INITIAL_RATE_BPS,
             srtt: rtprop_hint,
             interval_start: Instant::ZERO,
             interval_bytes: 0,

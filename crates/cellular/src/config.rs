@@ -213,6 +213,12 @@ impl Default for HandoverConfig {
     }
 }
 
+/// γ, the fraction of physical-layer capacity that carries RLC/PDCP/MAC
+/// headers: 6.8 % as measured in the paper (Eqn. 5, Fig. 6a).  The
+/// cells charge it on every transport block and PBE-CC's rate translator
+/// removes it again.
+pub const PROTOCOL_OVERHEAD: f64 = 0.068;
+
 /// Top-level configuration of the cellular network model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CellularConfig {
@@ -230,7 +236,7 @@ pub struct CellularConfig {
     /// Fraction of capacity below which the extra cell is considered unused.
     pub ca_deactivation_utilisation: f64,
     /// Protocol (RLC/PDCP/MAC header) overhead fraction γ of the paper's
-    /// Eqn. 5 (measured as 6.8 %).
+    /// Eqn. 5; [`PROTOCOL_OVERHEAD`] by default.
     pub protocol_overhead: f64,
     /// Inter-cell handover (A3 reselection) parameters.
     pub handover: HandoverConfig,
@@ -253,7 +259,7 @@ impl Default for CellularConfig {
             ca_activation_utilisation: 0.85,
             ca_deactivation_subframes: 200,
             ca_deactivation_utilisation: 0.5,
-            protocol_overhead: 0.068,
+            protocol_overhead: PROTOCOL_OVERHEAD,
             handover: HandoverConfig::default(),
         }
     }
@@ -292,7 +298,7 @@ mod tests {
         assert_eq!(cfg.cell(CellId(1)).unwrap().total_prbs(), 50);
         assert_eq!(cfg.total_prbs(), 200);
         assert!(cfg.cell(CellId(9)).is_none());
-        assert!((cfg.protocol_overhead - 0.068).abs() < 1e-12);
+        assert_eq!(cfg.protocol_overhead, PROTOCOL_OVERHEAD);
     }
 
     #[test]

@@ -4,26 +4,18 @@
 //! Implemented directly on `proc_macro::TokenStream` (the sandbox has no
 //! `syn`/`quote`), supporting the shapes this workspace uses:
 //!
-//! * structs with named fields (including `#[serde(skip)]` fields, which are
-//!   omitted on serialize and `Default`-filled on deserialize; every other
-//!   field is required on deserialize),
+//! * structs with named fields (every field is required on deserialize),
 //! * tuple structs (newtypes serialize as their inner value, wider tuples as
 //!   arrays, matching serde),
 //! * enums with unit and one-field tuple variants, externally tagged exactly
 //!   like serde's default representation (`"Variant"` / `{"Variant": value}`).
 //!
-//! `skip` on a named field is the only `#[serde(...)]` argument it
-//! understands; any other on the type, a named field or a variant (`default`,
-//! `rename`, …) makes it panic.  Generics are not supported.  The derive
-//! panics with a clear message when it meets an argument or shape it cannot
-//! handle, so failures are loud, not silent.
+//! It understands no `#[serde(...)]` argument: any on the type, a field or a
+//! variant (`skip`, `default`, `rename`, …) makes it panic.  Generics are not
+//! supported.  The derive panics with a clear message when it meets an
+//! argument or shape it cannot handle, so failures are loud, not silent.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
-
-struct Field {
-    name: String,
-    skip: bool,
-}
 
 struct Variant {
     name: String,
@@ -31,7 +23,7 @@ struct Variant {
 }
 
 enum Shape {
-    Named(Vec<Field>),
+    Named(Vec<String>),
     Tuple(usize),
     Enum(Vec<Variant>),
 }
@@ -82,16 +74,12 @@ fn skip_attrs(tokens: &[TokenTree], mut pos: usize) -> (usize, Vec<String>) {
     (pos, args)
 }
 
-/// Panic on any `#[serde(...)]` argument other than `skip` (and on `skip`
-/// itself where `skip_allowed` is false), naming where it sits (`Type` or
-/// `Type::field`) and the argument.  Returns whether `skip` was given.
-fn check_args(site: &str, args: &[String], skip_allowed: bool) -> bool {
-    for arg in args {
-        if arg != "skip" || !skip_allowed {
-            panic!("serde derive stand-in: unsupported attribute `#[serde({arg})]` on `{site}`");
-        }
+/// Panic on any `#[serde(...)]` argument, naming where it sits (`Type`,
+/// `Type::field` or `Type::Variant`) and the argument.
+fn reject_args(site: &str, args: &[String]) {
+    if let Some(arg) = args.first() {
+        panic!("serde derive stand-in: unsupported attribute `#[serde({arg})]` on `{site}`");
     }
-    !args.is_empty()
 }
 
 /// Skip a `pub` / `pub(...)` visibility qualifier.
@@ -124,7 +112,7 @@ fn parse(input: TokenStream) -> Input {
     if matches!(&tokens.get(pos), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
         panic!("serde derive stand-in does not support generic type `{name}`");
     }
-    check_args(&name, &type_args, false);
+    reject_args(&name, &type_args);
 
     let shape = match kind.as_str() {
         "struct" => match tokens.get(pos) {
@@ -147,7 +135,7 @@ fn parse(input: TokenStream) -> Input {
     Input { name, shape }
 }
 
-fn parse_named_fields(stream: TokenStream, type_name: &str) -> Vec<Field> {
+fn parse_named_fields(stream: TokenStream, type_name: &str) -> Vec<String> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut fields = Vec::new();
     let mut pos = 0;
@@ -158,7 +146,7 @@ fn parse_named_fields(stream: TokenStream, type_name: &str) -> Vec<Field> {
             TokenTree::Ident(id) => id.to_string(),
             other => panic!("serde derive: expected field name, found {other}"),
         };
-        let skip = check_args(&format!("{type_name}::{name}"), &args, true);
+        reject_args(&format!("{type_name}::{name}"), &args);
         pos += 1;
         assert!(
             matches!(&tokens.get(pos), Some(TokenTree::Punct(p)) if p.as_char() == ':'),
@@ -181,7 +169,7 @@ fn parse_named_fields(stream: TokenStream, type_name: &str) -> Vec<Field> {
             }
             pos += 1;
         }
-        fields.push(Field { name, skip });
+        fields.push(name);
     }
     fields
 }
@@ -193,24 +181,17 @@ fn count_tuple_fields(stream: TokenStream) -> usize {
     }
     let mut count = 1;
     let mut angle_depth = 0i32;
-    let mut trailing_comma = false;
     for (i, tok) in tokens.iter().enumerate() {
         if let TokenTree::Punct(p) = tok {
             match p.as_char() {
                 '<' => angle_depth += 1,
                 '>' => angle_depth -= 1,
-                ',' if angle_depth == 0 => {
-                    if i + 1 == tokens.len() {
-                        trailing_comma = true;
-                    } else {
-                        count += 1;
-                    }
-                }
+                // A trailing comma ends the list without adding a field.
+                ',' if angle_depth == 0 && i + 1 < tokens.len() => count += 1,
                 _ => {}
             }
         }
     }
-    let _ = trailing_comma;
     count
 }
 
@@ -225,7 +206,7 @@ fn parse_variants(stream: TokenStream, enum_name: &str) -> Vec<Variant> {
             TokenTree::Ident(id) => id.to_string(),
             other => panic!("serde derive: expected variant name in `{enum_name}`, found {other}"),
         };
-        check_args(&format!("{enum_name}::{name}"), &args, false);
+        reject_args(&format!("{enum_name}::{name}"), &args);
         pos += 1;
         let mut has_payload = false;
         if let Some(TokenTree::Group(g)) = tokens.get(pos) {
@@ -263,10 +244,9 @@ fn gen_serialize(item: &Input) -> String {
     let body = match &item.shape {
         Shape::Named(fields) => {
             let mut pushes = String::new();
-            for f in fields.iter().filter(|f| !f.skip) {
+            for f in fields {
                 pushes.push_str(&format!(
-                    "__obj.push((\"{0}\".to_string(), ::serde::Serialize::serialize(&self.{0})));\n",
-                    f.name
+                    "__obj.push((\"{f}\".to_string(), ::serde::Serialize::serialize(&self.{f})));\n"
                 ));
             }
             format!(
@@ -312,14 +292,7 @@ fn gen_deserialize(item: &Input) -> String {
         Shape::Named(fields) => {
             let mut inits = String::new();
             for f in fields {
-                if f.skip {
-                    inits.push_str(&format!(
-                        "{}: ::std::default::Default::default(),\n",
-                        f.name
-                    ));
-                } else {
-                    inits.push_str(&format!("{0}: ::serde::field(__obj, \"{0}\")?,\n", f.name));
-                }
+                inits.push_str(&format!("{f}: ::serde::field(__obj, \"{f}\")?,\n"));
             }
             format!(
                 "let __obj = __value.as_object().ok_or_else(|| \

@@ -36,53 +36,32 @@ pub enum BottleneckState {
     Internet,
 }
 
-/// Configuration of the mobile client.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PbeClientConfig {
-    /// The user's own RNTI.
-    pub own_rnti: Rnti,
-    /// Aggregated cells and their total PRB counts.
-    pub cells: Vec<(CellId, u16)>,
-    /// Protocol overhead fraction γ of Eqn. 5.
-    pub protocol_overhead: f64,
-    /// Residual bit error rate used in the Eqn. 5 translation.
-    pub bit_error_rate: f64,
-    /// Additional delay-threshold margin for retransmissions:
-    /// `3 retransmissions × 8 ms` (paper §4.2.2).
-    pub retransmission_margin_ms: f64,
-    /// Network-jitter margin (the paper measures jitter ≤ 3 ms 94 % of the
-    /// time).
-    pub jitter_margin_ms: f64,
-    /// Window over which `Dprop` is taken as the minimum observed delay
-    /// (a windowed minimum, not a stored sample list).
-    pub dprop_window: Duration,
-}
+/// Residual bit error rate of the Eqn. 5 translation, used while the monitor
+/// has measured no retransmission of this user's (the rate is this model's).
+const BIT_ERROR_RATE: f64 = 2e-6;
 
-impl PbeClientConfig {
-    /// Defaults matching the paper's parameters.
-    pub fn new(own_rnti: Rnti, cells: Vec<(CellId, u16)>) -> Self {
-        PbeClientConfig {
-            own_rnti,
-            cells,
-            protocol_overhead: 0.068,
-            bit_error_rate: 2e-6,
-            retransmission_margin_ms: 3.0 * 8.0,
-            jitter_margin_ms: 3.0,
-            dprop_window: Duration::from_secs(10),
-        }
-    }
-}
+/// The retransmission margin of `Dth`: three HARQ retransmissions of 8 ms
+/// each (§4.2.2).
+const RETRANSMISSION_MARGIN_MS: f64 = 3.0 * 8.0;
+
+/// The network-jitter margin of `Dth`: the paper measures jitter ≤ 3 ms
+/// 94 % of the time (§4.2.2).  It also bounds the standing delay the
+/// wireless feedback tolerates before it starts draining.
+const JITTER_MARGIN_MS: f64 = 3.0;
+
+/// The window over which `Dprop` is the minimum observed one-way delay
+/// (§4.2.2).
+const DPROP_WINDOW: Duration = Duration::from_secs(10);
 
 /// The client-side PBE-CC module.
 #[derive(Debug)]
 pub struct PbeClient {
-    config: PbeClientConfig,
     monitor: CellStatusMonitor,
     estimator: CapacityEstimator,
     translator: RateTranslator,
     state: BottleneckState,
     /// `Dprop`: the windowed minimum of the one-way delay (ms) over
-    /// `config.dprop_window`.
+    /// [`DPROP_WINDOW`].
     dprop: WindowedMin,
     /// Minimum one-way delay over the last RTprop: the *standing* delay.  A
     /// HARQ spike affects a few packets and leaves the minimum alone; a real
@@ -109,19 +88,15 @@ pub struct PbeClient {
 }
 
 impl PbeClient {
-    /// Create the client.
-    pub fn new(config: PbeClientConfig) -> Self {
-        let monitor =
-            CellStatusMonitor::new(MonitorConfig::new(config.own_rnti, config.cells.clone()));
-        let translator = RateTranslator::new(config.protocol_overhead);
-        let dprop = WindowedMin::new(config.dprop_window);
+    /// Create the client of the user `own_rnti`, aggregating `cells` (each
+    /// with its total PRB count, the primary first).
+    pub fn new(own_rnti: Rnti, cells: Vec<(CellId, u16)>) -> Self {
         PbeClient {
-            config,
-            monitor,
+            monitor: CellStatusMonitor::new(MonitorConfig::new(own_rnti, cells)),
             estimator: CapacityEstimator::new(),
-            translator,
+            translator: RateTranslator::default(),
             state: BottleneckState::Wireless,
-            dprop,
+            dprop: WindowedMin::new(DPROP_WINDOW),
             standing_delay: WindowedMin::new(Duration::from_millis(40)),
             consecutive_over: 0,
             consecutive_under: 0,
@@ -212,7 +187,7 @@ impl PbeClient {
     pub fn delay_threshold_ms(&self) -> f64 {
         let dprop = self.dprop_ms();
         if dprop.is_finite() {
-            dprop + self.config.retransmission_margin_ms + self.config.jitter_margin_ms
+            dprop + RETRANSMISSION_MARGIN_MS + JITTER_MARGIN_MS
         } else {
             f64::INFINITY
         }
@@ -252,7 +227,7 @@ impl PbeClient {
         self.last_estimate = self.estimator.estimate(&self.snapshots);
         // Use the measured retransmission fraction when available (it already
         // reflects the true transport-block error rate); otherwise fall back
-        // to the analytic Eqn. 5 solution at the configured BER.
+        // to the analytic Eqn. 5 solution at `BIT_ERROR_RATE`.
         let retx = self
             .snapshots
             .iter()
@@ -264,7 +239,7 @@ impl PbeClient {
         } else {
             self.translator.translate(
                 self.last_estimate.available_bits_per_subframe,
-                self.config.bit_error_rate,
+                BIT_ERROR_RATE,
             )
         };
         self.last_cf_t = if retx > 0.0 {
@@ -273,7 +248,7 @@ impl PbeClient {
         } else {
             self.translator.translate(
                 self.last_estimate.fair_share_bits_per_subframe,
-                self.config.bit_error_rate,
+                BIT_ERROR_RATE,
             )
         };
     }
@@ -334,7 +309,7 @@ impl PbeClient {
         let dprop = self.dprop_ms();
         let standing = self.standing_delay.get();
         let queue_ms = if dprop.is_finite() && standing.is_finite() {
-            (standing - dprop - self.config.jitter_margin_ms).max(0.0)
+            (standing - dprop - JITTER_MARGIN_MS).max(0.0)
         } else {
             0.0
         };
@@ -384,7 +359,7 @@ mod tests {
     }
 
     fn client() -> PbeClient {
-        PbeClient::new(PbeClientConfig::new(OWN, vec![(CellId(0), 100)]))
+        PbeClient::new(OWN, vec![(CellId(0), 100)])
     }
 
     #[test]

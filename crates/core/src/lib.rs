@@ -36,11 +36,11 @@ pub mod sender;
 pub mod translate;
 
 pub use capacity::{CapacityEstimate, CapacityEstimator};
-pub use client::{BottleneckState, PbeClient, PbeClientConfig};
+pub use client::{BottleneckState, PbeClient};
 pub use receiver::{
     NullReceiverAgent, PbeReceiverAgent, ReceiverAgent, ReceiverCtx, ReceiverFactory,
 };
-pub use sender::{PbeSender, PbeSenderConfig, SenderState};
+pub use sender::{PbeSender, SenderState};
 pub use translate::RateTranslator;
 
 use pbe_cc_algorithms::registry::{SchemeCtx, SchemeId, SchemeRegistry};
@@ -52,7 +52,7 @@ pub const PBE_SCHEME_ID: SchemeId = SchemeId::from_static("PBE");
 /// every baseline uses.
 pub fn register_pbe(registry: &mut SchemeRegistry) {
     registry.register(PBE_SCHEME_ID, |ctx: &SchemeCtx| {
-        Box::new(PbeSender::with_defaults(ctx.rtprop_hint))
+        Box::new(PbeSender::new(ctx.rtprop_hint))
     });
 }
 

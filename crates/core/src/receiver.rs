@@ -13,7 +13,7 @@
 //! simulator in the crate graph; `pbe-netsim` re-exports these types as part
 //! of its public API.
 
-use crate::client::{PbeClient, PbeClientConfig};
+use crate::client::PbeClient;
 use pbe_cc_algorithms::api::PbeFeedback;
 use pbe_cellular::carrier::CaEvent;
 use pbe_cellular::config::{CellId, Rnti};
@@ -124,7 +124,7 @@ impl PbeReceiverAgent {
         };
         PbeReceiverAgent {
             fused,
-            client: PbeClient::new(PbeClientConfig::new(ctx.rnti, ctx.cells.clone())),
+            client: PbeClient::new(ctx.rnti, ctx.cells.clone()),
             decoders,
             blind_until: 0,
             flow: ctx.flow,

@@ -18,38 +18,24 @@
 //! * If the fair share jumps (e.g. a new carrier was activated), the sender
 //!   re-enters the linear-increase phase towards the new target (§4.1).
 
-use pbe_cc_algorithms::api::{AckInfo, CongestionControl, MSS_BYTES};
+use pbe_cc_algorithms::api::{AckInfo, CongestionControl, INITIAL_RATE_BPS, MSS_BYTES};
 use pbe_cc_algorithms::bbr::Bbr;
 use pbe_cc_algorithms::windowed::{WindowedMax, WindowedMin};
 use pbe_stats::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
-/// Conservative initial pacing rate before the first client feedback arrives
-/// (~10 packets per 100 ms, the same floor the baseline schemes start from).
-const INITIAL_RATE_BPS: f64 = 1.2e6;
+/// Round-trip times over which the linear-increase ramp reaches the fair
+/// share (§4.1).
+const STARTUP_RTTS: f64 = 3.0;
 
-/// Configuration of the PBE-CC sender.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct PbeSenderConfig {
-    /// Number of RTTs over which the connection-start ramp reaches the fair
-    /// share (the paper uses three).
-    pub startup_rtts: f64,
-    /// Congestion-window headroom over the bandwidth-delay product.
-    pub cwnd_gain: f64,
-    /// Fair-share jump (ratio) that restarts the linear-increase phase,
-    /// e.g. after a carrier activation.
-    pub restart_ratio: f64,
-}
+/// Congestion-window headroom over the bandwidth-delay product, so delayed
+/// feedback cannot flood the network (§4.2.1; the gain is this model's).
+const CWND_GAIN: f64 = 1.25;
 
-impl Default for PbeSenderConfig {
-    fn default() -> Self {
-        PbeSenderConfig {
-            startup_rtts: 3.0,
-            cwnd_gain: 1.25,
-            restart_ratio: 1.5,
-        }
-    }
-}
+/// The jump of the fair share over its smoothed value that restarts the
+/// linear-increase phase, e.g. after a carrier activation (§4.1; the ratio
+/// is this model's).
+const RESTART_RATIO: f64 = 1.5;
 
 /// The sender's operating state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -69,7 +55,6 @@ pub enum SenderState {
 /// The PBE-CC sender-side congestion control.
 #[derive(Debug)]
 pub struct PbeSender {
-    config: PbeSenderConfig,
     state: SenderState,
     /// Time the current linear-increase ramp started and the rate it started
     /// from.
@@ -90,17 +75,15 @@ pub struct PbeSender {
     /// End of the current draining phase.
     drain_until: Option<Instant>,
     /// Time accounting for the Internet-bottleneck fraction statistic.
-    state_entered: Instant,
     time_in_internet: Duration,
     time_total: Duration,
     last_ack_time: Instant,
 }
 
 impl PbeSender {
-    /// New sender with the given configuration.
-    pub fn new(config: PbeSenderConfig, rtprop_hint: Duration) -> Self {
+    /// New sender, assuming `rtprop_hint` until it has measured RTprop.
+    pub fn new(rtprop_hint: Duration) -> Self {
         PbeSender {
-            config,
             state: SenderState::LinearIncrease,
             ramp_start: None,
             feedback_rate_bps: 0.0,
@@ -111,16 +94,10 @@ impl PbeSender {
             rtprop_hint,
             bbr: Bbr::new(rtprop_hint),
             drain_until: None,
-            state_entered: Instant::ZERO,
             time_in_internet: Duration::ZERO,
             time_total: Duration::ZERO,
             last_ack_time: Instant::ZERO,
         }
-    }
-
-    /// Sender with default configuration.
-    pub fn with_defaults(rtprop_hint: Duration) -> Self {
-        PbeSender::new(PbeSenderConfig::default(), rtprop_hint)
     }
 
     /// Current operating state.
@@ -144,18 +121,8 @@ impl PbeSender {
         if bw > 0.0 {
             bw
         } else {
-            self.fair_share_bps.max(1.2e6)
+            self.fair_share_bps.max(INITIAL_RATE_BPS)
         }
-    }
-
-    fn transition(&mut self, to: SenderState, now: Instant) {
-        if self.state == to {
-            return;
-        }
-        // Time accounting happens per-ACK in `on_ack`; here we only record
-        // when the new state began (useful for debugging).
-        self.state_entered = now;
-        self.state = to;
     }
 
     fn ramp_rate(&self, now: Instant) -> f64 {
@@ -167,7 +134,7 @@ impl PbeSender {
             None => return INITIAL_RATE_BPS,
         };
         let target = self.fair_share_bps.max(INITIAL_RATE_BPS);
-        let ramp_len = self.rtprop().as_secs_f64() * self.config.startup_rtts;
+        let ramp_len = self.rtprop().as_secs_f64() * STARTUP_RTTS;
         let elapsed = now.saturating_since(start).as_secs_f64();
         let frac = (elapsed / ramp_len.max(1e-3)).clamp(0.0, 1.0);
         from_rate + (target - from_rate) * frac
@@ -221,40 +188,39 @@ impl CongestionControl for PbeSender {
                 if fb.internet_bottleneck {
                     // The ramp overran a wired bottleneck: drain, then compete.
                     self.drain_until = Some(now + self.rtprop());
-                    self.transition(SenderState::Draining, now);
+                    self.state = SenderState::Draining;
                 } else if self.ramp_rate(now) >= self.fair_share_bps && self.fair_share_bps > 0.0 {
-                    self.transition(SenderState::WirelessBottleneck, now);
+                    self.state = SenderState::WirelessBottleneck;
                 }
             }
             SenderState::WirelessBottleneck => {
                 if fb.internet_bottleneck {
                     self.drain_until = Some(now + self.rtprop());
-                    self.transition(SenderState::Draining, now);
-                } else if self.fair_share_bps > self.fair_share_smoothed * self.config.restart_ratio
-                {
+                    self.state = SenderState::Draining;
+                } else if self.fair_share_bps > self.fair_share_smoothed * RESTART_RATIO {
                     // A carrier activation (or a competitor leaving) opened a
                     // lot of new capacity: approach it gently again.
                     self.ramp_start =
                         Some((now, self.feedback_rate_bps.min(self.fair_share_smoothed)));
                     self.fair_share_smoothed = self.fair_share_bps;
-                    self.transition(SenderState::LinearIncrease, now);
+                    self.state = SenderState::LinearIncrease;
                 }
             }
             SenderState::Draining => {
                 if let Some(until) = self.drain_until {
                     if now >= until {
                         self.drain_until = None;
-                        if fb.internet_bottleneck {
-                            self.transition(SenderState::InternetBottleneck, now);
+                        self.state = if fb.internet_bottleneck {
+                            SenderState::InternetBottleneck
                         } else {
-                            self.transition(SenderState::WirelessBottleneck, now);
-                        }
+                            SenderState::WirelessBottleneck
+                        };
                     }
                 }
             }
             SenderState::InternetBottleneck => {
                 if !fb.internet_bottleneck {
-                    self.transition(SenderState::WirelessBottleneck, now);
+                    self.state = SenderState::WirelessBottleneck;
                 }
             }
         }
@@ -294,7 +260,7 @@ impl CongestionControl for PbeSender {
             _ => self.pacing_rate_bps().max(self.btl_bw_bps() * 0.5),
         };
         let bdp = rate / 8.0 * self.rtprop().as_secs_f64();
-        ((bdp * self.config.cwnd_gain) as u64).max(4 * MSS_BYTES)
+        ((bdp * CWND_GAIN) as u64).max(4 * MSS_BYTES)
     }
 
     fn internet_bottleneck_fraction(&self) -> f64 {
@@ -338,7 +304,7 @@ mod tests {
 
     #[test]
     fn startup_ramps_linearly_to_fair_share_in_three_rtts() {
-        let mut s = PbeSender::with_defaults(Duration::from_millis(40));
+        let mut s = PbeSender::new(Duration::from_millis(40));
         assert_eq!(s.state(), SenderState::LinearIncrease);
         // Fair share is 48 Mbit/s; feed ACKs every 10 ms.
         let mut rates = Vec::new();
@@ -356,7 +322,7 @@ mod tests {
 
     #[test]
     fn wireless_state_tracks_feedback_capacity() {
-        let mut s = PbeSender::with_defaults(Duration::from_millis(40));
+        let mut s = PbeSender::new(Duration::from_millis(40));
         for i in 0..30u64 {
             s.on_ack(&ack(i * 10, 40, 10e6, 48e6, 48e6, false));
         }
@@ -372,7 +338,7 @@ mod tests {
 
     #[test]
     fn internet_bottleneck_triggers_drain_then_bbr_capped_at_fair_share() {
-        let mut s = PbeSender::with_defaults(Duration::from_millis(40));
+        let mut s = PbeSender::new(Duration::from_millis(40));
         for i in 0..30u64 {
             s.on_ack(&ack(i * 10, 40, 30e6, 48e6, 48e6, false));
         }
@@ -397,7 +363,7 @@ mod tests {
 
     #[test]
     fn returns_to_wireless_state_when_client_clears_the_flag() {
-        let mut s = PbeSender::with_defaults(Duration::from_millis(40));
+        let mut s = PbeSender::new(Duration::from_millis(40));
         for i in 0..30u64 {
             s.on_ack(&ack(i * 10, 40, 30e6, 48e6, 48e6, false));
         }
@@ -413,7 +379,7 @@ mod tests {
 
     #[test]
     fn fair_share_jump_restarts_linear_increase() {
-        let mut s = PbeSender::with_defaults(Duration::from_millis(40));
+        let mut s = PbeSender::new(Duration::from_millis(40));
         for i in 0..60u64 {
             s.on_ack(&ack(i * 10, 40, 30e6, 40e6, 40e6, false));
         }
@@ -433,7 +399,7 @@ mod tests {
 
     #[test]
     fn cwnd_is_close_to_one_bdp() {
-        let mut s = PbeSender::with_defaults(Duration::from_millis(40));
+        let mut s = PbeSender::new(Duration::from_millis(40));
         for i in 0..60u64 {
             s.on_ack(&ack(i * 10, 40, 48e6, 48e6, 48e6, false));
         }
@@ -445,7 +411,7 @@ mod tests {
 
     #[test]
     fn acks_without_feedback_leave_state_unchanged() {
-        let mut s = PbeSender::with_defaults(Duration::from_millis(40));
+        let mut s = PbeSender::new(Duration::from_millis(40));
         let mut plain = ack(10, 40, 10e6, 48e6, 48e6, false);
         plain.pbe = None;
         s.on_ack(&plain);

@@ -11,6 +11,7 @@
 //! Cp = Ct + Ct · (1 − (1 − p)^L) + γ · Cp ,   with  L = Ct · 10⁻³ s
 //! ```
 //!
+//! γ is [`PROTOCOL_OVERHEAD`], the same 6.8 % the simulated cells charge.
 //! Given a measured `Cp`, the translator solves this fixed-point equation for
 //! the transport-layer goodput `Ct`.  Like the paper, it caches the solution
 //! in a lookup table so the per-ACK cost is a table lookup, with the exact
@@ -18,38 +19,20 @@
 //! quantisation error).
 
 use pbe_cellular::channel::tb_error_probability;
-use serde::{Deserialize, Serialize};
+use pbe_cellular::config::PROTOCOL_OVERHEAD;
 use std::collections::HashMap;
 
+/// Lookup-table quantisation of `Cp`, in bits per subframe.
+const CP_STEP: f64 = 500.0;
+
 /// Solver + lookup table for the Eqn. 5 translation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RateTranslator {
-    /// Protocol overhead fraction γ (the paper measures 6.8 %).
-    pub protocol_overhead: f64,
-    /// Lookup-table quantisation of `Cp` in bits per subframe.
-    cp_step: f64,
-    /// Lookup-table quantisation of the BER exponent.
-    #[serde(skip)]
+    /// Solutions keyed by quantised `Cp` and BER.
     table: HashMap<(u64, u64), f64>,
 }
 
-impl Default for RateTranslator {
-    fn default() -> Self {
-        RateTranslator::new(0.068)
-    }
-}
-
 impl RateTranslator {
-    /// Create a translator with the given protocol-overhead fraction.
-    pub fn new(protocol_overhead: f64) -> Self {
-        assert!((0.0..1.0).contains(&protocol_overhead));
-        RateTranslator {
-            protocol_overhead,
-            cp_step: 500.0,
-            table: HashMap::new(),
-        }
-    }
-
     /// Exact solution of Eqn. 5 by bisection: the transport goodput `Ct`
     /// (bits per subframe) for a physical capacity `Cp` (bits per subframe)
     /// and bit error rate `ber`.
@@ -58,7 +41,7 @@ impl RateTranslator {
             return 0.0;
         }
         let cp = cp_bits_per_subframe;
-        let gamma = self.protocol_overhead;
+        let gamma = PROTOCOL_OVERHEAD;
         // Ct is bounded by (1-γ)·Cp (no retransmissions) from above and by
         // (1-γ)·Cp / 2 (every block retransmitted) from below.
         let mut lo = (1.0 - gamma) * cp / 2.0;
@@ -85,12 +68,12 @@ impl RateTranslator {
         if cp_bits_per_subframe <= 0.0 {
             return 0.0;
         }
-        let cp_key = (cp_bits_per_subframe / self.cp_step).round() as u64;
+        let cp_key = (cp_bits_per_subframe / CP_STEP).round() as u64;
         let ber_key = (ber * 1e7).round() as u64;
         if let Some(ct) = self.table.get(&(cp_key, ber_key)) {
             return *ct;
         }
-        let ct = self.translate_exact(cp_key as f64 * self.cp_step, ber);
+        let ct = self.translate_exact(cp_key as f64 * CP_STEP, ber);
         self.table.insert((cp_key, ber_key), ct);
         ct
     }
@@ -102,8 +85,7 @@ impl RateTranslator {
         if cp_bits_per_subframe <= 0.0 {
             return 0.0;
         }
-        let gamma = self.protocol_overhead;
-        cp_bits_per_subframe * (1.0 - gamma) / (1.0 + tb_error_rate.clamp(0.0, 1.0))
+        cp_bits_per_subframe * (1.0 - PROTOCOL_OVERHEAD) / (1.0 + tb_error_rate.clamp(0.0, 1.0))
     }
 
     /// Number of cached table entries (diagnostics).
@@ -116,13 +98,13 @@ impl RateTranslator {
     /// (the quantity plotted in the paper's Fig. 6a).
     pub fn overhead_fraction(&self, ct_bits_per_subframe: f64, ber: f64) -> (f64, f64) {
         if ct_bits_per_subframe <= 0.0 {
-            return (0.0, self.protocol_overhead);
+            return (0.0, PROTOCOL_OVERHEAD);
         }
         let l = ct_bits_per_subframe.max(1.0) as u64;
         let tb_err = tb_error_probability(l, ber);
-        let cp = ct_bits_per_subframe * (1.0 + tb_err) / (1.0 - self.protocol_overhead);
+        let cp = ct_bits_per_subframe * (1.0 + tb_err) / (1.0 - PROTOCOL_OVERHEAD);
         let retx_fraction = ct_bits_per_subframe * tb_err / cp;
-        (retx_fraction, self.protocol_overhead)
+        (retx_fraction, PROTOCOL_OVERHEAD)
     }
 }
 
@@ -141,13 +123,13 @@ mod tests {
 
     #[test]
     fn exact_solution_satisfies_equation_five() {
-        let t = RateTranslator::new(0.068);
+        let t = RateTranslator::default();
         for &cp in &[5_000.0, 20_000.0, 60_000.0, 150_000.0] {
             for &ber in &[1e-6, 3e-6, 5e-6] {
                 let ct = t.translate_exact(cp, ber);
                 let l = ct as u64;
                 let tb_err = tb_error_probability(l, ber);
-                let reconstructed_cp = ct + ct * tb_err + 0.068 * cp;
+                let reconstructed_cp = ct + ct * tb_err + PROTOCOL_OVERHEAD * cp;
                 // The residual comes from L being truncated to whole bits.
                 assert!(
                     (reconstructed_cp - cp).abs() / cp < 1e-4,
@@ -165,7 +147,7 @@ mod tests {
             let cp = i as f64 * 2_000.0;
             let ct = t.translate_exact(cp, 3e-6);
             assert!(ct < cp);
-            assert!(ct > 0.8 * cp * (1.0 - 0.068) / 2.0);
+            assert!(ct > 0.8 * cp * (1.0 - PROTOCOL_OVERHEAD) / 2.0);
             assert!(ct >= prev);
             prev = ct;
         }
@@ -213,7 +195,7 @@ mod tests {
         let (retx_low, proto) = t.overhead_fraction(6_000.0, 2e-6);
         let (retx_high, _) = t.overhead_fraction(40_000.0, 2e-6);
         let (retx_weak, _) = t.overhead_fraction(40_000.0, 5e-6);
-        assert!((proto - 0.068).abs() < 1e-12);
+        assert_eq!(proto, PROTOCOL_OVERHEAD);
         assert!(retx_high > retx_low);
         assert!(retx_weak > retx_high);
         assert!(
@@ -228,11 +210,11 @@ mod tests {
         // Cp = Ct·(1 + ε) / (1 − γ).  Starting from a goodput Ct, build the
         // physical capacity the equation implies, then solve backwards with
         // the bisection solver: the round trip must land on the original Ct.
-        let t = RateTranslator::new(0.068);
+        let t = RateTranslator::default();
         for &ct in &[4_000.0f64, 17_500.0, 48_000.0, 96_000.0, 141_000.0] {
             for &ber in &[5e-7, 2e-6, 5e-6] {
                 let eps = tb_error_probability(ct as u64, ber);
-                let cp = ct * (1.0 + eps) / (1.0 - 0.068);
+                let cp = ct * (1.0 + eps) / (1.0 - PROTOCOL_OVERHEAD);
                 let back = t.translate_exact(cp, ber);
                 assert!(
                     (back - ct).abs() / ct < 1e-3,
@@ -246,10 +228,10 @@ mod tests {
     fn measured_tb_error_roundtrip_is_exact() {
         // The measured-retransmission variant is closed-form, so its round
         // trip is exact to floating-point: Cp = Ct·(1+r)/(1−γ).
-        let t = RateTranslator::new(0.068);
+        let t = RateTranslator::default();
         for &ct in &[1_000.0f64, 30_000.0, 120_000.0] {
             for &r in &[0.0, 0.06, 0.25, 1.0] {
-                let cp = ct * (1.0 + r) / (1.0 - 0.068);
+                let cp = ct * (1.0 + r) / (1.0 - PROTOCOL_OVERHEAD);
                 let back = t.translate_with_tb_error(cp, r);
                 assert!((back - ct).abs() < 1e-6, "ct={ct} r={r}: {back}");
             }
@@ -263,7 +245,7 @@ mod tests {
         let mut t = RateTranslator::default();
         for &ct in &[9_000.0f64, 52_345.0, 133_700.0] {
             let eps = tb_error_probability(ct as u64, 2e-6);
-            let cp = ct * (1.0 + eps) / (1.0 - 0.068);
+            let cp = ct * (1.0 + eps) / (1.0 - PROTOCOL_OVERHEAD);
             let back = t.translate(cp, 2e-6);
             assert!(
                 (back - ct).abs() <= 600.0,
@@ -278,8 +260,8 @@ mod tests {
             let t = RateTranslator::default();
             let ct = t.translate_exact(cp, ber);
             prop_assert!(ct > 0.0);
-            prop_assert!(ct <= cp * (1.0 - 0.068) + 1e-9);
-            prop_assert!(ct >= cp * (1.0 - 0.068) / 2.0 - 1e-9);
+            prop_assert!(ct <= cp * (1.0 - PROTOCOL_OVERHEAD) + 1e-9);
+            prop_assert!(ct >= cp * (1.0 - PROTOCOL_OVERHEAD) / 2.0 - 1e-9);
         }
 
         #[test]

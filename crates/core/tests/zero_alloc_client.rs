@@ -12,7 +12,7 @@
 use pbe_cellular::config::{CellId, Rnti};
 use pbe_cellular::dci::{DciFormat, DciMessage};
 use pbe_cellular::mcs::McsIndex;
-use pbe_core::{PbeClient, PbeClientConfig};
+use pbe_core::PbeClient;
 use pbe_pdcch::fusion::FusedSubframe;
 use pbe_stats::time::Instant;
 
@@ -57,7 +57,7 @@ fn drive(client: &mut PbeClient, fused: &mut FusedSubframe, start: u64, subframe
 
 #[test]
 fn steady_state_client_allocates_nothing() {
-    let mut client = PbeClient::new(PbeClientConfig::new(OWN, vec![(CellId(0), 100)]));
+    let mut client = PbeClient::new(OWN, vec![(CellId(0), 100)]);
     let mut fused = FusedSubframe::default();
     fused
         .per_cell

@@ -16,8 +16,12 @@ use pbe_cellular::carrier::CaEvent;
 use pbe_cellular::config::{CellId, UeId};
 use pbe_cellular::handover::HandoverEvent;
 use pbe_stats::summary::FlowSummaryBuilder;
+use pbe_stats::window::WINDOW;
 use pbe_stats::FxHashMap;
 use std::collections::HashMap;
+
+/// The PRB and backhaul timelines close on the flow timelines' windows.
+const WINDOW_MS: u64 = WINDOW.as_millis();
 
 /// One fault whose window is still open: recovery metrics accumulate here
 /// until the matching end event (or the end of the run) closes it.
@@ -81,7 +85,7 @@ pub struct MetricsCollector {
     prb_timeline: Vec<PrbInterval>,
     prb_accum: HashMap<u32, f64>,
     prb_accum_start_ms: u64,
-    /// Per-link 100 ms maximum-occupancy windows (empty without a backhaul).
+    /// Per-link maximum-occupancy windows (empty without a backhaul).
     bh_timeline: Vec<Vec<u64>>,
     /// Current window's maximum occupancy per link.
     bh_accum: Vec<u64>,
@@ -277,10 +281,10 @@ impl Observer for MetricsCollector {
                     let end = fault.end_ms.expect("checked");
                     self.fault_records.push(fault.close(end));
                 }
-                if (t_ms + 1) % 100 == 0 {
+                if (t_ms + 1) % WINDOW_MS == 0 {
                     let mut per_ue = HashMap::new();
                     for (flow_id, total) in self.prb_accum.drain() {
-                        per_ue.insert(flow_id, total / 100.0);
+                        per_ue.insert(flow_id, total / WINDOW_MS as f64);
                     }
                     self.prb_timeline.push(PrbInterval {
                         start_s: self.prb_accum_start_ms as f64 / 1000.0,
@@ -316,10 +320,10 @@ impl Observer for MetricsCollector {
                     *acc = (*acc).max(q);
                 }
                 self.bh_samples_since_close += 1;
-                // Windows close on the same 100 ms boundaries as the PRB
-                // timeline, so the two plots line up sample for sample.
+                // Windows close on the same boundaries as the PRB timeline,
+                // so the two plots line up sample for sample.
                 let t_ms = now.as_millis();
-                if (t_ms + 1) % 100 == 0 {
+                if (t_ms + 1) % WINDOW_MS == 0 {
                     if self.bh_timeline.len() < self.bh_accum.len() {
                         self.bh_timeline.resize_with(self.bh_accum.len(), Vec::new);
                     }

@@ -10,7 +10,8 @@
 //!   user, including control-traffic users),
 //! * `N`    — the number of *data-active* users competing for bandwidth,
 //!   after filtering users whose activity time `Ta ≤ 1` subframe or average
-//!   allocation `Pa ≤ 4` PRBs (the control-traffic filter of §4.2.1),
+//!   allocation `Pa ≤ 4` PRBs (the control-traffic filter of §4.2.1,
+//!   `TA_THRESHOLD` and `PA_THRESHOLD`),
 //! * `Rw`   — this user's wireless physical data rate in bits per PRB,
 //!   measured from its own grants (TBS / allocated PRBs), and
 //! * the fraction of this user's grants that were HARQ retransmissions (the
@@ -30,6 +31,20 @@ use pbe_cellular::dci::DciMessage;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
+/// The activity-time threshold of the control-traffic filter: a competitor
+/// counts towards `N` only if it was active for more than this many
+/// subframes of the window (`Ta > 1`, §4.2.1).
+const TA_THRESHOLD: u64 = 1;
+
+/// The allocation threshold of the control-traffic filter: a competitor
+/// counts towards `N` only if it averaged more than this many PRBs per
+/// subframe it was active in (`Pa > 4`, §4.2.1).
+const PA_THRESHOLD: f64 = 4.0;
+
+/// The physical rate `Rw` assumed before this user's first own grant is
+/// observed, in bits per PRB (a mid-range rate; the value is this model's).
+const DEFAULT_BITS_PER_PRB: f64 = 800.0;
+
 /// Static configuration of the monitor.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MonitorConfig {
@@ -40,26 +55,16 @@ pub struct MonitorConfig {
     /// Sliding-window length in subframes; the congestion-control module
     /// updates this to the measured round-trip propagation time.
     pub window_subframes: usize,
-    /// Activity-time threshold of the control-traffic filter (`Ta >` this).
-    pub ta_threshold: u64,
-    /// Average-PRB threshold of the control-traffic filter (`Pa >` this).
-    pub pa_threshold: f64,
-    /// Physical rate assumed before the first own grant is observed
-    /// (bits per PRB).
-    pub default_bits_per_prb: f64,
 }
 
 impl MonitorConfig {
-    /// Reasonable defaults: 40 ms window, the paper's Ta/Pa thresholds, and a
-    /// mid-range physical rate before the first measurement.
+    /// The user `own_rnti` on `cells`, with a 40-subframe window until the
+    /// first RTprop measurement resizes it.
     pub fn new(own_rnti: Rnti, cells: Vec<(CellId, u16)>) -> Self {
         MonitorConfig {
             own_rnti,
             cells,
             window_subframes: 40,
-            ta_threshold: 1,
-            pa_threshold: 4.0,
-            default_bits_per_prb: 800.0,
         }
     }
 }
@@ -365,27 +370,25 @@ impl CellStatusMonitor {
                 other_prbs: 0.0,
                 active_users: 1,
                 detected_users: 0,
-                own_bits_per_prb: self.config.default_bits_per_prb,
+                own_bits_per_prb: DEFAULT_BITS_PER_PRB,
                 own_retransmission_fraction: 0.0,
             });
         }
         let totals = &tracker.totals;
         let nf = n as f64;
         // Ta / Pa filter: a competitor counts only if it was active for more
-        // than `ta_threshold` subframes AND averaged more than `pa_threshold`
+        // than `TA_THRESHOLD` subframes AND averaged more than `PA_THRESHOLD`
         // PRBs while active.  The user itself always counts.
         let competitors = totals
             .users
             .iter()
             .filter(|&&(rnti, ta, prbs)| {
                 rnti != self.config.own_rnti
-                    && ta > self.config.ta_threshold
-                    && prbs as f64 / ta as f64 > self.config.pa_threshold
+                    && ta > TA_THRESHOLD
+                    && prbs as f64 / ta as f64 > PA_THRESHOLD
             })
             .count();
-        let own_bits_per_prb = tracker
-            .last_bits_per_prb
-            .unwrap_or(self.config.default_bits_per_prb);
+        let own_bits_per_prb = tracker.last_bits_per_prb.unwrap_or(DEFAULT_BITS_PER_PRB);
         Some(CellSnapshot {
             cell,
             subframe: tracker.window.back().map(|r| r.subframe).unwrap_or(0),
@@ -549,6 +552,32 @@ mod tests {
     }
 
     #[test]
+    fn the_control_traffic_filter_is_strict_at_both_thresholds() {
+        // N after 40 subframes in which a competitor takes `prbs` PRBs in
+        // each of the first `active` subframes.
+        let n_with = |prbs: u16, active: u64| {
+            let mut m = monitor();
+            for sf in 0..40u64 {
+                let mut msgs = vec![msg(OWN, 20, sf, true)];
+                if sf < active {
+                    msgs.push(msg(OTHER, prbs, sf, true));
+                }
+                m.ingest(&fused(sf, msgs));
+            }
+            m.snapshot(CellId(0)).unwrap().active_users
+        };
+        let pa = PA_THRESHOLD as u16;
+        assert_eq!(f64::from(pa), PA_THRESHOLD);
+        // Pa: exactly at the threshold is filtered out; one PRB more counts.
+        assert_eq!(n_with(pa, 40), 1);
+        assert_eq!(n_with(pa + 1, 40), 2);
+        // Ta: exactly at the threshold is filtered out; one subframe more
+        // counts.
+        assert_eq!(n_with(50, TA_THRESHOLD), 1);
+        assert_eq!(n_with(50, TA_THRESHOLD + 1), 2);
+    }
+
+    #[test]
     fn window_slides_and_forgets_old_users() {
         let mut m = monitor();
         m.set_window_subframes(10);
@@ -633,7 +662,7 @@ mod tests {
                 other_prbs: 0.0,
                 active_users: 1,
                 detected_users: 0,
-                own_bits_per_prb: m.config.default_bits_per_prb,
+                own_bits_per_prb: DEFAULT_BITS_PER_PRB,
                 own_retransmission_fraction: 0.0,
             });
         }
@@ -668,7 +697,7 @@ mod tests {
             } else {
                 *total_prbs as f64 / *ta as f64
             };
-            if *ta > m.config.ta_threshold && pa > m.config.pa_threshold {
+            if *ta > TA_THRESHOLD && pa > PA_THRESHOLD {
                 active_users += 1;
             }
         }
@@ -682,9 +711,7 @@ mod tests {
             other_prbs: other / nf,
             active_users,
             detected_users: per_user.len(),
-            own_bits_per_prb: tracker
-                .last_bits_per_prb
-                .unwrap_or(m.config.default_bits_per_prb),
+            own_bits_per_prb: tracker.last_bits_per_prb.unwrap_or(DEFAULT_BITS_PER_PRB),
             own_retransmission_fraction: if own_grants == 0 {
                 0.0
             } else {

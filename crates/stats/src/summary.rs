@@ -53,11 +53,11 @@ pub struct FlowSummaryBuilder {
 }
 
 impl FlowSummaryBuilder {
-    /// New builder with the paper's 100 ms aggregation window.
+    /// New builder aggregating over the paper's [`WINDOW`](crate::window::WINDOW).
     pub fn new(label: impl Into<String>) -> Self {
         FlowSummaryBuilder {
             label: label.into(),
-            windows: WindowAggregator::paper_default(),
+            windows: WindowAggregator::default(),
             delays_ms: Vec::new(),
             delay_stats: OnlineStats::new(),
             total_bytes: 0,

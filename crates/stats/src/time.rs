@@ -81,12 +81,12 @@ impl Duration {
     pub const SECOND: Duration = Duration(MICROS_PER_SEC);
 
     /// Construct from whole milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         Duration(ms * MICROS_PER_MS)
     }
 
     /// Construct from whole seconds.
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         Duration(s * MICROS_PER_SEC)
     }
 
@@ -106,7 +106,7 @@ impl Duration {
     }
 
     /// Whole milliseconds in this duration (truncating).
-    pub fn as_millis(self) -> u64 {
+    pub const fn as_millis(self) -> u64 {
         self.0 / MICROS_PER_MS
     }
 

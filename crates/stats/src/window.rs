@@ -4,10 +4,15 @@
 //! across 100-millisecond time windows" (§1, §6).  [`WindowAggregator`]
 //! buckets byte deliveries and delay samples into fixed windows and produces
 //! per-window throughput (Mbit/s) and delay series that feed the percentile
-//! and CDF machinery.
+//! and CDF machinery.  The window length is the paper's, [`WINDOW`].
 
 use crate::time::{Duration, Instant, MICROS_PER_SEC};
 use serde::{Deserialize, Serialize};
+
+/// The measurement window: every throughput and delay statistic the paper
+/// reports is taken over 100 ms windows (§1, §6).  The simulator's PRB and
+/// backhaul-occupancy timelines close on the same boundaries.
+pub const WINDOW: Duration = Duration::from_millis(100);
 
 /// One aggregated window of flow activity.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -25,11 +30,10 @@ pub struct Window {
     pub delay_samples: usize,
 }
 
-/// Buckets `(time, bytes)` deliveries and `(time, delay)` samples into fixed
-/// windows (100 ms by default, as in the paper).
-#[derive(Debug, Clone)]
+/// Buckets `(time, bytes)` deliveries and `(time, delay)` samples into
+/// [`WINDOW`]-long windows.
+#[derive(Debug, Clone, Default)]
 pub struct WindowAggregator {
-    window: Duration,
     bytes: Vec<u64>,
     delay_sum_ms: Vec<f64>,
     delay_count: Vec<usize>,
@@ -37,25 +41,8 @@ pub struct WindowAggregator {
 }
 
 impl WindowAggregator {
-    /// Create an aggregator with the given window length.
-    pub fn new(window: Duration) -> Self {
-        assert!(!window.is_zero(), "window must be non-zero");
-        WindowAggregator {
-            window,
-            bytes: Vec::new(),
-            delay_sum_ms: Vec::new(),
-            delay_count: Vec::new(),
-            last_time: Instant::ZERO,
-        }
-    }
-
-    /// The paper's default 100 ms window.
-    pub fn paper_default() -> Self {
-        WindowAggregator::new(Duration::from_millis(100))
-    }
-
     fn index(&self, t: Instant) -> usize {
-        (t.as_micros() / self.window.as_micros()) as usize
+        (t.as_micros() / WINDOW.as_micros()) as usize
     }
 
     fn ensure(&mut self, idx: usize) {
@@ -88,10 +75,10 @@ impl WindowAggregator {
 
     /// The aggregated window series.
     pub fn windows(&self) -> Vec<Window> {
-        let window_secs = self.window.as_secs_f64();
+        let window_secs = WINDOW.as_secs_f64();
         (0..self.bytes.len())
             .map(|i| {
-                let start = Instant::from_micros(i as u64 * self.window.as_micros());
+                let start = Instant::from_micros(i as u64 * WINDOW.as_micros());
                 let bytes = self.bytes[i];
                 let throughput_mbps = bytes as f64 * 8.0 / window_secs / 1e6;
                 let mean_delay_ms = if self.delay_count[i] > 0 {
@@ -136,14 +123,8 @@ mod tests {
     use super::*;
 
     #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_window_panics() {
-        WindowAggregator::new(Duration::ZERO);
-    }
-
-    #[test]
     fn deliveries_fall_into_correct_windows() {
-        let mut agg = WindowAggregator::paper_default();
+        let mut agg = WindowAggregator::default();
         agg.record_delivery(Instant::from_millis(10), 1000);
         agg.record_delivery(Instant::from_millis(99), 500);
         agg.record_delivery(Instant::from_millis(100), 2000);
@@ -159,7 +140,7 @@ mod tests {
 
     #[test]
     fn delay_means_per_window() {
-        let mut agg = WindowAggregator::paper_default();
+        let mut agg = WindowAggregator::default();
         agg.record_delay(Instant::from_millis(5), 40.0);
         agg.record_delay(Instant::from_millis(50), 60.0);
         agg.record_delay(Instant::from_millis(150), 30.0);
@@ -172,7 +153,7 @@ mod tests {
 
     #[test]
     fn empty_windows_are_zero() {
-        let mut agg = WindowAggregator::paper_default();
+        let mut agg = WindowAggregator::default();
         agg.record_delivery(Instant::from_millis(350), 1000);
         let series = agg.throughput_series_mbps();
         assert_eq!(series.len(), 4);
@@ -182,12 +163,12 @@ mod tests {
 
     #[test]
     fn average_throughput_uses_last_event_time() {
-        let mut agg = WindowAggregator::paper_default();
+        let mut agg = WindowAggregator::default();
         // 1_250_000 bytes over 1 second = 10 Mbit/s.
         agg.record_delivery(Instant::from_millis(500), 625_000);
         agg.record_delivery(Instant::from_secs(1), 625_000);
         assert!((agg.average_throughput_mbps() - 10.0).abs() < 1e-9);
-        let empty = WindowAggregator::paper_default();
+        let empty = WindowAggregator::default();
         assert_eq!(empty.average_throughput_mbps(), 0.0);
     }
 }

@@ -14,7 +14,7 @@ use pbe_cellular::channel::MobilityTrace;
 use pbe_cellular::config::{CellId, CellularConfig, UeConfig, UeId};
 use pbe_cellular::network::CellularNetwork;
 use pbe_cellular::traffic::CellLoadProfile;
-use pbe_core::client::{PbeClient, PbeClientConfig};
+use pbe_core::client::PbeClient;
 use pbe_pdcch::decoder::{ControlChannelDecoder, DecoderConfig};
 use pbe_pdcch::fusion::MessageFusion;
 use pbe_stats::time::Instant;
@@ -33,7 +33,7 @@ fn main() {
     let mut decoder =
         ControlChannelDecoder::new(CellId(0), DecoderConfig::default(), DetRng::new(1));
     let mut fusion = MessageFusion::new(vec![CellId(0)]);
-    let mut client = PbeClient::new(PbeClientConfig::new(rnti, vec![(CellId(0), 100)]));
+    let mut client = PbeClient::new(rnti, vec![(CellId(0), 100)]);
 
     // Keep the UE lightly loaded so its grants reveal the physical rate while
     // background users come and go.

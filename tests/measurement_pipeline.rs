@@ -7,7 +7,7 @@ use pbe_cellular::config::{CellId, CellularConfig, UeConfig, UeId};
 use pbe_cellular::network::CellularNetwork;
 use pbe_cellular::traffic::CellLoadProfile;
 use pbe_core::capacity::CapacityEstimator;
-use pbe_core::client::{PbeClient, PbeClientConfig};
+use pbe_core::client::PbeClient;
 use pbe_pdcch::decoder::{ControlChannelDecoder, DecoderConfig};
 use pbe_pdcch::fusion::MessageFusion;
 use pbe_pdcch::monitor::{CellStatusMonitor, MonitorConfig};
@@ -76,7 +76,7 @@ fn capacity_estimate_is_bounded_by_cell_capacity() {
         UeConfig::new(ue, vec![CellId(0)], 1, -85.0),
         MobilityTrace::stationary(-85.0),
     );
-    let mut client = PbeClient::new(PbeClientConfig::new(rnti, vec![(CellId(0), 100)]));
+    let mut client = PbeClient::new(rnti, vec![(CellId(0), 100)]);
     let mut decoder =
         ControlChannelDecoder::new(CellId(0), DecoderConfig::default(), DetRng::new(9));
     let mut fusion = MessageFusion::new(vec![CellId(0)]);
@@ -120,7 +120,7 @@ fn capacity_estimate_is_robust_to_decoder_misses() {
             UeConfig::new(ue, vec![CellId(0)], 1, -88.0),
             MobilityTrace::stationary(-88.0),
         );
-        let mut client = PbeClient::new(PbeClientConfig::new(rnti, vec![(CellId(0), 100)]));
+        let mut client = PbeClient::new(rnti, vec![(CellId(0), 100)]);
         let mut decoder = ControlChannelDecoder::new(
             CellId(0),
             DecoderConfig {
