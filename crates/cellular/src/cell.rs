@@ -16,7 +16,7 @@
 use crate::channel::{tb_error_probability, ChannelState};
 use crate::config::{CellConfig, CellId, Rnti, UeId};
 use crate::dci::{DciFormat, DciMessage};
-use crate::harq::{HarqEntity, HarqOutcome, Segment, TransportBlock};
+use crate::harq::{HarqEntity, HarqOutcome, HarqPool, Segment, TransportBlock};
 use crate::mcs::{prbs_needed, transport_block_size};
 use crate::prb::{PrbAllocation, PrbUsage};
 use crate::scheduler::{Demand, DemandClass, EqualShareScheduler, ScheduleResult};
@@ -26,9 +26,6 @@ use pbe_stats::time::Instant;
 use pbe_stats::{DetRng, FxHashMap};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// Upper bound on recycled segment buffers kept in the cell's pool.
-const SEGMENT_POOL_CAP: usize = 128;
 
 /// A packet queued for downlink delivery to one UE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -136,10 +133,11 @@ pub struct Cell {
     granted_prbs: Vec<u16>,
     /// Scratch: first PRB of the first allocation per slot this subframe.
     granted_first: Vec<u16>,
-    /// Recycled segment buffers: transport blocks handed back through the
-    /// report (or drained on detach) return their `Vec<Segment>` here, and
-    /// [`Cell::pull_segments`] reuses them instead of allocating.
-    segment_pool: Vec<Vec<Segment>>,
+    /// Storage the HARQ entities share.  Transport blocks handed back
+    /// through the report (or drained on detach) return their segment
+    /// buffers here, and [`Cell::pull_segments`] and the HARQ copies of
+    /// failed blocks reuse them instead of allocating.
+    harq_pool: HarqPool,
     /// Scratch for [`Cell::detach`]'s per-packet merge.
     detach_index: FxHashMap<u64, usize>,
 }
@@ -171,7 +169,7 @@ impl Cell {
             sched: ScheduleResult::default(),
             granted_prbs: Vec::new(),
             granted_first: Vec::new(),
-            segment_pool: Vec::new(),
+            harq_pool: HarqPool::default(),
             detach_index: FxHashMap::default(),
         }
     }
@@ -278,15 +276,12 @@ impl Cell {
                 }
             }
         }
-        for mut block in harq.drain_pending() {
+        for block in harq.drain_pending() {
             for seg in &block.segments {
                 add(index, &mut forwarded, seg.packet_id, seg.bytes, now);
             }
             // Recycle the drained block's segment buffer.
-            if self.segment_pool.len() < SEGMENT_POOL_CAP {
-                block.segments.clear();
-                self.segment_pool.push(std::mem::take(&mut block.segments));
-            }
+            self.harq_pool.segments.give(block.segments);
         }
         for entry in queue {
             add(
@@ -369,7 +364,7 @@ impl Cell {
     /// Pull up to `capacity_bits` of queued payload for the UE at `slot` into
     /// segments, reusing a pooled buffer.
     fn pull_segments(&mut self, slot: usize, capacity_bits: u32) -> (Vec<Segment>, u32) {
-        let mut segments = self.segment_pool.pop().unwrap_or_default();
+        let mut segments = self.harq_pool.segments.take();
         let queue = &mut self.queues[slot];
         let mut capacity_bytes = capacity_bits / 8;
         let mut used_bytes = 0u32;
@@ -401,25 +396,20 @@ impl Cell {
         (segments, used_bytes * 8)
     }
 
-    /// Return a segment buffer to the pool.
-    fn recycle_segments(&mut self, mut segments: Vec<Segment>) {
-        if self.segment_pool.len() < SEGMENT_POOL_CAP {
-            segments.clear();
-            self.segment_pool.push(segments);
-        }
-    }
-
     /// Advance the cell by one subframe using the channel states staged via
     /// [`Cell::set_channel`], writing into a caller-owned report.
     ///
     /// The hot-loop entry point: the report's vectors are cleared and
     /// refilled in place, previously reported transport blocks donate their
-    /// segment buffers back to the pool, and all per-UE state is read from
-    /// dense lanes — a driver that reuses one report per cell allocates
-    /// nothing per subframe once the buffers have grown to their working
-    /// size.  Only the staged slots are visited, so the cost is
-    /// O(staged UEs + allocations + background), not O(attached UEs).
-    /// Staged channel states are consumed (reset to `None`).
+    /// segment buffers back to the pool, HARQ retransmits in place and
+    /// writes its outcomes straight into the report, the copy of a failed
+    /// block takes a pooled buffer, and all per-UE state is read from dense
+    /// lanes — a driver that reuses one report per cell allocates nothing
+    /// per subframe, loaded or idle, once the buffers have grown to their
+    /// working size (`tests/zero_alloc_tick.rs`).  Only the staged slots are
+    /// visited, so the cost is O(staged UEs + allocations + background), not
+    /// O(attached UEs).  Staged channel states are consumed (reset to
+    /// `None`).
     pub fn tick_prepared(&mut self, subframe: u64, report: &mut SubframeReport) {
         self.subframes_ticked += 1;
         report.cell = self.config.id;
@@ -428,7 +418,7 @@ impl Cell {
         // Transport blocks from the previous subframe's report are dead;
         // recycle their segment buffers instead of dropping them.
         for (_, o) in report.outcomes.drain(..) {
-            self.recycle_segments(o.block.segments);
+            self.harq_pool.segments.give(o.block.segments);
         }
         report.prb_usage.total = self.config.total_prbs();
         report.prb_usage.allocations.clear();
@@ -473,10 +463,16 @@ impl Cell {
             let mut rng = self
                 .rng
                 .split_indexed("retx", subframe ^ u64::from(ue.0) << 32);
-            let retx_outcomes = self.harq[slot].retransmit_due(subframe, |block| {
-                rng.bernoulli(tb_error_probability(u64::from(block.tbs_bits), ber))
-            });
-            for o in &retx_outcomes {
+            // Outcomes go straight into the report; the tail they fill gets
+            // its PRBs and DCIs below, in the same order.
+            let first = report.outcomes.len();
+            self.harq[slot].retransmit_due(
+                subframe,
+                |block| rng.bernoulli(tb_error_probability(u64::from(block.tbs_bits), ber)),
+                &mut self.harq_pool,
+                |o| report.outcomes.push((ue, o)),
+            );
+            for (_, o) in &report.outcomes[first..] {
                 let prbs = o.block.num_prbs.min(total_prbs.saturating_sub(cursor));
                 if prbs > 0 {
                     report.prb_usage.allocations.push(PrbAllocation {
@@ -510,9 +506,6 @@ impl Cell {
                     tbs_bits: o.block.tbs_bits,
                 });
             }
-            report
-                .outcomes
-                .extend(retx_outcomes.into_iter().map(|o| (ue, o)));
         }
 
         // --- Phase 2: background grants and foreground new data compete for
@@ -609,7 +602,7 @@ impl Cell {
             let payload_capacity = (f64::from(tbs_bits) * (1.0 - self.protocol_overhead)) as u32;
             let (segments, used_bits) = self.pull_segments(slot, payload_capacity);
             if segments.is_empty() {
-                self.recycle_segments(segments);
+                self.harq_pool.segments.give(segments);
                 continue;
             }
             // The physical bits occupied on the air, including headers: this
@@ -634,7 +627,7 @@ impl Cell {
             let error_p = tb_error_probability(u64::from(block.tbs_bits), state.bit_error_rate);
             let mut rng = self.rng.split_indexed("tberr", self.tb_counter);
             let error = rng.bernoulli(error_p);
-            let outcome = self.harq[slot].transmit_new(block, subframe, error);
+            let outcome = self.harq[slot].transmit_new(block, subframe, error, &mut self.harq_pool);
             let first_prb = self.granted_first[slot] + cursor;
             report.dci_messages.push(DciMessage {
                 cell: self.config.id,

@@ -71,13 +71,19 @@
 //! holding nothing, so a lane created on activation is indistinguishable
 //! from one that had sat empty since the UE was added.
 //!
-//! The tick path is allocation-conscious: drivers that advance millions of
-//! subframes call [`ShardedNetwork::tick_into`] with one reused
-//! [`NetworkTickReport`], which clears and refills its buffers in place.
-//! UEs live in a struct-of-arrays slab ([`UeSlots`] index plus parallel
-//! lanes), cells are addressed through one dense CellId-indexed table, and
-//! channel states are staged directly into each cell via
-//! [`Cell::set_channel`] instead of per-cell hash maps.
+//! The tick path allocates nothing in steady state, loaded or idle: drivers
+//! that advance millions of subframes call [`ShardedNetwork::tick_into`]
+//! with one reused [`NetworkTickReport`], which clears and refills its
+//! buffers in place.  UEs live in a struct-of-arrays slab ([`UeSlots`] index
+//! plus parallel lanes), cells are addressed through one dense
+//! CellId-indexed table, and channel states are staged directly into each
+//! cell via [`Cell::set_channel`] instead of per-cell hash maps.  On the
+//! receive side, phase 4 hands each UE its HARQ outcomes by reference: an
+//! in-order block is released straight from the cell's report, and only a
+//! block that arrives ahead of a gap is copied, into storage the lane's
+//! [`ReorderPool`] lends while the gap is open.  What still allocates is
+//! growth to a new high-water mark and the handover path.
+//! `tests/zero_alloc_tick.rs` holds an idle and a loaded network at zero.
 
 use crate::carrier::CaObservation;
 use crate::cell::{Cell, QueuedPacket, SubframeReport};
@@ -85,6 +91,7 @@ use crate::channel::{ChannelModel, MobilityTrace};
 use crate::config::{CellId, CellularConfig, Rnti, UeConfig, UeId};
 use crate::handover::{self, HandoverEvent};
 use crate::network::{Delivery, NetworkTickReport, RlfOutcome, OUTAGE_RSRP_DBM};
+use crate::reorder::ReorderPool;
 use crate::slab::{SlotInsert, UeSlots};
 use crate::traffic::{BackgroundTraffic, CellLoadProfile};
 use crate::ue::{PacketEvent, UserEquipment};
@@ -138,6 +145,8 @@ struct UeLane {
     rsrp_scratch: Vec<(CellId, f64)>,
     /// Scratch: packet events of the outcome under processing.
     event_scratch: Vec<PacketEvent>,
+    /// Storage the UEs' reordering buffers borrow while a gap is open.
+    reorder: ReorderPool,
     /// Scratch: PRBs allocated per slot this subframe.
     alloc_scratch: Vec<u32>,
     /// Handover decisions of this measurement round, in UeId order.
@@ -525,8 +534,7 @@ impl ShardedNetwork {
 
     /// Receive-side statistics of a UE: `(delivered, lost)` packet counts.
     pub fn ue_stats(&self, ue: UeId) -> (u64, u64) {
-        self.ue(ue)
-            .map_or((0, 0), |u| (u.packets_delivered, u.packets_lost))
+        self.ue(ue).map_or((0, 0), UserEquipment::packet_counts)
     }
 
     /// Hand a downlink packet to the base station.  The packet is queued at
@@ -756,7 +764,13 @@ impl ShardedNetwork {
                 };
                 debug_assert!(lane.awake[slot], "HARQ outcome for sleeping {owner}");
                 lane.event_scratch.clear();
-                lane.ues[slot].process_outcome(r.cell, outcome, now, &mut lane.event_scratch);
+                lane.ues[slot].process_outcome(
+                    r.cell,
+                    outcome,
+                    now,
+                    &mut lane.reorder,
+                    &mut lane.event_scratch,
+                );
                 for e in &lane.event_scratch {
                     report.deliveries.push(close_delivery(packet_bytes, e));
                 }
@@ -833,7 +847,7 @@ impl ShardedNetwork {
         // from the stale remainder and the packet would be delivered twice.
         let ue = &mut self.lane.ues[slot];
         for cell_id in &active {
-            for e in &ue.flush_cell(*cell_id, now) {
+            for e in &ue.flush_cell(*cell_id, now, &mut self.lane.reorder) {
                 forwarded.retain(|p| p.id != e.packet_id);
                 deliveries.push(close_delivery(&mut self.packet_bytes, e));
             }

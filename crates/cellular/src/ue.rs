@@ -15,8 +15,8 @@ use crate::carrier::{self, CaEvent, CaObservation, CaState};
 use crate::channel::{ChannelModel, ChannelState, L3Filter};
 use crate::config::{CellId, CellularConfig, HandoverConfig, Rnti, UeConfig, UeId};
 use crate::handover::{self, A3State};
-use crate::harq::HarqOutcome;
-use crate::reorder::{ReleasedBlock, ReorderBuffer};
+use crate::harq::{HarqOutcome, TransportBlock};
+use crate::reorder::{ReorderBuffer, ReorderPool};
 use pbe_stats::time::Instant;
 use pbe_stats::FxHashSet;
 use serde::{Deserialize, Serialize};
@@ -57,15 +57,49 @@ pub struct UserEquipment {
     rows: Vec<CellRow>,
     a3: A3State,
     ca: CaState,
-    /// Packets that lost at least one segment (marked lost once).
-    lost_packets: FxHashSet<u64>,
+    packets: Reassembly,
     /// While the tick engine lets the UE sleep: the first subframe its
     /// channels were not sampled for (see [`UserEquipment::catch_up`]).
     idle_since: Instant,
-    /// Cumulative statistics.
-    pub packets_delivered: u64,
-    /// Cumulative lost packets.
-    pub packets_lost: u64,
+}
+
+/// Packet reassembly above the reordering buffers: which packets lost a
+/// segment, and the delivered and lost totals.
+#[derive(Debug, Default)]
+struct Reassembly {
+    /// Packets that lost at least one segment (marked lost once).
+    lost_packets: FxHashSet<u64>,
+    delivered: u64,
+    lost: u64,
+}
+
+impl Reassembly {
+    /// Report each packet whose final segment a block released in order at
+    /// `at` carries: lost if an earlier block of the packet was dropped.
+    fn release(
+        &mut self,
+        ue: UeId,
+        cell: CellId,
+        block: &TransportBlock,
+        at: Instant,
+        events: &mut Vec<PacketEvent>,
+    ) {
+        for seg in block.segments.iter().filter(|s| s.is_last) {
+            let lost = self.lost_packets.remove(&seg.packet_id);
+            if lost {
+                self.lost += 1;
+            } else {
+                self.delivered += 1;
+            }
+            events.push(PacketEvent {
+                ue,
+                packet_id: seg.packet_id,
+                at,
+                delivered: !lost,
+                cell,
+            });
+        }
+    }
 }
 
 impl UserEquipment {
@@ -97,10 +131,8 @@ impl UserEquipment {
             rows,
             a3: A3State::default(),
             ca: CaState::default(),
-            lost_packets: FxHashSet::default(),
+            packets: Reassembly::default(),
             idle_since: Instant::ZERO,
-            packets_delivered: 0,
-            packets_lost: 0,
         }
     }
 
@@ -124,9 +156,8 @@ impl UserEquipment {
     }
 
     /// The row of a cell that serves the UE, which is always configured.
-    fn served_row(&mut self, cell: CellId) -> &mut CellRow {
-        let i = self.row(cell).expect("a serving cell is configured");
-        &mut self.rows[i]
+    fn served_row(&self, cell: CellId) -> usize {
+        self.row(cell).expect("a serving cell is configured")
     }
 
     /// The prefix of the configured cells that is currently active.
@@ -222,56 +253,44 @@ impl UserEquipment {
         }
     }
 
-    /// Process the HARQ outcomes of one subframe from one cell and return the
-    /// packet-level events they produce.
-    pub fn process_outcomes(
-        &mut self,
-        cell: CellId,
-        outcomes: &[HarqOutcome],
-        now: Instant,
-    ) -> Vec<PacketEvent> {
-        let mut events = Vec::new();
-        for outcome in outcomes {
-            self.process_outcome(cell, outcome, now, &mut events);
-        }
-        events
-    }
-
     /// Process one HARQ outcome, appending the packet-level events it
-    /// produces to `events` (the allocation-free hot-loop entry point).
+    /// produces to `events`.  An in-order block is released straight from
+    /// the outcome; a block held behind a gap is copied into storage
+    /// borrowed from `pool`, which gets it back on release.
     pub fn process_outcome(
         &mut self,
         cell: CellId,
         outcome: &HarqOutcome,
         now: Instant,
+        pool: &mut ReorderPool,
         events: &mut Vec<PacketEvent>,
     ) {
+        let ue = self.config.id;
+        let i = self.served_row(cell);
+        let (reorder, packets) = (&mut self.rows[i].reorder, &mut self.packets);
+        let block = &outcome.block;
         if outcome.success {
-            let released = self
-                .served_row(cell)
-                .reorder
-                .on_block_received(outcome.block.clone(), now);
-            self.emit_released(cell, &released, events);
+            reorder.on_block_received(block, now, pool, |b, at| {
+                packets.release(ue, cell, b, at, events)
+            });
         } else if outcome.dropped {
             // Mark every packet with bytes in the dropped block as lost;
             // the loss event is emitted when (and if) the packet's final
             // segment is released, or immediately if this block carried
             // the final segment.
-            for seg in &outcome.block.segments {
-                self.lost_packets.insert(seg.packet_id);
+            for seg in &block.segments {
+                packets.lost_packets.insert(seg.packet_id);
             }
-            let released = self
-                .served_row(cell)
-                .reorder
-                .on_block_abandoned(outcome.block.sequence, now);
-            self.emit_released(cell, &released, events);
+            reorder.on_block_abandoned(block.sequence, now, pool, |b, at| {
+                packets.release(ue, cell, b, at, events)
+            });
             // If the dropped block itself carried a final segment, that
             // packet will never be completed: report the loss now.
-            for seg in &outcome.block.segments {
-                if seg.is_last && self.lost_packets.remove(&seg.packet_id) {
-                    self.packets_lost += 1;
+            for seg in &block.segments {
+                if seg.is_last && packets.lost_packets.remove(&seg.packet_id) {
+                    packets.lost += 1;
                     events.push(PacketEvent {
-                        ue: self.config.id,
+                        ue,
                         packet_id: seg.packet_id,
                         at: now,
                         delivered: false,
@@ -284,45 +303,29 @@ impl UserEquipment {
         // retransmission; nothing to deliver yet.
     }
 
-    /// Emit the packet events of a run of in-order released blocks: one
-    /// event per final segment, lost if an earlier block of the packet was
-    /// dropped.
-    fn emit_released(
-        &mut self,
-        cell: CellId,
-        released: &[ReleasedBlock],
-        events: &mut Vec<PacketEvent>,
-    ) {
-        for r in released {
-            for seg in &r.block.segments {
-                if seg.is_last {
-                    let lost = self.lost_packets.remove(&seg.packet_id);
-                    if lost {
-                        self.packets_lost += 1;
-                    } else {
-                        self.packets_delivered += 1;
-                    }
-                    events.push(PacketEvent {
-                        ue: self.config.id,
-                        packet_id: seg.packet_id,
-                        at: r.released_at,
-                        delivered: !lost,
-                        cell,
-                    });
-                }
-            }
-        }
-    }
-
     /// Handover bookkeeping: flush the reordering buffer of one cell (the
     /// RLC re-establishment), releasing everything it holds regardless of
-    /// gaps and resetting its sequence space to 0.  Returns the packet
-    /// events of the flushed blocks.
-    pub fn flush_cell(&mut self, cell: CellId, now: Instant) -> Vec<PacketEvent> {
+    /// gaps, returning its storage to `pool` and resetting its sequence
+    /// space to 0.  Returns the packet events of the flushed blocks.
+    pub fn flush_cell(
+        &mut self,
+        cell: CellId,
+        now: Instant,
+        pool: &mut ReorderPool,
+    ) -> Vec<PacketEvent> {
         let mut events = Vec::new();
-        let released = self.served_row(cell).reorder.flush(now);
-        self.emit_released(cell, &released, &mut events);
+        let ue = self.config.id;
+        let i = self.served_row(cell);
+        let packets = &mut self.packets;
+        self.rows[i].reorder.flush(now, pool, |b, at| {
+            packets.release(ue, cell, b, at, &mut events)
+        });
         events
+    }
+
+    /// Packets delivered and packets lost so far.
+    pub fn packet_counts(&self) -> (u64, u64) {
+        (self.packets.delivered, self.packets.lost)
     }
 
     /// Re-establish on `cell` after a handover at `now`: it becomes the
@@ -381,6 +384,21 @@ mod tests {
         }
     }
 
+    /// Process one subframe's outcomes from one cell, in order, collecting
+    /// their packet events in a fresh vector.
+    fn process(
+        ue: &mut UserEquipment,
+        cell: CellId,
+        outcomes: &[HarqOutcome],
+        now: Instant,
+    ) -> Vec<PacketEvent> {
+        let mut events = Vec::new();
+        for outcome in outcomes {
+            ue.process_outcome(cell, outcome, now, &mut ReorderPool::default(), &mut events);
+        }
+        events
+    }
+
     fn ok(seq: u64, packet_id: u64, subframe: u64) -> HarqOutcome {
         HarqOutcome {
             block: block(seq, packet_id, true),
@@ -394,15 +412,15 @@ mod tests {
     #[test]
     fn in_order_success_delivers_packets() {
         let mut ue = ue();
-        let events = ue.process_outcomes(
+        let events = process(
+            &mut ue,
             CellId(0),
             &[ok(0, 1, 0), ok(1, 2, 1)],
             Instant::from_millis(1),
         );
         assert_eq!(events.len(), 2);
         assert!(events.iter().all(|e| e.delivered));
-        assert_eq!(ue.packets_delivered, 2);
-        assert_eq!(ue.packets_lost, 0);
+        assert_eq!(ue.packet_counts(), (2, 0));
     }
 
     #[test]
@@ -416,11 +434,16 @@ mod tests {
             success: false,
             dropped: false,
         };
-        let events = ue.process_outcomes(CellId(0), &[fail, ok(1, 2, 1)], Instant::from_millis(1));
+        let events = process(
+            &mut ue,
+            CellId(0),
+            &[fail, ok(1, 2, 1)],
+            Instant::from_millis(1),
+        );
         assert!(events.is_empty());
         assert_eq!(ue.buffered_blocks(), 1);
         // The retransmission succeeds 8 ms later; both packets released.
-        let events = ue.process_outcomes(CellId(0), &[ok(0, 1, 8)], Instant::from_millis(9));
+        let events = process(&mut ue, CellId(0), &[ok(0, 1, 8)], Instant::from_millis(9));
         assert_eq!(events.len(), 2);
         assert!(events
             .iter()
@@ -438,9 +461,9 @@ mod tests {
             dropped: true,
         };
         // A later block already buffered.
-        let buffered = ue.process_outcomes(CellId(0), &[ok(1, 2, 1)], Instant::from_millis(1));
+        let buffered = process(&mut ue, CellId(0), &[ok(1, 2, 1)], Instant::from_millis(1));
         assert!(buffered.is_empty());
-        let events = ue.process_outcomes(CellId(0), &[dropped], Instant::from_millis(25));
+        let events = process(&mut ue, CellId(0), &[dropped], Instant::from_millis(25));
         assert_eq!(events.len(), 2);
         let lost: Vec<_> = events.iter().filter(|e| !e.delivered).collect();
         let delivered: Vec<_> = events.iter().filter(|e| e.delivered).collect();
@@ -448,8 +471,7 @@ mod tests {
         assert_eq!(lost[0].packet_id, 1);
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].packet_id, 2);
-        assert_eq!(ue.packets_lost, 1);
-        assert_eq!(ue.packets_delivered, 1);
+        assert_eq!(ue.packet_counts(), (1, 1));
     }
 
     #[test]
@@ -483,9 +505,9 @@ mod tests {
             success: true,
             dropped: false,
         };
-        let e0 = ue.process_outcomes(CellId(0), &[first_half], Instant::from_millis(0));
+        let e0 = process(&mut ue, CellId(0), &[first_half], Instant::from_millis(0));
         assert!(e0.is_empty(), "no delivery until the final segment");
-        let e1 = ue.process_outcomes(CellId(0), &[second_half], Instant::from_millis(1));
+        let e1 = process(&mut ue, CellId(0), &[second_half], Instant::from_millis(1));
         assert_eq!(e1.len(), 1);
         assert_eq!(e1[0].packet_id, 5);
         assert!(e1[0].delivered);
@@ -495,9 +517,9 @@ mod tests {
     fn cells_reorder_independently() {
         let mut ue = ue();
         // Cell 0 has a gap; cell 1 delivers normally.
-        let gap = ue.process_outcomes(CellId(0), &[ok(1, 10, 1)], Instant::from_millis(1));
+        let gap = process(&mut ue, CellId(0), &[ok(1, 10, 1)], Instant::from_millis(1));
         assert!(gap.is_empty());
-        let other = ue.process_outcomes(CellId(1), &[ok(0, 20, 1)], Instant::from_millis(1));
+        let other = process(&mut ue, CellId(1), &[ok(0, 20, 1)], Instant::from_millis(1));
         assert_eq!(other.len(), 1);
         assert_eq!(other[0].cell, CellId(1));
     }
@@ -516,7 +538,7 @@ mod tests {
         let (mut ue, mut reference) = (ue(), ue());
         // An out-of-order block waits in cell 1's reordering buffer, and
         // cell 1 is aggregated.
-        ue.process_outcomes(CellId(1), &[ok(1, 10, 1)], Instant::from_millis(1));
+        process(&mut ue, CellId(1), &[ok(1, 10, 1)], Instant::from_millis(1));
         ue.ca.active = 2;
         ue.ca.ever_aggregated = true;
         ue.hand_over(CellId(1), Instant::from_millis(2));
@@ -535,7 +557,11 @@ mod tests {
             }
         }
         // The buffered block stayed with cell 1.
-        let flushed = ue.flush_cell(CellId(1), Instant::from_millis(3));
+        let flushed = ue.flush_cell(
+            CellId(1),
+            Instant::from_millis(3),
+            &mut ReorderPool::default(),
+        );
         assert_eq!((flushed.len(), flushed[0].cell), (1, CellId(1)));
     }
 }

@@ -28,7 +28,7 @@ use crate::metrics::MetricsCollector;
 use crate::observer::{Observer, SimEvent};
 use crate::rate::DeliveryRateEstimator;
 use crate::scheme::SchemeTable;
-use crate::wired::WiredPath;
+use crate::wired::{WiredPacket, WiredPath};
 use pbe_cc_algorithms::api::{
     AckInfo, CongestionControl, CongestionSignal, PbeFeedback, MSS_BYTES,
 };
@@ -485,6 +485,8 @@ impl Senders {
 struct Wire {
     /// Each flow's private path (unused when a backhaul is shared).
     paths: Vec<WiredPath>,
+    /// Scratch: the packets one private path delivers this subframe.
+    arrived: Vec<WiredPacket>,
     /// The shared link DAG, stepped by the driver loop outside the RAN tick.
     backhaul: Option<Backhaul>,
     report: BackhaulTickReport,
@@ -522,6 +524,7 @@ impl Wire {
         }
         Wire {
             paths,
+            arrived: Vec::new(),
             backhaul,
             report: BackhaulTickReport::default(),
             serving_cell,
@@ -561,7 +564,8 @@ impl Wire {
     ) {
         let Some(backhaul) = self.backhaul.as_mut() else {
             for (path, flow) in self.paths.iter_mut().zip(&senders.flows) {
-                for pkt in path.arrivals(now) {
+                path.drain_arrivals(now, &mut self.arrived);
+                for pkt in self.arrived.drain(..) {
                     net.enqueue_packet(flow.config.ue, pkt.id, pkt.bytes, now);
                 }
             }

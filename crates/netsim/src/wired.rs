@@ -137,20 +137,21 @@ impl WiredPath {
     /// Packets that have reached the far end by `now` (in order).
     pub fn arrivals(&mut self, now: Instant) -> Vec<WiredPacket> {
         let mut out = Vec::new();
-        while let Some(front) = self.in_flight.front() {
-            if front.arrives_at <= now {
-                let p = self.in_flight.pop_front().expect("non-empty");
-                if self.bottleneck_bps.is_some() {
-                    self.queued_bytes = self.queued_bytes.saturating_sub(u64::from(p.bytes));
-                }
-                self.stats.forwarded_packets += 1;
-                self.stats.forwarded_bytes += u64::from(p.bytes);
-                out.push(p);
-            } else {
-                break;
-            }
-        }
+        self.drain_arrivals(now, &mut out);
         out
+    }
+
+    /// Append the packets that have reached the far end by `now` to `out`,
+    /// in order: [`WiredPath::arrivals`] into a caller's reused buffer.
+    pub fn drain_arrivals(&mut self, now: Instant, out: &mut Vec<WiredPacket>) {
+        while let Some(p) = self.in_flight.pop_front_if(|p| p.arrives_at <= now) {
+            if self.bottleneck_bps.is_some() {
+                self.queued_bytes = self.queued_bytes.saturating_sub(u64::from(p.bytes));
+            }
+            self.stats.forwarded_packets += 1;
+            self.stats.forwarded_bytes += u64::from(p.bytes);
+            out.push(p);
+        }
     }
 
     /// Packets currently inside the path (queued or propagating).
