@@ -61,24 +61,30 @@ impl MobilityTrace {
 
     /// RSSI at a point in time.
     pub fn rssi_at(&self, t: Instant) -> f64 {
-        debug_assert!(!self.waypoints.is_empty());
-        if t <= self.waypoints[0].0 {
-            return self.waypoints[0].1;
-        }
-        for w in self.waypoints.windows(2) {
-            let (t0, r0) = w[0];
-            let (t1, r1) = w[1];
-            if t >= t0 && t <= t1 {
-                if t1 == t0 {
-                    return r1;
-                }
-                let frac = (t.as_micros() - t0.as_micros()) as f64
-                    / (t1.as_micros() - t0.as_micros()) as f64;
-                return r0 + (r1 - r0) * frac;
-            }
-        }
-        self.waypoints.last().expect("non-empty").1
+        rssi_at(&self.waypoints, t)
     }
+}
+
+/// RSSI at `t` of the trajectory through `waypoints` (sorted by time, not
+/// empty): linear between the two waypoints whose window holds `t` — the
+/// first such window, so a `t` on a waypoint interpolates into it from the
+/// left — and held constant before the first and after the last.
+pub(crate) fn rssi_at(waypoints: &[(Instant, f64)], t: Instant) -> f64 {
+    debug_assert!(!waypoints.is_empty());
+    if t <= waypoints[0].0 {
+        return waypoints[0].1;
+    }
+    // The first waypoint at or after `t` closes the first window holding it.
+    let end = waypoints.partition_point(|w| w.0 < t);
+    let Some(&(t1, r1)) = waypoints.get(end) else {
+        return waypoints[waypoints.len() - 1].1;
+    };
+    let (t0, r0) = waypoints[end - 1];
+    if t1 == t0 {
+        return r1;
+    }
+    let frac = (t.as_micros() - t0.as_micros()) as f64 / (t1.as_micros() - t0.as_micros()) as f64;
+    r0 + (r1 - r0) * frac
 }
 
 /// Instantaneous channel state between one UE and one cell, sampled once per
@@ -178,22 +184,156 @@ pub fn rank_cells_by_rsrp(measurements: &mut [(crate::config::CellId, f64)]) {
     });
 }
 
-/// Per-(UE, cell) wireless channel model.
-#[derive(Debug, Clone)]
-pub struct ChannelModel {
-    trace: MobilityTrace,
+/// The parameters of a fading process.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FadingParams {
     /// Standard deviation of slow log-normal shadowing, dB.
     shadowing_std_db: f64,
     /// Peak-to-peak magnitude of fast fading, dB.
     fading_depth_db: f64,
     /// Channel coherence time: fading is re-drawn at this period.
     coherence_time: Duration,
-    /// Maximum spatial streams the UE/cell pair supports.
-    max_spatial_streams: u8,
+}
+
+impl FadingParams {
+    /// 2 dB shadowing, 3 dB fades and a 20 ms coherence time: every
+    /// channel of the tick engine, and a [`ChannelModel`] not overridden.
+    pub(crate) const DEFAULT: FadingParams = FadingParams {
+        shadowing_std_db: 2.0,
+        fading_depth_db: 3.0,
+        coherence_time: Duration::from_millis(20),
+    };
+}
+
+/// The fading process of one (UE, cell) channel: log-normal shadowing and
+/// fast fading, redrawn once per coherence interval from the channel's own
+/// random stream.  [`ChannelModel`] and the tick engine's per-UE rows
+/// (`ue::RowTable`) both fade their trajectories through it; the
+/// parameters are passed in, so a row does not carry a copy.
+#[derive(Debug, Clone)]
+pub(crate) struct Fading {
     rng: DetRng,
     current_fading_db: f64,
     current_shadowing_db: f64,
-    fading_valid_until: Instant,
+    valid_until: Instant,
+}
+
+impl Fading {
+    /// A fading process that has drawn nothing yet.
+    pub(crate) fn new(rng: DetRng) -> Self {
+        Fading {
+            rng,
+            current_fading_db: 0.0,
+            current_shadowing_db: 0.0,
+            valid_until: Instant::ZERO,
+        }
+    }
+
+    /// The faded RSRP for the subframe at `t` of a trajectory that reads
+    /// `rssi_dbm` there, redrawing first if the coherence interval expired.
+    #[inline]
+    pub(crate) fn rsrp(&mut self, p: &FadingParams, t: Instant, rssi_dbm: f64) -> f64 {
+        if t >= self.valid_until {
+            self.redraw(p, t);
+        }
+        debug_assert!(
+            !self.current_fading_db.is_nan(),
+            "read a fade that a replay skipped"
+        );
+        rssi_dbm + self.current_shadowing_db + self.current_fading_db
+    }
+
+    /// Start a new coherence interval at `t`: draw its fade and shadowing.
+    /// Every redraw makes the same draws (a uniform and a Bernoulli when
+    /// fading is on, a normal when shadowing is on), whatever `t` is.
+    fn redraw(&mut self, p: &FadingParams, t: Instant) {
+        self.current_fading_db = if p.fading_depth_db > 0.0 {
+            // Rayleigh-like fades: mostly shallow, occasionally deep.
+            let u = self.rng.uniform();
+            let deep = self.rng.bernoulli(0.05);
+            let depth = if deep {
+                p.fading_depth_db * 3.0
+            } else {
+                p.fading_depth_db
+            };
+            -depth * u
+        } else {
+            0.0
+        };
+        self.current_shadowing_db = if p.shadowing_std_db > 0.0 {
+            self.rng.normal(0.0, p.shadowing_std_db)
+        } else {
+            0.0
+        };
+        self.valid_until = t + p.coherence_time;
+    }
+
+    /// Start a coherence interval at `t` whose values nothing will read:
+    /// advance the stream by a redraw's draws — two uniforms for the fade
+    /// (its depth and whether it is deep), two for the Box–Muller
+    /// shadowing — without the `ln`, `sqrt` and `cos`.  The values read NaN
+    /// until the next redraw, and a debug build refuses to read them.
+    fn skip(&mut self, p: &FadingParams, t: Instant) {
+        let draws = if p.fading_depth_db > 0.0 { 2 } else { 0 }
+            + if p.shadowing_std_db > 0.0 { 2 } else { 0 };
+        for _ in 0..draws {
+            self.rng.next_u64();
+        }
+        self.current_fading_db = f64::NAN;
+        self.current_shadowing_db = f64::NAN;
+        self.valid_until = t + p.coherence_time;
+    }
+
+    /// Make the redraws that sampling on every subframe in `[from, to)`
+    /// would have made, leaving the process (and its random stream) exactly
+    /// where those samples would have.  Subframes before the current
+    /// coherence interval ends draw nothing, so a range that overlaps
+    /// subframes already sampled is harmless.  Costs one step per coherence
+    /// interval, not per subframe, and a redraw whose interval ends at or
+    /// before `to` only advances the stream: the first read at or after `to`
+    /// redraws over it, so the caller must not read before `to`.
+    pub(crate) fn replay(&mut self, p: &FadingParams, from: Instant, to: Instant) {
+        let mut t = next_subframe(from.max(self.valid_until));
+        while t < to {
+            if t + p.coherence_time <= to {
+                self.skip(p, t);
+            } else {
+                self.redraw(p, t);
+            }
+            t = next_subframe(self.valid_until);
+        }
+    }
+}
+
+impl ChannelState {
+    /// The state of a subframe whose faded RSSI is `rssi_dbm`, on a link of
+    /// at most `max_spatial_streams` streams.
+    pub(crate) fn from_rssi(rssi_dbm: f64, max_spatial_streams: u8) -> Self {
+        let sinr = rssi_dbm - NOISE_FLOOR_DBM;
+        let spatial_streams = if sinr >= 13.0 {
+            max_spatial_streams.clamp(1, 2)
+        } else {
+            1
+        };
+        ChannelState {
+            rssi_dbm,
+            sinr_db: sinr,
+            cqi: Cqi::from_sinr_db(sinr),
+            spatial_streams,
+            bit_error_rate: ber_from_sinr(sinr),
+        }
+    }
+}
+
+/// Per-(UE, cell) wireless channel model: a mobility trace faded by a
+/// fading process that owns its random stream.
+#[derive(Debug, Clone)]
+pub struct ChannelModel {
+    trace: MobilityTrace,
+    /// Maximum spatial streams the UE/cell pair supports.
+    max_spatial_streams: u8,
+    params: FadingParams,
+    fading: Fading,
 }
 
 impl ChannelModel {
@@ -201,14 +341,9 @@ impl ChannelModel {
     pub fn new(trace: MobilityTrace, max_spatial_streams: u8, rng: DetRng) -> Self {
         ChannelModel {
             trace,
-            shadowing_std_db: 2.0,
-            fading_depth_db: 3.0,
-            coherence_time: Duration::from_millis(20),
             max_spatial_streams: max_spatial_streams.max(1),
-            rng,
-            current_fading_db: 0.0,
-            current_shadowing_db: 0.0,
-            fading_valid_until: Instant::ZERO,
+            params: FadingParams::DEFAULT,
+            fading: Fading::new(rng),
         }
     }
 
@@ -224,77 +359,28 @@ impl ChannelModel {
     /// Override the fading coherence time (small values model vehicular
     /// mobility, paper §1).
     pub fn with_coherence_time(mut self, coherence: Duration) -> Self {
-        self.coherence_time = coherence.max(Duration::from_millis(1));
+        self.params.coherence_time = coherence.max(Duration::from_millis(1));
         self
     }
 
     /// Override the fading depth (dB).
     pub fn with_fading_depth(mut self, depth_db: f64) -> Self {
-        self.fading_depth_db = depth_db.max(0.0);
+        self.params.fading_depth_db = depth_db.max(0.0);
         self
     }
 
     /// Disable all randomness (no fading, no shadowing) — useful for tests
     /// and for the analytic figures.
     pub fn deterministic(mut self) -> Self {
-        self.fading_depth_db = 0.0;
-        self.shadowing_std_db = 0.0;
+        self.params.fading_depth_db = 0.0;
+        self.params.shadowing_std_db = 0.0;
         self
     }
 
     /// Sample the channel state for the subframe starting at `t`.
     pub fn sample(&mut self, t: Instant) -> ChannelState {
-        let rssi = self.rsrp(t);
-        let sinr = rssi - NOISE_FLOOR_DBM;
-        let cqi = Cqi::from_sinr_db(sinr);
-        let spatial_streams = if sinr >= 13.0 {
-            self.max_spatial_streams.clamp(1, 2)
-        } else {
-            1
-        };
-        ChannelState {
-            rssi_dbm: rssi,
-            sinr_db: sinr,
-            cqi,
-            spatial_streams,
-            bit_error_rate: ber_from_sinr(sinr),
-        }
-    }
-
-    /// The [`ChannelState::rsrp_dbm`] that [`ChannelModel::sample`] would
-    /// return for the subframe at `t`, making the same draws, without
-    /// deriving CQI, rank and bit error rate: the A3 measurement of a cell
-    /// that is not scheduled.
-    pub(crate) fn rsrp(&mut self, t: Instant) -> f64 {
-        if t >= self.fading_valid_until {
-            self.redraw(t);
-        }
-        self.trace.rssi_at(t) + self.current_shadowing_db + self.current_fading_db
-    }
-
-    /// Start a new coherence interval at `t`: draw its fade and shadowing.
-    /// Every redraw makes the same draws (a uniform and a Bernoulli when
-    /// fading is on, a normal when shadowing is on), whatever `t` is.
-    fn redraw(&mut self, t: Instant) {
-        self.current_fading_db = if self.fading_depth_db > 0.0 {
-            // Rayleigh-like fades: mostly shallow, occasionally deep.
-            let u = self.rng.uniform();
-            let deep = self.rng.bernoulli(0.05);
-            let depth = if deep {
-                self.fading_depth_db * 3.0
-            } else {
-                self.fading_depth_db
-            };
-            -depth * u
-        } else {
-            0.0
-        };
-        self.current_shadowing_db = if self.shadowing_std_db > 0.0 {
-            self.rng.normal(0.0, self.shadowing_std_db)
-        } else {
-            0.0
-        };
-        self.fading_valid_until = t + self.coherence_time;
+        let rssi = self.fading.rsrp(&self.params, t, self.trace.rssi_at(t));
+        ChannelState::from_rssi(rssi, self.max_spatial_streams)
     }
 
     /// Make the redraws that [`ChannelModel::sample`] would have made had it
@@ -302,13 +388,10 @@ impl ChannelModel {
     /// its random stream) exactly where those calls would have.  Subframes
     /// before the current coherence interval ends draw nothing, so a range
     /// that overlaps subframes already sampled is harmless.  Costs one step
-    /// per coherence interval, not per subframe.
+    /// per coherence interval, not per subframe.  The next sample must be at
+    /// or after `to`: a fade that sample would redraw over is not computed.
     pub fn replay(&mut self, from: Instant, to: Instant) {
-        let mut t = next_subframe(from.max(self.fading_valid_until));
-        while t < to {
-            self.redraw(t);
-            t = next_subframe(self.fading_valid_until);
-        }
+        self.fading.replay(&self.params, from, to);
     }
 
     /// The underlying mobility trace.
@@ -354,6 +437,27 @@ pub fn tb_error_probability(tb_bits: u64, ber: f64) -> f64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The interpolation as a scan of every window from the first waypoint:
+    /// the reference the windowed lookup must match.
+    fn rssi_by_scan(waypoints: &[(Instant, f64)], t: Instant) -> f64 {
+        if t <= waypoints[0].0 {
+            return waypoints[0].1;
+        }
+        for w in waypoints.windows(2) {
+            let (t0, r0) = w[0];
+            let (t1, r1) = w[1];
+            if t >= t0 && t <= t1 {
+                if t1 == t0 {
+                    return r1;
+                }
+                let frac = (t.as_micros() - t0.as_micros()) as f64
+                    / (t1.as_micros() - t0.as_micros()) as f64;
+                return r0 + (r1 - r0) * frac;
+            }
+        }
+        waypoints.last().expect("non-empty").1
+    }
 
     #[test]
     fn stationary_trace_is_flat() {
@@ -508,6 +612,86 @@ mod tests {
             for sf in to..=to + 100 {
                 let t = Instant::from_millis(sf);
                 prop_assert_eq!(bits(skipped.sample(t)), bits(sampled.sample(t)), "subframe {}", sf);
+            }
+        }
+
+        /// The same, with `to` one subframe before, on, and one after the
+        /// subframe that starts a coherence interval, for integer and
+        /// fractional coherence times: the replay's last redraw (the one
+        /// whose interval reaches past `to`) is computed, and every earlier
+        /// one only advances the stream.
+        #[test]
+        fn replay_ending_at_a_coherence_boundary_matches_sampling(
+            seed in 0u64..1_000_000,
+            coherence_sel in 0usize..6,
+            boundary in 2usize..8,
+            from_sel in 0u64..3,
+            kind in 0usize..3,
+        ) {
+            let coherence_us = [20_000u64, 1_000, 3_000, 2_500, 7_300, 20_400][coherence_sel];
+            // Subframes (ms) at which sampling every subframe redraws.
+            let mut starts = vec![0u64];
+            while starts.len() <= boundary {
+                let until_us = starts.last().unwrap() * 1000 + coherence_us;
+                starts.push(until_us.div_ceil(1000));
+            }
+            let b = starts[boundary];
+            for to in [b - 1, b, b + 1] {
+                let from = [0, starts[1], (to - 1).min(starts[boundary - 1] + 1)][from_sel as usize];
+                let model = || {
+                    let ch = ChannelModel::new(
+                        MobilityTrace::from_secs(&[(0.0, -85.0), (0.4, -105.0)]),
+                        2,
+                        DetRng::new(seed),
+                    )
+                    .with_coherence_time(Duration::from_micros(coherence_us));
+                    match kind {
+                        0 => ch,
+                        1 => ch.deterministic(),
+                        _ => ch.with_fading_depth(0.0),
+                    }
+                };
+                let (mut skipped, mut sampled) = (model(), model());
+                for sf in 0..from {
+                    let t = Instant::from_millis(sf);
+                    prop_assert_eq!(skipped.sample(t), sampled.sample(t));
+                }
+                for sf in from..to {
+                    sampled.sample(Instant::from_millis(sf));
+                }
+                skipped.replay(Instant::from_millis(from), Instant::from_millis(to));
+                for sf in to..=to + 50 {
+                    let t = Instant::from_millis(sf);
+                    let (a, b) = (skipped.sample(t), sampled.sample(t));
+                    prop_assert_eq!(a.rssi_dbm.to_bits(), b.rssi_dbm.to_bits(), "subframe {} to {}", sf, to);
+                    prop_assert_eq!(a, b);
+                }
+            }
+        }
+
+        /// The windowed lookup returns what scanning the windows from the
+        /// first waypoint returns, bit for bit: with duplicate timestamps,
+        /// on waypoints, and before the first and after the last.
+        #[test]
+        fn interpolation_matches_the_linear_scan(
+            first_ms in 0u64..4,
+            steps in proptest::collection::vec((0u64..3, -120.0f64..-60.0), 0..16),
+            rssi0 in -120.0f64..-60.0,
+        ) {
+            let mut waypoints = vec![(Instant::from_millis(first_ms), rssi0)];
+            for (step, rssi) in steps {
+                let t = waypoints.last().unwrap().0 + Duration::from_millis(step);
+                waypoints.push((t, rssi));
+            }
+            let trace = MobilityTrace { waypoints };
+            let end_us = trace.waypoints.last().unwrap().0.as_micros() + 3_000;
+            for us in (0..=end_us).step_by(250) {
+                let t = Instant::from_micros(us);
+                prop_assert_eq!(
+                    trace.rssi_at(t).to_bits(),
+                    rssi_by_scan(&trace.waypoints, t).to_bits(),
+                    "t = {} us, {:?}", us, trace.waypoints
+                );
             }
         }
 

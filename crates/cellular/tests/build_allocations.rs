@@ -1,13 +1,14 @@
-//! Regression pin: building a network allocates for each part once.
+//! Regression pin: building a network allocates per lane, not per row.
 //!
 //! Construction sits inside every simulation's wall time, and a metro-scale
 //! network builds tens of thousands of UEs.  This test installs a counting
 //! global allocator and builds 600 three-cell UEs on 6 cells from their
-//! per-cell traces, counting every allocation of the build loop: the
-//! caller's configs and traces, one channel per configured cell, the UE
-//! record, and the lanes of the one cell each UE is attached to.  Building a
-//! channel twice (a shifted clone later replaced) or attaching a UE to cells
-//! it is not active on raises the count.
+//! per-cell traces, counting every allocation of the build loop.  The
+//! caller's part is five per UE (the configured-cell list, the trace vector
+//! and its three traces: 3,000).  The network's part is only growth: of the
+//! one row table and waypoint arena, the UE lane and the lanes of the one
+//! cell each UE is attached to (299).  A channel, row or trace allocated per
+//! UE, or attaching a UE to cells it is not active on, raises the count.
 
 use pbe_cellular::config::{CellConfig, CellId, CellularConfig, UeConfig, UeId};
 use pbe_cellular::{CellLoadProfile, MobilityTrace, ShardedNetwork};
@@ -15,10 +16,12 @@ use pbe_cellular::{CellLoadProfile, MobilityTrace, ShardedNetwork};
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
 
-/// Allocations of the build loop below.  Adding each UE with one trace and
-/// then replacing the trace of every configured cell allocated 6,962 times.
-/// Change it only with the construction path, and say why.
-const BUILD_ALLOCATIONS: u64 = 4_478;
+/// Allocations of the build loop below.  It read 6,962 when each UE was
+/// added with one trace and every configured cell's trace then replaced,
+/// and 4,478 when each UE still held a vector of channel models (each
+/// cloning its trace) and a vector of rows.  Change it only with the
+/// construction path, and say why.
+const BUILD_ALLOCATIONS: u64 = 3_299;
 
 #[test]
 fn building_multi_cell_ues_allocates_each_part_once() {
@@ -34,10 +37,12 @@ fn building_multi_cell_ues_allocates_each_part_once() {
         let primary = (u % 6) as u16;
         let cells: Vec<CellId> = (0..3).map(|k| CellId((primary + k) % 6)).collect();
         let rssi = -84.0 - f64::from(u % 20);
-        let traces = (0..3)
+        let traces: Vec<MobilityTrace> = (0..3)
             .map(|k| MobilityTrace::from_secs(&[(0.0, rssi - f64::from(k)), (1.0, rssi - 5.0)]))
             .collect();
-        net.add_ue_with_traces(UeConfig::new(UeId(u), cells, 2, rssi), traces);
+        net.add_ue_with_traces(UeConfig::new(UeId(u), cells, 2, rssi), &traces[0], |k| {
+            traces.get(k)
+        });
     }
     let allocations = alloc_counter::allocation_count() - before;
     assert_eq!(

@@ -26,11 +26,11 @@
 use crate::faults::{FlapPolicy, LinkFlap};
 use crate::wired::LinkStats;
 use pbe_cellular::config::CellId;
-use pbe_stats::percentile;
 use pbe_stats::time::{transmission_time, Duration, Instant};
+use pbe_stats::{percentile, FxHashMap};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Configuration of one wired backhaul link.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -393,7 +393,7 @@ struct ReadyEntry {
 #[derive(Debug)]
 pub struct Backhaul {
     cfg: BackhaulConfig,
-    route_of_cell: HashMap<CellId, usize>,
+    route_of_cell: FxHashMap<CellId, usize>,
     links: Vec<LinkState>,
     ingress: BinaryHeap<Reverse<IngressEntry>>,
     ready: BinaryHeap<Reverse<ReadyEntry>>,
@@ -401,7 +401,8 @@ pub struct Backhaul {
     /// Per-flow newest delivery time: deliveries are clamped to be
     /// nondecreasing per flow, modelling in-order (RLC-style) hand-off to
     /// the base station so a reroute cannot reorder a flow's packets.
-    last_delivery: HashMap<usize, Instant>,
+    /// Indexed by the dense flow index, grown as flows first submit.
+    last_delivery: Vec<Instant>,
     /// Scheduled link flaps, resolved to link indices (empty unless a fault
     /// schedule installed some via [`Backhaul::set_flaps`]).
     flaps: Vec<FlapWindow>,
@@ -436,7 +437,7 @@ impl Backhaul {
             ingress: BinaryHeap::new(),
             ready: BinaryHeap::new(),
             seq: 0,
-            last_delivery: HashMap::new(),
+            last_delivery: Vec::new(),
             flaps: Vec::new(),
             occupancy_buf: Vec::new(),
             in_transit_packets: 0,
@@ -618,13 +619,12 @@ impl Backhaul {
             }
             // In-order hand-off: a faster post-reroute path may not overtake
             // packets the flow already has further along the old path.
-            let floor = self
-                .last_delivery
-                .get(&entry.flow)
-                .copied()
-                .unwrap_or(Instant::ZERO);
-            let arrive_at = at.max(floor);
-            self.last_delivery.insert(entry.flow, arrive_at);
+            if entry.flow >= self.last_delivery.len() {
+                self.last_delivery.resize(entry.flow + 1, Instant::ZERO);
+            }
+            let last = &mut self.last_delivery[entry.flow];
+            let arrive_at = at.max(*last);
+            *last = arrive_at;
             self.ready.push(Reverse(ReadyEntry {
                 arrive_at,
                 seq: entry.seq,

@@ -761,17 +761,17 @@ fn build_network(cfg: &SimConfig, shards: usize) -> ShardedNetwork {
         .iter()
         .map(|t| ((t.ue, t.cell), &t.trace))
         .collect();
+    let rows = cfg.ues.iter().map(|(u, _)| u.configured_cells.len()).sum();
+    net.reserve(cfg.ues.len(), rows);
     for (ue_cfg, trace) in &cfg.ues {
         let cells = &ue_cfg.configured_cells;
-        let traces = cells
-            .iter()
-            .enumerate()
-            .map(|(i, cell)| match overrides.get(&(ue_cfg.id, *cell)) {
-                Some(t) if !cells[..i].contains(cell) => (*t).clone(),
-                _ => ShardedNetwork::configured_cell_trace(trace, i),
-            })
-            .collect();
-        net.add_ue_with_traces(ue_cfg.clone(), traces);
+        // An override applies to the first position of its cell.
+        let own_trace = |i: usize| {
+            let cell = cells[i];
+            let own = overrides.get(&(ue_cfg.id, cell)).copied();
+            own.filter(|_| !cells[..i].contains(&cell))
+        };
+        net.add_ue_with_traces(ue_cfg.clone(), trace, own_trace);
     }
     net
 }

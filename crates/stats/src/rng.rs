@@ -75,8 +75,14 @@ impl DetRng {
     /// Derive an independent sub-stream identified by a label and an index
     /// (e.g. one stream per background user).
     pub fn split_indexed(&self, label: &str, index: u64) -> DetRng {
-        let child = self.split(label);
-        let mut h = child.seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.split(label).indexed(index)
+    }
+
+    /// Derive the independent sub-stream `index` of this stream:
+    /// `split_indexed(label, i)` is `split(label).indexed(i)`, so a caller
+    /// deriving many indexed streams of one label splits the label once.
+    pub fn indexed(&self, index: u64) -> DetRng {
+        let mut h = self.seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         h ^= h >> 31;
         h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
         h ^= h >> 27;
