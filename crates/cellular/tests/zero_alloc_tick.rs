@@ -25,7 +25,10 @@
 //!
 //! Both tests run on one shard and on three, whose cell tick runs on the
 //! worker pool.  A counting global allocator does the counting, so each
-//! test binary holds only tests of this kind, and these two take turns.
+//! test binary holds only tests of this kind, and these two take turns.  One
+//! shard ticks everything on the calling thread, so its legs count that
+//! thread alone and nothing the harness does elsewhere can land in them; the
+//! three-shard legs count the whole process, pool workers included.
 
 use pbe_cellular::config::{CellConfig, CellId, CellularConfig, HandoverConfig, UeConfig, UeId};
 use pbe_cellular::handover;
@@ -43,6 +46,22 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// 200-subframe windows the loaded test looks at for one without any
 /// allocation or free.
 const WINDOWS: usize = 5;
+
+/// Allocations and frees so far that a tick on `shards` shards could make:
+/// the calling thread's on one shard, the whole process's on more.
+fn counts(shards: usize) -> (u64, u64) {
+    if shards == 1 {
+        (
+            alloc_counter::thread_allocation_count(),
+            alloc_counter::thread_deallocation_count(),
+        )
+    } else {
+        (
+            alloc_counter::allocation_count(),
+            alloc_counter::deallocation_count(),
+        )
+    }
+}
 
 #[test]
 fn idle_network_steady_state_tick_allocates_nothing() {
@@ -73,14 +92,14 @@ fn idle_network_steady_state_tick_allocates_nothing() {
         }
 
         let mut measurement_subframes = 0;
-        let before = alloc_counter::allocation_count();
+        let (before, _) = counts(shards);
         for sf in 400..600u64 {
             let now = Instant::from_millis(sf);
             net.tick_into(now, &mut report);
             measurement_subframes +=
                 usize::from(handover::is_measurement_subframe(&handover_config, now));
         }
-        let allocations = alloc_counter::allocation_count() - before;
+        let allocations = counts(shards).0 - before;
         assert!(measurement_subframes >= 4, "A3 measured the sleepers");
         assert!(report.handovers.is_empty() && report.dci_messages.is_empty());
         assert_eq!(
@@ -152,8 +171,7 @@ fn loaded_network_steady_state_tick_allocates_nothing() {
         let mut windows = Vec::new();
         while windows.len() < WINDOWS {
             let (mut retransmitted, mut recovered) = (0, 0);
-            let allocs = alloc_counter::allocation_count();
-            let frees = alloc_counter::deallocation_count();
+            let (allocs, frees) = counts(shards);
             for _ in 0..200 {
                 tick(&mut net, &mut report);
                 for (_, o) in report.cell_reports.iter().flat_map(|r| &r.outcomes) {
@@ -161,8 +179,8 @@ fn loaded_network_steady_state_tick_allocates_nothing() {
                     recovered += usize::from(o.attempt > 0 && o.success);
                 }
             }
-            let allocations = alloc_counter::allocation_count() - allocs;
-            let deallocations = alloc_counter::deallocation_count() - frees;
+            let (allocations, deallocations) = counts(shards);
+            let (allocations, deallocations) = (allocations - allocs, deallocations - frees);
             // A block recovered by a retransmission releases the blocks that
             // arrived behind it, out of order.
             assert!(

@@ -18,19 +18,32 @@
 //! arrivals in nondecreasing time order, so a FIFO queue can be simulated by
 //! a single forward pass per packet.
 //!
+//! The two orderings: submitted packets wait for their ingress time, and
+//! walked packets wait for their base-station arrival, each in one
+//! monotone-runs queue (`runs.rs`) keyed by `(time, submission sequence)`.  A flow
+//! submits in send order, so its ingress times rise by its server delay
+//! plus the send clock: the ingress pushes are a merge of one nondecreasing
+//! stream per distinct server delay, and the queue holds at most that many
+//! sorted runs — one shared delay makes it a FIFO.  Arrivals are pushed in
+//! ingress order and rise along each route's last link, so the delivery
+//! queue holds a few runs (at most 7 on the benchmark's 960-flow,
+//! 24-cell fan-out).  Each push and pop costs a scan of the runs instead of
+//! a heap's sift, and emptied runs keep their buffers.
+//!
 //! Determinism and sharding: the backhaul is stepped by the single-threaded
 //! simulation driver loop, outside the radio-access-network tick, and all
 //! of its ordering is by `(time, submission sequence)` pairs, so results
 //! are byte-identical for every shard count.
 
 use crate::faults::{FlapPolicy, LinkFlap};
+use crate::runs::MonotoneRuns;
 use crate::wired::LinkStats;
 use pbe_cellular::config::CellId;
+use pbe_stats::percentile::percentile_of_sorted;
 use pbe_stats::time::{transmission_time, Duration, Instant};
-use pbe_stats::{percentile, FxHashMap};
+use pbe_stats::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Configuration of one wired backhaul link.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -286,6 +299,26 @@ pub struct BackhaulLinkResult {
 /// stops occupying the queue when the link finishes serialising it.
 type Departure = (Instant, u32);
 
+/// Median and 95th percentile of queueing delays given in microseconds, in
+/// milliseconds (both 0 when there are none).  The integer samples are
+/// sorted once and then converted, which is the same as converting and then
+/// sorting because the µs → ms map is monotone.
+fn delay_percentiles_ms(samples_us: &[u64]) -> (f64, f64) {
+    let mut sorted = samples_us.to_vec();
+    sorted.sort_unstable();
+    let ms: Vec<f64> = sorted
+        .into_iter()
+        .map(|us| Duration::from_micros(us).as_millis_f64())
+        .collect();
+    if ms.is_empty() {
+        return (0.0, 0.0);
+    }
+    (
+        percentile_of_sorted(&ms, 50.0),
+        percentile_of_sorted(&ms, 95.0),
+    )
+}
+
 /// One scheduled flap window, resolved to a link index.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct FlapWindow {
@@ -324,7 +357,8 @@ struct LinkState {
     clock_queued_bytes: u64,
     stats: LinkStats,
     max_queued_bytes: u64,
-    delay_samples_ms: Vec<f64>,
+    /// Per-packet queueing delays, microseconds.
+    delay_samples_us: Vec<u64>,
 }
 
 impl LinkState {
@@ -341,7 +375,7 @@ impl LinkState {
             clock_queued_bytes: 0,
             stats: LinkStats::default(),
             max_queued_bytes: 0,
-            delay_samples_ms: Vec::new(),
+            delay_samples_us: Vec::new(),
         }
     }
 
@@ -368,10 +402,10 @@ impl LinkState {
     }
 }
 
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// A submitted packet waiting for its ingress time, queued under
+/// `(ingress_at, submission sequence)`.
+#[derive(Debug)]
 struct IngressEntry {
-    ingress_at: Instant,
-    seq: u64,
     flow: usize,
     packet_id: u64,
     bytes: u32,
@@ -379,10 +413,10 @@ struct IngressEntry {
     route: usize,
 }
 
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// A packet that crossed its path, queued under `(arrival at the base
+/// station, submission sequence)`.
+#[derive(Debug)]
 struct ReadyEntry {
-    arrive_at: Instant,
-    seq: u64,
     flow: usize,
     packet_id: u64,
     bytes: u32,
@@ -395,8 +429,9 @@ pub struct Backhaul {
     cfg: BackhaulConfig,
     route_of_cell: FxHashMap<CellId, usize>,
     links: Vec<LinkState>,
-    ingress: BinaryHeap<Reverse<IngressEntry>>,
-    ready: BinaryHeap<Reverse<ReadyEntry>>,
+    /// At most one run per distinct server delay (see [`MonotoneRuns`]).
+    ingress: MonotoneRuns<IngressEntry>,
+    ready: MonotoneRuns<ReadyEntry>,
     seq: u64,
     /// Per-flow newest delivery time: deliveries are clamped to be
     /// nondecreasing per flow, modelling in-order (RLC-style) hand-off to
@@ -434,8 +469,8 @@ impl Backhaul {
             cfg,
             route_of_cell,
             links,
-            ingress: BinaryHeap::new(),
-            ready: BinaryHeap::new(),
+            ingress: MonotoneRuns::default(),
+            ready: MonotoneRuns::default(),
             seq: 0,
             last_delivery: Vec::new(),
             flaps: Vec::new(),
@@ -505,14 +540,13 @@ impl Backhaul {
         self.in_transit_packets += 1;
         self.in_transit_bytes += u64::from(bytes);
         self.submitted_bytes += u64::from(bytes);
-        self.ingress.push(Reverse(IngressEntry {
-            ingress_at,
-            seq,
+        let entry = IngressEntry {
             flow,
             packet_id,
             bytes,
             route,
-        }));
+        };
+        self.ingress.push((ingress_at, seq), entry);
     }
 
     /// Advance to `now`: walk every packet whose ingress time has come
@@ -524,11 +558,7 @@ impl Backhaul {
         // 1. Walk due ingress entries through their routes, in global
         //    (ingress, submission) order — the order every link sees its
         //    arrivals in, by the forest topology rule.
-        while let Some(Reverse(head)) = self.ingress.peek() {
-            if head.ingress_at > now {
-                break;
-            }
-            let Reverse(entry) = self.ingress.pop().expect("non-empty");
+        while let Some(((ingress_at, seq), entry)) = self.ingress.pop_due(now) {
             let mut path: &[usize] = if entry.route == usize::MAX {
                 self.cfg.default_path.as_deref().expect("validated")
             } else {
@@ -540,15 +570,15 @@ impl Backhaul {
             // keeps the detour from reordering the flow.
             if entry.route != usize::MAX
                 && !self.flaps.is_empty()
-                && path_flapped(&self.flaps, path, entry.ingress_at)
+                && path_flapped(&self.flaps, path, ingress_at)
             {
                 if let Some(fallback) = self.cfg.default_path.as_deref() {
-                    if !path_flapped(&self.flaps, fallback, entry.ingress_at) {
+                    if !path_flapped(&self.flaps, fallback, ingress_at) {
                         path = fallback;
                     }
                 }
             }
-            let mut at = entry.ingress_at;
+            let mut at = ingress_at;
             let mut upstream = Duration::ZERO;
             let mut dropped = false;
             let mut marked = false;
@@ -589,7 +619,7 @@ impl Backhaul {
                 link.max_queued_bytes = link.max_queued_bytes.max(link.walk_queued_bytes);
                 link.stats.admitted_packets += 1;
                 link.stats.admitted_bytes += u64::from(entry.bytes);
-                link.delay_samples_ms.push(queue_delay.as_millis_f64());
+                link.delay_samples_us.push(queue_delay.as_micros());
                 if link
                     .mark_threshold_bytes
                     .is_some_and(|thresh| occupancy >= thresh)
@@ -625,13 +655,12 @@ impl Backhaul {
             let last = &mut self.last_delivery[entry.flow];
             let arrive_at = at.max(*last);
             *last = arrive_at;
-            self.ready.push(Reverse(ReadyEntry {
-                arrive_at,
-                seq: entry.seq,
+            let ready = ReadyEntry {
                 flow: entry.flow,
                 packet_id: entry.packet_id,
                 bytes: entry.bytes,
-            }));
+            };
+            self.ready.push((arrive_at, seq), ready);
         }
 
         // 2. Wall-clock work: drain every link's queue to `now`.
@@ -640,11 +669,7 @@ impl Backhaul {
         }
 
         // 3. Release packets whose base-station arrival time has come.
-        while let Some(Reverse(head)) = self.ready.peek() {
-            if head.arrive_at > now {
-                break;
-            }
-            let Reverse(e) = self.ready.pop().expect("non-empty");
+        while let Some(((arrive_at, _), e)) = self.ready.pop_due(now) {
             self.in_transit_packets -= 1;
             self.in_transit_bytes -= u64::from(e.bytes);
             self.delivered_bytes += u64::from(e.bytes);
@@ -652,7 +677,7 @@ impl Backhaul {
                 flow: e.flow,
                 packet_id: e.packet_id,
                 bytes: e.bytes,
-                arrive_at: e.arrive_at,
+                arrive_at,
             });
         }
     }
@@ -703,14 +728,17 @@ impl Backhaul {
         self.links
             .iter()
             .zip(&self.cfg.links)
-            .map(|(state, spec)| BackhaulLinkResult {
-                name: spec.name.clone(),
-                rate_bps: spec.rate_bps,
-                stats: state.stats,
-                max_queued_bytes: state.max_queued_bytes,
-                p50_queue_delay_ms: percentile(&state.delay_samples_ms, 50.0).unwrap_or(0.0),
-                p95_queue_delay_ms: percentile(&state.delay_samples_ms, 95.0).unwrap_or(0.0),
-                queue_timeline_bytes: Vec::new(),
+            .map(|(state, spec)| {
+                let (p50, p95) = delay_percentiles_ms(&state.delay_samples_us);
+                BackhaulLinkResult {
+                    name: spec.name.clone(),
+                    rate_bps: spec.rate_bps,
+                    stats: state.stats,
+                    max_queued_bytes: state.max_queued_bytes,
+                    p50_queue_delay_ms: p50,
+                    p95_queue_delay_ms: p95,
+                    queue_timeline_bytes: Vec::new(),
+                }
             })
             .collect()
     }
@@ -1062,6 +1090,50 @@ mod tests {
             .set_flaps(&[flap("no-such-link", 0, 10, FlapPolicy::Drain)])
             .unwrap_err();
         assert!(err.contains("no-such-link"));
+    }
+
+    #[test]
+    fn ingress_holds_one_run_per_server_delay() {
+        // Three flows whose server delays are 5, 20 and 48 ms submit one
+        // packet each per millisecond: their ingress times interleave, so
+        // the ingress queue holds three sorted runs — never more — and the
+        // link still sees its arrivals in ingress order.
+        let mut bh = Backhaul::new(one_link(None));
+        let mut report = BackhaulTickReport::default();
+        let mut arrivals = Vec::new();
+        let mut id = 0;
+        for t in 0..100u64 {
+            for (flow, delay) in [5u64, 20, 48].into_iter().enumerate() {
+                id += 1;
+                bh.submit(flow, CellId(0), id, 100, ms(t + delay));
+            }
+            assert!(bh.ingress.runs() <= 3);
+            if t == 60 {
+                assert_eq!(bh.ingress.runs(), 3, "the three delays interleave");
+            }
+            bh.tick(ms(t), &mut report);
+            arrivals.extend(report.deliveries.iter().map(|d| d.arrive_at));
+        }
+        bh.tick(ms(1_000), &mut report);
+        arrivals.extend(report.deliveries.iter().map(|d| d.arrive_at));
+        assert_eq!(arrivals.len(), 300);
+        assert!(arrivals.windows(2).all(|w| w[0] <= w[1]), "one FIFO link");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn integer_delay_percentiles_match_the_float_percentiles(
+            raw in proptest::collection::vec((0u64..4, 0u64..200_000), 0..60),
+        ) {
+            // Few distinct values in the first half of the draws, so
+            // duplicates are common.
+            let us: Vec<u64> = raw.iter().map(|&(k, x)| if k == 0 { x } else { k * 1_000 }).collect();
+            let ms: Vec<f64> = us.iter().map(|&d| Duration::from_micros(d).as_millis_f64()).collect();
+            let (p50, p95) = delay_percentiles_ms(&us);
+            let reference = |p| pbe_stats::percentile(&ms, p).unwrap_or(0.0).to_bits();
+            proptest::prop_assert_eq!(p50.to_bits(), reference(50.0));
+            proptest::prop_assert_eq!(p95.to_bits(), reference(95.0));
+        }
     }
 
     #[test]

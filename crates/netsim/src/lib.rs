@@ -73,6 +73,7 @@ pub mod flow;
 pub mod metrics;
 pub mod observer;
 pub mod rate;
+mod runs;
 pub mod scheme;
 pub mod sim;
 pub mod wired;

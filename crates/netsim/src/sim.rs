@@ -27,6 +27,7 @@ use crate::flow::{AppModel, FlowConfig, FlowResult, SchemeChoice};
 use crate::metrics::MetricsCollector;
 use crate::observer::{Observer, SimEvent};
 use crate::rate::DeliveryRateEstimator;
+use crate::runs::MonotoneRuns;
 use crate::scheme::SchemeTable;
 use crate::wired::{WiredPacket, WiredPath};
 use pbe_cc_algorithms::api::{
@@ -45,7 +46,7 @@ use pbe_pdcch::batch::DciBatcher;
 use pbe_stats::time::{Duration, Instant};
 use pbe_stats::{DetRng, FxHashMap};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -493,8 +494,9 @@ struct Wire {
     /// The cell each flow's packets route towards (updated on handover).
     serving_cell: Vec<CellId>,
     /// Signals in flight, keyed by (delivery time, mark sequence) so their
-    /// delivery order is deterministic.
-    signals: BTreeMap<(Instant, u64), (usize, CongestionSignal)>,
+    /// delivery order is deterministic: at most one run per distinct
+    /// (server delay, upstream propagation) pair (see [`MonotoneRuns`]).
+    signals: MonotoneRuns<(usize, CongestionSignal)>,
     signal_seq: u64,
 }
 
@@ -528,15 +530,14 @@ impl Wire {
             backhaul,
             report: BackhaulTickReport::default(),
             serving_cell,
-            signals: BTreeMap::new(),
+            signals: MonotoneRuns::default(),
             signal_seq: 0,
         }
     }
 
     /// The next near-source signal due at its sender by `now`.
     fn signal_due(&mut self, now: Instant) -> Option<(usize, CongestionSignal)> {
-        let next = self.signals.first_entry()?;
-        (next.key().0 <= now).then(|| next.remove())
+        self.signals.pop_due(now).map(|(_, signal)| signal)
     }
 
     /// Put flow `idx`'s packet `id` on the wire at `now`; false if a private
@@ -595,7 +596,7 @@ impl Wire {
                     queue_bytes: m.queued_bytes,
                     queue_delay: m.queue_delay,
                 };
-                self.signals.insert((at, self.signal_seq), (m.flow, signal));
+                self.signals.push((at, self.signal_seq), (m.flow, signal));
                 self.signal_seq += 1;
             }
         }
@@ -1414,6 +1415,90 @@ mod tests {
                     "{name}: {shards} shards diverged from the pinned result"
                 );
             }
+        }
+    }
+
+    /// Three flows whose server delays (5, 20 and 48 ms) interleave their
+    /// ingress times on the shared marking aggregation link, so the
+    /// backhaul's ingress order and the signals' delivery order are merges
+    /// of several time-ordered streams.  Flow 2's UE hands over from cell 0
+    /// to cell 1, re-routing mid-run, and the `agg` link flaps (drain) for
+    /// 120 ms.
+    fn heterogeneous_delays() -> SimConfig {
+        use crate::faults::{FlapPolicy, LinkFlap};
+        let duration = Duration::from_secs(3);
+        let schemes = [
+            SchemeChoice::named("SFC"),
+            SchemeChoice::Baseline(SchemeName::Cubic),
+            SchemeChoice::Pbe,
+        ];
+        let mut ues = Vec::new();
+        let mut flows = Vec::new();
+        for (i, (scheme, delay_ms)) in schemes.into_iter().zip([5, 20, 48]).enumerate() {
+            let ue = UeId(i as u32 + 1);
+            ues.push((
+                UeConfig::new(ue, vec![CellId(0), CellId(1)], 2, -88.0),
+                MobilityTrace::stationary(-88.0),
+            ));
+            flows.push(
+                FlowConfig::bulk(i as u32 + 1, ue, scheme, duration)
+                    .with_one_way_delay(Duration::from_millis(delay_ms)),
+            );
+        }
+        let walker = UeId(2);
+        SimConfig {
+            load: CellLoadProfile::busy(),
+            seed: 17,
+            duration,
+            ues,
+            flows,
+            trajectories: vec![
+                CellTrajectory {
+                    ue: walker,
+                    cell: CellId(0),
+                    trace: MobilityTrace::from_secs(&[(0.0, -85.0), (2.0, -110.0)]),
+                },
+                CellTrajectory {
+                    ue: walker,
+                    cell: CellId(1),
+                    trace: MobilityTrace::from_secs(&[(0.0, -110.0), (2.0, -85.0)]),
+                },
+            ],
+            backhaul: Some(marking_aggregation(30e6, 120_000, 30_000)),
+            faults: Some(FaultSchedule {
+                link_flaps: vec![LinkFlap {
+                    link: "agg".to_string(),
+                    start_ms: 2_300,
+                    end_ms: 2_420,
+                    policy: FlapPolicy::Drain,
+                }],
+                ..FaultSchedule::none()
+            }),
+            ..SimConfig::default()
+        }
+    }
+
+    #[test]
+    fn heterogeneous_server_delays_cross_the_backhaul_byte_identically() {
+        // The digest was captured before the backhaul's ingress, delivery
+        // and signal orderings moved from heaps and an ordered map to
+        // monotone runs; every single-flow pin above has one server delay,
+        // so only this one merges several ingress streams.
+        let cfg = heterogeneous_delays();
+        let counts = branch_counts(cfg.clone());
+        assert!(counts.backhaul_marks > 0, "{counts:?}");
+        let result = Simulation::new(cfg.clone()).run();
+        assert!(
+            result.handovers.iter().any(|h| h.ue == UeId(2)),
+            "the walker handed over"
+        );
+        assert_eq!(result.fault_recovery.len(), 1, "the flap closed");
+        for shards in [1usize, 3] {
+            assert_eq!(
+                result_digest(&cfg, shards),
+                "5235913b80e803d68b69f24363d3803d",
+                "{shards} shards diverged from the pinned result"
+            );
         }
     }
 

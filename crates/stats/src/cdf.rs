@@ -6,7 +6,7 @@
 //! can evaluate it, invert it, and emit the `(x, F(x))` point series the
 //! benchmark harness prints.
 
-use crate::percentile::percentile_of_sorted;
+use crate::percentile::{percentile_of_sorted, sorted_finite};
 use serde::{Deserialize, Serialize};
 
 /// An empirical CDF over `f64` samples.
@@ -18,9 +18,9 @@ pub struct Cdf {
 impl Cdf {
     /// Build a CDF from raw samples (non-finite values are dropped).
     pub fn from_samples<I: IntoIterator<Item = f64>>(samples: I) -> Self {
-        let mut sorted: Vec<f64> = samples.into_iter().filter(|x| x.is_finite()).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-        Cdf { sorted }
+        Cdf {
+            sorted: sorted_finite(samples),
+        }
     }
 
     /// Number of samples in the CDF.

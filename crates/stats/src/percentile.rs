@@ -12,18 +12,24 @@ use serde::{Deserialize, Serialize};
 
 /// Linear-interpolation percentile of a sample set.
 ///
-/// `p` is in `[0, 100]`.  Returns `None` for an empty slice.  The input does
-/// not need to be sorted.
+/// `p` is in `[0, 100]`.  Returns `None` when the slice holds no finite
+/// value.  The input does not need to be sorted; to read several
+/// percentiles of one set, sort it once with [`sorted_finite`] and read each
+/// with [`percentile_of_sorted`].
 pub fn percentile(samples: &[f64], p: f64) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<f64> = samples.iter().copied().filter(|x| x.is_finite()).collect();
-    if sorted.is_empty() {
-        return None;
-    }
+    let sorted = sorted_finite(samples.iter().copied());
+    (!sorted.is_empty()).then(|| percentile_of_sorted(&sorted, p))
+}
+
+/// The finite values of a sample set in ascending order, ready for
+/// [`percentile_of_sorted`].
+///
+/// The sort is stable, so equal values keep their input order: `-0.0` and
+/// `0.0` compare equal, and which of them a percentile reads depends on it.
+pub fn sorted_finite(samples: impl IntoIterator<Item = f64>) -> Vec<f64> {
+    let mut sorted: Vec<f64> = samples.into_iter().filter(|x| x.is_finite()).collect();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-    Some(percentile_of_sorted(&sorted, p))
+    sorted
 }
 
 /// Percentile of an already-sorted, finite sample set (ascending order).
@@ -154,7 +160,51 @@ mod tests {
         assert!((s.mean() - 2.0).abs() < 1e-12);
     }
 
+    /// The estimator as it was before [`sorted_finite`]: the reference the
+    /// sort-once path must match bit for bit.
+    fn reference_percentile(samples: &[f64], p: f64) -> Option<f64> {
+        if samples.is_empty() {
+            return None;
+        }
+        let mut sorted: Vec<f64> = samples.iter().copied().filter(|x| x.is_finite()).collect();
+        if sorted.is_empty() {
+            return None;
+        }
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+        Some(percentile_of_sorted(&sorted, p))
+    }
+
+    /// A sample drawn from `(kind, small, x)`: NaN, ±inf, ±0 or a value
+    /// from a pool of six (so duplicates are common), or any finite value.
+    fn sample(kind: u8, small: u8, x: f64) -> f64 {
+        match kind {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => 0.0,
+            4 => -0.0,
+            5..=7 => f64::from(small) - 2.5,
+            _ => x,
+        }
+    }
+
     proptest! {
+        #[test]
+        fn sort_once_is_bit_equal_to_the_reference(
+            raw in proptest::collection::vec((0u8..10, 0u8..6, -1e6f64..1e6), 0..40),
+            p in -10.0f64..110.0,
+        ) {
+            let v: Vec<f64> = raw.iter().map(|&(k, s, x)| sample(k, s, x)).collect();
+            let bits = |x: Option<f64>| x.map(f64::to_bits);
+            prop_assert_eq!(bits(percentile(&v, p)), bits(reference_percentile(&v, p)), "{:?} p{}", v, p);
+            // Several percentiles read from one sorted set, as summaries do.
+            let sorted = sorted_finite(v.iter().copied());
+            for q in [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 100.0, p] {
+                let once = (!sorted.is_empty()).then(|| percentile_of_sorted(&sorted, q));
+                prop_assert_eq!(bits(once), bits(reference_percentile(&v, q)), "{:?} p{}", v, q);
+            }
+        }
+
         #[test]
         fn percentile_is_within_range(mut v in proptest::collection::vec(-1e6f64..1e6, 1..200), p in 0.0f64..100.0) {
             let got = percentile(&v, p).unwrap();

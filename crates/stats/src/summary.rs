@@ -5,7 +5,7 @@
 //! single value that the experiment harness can format as a table row or feed
 //! into cross-location CDFs (Fig. 12) and speedup ratios (Table 1).
 
-use crate::percentile::{percentile, OnlineStats};
+use crate::percentile::{percentile_of_sorted, sorted_finite, OnlineStats};
 use crate::time::{Duration, Instant};
 use crate::window::WindowAggregator;
 use serde::{Deserialize, Serialize};
@@ -99,25 +99,24 @@ impl FlowSummaryBuilder {
 
     /// Finalise into a [`FlowSummary`].
     pub fn build(&self) -> FlowSummary {
-        let tp = self.windows.throughput_series_mbps();
-        // Drop the (possibly partial) tail/lead-in windows only if there are
-        // plenty of windows; this mirrors how per-interval statistics are
-        // usually reported without the ramp artifacts of empty edge windows.
-        let pcts = |v: &[f64]| -> [f64; 5] {
-            let ps = [10.0, 25.0, 50.0, 75.0, 90.0];
-            let mut out = [0.0; 5];
-            for (i, p) in ps.iter().enumerate() {
-                out[i] = percentile(v, *p).unwrap_or(0.0);
+        // Each sample set is sorted once and every percentile read from it.
+        let tp = sorted_finite(self.windows.throughput_series_mbps());
+        let delays = sorted_finite(self.delays_ms.iter().copied());
+        let pct = |sorted: &[f64], p: f64| {
+            if sorted.is_empty() {
+                0.0
+            } else {
+                percentile_of_sorted(sorted, p)
             }
-            out
         };
+        let pcts = |sorted: &[f64]| [10.0, 25.0, 50.0, 75.0, 90.0].map(|p| pct(sorted, p));
         FlowSummary {
             label: self.label.clone(),
             avg_throughput_mbps: self.windows.average_throughput_mbps(),
             throughput_percentiles_mbps: pcts(&tp),
-            delay_percentiles_ms: pcts(&self.delays_ms),
+            delay_percentiles_ms: pcts(&delays),
             avg_delay_ms: self.delay_stats.mean(),
-            p95_delay_ms: percentile(&self.delays_ms, 95.0).unwrap_or(0.0),
+            p95_delay_ms: pct(&delays, 95.0),
             max_delay_ms: self.delay_stats.max().unwrap_or(0.0),
             total_bytes: self.total_bytes,
             packets: self.delay_stats.count(),
