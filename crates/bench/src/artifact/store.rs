@@ -202,7 +202,7 @@ impl ResultStore {
     }
 
     /// Path of a point's blob file.
-    pub fn point_path(&self, key: &str) -> PathBuf {
+    fn point_path(&self, key: &str) -> PathBuf {
         self.dir.join("points").join(format!("{key}.json"))
     }
 
@@ -227,7 +227,7 @@ impl ResultStore {
     }
 
     /// Every manifest entry whose point is present, in manifest order.
-    pub fn present_entries(&self) -> Vec<&ManifestEntry> {
+    fn present_entries(&self) -> Vec<&ManifestEntry> {
         let mut indices: Vec<usize> = self.present.values().copied().collect();
         indices.sort_unstable();
         indices.into_iter().map(|i| &self.entries[i]).collect()
@@ -275,7 +275,7 @@ impl ResultStore {
     }
 
     /// Path of the quarantine file.
-    pub fn quarantine_path(&self) -> PathBuf {
+    fn quarantine_path(&self) -> PathBuf {
         self.dir.join("quarantine.jsonl")
     }
 
@@ -304,16 +304,6 @@ impl ResultStore {
         Ok(())
     }
 
-    /// Lift every quarantine: remove the file, so all keys execute again.
-    pub fn clear_quarantine(&mut self) -> io::Result<()> {
-        self.quarantined.clear();
-        let path = self.quarantine_path();
-        if path.exists() {
-            fs::remove_file(path)?;
-        }
-        Ok(())
-    }
-
     /// Check every present point's blob against its manifest checksum.
     ///
     /// Reports, in manifest order: blobs whose bytes no longer match the
@@ -323,7 +313,7 @@ impl ResultStore {
     pub fn verify(&self) -> Vec<StoreIssue> {
         let mut issues = Vec::new();
         for entry in self.present_entries() {
-            let path = self.dir.join("points").join(format!("{}.json", entry.key));
+            let path = self.point_path(&entry.key);
             let text = match fs::read_to_string(&path) {
                 Ok(text) => text,
                 Err(err) => {
@@ -553,11 +543,6 @@ mod tests {
                 .is_none(),
             "a stale quarantine line does not resurrect a healthy point"
         );
-        // Clearing removes the file entirely.
-        store.quarantine(&failure).unwrap();
-        store.clear_quarantine().unwrap();
-        assert!(store.quarantined().is_empty());
-        assert!(!store.quarantine_path().exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 

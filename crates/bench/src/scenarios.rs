@@ -112,11 +112,6 @@ impl ScenarioLibrary {
     pub fn locations(&self) -> &[Location] {
         &self.locations
     }
-
-    /// Locations filtered by load.
-    pub fn by_load(&self, busy: bool) -> Vec<&Location> {
-        self.locations.iter().filter(|l| l.busy == busy).collect()
-    }
 }
 
 /// The paper's scheme list in the order the figures print them.
@@ -153,8 +148,9 @@ mod tests {
     fn library_matches_paper_counts() {
         let lib = ScenarioLibrary::paper_40_locations();
         assert_eq!(lib.locations().len(), 40);
-        assert_eq!(lib.by_load(true).len(), 25);
-        assert_eq!(lib.by_load(false).len(), 15);
+        let with_load = |busy| lib.locations().iter().filter(|l| l.busy == busy).count();
+        assert_eq!(with_load(true), 25);
+        assert_eq!(with_load(false), 15);
         // All three aggregation levels appear.
         for cells in 1..=3usize {
             assert!(lib.locations().iter().any(|l| l.aggregated_cells == cells));

@@ -45,7 +45,7 @@ const CANDIDATE_RSSI_DBM: f64 = -112.0;
 
 /// Received signal strength at distance `d_m` from a site under the
 /// log-distance model, clamped to the physical range.
-pub fn path_loss_rssi_dbm(d_m: f64) -> f64 {
+fn path_loss_rssi_dbm(d_m: f64) -> f64 {
     let d = d_m.max(REFERENCE_DISTANCE_M);
     let rssi = REFERENCE_RSSI_DBM - 10.0 * PATH_LOSS_EXPONENT * (d / REFERENCE_DISTANCE_M).log10();
     rssi.clamp(RSSI_FLOOR_DBM, REFERENCE_RSSI_DBM)

@@ -14,8 +14,8 @@ use serde::{Deserialize, Serialize};
 /// per packet, the paper's 1500-byte packets).
 pub const MSS_BYTES: u64 = 1500;
 
-/// Identifier of a congestion-control scheme (all eight from the paper's
-/// evaluation plus Reno, which is used in a couple of sanity benchmarks).
+/// Identifier of a congestion-control scheme: PBE-CC and the seven baselines
+/// of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SchemeName {
     /// PBE-CC, the paper's contribution (implemented in `pbe-core`).
@@ -24,8 +24,6 @@ pub enum SchemeName {
     Bbr,
     /// TCP CUBIC.
     Cubic,
-    /// TCP Reno (extra sanity baseline, not part of the paper's eight).
-    Reno,
     /// Copa (NSDI'18).
     Copa,
     /// Verus (SIGCOMM'15).
@@ -43,7 +41,6 @@ impl SchemeName {
     pub const BASELINES: &'static [SchemeName] = &[
         SchemeName::Bbr,
         SchemeName::Cubic,
-        SchemeName::Reno,
         SchemeName::Copa,
         SchemeName::Verus,
         SchemeName::Sprout,
@@ -69,7 +66,6 @@ impl SchemeName {
             SchemeName::PbeCc => "PBE",
             SchemeName::Bbr => "BBR",
             SchemeName::Cubic => "CUBIC",
-            SchemeName::Reno => "Reno",
             SchemeName::Copa => "Copa",
             SchemeName::Verus => "Verus",
             SchemeName::Sprout => "Sprout",
@@ -251,7 +247,9 @@ mod tests {
     fn paper_scheme_list_matches_evaluation_section() {
         assert_eq!(SchemeName::PAPER_SCHEMES.len(), 8);
         assert!(SchemeName::PAPER_SCHEMES.contains(&SchemeName::PbeCc));
-        assert!(!SchemeName::PAPER_SCHEMES.contains(&SchemeName::Reno));
-        assert_eq!(SchemeName::BASELINES.len(), 8);
+        assert_eq!(SchemeName::BASELINES.len(), 7);
+        for baseline in SchemeName::BASELINES {
+            assert!(SchemeName::PAPER_SCHEMES.contains(baseline), "{baseline}");
+        }
     }
 }

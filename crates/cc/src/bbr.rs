@@ -85,7 +85,7 @@ impl Bbr {
     }
 
     /// Current bottleneck-bandwidth estimate in bits per second.
-    pub fn btl_bw_bps(&self) -> f64 {
+    fn btl_bw_bps(&self) -> f64 {
         let bw = self.btl_bw.get();
         if bw <= 0.0 {
             INITIAL_RATE_BPS

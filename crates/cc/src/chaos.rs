@@ -32,7 +32,7 @@ pub struct ChaosPanic {
 
 impl ChaosPanic {
     /// Panic on the `trigger`-th acknowledgement (1 panics on the first).
-    pub fn after_acks(trigger: u64) -> Self {
+    fn after_acks(trigger: u64) -> Self {
         ChaosPanic { acks: 0, trigger }
     }
 }

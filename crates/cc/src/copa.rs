@@ -45,12 +45,13 @@ impl Copa {
     }
 
     /// Congestion window in segments.
-    pub fn cwnd_segments(&self) -> f64 {
+    #[cfg(test)]
+    fn cwnd_segments(&self) -> f64 {
         self.cwnd
     }
 
     /// Current queueing-delay estimate in seconds.
-    pub fn queueing_delay(&self) -> f64 {
+    fn queueing_delay(&self) -> f64 {
         let standing = self.rtt_standing.get();
         let min = self.rtt_min.get();
         if standing.is_finite() && min.is_finite() {

@@ -53,7 +53,8 @@ impl Cubic {
     }
 
     /// Congestion window in segments (for tests).
-    pub fn cwnd_segments(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn cwnd_segments(&self) -> f64 {
         self.cwnd
     }
 

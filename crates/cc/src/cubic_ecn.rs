@@ -26,7 +26,8 @@ impl CubicEcn {
     }
 
     /// Congestion window in segments (for tests).
-    pub fn cwnd_segments(&self) -> f64 {
+    #[cfg(test)]
+    fn cwnd_segments(&self) -> f64 {
         self.inner.cwnd_segments()
     }
 }

@@ -27,7 +27,6 @@ pub mod cubic;
 pub mod cubic_ecn;
 pub mod pcc;
 pub mod registry;
-pub mod reno;
 pub mod sfc;
 pub mod sprout;
 pub mod verus;
@@ -42,7 +41,6 @@ pub use cubic::Cubic;
 pub use cubic_ecn::CubicEcn;
 pub use pcc::Pcc;
 pub use registry::{SchemeCtx, SchemeFactory, SchemeId, SchemeRegistry};
-pub use reno::Reno;
 pub use sfc::Sfc;
 pub use sprout::Sprout;
 pub use verus::Verus;

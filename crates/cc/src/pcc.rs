@@ -66,7 +66,8 @@ impl Pcc {
     }
 
     /// Base sending rate (between experiments).
-    pub fn base_rate_bps(&self) -> f64 {
+    #[cfg(test)]
+    fn base_rate_bps(&self) -> f64 {
         self.rate_bps
     }
 

@@ -4,13 +4,13 @@
 //! closed [`SchemeName`] enum, and the simulator
 //! special-cased PBE-CC on top of it.  The registry inverts that: a scheme is
 //! a [`SchemeId`] (its display name) mapped to a factory closure, so every
-//! algorithm — the eight baselines, PBE-CC (registered by `pbe-core`), and
-//! any experimental scheme a test or example wants to try — is constructed
-//! through exactly the same interface.  The enum remains as a thin
+//! algorithm — the paper's seven baselines, PBE-CC (registered by
+//! `pbe-core`), and any experimental scheme a test or example wants to try —
+//! is constructed through exactly the same interface.  The enum remains as a thin
 //! serde-compatibility shim that resolves to a [`SchemeId`].
 
 use crate::api::{CongestionControl, SchemeName};
-use crate::{Bbr, Copa, Cubic, CubicEcn, Pcc, Reno, Sfc, Sprout, Verus, Vivace};
+use crate::{Bbr, Copa, Cubic, CubicEcn, Pcc, Sfc, Sprout, Verus, Vivace};
 use pbe_stats::time::Duration;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -116,23 +116,22 @@ impl SchemeRegistry {
         }
     }
 
-    /// A registry with the eight baseline schemes this crate implements,
-    /// plus the two signaling-assisted variants (`CUBIC-ECN`, `SFC`) that
-    /// only act on backhaul congestion marks.  PBE-CC registers itself
+    /// A registry with the paper's seven baseline schemes, plus the two
+    /// signaling-assisted variants (`CUBIC-ECN`, `SFC`) that only act on
+    /// backhaul congestion marks.  PBE-CC registers itself
     /// through the same interface from `pbe-core`.
     pub fn with_baselines() -> Self {
         let mut reg = SchemeRegistry::empty();
         register_baseline!(reg, SchemeName::Bbr, Bbr);
         register_baseline!(reg, SchemeName::Cubic, Cubic);
-        register_baseline!(reg, SchemeName::Reno, Reno);
         register_baseline!(reg, SchemeName::Copa, Copa);
         register_baseline!(reg, SchemeName::Verus, Verus);
         register_baseline!(reg, SchemeName::Sprout, Sprout);
         register_baseline!(reg, SchemeName::Pcc, Pcc);
         register_baseline!(reg, SchemeName::Vivace, Vivace);
         // The signaling-assisted schemes are string-keyed only: they are not
-        // part of the paper's eight, so they get no `SchemeName` variant and
-        // the closed-enum serde shims never resolve to them.
+        // part of the paper's evaluation, so they get no `SchemeName` variant
+        // and the closed-enum serde shims never resolve to them.
         register_baseline!(reg, "CUBIC-ECN", CubicEcn);
         register_baseline!(reg, "SFC", Sfc);
         reg
@@ -174,7 +173,17 @@ mod tests {
     #[test]
     fn baseline_registry_builds_every_scheme() {
         let reg = SchemeRegistry::with_baselines();
-        assert_eq!(reg.ids().len(), 10);
+        let ids: Vec<String> = reg.ids().iter().map(|id| id.to_string()).collect();
+        // The paper's seven baselines (its schemes less PBE-CC itself) and
+        // the two signaling-assisted variants, nothing else.
+        let mut want: Vec<String> = SchemeName::PAPER_SCHEMES
+            .iter()
+            .filter(|&&name| name != SchemeName::PbeCc)
+            .map(|name| name.to_string())
+            .chain(["CUBIC-ECN".to_string(), "SFC".to_string()])
+            .collect();
+        want.sort();
+        assert_eq!(ids, want);
         for name in SchemeName::BASELINES {
             let id = SchemeId::from(*name);
             assert!(reg.contains(&id), "{id} registered");

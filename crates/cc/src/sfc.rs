@@ -52,7 +52,8 @@ impl Sfc {
     }
 
     /// Signals the sender has reacted to (for tests).
-    pub fn signals_seen(&self) -> u64 {
+    #[cfg(test)]
+    fn signals_seen(&self) -> u64 {
         self.signals_seen
     }
 

@@ -40,7 +40,8 @@ impl Sprout {
     }
 
     /// The conservative delivery forecast in bits per second.
-    pub fn forecast_bps(&self) -> f64 {
+    #[cfg(test)]
+    fn forecast_bps(&self) -> f64 {
         self.forecast_bps
     }
 

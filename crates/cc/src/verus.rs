@@ -51,7 +51,8 @@ impl Verus {
     }
 
     /// Congestion window in segments.
-    pub fn cwnd_segments(&self) -> f64 {
+    #[cfg(test)]
+    fn cwnd_segments(&self) -> f64 {
         self.cwnd
     }
 

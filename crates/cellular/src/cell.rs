@@ -119,10 +119,6 @@ pub struct Cell {
     /// no HARQ, no background draws, no DCI — until service returns.
     down: bool,
     rng: DetRng,
-    /// Cumulative PRBs allocated to anyone (for utilisation stats).
-    pub total_allocated_prbs: u64,
-    /// Cumulative subframes ticked.
-    pub subframes_ticked: u64,
     /// Scratch: background grants of the current subframe.
     bg_grants: Vec<BackgroundGrant>,
     /// Scratch: scheduler demands of the current subframe.
@@ -162,8 +158,6 @@ impl Cell {
             protocol_overhead: 0.0,
             down: false,
             rng,
-            total_allocated_prbs: 0,
-            subframes_ticked: 0,
             bg_grants: Vec::new(),
             demands: Vec::new(),
             sched: ScheduleResult::default(),
@@ -196,11 +190,6 @@ impl Cell {
     /// RLF re-selection.
     pub fn set_down(&mut self, down: bool) {
         self.down = down;
-    }
-
-    /// True while the cell is out of service.
-    pub fn is_down(&self) -> bool {
-        self.down
     }
 
     /// Attach a foreground UE with the RNTI its grants will be addressed to.
@@ -352,15 +341,6 @@ impl Cell {
         })
     }
 
-    /// Long-run PRB utilisation of the cell.
-    pub fn utilisation(&self) -> f64 {
-        if self.subframes_ticked == 0 {
-            return 0.0;
-        }
-        self.total_allocated_prbs as f64
-            / (self.subframes_ticked as f64 * f64::from(self.config.total_prbs()))
-    }
-
     /// Pull up to `capacity_bits` of queued payload for the UE at `slot` into
     /// segments, reusing a pooled buffer.
     fn pull_segments(&mut self, slot: usize, capacity_bits: u32) -> (Vec<Segment>, u32) {
@@ -411,7 +391,6 @@ impl Cell {
     /// O(attached UEs).  Staged channel states are consumed (reset to
     /// `None`).
     pub fn tick_prepared(&mut self, subframe: u64, report: &mut SubframeReport) {
-        self.subframes_ticked += 1;
         report.cell = self.config.id;
         report.subframe = subframe;
         report.dci_messages.clear();
@@ -661,7 +640,6 @@ impl Cell {
                 num_prbs: alloc.num_prbs,
             });
         }
-        self.total_allocated_prbs += u64::from(report.prb_usage.allocated());
     }
 }
 
@@ -846,10 +824,15 @@ mod tests {
         let mut cell = quiet_cell();
         let ue = UeId(1);
         cell.attach(ue, Rnti(0x100));
+        let mut allocated = 0u64;
         for sf in 0..100u64 {
-            tick(&mut cell, sf, &[(ue, good_channel())]);
+            allocated += u64::from(
+                tick(&mut cell, sf, &[(ue, good_channel())])
+                    .prb_usage
+                    .allocated(),
+            );
         }
-        assert_eq!(cell.utilisation(), 0.0);
+        assert_eq!(allocated, 0);
         for i in 0..100_000 {
             cell.enqueue(
                 ue,
@@ -861,13 +844,14 @@ mod tests {
             );
         }
         for sf in 100..200u64 {
-            tick(&mut cell, sf, &[(ue, good_channel())]);
+            allocated += u64::from(
+                tick(&mut cell, sf, &[(ue, good_channel())])
+                    .prb_usage
+                    .allocated(),
+            );
         }
-        assert!(
-            cell.utilisation() > 0.4,
-            "utilisation = {}",
-            cell.utilisation()
-        );
+        let utilisation = allocated as f64 / (200.0 * f64::from(cell.config.total_prbs()));
+        assert!(utilisation > 0.4, "utilisation = {utilisation}");
     }
 
     #[test]
@@ -911,7 +895,6 @@ mod tests {
             );
         }
         cell.set_down(true);
-        assert!(cell.is_down());
         let before = cell.queue_bits(ue);
         for sf in 0..20u64 {
             let report = tick(&mut cell, sf, &[(ue, good_channel())]);

@@ -358,14 +358,9 @@ impl ChannelModel {
 
     /// Override the fading coherence time (small values model vehicular
     /// mobility, paper §1).
-    pub fn with_coherence_time(mut self, coherence: Duration) -> Self {
+    #[cfg(test)]
+    fn with_coherence_time(mut self, coherence: Duration) -> Self {
         self.params.coherence_time = coherence.max(Duration::from_millis(1));
-        self
-    }
-
-    /// Override the fading depth (dB).
-    pub fn with_fading_depth(mut self, depth_db: f64) -> Self {
-        self.params.fading_depth_db = depth_db.max(0.0);
         self
     }
 
@@ -588,7 +583,14 @@ mod tests {
                 match kind {
                     0 => ch,
                     1 => ch.deterministic(),
-                    _ => ch.with_fading_depth(0.0),
+                    // Fading off, shadowing on.
+                    _ => ChannelModel {
+                        params: FadingParams {
+                            fading_depth_db: 0.0,
+                            ..ch.params
+                        },
+                        ..ch
+                    },
                 }
             };
             let bits = |s: ChannelState| {
@@ -648,7 +650,14 @@ mod tests {
                     match kind {
                         0 => ch,
                         1 => ch.deterministic(),
-                        _ => ch.with_fading_depth(0.0),
+                        // Fading off, shadowing on.
+                        _ => ChannelModel {
+                            params: FadingParams {
+                                fading_depth_db: 0.0,
+                                ..ch.params
+                            },
+                            ..ch
+                        },
                     }
                 };
                 let (mut skipped, mut sampled) = (model(), model());

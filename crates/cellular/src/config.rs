@@ -72,16 +72,6 @@ impl Bandwidth {
             Bandwidth::Mhz20 => 100,
         }
     }
-
-    /// Bandwidth in MHz.
-    pub fn mhz(self) -> f64 {
-        match self {
-            Bandwidth::Mhz5 => 5.0,
-            Bandwidth::Mhz10 => 10.0,
-            Bandwidth::Mhz15 => 15.0,
-            Bandwidth::Mhz20 => 20.0,
-        }
-    }
 }
 
 /// Static configuration of one component carrier.
@@ -110,7 +100,7 @@ impl CellConfig {
     }
 
     /// A 10 MHz secondary cell.
-    pub fn secondary_10mhz(id: CellId) -> Self {
+    fn secondary_10mhz(id: CellId) -> Self {
         CellConfig {
             id,
             bandwidth: Bandwidth::Mhz10,
@@ -287,7 +277,6 @@ mod tests {
         assert_eq!(Bandwidth::Mhz10.prbs(), 50);
         assert_eq!(Bandwidth::Mhz15.prbs(), 75);
         assert_eq!(Bandwidth::Mhz20.prbs(), 100);
-        assert_eq!(Bandwidth::Mhz20.mhz(), 20.0);
     }
 
     #[test]

@@ -47,7 +47,7 @@ impl DciFormat {
     /// Encoded payload length in bits (excluding the 16-bit CRC).  Real
     /// lengths depend on bandwidth; these are representative 20 MHz values —
     /// the paper notes control messages are "less than 70 bits".
-    pub fn payload_bits(self) -> usize {
+    fn payload_bits(self) -> usize {
         match self {
             DciFormat::Format0 => 45,
             DciFormat::Format1A => 47,
@@ -135,7 +135,7 @@ pub struct EncodedDci {
 }
 
 /// CRC-16-CCITT over the little-endian bytes of the payload.
-pub fn crc16(payload: u128, payload_bits: u8) -> u16 {
+fn crc16(payload: u128, payload_bits: u8) -> u16 {
     let bytes = payload.to_le_bytes();
     let nbytes = usize::from(payload_bits).div_ceil(8);
     let mut crc: u16 = 0xFFFF;
@@ -225,7 +225,8 @@ impl EncodedDci {
 
     /// Flip `n` pseudo-random payload bits (models a corrupted candidate the
     /// decoder must reject).
-    pub fn corrupted(&self, n: u32, salt: u64) -> EncodedDci {
+    #[cfg(test)]
+    fn corrupted(&self, n: u32, salt: u64) -> EncodedDci {
         let mut payload = self.payload;
         let mut state = salt | 1;
         for _ in 0..n {

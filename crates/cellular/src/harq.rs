@@ -139,8 +139,6 @@ pub struct HarqEntity {
     pub retransmissions_sent: u64,
     /// Number of blocks dropped after exhausting all retransmissions.
     pub blocks_dropped: u64,
-    /// Number of initial transmissions.
-    pub initial_transmissions: u64,
 }
 
 impl HarqEntity {
@@ -172,7 +170,6 @@ impl HarqEntity {
         error: bool,
         pool: &mut HarqPool,
     ) -> HarqOutcome {
-        self.initial_transmissions += 1;
         if error {
             if self.pending.capacity() == 0 {
                 self.pending = pool.queues.pop().unwrap_or_default();
@@ -252,17 +249,6 @@ impl HarqEntity {
         blocks.sort_by_key(|b| b.sequence);
         blocks
     }
-
-    /// Fraction of all transmissions that were retransmissions (the paper's
-    /// Fig. 6a retransmission overhead).
-    pub fn retransmission_overhead(&self) -> f64 {
-        let total = self.initial_transmissions + self.retransmissions_sent;
-        if total == 0 {
-            0.0
-        } else {
-            self.retransmissions_sent as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -309,7 +295,7 @@ mod tests {
         assert!(out.success);
         assert_eq!(out.attempt, 0);
         assert_eq!(h.pending_count(), 0);
-        assert_eq!(h.retransmission_overhead(), 0.0);
+        assert_eq!(h.retransmissions_sent, 0);
     }
 
     #[test]
@@ -371,8 +357,8 @@ mod tests {
             send(&mut h, block(i, i, 10), i, i % 4 == 0);
         }
         retx(&mut h, 100, |_| false);
-        // 8 initial + 2 retransmissions -> 20 % overhead.
-        assert!((h.retransmission_overhead() - 0.2).abs() < 1e-12);
+        // 8 initial transmissions, 2 of them failed: 2 retransmissions.
+        assert_eq!(h.retransmissions_sent, 2);
     }
 
     #[test]

@@ -72,17 +72,17 @@ impl Cqi {
     }
 
     /// Modulation order (bits per symbol) for this CQI.
-    pub fn modulation_order(self) -> u8 {
+    fn modulation_order(self) -> u8 {
         CQI_TABLE[self.0.min(15) as usize].0
     }
 
     /// Code rate (0..1) for this CQI.
-    pub fn code_rate(self) -> f64 {
+    fn code_rate(self) -> f64 {
         f64::from(CQI_TABLE[self.0.min(15) as usize].1) / 1024.0
     }
 
     /// Spectral efficiency in information bits per resource element.
-    pub fn spectral_efficiency(self) -> f64 {
+    fn spectral_efficiency(self) -> f64 {
         f64::from(self.modulation_order()) * self.code_rate()
     }
 
@@ -107,13 +107,6 @@ impl Cqi {
     /// monotone mapping covering the 0..=28 range).
     pub fn to_mcs(self) -> McsIndex {
         McsIndex(((f64::from(self.0) - 1.0) / 14.0 * 28.0).round() as u8)
-    }
-}
-
-impl McsIndex {
-    /// Approximate inverse of [`Cqi::to_mcs`].
-    pub fn to_cqi(self) -> Cqi {
-        Cqi::clamped((f64::from(self.0) / 28.0 * 14.0 + 1.0).round() as u8)
     }
 }
 
@@ -185,13 +178,12 @@ mod tests {
     }
 
     #[test]
-    fn mcs_cqi_roundtrip_is_close() {
+    fn cqi_to_mcs_is_monotone_over_the_mcs_range() {
+        let mut prev = McsIndex(0);
         for c in 1..=15u8 {
-            let back = Cqi(c).to_mcs().to_cqi();
-            assert!(
-                (i16::from(back.0) - i16::from(c)).abs() <= 1,
-                "CQI {c} -> {back:?}"
-            );
+            let mcs = Cqi(c).to_mcs();
+            assert!(mcs >= prev, "CQI {c} -> {mcs:?} after {prev:?}");
+            prev = mcs;
         }
         assert_eq!(Cqi(1).to_mcs(), McsIndex(0));
         assert_eq!(Cqi(15).to_mcs(), McsIndex(28));

@@ -32,12 +32,12 @@ pub struct PrbAllocation {
 
 impl PrbAllocation {
     /// One past the last allocated PRB index.
-    pub fn end_prb(&self) -> u16 {
+    fn end_prb(&self) -> u16 {
         self.first_prb + self.num_prbs
     }
 
     /// True if this allocation overlaps another.
-    pub fn overlaps(&self, other: &PrbAllocation) -> bool {
+    fn overlaps(&self, other: &PrbAllocation) -> bool {
         self.first_prb < other.end_prb() && other.first_prb < self.end_prb()
     }
 }

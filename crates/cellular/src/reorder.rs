@@ -69,12 +69,14 @@ impl ReorderBuffer {
     }
 
     /// Sequence number the buffer is waiting for.
-    pub fn next_expected(&self) -> u64 {
+    #[cfg(test)]
+    fn next_expected(&self) -> u64 {
         self.next_expected
     }
 
     /// Number of blocks currently buffered out of order.
-    pub fn buffered_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn buffered_count(&self) -> usize {
         self.held
     }
 

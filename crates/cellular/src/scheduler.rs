@@ -10,7 +10,7 @@
 //! across backlogged data users, capped by each user's actual demand.
 
 use crate::config::{Rnti, UeId};
-use crate::prb::{PrbAllocation, PrbUsage};
+use crate::prb::PrbAllocation;
 use serde::{Deserialize, Serialize};
 
 /// Scheduling priority class of one demand.
@@ -50,7 +50,8 @@ pub struct ScheduleResult {
 
 impl ScheduleResult {
     /// Allocation granted to a user (0 if none).
-    pub fn granted_to(&self, ue: UeId) -> u16 {
+    #[cfg(test)]
+    fn granted_to(&self, ue: UeId) -> u16 {
         self.allocations
             .iter()
             .filter(|a| a.ue == ue)
@@ -59,8 +60,9 @@ impl ScheduleResult {
     }
 
     /// Convert into a [`PrbUsage`] record for a cell with `total` PRBs.
-    pub fn to_usage(&self, total: u16) -> PrbUsage {
-        PrbUsage {
+    #[cfg(test)]
+    fn to_usage(&self, total: u16) -> crate::prb::PrbUsage {
+        crate::prb::PrbUsage {
             total,
             allocations: self.allocations.clone(),
         }

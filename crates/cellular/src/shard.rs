@@ -321,7 +321,7 @@ impl ShardedNetwork {
     }
 
     /// The current L3-filtered RSRP of one (UE, cell) pair, if measured.
-    pub fn filtered_rsrp(&self, ue: UeId, cell: CellId) -> Option<f64> {
+    fn filtered_rsrp(&self, ue: UeId, cell: CellId) -> Option<f64> {
         self.ue(ue)?.filtered_rsrp(&self.lane.rows, cell)
     }
 

@@ -467,7 +467,8 @@ impl UserEquipment {
 
     /// Number of transport blocks currently buffered out of order across all
     /// cells (diagnostic for the reordering-delay experiments).
-    pub fn buffered_blocks(&self, table: &RowTable) -> usize {
+    #[cfg(test)]
+    fn buffered_blocks(&self, table: &RowTable) -> usize {
         table.rows[self.rows()]
             .iter()
             .map(|r| r.reorder.buffered_count())

@@ -9,6 +9,8 @@
 //! reproduce); there is no shrinking — the failing inputs are printed
 //! as-is via the assertion message.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Number of cases sampled per property.

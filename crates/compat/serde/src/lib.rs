@@ -12,6 +12,8 @@
 //! so JSON written by real serde for these shapes deserializes here
 //! unchanged, and vice versa.
 
+#![forbid(unsafe_code)]
+
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::{BTreeMap, HashMap, VecDeque};

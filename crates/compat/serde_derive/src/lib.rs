@@ -15,6 +15,8 @@
 //! supported.  The derive panics with a clear message when it meets an
 //! argument or shape it cannot handle, so failures are loud, not silent.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 struct Variant {

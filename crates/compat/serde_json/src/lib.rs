@@ -1,10 +1,12 @@
 //! Offline stand-in for `serde_json`.
 //!
 //! Renders the serde stand-in's [`Value`] tree to JSON text and parses JSON
-//! text back, exposing the `to_string` / `from_str` / `to_value` /
-//! `from_value` entry points the workspace uses.  The text format matches
-//! real serde_json for the shapes the workspace serializes, so fixtures
-//! captured from real serde deserialize here unchanged.
+//! text back, exposing the `to_string` / `from_str` / `to_value` entry
+//! points the workspace uses.  The text format matches real serde_json for
+//! the shapes the workspace serializes, so fixtures captured from real serde
+//! deserialize here unchanged.
+
+#![forbid(unsafe_code)]
 
 pub use serde::{Error, Value};
 
@@ -33,11 +35,6 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
 /// Convert a serializable value into a [`Value`] tree.
 pub fn to_value<T: Serialize>(value: &T) -> Result<Value, Error> {
     Ok(value.serialize())
-}
-
-/// Convert a [`Value`] tree into a concrete type.
-pub fn from_value<T: Deserialize>(value: Value) -> Result<T, Error> {
-    T::deserialize(&value)
 }
 
 // ---------------------------------------------------------------------------

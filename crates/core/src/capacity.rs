@@ -31,11 +31,6 @@ pub struct CapacityEstimate {
 }
 
 impl CapacityEstimate {
-    /// Fair-share capacity in bits per second.
-    pub fn fair_share_bps(&self) -> f64 {
-        self.fair_share_bits_per_subframe * 1000.0
-    }
-
     /// Available capacity in bits per second.
     pub fn available_bps(&self) -> f64 {
         self.available_bits_per_subframe * 1000.0
@@ -167,7 +162,6 @@ mod tests {
         assert_eq!(est.cells, 3);
         assert_eq!(est.max_active_users, 3);
         // bits/subframe → bits/s is a flat ×1000 (1 ms subframes).
-        assert!((est.fair_share_bps() - 86_833_333.333_333_34).abs() < 1e-3);
         assert!((est.available_bps() - 61_735_000.0).abs() < 1e-6);
     }
 

@@ -184,7 +184,7 @@ impl PbeClient {
     }
 
     /// The switching threshold `Dth` in ms.
-    pub fn delay_threshold_ms(&self) -> f64 {
+    fn delay_threshold_ms(&self) -> f64 {
         let dprop = self.dprop_ms();
         if dprop.is_finite() {
             dprop + RETRANSMISSION_MARGIN_MS + JITTER_MARGIN_MS
@@ -201,11 +201,6 @@ impl PbeClient {
     /// Latest transport-layer available capacity in bits per second.
     pub fn transport_capacity_bps(&self) -> f64 {
         self.last_ct * 1000.0
-    }
-
-    /// Latest transport-layer fair-share capacity in bits per second.
-    pub fn fair_share_bps(&self) -> f64 {
-        self.last_cf_t * 1000.0
     }
 
     /// Fold one subframe of fused control messages into the monitor and
@@ -254,7 +249,7 @@ impl PbeClient {
     }
 
     /// The `Npkt` consecutive-packet threshold of Eqn. 6.
-    pub fn npkt_threshold(&self) -> u64 {
+    fn npkt_threshold(&self) -> u64 {
         let ct_bits_per_subframe = self.last_ct.max(8.0 * MSS_BYTES as f64 / 1000.0);
         ((6.0 * ct_bits_per_subframe) / (MSS_BYTES as f64 * 8.0))
             .ceil()

@@ -50,16 +50,17 @@ pub const PBE_SCHEME_ID: SchemeId = SchemeId::from_static("PBE");
 
 /// Register PBE-CC's sender in a scheme registry, through the same interface
 /// every baseline uses.
-pub fn register_pbe(registry: &mut SchemeRegistry) {
+fn register_pbe(registry: &mut SchemeRegistry) {
     registry.register(PBE_SCHEME_ID, |ctx: &SchemeCtx| {
         Box::new(PbeSender::new(ctx.rtprop_hint))
     });
 }
 
-/// The full default registry: the eight baselines plus PBE-CC, plus the
-/// chaos schemes the failure-containment tests select by name (they are not
-/// baselines — sweeps only run them when a grid asks for `CHAOS_PANIC` or
-/// `CHAOS_HANG` explicitly).
+/// The full default registry: the seven baselines and the two
+/// signaling-assisted variants, PBE-CC, and the chaos schemes the
+/// failure-containment tests select by name (they are not baselines —
+/// sweeps only run them when a grid asks for `CHAOS_PANIC` or `CHAOS_HANG`
+/// explicitly).
 pub fn default_scheme_registry() -> SchemeRegistry {
     let mut registry = SchemeRegistry::with_baselines();
     register_pbe(&mut registry);

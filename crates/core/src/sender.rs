@@ -116,7 +116,7 @@ impl PbeSender {
     }
 
     /// Current bottleneck-bandwidth estimate (maximum recent delivery rate).
-    pub fn btl_bw_bps(&self) -> f64 {
+    fn btl_bw_bps(&self) -> f64 {
         let bw = self.btl_bw.get();
         if bw > 0.0 {
             bw

@@ -4,7 +4,7 @@
 //! [`SchemeId`] key: the sender-side congestion controller (from the open
 //! [`SchemeRegistry`] in `pbe-cc-algorithms`) and an optional receiver-side
 //! [`ReceiverAgent`].  Every simulation starts from the standard table: the
-//! eight baselines, PBE-CC (whose receiver agent is the decoder → fusion →
+//! baselines, PBE-CC (whose receiver agent is the decoder → fusion →
 //! client pipeline from `pbe-core`) and the congestion-control-free
 //! [`FIXED_SCHEME_ID`] scheme.  New schemes are registered from the outside
 //! via [`SimBuilder`](crate::builder::SimBuilder) without touching this
@@ -27,7 +27,7 @@ pub(crate) struct SchemeTable {
 }
 
 impl SchemeTable {
-    /// The standard table: all eight baselines, PBE-CC with its receiver
+    /// The standard table: every baseline, PBE-CC with its receiver
     /// pipeline, and the fixed-rate scheme.
     pub(crate) fn standard() -> Self {
         let mut receivers = HashMap::new();

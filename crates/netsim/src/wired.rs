@@ -95,11 +95,6 @@ impl WiredPath {
         }
     }
 
-    /// Bytes currently waiting at the wired bottleneck.
-    pub fn queued_bytes(&self) -> u64 {
-        self.queued_bytes
-    }
-
     /// Byte and packet counters of the path's bottleneck link.
     pub fn stats(&self) -> LinkStats {
         self.stats
@@ -153,11 +148,6 @@ impl WiredPath {
             out.push(p);
         }
     }
-
-    /// Packets currently inside the path (queued or propagating).
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
-    }
 }
 
 #[cfg(test)]
@@ -176,7 +166,7 @@ mod tests {
         let b = path.arrivals(Instant::from_millis(25));
         assert_eq!(b.len(), 1);
         assert_eq!(b[0].id, 2);
-        assert_eq!(path.in_flight(), 0);
+        assert!(path.in_flight.is_empty());
         assert_eq!(path.stats().dropped_packets, 0);
     }
 
@@ -216,8 +206,8 @@ mod tests {
         for i in 0..10u64 {
             path.send(i, 1500, Instant::ZERO);
         }
-        assert_eq!(path.queued_bytes(), 15_000);
+        assert_eq!(path.queued_bytes, 15_000);
         let _ = path.arrivals(Instant::from_millis(8));
-        assert!(path.queued_bytes() < 15_000);
+        assert!(path.queued_bytes < 15_000);
     }
 }

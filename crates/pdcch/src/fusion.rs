@@ -10,7 +10,10 @@
 //! [`MessageFusion`] is the standalone aligner, for decoders that report
 //! asynchronously.  The simulator's receiver agent drives all of its
 //! decoders for the same subframe in one call, so it gathers their output
-//! straight into one reused [`FusedSubframe`] instead.
+//! straight into one reused [`FusedSubframe`] instead.  The aligner stays
+//! as the asynchronous API: the repo benchmark's decode replay,
+//! `examples/capacity_monitor.rs` and `tests/measurement_pipeline.rs` feed
+//! it one decoder at a time.
 
 use pbe_cellular::config::CellId;
 use pbe_cellular::dci::DciMessage;
@@ -29,11 +32,6 @@ pub struct FusedSubframe {
 }
 
 impl FusedSubframe {
-    /// All messages of the subframe regardless of cell, in `per_cell` order.
-    pub fn all_messages(&self) -> impl Iterator<Item = &DciMessage> {
-        self.per_cell.iter().flat_map(|(_, messages)| messages)
-    }
-
     /// Messages of one cell.
     pub fn cell_messages(&self, cell: CellId) -> &[DciMessage] {
         self.per_cell
@@ -63,11 +61,6 @@ impl MessageFusion {
             reported: HashMap::new(),
             emitted_up_to: None,
         }
-    }
-
-    /// Cells this fusion stage waits for.
-    pub fn watched_cells(&self) -> &[CellId] {
-        &self.watched_cells
     }
 
     /// Change the watched cell set (e.g. when carrier aggregation activates a
@@ -167,7 +160,6 @@ mod tests {
         assert_eq!(fused.len(), 1);
         assert_eq!(fused[0].subframe, 3);
         assert_eq!(fused[0].cell_messages(CellId(0)).len(), 1);
-        assert_eq!(fused[0].all_messages().count(), 1);
     }
 
     #[test]
@@ -190,9 +182,17 @@ mod tests {
             .ingest(CellId(1), 7, vec![msg(1, 7, 0x200)])
             .is_empty());
         let fused = fusion.ingest(CellId(0), 7, vec![msg(0, 7, 0x100), msg(0, 7, 0x101)]);
-        let rntis: Vec<u16> = fused[0].all_messages().map(|m| m.rnti.0).collect();
-        assert_eq!(rntis, vec![0x200, 0x100, 0x101]);
-        assert_eq!(fused[0].cell_messages(CellId(0)).len(), 2);
+        let cells: Vec<CellId> = fused[0].per_cell.iter().map(|(c, _)| *c).collect();
+        assert_eq!(cells, vec![CellId(1), CellId(0)]);
+        let rntis = |cell| -> Vec<u16> {
+            fused[0]
+                .cell_messages(cell)
+                .iter()
+                .map(|m| m.rnti.0)
+                .collect()
+        };
+        assert_eq!(rntis(CellId(1)), vec![0x200]);
+        assert_eq!(rntis(CellId(0)), vec![0x100, 0x101]);
         assert!(fused[0].cell_messages(CellId(2)).is_empty());
     }
 
@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn watched_cell_set_can_grow() {
         let mut fusion = MessageFusion::new(vec![CellId(0)]);
-        assert_eq!(fusion.watched_cells(), &[CellId(0)]);
+        assert_eq!(fusion.ingest(CellId(0), 8, vec![]).len(), 1);
         fusion.set_watched_cells(vec![CellId(0), CellId(1)]);
         assert!(fusion.ingest(CellId(0), 9, vec![]).is_empty());
         assert_eq!(fusion.ingest(CellId(1), 9, vec![]).len(), 1);

@@ -118,7 +118,7 @@ impl DetRng {
     }
 
     /// Standard normal sample (Box–Muller).
-    pub fn standard_normal(&mut self) -> f64 {
+    fn standard_normal(&mut self) -> f64 {
         // Avoid log(0) by sampling u1 from (0, 1].
         let u1 = 1.0 - self.uniform();
         let u2 = self.uniform();
@@ -159,26 +159,6 @@ impl DetRng {
         }
     }
 
-    /// Choose an index according to a slice of non-negative weights.
-    /// Returns 0 for an all-zero or empty slice.
-    pub fn weighted_choice(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().filter(|w| **w > 0.0).sum();
-        if total <= 0.0 || weights.is_empty() {
-            return 0;
-        }
-        let mut target = self.uniform() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if *w <= 0.0 {
-                continue;
-            }
-            if target < *w {
-                return i;
-            }
-            target -= *w;
-        }
-        weights.len() - 1
-    }
-
     /// Raw 64-bit value (for hashing / shuffling needs of callers).
     pub fn next_u64(&mut self) -> u64 {
         // xoshiro256++ step.
@@ -192,17 +172,6 @@ impl DetRng {
         s[2] ^= t;
         s[3] = s[3].rotate_left(45);
         result
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        if items.len() < 2 {
-            return;
-        }
-        for i in (1..items.len()).rev() {
-            let j = self.uniform_usize(0, i + 1);
-            items.swap(i, j);
-        }
     }
 }
 
@@ -313,30 +282,5 @@ mod tests {
         let mean = (0..n).map(|_| r.poisson(4.0) as f64).sum::<f64>() / n as f64;
         assert!((mean - 4.0).abs() < 0.2, "mean = {mean}");
         assert_eq!(r.poisson(0.0), 0);
-    }
-
-    #[test]
-    fn weighted_choice_respects_weights() {
-        let mut r = DetRng::new(23);
-        let weights = [0.0, 1.0, 3.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..4000 {
-            counts[r.weighted_choice(&weights)] += 1;
-        }
-        assert_eq!(counts[0], 0);
-        assert!(counts[2] > counts[1]);
-        // Degenerate inputs fall back to index 0.
-        assert_eq!(r.weighted_choice(&[]), 0);
-        assert_eq!(r.weighted_choice(&[0.0, 0.0]), 0);
-    }
-
-    #[test]
-    fn shuffle_preserves_elements() {
-        let mut r = DetRng::new(29);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 }

@@ -92,11 +92,6 @@ impl FlowSummaryBuilder {
         &self.windows
     }
 
-    /// Raw one-way delay samples in ms.
-    pub fn delays_ms(&self) -> &[f64] {
-        &self.delays_ms
-    }
-
     /// Finalise into a [`FlowSummary`].
     pub fn build(&self) -> FlowSummary {
         // Each sample set is sorted once and every percentile read from it.

@@ -5,6 +5,8 @@
 //! package to live in.  Library code belongs in the `crates/` members, not
 //! here.
 
+#![forbid(unsafe_code)]
+
 pub use pbe_bench as bench;
 pub use pbe_cc_algorithms as cc;
 pub use pbe_cellular as cellular;
