@@ -11,28 +11,13 @@
 //! would produce — and the cache-equivalence tests in
 //! `crates/bench/tests/artifact.rs` pin that.
 
-use super::store::{FailureKind, PointFailure, ResultStore, StoredPoint};
+use super::store::{PointFailure, ResultStore, StoredPoint};
 use crate::sweep::{ScenarioOutcome, ScenarioSpec, SweepReport};
 use pbe_netsim::Simulation;
 use pbe_stats::pool::{panic_message, WorkerPool};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
-
-/// Failure-containment policy for grid execution.
-///
-/// The default policy is fully permissive — no deadline — which still
-/// contains panics (a panicking scenario becomes a [`PointFailure`], never a
-/// crashed sweep).  A failed point is not retried: a panic is deterministic,
-/// and a deadline overrun leaves its abandoned run still going.
-#[derive(Debug, Clone, Default)]
-pub struct ExecPolicy {
-    /// Wall-clock budget per scenario.  A scenario still running at the
-    /// deadline counts as failed ([`FailureKind::Deadline`]); its thread is
-    /// abandoned, not joined.  `None` means unbounded.
-    pub deadline: Option<Duration>,
-}
+use std::time::Instant;
 
 /// Outcome of a cached run: the assembled report plus the cache accounting
 /// the smoke tests and CI assert on.
@@ -46,42 +31,30 @@ pub struct CachedRun {
     pub executed: usize,
     /// Number of points served from the store.
     pub cached: usize,
-    /// Points that failed (panic or deadline), plus quarantined points
-    /// skipped on resume — in grid order.
+    /// Points that panicked, plus quarantined points skipped on resume — in
+    /// grid order.
     pub failures: Vec<PointFailure>,
 }
 
-/// Execute `specs`, serving store hits and persisting fresh results, under
-/// the default (permissive) [`ExecPolicy`].
+/// Execute `specs`, serving store hits and persisting fresh results.
 ///
 /// With `store = None` every point executes (a plain sweep).  `workers` is
 /// the worker-thread count, `0` meaning "all available cores"; results are
 /// byte-identical for every count.  `figure` labels the manifest entries of
 /// freshly executed points.
-pub fn run_cached(
-    figure: &str,
-    specs: Vec<ScenarioSpec>,
-    store: Option<&mut ResultStore>,
-    workers: usize,
-) -> io::Result<CachedRun> {
-    run_cached_with(figure, specs, store, workers, &ExecPolicy::default())
-}
-
-/// [`run_cached`] with an explicit failure-containment policy.
 ///
-/// Execution is failure-contained end to end: a panicking scenario is caught
-/// and reported as a structured [`PointFailure`]; a scenario exceeding the
-/// policy's deadline is abandoned and reported likewise.  Failed points are
-/// quarantined in the store, so a later resume skips-and-reports them
-/// instead of re-poisoning every invocation, and **every other point still
-/// executes exactly once** — one poison point costs its own slot, never the
-/// sweep.
-pub fn run_cached_with(
+/// Execution is failure-contained: a panicking scenario is caught and
+/// reported as a structured [`PointFailure`].  Failed points are quarantined
+/// in the store, so a later resume skips-and-reports them instead of
+/// re-poisoning every invocation, and **every other point still executes
+/// exactly once** — one poison point costs its own slot, never the sweep.
+/// A failed point is not retried: the simulation is deterministic, so it
+/// would panic again.
+pub fn run_cached(
     figure: &str,
     specs: Vec<ScenarioSpec>,
     mut store: Option<&mut ResultStore>,
     workers: usize,
-    policy: &ExecPolicy,
 ) -> io::Result<CachedRun> {
     let workers = if workers == 0 {
         std::thread::available_parallelism()
@@ -117,21 +90,17 @@ pub fn run_cached_with(
 
     // Phase 2: execute the misses in small batches, persisting after each
     // batch so a kill loses at most one batch of work.  Each point runs
-    // guarded (catch_unwind + deadline watchdog); the pool-level
-    // panic containment is a second line of defense for harness bugs.
+    // under `catch_unwind`, so no job reaches the pool with a panic.
     let mut executed = 0usize;
     let batch = (workers * 2).max(4);
     let pool = WorkerPool::new(workers.clamp(1, misses.len().max(1)));
     for batch_indices in misses.chunks(batch) {
-        let mut results: Vec<Option<_>> = batch_indices.iter().map(|_| None).collect();
-        let pool_panics = pool.for_each(results.iter_mut().zip(batch_indices), |_, (slot, &i)| {
-            *slot = Some(execute_guarded(&specs[i], policy.deadline));
+        let results = pool.run_collect(batch_indices.len(), |j| {
+            execute_guarded(&specs[batch_indices[j]])
         });
-        for (j, slot) in results.into_iter().enumerate() {
-            let i = batch_indices[j];
-            let spec = &specs[i];
-            let failed = match slot {
-                Some(Ok(outcome)) => {
+        for (&i, result) in batch_indices.iter().zip(results) {
+            match result {
+                Ok(outcome) => {
                     if let Some(store) = store.as_deref_mut() {
                         store.insert(
                             figure,
@@ -144,40 +113,23 @@ pub fn run_cached_with(
                     }
                     executed += 1;
                     slots[i] = Some(outcome);
-                    continue;
                 }
-                Some(Err((kind, message))) => PointFailure {
-                    key: keys[i].clone(),
-                    figure: figure.to_string(),
-                    label: spec.label.clone(),
-                    scheme: spec.scheme.id().to_string(),
-                    seed: spec.seed,
-                    kind,
-                    message,
-                },
-                // The guarded job itself panicked (harness bug): the pool
-                // contained it; report it like a scenario panic.
-                None => {
-                    let panic = pool_panics
-                        .iter()
-                        .find(|p| p.index == j)
-                        .map(|p| p.message.clone())
-                        .unwrap_or_else(|| "job vanished without a panic record".to_string());
-                    PointFailure {
+                Err(message) => {
+                    let spec = &specs[i];
+                    let failed = PointFailure {
                         key: keys[i].clone(),
                         figure: figure.to_string(),
                         label: spec.label.clone(),
                         scheme: spec.scheme.id().to_string(),
                         seed: spec.seed,
-                        kind: FailureKind::Panic,
-                        message: panic,
+                        message,
+                    };
+                    if let Some(store) = store.as_deref_mut() {
+                        store.quarantine(&failed)?;
                     }
+                    failures.push((i, failed));
                 }
-            };
-            if let Some(store) = store.as_deref_mut() {
-                store.quarantine(&failed)?;
             }
-            failures.push((i, failed));
         }
     }
 
@@ -200,40 +152,11 @@ pub fn run_cached_with(
     })
 }
 
-/// Run one scenario with its panics contained.  Without a deadline the
-/// simulation runs on the calling (pool) thread under `catch_unwind`; with
-/// one it runs on a fresh watchdog thread, and on timeout the thread is
-/// *abandoned* — it finishes (or spins) in the background while the sweep
-/// moves on, which is the only containment available without killing
-/// threads.  Total — never panics, never blocks past the deadline.
-fn execute_guarded(
-    spec: &ScenarioSpec,
-    deadline: Option<Duration>,
-) -> Result<ScenarioOutcome, (FailureKind, String)> {
-    match deadline {
-        None => catch_unwind(AssertUnwindSafe(|| execute_one(spec)))
-            .map_err(|payload| (FailureKind::Panic, panic_message(payload.as_ref()))),
-        Some(limit) => {
-            let (tx, rx) = mpsc::channel();
-            let spec = spec.clone();
-            std::thread::spawn(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(|| execute_one(&spec)))
-                    .map_err(|payload| panic_message(payload.as_ref()));
-                let _ = tx.send(outcome);
-            });
-            match rx.recv_timeout(limit) {
-                Ok(Ok(outcome)) => Ok(outcome),
-                Ok(Err(message)) => Err((FailureKind::Panic, message)),
-                Err(_) => Err((
-                    FailureKind::Deadline,
-                    format!(
-                        "still running after the {:.1} s deadline",
-                        limit.as_secs_f64()
-                    ),
-                )),
-            }
-        }
-    }
+/// Run one scenario on the calling (pool) thread with its panics
+/// contained: a panic comes back as its rendered message.  Never panics.
+fn execute_guarded(spec: &ScenarioSpec) -> Result<ScenarioOutcome, String> {
+    catch_unwind(AssertUnwindSafe(|| execute_one(spec)))
+        .map_err(|payload| panic_message(payload.as_ref()))
 }
 
 fn execute_one(spec: &ScenarioSpec) -> ScenarioOutcome {
@@ -275,12 +198,11 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_and_a_hanging_point_fail_structured_while_the_rest_execute_once() {
+    fn a_panicking_point_fails_structured_while_the_rest_execute_once() {
         let dir = std::env::temp_dir().join(format!("pbe_exec_chaos_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut store = ResultStore::open(&dir).unwrap();
-        // Four points: two healthy schemes, one that panics mid-run, one
-        // that burns wall-clock past the deadline.
+        // Three points: two healthy schemes and one that panics mid-run.
         let specs = SweepGrid::over(vec![ScenarioSpec::single_flow(
             "chaos",
             SchemeChoice::Pbe,
@@ -291,39 +213,28 @@ mod tests {
             SchemeChoice::Pbe,
             SchemeChoice::named("CUBIC"),
             SchemeChoice::named("CHAOS_PANIC"),
-            SchemeChoice::named("CHAOS_HANG"),
         ])
         .expand();
-        let policy = ExecPolicy {
-            deadline: Some(std::time::Duration::from_millis(300)),
-        };
-        let run =
-            run_cached_with("fig_chaos", specs.clone(), Some(&mut store), 1, &policy).unwrap();
+        let run = run_cached("fig_chaos", specs.clone(), Some(&mut store), 1).unwrap();
 
-        // Both chaos points fail with the right kind; the sweep completed.
+        // The chaos point fails with its panic message; the sweep completed.
         assert_eq!(run.executed, 2, "the two healthy points executed");
         assert_eq!(run.report.outcomes.len(), 2);
-        assert_eq!(run.failures.len(), 2);
-        let panic = run
-            .failures
-            .iter()
-            .find(|f| f.scheme == "CHAOS_PANIC")
-            .expect("panic failure recorded");
-        assert_eq!(panic.kind, FailureKind::Panic);
-        assert!(panic.message.contains("chaos: injected scheme panic"));
-        let hang = run
-            .failures
-            .iter()
-            .find(|f| f.scheme == "CHAOS_HANG")
-            .expect("deadline failure recorded");
-        assert_eq!(hang.kind, FailureKind::Deadline);
+        assert_eq!(run.failures.len(), 1);
+        assert_eq!(run.failures[0].scheme, "CHAOS_PANIC");
+        assert!(run.failures[0]
+            .message
+            .contains("chaos: injected scheme panic"));
         assert_eq!(store.len(), 2, "only healthy points persisted");
 
-        // Resume: quarantined points are skipped-and-reported, healthy ones
-        // served from the store — zero new executions.
-        let resumed = run_cached_with("fig_chaos", specs, Some(&mut store), 1, &policy).unwrap();
+        // Resume: the quarantined point is skipped-and-reported, healthy
+        // ones served from the store — zero new executions.
+        let resumed = run_cached("fig_chaos", specs, Some(&mut store), 1).unwrap();
         assert_eq!((resumed.executed, resumed.cached), (0, 2));
-        assert_eq!(resumed.failures.len(), 2, "quarantine reported on resume");
+        assert_eq!(
+            resumed.failures, run.failures,
+            "quarantine reported on resume"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -33,20 +33,18 @@ pub mod figures;
 pub mod registry;
 pub mod store;
 
-pub use exec::{run_cached, run_cached_with, CachedRun, ExecPolicy};
+pub use exec::{run_cached, CachedRun};
 pub use registry::{find, registry, FigureSpec};
-pub use store::{FailureKind, ManifestEntry, PointFailure, ResultStore, StoreIssue, StoredPoint};
+pub use store::{ManifestEntry, PointFailure, ResultStore, StoreIssue, StoredPoint};
 
 use crate::sweep::{OutputFormat, ReportWriter};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Usage string of the `artifact` subcommand.
 pub const USAGE: &str = "usage: pbe-bench artifact (--all | --figure NAME)... [--list] \
-[--store DIR] [--out DIR] [--seconds N] [--workers N] [--serial] [--format text|csv|json] \
-[--deadline SECS]\n\
+[--store DIR] [--out DIR] [--seconds N] [--workers N] [--serial] [--format text|csv|json]\n\
        pbe-bench artifact verify --store DIR [--repair] [--seconds N] [--workers N]";
 
 /// Parsed command line of `pbe-bench artifact`.
@@ -68,9 +66,6 @@ pub struct ArtifactArgs {
     pub workers: usize,
     /// Table output format (CSV by default — artifact output is plot input).
     pub format: OutputFormat,
-    /// Wall-clock deadline per scenario, in seconds (unbounded when
-    /// absent).
-    pub deadline: Option<f64>,
     /// `verify` subcommand: check every stored blob against its manifest
     /// checksum instead of running figures.
     pub verify: bool,
@@ -90,7 +85,6 @@ impl ArtifactArgs {
             seconds: None,
             workers: 0,
             format: OutputFormat::Csv,
-            deadline: None,
             verify: false,
             repair: false,
         };
@@ -127,15 +121,6 @@ impl ArtifactArgs {
                 }
                 "--serial" => parsed.workers = 1,
                 "--repair" => parsed.repair = true,
-                "--deadline" => {
-                    parsed.deadline = Some(
-                        value_of("--deadline")?
-                            .parse()
-                            .ok()
-                            .filter(|s: &f64| *s > 0.0)
-                            .ok_or_else(|| "--deadline expects seconds > 0".to_string())?,
-                    )
-                }
                 "--format" | "-f" => {
                     parsed.format = match value_of("--format")?.as_str() {
                         "text" => OutputFormat::Text,
@@ -152,6 +137,13 @@ impl ArtifactArgs {
         if parsed.verify {
             if parsed.store.is_none() {
                 return Err("artifact verify needs --store DIR".into());
+            }
+            if parsed.all || parsed.list || !parsed.figures.is_empty() || parsed.out.is_some() {
+                return Err(
+                    "artifact verify checks the whole store: --all, --figure, --list and --out \
+                     do not apply"
+                        .into(),
+                );
             }
         } else if parsed.repair {
             return Err("--repair only applies to `artifact verify`".into());
@@ -188,7 +180,7 @@ impl ArtifactArgs {
 }
 
 /// Aggregate accounting of one `pbe-bench artifact` invocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ArtifactSummary {
     /// Figures rendered.
     pub figures: usize,
@@ -196,8 +188,8 @@ pub struct ArtifactSummary {
     pub executed: usize,
     /// Grid points served from the result store.
     pub cached: usize,
-    /// Grid points that failed (panic/deadline) or were skipped as
-    /// quarantined; each is reported on stderr as a structured failure.
+    /// Grid points that panicked or were skipped as quarantined; each is
+    /// reported on stderr as a structured failure.
     pub failed: usize,
 }
 
@@ -220,30 +212,19 @@ pub fn run_artifact(args: &ArtifactArgs) -> io::Result<ArtifactSummary> {
                 fig.name, fig.title, fig.default_seconds
             );
         }
-        return Ok(ArtifactSummary {
-            figures: 0,
-            executed: 0,
-            cached: 0,
-            failed: 0,
-        });
+        return Ok(ArtifactSummary::default());
     }
 
     let mut store = match &args.store {
         Some(dir) => Some(ResultStore::open(dir)?),
         None => None,
     };
-    let policy = exec_policy(args);
     let writer = ReportWriter::new(args.format, args.out.clone())?;
-    let mut summary = ArtifactSummary {
-        figures: 0,
-        executed: 0,
-        cached: 0,
-        failed: 0,
-    };
+    let mut summary = ArtifactSummary::default();
     for fig in &figures {
         let seconds = args.seconds.unwrap_or(fig.default_seconds);
         let specs = (fig.grid)(seconds).expand();
-        let run = run_cached_with(fig.name, specs, store.as_mut(), args.workers, &policy)?;
+        let run = run_cached(fig.name, specs, store.as_mut(), args.workers)?;
         eprintln!(
             "artifact: {}: executed {} simulation(s), {} cache hit(s)",
             fig.name, run.executed, run.cached
@@ -266,19 +247,12 @@ pub fn run_artifact(args: &ArtifactArgs) -> io::Result<ArtifactSummary> {
     Ok(summary)
 }
 
-/// Translate the command line into the executor's containment policy.
-fn exec_policy(args: &ArtifactArgs) -> ExecPolicy {
-    ExecPolicy {
-        deadline: args.deadline.map(Duration::from_secs_f64),
-    }
-}
-
 /// Print each point failure as one structured stderr line.
 fn report_failures(failures: &[PointFailure]) {
     for f in failures {
         eprintln!(
-            "artifact: FAILED {} [{}] scheme={} seed={}: {}: {}",
-            f.label, f.key, f.scheme, f.seed, f.kind, f.message
+            "artifact: FAILED {} [{}] scheme={} seed={}: panic: {}",
+            f.label, f.key, f.scheme, f.seed, f.message
         );
     }
 }
@@ -308,12 +282,7 @@ fn verify_store(args: &ArtifactArgs) -> io::Result<ArtifactSummary> {
             "artifact verify: {} point(s), every blob clean",
             store.len()
         );
-        return Ok(ArtifactSummary {
-            figures: 0,
-            executed: 0,
-            cached: 0,
-            failed: 0,
-        });
+        return Ok(ArtifactSummary::default());
     }
     if !args.repair {
         return Err(io::Error::new(
@@ -334,13 +303,7 @@ fn verify_store(args: &ArtifactArgs) -> io::Result<ArtifactSummary> {
             .or_default()
             .insert(issue.key.clone());
     }
-    let policy = exec_policy(args);
-    let mut summary = ArtifactSummary {
-        figures: 0,
-        executed: 0,
-        cached: 0,
-        failed: 0,
-    };
+    let mut summary = ArtifactSummary::default();
     for (figure, bad_keys) in &bad_by_figure {
         let Some(fig) = find(figure) else {
             for key in bad_keys {
@@ -367,7 +330,7 @@ dropped without re-execution"
         if specs.is_empty() {
             continue;
         }
-        let run = run_cached_with(fig.name, specs, Some(&mut store), args.workers, &policy)?;
+        let run = run_cached(fig.name, specs, Some(&mut store), args.workers)?;
         report_failures(&run.failures);
         eprintln!(
             "artifact verify: {figure}: re-executed {} corrupted point(s)",
@@ -440,26 +403,25 @@ mod tests {
     }
 
     #[test]
-    fn parses_the_verify_subcommand_and_the_containment_flags() {
-        let a = parse(&[
-            "verify",
-            "--store",
-            "/tmp/s",
-            "--repair",
-            "--deadline",
-            "2.5",
-        ])
-        .unwrap();
+    fn parses_the_verify_subcommand_and_rejects_figure_flags_under_it() {
+        let a = parse(&["verify", "--store", "/tmp/s", "--repair", "--seconds", "2"]).unwrap();
         assert!(a.verify);
         assert!(a.repair);
-        assert_eq!(a.deadline, Some(2.5));
+        assert_eq!(a.seconds, Some(2));
         // verify needs a store; --repair belongs to verify alone.
         assert!(parse(&["verify"]).is_err());
         assert!(parse(&["--all", "--store", "/tmp/s", "--repair"]).is_err());
-        // A figure run accepts the containment flags without verify.
-        let b = parse(&["--all", "--deadline", "10"]).unwrap();
-        assert!(!b.verify);
-        assert_eq!(b.deadline, Some(10.0));
-        assert!(parse(&["--all", "--deadline", "0"]).is_err());
+        // verify checks the whole store, so a figure selection or an output
+        // directory would be silently ignored: each is refused instead.
+        for extra in [
+            &["--all"][..],
+            &["--figure", "table1"],
+            &["--list"],
+            &["--out", "/tmp/o"],
+        ] {
+            let mut line = vec!["verify", "--store", "/tmp/s"];
+            line.extend_from_slice(extra);
+            assert!(parse(&line).is_err(), "verify accepted {extra:?}");
+        }
     }
 }

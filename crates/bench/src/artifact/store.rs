@@ -48,25 +48,7 @@ pub struct ManifestEntry {
     pub checksum: String,
 }
 
-/// Why a grid point failed to execute (see [`PointFailure`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FailureKind {
-    /// The scenario's simulation panicked.
-    Panic,
-    /// The scenario exceeded the execution deadline.
-    Deadline,
-}
-
-impl std::fmt::Display for FailureKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FailureKind::Panic => write!(f, "panic"),
-            FailureKind::Deadline => write!(f, "deadline"),
-        }
-    }
-}
-
-/// One line of `quarantine.jsonl`: a grid point whose execution failed.
+/// One line of `quarantine.jsonl`: a grid point whose simulation panicked.
 /// Quarantined keys are skipped-and-reported on resume instead of
 /// re-poisoning every invocation; deleting the file (or repairing the cause)
 /// lifts the quarantine.
@@ -82,9 +64,7 @@ pub struct PointFailure {
     pub scheme: String,
     /// The expanded experiment seed.
     pub seed: u64,
-    /// What killed the point.
-    pub kind: FailureKind,
-    /// The rendered panic payload, or a deadline description.
+    /// The rendered panic payload.
     pub message: String,
 }
 
@@ -521,7 +501,6 @@ mod tests {
             label: a.spec.label.clone(),
             scheme: a.spec.scheme.id().to_string(),
             seed: a.spec.seed,
-            kind: FailureKind::Panic,
             message: "boom".to_string(),
         };
         {

@@ -1,8 +1,8 @@
 //! Process-level measurement helper for the repo benchmark.
 //!
 //! The frozen `benchmark/` package imports [`peak_rss_kb`] by this path; the
-//! next `[benchmark]` PR may relocate it (ROADMAP item 4g, alongside the
-//! `CellularNetwork` newtype) and drop this module.
+//! next `[benchmark]` PR may relocate it (ROADMAP item 4, whose list names
+//! it) and item 7 then drops this module with the `CellularNetwork` newtype.
 
 /// Peak resident set size of this process, kilobytes (`VmHWM`), or 0.
 pub fn peak_rss_kb() -> u64 {

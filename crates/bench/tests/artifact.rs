@@ -29,7 +29,6 @@ fn args(store: &Path, out: &Path) -> ArtifactArgs {
         seconds: Some(1),
         workers: 1,
         format: OutputFormat::Csv,
-        deadline: None,
         verify: false,
         repair: false,
     }

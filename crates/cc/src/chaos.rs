@@ -1,20 +1,19 @@
-//! Deliberately misbehaving schemes for failure-injection tests.
+//! A deliberately misbehaving scheme for failure-injection tests.
 //!
-//! The failure-contained execution harness (worker-pool panic containment,
-//! per-scenario deadlines, quarantine) needs scenarios that *reliably* fail
-//! in each contained way.  These two schemes provide that, through the same
-//! registry every real scheme uses, so a chaos scenario is an ordinary
-//! [`ScenarioSpec`](../../pbe_bench/sweep) with `scheme = "CHAOS_PANIC"` —
-//! no test-only hooks in the simulator.
+//! The failure-contained execution harness (per-scenario panic containment,
+//! quarantine) needs a scenario that *reliably* panics mid-run.  This scheme
+//! provides it through the same registry every real scheme uses, so a chaos
+//! scenario is an ordinary [`ScenarioSpec`](../../pbe_bench/sweep) with
+//! `scheme = "CHAOS_PANIC"` — no test-only hooks in the simulator.
 //!
-//! Neither scheme is part of the paper's evaluation; they are registered in
-//! the default registry (not the baseline set) so sweeps only run them when
-//! a grid asks by name.
+//! It is not part of the paper's evaluation; it is registered in the default
+//! registry (not the baseline set) so sweeps only run it when a grid asks by
+//! name.
 
 use crate::api::{AckInfo, CongestionControl, INITIAL_RATE_BPS, MSS_BYTES};
 use pbe_stats::time::Instant;
 
-/// Fixed window for both chaos schemes: 20 packets, enough to keep ACKs
+/// Fixed window of the chaos scheme: 20 packets, enough to keep ACKs
 /// flowing at the conservative initial rate.
 const CHAOS_CWND_BYTES: u64 = 20 * MSS_BYTES;
 
@@ -70,62 +69,6 @@ impl CongestionControl for ChaosPanic {
     }
 }
 
-/// A scheme that burns wall-clock time: every acknowledgement sleeps.
-///
-/// Used to trip the executor's per-scenario deadline.  The sleep happens in
-/// small increments with a total budget, so an abandoned watchdog thread
-/// finishes on its own instead of hanging for the life of the process.
-#[derive(Debug)]
-pub struct ChaosHang {
-    per_ack_ms: u64,
-    budget_ms: u64,
-    slept_ms: u64,
-}
-
-impl ChaosHang {
-    /// Sleep `per_ack_ms` per acknowledgement, up to `budget_ms` total.
-    pub fn new(per_ack_ms: u64, budget_ms: u64) -> Self {
-        ChaosHang {
-            per_ack_ms,
-            budget_ms,
-            slept_ms: 0,
-        }
-    }
-}
-
-impl Default for ChaosHang {
-    /// 20 ms per ACK, 2 s total — far past any test deadline, bounded
-    /// cleanup for the abandoned thread.
-    fn default() -> Self {
-        ChaosHang::new(20, 2_000)
-    }
-}
-
-impl CongestionControl for ChaosHang {
-    fn name(&self) -> &'static str {
-        "CHAOS_HANG"
-    }
-
-    fn on_ack(&mut self, _ack: &AckInfo) {
-        if self.slept_ms < self.budget_ms {
-            std::thread::sleep(std::time::Duration::from_millis(self.per_ack_ms));
-            self.slept_ms += self.per_ack_ms;
-        }
-    }
-
-    fn on_loss(&mut self, _now: Instant) {}
-
-    fn on_packet_sent(&mut self, _now: Instant, _bytes: u64, _inflight_bytes: u64) {}
-
-    fn pacing_rate_bps(&self) -> f64 {
-        INITIAL_RATE_BPS
-    }
-
-    fn cwnd_bytes(&self) -> u64 {
-        CHAOS_CWND_BYTES
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,17 +100,5 @@ mod tests {
         let payload = boom.expect_err("the third ack panics");
         let message = payload.downcast_ref::<String>().expect("string payload");
         assert!(message.contains("chaos: injected scheme panic"));
-    }
-
-    #[test]
-    fn chaos_hang_sleeps_only_up_to_its_budget() {
-        let mut cc = ChaosHang::new(1, 2);
-        let started = std::time::Instant::now();
-        for n in 0..50 {
-            cc.on_ack(&ack(n));
-        }
-        // 2 ms budget: 50 ACKs must not sleep 50 ms.
-        assert!(started.elapsed() < std::time::Duration::from_millis(40));
-        assert!(cc.pacing_rate_bps() > 0.0);
     }
 }

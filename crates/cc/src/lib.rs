@@ -35,7 +35,7 @@ pub mod windowed;
 
 pub use api::{AckInfo, CongestionControl, CongestionSignal, PbeFeedback, SchemeName, MSS_BYTES};
 pub use bbr::Bbr;
-pub use chaos::{ChaosHang, ChaosPanic};
+pub use chaos::ChaosPanic;
 pub use copa::Copa;
 pub use cubic::Cubic;
 pub use cubic_ecn::CubicEcn;

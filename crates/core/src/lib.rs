@@ -57,18 +57,14 @@ fn register_pbe(registry: &mut SchemeRegistry) {
 }
 
 /// The full default registry: the seven baselines and the two
-/// signaling-assisted variants, PBE-CC, and the chaos schemes the
-/// failure-containment tests select by name (they are not baselines —
-/// sweeps only run them when a grid asks for `CHAOS_PANIC` or `CHAOS_HANG`
-/// explicitly).
+/// signaling-assisted variants, PBE-CC, and the chaos scheme the
+/// failure-containment tests select by name (it is not a baseline — sweeps
+/// only run it when a grid asks for `CHAOS_PANIC` explicitly).
 pub fn default_scheme_registry() -> SchemeRegistry {
     let mut registry = SchemeRegistry::with_baselines();
     register_pbe(&mut registry);
     registry.register("CHAOS_PANIC", |_ctx: &SchemeCtx| {
         Box::new(pbe_cc_algorithms::ChaosPanic::default())
-    });
-    registry.register("CHAOS_HANG", |_ctx: &SchemeCtx| {
-        Box::new(pbe_cc_algorithms::ChaosHang::default())
     });
     registry
 }

@@ -61,7 +61,7 @@ fn main() {
     );
     println!(
         "The delay advantage reproduces; the throughput falls short of BBR's, most on busy \
-         cells (ROADMAP.md item 4)."
+         cells (ROADMAP.md item 2)."
     );
     println!("CUBIC shows the classic bufferbloat pattern: similar throughput, much higher delay.");
 }
