@@ -93,7 +93,7 @@ pub fn run_cached(
     // under `catch_unwind`, so no job reaches the pool with a panic.
     let mut executed = 0usize;
     let batch = (workers * 2).max(4);
-    let pool = WorkerPool::new(workers.clamp(1, misses.len().max(1)));
+    let pool = WorkerPool::new(workers);
     for batch_indices in misses.chunks(batch) {
         let results = pool.run_collect(batch_indices.len(), |j| {
             execute_guarded(&specs[batch_indices[j]])

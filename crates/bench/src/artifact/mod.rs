@@ -45,7 +45,7 @@ use std::path::PathBuf;
 /// Usage string of the `artifact` subcommand.
 pub const USAGE: &str = "usage: pbe-bench artifact (--all | --figure NAME)... [--list] \
 [--store DIR] [--out DIR] [--seconds N] [--workers N] [--serial] [--format text|csv|json]\n\
-       pbe-bench artifact verify --store DIR [--repair] [--seconds N] [--workers N]";
+       pbe-bench artifact verify --store DIR [--repair [--seconds N] [--workers N] [--serial]]";
 
 /// Parsed command line of `pbe-bench artifact`.
 #[derive(Debug, Clone)]
@@ -93,18 +93,28 @@ impl ArtifactArgs {
             parsed.verify = true;
             it.next();
         }
+        // Every flag given, under its long name: `verify` refuses the ones
+        // it would otherwise ignore.
+        let mut given: Vec<&str> = Vec::new();
         while let Some(arg) = it.next() {
+            let flag = match arg.as_str() {
+                "-o" => "--out",
+                "-w" => "--workers",
+                "-f" => "--format",
+                other => other,
+            };
+            given.push(flag);
             let mut value_of = |name: &str| {
                 it.next()
                     .cloned()
                     .ok_or_else(|| format!("{name} needs a value"))
             };
-            match arg.as_str() {
+            match flag {
                 "--all" => parsed.all = true,
                 "--list" => parsed.list = true,
                 "--figure" => parsed.figures.push(value_of("--figure")?),
                 "--store" => parsed.store = Some(PathBuf::from(value_of("--store")?)),
-                "--out" | "-o" => parsed.out = Some(PathBuf::from(value_of("--out")?)),
+                "--out" => parsed.out = Some(PathBuf::from(value_of("--out")?)),
                 "--seconds" => {
                     parsed.seconds = Some(
                         value_of("--seconds")?
@@ -114,14 +124,14 @@ impl ArtifactArgs {
                             .ok_or_else(|| "--seconds expects a positive integer".to_string())?,
                     )
                 }
-                "--workers" | "-w" => {
+                "--workers" => {
                     parsed.workers = value_of("--workers")?
                         .parse()
                         .map_err(|_| "--workers expects a count".to_string())?
                 }
                 "--serial" => parsed.workers = 1,
                 "--repair" => parsed.repair = true,
-                "--format" | "-f" => {
+                "--format" => {
                     parsed.format = match value_of("--format")?.as_str() {
                         "text" => OutputFormat::Text,
                         "csv" => OutputFormat::Csv,
@@ -134,16 +144,24 @@ impl ArtifactArgs {
                 other => return Err(format!("unknown argument `{other}`")),
             }
         }
+        let first_of = |flags: &[&str]| given.iter().copied().find(|f| flags.contains(f));
         if parsed.verify {
             if parsed.store.is_none() {
                 return Err("artifact verify needs --store DIR".into());
             }
-            if parsed.all || parsed.list || !parsed.figures.is_empty() || parsed.out.is_some() {
-                return Err(
-                    "artifact verify checks the whole store: --all, --figure, --list and --out \
-                     do not apply"
-                        .into(),
-                );
+            if let Some(flag) = first_of(&["--all", "--figure", "--list", "--out", "--format"]) {
+                return Err(format!(
+                    "artifact verify checks the whole store and prints no tables: {flag} does \
+                     not apply"
+                ));
+            }
+            if !parsed.repair {
+                if let Some(flag) = first_of(&["--seconds", "--workers", "--serial"]) {
+                    return Err(format!(
+                        "{flag} only applies to `artifact verify --repair`, which re-executes \
+                         points"
+                    ));
+                }
             }
         } else if parsed.repair {
             return Err("--repair only applies to `artifact verify`".into());
@@ -411,17 +429,36 @@ mod tests {
         // verify needs a store; --repair belongs to verify alone.
         assert!(parse(&["verify"]).is_err());
         assert!(parse(&["--all", "--store", "/tmp/s", "--repair"]).is_err());
-        // verify checks the whole store, so a figure selection or an output
-        // directory would be silently ignored: each is refused instead.
+        // verify checks the whole store and prints no tables, so a figure
+        // selection, an output directory or a format would be silently
+        // ignored: each is refused instead.
         for extra in [
             &["--all"][..],
             &["--figure", "table1"],
             &["--list"],
             &["--out", "/tmp/o"],
+            &["--format", "json"],
+            &["-f", "csv"],
+            &["--repair", "--format", "text"],
         ] {
             let mut line = vec!["verify", "--store", "/tmp/s"];
             line.extend_from_slice(extra);
             assert!(parse(&line).is_err(), "verify accepted {extra:?}");
+        }
+        // Only the repair path runs simulations: without --repair, the flags
+        // that size them are refused, wherever --repair would have gone.
+        for extra in [
+            &["--seconds", "2"][..],
+            &["--workers", "2"],
+            &["-w", "0"],
+            &["--serial"],
+        ] {
+            let mut line = vec!["verify", "--store", "/tmp/s"];
+            line.extend_from_slice(extra);
+            let err = parse(&line).expect_err("verify without --repair");
+            assert!(err.contains("--repair"), "{err}");
+            line.push("--repair");
+            assert!(parse(&line).is_ok(), "verify --repair refused {extra:?}");
         }
     }
 }

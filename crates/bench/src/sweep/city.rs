@@ -78,9 +78,6 @@ pub struct CityScale {
     pub cells_per_ue: usize,
     /// Sampling step of the compiled RSSI traces, milliseconds.
     pub trace_step_ms: u64,
-    /// Shard count handed to the simulator (`None` = one shard, unless
-    /// `PBE_FORCE_SHARDS` overrides it).
-    pub shards: Option<usize>,
     /// Cap on the number of UEs that get a foreground bulk flow (`None` =
     /// every UE).  Metro-scale runs register thousands of radio users (at
     /// most 65,268, the foreground RNTI space) but monitor a handful of
@@ -104,7 +101,6 @@ impl CityScale {
             scheme: SchemeChoice::Pbe,
             cells_per_ue: 4,
             trace_step_ms: 250,
-            shards: None,
             max_flows: None,
         }
     }
@@ -140,13 +136,6 @@ impl CityScale {
     /// Set the background-load profile.
     pub fn load(mut self, load: CellLoadProfile) -> Self {
         self.load = load;
-        self
-    }
-
-    /// Tick the city on this many shards (byte-identical for every count;
-    /// only the wall clock changes).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
         self
     }
 
@@ -270,7 +259,6 @@ impl CityScale {
             .cellular(cellular)
             .load(self.load)
             .seed(self.seed);
-        spec.shards = self.shards;
         for i in 0..self.ues {
             let ue = UeId(i + 1);
             let path = self.waypoint_path(i);

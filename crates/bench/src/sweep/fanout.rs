@@ -44,9 +44,6 @@ pub struct Fanout {
     pub load: CellLoadProfile,
     /// Scheme driving every flow (sweepable via the grid).
     pub scheme: SchemeChoice,
-    /// Shard count handed to the simulator (`None` = one shard, unless
-    /// `PBE_FORCE_SHARDS` overrides it).
-    pub shards: Option<usize>,
     /// Line rate of the shared aggregation link, bits per second.
     pub agg_rate_bps: f64,
     /// Queue limit of the aggregation link, bytes.
@@ -75,7 +72,6 @@ impl Fanout {
             seed: 0xFA0,
             load: CellLoadProfile::none(),
             scheme: SchemeChoice::named("CUBIC"),
-            shards: None,
             agg_rate_bps: 200e6,
             agg_queue_bytes: 500_000,
             agg_mark_threshold_bytes: Some(250_000),
@@ -111,14 +107,6 @@ impl Fanout {
     /// Set the background-load profile.
     pub fn load(mut self, load: CellLoadProfile) -> Self {
         self.load = load;
-        self
-    }
-
-    /// Tick the radio network on this many shards (byte-identical for every
-    /// count — the backhaul is stepped in the driver loop either way; only
-    /// the wall clock changes).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
         self
     }
 
@@ -182,7 +170,6 @@ impl Fanout {
             .load(self.load)
             .seed(self.seed)
             .backhaul(self.backhaul());
-        spec.shards = self.shards;
         for i in 0..self.flows {
             let ue = UeId(i + 1);
             let cell = CellId((i % u32::from(self.cells)) as u16);

@@ -14,9 +14,8 @@
 //!   seed axis.  [`SweepGrid::expand`] produces the full cross product,
 //!   exactly once per point, in a deterministic order.
 //! * [`run_cached`](crate::artifact::run_cached) — executes a list of specs
-//!   across OS threads on the shared in-tree worker pool
-//!   ([`pbe_stats::pool`], also the dispatch layer of the sharded tick
-//!   engine), with or without a result store.  Every scenario's randomness
+//!   across OS threads on the in-tree worker pool ([`pbe_stats::pool`]),
+//!   with or without a result store.  Every scenario's randomness
 //!   derives from its spec alone ([`pbe_stats::derive_seed`]), so a parallel
 //!   sweep is byte-identical to a serial one; only the wall clock changes.
 //! * [`SweepReport`] — the aggregated outcome: per-scenario

@@ -44,8 +44,10 @@ pub struct ScenarioSpec {
     /// Per-cell trajectory overrides (multi-cell mobility — the city-scale
     /// and handover scenario families).
     pub trajectories: Vec<CellTrajectory>,
-    /// Shard count for the cellular tick engine (`None` = one shard; every
-    /// count is byte-identical).
+    /// Accepted and ignored, like [`SimConfig::shards`].  It stays because
+    /// the spec's JSON serializes it, and the repo benchmark's `paper_sweep`
+    /// result digest hashes that JSON; ROADMAP item 4 drops the benchmark's
+    /// use and item 7 deletes the field.
     pub shards: Option<usize>,
     /// Shared wired backhaul topology (`None` = per-flow private paths; see
     /// [`SimConfig::backhaul`]).

@@ -162,6 +162,21 @@ pub struct CongestionSignal {
 }
 
 /// The sender-side congestion-control interface.
+///
+/// # State contract
+///
+/// [`pacing_rate_bps`](CongestionControl::pacing_rate_bps) and
+/// [`cwnd_bytes`](CongestionControl::cwnd_bytes) are pure reads of the
+/// controller's state, and that state changes only inside the `&mut self`
+/// calls: [`on_ack`](CongestionControl::on_ack),
+/// [`on_loss`](CongestionControl::on_loss),
+/// [`on_signal`](CongestionControl::on_signal) and
+/// [`on_packet_sent`](CongestionControl::on_packet_sent).  Neither value
+/// depends on interior mutability (state behind `&self` in a `Cell`,
+/// `RefCell`, atomic or lock), on the wall clock, or on how often it is
+/// read.  So between two `&mut` calls each value is constant, and a driver
+/// may cache it after a `&mut` call and reuse it until the next one without
+/// changing a byte of output.
 pub trait CongestionControl: Send {
     /// Human-readable scheme name (matches [`SchemeName::as_str`]).
     fn name(&self) -> &'static str;
@@ -177,9 +192,12 @@ pub trait CongestionControl: Send {
     fn on_packet_sent(&mut self, now: Instant, bytes: u64, inflight_bytes: u64);
 
     /// The rate the sender should currently pace packets at, bits per second.
+    /// Changes only inside a `&mut self` call (see the state contract
+    /// above).
     fn pacing_rate_bps(&self) -> f64;
 
-    /// The maximum number of bytes the sender may keep in flight.
+    /// The maximum number of bytes the sender may keep in flight.  Changes
+    /// only inside a `&mut self` call (see the state contract above).
     fn cwnd_bytes(&self) -> u64;
 
     /// Fraction of time spent in an Internet-bottleneck state (only PBE-CC

@@ -25,9 +25,8 @@
 //!   load, heavy-tailed flow sizes) ([`traffic`]).
 //! * The [`shard::ShardedNetwork`] tick engine that ties all of the above
 //!   into the per-subframe data path used by the end-to-end simulator: the
-//!   per-UE phases walk one UeId-ordered lane on the caller, and the cell
-//!   tick runs inline or split across shards of contiguous cells, with
-//!   byte-identical results.
+//!   per-UE phases walk one UeId-ordered lane and the cell tick walks the
+//!   cells in configured order, all on the caller.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,9 +1,9 @@
-//! The report types of the radio-access-network tick and the one-shard
-//! network under its historical name.
+//! The report types of the radio-access-network tick and the network under
+//! its historical name.
 //!
 //! The engine itself — cells, UEs, carrier aggregation, handover and the
-//! per-subframe data path — is [`ShardedNetwork`]; one shard is the whole
-//! network ticked inline on the caller.  This module holds what a tick
+//! per-subframe data path — is [`ShardedNetwork`], which ticks the whole
+//! network on the caller.  This module holds what a tick
 //! reports ([`NetworkTickReport`], [`Delivery`], [`RlfOutcome`]) and the
 //! behavioural unit tests of the engine.
 
@@ -73,13 +73,13 @@ pub struct NetworkTickReport {
     pub handovers: Vec<HandoverEvent>,
 }
 
-/// A one-shard [`ShardedNetwork`] under the name the serial engine had.
-/// The frozen `benchmark/` package constructs the network by this name; a
-/// later benchmark PR may drop it.
+/// A [`ShardedNetwork`] under the name the serial engine had.  The
+/// `benchmark/` package constructs the network by this name; ROADMAP item 7
+/// deletes it once that package stops.
 pub struct CellularNetwork(ShardedNetwork);
 
 impl CellularNetwork {
-    /// Build the network as one shard (no worker threads).
+    /// Build the network.
     pub fn new(config: CellularConfig, load: CellLoadProfile, seed: u64) -> Self {
         CellularNetwork(ShardedNetwork::new(config, load, seed, 1))
     }
@@ -107,11 +107,6 @@ mod tests {
     fn network(load: CellLoadProfile) -> CellularNetwork {
         CellularNetwork::new(CellularConfig::default(), load, 42)
     }
-
-    /// The shard counts the handover / outage / RLF tests run at: the whole
-    /// network inline, and split so that cell 0 and its neighbours live in
-    /// different shards.
-    const SHARD_COUNTS: [usize; 2] = [1, 2];
 
     fn add_default_ue(net: &mut ShardedNetwork, max_cells: usize) -> UeId {
         let ue = UeId(1);
@@ -295,10 +290,10 @@ mod tests {
 
     /// Two-cell setup where the UE walks from cell 0's coverage into
     /// cell 1's: cell 0 fades −85 → −110 dBm while cell 1 rises −110 → −85.
-    fn crossing_network(shards: usize) -> (ShardedNetwork, UeId) {
+    fn crossing_network() -> (ShardedNetwork, UeId) {
         let mut config = CellularConfig::default();
         config.handover.min_interval_ms = 500;
-        let mut net = ShardedNetwork::new(config, CellLoadProfile::none(), 7, shards);
+        let mut net = ShardedNetwork::new(config, CellLoadProfile::none(), 7, 1);
         let ue = UeId(1);
         net.add_ue(
             UeConfig::new(ue, vec![CellId(0), CellId(1)], 1, -85.0),
@@ -319,150 +314,143 @@ mod tests {
 
     #[test]
     fn boundary_crossing_trace_triggers_handover() {
-        for shards in SHARD_COUNTS {
-            let (mut net, ue) = crossing_network(shards);
-            assert_eq!(net.serving_cell(ue), Some(CellId(0)));
-            let mut pid = 0u64;
-            let mut handovers: Vec<HandoverEvent> = Vec::new();
-            let mut delivered_after = 0u64;
-            for sf in 0..6000u64 {
-                let now = Instant::from_millis(sf);
-                for _ in 0..4 {
-                    net.enqueue_packet(ue, pid, 1500, now);
-                    pid += 1;
-                }
-                let report = net.tick(now);
-                handovers.extend(report.handovers.iter().copied());
-                if !handovers.is_empty() {
-                    delivered_after +=
-                        report.deliveries.iter().filter(|d| d.delivered).count() as u64;
-                }
+        let (mut net, ue) = crossing_network();
+        assert_eq!(net.serving_cell(ue), Some(CellId(0)));
+        let mut pid = 0u64;
+        let mut handovers: Vec<HandoverEvent> = Vec::new();
+        let mut delivered_after = 0u64;
+        for sf in 0..6000u64 {
+            let now = Instant::from_millis(sf);
+            for _ in 0..4 {
+                net.enqueue_packet(ue, pid, 1500, now);
+                pid += 1;
             }
-            assert!(!handovers.is_empty(), "the crossing triggers a handover");
-            let first = handovers[0];
-            assert_eq!(first.ue, ue);
-            assert_eq!(first.from, CellId(0));
-            assert_eq!(first.to, CellId(1));
-            // The trigger should land around the RSRP crossing point (2 s into
-            // the walk), delayed by the L3 filter + TTT, not at the very end.
-            assert!(
-                (1_500..4_000).contains(&first.at.as_millis()),
-                "handover at {}",
-                first.at
-            );
-            assert_eq!(net.serving_cell(ue), Some(CellId(1)));
-            assert!(
-                delivered_after > 1_000,
-                "data keeps flowing on the target cell: {delivered_after}"
-            );
+            let report = net.tick(now);
+            handovers.extend(report.handovers.iter().copied());
+            if !handovers.is_empty() {
+                delivered_after += report.deliveries.iter().filter(|d| d.delivered).count() as u64;
+            }
         }
+        assert!(!handovers.is_empty(), "the crossing triggers a handover");
+        let first = handovers[0];
+        assert_eq!(first.ue, ue);
+        assert_eq!(first.from, CellId(0));
+        assert_eq!(first.to, CellId(1));
+        // The trigger should land around the RSRP crossing point (2 s into
+        // the walk), delayed by the L3 filter + TTT, not at the very end.
+        assert!(
+            (1_500..4_000).contains(&first.at.as_millis()),
+            "handover at {}",
+            first.at
+        );
+        assert_eq!(net.serving_cell(ue), Some(CellId(1)));
+        assert!(
+            delivered_after > 1_000,
+            "data keeps flowing on the target cell: {delivered_after}"
+        );
     }
 
     #[test]
     fn handover_forwards_in_flight_data_without_mass_loss() {
-        for shards in SHARD_COUNTS {
-            let (mut net, ue) = crossing_network(shards);
-            let mut pid = 0u64;
-            let mut delivered_ids: Vec<u64> = Vec::new();
-            for sf in 0..6000u64 {
-                let now = Instant::from_millis(sf);
-                for _ in 0..4 {
-                    net.enqueue_packet(ue, pid, 1500, now);
-                    pid += 1;
-                }
-                let report = net.tick(now);
-                delivered_ids.extend(
-                    report
-                        .deliveries
-                        .iter()
-                        .filter(|d| d.delivered)
-                        .map(|d| d.packet_id),
-                );
+        let (mut net, ue) = crossing_network();
+        let mut pid = 0u64;
+        let mut delivered_ids: Vec<u64> = Vec::new();
+        for sf in 0..6000u64 {
+            let now = Instant::from_millis(sf);
+            for _ in 0..4 {
+                net.enqueue_packet(ue, pid, 1500, now);
+                pid += 1;
             }
-            // No packet is delivered twice — in particular not across the
-            // handover, where a flushed final segment and the forwarded HARQ
-            // remainder of the same packet could each produce one.
-            let total = delivered_ids.len();
-            delivered_ids.sort_unstable();
-            delivered_ids.dedup();
-            assert_eq!(total, delivered_ids.len(), "duplicate deliveries");
-            let (delivered, lost) = net.ue_stats(ue);
-            assert!(delivered > 20_000, "delivered {delivered}");
-            // The walk spends seconds at the −110 dBm cell edge, where HARQ
-            // exhaustion losses are expected; the handover itself must not add
-            // bulk loss on top (forwarding, not dropping, the in-flight data).
-            assert!(
-                (lost as f64) < 0.02 * delivered as f64,
-                "lost {lost} vs delivered {delivered}"
+            let report = net.tick(now);
+            delivered_ids.extend(
+                report
+                    .deliveries
+                    .iter()
+                    .filter(|d| d.delivered)
+                    .map(|d| d.packet_id),
             );
         }
+        // No packet is delivered twice — in particular not across the
+        // handover, where a flushed final segment and the forwarded HARQ
+        // remainder of the same packet could each produce one.
+        let total = delivered_ids.len();
+        delivered_ids.sort_unstable();
+        delivered_ids.dedup();
+        assert_eq!(total, delivered_ids.len(), "duplicate deliveries");
+        let (delivered, lost) = net.ue_stats(ue);
+        assert!(delivered > 20_000, "delivered {delivered}");
+        // The walk spends seconds at the −110 dBm cell edge, where HARQ
+        // exhaustion losses are expected; the handover itself must not add
+        // bulk loss on top (forwarding, not dropping, the in-flight data).
+        assert!(
+            (lost as f64) < 0.02 * delivered as f64,
+            "lost {lost} vs delivered {delivered}"
+        );
     }
 
     #[test]
     fn carrier_aggregation_still_works_after_a_handover() {
-        for shards in SHARD_COUNTS {
-            // A CA-capable UE hands over, then offers more than the new serving
-            // cell can carry: the CA machinery must be able to re-activate the
-            // *old* serving cell as a secondary — which the handover detached
-            // the UE from, so the activation must attach it again (an
-            // unattached cell would black-hole the flow-split packets).
-            let mut config = CellularConfig::default();
-            config.handover.min_interval_ms = 500;
-            config.ca_activation_subframes = 50;
-            let mut net = ShardedNetwork::new(config, CellLoadProfile::none(), 7, shards);
-            let ue = UeId(1);
-            net.add_ue(
-                UeConfig::new(ue, vec![CellId(0), CellId(1)], 2, -85.0),
-                MobilityTrace::stationary(-85.0),
-            );
-            // Cross from cell 0 to cell 1, then stay strong on both so the UE
-            // keeps decent rates on the re-activated secondary.
-            net.set_cell_trace(
-                ue,
-                CellId(0),
-                MobilityTrace::from_secs(&[(0.0, -85.0), (2.0, -100.0), (4.0, -88.0)]),
-            );
-            net.set_cell_trace(
-                ue,
-                CellId(1),
-                MobilityTrace::from_secs(&[(0.0, -100.0), (2.0, -85.0), (4.0, -85.0)]),
-            );
-            let mut pid = 0u64;
-            let mut handed_over = false;
-            let mut reaggregated = false;
-            let mut delivered_after_ca = 0u64;
-            for sf in 0..10_000u64 {
-                let now = Instant::from_millis(sf);
-                // Offer far more than one 20 MHz cell can carry.
-                for _ in 0..20 {
-                    net.enqueue_packet(ue, pid, 1500, now);
-                    pid += 1;
-                }
-                let report = net.tick(now);
-                handed_over |= !report.handovers.is_empty();
-                if handed_over && net.active_cells(ue).len() >= 2 {
-                    reaggregated = true;
-                }
-                if reaggregated {
-                    delivered_after_ca +=
-                        report.deliveries.iter().filter(|d| d.delivered).count() as u64;
-                }
+        // A CA-capable UE hands over, then offers more than the new serving
+        // cell can carry: the CA machinery must be able to re-activate the
+        // *old* serving cell as a secondary — which the handover detached
+        // the UE from, so the activation must attach it again (an
+        // unattached cell would black-hole the flow-split packets).
+        let mut config = CellularConfig::default();
+        config.handover.min_interval_ms = 500;
+        config.ca_activation_subframes = 50;
+        let mut net = ShardedNetwork::new(config, CellLoadProfile::none(), 7, 1);
+        let ue = UeId(1);
+        net.add_ue(
+            UeConfig::new(ue, vec![CellId(0), CellId(1)], 2, -85.0),
+            MobilityTrace::stationary(-85.0),
+        );
+        // Cross from cell 0 to cell 1, then stay strong on both so the UE
+        // keeps decent rates on the re-activated secondary.
+        net.set_cell_trace(
+            ue,
+            CellId(0),
+            MobilityTrace::from_secs(&[(0.0, -85.0), (2.0, -100.0), (4.0, -88.0)]),
+        );
+        net.set_cell_trace(
+            ue,
+            CellId(1),
+            MobilityTrace::from_secs(&[(0.0, -100.0), (2.0, -85.0), (4.0, -85.0)]),
+        );
+        let mut pid = 0u64;
+        let mut handed_over = false;
+        let mut reaggregated = false;
+        let mut delivered_after_ca = 0u64;
+        for sf in 0..10_000u64 {
+            let now = Instant::from_millis(sf);
+            // Offer far more than one 20 MHz cell can carry.
+            for _ in 0..20 {
+                net.enqueue_packet(ue, pid, 1500, now);
+                pid += 1;
             }
-            assert!(handed_over, "the crossing hands over");
-            assert!(
-                reaggregated,
-                "carrier aggregation re-activates a secondary after the handover"
-            );
-            assert!(
-                delivered_after_ca > 1_000,
-                "packets keep flowing on the re-aggregated cells: {delivered_after_ca}"
-            );
+            let report = net.tick(now);
+            handed_over |= !report.handovers.is_empty();
+            if handed_over && net.active_cells(ue).len() >= 2 {
+                reaggregated = true;
+            }
+            if reaggregated {
+                delivered_after_ca +=
+                    report.deliveries.iter().filter(|d| d.delivered).count() as u64;
+            }
         }
+        assert!(handed_over, "the crossing hands over");
+        assert!(
+            reaggregated,
+            "carrier aggregation re-activates a secondary after the handover"
+        );
+        assert!(
+            delivered_after_ca > 1_000,
+            "packets keep flowing on the re-aggregated cells: {delivered_after_ca}"
+        );
     }
 
     #[test]
     fn disabled_handover_keeps_the_serving_cell() {
-        let (mut net_ho, ue) = crossing_network(1);
+        let (mut net_ho, ue) = crossing_network();
         let mut config = CellularConfig::default();
         config.handover.enabled = false;
         let mut net_static = CellularNetwork::new(config, CellLoadProfile::none(), 7);
@@ -526,104 +514,92 @@ mod tests {
 
     #[test]
     fn cell_outage_forces_rlf_reselection_and_data_continues() {
-        for shards in SHARD_COUNTS {
-            let mut net = ShardedNetwork::new(
-                CellularConfig::default(),
-                CellLoadProfile::none(),
-                42,
-                shards,
-            );
-            let ue = add_default_ue(&mut net, 1);
-            let mut pid = 0u64;
-            // Warm up: measurements populate the L3 filter for the neighbours.
-            for sf in 0..1000u64 {
-                let now = Instant::from_millis(sf);
-                net.enqueue_packet(ue, pid, 1500, now);
-                pid += 1;
-                net.tick(now);
-            }
-            assert_eq!(net.serving_cell(ue), Some(CellId(0)));
-
-            // Outage: cell 0 goes dark; residents reported in UeId order.
-            let residents = net.set_cell_outage(CellId(0), true);
-            assert_eq!(residents, vec![ue]);
-            assert!(net.cell_is_down(CellId(0)));
-
-            // Detection window: the down cell schedules nothing.
-            for sf in 1000..1040u64 {
-                let now = Instant::from_millis(sf);
-                net.enqueue_packet(ue, pid, 1500, now);
-                pid += 1;
-                let report = net.tick(now);
-                assert!(
-                    report.cell_reports[0].dci_messages.is_empty(),
-                    "down cell stays silent at subframe {sf}"
-                );
-            }
-
-            // RLF: the UE re-selects a live neighbour and its queued data is
-            // forwarded, not stranded.
-            let mut deliveries = Vec::new();
-            let outcome = net.declare_rlf(CellId(0), Instant::from_millis(1040), &mut deliveries);
-            assert_eq!(outcome.events.len(), 1);
-            assert_eq!(outcome.events[0].from, CellId(0));
-            assert_ne!(outcome.events[0].to, CellId(0));
-            assert!(outcome.stayed.is_empty());
-            assert_eq!(outcome.stranded_packets, 0);
-            let target = outcome.events[0].to;
-            assert_eq!(net.serving_cell(ue), Some(target));
-
-            // Data keeps flowing on the target while cell 0 is still down.
-            let mut delivered = 0u64;
-            for sf in 1041..1600u64 {
-                let now = Instant::from_millis(sf);
-                net.enqueue_packet(ue, pid, 1500, now);
-                pid += 1;
-                let report = net.tick(now);
-                delivered += report.deliveries.iter().filter(|d| d.delivered).count() as u64;
-            }
-            assert!(delivered > 400, "delivered {delivered} on the target cell");
+        let mut net =
+            ShardedNetwork::new(CellularConfig::default(), CellLoadProfile::none(), 42, 1);
+        let ue = add_default_ue(&mut net, 1);
+        let mut pid = 0u64;
+        // Warm up: measurements populate the L3 filter for the neighbours.
+        for sf in 0..1000u64 {
+            let now = Instant::from_millis(sf);
+            net.enqueue_packet(ue, pid, 1500, now);
+            pid += 1;
+            net.tick(now);
         }
+        assert_eq!(net.serving_cell(ue), Some(CellId(0)));
+
+        // Outage: cell 0 goes dark; residents reported in UeId order.
+        let residents = net.set_cell_outage(CellId(0), true);
+        assert_eq!(residents, vec![ue]);
+        assert!(net.cell_is_down(CellId(0)));
+
+        // Detection window: the down cell schedules nothing.
+        for sf in 1000..1040u64 {
+            let now = Instant::from_millis(sf);
+            net.enqueue_packet(ue, pid, 1500, now);
+            pid += 1;
+            let report = net.tick(now);
+            assert!(
+                report.cell_reports[0].dci_messages.is_empty(),
+                "down cell stays silent at subframe {sf}"
+            );
+        }
+
+        // RLF: the UE re-selects a live neighbour and its queued data is
+        // forwarded, not stranded.
+        let mut deliveries = Vec::new();
+        let outcome = net.declare_rlf(CellId(0), Instant::from_millis(1040), &mut deliveries);
+        assert_eq!(outcome.events.len(), 1);
+        assert_eq!(outcome.events[0].from, CellId(0));
+        assert_ne!(outcome.events[0].to, CellId(0));
+        assert!(outcome.stayed.is_empty());
+        assert_eq!(outcome.stranded_packets, 0);
+        let target = outcome.events[0].to;
+        assert_eq!(net.serving_cell(ue), Some(target));
+
+        // Data keeps flowing on the target while cell 0 is still down.
+        let mut delivered = 0u64;
+        for sf in 1041..1600u64 {
+            let now = Instant::from_millis(sf);
+            net.enqueue_packet(ue, pid, 1500, now);
+            pid += 1;
+            let report = net.tick(now);
+            delivered += report.deliveries.iter().filter(|d| d.delivered).count() as u64;
+        }
+        assert!(delivered > 400, "delivered {delivered} on the target cell");
     }
 
     #[test]
     fn rlf_with_no_live_neighbour_strands_the_queue() {
-        for shards in SHARD_COUNTS {
-            let mut net = ShardedNetwork::new(
-                CellularConfig::default(),
-                CellLoadProfile::none(),
-                42,
-                shards,
-            );
-            let ue = UeId(1);
-            net.add_ue(
-                UeConfig::new(ue, vec![CellId(0)], 1, -85.0),
-                MobilityTrace::stationary(-85.0),
-            );
-            for sf in 0..50u64 {
-                let now = Instant::from_millis(sf);
-                net.tick(now);
-            }
-            net.set_cell_outage(CellId(0), true);
-            // Packets arriving during the outage pile up at the dead cell.
-            for i in 0..10u64 {
-                net.enqueue_packet(ue, i, 1500, Instant::from_millis(50));
-            }
-            let mut deliveries = Vec::new();
-            let outcome = net.declare_rlf(CellId(0), Instant::from_millis(90), &mut deliveries);
-            assert!(outcome.events.is_empty(), "nowhere to go");
-            assert_eq!(outcome.stayed, vec![ue]);
-            assert_eq!(outcome.stranded_packets, 10);
-            assert_eq!(net.serving_cell(ue), Some(CellId(0)));
-            // Service returns: the stranded queue drains.
-            net.set_cell_outage(CellId(0), false);
-            let mut delivered = 0u64;
-            for sf in 91..200u64 {
-                let report = net.tick(Instant::from_millis(sf));
-                delivered += report.deliveries.iter().filter(|d| d.delivered).count() as u64;
-            }
-            assert_eq!(delivered, 10, "the stranded packets deliver on recovery");
+        let mut net =
+            ShardedNetwork::new(CellularConfig::default(), CellLoadProfile::none(), 42, 1);
+        let ue = UeId(1);
+        net.add_ue(
+            UeConfig::new(ue, vec![CellId(0)], 1, -85.0),
+            MobilityTrace::stationary(-85.0),
+        );
+        for sf in 0..50u64 {
+            let now = Instant::from_millis(sf);
+            net.tick(now);
         }
+        net.set_cell_outage(CellId(0), true);
+        // Packets arriving during the outage pile up at the dead cell.
+        for i in 0..10u64 {
+            net.enqueue_packet(ue, i, 1500, Instant::from_millis(50));
+        }
+        let mut deliveries = Vec::new();
+        let outcome = net.declare_rlf(CellId(0), Instant::from_millis(90), &mut deliveries);
+        assert!(outcome.events.is_empty(), "nowhere to go");
+        assert_eq!(outcome.stayed, vec![ue]);
+        assert_eq!(outcome.stranded_packets, 10);
+        assert_eq!(net.serving_cell(ue), Some(CellId(0)));
+        // Service returns: the stranded queue drains.
+        net.set_cell_outage(CellId(0), false);
+        let mut delivered = 0u64;
+        for sf in 91..200u64 {
+            let report = net.tick(Instant::from_millis(sf));
+            delivered += report.deliveries.iter().filter(|d| d.delivered).count() as u64;
+        }
+        assert_eq!(delivered, 10, "the stranded packets deliver on recovery");
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The radio-access-network tick engine: cells, UEs, carrier aggregation,
-//! inter-cell handover and the per-subframe data path, with the cell tick
-//! split across one or more deterministic shards.
+//! inter-cell handover and the per-subframe data path.
 //!
 //! [`ShardedNetwork`] is the boundary the end-to-end simulator talks to: the
 //! wired path hands it downlink packets ([`ShardedNetwork::enqueue_packet`]),
@@ -12,36 +11,30 @@
 //!
 //! A UE's [`UserEquipment`] is its one record: channels, reordering buffers,
 //! L3 filters, A3 and carrier-aggregation state.  The records live in one
-//! lane in UeId order, and every per-UE phase walks that lane on the calling
-//! thread.  UEs couple cells — an aggregated UE is staged into, and takes
-//! outcomes from, several cells, and a handover drains one cell into
-//! another — so only the cell tick is independent per cell, and it is the
-//! one phase that runs in parallel.  Shards split cells, not UEs: the
-//! configured cell order is cut into `shards` contiguous runs (the
-//! `CityScale` generator emits its grid row-major, so a run is
-//! geo-contiguous), and each run ticks on a persistent [`WorkerPool`] into
-//! the matching run of the report's per-cell slots.  One shard has no pool
-//! and ticks every cell inline.  The module has no `unsafe`, and the crate
-//! forbids it.
+//! lane in UeId order, and every phase runs on the calling thread: the
+//! per-UE phases walk the lane, and the cell tick walks the cells in
+//! configured order.  The engine's name is older than that: it once split
+//! the cell tick across worker threads, which never beat one thread, and
+//! the shard count [`ShardedNetwork::new`] still takes is ignored.  The
+//! module has no `unsafe`, and the crate forbids it.
 //!
 //! ```text
-//! phase 1  sample, stage, A3     the UE lane, UeId order         caller
-//! phase 2  execute handovers     A3 decisions, UeId order        caller
-//! phase 3  tick cells            run 0 │ run 1 │ … │ run n-1      pool
-//! phase 4  deliver, CA, sleep    cell reports in configured      caller
-//!                                order, then the UE lane
+//! phase 1  sample, stage, A3     the UE lane, UeId order
+//! phase 2  execute handovers     A3 decisions, UeId order
+//! phase 3  tick cells            configured cell order
+//! phase 4  deliver, CA, sleep    cell reports in configured order, then
+//!                                the UE lane
 //! ```
 //!
 //! The correctness bar is **byte-identity**: the [`NetworkTickReport`]
-//! stream (and everything downstream of it) is the same bytes for every
-//! shard count.  Every tick-time random draw comes from a stream owned by
-//! exactly one cell (`split_indexed("cell"/"bg", cell_id)`) or one (UE, cell)
-//! channel (`split_indexed("chan", …)`), derived from the seed at
-//! construction.  A cell's tick reads only its own state and the channel
-//! states staged on it, and writes only its own report slot, so the runs
-//! cannot see one another.  Everything else happens on the caller in a fixed
-//! order: handovers in UeId order, deliveries in (cell, outcome, event)
-//! order, CA events in UeId order.
+//! stream (and everything downstream of it) is a pure function of the
+//! configuration and the seed.  Every tick-time random draw comes from a
+//! stream owned by exactly one cell (`split_indexed("cell"/"bg", cell_id)`)
+//! or one (UE, cell) channel (`split_indexed("chan", …)`), derived from the
+//! seed at construction.  A cell's tick reads only its own state and the
+//! channel states staged on it, and writes only its own report slot.
+//! Everything else happens in a fixed order: handovers in UeId order,
+//! deliveries in (cell, outcome, event) order, CA events in UeId order.
 //!
 //! Idle UEs cost nothing on ordinary subframes.  The lane keeps an `awake`
 //! flag per UE: enqueueing a packet for a UE, replacing one of its traces or
@@ -76,14 +69,7 @@
 //! ([`ShardedNetwork::add_ue_with_traces`]) and allocates nothing of its
 //! own; a link's spatial-stream count comes from the dense cell table, and
 //! the `"chan"` parent of every channel's random stream is split once per
-//! network.  On the seed-1
-//! `metro_idle` network (10,000 UEs, 100 cells, 37,427 rows; medians
-//! of 75 in-process builds and 375 measurement subframes on 2 vCPUs), a
-//! measurement subframe went from 4.3 ms to 3.7 ms, building the network
-//! from 18.1 ms to 10.8 ms (1.8 µs to 1.1 µs per UE) and freeing it from
-//! 3.0 ms to 1.1 ms.  The build went from about 7.7 heap blocks per UE (a
-//! trace clone per row, a vector of channel models and one of rows) to the
-//! UE's configuration alone plus the lane's growth.
+//! network.  `docs/ARCHITECTURE.md` has what this saved on `metro_idle`.
 //!
 //! A cell holds lanes only for the UEs it has been active for: adding a UE
 //! attaches it to its primary cell, a carrier-aggregation activation
@@ -118,7 +104,6 @@ use crate::reorder::ReorderPool;
 use crate::slab::{SlotInsert, UeSlots};
 use crate::traffic::{BackgroundTraffic, CellLoadProfile};
 use crate::ue::{PacketEvent, RowTable, UserEquipment};
-use pbe_stats::pool::WorkerPool;
 use pbe_stats::time::{Duration, Instant};
 use pbe_stats::{DetRng, FxHashMap};
 
@@ -225,21 +210,11 @@ fn close_delivery(packet_bytes: &mut FxHashMap<u64, u32>, e: &PacketEvent) -> De
     }
 }
 
-/// Tick a run of cells into the matching run of per-cell report slots.
-fn tick_cells(cells: &mut [Cell], reports: &mut [SubframeReport], subframe: u64) {
-    for (cell, report) in cells.iter_mut().zip(reports) {
-        cell.tick_prepared(subframe, report);
-    }
-}
-
-/// The simulated radio access network.  Reports are byte-identical for
-/// every shard count.
+/// The simulated radio access network.
 pub struct ShardedNetwork {
     config: CellularConfig,
     /// Every cell, in configured order.
     cells: Vec<Cell>,
-    /// Number of contiguous cell runs phase 3 ticks in parallel.
-    shards: usize,
     /// Dense CellId → [`CellEntry`].
     cell_table: Vec<CellEntry>,
     lane: UeLane,
@@ -248,20 +223,20 @@ pub struct ShardedNetwork {
     next_rnti: u16,
     /// The parent of every (UE, cell) channel's stream, split once.
     chan_rng: DetRng,
-    /// One worker per shard; `None` for one shard, which needs no threads.
-    pool: Option<WorkerPool>,
     /// The first subframe phase 1 has not sampled yet: where a UE woken
     /// between phase 1 and the next tick's catches up to.
     sampled_until: Instant,
 }
 
 impl ShardedNetwork {
-    /// Build the network with its cell tick split into `shards` contiguous
-    /// runs of the configured cell order (clamped to `1..=cells`), with one
-    /// background-traffic generator per cell using the given load profile.
-    pub fn new(config: CellularConfig, load: CellLoadProfile, seed: u64, shards: usize) -> Self {
+    /// Build the network, with one background-traffic generator per cell
+    /// using the given load profile.
+    ///
+    /// `_shards` is accepted and ignored: every count ticked the same bytes,
+    /// and the repo benchmark (`benchmark/`) still passes one.  ROADMAP item
+    /// 4 drops that use and item 7 deletes the parameter.
+    pub fn new(config: CellularConfig, load: CellLoadProfile, seed: u64, _shards: usize) -> Self {
         let rng = DetRng::new(seed);
-        let shards = shards.clamp(1, config.cells.len().max(1));
         let table_len = config
             .cells
             .iter()
@@ -299,20 +274,13 @@ impl ShardedNetwork {
         ShardedNetwork {
             config,
             cells,
-            shards,
             cell_table,
             lane: UeLane::default(),
             packet_bytes: FxHashMap::default(),
             next_rnti: FIRST_UE_RNTI,
             chan_rng: rng.split("chan"),
-            pool: (shards > 1).then(|| WorkerPool::new(shards)),
             sampled_until: Instant::ZERO,
         }
-    }
-
-    /// Number of shards (== worker threads, including the caller).
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Static configuration of the network.
@@ -638,9 +606,7 @@ impl ShardedNetwork {
         }
         self.lane.pending = pending;
 
-        // --- Phase 3 (parallel): tick every cell. ---------------------------
-        // Each shard ticks one contiguous run of the configured cell order
-        // into the matching run of the report's per-cell slots.
+        // --- Phase 3: tick every cell into its report slot. -----------------
         if report.cell_reports.len() != self.cells.len() {
             report.cell_reports = self
                 .cells
@@ -648,28 +614,8 @@ impl ShardedNetwork {
                 .map(|_| SubframeReport::default())
                 .collect();
         }
-        match &self.pool {
-            None => tick_cells(&mut self.cells, &mut report.cell_reports, subframe),
-            Some(pool) => {
-                let (n, shards) = (self.cells.len(), self.shards);
-                let mut cells = self.cells.as_mut_slice();
-                let mut reports = report.cell_reports.as_mut_slice();
-                let runs = (0..shards).map(move |s| {
-                    // Balanced contiguous partition of the configured order.
-                    let len = (s + 1) * n / shards - s * n / shards;
-                    let (run, rest) = std::mem::take(&mut cells).split_at_mut(len);
-                    cells = rest;
-                    let (run_reports, rest) = std::mem::take(&mut reports).split_at_mut(len);
-                    reports = rest;
-                    (run, run_reports)
-                });
-                let panics = pool.for_each(runs, |_, (cells, reports)| {
-                    tick_cells(cells, reports, subframe);
-                });
-                if let Some(p) = panics.first() {
-                    panic!("shard {} panicked: {}", p.index, p.message);
-                }
-            }
+        for (cell, slot) in self.cells.iter_mut().zip(&mut report.cell_reports) {
+            cell.tick_prepared(subframe, slot);
         }
 
         // DCI messages concatenate in configured cell order.
@@ -917,12 +863,10 @@ impl ShardedNetwork {
 mod tests {
     use super::*;
     use crate::config::{Bandwidth, CellConfig};
-    use proptest::prelude::*;
 
-    /// A 6-cell "city row" whose UEs couple cells in different shards' runs:
-    /// a UE handing over across the grid (cells 0 → 3), a CA-capable UE
-    /// whose secondary carrier lies in another run (cells 2 + 4), and plain
-    /// single-cell users.
+    /// A 6-cell "city row" whose UEs couple distant cells: a UE handing over
+    /// across the grid (cells 0 → 3), a CA-capable UE whose secondary
+    /// carrier is two cells away (cells 2 + 4), and plain single-cell users.
     fn city_config() -> CellularConfig {
         let mut config = CellularConfig {
             cells: (0..6u16)
@@ -944,13 +888,19 @@ mod tests {
         config
     }
 
-    /// The shared scenario on `shards` shards: boundary-crossing
-    /// trajectories plus a cross-shard carrier-aggregation pair.
-    /// `cross_secs` is how long the crossings take to complete.
-    fn city(load: CellLoadProfile, seed: u64, shards: usize, cross_secs: f64) -> ShardedNetwork {
-        let mut net = ShardedNetwork::new(city_config(), load, seed, shards);
-        // UE 1 walks from cell 0 into cell 3 — a handover that crosses the
-        // shard border for every shard count > 1.
+    /// The shared scenario: boundary-crossing trajectories plus a
+    /// carrier-aggregation pair.  `cross_secs` is how long the crossings
+    /// take to complete.
+    fn city(load: CellLoadProfile, seed: u64, cross_secs: f64) -> ShardedNetwork {
+        city_on(
+            ShardedNetwork::new(city_config(), load, seed, 1),
+            cross_secs,
+        )
+    }
+
+    /// [`city`]'s UEs and trajectories, added to `net`.
+    fn city_on(mut net: ShardedNetwork, cross_secs: f64) -> ShardedNetwork {
+        // UE 1 walks from cell 0 into cell 3 across the grid.
         net.add_ue(
             UeConfig::new(UeId(1), vec![CellId(0), CellId(3)], 1, -85.0),
             MobilityTrace::stationary(-85.0),
@@ -965,8 +915,7 @@ mod tests {
             CellId(3),
             MobilityTrace::from_secs(&[(0.0, -110.0), (cross_secs, -85.0)]),
         );
-        // UE 2 aggregates cells 2 and 4 under load: its secondary carrier
-        // ticks in another run than its primary for shard counts 2 and 3.
+        // UE 2 aggregates cells 2 and 4 under load.
         net.add_ue(
             UeConfig::new(UeId(2), vec![CellId(2), CellId(4)], 2, -83.0),
             MobilityTrace::stationary(-83.0),
@@ -1025,6 +974,25 @@ mod tests {
         )
     }
 
+    /// FNV-128 of `sfs` subframes of [`city`]'s report stream under
+    /// [`drive_packets`] (the `NetworkTickReport` JSON of each), then every
+    /// UE's final [`ue_view`]; also the number of handovers on the way.
+    fn city_stream(net: &mut ShardedNetwork, sfs: u64) -> (String, usize) {
+        let mut report = NetworkTickReport::default();
+        let mut stream = String::new();
+        let mut handovers = 0usize;
+        for sf in 0..sfs {
+            drive_packets(net, sf);
+            net.tick_into(Instant::from_millis(sf), &mut report);
+            handovers += report.handovers.len();
+            stream.push_str(&serde_json::to_string(&report).unwrap());
+        }
+        for ue in UES {
+            stream.push_str(&ue_view(net, ue));
+        }
+        (pbe_stats::fnv1a_128_hex(stream.as_bytes()), handovers)
+    }
+
     /// FNV-128 of the report stream (4,500 subframes of `NetworkTickReport`
     /// JSON, then every UE's final [`ue_view`]) for this scenario, by seed:
     /// the deleted serial engine's stream with `SubframeReport::queue_bits`
@@ -1035,164 +1003,129 @@ mod tests {
         (11, "2367810a46a3cc6821b9081fb13214fa"),
     ];
 
-    /// The tentpole invariant: for every shard count, the report stream is
-    /// byte-for-byte what the serial engine produced, across seeds, through
-    /// handovers that cross shard borders and CA activations spanning
-    /// shards.
+    /// The report stream is byte-for-byte what the serial engine produced,
+    /// across seeds, through handovers and CA activations.  (The name is
+    /// from when the engine had shard counts to compare; every count
+    /// matched this same pin.)
     #[test]
     fn reports_are_byte_identical_across_shard_counts() {
         for (seed, digest) in SERIAL_STREAM_DIGESTS {
-            for shards in [1usize, 2, 3, 7] {
-                let mut net = city(CellLoadProfile::none(), seed, shards, 4.0);
-                let mut report = NetworkTickReport::default();
-                let mut stream = String::new();
-                let mut handovers = 0usize;
-                for sf in 0..4500u64 {
-                    drive_packets(&mut net, sf);
-                    net.tick_into(Instant::from_millis(sf), &mut report);
-                    handovers += report.handovers.len();
-                    stream.push_str(&serde_json::to_string(&report).unwrap());
-                }
-                assert!(handovers >= 2, "both crossings hand over: {handovers}");
-                assert!(
-                    net.carrier_aggregation_triggered(UeId(2)),
-                    "UE 2 aggregated its cross-shard secondary"
-                );
-                for ue in UES {
-                    stream.push_str(&ue_view(&net, ue));
-                }
-                assert_eq!(
-                    pbe_stats::fnv1a_128_hex(stream.as_bytes()),
-                    digest,
-                    "seed {seed}, {shards} shards"
-                );
-            }
+            let mut net = city(CellLoadProfile::none(), seed, 4.0);
+            let (stream, handovers) = city_stream(&mut net, 4500);
+            assert!(handovers >= 2, "both crossings hand over: {handovers}");
+            assert!(
+                net.carrier_aggregation_triggered(UeId(2)),
+                "UE 2 aggregated its secondary"
+            );
+            assert_eq!(stream, digest, "seed {seed}");
         }
     }
 
-    /// A UE whose serving cell moves into another shard's run of cells
-    /// keeps receiving: its data is forwarded to the target and delivered
-    /// from there.
+    /// A UE whose serving cell moves across the grid keeps receiving: its
+    /// data is forwarded to the target and delivered from there.  The
+    /// stream (each subframe's report JSON, then UE 1's [`ue_view`]) is
+    /// pinned to the bytes one shard produced before the engine lost its
+    /// shard dispatch.
     #[test]
     fn cross_shard_handover_keeps_data_flowing() {
-        let mut net = city(CellLoadProfile::none(), 7, 2, 4.0);
+        let mut net = city(CellLoadProfile::none(), 7, 4.0);
+        let mut stream = String::new();
         for sf in 0..4500u64 {
             let now = Instant::from_millis(sf);
             net.enqueue_packet(UeId(1), sf, 1500, now);
-            net.tick(now);
+            stream.push_str(&serde_json::to_string(&net.tick(now)).unwrap());
         }
         assert_eq!(net.serving_cell(UeId(1)), Some(CellId(3)));
         let (delivered, _lost) = net.ue_stats(UeId(1));
         assert!(delivered > 1_000, "data flowed across the handover");
+        stream.push_str(&ue_view(&net, UeId(1)));
+        assert_eq!(
+            pbe_stats::fnv1a_128_hex(stream.as_bytes()),
+            "692d82e2217abbb40e66d20a46b36d32"
+        );
     }
 
-    /// The parallel cell tick is independent of worker completion order:
-    /// each shard writes only its own run of cells and report slots, so
-    /// repeated runs of a racy multi-worker configuration must agree
-    /// byte-for-byte.
+    /// Under background load, 400 subframes of [`city_stream`] reproduce
+    /// the bytes one and two shards both produced before the engine lost
+    /// its shard dispatch.
     #[test]
     fn parallel_cell_tick_is_independent_of_worker_completion_order() {
-        let run = || {
-            let mut net = city(CellLoadProfile::busy(), 5, 3, 4.0);
-            let mut out = String::new();
+        let mut net = city(CellLoadProfile::busy(), 5, 4.0);
+        assert_eq!(
+            city_stream(&mut net, 400).0,
+            "f8cfb3d9d759068701c8955b6be6784e"
+        );
+    }
+
+    /// Seeds the property tests below once drew at random, now fixed, each
+    /// with the digest one and three shards both produced before the engine
+    /// lost its shard dispatch.
+    const CROSSING_DIGESTS: [(u64, &str); 3] = [
+        (0, "117b84da9972d36b95c1510c0767074c"),
+        (271_828, "755e9103eb3f67562e5f7e36df227395"),
+        (999_999, "a4c5f0e27b04b8e66a9059c6ea58587c"),
+    ];
+
+    /// A city whose boundary crossings complete within one second
+    /// reproduces its pinned stream, handovers included.
+    #[test]
+    fn any_seed_is_byte_identical_across_shard_counts() {
+        for (seed, digest) in CROSSING_DIGESTS {
+            let mut net = city(CellLoadProfile::none(), seed, 1.0);
+            let (stream, handovers) = city_stream(&mut net, 1200);
+            // Not vacuous: the 1-second crossings hand over well inside the
+            // 1.2 simulated seconds.
+            assert!(handovers >= 1, "seed {seed}: no boundary crossing");
+            assert_eq!(stream, digest, "seed {seed}");
+        }
+    }
+
+    /// (seed, faulted cell, digest) of [`faulted_runs_are_byte_identical_across_shard_counts`],
+    /// captured as [`CROSSING_DIGESTS`] were.
+    const FAULTED_DIGESTS: [(u64, u16, &str); 3] = [
+        (0, 0, "31897a97101402b3519fc4b66380c74a"),
+        (4_242, 3, "65e63595b7fd9bc840208fd065bfbbde"),
+        (999_999, 5, "1f8ad5b524be4c055bf050194e532ef8"),
+    ];
+
+    /// A scheduled cell outage — set down, RLF re-selection after the
+    /// detection delay, restore — reproduces its pinned stream: the
+    /// residents, the RLF outcome, each subframe's report (X2-flush
+    /// deliveries included) and every UE's final [`ue_view`].
+    #[test]
+    fn faulted_runs_are_byte_identical_across_shard_counts() {
+        for (seed, outage, digest) in FAULTED_DIGESTS {
+            let outage = CellId(outage);
+            let mut net = city(CellLoadProfile::none(), seed, 1.0);
             let mut report = NetworkTickReport::default();
-            for sf in 0..400u64 {
-                drive_packets(&mut net, sf);
-                net.tick_into(Instant::from_millis(sf), &mut report);
-                out.push_str(&serde_json::to_string(&report).unwrap());
-            }
-            out
-        };
-        let first = run();
-        for _ in 0..4 {
-            assert_eq!(first, run(), "rerun produced a different stream");
-        }
-    }
-
-    proptest! {
-        /// Shard-count invariance: across random seeds × shard counts
-        /// ∈ {2, 3, 7}, a city grid with boundary-crossing trajectories
-        /// (handovers that cross shard borders for every multi-shard count)
-        /// produces the report stream of the same network on one shard.
-        #[test]
-        fn any_seed_is_byte_identical_across_shard_counts(
-            seed in 0u64..1_000_000,
-            shard_sel in 0usize..3,
-        ) {
-            let shards = [2usize, 3, 7][shard_sel];
-            let mut one = city(CellLoadProfile::none(), seed, 1, 1.0);
-            let mut many = city(CellLoadProfile::none(), seed, shards, 1.0);
-            let mut report_a = NetworkTickReport::default();
-            let mut report_b = NetworkTickReport::default();
-            let mut handovers = 0usize;
-            for sf in 0..1200u64 {
-                let now = Instant::from_millis(sf);
-                drive_packets(&mut one, sf);
-                drive_packets(&mut many, sf);
-                one.tick_into(now, &mut report_a);
-                many.tick_into(now, &mut report_b);
-                handovers += report_a.handovers.len();
-                prop_assert_eq!(
-                    serde_json::to_string(&report_a).unwrap(),
-                    serde_json::to_string(&report_b).unwrap(),
-                    "seed {}, {} shards, subframe {}", seed, shards, sf
-                );
-            }
-            // The property is not vacuous: the 1-second crossings hand over
-            // well inside the 1.2 simulated seconds, whatever the seed.
-            prop_assert!(handovers >= 1, "no boundary crossing handed over");
-        }
-    }
-
-    proptest! {
-        /// Fault-injection property: across random seeds × shard counts
-        /// ∈ {2, 3, 7} × faulted cells, a scheduled cell outage — set down,
-        /// RLF re-selection after the detection delay, restore — produces
-        /// the report stream, RLF outcomes and X2-flush deliveries of the
-        /// same network on one shard.
-        #[test]
-        fn faulted_runs_are_byte_identical_across_shard_counts(
-            seed in 0u64..1_000_000,
-            shard_sel in 0usize..3,
-            outage_sel in 0u16..6,
-        ) {
-            let shards = [2usize, 3, 7][shard_sel];
-            let outage = CellId(outage_sel);
-            let mut one = city(CellLoadProfile::none(), seed, 1, 1.0);
-            let mut many = city(CellLoadProfile::none(), seed, shards, 1.0);
-            let mut report_a = NetworkTickReport::default();
-            let mut report_b = NetworkTickReport::default();
+            let mut stream = String::new();
             for sf in 0..1200u64 {
                 let now = Instant::from_millis(sf);
                 // Outage window [300, 800): down at 300, RLF declared after
                 // a 40 ms detection delay, service restored at 800.
                 if sf == 300 {
-                    let ra = one.set_cell_outage(outage, true);
-                    let rb = many.set_cell_outage(outage, true);
-                    prop_assert_eq!(&ra, &rb, "residents diverged");
+                    let residents = net.set_cell_outage(outage, true);
+                    stream.push_str(&format!("{residents:?}"));
                 }
                 if sf == 800 {
-                    one.set_cell_outage(outage, false);
-                    many.set_cell_outage(outage, false);
+                    net.set_cell_outage(outage, false);
                 }
-                drive_packets(&mut one, sf);
-                drive_packets(&mut many, sf);
-                one.tick_into(now, &mut report_a);
-                many.tick_into(now, &mut report_b);
+                drive_packets(&mut net, sf);
+                net.tick_into(now, &mut report);
                 if sf == 340 {
-                    let oa = one.declare_rlf(outage, now, &mut report_a.deliveries);
-                    let ob = many.declare_rlf(outage, now, &mut report_b.deliveries);
-                    prop_assert_eq!(oa, ob, "RLF outcomes diverged");
+                    let rlf = net.declare_rlf(outage, now, &mut report.deliveries);
+                    stream.push_str(&format!("{rlf:?}"));
                 }
-                prop_assert_eq!(
-                    serde_json::to_string(&report_a).unwrap(),
-                    serde_json::to_string(&report_b).unwrap(),
-                    "seed {}, {} shards, outage {}, subframe {}", seed, shards, outage_sel, sf
-                );
+                stream.push_str(&serde_json::to_string(&report).unwrap());
             }
             for ue in UES {
-                prop_assert_eq!(ue_view(&one, ue), ue_view(&many, ue));
+                stream.push_str(&ue_view(&net, ue));
             }
+            assert_eq!(
+                pbe_stats::fnv1a_128_hex(stream.as_bytes()),
+                digest,
+                "seed {seed}, outage {outage:?}"
+            );
         }
     }
 
@@ -1206,12 +1139,12 @@ mod tests {
     /// re-selects through RLF; (e) a UE whose first packets arrive on
     /// measurement subframes; plus a UE whose trace is replaced while idle
     /// and one that hands over by A3 while idle.
-    fn sleepy_city(util: f64, seed: u64, shards: usize) -> ShardedNetwork {
+    fn sleepy_city(util: f64, seed: u64) -> ShardedNetwork {
         let config = CellularConfig {
             ca_activation_utilisation: util,
             ..city_config()
         };
-        let mut net = ShardedNetwork::new(config, CellLoadProfile::none(), seed, shards);
+        let mut net = ShardedNetwork::new(config, CellLoadProfile::none(), seed, 1);
         let ues: [(u32, Vec<u16>, usize, f64); 10] = [
             (20, vec![1, 2], 2, -86.0),
             (21, vec![5], 1, -90.0),
@@ -1355,23 +1288,20 @@ mod tests {
     }
 
     /// Idle UEs change no byte: the sleep/wake scenarios reproduce the
-    /// stream of the engine that visited every UE every subframe, at every
-    /// shard count.
+    /// stream of the engine that visited every UE every subframe.
     #[test]
     fn sleep_and_wake_reproduce_the_eager_engine() {
         for (util, digest) in SLEEP_WAKE_DIGESTS {
-            for shards in [1usize, 2, 3, 7] {
-                let mut net = sleepy_city(util, 9, shards);
-                let mut stream = run_sleepy(&mut net, |_, _, _| {});
-                for ue in SLEEPY_UES {
-                    stream.push_str(&ue_view(&net, UeId(ue)));
-                }
-                assert_eq!(
-                    pbe_stats::fnv1a_128_hex(stream.as_bytes()),
-                    digest,
-                    "util {util}, {shards} shards"
-                );
+            let mut net = sleepy_city(util, 9);
+            let mut stream = run_sleepy(&mut net, |_, _, _| {});
+            for ue in SLEEPY_UES {
+                stream.push_str(&ue_view(&net, UeId(ue)));
             }
+            assert_eq!(
+                pbe_stats::fnv1a_128_hex(stream.as_bytes()),
+                digest,
+                "util {util}"
+            );
         }
     }
 
@@ -1384,7 +1314,7 @@ mod tests {
     /// awake, where the sleep rule says it must.
     #[test]
     fn sleepy_city_exercises_every_sleep_and_wake_case() {
-        let mut net = sleepy_city(0.85, 9, 3);
+        let mut net = sleepy_city(0.85, 9);
         let (mut harq_wait, mut holddown_wait, mut a3_asleep) = (false, false, false);
         let mut before_28 = true;
         run_sleepy(&mut net, |net, sf, report| {
@@ -1419,7 +1349,7 @@ mod tests {
         );
         // (f) with every multi-cell UE activating on zero utilisation, those
         // UEs never sleep, while single-cell UEs still do.
-        let mut net = sleepy_city(0.0, 9, 1);
+        let mut net = sleepy_city(0.0, 9);
         run_sleepy(&mut net, |net, sf, _| {
             assert!(
                 sf == 0 || (is_awake(net, 20) && is_awake(net, 26)),
@@ -1431,12 +1361,21 @@ mod tests {
         });
     }
 
+    /// A shard count outside `1..=cells` — once clamped into that range —
+    /// is accepted and ignored: 600 subframes of [`city_stream`] reproduce
+    /// the bytes shard counts 1, 0 and 40 all produced before the engine
+    /// lost its shard dispatch.
     #[test]
     fn shard_count_is_clamped_to_the_cell_count() {
-        let net = ShardedNetwork::new(city_config(), CellLoadProfile::none(), 1, 40);
-        assert_eq!(net.shards(), 6, "one shard per cell at most");
-        let net = ShardedNetwork::new(city_config(), CellLoadProfile::none(), 1, 0);
-        assert_eq!(net.shards(), 1, "at least one shard");
+        for shards in [0usize, 40] {
+            let net = ShardedNetwork::new(city_config(), CellLoadProfile::none(), 1, shards);
+            let mut net = city_on(net, 1.0);
+            assert_eq!(
+                city_stream(&mut net, 600).0,
+                "f7cc2282763f96c4b50ded2d6e66a3c2",
+                "{shards} shards"
+            );
+        }
     }
 
     fn attached(net: &ShardedNetwork, ue: UeId, cell: CellId) -> bool {
@@ -1449,55 +1388,50 @@ mod tests {
     /// active cells.
     #[test]
     fn cells_attach_a_ue_only_where_it_has_been_active() {
-        for shards in [1usize, 3] {
-            let mut net = ShardedNetwork::new(city_config(), CellLoadProfile::none(), 4, shards);
-            let ue = UeId(5);
-            let cells = [CellId(0), CellId(3), CellId(4)];
-            let traces = [
-                MobilityTrace::from_secs(&[(0.0, -85.0), (2.0, -110.0)]),
-                MobilityTrace::stationary(-100.0),
-                MobilityTrace::from_secs(&[(0.0, -115.0), (2.0, -80.0)]),
-            ];
-            net.add_ue_with_traces(
-                UeConfig::new(ue, cells.to_vec(), 2, -85.0),
-                &traces[0],
-                |i| traces.get(i),
-            );
-            assert!(attached(&net, ue, CellId(0)), "{shards} shards");
-            assert!(!attached(&net, ue, CellId(3)) && !attached(&net, ue, CellId(4)));
+        let mut net = ShardedNetwork::new(city_config(), CellLoadProfile::none(), 4, 1);
+        let ue = UeId(5);
+        let cells = [CellId(0), CellId(3), CellId(4)];
+        let traces = [
+            MobilityTrace::from_secs(&[(0.0, -85.0), (2.0, -110.0)]),
+            MobilityTrace::stationary(-100.0),
+            MobilityTrace::from_secs(&[(0.0, -115.0), (2.0, -80.0)]),
+        ];
+        net.add_ue_with_traces(
+            UeConfig::new(ue, cells.to_vec(), 2, -85.0),
+            &traces[0],
+            |i| traces.get(i),
+        );
+        assert!(attached(&net, ue, CellId(0)));
+        assert!(!attached(&net, ue, CellId(3)) && !attached(&net, ue, CellId(4)));
 
-            let mut report = NetworkTickReport::default();
-            let (mut first_activation, mut handover_from_ca) = (None, false);
-            for sf in 0..3000u64 {
-                let now = Instant::from_millis(sf);
-                for i in 0..20 {
-                    net.enqueue_packet(ue, sf * 100 + i, 1500, now);
-                }
-                let active_before = net.active_cells(ue);
-                let attached_before = cells.map(|c| attached(&net, ue, c));
-                net.tick_into(now, &mut report);
-                for e in report.ca_events.iter().filter(|e| e.activated) {
-                    assert!(attached(&net, ue, e.cell), "subframe {sf}: {e:?}");
-                    if first_activation.is_none() {
-                        let i = cells.iter().position(|c| *c == e.cell).expect("configured");
-                        assert!(!attached_before[i], "the activation attached {:?}", e.cell);
-                        first_activation = Some(e.cell);
-                    }
-                }
-                for h in &report.handovers {
-                    assert!(attached(&net, ue, h.to), "subframe {sf}: {h:?}");
-                    for c in active_before.iter().filter(|c| **c != h.to) {
-                        assert!(!attached(&net, ue, *c), "subframe {sf}: {c:?} kept lanes");
-                    }
-                    handover_from_ca |= active_before.len() > 1;
+        let mut report = NetworkTickReport::default();
+        let (mut first_activation, mut handover_from_ca) = (None, false);
+        for sf in 0..3000u64 {
+            let now = Instant::from_millis(sf);
+            for i in 0..20 {
+                net.enqueue_packet(ue, sf * 100 + i, 1500, now);
+            }
+            let active_before = net.active_cells(ue);
+            let attached_before = cells.map(|c| attached(&net, ue, c));
+            net.tick_into(now, &mut report);
+            for e in report.ca_events.iter().filter(|e| e.activated) {
+                assert!(attached(&net, ue, e.cell), "subframe {sf}: {e:?}");
+                if first_activation.is_none() {
+                    let i = cells.iter().position(|c| *c == e.cell).expect("configured");
+                    assert!(!attached_before[i], "the activation attached {:?}", e.cell);
+                    first_activation = Some(e.cell);
                 }
             }
-            assert_eq!(first_activation, Some(CellId(3)), "{shards} shards");
-            assert!(
-                handover_from_ca,
-                "{shards} shards: no handover left a CA pair"
-            );
+            for h in &report.handovers {
+                assert!(attached(&net, ue, h.to), "subframe {sf}: {h:?}");
+                for c in active_before.iter().filter(|c| **c != h.to) {
+                    assert!(!attached(&net, ue, *c), "subframe {sf}: {c:?} kept lanes");
+                }
+                handover_from_ca |= active_before.len() > 1;
+            }
         }
+        assert_eq!(first_activation, Some(CellId(3)));
+        assert!(handover_from_ca, "no handover left a CA pair");
     }
 
     /// [`city`]'s UEs, each with its trace towards every configured cell.
@@ -1529,8 +1463,8 @@ mod tests {
     /// every configured cell, through handovers and a CA activation.
     #[test]
     fn building_once_equals_building_then_replacing_every_trace() {
-        let digest = |build_once: bool, shards: usize| {
-            let mut net = ShardedNetwork::new(city_config(), CellLoadProfile::none(), 13, shards);
+        let digest = |build_once: bool| {
+            let mut net = ShardedNetwork::new(city_config(), CellLoadProfile::none(), 13, 1);
             for (config, traces) in city_ues(1.0) {
                 if build_once {
                     net.add_ue_with_traces(config, &traces[0], |i| traces.get(i));
@@ -1558,11 +1492,7 @@ mod tests {
             }
             pbe_stats::fnv1a_128_hex(stream.as_bytes())
         };
-        let replaced = digest(false, 1);
-        for shards in [1usize, 3] {
-            assert_eq!(digest(true, shards), replaced, "{shards} shards");
-            assert_eq!(digest(false, shards), replaced, "{shards} shards");
-        }
+        assert_eq!(digest(true), digest(false));
     }
 
     /// Foreground RNTIs stop short of the reserved `0xFFF4`–`0xFFFF`:

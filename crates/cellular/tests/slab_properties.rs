@@ -1,6 +1,6 @@
 //! Property tests pinning the struct-of-arrays slot index to map semantics.
 //!
-//! The cell and the shard keep per-UE state in value lanes indexed by one
+//! The cell and the tick engine keep per-UE state in value lanes indexed by one
 //! [`UeSlots`] index instead of per-UE `HashMap`s.  Correctness of that
 //! rests on one claim: lanes kept in lock-step through the slots, under any
 //! interleaving of insert / remove, behave exactly like per-key

@@ -23,90 +23,71 @@
 //! retransmitted through made about 90 allocations per subframe on the
 //! benchmark's `radio_dense` workload.
 //!
-//! Both tests run on one shard and on three, whose cell tick runs on the
-//! worker pool.  A counting global allocator does the counting, so each
-//! test binary holds only tests of this kind, and these two take turns.  One
-//! shard ticks everything on the calling thread, so its legs count that
-//! thread alone and nothing the harness does elsewhere can land in them; the
-//! three-shard legs count the whole process, pool workers included.
+//! A counting global allocator does the counting, so each test binary holds
+//! only tests of this kind.  The tick runs wholly on the calling thread, so
+//! each test counts that thread alone, and nothing the other test or the
+//! harness does elsewhere can land in its count.
 
 use pbe_cellular::config::{CellConfig, CellId, CellularConfig, HandoverConfig, UeConfig, UeId};
 use pbe_cellular::handover;
 use pbe_cellular::network::NetworkTickReport;
 use pbe_cellular::{CellLoadProfile, MobilityTrace, ShardedNetwork};
 use pbe_stats::time::Instant;
-use std::sync::{Mutex, PoisonError};
 
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
-
-/// The allocation counters are global: the tests take turns.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 /// 200-subframe windows the loaded test looks at for one without any
 /// allocation or free.
 const WINDOWS: usize = 5;
 
-/// Allocations and frees so far that a tick on `shards` shards could make:
-/// the calling thread's on one shard, the whole process's on more.
-fn counts(shards: usize) -> (u64, u64) {
-    if shards == 1 {
-        (
-            alloc_counter::thread_allocation_count(),
-            alloc_counter::thread_deallocation_count(),
-        )
-    } else {
-        (
-            alloc_counter::allocation_count(),
-            alloc_counter::deallocation_count(),
-        )
-    }
+/// Allocations and frees the calling thread has made so far.
+fn counts() -> (u64, u64) {
+    (
+        alloc_counter::thread_allocation_count(),
+        alloc_counter::thread_deallocation_count(),
+    )
 }
 
 #[test]
 fn idle_network_steady_state_tick_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-    // Three shards dispatch the cell tick to the worker pool every subframe:
-    // that dispatch must not allocate either.
-    for shards in [1, 3] {
-        let config = CellularConfig {
-            cells: (0..6)
-                .map(|i| CellConfig::primary_20mhz(CellId(i)))
-                .collect(),
-            ..CellularConfig::default()
-        };
-        let handover_config = config.handover;
-        let mut net = ShardedNetwork::new(config, CellLoadProfile::none(), 1, shards);
-        for u in 0..600u32 {
-            let primary = (u % 6) as u16;
-            let cells = vec![CellId(primary), CellId((primary + 1) % 6)];
-            let rssi = -84.0 - f64::from(u % 20);
-            net.add_ue(
-                UeConfig::new(UeId(u), cells, 2, rssi),
-                MobilityTrace::stationary(rssi),
-            );
-        }
-        let mut report = NetworkTickReport::default();
-        for sf in 0..400u64 {
-            net.tick_into(Instant::from_millis(sf), &mut report);
-        }
-
-        let mut measurement_subframes = 0;
-        let (before, _) = counts(shards);
-        for sf in 400..600u64 {
-            let now = Instant::from_millis(sf);
-            net.tick_into(now, &mut report);
-            measurement_subframes +=
-                usize::from(handover::is_measurement_subframe(&handover_config, now));
-        }
-        let allocations = counts(shards).0 - before;
-        assert!(measurement_subframes >= 4, "A3 measured the sleepers");
-        assert!(report.handovers.is_empty() && report.dci_messages.is_empty());
-        assert_eq!(
-            allocations, 0,
-            "{shards} shards: the idle steady-state tick allocated {allocations} times"
+    let config = CellularConfig {
+        cells: (0..6)
+            .map(|i| CellConfig::primary_20mhz(CellId(i)))
+            .collect(),
+        ..CellularConfig::default()
+    };
+    let handover_config = config.handover;
+    let mut net = ShardedNetwork::new(config, CellLoadProfile::none(), 1, 1);
+    for u in 0..600u32 {
+        let primary = (u % 6) as u16;
+        let cells = vec![CellId(primary), CellId((primary + 1) % 6)];
+        let rssi = -84.0 - f64::from(u % 20);
+        net.add_ue(
+            UeConfig::new(UeId(u), cells, 2, rssi),
+            MobilityTrace::stationary(rssi),
         );
     }
+    let mut report = NetworkTickReport::default();
+    for sf in 0..400u64 {
+        net.tick_into(Instant::from_millis(sf), &mut report);
+    }
+
+    let mut measurement_subframes = 0;
+    let (before, _) = counts();
+    for sf in 400..600u64 {
+        let now = Instant::from_millis(sf);
+        net.tick_into(now, &mut report);
+        measurement_subframes +=
+            usize::from(handover::is_measurement_subframe(&handover_config, now));
+    }
+    let allocations = counts().0 - before;
+    assert!(measurement_subframes >= 4, "A3 measured the sleepers");
+    assert!(report.handovers.is_empty() && report.dci_messages.is_empty());
+    assert_eq!(
+        allocations, 0,
+        "the idle steady-state tick allocated {allocations} times"
+    );
 }
 
 /// Bits each loaded UE's queues are topped up to every subframe: a few
@@ -119,83 +100,80 @@ const CELLS: u16 = 12;
 
 #[test]
 fn loaded_network_steady_state_tick_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-    for shards in [1, 3] {
-        let config = CellularConfig {
-            cells: (0..CELLS)
-                .map(|i| CellConfig::primary_20mhz(CellId(i)))
-                .collect(),
-            handover: HandoverConfig {
-                enabled: false,
-                ..HandoverConfig::default()
-            },
-            ..CellularConfig::default()
-        };
-        let mut net = ShardedNetwork::new(config, CellLoadProfile::idle(), 1, shards);
-        // One UE per primary cell, each able to aggregate the next cell:
-        // alone on its primary, it fills it and activates the secondary.
-        let ues: Vec<UeId> = (0..u32::from(CELLS)).map(UeId).collect();
-        for &ue in &ues {
-            let primary = ue.0 as u16;
-            let cells = vec![CellId(primary), CellId((primary + 1) % CELLS)];
-            let rssi = -96.0 - 2.0 * f64::from(ue.0 % 4);
-            net.add_ue(
-                UeConfig::new(ue, cells, 2, rssi),
-                MobilityTrace::stationary(rssi),
-            );
-        }
-        let mut report = NetworkTickReport::default();
-        let mut next_packet = 0u64;
-        let mut sf = 0u64;
-        let mut tick = |net: &mut ShardedNetwork, report: &mut NetworkTickReport| {
-            let now = Instant::from_millis(sf);
-            for &ue in &ues {
-                while net.queue_bits(ue) < BACKLOG_BITS {
-                    net.enqueue_packet(ue, next_packet, 1500, now);
-                    next_packet += 1;
-                }
-            }
-            net.tick_into(now, report);
-            assert!(report.handovers.is_empty());
-            sf += 1;
-        };
-        for _ in 0..20_000 {
-            tick(&mut net, &mut report);
-        }
-        let aggregated = ues.iter().filter(|&&ue| net.active_cells(ue).len() == 2);
-        assert!(
-            aggregated.count() >= CELLS as usize / 2,
-            "carrier aggregation is on"
-        );
-
-        let mut windows = Vec::new();
-        while windows.len() < WINDOWS {
-            let (mut retransmitted, mut recovered) = (0, 0);
-            let (allocs, frees) = counts(shards);
-            for _ in 0..200 {
-                tick(&mut net, &mut report);
-                for (_, o) in report.cell_reports.iter().flat_map(|r| &r.outcomes) {
-                    retransmitted += usize::from(o.attempt > 0);
-                    recovered += usize::from(o.attempt > 0 && o.success);
-                }
-            }
-            let (allocations, deallocations) = counts(shards);
-            let (allocations, deallocations) = (allocations - allocs, deallocations - frees);
-            // A block recovered by a retransmission releases the blocks that
-            // arrived behind it, out of order.
-            assert!(
-                retransmitted > 0 && recovered > 0,
-                "HARQ retransmitted and recovered"
-            );
-            windows.push((allocations, deallocations));
-            if (allocations, deallocations) == (0, 0) {
-                break;
-            }
-        }
-        assert_eq!(
-            windows.last(),
-            Some(&(0, 0)),
-            "{shards} shards: (allocations, frees) of each 200-subframe window: {windows:?}"
+    let config = CellularConfig {
+        cells: (0..CELLS)
+            .map(|i| CellConfig::primary_20mhz(CellId(i)))
+            .collect(),
+        handover: HandoverConfig {
+            enabled: false,
+            ..HandoverConfig::default()
+        },
+        ..CellularConfig::default()
+    };
+    let mut net = ShardedNetwork::new(config, CellLoadProfile::idle(), 1, 1);
+    // One UE per primary cell, each able to aggregate the next cell:
+    // alone on its primary, it fills it and activates the secondary.
+    let ues: Vec<UeId> = (0..u32::from(CELLS)).map(UeId).collect();
+    for &ue in &ues {
+        let primary = ue.0 as u16;
+        let cells = vec![CellId(primary), CellId((primary + 1) % CELLS)];
+        let rssi = -96.0 - 2.0 * f64::from(ue.0 % 4);
+        net.add_ue(
+            UeConfig::new(ue, cells, 2, rssi),
+            MobilityTrace::stationary(rssi),
         );
     }
+    let mut report = NetworkTickReport::default();
+    let mut next_packet = 0u64;
+    let mut sf = 0u64;
+    let mut tick = |net: &mut ShardedNetwork, report: &mut NetworkTickReport| {
+        let now = Instant::from_millis(sf);
+        for &ue in &ues {
+            while net.queue_bits(ue) < BACKLOG_BITS {
+                net.enqueue_packet(ue, next_packet, 1500, now);
+                next_packet += 1;
+            }
+        }
+        net.tick_into(now, report);
+        assert!(report.handovers.is_empty());
+        sf += 1;
+    };
+    for _ in 0..20_000 {
+        tick(&mut net, &mut report);
+    }
+    let aggregated = ues.iter().filter(|&&ue| net.active_cells(ue).len() == 2);
+    assert!(
+        aggregated.count() >= CELLS as usize / 2,
+        "carrier aggregation is on"
+    );
+
+    let mut windows = Vec::new();
+    while windows.len() < WINDOWS {
+        let (mut retransmitted, mut recovered) = (0, 0);
+        let (allocs, frees) = counts();
+        for _ in 0..200 {
+            tick(&mut net, &mut report);
+            for (_, o) in report.cell_reports.iter().flat_map(|r| &r.outcomes) {
+                retransmitted += usize::from(o.attempt > 0);
+                recovered += usize::from(o.attempt > 0 && o.success);
+            }
+        }
+        let (allocations, deallocations) = counts();
+        let (allocations, deallocations) = (allocations - allocs, deallocations - frees);
+        // A block recovered by a retransmission releases the blocks that
+        // arrived behind it, out of order.
+        assert!(
+            retransmitted > 0 && recovered > 0,
+            "HARQ retransmitted and recovered"
+        );
+        windows.push((allocations, deallocations));
+        if (allocations, deallocations) == (0, 0) {
+            break;
+        }
+    }
+    assert_eq!(
+        windows.last(),
+        Some(&(0, 0)),
+        "(allocations, frees) of each 200-subframe window: {windows:?}"
+    );
 }

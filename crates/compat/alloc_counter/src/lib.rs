@@ -14,8 +14,9 @@
 //!
 //! Counting is a single relaxed atomic increment per `alloc`/`realloc`, so
 //! wrapping the system allocator does not disturb the timing of what it
-//! measures.  Frees are counted separately ([`deallocation_count`]); a
-//! steady-state hot path should show zero of both.
+//! measures.  The calling thread's frees are counted separately
+//! ([`thread_deallocation_count`]); a steady-state hot path should show zero
+//! of both.
 //!
 //! The process-wide counts include every thread, so another thread's
 //! allocation — the test harness's, say — can land inside a bracket.  Code
@@ -30,7 +31,6 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     // Const-initialised and without a destructor: reading or bumping them
@@ -45,7 +45,6 @@ fn count_alloc() {
 }
 
 fn count_dealloc() {
-    DEALLOCS.fetch_add(1, Ordering::Relaxed);
     THREAD_DEALLOCS.with(|n| n.set(n.get() + 1));
 }
 
@@ -55,11 +54,6 @@ pub struct CountingAllocator;
 /// Number of `alloc`/`realloc` calls since process start.
 pub fn allocation_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Number of `dealloc` calls since process start.
-pub fn deallocation_count() -> u64 {
-    DEALLOCS.load(Ordering::Relaxed)
 }
 
 /// Number of `alloc`/`realloc` calls the calling thread has made.
@@ -103,7 +97,7 @@ mod tests {
     #[test]
     fn counts_allocations_and_frees() {
         let a = allocation_count();
-        let d = deallocation_count();
+        let d = thread_deallocation_count();
         unsafe {
             let layout = Layout::from_size_align(64, 8).unwrap();
             let p = CountingAllocator.alloc(layout);
@@ -113,7 +107,7 @@ mod tests {
             CountingAllocator.dealloc(p, Layout::from_size_align(128, 8).unwrap());
         }
         assert_eq!(allocation_count() - a, 2);
-        assert_eq!(deallocation_count() - d, 1);
+        assert_eq!(thread_deallocation_count() - d, 1);
     }
 
     #[test]

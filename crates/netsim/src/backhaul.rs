@@ -30,10 +30,10 @@
 //! 24-cell fan-out).  Each push and pop costs a scan of the runs instead of
 //! a heap's sift, and emptied runs keep their buffers.
 //!
-//! Determinism and sharding: the backhaul is stepped by the single-threaded
-//! simulation driver loop, outside the radio-access-network tick, and all
-//! of its ordering is by `(time, submission sequence)` pairs, so results
-//! are byte-identical for every shard count.
+//! Determinism: the backhaul is stepped by the simulation driver loop,
+//! outside the radio-access-network tick, and all of its ordering is by
+//! `(time, submission sequence)` pairs, so results are a pure function of
+//! the configuration and the seed.
 
 use crate::faults::{FlapPolicy, LinkFlap};
 use crate::runs::MonotoneRuns;

@@ -4,9 +4,8 @@
 //! A [`FaultSchedule`] is part of [`SimConfig`](crate::SimConfig) (an
 //! optional field; `None` or an empty schedule leaves every content key
 //! untouched) and describes three fault families, all keyed purely by
-//! simulation time and configuration — never by wall clock, thread timing or
-//! worker completion order — so a faulted run is byte-identical across shard
-//! counts, exactly like a healthy one:
+//! simulation time and configuration — never by wall clock or thread timing
+//! — so a faulted run is as reproducible as a healthy one:
 //!
 //! * **Cell outages** ([`CellOutage`]): the cell stops scheduling for a
 //!   window.  Resident UEs see the cell at the RLF floor (−200 dBm), declare

@@ -46,6 +46,7 @@ use pbe_pdcch::batch::DciBatcher;
 use pbe_stats::time::{Duration, Instant};
 use pbe_stats::{DetRng, FxHashMap};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 
 /// Configuration of one simulation run.
@@ -68,48 +69,21 @@ pub struct SimConfig {
     /// cells, so different cells can strengthen and fade independently —
     /// the prerequisite for any handover scenario.
     pub trajectories: Vec<CellTrajectory>,
-    /// Shard count for the cellular tick engine.  `Some(n)` cuts the cell
-    /// grid into `n` geo-contiguous runs whose cell ticks run in parallel
-    /// on a persistent worker pool; every per-UE phase stays on the calling
-    /// thread, and one shard ticks the whole grid inline.  Every shard
-    /// count produces byte-identical results; only the wall clock changes.
-    /// `None` (the default) means one shard unless the `PBE_FORCE_SHARDS`
-    /// environment variable (a positive integer) names another count — the
-    /// CI lever that runs the whole test suite at a multi-shard count.
+    /// Accepted and ignored: the tick engine runs every cell on the calling
+    /// thread, and every shard count always produced the same bytes.  The
+    /// field stays because the repo benchmark (`benchmark/`) still sets it;
+    /// ROADMAP item 4 drops that use and item 7 deletes the field.
     pub shards: Option<usize>,
     /// Shared wired backhaul topology.  `None` (the default) keeps each flow
     /// on its private [`WiredPath`]; `Some` routes every flow through the
     /// shared link DAG by the cell its UE is attached to, re-routing on
     /// handover.
-    /// The backhaul is stepped by the single-threaded driver loop outside
-    /// the RAN tick, so results stay byte-identical for every shard count.
     pub backhaul: Option<BackhaulConfig>,
     /// Deterministic fault schedule: cell outages, backhaul link flaps and
     /// control-channel decode-loss bursts, all keyed purely by simulated
     /// time.  `None` (the default) injects nothing; a schedule is applied by
-    /// the single-threaded driver loop, so faulted runs stay byte-identical
-    /// across shard counts.
+    /// the driver loop.
     pub faults: Option<FaultSchedule>,
-}
-
-/// Parse a `PBE_FORCE_SHARDS` value: unset means no override; anything but
-/// a positive integer is an error naming the variable and the value, so a
-/// typo cannot silently run the default shard count.
-fn parse_forced_shards(value: Option<&str>) -> Result<Option<usize>, String> {
-    let Some(value) = value else { return Ok(None) };
-    match value.parse::<usize>() {
-        Ok(n) if n > 0 => Ok(Some(n)),
-        _ => Err(format!(
-            "PBE_FORCE_SHARDS must be a positive integer, got {value:?}"
-        )),
-    }
-}
-
-/// The shard count the environment asks for when [`SimConfig::shards`] does
-/// not name one.
-fn forced_shards() -> Option<usize> {
-    let value = std::env::var_os("PBE_FORCE_SHARDS").map(|v| v.to_string_lossy().into_owned());
-    parse_forced_shards(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One per-cell trajectory override of [`SimConfig::trajectories`].
@@ -751,28 +725,48 @@ impl Receiver {
     }
 }
 
-/// The radio access network of `cfg` on `shards` shards, each UE built once
-/// from its final per-cell traces.  An override replaces the trace towards
-/// the first configured position of its cell; the last override of a pair
-/// wins, and a pair whose UE or cell is not configured is ignored.
-fn build_network(cfg: &SimConfig, shards: usize) -> ShardedNetwork {
-    let mut net = ShardedNetwork::new(cfg.cellular.clone(), cfg.load, cfg.seed, shards);
-    let overrides: FxHashMap<(UeId, CellId), &MobilityTrace> = cfg
+/// The radio access network of `cfg`, each UE built once from its final
+/// per-cell traces.  An override replaces the trace towards the first
+/// configured position of its cell, and the last override of a pair wins.
+///
+/// # Panics
+///
+/// If a `trajectories` entry names a UE that `ues` does not hold, or a cell
+/// that is not one of that UE's configured cells: the override would apply
+/// to nothing.
+fn build_network(cfg: &SimConfig) -> ShardedNetwork {
+    let mut net = ShardedNetwork::new(cfg.cellular.clone(), cfg.load, cfg.seed, 1);
+    // Each override, and whether a configured (UE, cell) pair looked it up.
+    let overrides: FxHashMap<(UeId, CellId), (&MobilityTrace, Cell<bool>)> = cfg
         .trajectories
         .iter()
-        .map(|t| ((t.ue, t.cell), &t.trace))
+        .map(|t| ((t.ue, t.cell), (&t.trace, Cell::new(false))))
         .collect();
     let rows = cfg.ues.iter().map(|(u, _)| u.configured_cells.len()).sum();
     net.reserve(cfg.ues.len(), rows);
+    let mut claimed = 0;
     for (ue_cfg, trace) in &cfg.ues {
         let cells = &ue_cfg.configured_cells;
         // An override applies to the first position of its cell.
         let own_trace = |i: usize| {
             let cell = cells[i];
-            let own = overrides.get(&(ue_cfg.id, cell)).copied();
-            own.filter(|_| !cells[..i].contains(&cell))
+            let (own, configured) = overrides.get(&(ue_cfg.id, cell))?;
+            claimed += usize::from(!configured.replace(true));
+            Some(*own).filter(|_| !cells[..i].contains(&cell))
         };
         net.add_ue_with_traces(ue_cfg.clone(), trace, own_trace);
+    }
+    if claimed < overrides.len() {
+        let t = cfg
+            .trajectories
+            .iter()
+            .find(|t| !overrides[&(t.ue, t.cell)].1.get())
+            .expect("an override no configured pair claimed");
+        panic!(
+            "invalid trajectory: the entry for {} towards {} names no configured \
+             (UE, cell) pair, so it would be ignored",
+            t.ue, t.cell
+        );
     }
     net
 }
@@ -807,10 +801,9 @@ impl Simulation {
         let mut sink = Sink { metrics, observers };
         let faults = FaultDriver::new(cfg.faults.clone());
 
-        let shards = cfg.shards.or_else(forced_shards).unwrap_or(1);
         let mut ran = Ran {
             cellular: cfg.cellular.clone(),
-            net: build_network(cfg, shards),
+            net: build_network(cfg),
             report: NetworkTickReport::default(),
             batcher: DciBatcher::new(),
         };
@@ -1005,10 +998,7 @@ mod tests {
                 FlowConfig::bulk(1, ue_a, SchemeChoice::Pbe, duration),
                 FlowConfig::bulk(2, ue_b, SchemeChoice::Pbe, duration),
             ],
-            trajectories: Vec::new(),
-            shards: None,
-            backhaul: None,
-            faults: None,
+            ..SimConfig::default()
         };
         let result = Simulation::new(cfg).run();
         let a = result.flows[0].summary.avg_throughput_mbps;
@@ -1021,55 +1011,75 @@ mod tests {
         assert!(!result.primary_prb_timeline.is_empty());
     }
 
-    /// FNV-128 of the `SimResult` JSON of `cfg` run at `shards` shards.
-    /// The constants the identity tests compare it with were captured from
-    /// the serial tick engine at the commit before it was deleted.
-    fn result_digest(cfg: &SimConfig, shards: usize) -> String {
-        let mut cfg = cfg.clone();
-        cfg.shards = Some(shards);
-        let json = serde_json::to_string(&Simulation::new(cfg).run()).unwrap();
+    /// FNV-128 of the `SimResult` JSON of `cfg`.  The `*_across_shard_counts`
+    /// tests are named for the shard counts they once compared; each pins
+    /// the constant every count matched, captured from the serial tick
+    /// engine at the commit before it was deleted.
+    fn result_digest(cfg: &SimConfig) -> String {
+        let json = serde_json::to_string(&Simulation::new(cfg.clone()).run()).unwrap();
         pbe_stats::fnv1a_128_hex(json.as_bytes())
     }
 
     #[test]
     fn simulation_is_byte_identical_across_shard_counts() {
-        // The shard count must be invisible end to end: a whole simulation
-        // (flows, metrics, CA on the 3-cell default network) serialises to
-        // the serial engine's bytes whatever the shard count.
+        // A whole simulation (flows, metrics, CA on the 3-cell default
+        // network) serialises to the serial engine's bytes.
         let cfg = SimConfig::single_flow(
             SchemeChoice::Pbe,
             Duration::from_secs(2),
             CellLoadProfile::busy(),
             13,
         );
-        for shards in [1usize, 2, 3] {
-            assert_eq!(
-                result_digest(&cfg, shards),
-                "4f35125cee6d016f0b5ff89e293acb1f",
-                "{shards} shards diverged from the serial engine's result"
-            );
-        }
+        assert_eq!(result_digest(&cfg), "4f35125cee6d016f0b5ff89e293acb1f");
     }
 
     #[test]
-    fn forced_shard_count_parses_or_fails_loudly() {
-        assert_eq!(parse_forced_shards(None), Ok(None));
-        assert_eq!(parse_forced_shards(Some("3")), Ok(Some(3)));
-        for bad in ["0", "three", "", "-1", "2 "] {
-            let err = parse_forced_shards(Some(bad)).expect_err(bad);
-            assert!(
-                err.contains("PBE_FORCE_SHARDS") && err.contains(&format!("{bad:?}")),
-                "{err}"
-            );
-        }
+    fn a_shard_count_is_accepted_and_ignored() {
+        let cfg = SimConfig::single_flow(
+            SchemeChoice::Pbe,
+            Duration::from_millis(500),
+            CellLoadProfile::busy(),
+            13,
+        );
+        let sharded = SimConfig {
+            shards: Some(3),
+            ..cfg.clone()
+        };
+        assert_eq!(result_digest(&sharded), result_digest(&cfg));
+    }
+
+    /// A config whose one trajectory override is `(ue, cell)`.
+    fn with_trajectory(ue: u32, cell: u16) -> SimConfig {
+        let mut cfg = SimConfig::single_flow(
+            SchemeChoice::Pbe,
+            Duration::from_millis(10),
+            CellLoadProfile::none(),
+            1,
+        );
+        cfg.trajectories = vec![CellTrajectory {
+            ue: UeId(ue),
+            cell: CellId(cell),
+            trace: MobilityTrace::stationary(-90.0),
+        }];
+        cfg
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid trajectory: the entry for ue1 towards cell7")]
+    fn a_trajectory_towards_an_unconfigured_cell_is_rejected() {
+        Simulation::new(with_trajectory(1, 7)).run();
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid trajectory: the entry for ue9 towards cell0")]
+    fn a_trajectory_of_an_unknown_ue_is_rejected() {
+        Simulation::new(with_trajectory(9, 0)).run();
     }
 
     #[test]
     fn backhaul_simulation_is_byte_identical_across_shard_counts() {
-        // The backhaul is stepped in the single-threaded driver loop, so
-        // its arrivals — and everything downstream of them — must serialise
-        // to the serial engine's bytes whatever the shard count, across
-        // seeds.
+        // The backhaul's arrivals — and everything downstream of them —
+        // serialise to the serial engine's bytes, across seeds.
         for (seed, digest) in [
             (13u64, "51af63845d3697922fb215ab3fd7a546"),
             (29, "d4728fac18f1966a32919e97e81fe097"),
@@ -1093,22 +1103,15 @@ mod tests {
                     )
                 },
             ));
-            for shards in [1usize, 2, 3] {
-                assert_eq!(
-                    result_digest(&cfg, shards),
-                    digest,
-                    "{shards} shards diverged from the serial engine's result (seed {seed})"
-                );
-            }
+            assert_eq!(result_digest(&cfg), digest, "seed {seed}");
         }
     }
 
     #[test]
     fn faulted_simulation_is_byte_identical_across_shard_counts() {
-        // Fault injection is config/time-derived and applied in the
-        // single-threaded driver, so a faulted run — a cell outage with RLF
-        // re-selection, a drained link flap and a decode-loss burst — must
-        // serialise to the serial engine's bytes whatever the shard count.
+        // Fault injection is config/time-derived, so a faulted run — a cell
+        // outage with RLF re-selection, a drained link flap and a
+        // decode-loss burst — serialises to the serial engine's bytes.
         use crate::faults::{CellOutage, DecodeLossBurst, FaultKind, FlapPolicy, LinkFlap};
         for (seed, digest) in [
             (13u64, "e96fbe41069700a7bd7db7f763ea16af"),
@@ -1165,13 +1168,7 @@ mod tests {
                     .any(|r| r.kind == FaultKind::CellOutage && !r.reconnect_ms.is_empty()),
                 "the outage triggered an RLF re-selection (seed {seed})"
             );
-            for shards in [1usize, 2, 3, 7] {
-                assert_eq!(
-                    result_digest(&cfg, shards),
-                    digest,
-                    "{shards} shards diverged from the serial engine's result (seed {seed})"
-                );
-            }
+            assert_eq!(result_digest(&cfg), digest, "seed {seed}");
         }
     }
 
@@ -1408,13 +1405,7 @@ mod tests {
                 "e4b503aab354918ace8cee06da05186b",
             ),
         ] {
-            for shards in [1usize, 2, 3] {
-                assert_eq!(
-                    result_digest(&cfg, shards),
-                    digest,
-                    "{name}: {shards} shards diverged from the pinned result"
-                );
-            }
+            assert_eq!(result_digest(&cfg), digest, "{name}");
         }
     }
 
@@ -1493,13 +1484,7 @@ mod tests {
             "the walker handed over"
         );
         assert_eq!(result.fault_recovery.len(), 1, "the flap closed");
-        for shards in [1usize, 3] {
-            assert_eq!(
-                result_digest(&cfg, shards),
-                "5235913b80e803d68b69f24363d3803d",
-                "{shards} shards diverged from the pinned result"
-            );
-        }
+        assert_eq!(result_digest(&cfg), "5235913b80e803d68b69f24363d3803d");
     }
 
     #[test]

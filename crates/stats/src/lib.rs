@@ -10,9 +10,9 @@
 //!   single `u64` seed reproduces an entire experiment bit-for-bit.
 //! * [`hash`] — stable 128-bit FNV-1a content hashing for the artifact result
 //!   store's point keys and the result digests tests pin.
-//! * [`pool`] — the in-tree [`WorkerPool`] the sweep harness and the
-//!   sharded tick engine share: one primitive, [`WorkerPool::for_each`],
-//!   that hands each job a disjoint item by value.
+//! * [`pool`] — the in-tree [`WorkerPool`] the sweep harness runs its
+//!   independent simulations on: a worker count whose
+//!   [`WorkerPool::run_collect`] returns results in index order.
 //! * [`percentile`](mod@percentile), [`cdf`], [`window`], [`jain`],
 //!   [`summary`] — the
 //!   order-statistics, empirical-CDF, time-window aggregation, fairness-index
@@ -20,9 +20,7 @@
 //!   from (throughput averaged over 100 ms windows, 95th-percentile one-way
 //!   delay, Jain's fairness index over allocated PRBs, …).
 
-// The worker pool's lifetime erasure is the one `unsafe` block outside
-// `compat/`; it opts in locally.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod cdf;
 pub mod fxhash;

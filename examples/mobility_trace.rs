@@ -26,10 +26,7 @@ fn main() {
             trace.clone(),
         )],
         flows: vec![FlowConfig::bulk(1, ue, SchemeChoice::Pbe, duration)],
-        trajectories: Vec::new(),
-        shards: None,
-        backhaul: None,
-        faults: None,
+        ..SimConfig::default()
     };
     let result = Simulation::new(config).run();
     let flow = &result.flows[0];

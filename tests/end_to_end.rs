@@ -122,10 +122,7 @@ fn pbe_detects_an_internet_bottleneck_and_bounds_its_delay() {
         )],
         flows: vec![FlowConfig::bulk(1, ue, SchemeChoice::Pbe, duration)
             .with_wired_bottleneck(15e6, 150_000)],
-        trajectories: Vec::new(),
-        shards: None,
-        backhaul: None,
-        faults: None,
+        ..SimConfig::default()
     };
     let result = Simulation::new(cfg).run();
     let flow = &result.flows[0];
@@ -172,10 +169,7 @@ fn two_pbe_flows_with_different_rtts_share_prbs_fairly() {
             FlowConfig::bulk(2, ue_b, SchemeChoice::Pbe, duration)
                 .with_one_way_delay(Duration::from_millis(148)),
         ],
-        trajectories: Vec::new(),
-        shards: None,
-        backhaul: None,
-        faults: None,
+        ..SimConfig::default()
     };
     let result = Simulation::new(cfg).run();
     // Jain's index over the primary-cell PRBs in the second half of the run
@@ -308,10 +302,7 @@ fn mobility_walk_keeps_pbe_delay_bounded() {
             MobilityTrace::from_secs(&[(0.0, -85.0), (5.0, -103.0), (8.0, -85.0), (10.0, -85.0)]),
         )],
         flows: vec![FlowConfig::bulk(1, ue, SchemeChoice::Pbe, duration)],
-        trajectories: Vec::new(),
-        shards: None,
-        backhaul: None,
-        faults: None,
+        ..SimConfig::default()
     };
     let result = Simulation::new(cfg).run();
     let flow = &result.flows[0];
