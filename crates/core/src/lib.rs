@@ -37,9 +37,7 @@ pub mod translate;
 
 pub use capacity::{CapacityEstimate, CapacityEstimator};
 pub use client::{BottleneckState, PbeClient};
-pub use receiver::{
-    NullReceiverAgent, PbeReceiverAgent, ReceiverAgent, ReceiverCtx, ReceiverFactory,
-};
+pub use receiver::{PbeReceiverAgent, ReceiverAgent, ReceiverCtx, ReceiverFactory};
 pub use sender::{PbeSender, SenderState};
 pub use translate::RateTranslator;
 

@@ -3,10 +3,12 @@
 //! The end-to-end simulator models the receiver of every flow as a
 //! [`ReceiverAgent`]: a state machine that observes each subframe's control
 //! channel, follows carrier (de)activations, and may attach feedback to the
-//! acknowledgement of every delivered packet.  Baselines use the no-op
-//! [`NullReceiverAgent`]; PBE-CC plugs in [`PbeReceiverAgent`] — the
-//! decoder → fusion → client pipeline of the paper's Fig. 10a — through the
-//! same interface, so the simulator contains no PBE-specific wiring.
+//! acknowledgement of every delivered packet.  A scheme without a
+//! registered receiver — every baseline — has no agent at all, so the
+//! simulator spends nothing on its receivers; PBE-CC plugs in
+//! [`PbeReceiverAgent`] — the decoder → fusion → client pipeline of the
+//! paper's Fig. 10a — through this interface, so the simulator contains no
+//! PBE-specific wiring.
 //!
 //! The trait lives here (not in `pbe-netsim`) because the agent vocabulary —
 //! DCI messages, carrier events, PBE feedback — is defined below the
@@ -28,7 +30,9 @@ use std::collections::BTreeMap;
 /// A receiver-side, per-flow state machine that annotates acknowledgements.
 ///
 /// All methods have no-op defaults so simple agents only implement what they
-/// observe.
+/// observe.  A scheme that registers no receiver factory has no agent: the
+/// simulator calls none of these for its flows, and their ACKs carry no
+/// feedback.
 pub trait ReceiverAgent: Send {
     /// A carrier was activated or deactivated for this flow's UE.
     /// `total_prbs` is the PRB count of the affected cell.
@@ -66,12 +70,6 @@ pub trait ReceiverAgent: Send {
         None
     }
 }
-
-/// The agent used by every scheme without receiver-side machinery.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullReceiverAgent;
-
-impl ReceiverAgent for NullReceiverAgent {}
 
 /// Construction context handed to a [`ReceiverFactory`].
 #[derive(Debug, Clone)]
@@ -286,14 +284,6 @@ mod tests {
             harq_process: 0,
             tbs_bits: u32::from(prbs) * 1200,
         }
-    }
-
-    #[test]
-    fn null_agent_never_produces_feedback() {
-        let mut agent = NullReceiverAgent;
-        feed(&mut agent, 3, &[]);
-        agent.set_rtprop_ms(40.0);
-        assert!(agent.on_packet(Instant::from_millis(5), 21.0).is_none());
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!   implementing [`ReceiverAgent`] (re-exported from `pbe-core`): they
 //!   observe each subframe's control channel, follow carrier events, and
 //!   annotate ACKs.  PBE-CC's decoder → fusion → client pipeline
-//!   ([`PbeReceiverAgent`](pbe_core::PbeReceiverAgent)) plugs in here; every
-//!   other scheme gets the no-op agent.
+//!   ([`PbeReceiverAgent`](pbe_core::PbeReceiverAgent)) plugs in here; a
+//!   scheme that registers no receiver has no agent, and its flows cost the
+//!   receiver stage nothing.
 //! * **Observers** — the engine narrates typed [`SimEvent`]s (subframes
 //!   scheduled, ACKs processed, packets delivered, capacity estimates,
 //!   carrier and bottleneck-state changes) to any registered
@@ -87,7 +88,7 @@ pub use faults::{
 pub use flow::{AppModel, FlowConfig, FlowResult, SchemeChoice};
 pub use observer::{Observer, SimEvent};
 pub use pbe_cellular::handover::HandoverEvent;
-pub use pbe_core::receiver::{NullReceiverAgent, ReceiverAgent, ReceiverCtx, ReceiverFactory};
+pub use pbe_core::receiver::{ReceiverAgent, ReceiverCtx, ReceiverFactory};
 pub use rate::DeliveryRateEstimator;
 pub use scheme::FIXED_SCHEME_ID;
 pub use sim::{CellTrajectory, PrbInterval, SimConfig, SimResult, Simulation};

@@ -3,16 +3,17 @@
 //! A transport scheme, as the simulator sees it, is two factories under one
 //! [`SchemeId`] key: the sender-side congestion controller (from the open
 //! [`SchemeRegistry`] in `pbe-cc-algorithms`) and an optional receiver-side
-//! [`ReceiverAgent`].  Every simulation starts from the standard table: the
-//! baselines, PBE-CC (whose receiver agent is the decoder → fusion →
-//! client pipeline from `pbe-core`) and the congestion-control-free
-//! [`FIXED_SCHEME_ID`] scheme.  New schemes are registered from the outside
-//! via [`SimBuilder`](crate::builder::SimBuilder) without touching this
-//! crate.
+//! [`ReceiverAgent`].  A scheme that registers no receiver has no agent: its
+//! flows cost the receiver stage nothing.  Every simulation starts from the
+//! standard table: the baselines, PBE-CC (whose receiver agent is the
+//! decoder → fusion → client pipeline from `pbe-core`) and the
+//! congestion-control-free [`FIXED_SCHEME_ID`] scheme.  New schemes are
+//! registered from the outside via [`SimBuilder`](crate::builder::SimBuilder)
+//! without touching this crate.
 
 use pbe_cc_algorithms::registry::{SchemeCtx, SchemeId, SchemeRegistry};
 use pbe_cc_algorithms::CongestionControl;
-use pbe_core::receiver::{NullReceiverAgent, ReceiverAgent, ReceiverCtx, ReceiverFactory};
+use pbe_core::receiver::{ReceiverAgent, ReceiverCtx, ReceiverFactory};
 use pbe_core::PbeReceiverAgent;
 use std::collections::HashMap;
 
@@ -75,17 +76,15 @@ impl SchemeTable {
         }
     }
 
-    /// Build the receiver agent for a scheme (the no-op agent if none is
-    /// registered).
+    /// Build the receiver agent for a scheme: `None` if the scheme
+    /// registers no receiver, so its flows carry no agent and the engine
+    /// never calls into one for them.
     pub(crate) fn build_receiver(
         &self,
         id: &SchemeId,
         ctx: &ReceiverCtx,
-    ) -> Box<dyn ReceiverAgent> {
-        match self.receivers.get(id) {
-            Some(factory) => factory(ctx),
-            None => Box::new(NullReceiverAgent),
-        }
+    ) -> Option<Box<dyn ReceiverAgent>> {
+        self.receivers.get(id).map(|factory| factory(ctx))
     }
 }
 
@@ -120,13 +119,16 @@ mod tests {
     }
 
     #[test]
-    fn pbe_gets_its_receiver_and_baselines_get_the_null_agent() {
+    fn pbe_gets_its_receiver_and_baselines_get_no_agent() {
         let table = SchemeTable::standard();
-        let mut pbe_rx = table.build_receiver(&pbe_core::PBE_SCHEME_ID, &rx_ctx());
-        let mut bbr_rx = table.build_receiver(&SchemeId::new("BBR"), &rx_ctx());
+        let pbe_rx = table.build_receiver(&pbe_core::PBE_SCHEME_ID, &rx_ctx());
         use pbe_stats::time::Instant;
+        let mut pbe_rx = pbe_rx.expect("PBE registers a receiver");
         assert!(pbe_rx.on_packet(Instant::from_millis(1), 20.0).is_some());
-        assert!(bbr_rx.on_packet(Instant::from_millis(1), 20.0).is_none());
+        assert!(table
+            .build_receiver(&SchemeId::new("BBR"), &rx_ctx())
+            .is_none());
+        assert!(table.build_receiver(&FIXED_SCHEME_ID, &rx_ctx()).is_none());
     }
 
     #[test]

@@ -43,7 +43,7 @@ use pbe_cellular::shard::ShardedNetwork;
 use pbe_cellular::traffic::CellLoadProfile;
 use pbe_core::receiver::{ReceiverAgent, ReceiverCtx};
 use pbe_pdcch::batch::DciBatcher;
-use pbe_stats::time::{Duration, Instant};
+use pbe_stats::time::{Duration, Instant, MICROS_PER_MS};
 use pbe_stats::{DetRng, FxHashMap};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -275,7 +275,9 @@ impl FaultDriver {
         for d in &self.schedule.decode_loss {
             if d.start_ms == t_ms {
                 for r in receivers.iter_mut().filter(|r| r.config.id == d.flow) {
-                    r.agent.on_decode_loss(d.end_ms);
+                    if let Some(agent) = r.agent.as_mut() {
+                        agent.on_decode_loss(d.end_ms);
+                    }
                 }
                 sink.emit(SimEvent::FaultDecodeLoss {
                     flow: d.flow,
@@ -318,10 +320,79 @@ struct Sender {
     config: FlowConfig,
     cc: Option<Box<dyn CongestionControl>>,
     allowance_bytes: f64,
+    /// The pacing budget read at the flow's last visit, which every subframe
+    /// skipped since then adds at (see [`Senders`]).
+    budget_bps: f64,
+    /// The first active subframe whose allowance add has not been applied.
+    paced_to: u64,
+    /// The flow paces on subframes `first_ms..stop_ms`: its start and stop
+    /// rounded up to whole milliseconds.
+    first_ms: u64,
+    stop_ms: u64,
     inflight_bytes: u64,
     rate_est: DeliveryRateEstimator,
     srtt: Duration,
     pending: VecDeque<PendingEvent>,
+}
+
+/// The first subframe at (or after) `at`.
+fn subframe_from(at: Instant) -> u64 {
+    at.as_micros().div_ceil(MICROS_PER_MS)
+}
+
+/// A token bucket's per-subframe law at one pacing budget: add a
+/// subframe's worth of bytes, then cap the carried-over allowance at one
+/// burst so an idle app cannot accumulate an unbounded bucket.
+#[derive(Clone, Copy)]
+struct Pacing {
+    inc: f64,
+    burst: f64,
+}
+
+impl Pacing {
+    fn at(budget_bps: f64) -> Self {
+        Pacing {
+            inc: budget_bps / 8.0 * 1e-3,
+            burst: budget_bps / 8.0 * 0.05 + 2.0 * MSS_BYTES as f64,
+        }
+    }
+
+    /// One subframe.
+    fn step(self, allowance: f64) -> f64 {
+        (allowance + self.inc).min(self.burst)
+    }
+
+    /// `allowance` after `k` subframes, bit-equal to `k` calls of
+    /// [`Pacing::step`] (never `k · inc`, which rounds differently).  A step
+    /// that returns its input's bits is a fixed point of the law, so every
+    /// later step would return them too and the walk stops there.
+    fn pace_until(self, mut allowance: f64, k: u64) -> f64 {
+        for _ in 0..k {
+            let next = self.step(allowance);
+            if next.to_bits() == allowance.to_bits() {
+                break;
+            }
+            allowance = next;
+        }
+        allowance
+    }
+
+    /// The first of the next `limit` subframes, counted from 1, after
+    /// which stepping from `allowance` holds at least one MSS; `None` if
+    /// none does.
+    fn subframes_to_mss(self, mut allowance: f64, limit: u64) -> Option<u64> {
+        for k in 1..=limit {
+            let next = self.step(allowance);
+            if next >= MSS_BYTES as f64 {
+                return Some(k);
+            }
+            if next.to_bits() == allowance.to_bits() {
+                return None;
+            }
+            allowance = next;
+        }
+        None
+    }
 }
 
 impl Sender {
@@ -384,52 +455,120 @@ impl Sender {
             wired_drop: one_way.is_none(),
         });
     }
+
+    /// The subframe at which the front of the news reaches the sender.
+    fn news_wake(&self) -> u64 {
+        self.pending
+            .front()
+            .map_or(u64::MAX, |ev| subframe_from(ev.arrive_at))
+    }
+
+    /// Step 2's allowance at active subframe `t`: the adds of the subframes
+    /// skipped since the last visit, at the budget read there, then this
+    /// subframe's add at a fresh read.  Returns this subframe's law and
+    /// whether the window gates the release.
+    fn pace(&mut self, t: u64) -> (Pacing, bool) {
+        let skipped = t - self.paced_to;
+        let allowance = Pacing::at(self.budget_bps).pace_until(self.allowance_bytes, skipped);
+        let (budget_bps, gate_by_cwnd) = match (&self.config.app, self.cc.as_ref()) {
+            (AppModel::ConstantRate(r), _) => (*r, false),
+            (AppModel::Bulk, Some(cc)) => (cc.pacing_rate_bps(), true),
+            (AppModel::Bulk, None) => (12e6, false),
+        };
+        let pacing = Pacing::at(budget_bps);
+        self.allowance_bytes = pacing.step(allowance);
+        self.budget_bps = budget_bps;
+        self.paced_to = t + 1;
+        (pacing, gate_by_cwnd)
+    }
 }
 
 /// Steps 0–2: the servers, and the one packet table (packet id → owner,
 /// release time, ECN mark) of everything they released that has been neither
 /// delivered nor dropped.
+///
+/// A flow is visited only at the subframes where something can happen to
+/// it, its *wake*: the arrival of the front of its news (an ACK or a loss
+/// report, rounded up to a whole subframe), a near-source signal, its first
+/// active subframe, the subframe after a visit that released a packet, and
+/// otherwise the subframe at which its allowance reaches one MSS (never, if
+/// the window blocks it).  Steps 1 and 2 each visit the due flows in index
+/// order.  This is byte-exact.  A visit does what the old every-subframe
+/// poll did, and a skipped subframe would have changed nothing but the
+/// allowance: the flow had no news, and either its allowance stayed under
+/// one MSS or its window stayed shut, since only news changes its in-flight
+/// bytes and only a `&mut` controller call changes its window.  The skipped
+/// adds are applied at the next visit, one subframe at a time, at the budget
+/// read at the last visit.  That is the budget every skipped subframe would
+/// have read: the getters change only in `&mut` calls (the state contract on
+/// [`CongestionControl`]), and a visit after which `on_packet_sent` ran, the
+/// one `&mut` call that can follow the read, is due again next subframe.
 struct Senders {
     flows: Vec<Sender>,
+    /// Each flow's wake subframe.
+    wake: Vec<u64>,
+    /// Scratch: the flows due this subframe, in index order.
+    due: Vec<usize>,
     packets: FxHashMap<u64, Packet>,
     next_packet_id: u64,
 }
 
 impl Senders {
+    fn new(flows: Vec<Sender>) -> Self {
+        Senders {
+            wake: flows.iter().map(|f| f.first_ms).collect(),
+            due: Vec::with_capacity(flows.len()),
+            flows,
+            packets: FxHashMap::default(),
+            next_packet_id: 1,
+        }
+    }
+
+    /// Flow `idx` got news: wake it when the front of its news arrives.
+    fn note_news(&mut self, idx: usize) {
+        self.wake[idx] = self.wake[idx].min(self.flows[idx].news_wake());
+    }
+
     fn tick(&mut self, now: Instant, wire: &mut Wire, sink: &mut Sink) {
+        let t = now.as_millis();
         // 0. Near-source congestion signals reach their senders (they
         //    undercut the ACK clock, so they are delivered first).
         while let Some((idx, signal)) = wire.signal_due(now) {
             if let Some(cc) = self.flows[idx].cc.as_mut() {
                 cc.on_signal(now, &signal);
             }
+            self.wake[idx] = t;
         }
+        self.due.clear();
+        let due = self.wake.iter().enumerate().filter(|&(_, &w)| w <= t);
+        self.due.extend(due.map(|(idx, _)| idx));
         // 1. ACKs and loss reports.
-        for flow in &mut self.flows {
-            flow.take_feedback(now, sink);
+        for &idx in &self.due {
+            self.flows[idx].take_feedback(now, sink);
         }
         // 2. Senders release packets under pacing + cwnd control.
-        for (idx, flow) in self.flows.iter_mut().enumerate() {
-            if now < flow.config.start || now >= flow.config.stop {
+        for &idx in &self.due {
+            let flow = &mut self.flows[idx];
+            if t < flow.first_ms || t >= flow.stop_ms {
+                let start = if t < flow.first_ms {
+                    flow.first_ms
+                } else {
+                    u64::MAX
+                };
+                self.wake[idx] = start.min(flow.news_wake());
                 continue;
             }
-            let (budget_bps, gate_by_cwnd) = match (&flow.config.app, flow.cc.as_ref()) {
-                (AppModel::ConstantRate(r), _) => (*r, false),
-                (AppModel::Bulk, Some(cc)) => (cc.pacing_rate_bps(), true),
-                (AppModel::Bulk, None) => (12e6, false),
-            };
-            flow.allowance_bytes += budget_bps / 8.0 * 1e-3;
-            // Cap the carried-over allowance at one burst worth of data so
-            // an idle app cannot accumulate an unbounded token bucket.
-            let burst = budget_bps / 8.0 * 0.05 + 2.0 * MSS_BYTES as f64;
-            flow.allowance_bytes = flow.allowance_bytes.min(burst);
+            let (pacing, gate_by_cwnd) = flow.pace(t);
+            let (mut released, mut blocked) = (false, false);
             while flow.allowance_bytes >= MSS_BYTES as f64 {
                 if gate_by_cwnd {
                     let cwnd = flow.cc.as_ref().map(|c| c.cwnd_bytes()).unwrap_or(u64::MAX);
                     if flow.inflight_bytes + MSS_BYTES > cwnd {
+                        blocked = true;
                         break;
                     }
                 }
+                released = true;
                 let id = self.next_packet_id;
                 self.next_packet_id += 1;
                 flow.allowance_bytes -= MSS_BYTES as f64;
@@ -450,6 +589,18 @@ impl Senders {
                     cc.on_packet_sent(now, MSS_BYTES, flow.inflight_bytes);
                 }
             }
+            let news = flow.news_wake();
+            self.wake[idx] = match (released, blocked) {
+                (true, _) => t + 1,
+                (false, true) => news,
+                // Up to the news or the stop: the visit at the news steps
+                // on from there.
+                (false, false) => {
+                    let limit = news.min(flow.stop_ms).saturating_sub(t + 1);
+                    let wake = pacing.subframes_to_mss(flow.allowance_bytes, limit);
+                    wake.map_or(news, |k| t + k)
+                }
+            };
         }
     }
 }
@@ -587,6 +738,7 @@ impl Wire {
             // Unlike a private path's drop, the packet was charged to the
             // window when it was submitted: its loss returns its bytes.
             flow.lose(sink, now, None, d.bytes);
+            senders.note_news(d.flow);
         }
         for d in &self.report.deliveries {
             net.enqueue_packet(senders.flows[d.flow].config.ue, d.packet_id, d.bytes, now);
@@ -619,6 +771,9 @@ struct Ran {
     net: ShardedNetwork,
     report: NetworkTickReport,
     batcher: DciBatcher,
+    /// The flows whose receiver has an agent, in index order: the only ones
+    /// the control channels are narrated to.
+    listeners: Vec<usize>,
 }
 
 impl Ran {
@@ -646,7 +801,9 @@ impl Ran {
             sink.emit(SimEvent::CaTriggered { event });
             let total_prbs = self.total_prbs(event.cell);
             for r in receivers.iter_mut().filter(|r| r.config.ue == event.ue) {
-                r.agent.on_carrier_event(&event, total_prbs);
+                if let Some(agent) = r.agent.as_mut() {
+                    agent.on_carrier_event(&event, total_prbs);
+                }
             }
         }
         let gap = self.cellular.handover.reacquisition_gap_ms;
@@ -656,7 +813,9 @@ impl Ran {
             let total_prbs = self.total_prbs(to);
             for (idx, r) in receivers.iter_mut().enumerate() {
                 if r.config.ue == event.ue {
-                    r.agent.on_handover(event, total_prbs, gap);
+                    if let Some(agent) = r.agent.as_mut() {
+                        agent.on_handover(event, total_prbs, gap);
+                    }
                     // Its packets now route through the target's backhaul.
                     wire.serving_cell[idx] = event.to;
                 }
@@ -664,18 +823,21 @@ impl Ran {
         }
         let subframe = now.subframe_index();
         let batch = self.batcher.batch(subframe, &report.dci_messages);
-        for (r, s) in receivers.iter_mut().zip(senders) {
-            r.agent.on_subframe(&batch);
-            // Keep receiver-side averaging windows matched to the flow RTT.
-            r.agent.set_rtprop_ms(s.srtt.as_millis_f64());
+        for &idx in &self.listeners {
+            if let Some(agent) = receivers[idx].agent.as_mut() {
+                agent.on_subframe(&batch);
+                // Keep receiver-side averaging windows matched to the flow RTT.
+                agent.set_rtprop_ms(senders[idx].srtt.as_millis_f64());
+            }
         }
     }
 }
 
-/// The receiving half of one flow: its agent on the mobile device.
+/// The receiving half of one flow: its agent on the mobile device, if its
+/// scheme registers one.
 struct Receiver {
     config: FlowConfig,
-    agent: Box<dyn ReceiverAgent>,
+    agent: Option<Box<dyn ReceiverAgent>>,
     /// Last bottleneck-state flag fed back, for `StateChanged` events.
     last_internet_flag: bool,
 }
@@ -691,7 +853,10 @@ impl Receiver {
             return;
         }
         let (flow, at) = (self.config.id, d.at);
-        let pbe = self.agent.on_packet(at, one_way.as_millis_f64());
+        let pbe = self
+            .agent
+            .as_mut()
+            .and_then(|a| a.on_packet(at, one_way.as_millis_f64()));
         sink.emit(SimEvent::PacketDelivered {
             flow,
             at,
@@ -791,6 +956,12 @@ impl Simulation {
     }
 
     /// Run the simulation to completion and produce the per-flow results.
+    ///
+    /// # Panics
+    ///
+    /// If a UE id appears in more than one `ues` entry, if a flow names a UE
+    /// that `ues` does not hold, and on the invalid trajectories, wired
+    /// bottlenecks and fault schedules that the stages reject.
     #[deny(clippy::too_many_lines)]
     pub fn run(&mut self) -> SimResult {
         let (cfg, table) = (&self.config, &self.table);
@@ -806,6 +977,7 @@ impl Simulation {
             net: build_network(cfg),
             report: NetworkTickReport::default(),
             batcher: DciBatcher::new(),
+            listeners: Vec::new(),
         };
 
         // Each flow's two halves.  Congestion controller and receiver agent
@@ -814,23 +986,33 @@ impl Simulation {
         // UE, which is also where its packets first route.
         let decoder_rng = DetRng::new(cfg.seed).split("decoders");
         let (mut flows, mut receivers, mut primary) = (Vec::new(), Vec::new(), Vec::new());
-        // A flow's UE is the first `ues` entry with its id.
-        let mut first_entry: FxHashMap<UeId, &UeConfig> = FxHashMap::default();
+        let mut ue_of: FxHashMap<UeId, &UeConfig> = FxHashMap::default();
         for (ue_cfg, _) in &cfg.ues {
-            first_entry.entry(ue_cfg.id).or_insert(ue_cfg);
+            if ue_of.insert(ue_cfg.id, ue_cfg).is_some() {
+                panic!(
+                    "invalid UE list: {} is listed twice in `ues`, so its flows would be \
+                     served through one entry and monitored through another",
+                    ue_cfg.id
+                );
+            }
         }
         for f in &cfg.flows {
-            let ue = first_entry.get(&f.ue);
+            let ue = ue_of.get(&f.ue);
             let cell = ue.expect("flow UE configured").primary_cell();
             primary.push(cell);
             let rtprop_hint =
                 Duration::from_micros(2 * f.server_one_way_delay.as_micros() + 10_000);
             let scheme = f.scheme.id();
             let seed = cfg.seed;
+            let first_ms = subframe_from(f.start);
             flows.push(Sender {
                 config: f.clone(),
                 cc: table.build_cc(&scheme, &SchemeCtx { rtprop_hint, seed }),
                 allowance_bytes: 0.0,
+                budget_bps: 0.0,
+                paced_to: first_ms,
+                first_ms,
+                stop_ms: subframe_from(f.stop),
                 inflight_bytes: 0,
                 rate_est: DeliveryRateEstimator::new(rtprop_hint),
                 srtt: rtprop_hint,
@@ -849,11 +1031,12 @@ impl Simulation {
                 last_internet_flag: false,
             });
         }
-        let mut senders = Senders {
-            flows,
-            packets: FxHashMap::default(),
-            next_packet_id: 1,
-        };
+        let agents = receivers
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.agent.is_some());
+        ran.listeners = agents.map(|(idx, _)| idx).collect();
+        let mut senders = Senders::new(flows);
         let mut wire = Wire::new(cfg, primary, &faults.schedule.link_flaps);
 
         for t_ms in 0..cfg.duration.as_millis() {
@@ -870,6 +1053,7 @@ impl Simulation {
                 if let Some(packet) = senders.packets.remove(&d.packet_id) {
                     let sender = &mut senders.flows[packet.flow];
                     receivers[packet.flow].acknowledge(d, &packet, sender, &mut sink);
+                    senders.note_news(packet.flow);
                 }
             }
         }
@@ -1062,6 +1246,21 @@ mod tests {
             trace: MobilityTrace::stationary(-90.0),
         }];
         cfg
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid UE list: ue1 is listed twice")]
+    fn a_repeated_ue_id_is_rejected() {
+        let mut cfg = SimConfig::single_flow(
+            SchemeChoice::Pbe,
+            Duration::from_millis(10),
+            CellLoadProfile::none(),
+            1,
+        );
+        let mut twin = cfg.ues[0].clone();
+        twin.0.configured_cells = vec![CellId(1)];
+        cfg.ues.push(twin);
+        Simulation::new(cfg).run();
     }
 
     #[test]
@@ -1485,6 +1684,146 @@ mod tests {
         );
         assert_eq!(result.fault_recovery.len(), 1, "the flap closed");
         assert_eq!(result_digest(&cfg), "5235913b80e803d68b69f24363d3803d");
+    }
+
+    /// Four UEs on private wired paths, each flow on one edge of the
+    /// senders' visit rule: a CUBIC flow whose lifetime starts and stops
+    /// between whole milliseconds behind a bottleneck small enough to refuse
+    /// sends, a constant-rate app without a controller, one under BBR, and a
+    /// bulk flow without a controller (paced at the fixed 12 Mbit/s).
+    fn uneven_private_flows() -> SimConfig {
+        let duration = Duration::from_secs(3);
+        let mut ues = Vec::new();
+        for i in 1..=4 {
+            ues.push((
+                UeConfig::new(UeId(i), vec![CellId(0), CellId(1)], 2, -88.0),
+                MobilityTrace::stationary(-88.0),
+            ));
+        }
+        let bulk = |id: u32, scheme| FlowConfig::bulk(id, UeId(id), scheme, duration);
+        let at = Instant::from_micros;
+        let constant = |flow: FlowConfig, rate| FlowConfig {
+            app: AppModel::ConstantRate(rate),
+            ..flow
+        };
+        SimConfig {
+            load: CellLoadProfile::busy(),
+            seed: 19,
+            duration,
+            ues,
+            flows: vec![
+                bulk(1, SchemeChoice::Baseline(SchemeName::Cubic))
+                    .with_lifetime(at(2_500), at(1_200_700))
+                    .with_wired_bottleneck(6e6, 20_000),
+                constant(bulk(2, SchemeChoice::FixedRate), 6e6)
+                    .with_lifetime(at(700_300), at(2_500_900)),
+                constant(bulk(3, SchemeChoice::Baseline(SchemeName::Bbr)), 3e6)
+                    .with_lifetime(at(300), at(2_999_999)),
+                bulk(4, SchemeChoice::FixedRate).with_lifetime(at(1_000_400), at(2_400_000)),
+            ],
+            ..SimConfig::default()
+        }
+    }
+
+    /// SFC, CUBIC and PBE behind a marking aggregation link, so near-source
+    /// signals reach the senders; two lifetimes fall between whole
+    /// milliseconds.
+    fn signalled_mix() -> SimConfig {
+        let duration = Duration::from_secs(2);
+        let schemes = [
+            SchemeChoice::named("SFC"),
+            SchemeChoice::Baseline(SchemeName::Cubic),
+            SchemeChoice::Pbe,
+        ];
+        let mut ues = Vec::new();
+        let mut flows = Vec::new();
+        for (i, scheme) in schemes.into_iter().enumerate() {
+            let ue = UeId(i as u32 + 1);
+            ues.push((
+                UeConfig::new(ue, vec![CellId(0), CellId(1)], 2, -86.0),
+                MobilityTrace::stationary(-86.0),
+            ));
+            flows.push(FlowConfig::bulk(i as u32 + 1, ue, scheme, duration));
+        }
+        flows[0] = flows[0]
+            .clone()
+            .with_lifetime(Instant::from_micros(2_500), Instant::from_micros(1_900_300));
+        flows[1] = flows[1].clone().with_lifetime(
+            Instant::from_micros(100_700),
+            Instant::from_micros(1_200_700),
+        );
+        SimConfig {
+            load: CellLoadProfile::busy(),
+            seed: 23,
+            duration,
+            ues,
+            flows,
+            backhaul: Some(marking_aggregation(12e6, 60_000, 15_000)),
+            ..SimConfig::default()
+        }
+    }
+
+    #[test]
+    fn uneven_lifetimes_and_unpaced_apps_are_byte_identical() {
+        // Digests captured before the senders visited only their due flows.
+        for cfg in [uneven_private_flows(), signalled_mix()] {
+            let result = Simulation::new(cfg).run();
+            for f in &result.flows {
+                assert!(f.packets_delivered > 0, "flow {} delivered nothing", f.id);
+            }
+        }
+        let private = uneven_private_flows();
+        let counts = branch_counts(private.clone());
+        assert!(counts.wired_drops > 0, "{counts:?}");
+        assert_eq!(result_digest(&private), "92673dbcffea9787341b61be59cdade4");
+        let signalled = signalled_mix();
+        let counts = branch_counts(signalled.clone());
+        assert!(counts.backhaul_marks > 0, "{counts:?}");
+        assert_eq!(
+            result_digest(&signalled),
+            "3ea2ec3c943832a7a0c8491593bf35fb"
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn pacing_catch_up_is_single_subframe_stepping(
+            (rate_kind, allowance_kind) in (0u8..7, 0u8..5),
+            rate in 0.0f64..2e8,
+            start in -3_000.0f64..20_000.0,
+            k in 0u64..300,
+        ) {
+            let budget_bps = match rate_kind {
+                0 => 0.0,
+                1 => f64::NAN,
+                2 => f64::INFINITY,
+                3 => f64::NEG_INFINITY,
+                4 => rate * 1e-4,
+                _ => rate,
+            };
+            let pacing = Pacing::at(budget_bps);
+            let allowance = match allowance_kind {
+                0 => pacing.burst,
+                1 => f64::NAN,
+                2 => -0.0,
+                _ => start,
+            };
+            // The every-subframe poll: one add-then-`min` per subframe.
+            let (mut reference, mut first_mss) = (allowance, None);
+            for j in 1..=k {
+                reference = (reference + budget_bps / 8.0 * 1e-3)
+                    .min(budget_bps / 8.0 * 0.05 + 2.0 * MSS_BYTES as f64);
+                if first_mss.is_none() && reference >= MSS_BYTES as f64 {
+                    first_mss = Some(j);
+                }
+            }
+            proptest::prop_assert_eq!(
+                pacing.pace_until(allowance, k).to_bits(),
+                reference.to_bits(),
+                "budget {} allowance {} k {}", budget_bps, allowance, k
+            );
+            proptest::prop_assert_eq!(pacing.subframes_to_mss(allowance, k), first_mss);
+        }
     }
 
     #[test]
