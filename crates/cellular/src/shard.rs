@@ -36,22 +36,23 @@
 //! Everything else happens in a fixed order: handovers in UeId order,
 //! deliveries in (cell, outcome, event) order, CA events in UeId order.
 //!
-//! Idle UEs cost nothing on ordinary subframes.  The lane keeps an `awake`
-//! flag per UE: enqueueing a packet for a UE, replacing one of its traces or
-//! handing it over wakes it, and phase 4 puts it to sleep on a subframe that
-//! allocated it nothing once its active cell holds no queued packet and no
-//! pending HARQ process and its CA state is quiescent
+//! Idle UEs cost nothing on ordinary subframes.  The lane keeps one awake
+//! bit per UE, 64 to a word: enqueueing a packet for a UE, replacing one of
+//! its traces or handing it over wakes it, and phase 4 puts it to sleep on a
+//! subframe that allocated it nothing once its active cell holds no queued
+//! packet and no pending HARQ process and its CA state is quiescent
 //! ([`is_quiescent`](crate::carrier::is_quiescent)).  A UE that meets that
 //! rule when it is added joins asleep.  A sleeper's visit would change no
 //! byte: its staged channel state would go unread and its CA observation
-//! would leave the state as it is.  Phases 1 and 4 skip sleepers, except
-//! that measurement subframes still visit every multi-cell UE for A3; a
-//! sleeper's samples there feed A3 only and are never staged, so phase 3,
-//! which ticks each cell over the UEs staged on it
-//! ([`Cell::tick_prepared`]), never visits a sleeper at all.  The (UE, cell)
-//! streams stay sequential because a channel draws only when its coherence
-//! interval expires, always the same draws: every subframe a sleeper
-//! skipped is replayed
+//! would leave the state as it is.  On an ordinary subframe phases 1 and 4
+//! walk the set bits alone, word by word, so a sleeper is never read, not
+//! even its flag: a word of 64 sleepers is one zero test.  Measurement
+//! subframes still visit every multi-cell UE for A3; a sleeper's samples
+//! there feed A3 only and are never staged, so phase 3, which ticks each
+//! cell over the UEs staged on it ([`Cell::tick_prepared`]), never visits a
+//! sleeper at all.  The (UE, cell) streams stay sequential because a
+//! channel draws only when its coherence interval expires, always the same
+//! draws: every subframe a sleeper skipped is replayed
 //! ([`ChannelModel::replay`](crate::channel::ChannelModel::replay) through
 //! [`UserEquipment::catch_up`]) before its channel is sampled again, handed
 //! over or leaves the active set.  A replayed redraw whose coherence
@@ -145,6 +146,114 @@ fn entry_of(table: &[CellEntry], id: CellId) -> Option<&CellEntry> {
     table.get(usize::from(id.0)).filter(|e| e.index != ABSENT)
 }
 
+/// One bit per lane slot, 64 slots to a word; bits past the last slot are
+/// clear.  The walks over set bits load each word once, so the loop body
+/// sees the word as it stood when the walk reached it.
+#[derive(Default)]
+struct BitLane {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl BitLane {
+    #[inline]
+    fn get(&self, slot: usize) -> bool {
+        debug_assert!(slot < self.len);
+        self.words[slot / 64] >> (slot % 64) & 1 == 1
+    }
+
+    #[inline]
+    fn set(&mut self, slot: usize, bit: bool) {
+        debug_assert!(slot < self.len);
+        let (word, mask) = (&mut self.words[slot / 64], 1u64 << (slot % 64));
+        if bit {
+            *word |= mask;
+        } else {
+            *word &= !mask;
+        }
+    }
+
+    /// Insert `bit` at `slot`, shifting the bits at and above it up one.
+    fn insert(&mut self, slot: usize, bit: bool) {
+        assert!(slot <= self.len, "slot {slot} past the end ({})", self.len);
+        if self.len.is_multiple_of(64) {
+            self.words.push(0);
+        }
+        self.len += 1;
+        let w = slot / 64;
+        // Every word above the slot's moves up one bit, taking the top bit
+        // of the word below; top down, so each carry is read unshifted.
+        for i in (w + 1..self.words.len()).rev() {
+            self.words[i] = self.words[i] << 1 | self.words[i - 1] >> 63;
+        }
+        let below = (1u64 << (slot % 64)) - 1;
+        let word = self.words[w];
+        self.words[w] = word & below | (word & !below) << 1 | u64::from(bit) << (slot % 64);
+    }
+
+    /// Room for `additional` more slots.
+    fn reserve(&mut self, additional: usize) {
+        let words = (self.len + additional).div_ceil(64);
+        self.words
+            .reserve_exact(words.saturating_sub(self.words.len()));
+    }
+
+    /// The set slots, ascending.
+    fn ones(&self) -> Ones<'_> {
+        let (word, rest) = self
+            .words
+            .split_first()
+            .map_or((0, &[][..]), |(w, r)| (*w, r));
+        Ones {
+            rest,
+            base: 0,
+            word,
+        }
+    }
+
+    /// Visit the set slots in ascending order, clearing each one for which
+    /// `keep` returns false.  A slot is visited once even if `keep` clears
+    /// it, and only if it was set when the walk reached its word.
+    fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                if !keep(w * 64 + bit as usize) {
+                    *word &= !(1u64 << bit);
+                }
+            }
+        }
+    }
+}
+
+/// Iterator over [`BitLane::ones`].
+struct Ones<'a> {
+    /// Words not loaded yet.
+    rest: &'a [u64],
+    /// Slot of the loaded word's lowest bit.
+    base: usize,
+    /// The loaded word's bits not yielded yet.
+    word: u64,
+}
+
+impl Iterator for Ones<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            let (&word, rest) = self.rest.split_first()?;
+            (self.word, self.rest) = (word, rest);
+            self.base += 64;
+        }
+        let slot = self.base + self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(slot)
+    }
+}
+
 /// Every registered UE: one sorted [`UeSlots`] index plus its parallel
 /// lanes.  Slot order is UeId order — the per-subframe iteration order that
 /// keeps scheduling, delivery and RNG-draw order reproducible across
@@ -157,16 +266,18 @@ struct UeLane {
     ues: Vec<UserEquipment>,
     /// Every UE's rows (channel, reordering buffer, L3 filter), one table.
     rows: RowTable,
-    /// Lane: false while the UE sleeps — it holds no data on its active
+    /// Lane: clear while the UE sleeps — it holds no data on its active
     /// cell and its CA state is quiescent, so ordinary subframes skip it.
-    awake: Vec<bool>,
+    awake: BitLane,
     /// Scratch: RSRP measurements of the UE under evaluation.
     rsrp_scratch: Vec<(CellId, f64)>,
     /// Scratch: packet events of the outcome under processing.
     event_scratch: Vec<PacketEvent>,
     /// Storage the UEs' reordering buffers borrow while a gap is open.
     reorder: ReorderPool,
-    /// Scratch: PRBs allocated per slot this subframe.
+    /// Scratch: PRBs allocated per slot this subframe.  Zero between
+    /// ticks: only awake UEs are allocated PRBs, and phase 4 takes each
+    /// awake UE's count.  Resized by phase 4 when the lane has grown.
     alloc_scratch: Vec<u32>,
     /// Handover decisions of this measurement round, in UeId order.
     pending: Vec<(UeId, CellId)>,
@@ -182,7 +293,7 @@ impl UeLane {
             }
             SlotInsert::Present(slot) => {
                 self.ues[slot] = ue;
-                self.awake[slot] = awake;
+                self.awake.set(slot, awake);
             }
         }
     }
@@ -190,9 +301,9 @@ impl UeLane {
     /// Wake the UE in `slot`, first replaying its active channels up to
     /// `to`, the first subframe phase 1 has not sampled yet.
     fn wake(&mut self, slot: usize, to: Instant) {
-        if !self.awake[slot] {
+        if !self.awake.get(slot) {
             self.ues[slot].catch_up(&mut self.rows, to);
-            self.awake[slot] = true;
+            self.awake.set(slot, true);
         }
     }
 }
@@ -406,7 +517,7 @@ impl ShardedNetwork {
     /// table once instead of growing them.
     pub fn reserve(&mut self, ues: usize, rows: usize) {
         self.lane.ues.reserve_exact(ues);
-        self.lane.awake.reserve_exact(ues);
+        self.lane.awake.reserve(ues);
         self.lane.rows.reserve(rows);
     }
 
@@ -653,18 +764,20 @@ impl ShardedNetwork {
     /// the one thing that can wake it before the cells tick — its own
     /// handover — re-stages the target itself.  A3 decisions land in
     /// `lane.pending`, in UeId order.
+    ///
+    /// An ordinary subframe walks the set bits of the awake lane and nothing
+    /// else; a measurement subframe walks every slot, because A3 must see
+    /// every multi-cell UE, asleep or not.
     fn stage_channels(&mut self, now: Instant) {
         let ho = &self.config.handover;
         let measure = ho.enabled && handover::is_measurement_subframe(ho, now);
         let (cells, table, lane) = (&mut self.cells, &self.cell_table, &mut self.lane);
         lane.pending.clear();
-        for slot in 0..lane.ues.len() {
-            // Sleepers are skipped from the lane alone, without touching the
-            // UE, unless A3 measures them this subframe.
-            let asleep = !lane.awake[slot];
-            if asleep && !measure {
-                continue;
-            }
+        // An ordinary subframe skips sleepers from the lane's words alone,
+        // without touching the UE; A3 measures sleepers too.
+        let (mut every, mut awake) = (0..lane.ues.len(), lane.awake.ones());
+        while let Some(slot) = if measure { every.next() } else { awake.next() } {
+            let asleep = measure && !lane.awake.get(slot);
             let ue = &mut lane.ues[slot];
             let n_cells = ue.config().configured_cells.len();
             let measure_ue = measure && n_cells > 1;
@@ -717,15 +830,28 @@ impl ShardedNetwork {
     /// all of which land on awake UEs — then, per awake UE in UeId order,
     /// drive the CA state machine from this subframe's allocations and put
     /// the UE to sleep if the next ticks would change nothing for it.
+    ///
+    /// The CA loop walks the set bits of the awake lane, each word as it
+    /// stood when the walk reached it, so a UE put to sleep is visited once.
+    /// It takes each visited UE's PRB count, leaving the scratch zero for the
+    /// next tick; what else phase 4 touches is proportional to the cell
+    /// reports, not to the lane.
     fn settle(&mut self, report: &mut NetworkTickReport, now: Instant) {
         let (config, cells, table) = (&self.config, &self.cells, &self.cell_table);
         let (lane, packet_bytes) = (&mut self.lane, &mut self.packet_bytes);
-        lane.alloc_scratch.clear();
-        lane.alloc_scratch.resize(lane.ues.len(), 0);
+        // Every entry is zero here, so growing the scratch with the lane
+        // (wherever the new slots landed) keeps it zero.
+        if lane.alloc_scratch.len() != lane.ues.len() {
+            lane.alloc_scratch.resize(lane.ues.len(), 0);
+        }
         for r in &report.cell_reports {
             for alloc in &r.prb_usage.allocations {
                 if let Some(slot) = lane.slots.slot_of(alloc.ue) {
-                    debug_assert!(lane.awake[slot], "PRBs allocated to sleeping {}", alloc.ue);
+                    debug_assert!(
+                        lane.awake.get(slot),
+                        "PRBs allocated to sleeping {}",
+                        alloc.ue
+                    );
                     lane.alloc_scratch[slot] += u32::from(alloc.num_prbs);
                 }
             }
@@ -733,7 +859,7 @@ impl ShardedNetwork {
                 let Some(slot) = lane.slots.slot_of(*owner) else {
                     continue;
                 };
-                debug_assert!(lane.awake[slot], "HARQ outcome for sleeping {owner}");
+                debug_assert!(lane.awake.get(slot), "HARQ outcome for sleeping {owner}");
                 lane.event_scratch.clear();
                 lane.ues[slot].process_outcome(
                     &mut lane.rows,
@@ -748,13 +874,11 @@ impl ShardedNetwork {
                 }
             }
         }
-        for slot in 0..lane.ues.len() {
-            if !lane.awake[slot] {
-                continue;
-            }
-            let ue = &mut lane.ues[slot];
+        let (ues, allocs) = (&mut lane.ues, &mut lane.alloc_scratch);
+        lane.awake.retain(|slot| {
+            let ue = &mut ues[slot];
             let obs = CaObservation {
-                allocated_prbs: lane.alloc_scratch[slot],
+                allocated_prbs: std::mem::take(&mut allocs[slot]),
                 active_cell_prbs: ue
                     .active_cells()
                     .iter()
@@ -775,10 +899,10 @@ impl ShardedNetwork {
                     .filter_map(|c| entry_of(table, *c))
                     .any(|e| cells[e.index as usize].holds_data(ue.id()));
             if asleep {
-                lane.awake[slot] = false;
                 ue.sleep_from(now + Duration::MILLISECOND);
             }
-        }
+            !asleep
+        });
     }
 
     /// Switch the serving cell of one UE: drain and forward everything the
@@ -863,6 +987,86 @@ impl ShardedNetwork {
 mod tests {
     use super::*;
     use crate::config::{Bandwidth, CellConfig};
+
+    /// `bits` checked against the `Vec<bool>` it models: every slot, the
+    /// set-slot walk, and no bit set past the last slot.
+    fn assert_models(bits: &BitLane, model: &[bool]) {
+        assert_eq!(bits.len, model.len());
+        let got: Vec<bool> = (0..model.len()).map(|slot| bits.get(slot)).collect();
+        assert_eq!(got, model);
+        let ones: Vec<usize> = bits.ones().collect();
+        let expected: Vec<usize> = (0..model.len()).filter(|&slot| model[slot]).collect();
+        assert_eq!(ones, expected);
+        assert_eq!(bits.words.len(), model.len().div_ceil(64));
+        let tail = model.len() % 64;
+        if let (Some(last), true) = (bits.words.last(), tail != 0) {
+            assert_eq!(last >> tail, 0, "bits set past the last slot");
+        }
+    }
+
+    /// Inserting at the front, in the middle and at the end shifts exactly
+    /// the bits at and above the slot, carrying each word's top bit into
+    /// the next, and the set-slot walk always matches the slots that read
+    /// set.
+    #[test]
+    fn bit_lane_insert_shifts_across_word_boundaries() {
+        let mut bits = BitLane::default();
+        let mut model = Vec::new();
+        let mut rng = DetRng::new(17);
+        for n in 0..300usize {
+            let slot = match n % 5 {
+                0 => 0,
+                1 => model.len(),
+                2 => model.len() / 2,
+                // Either side of a word boundary, where one exists.
+                3 => (model.len() / 64 * 64).saturating_sub(1),
+                _ => rng.uniform_usize(0, model.len() + 1),
+            };
+            let bit = rng.bernoulli(0.4);
+            bits.insert(slot, bit);
+            model.insert(slot, bit);
+            assert_models(&bits, &model);
+            if n % 7 == 0 {
+                let slot = rng.uniform_usize(0, model.len());
+                let bit = !model[slot];
+                bits.set(slot, bit);
+                model[slot] = bit;
+                assert_models(&bits, &model);
+            }
+        }
+        // A lane of all-set bits stays all set through inserts at the front.
+        let mut full = BitLane::default();
+        for len in 1..=130 {
+            full.insert(0, true);
+            assert_eq!(full.ones().count(), len);
+        }
+    }
+
+    /// `retain` visits every slot set when the walk reached it exactly
+    /// once, in ascending order, even as it clears slots in the word under
+    /// the walk, and leaves set exactly the slots it kept.
+    #[test]
+    fn bit_lane_retain_visits_each_set_slot_once() {
+        let mut bits = BitLane::default();
+        let mut model = Vec::new();
+        let mut rng = DetRng::new(5);
+        for _ in 0..200 {
+            let bit = rng.bernoulli(0.6);
+            bits.insert(model.len(), bit);
+            model.push(bit);
+        }
+        let set: Vec<usize> = bits.ones().collect();
+        let mut visited = Vec::new();
+        bits.retain(|slot| {
+            visited.push(slot);
+            slot % 3 != 0
+        });
+        assert_eq!(visited, set);
+        for (slot, was) in model.iter_mut().enumerate() {
+            *was &= slot % 3 != 0;
+        }
+        assert_models(&bits, &model);
+    }
 
     /// A 6-cell "city row" whose UEs couple distant cells: a UE handing over
     /// across the grid (cells 0 → 3), a CA-capable UE whose secondary
@@ -1305,9 +1509,161 @@ mod tests {
         }
     }
 
+    /// UeIds of [`descending_city`], in the order it adds them.
+    fn descending_ids() -> impl Iterator<Item = u32> {
+        (200..272u32).rev()
+    }
+
+    /// The UE of [`descending_city`] that walks from cell 3 into cell 4 with
+    /// no traffic, handing over by A3 while asleep.
+    const WALKER: u32 = 240;
+
+    /// 72 UEs on [`city_config`]'s six cells, added in descending UeId
+    /// order, so that every UE lands in slot 0 and shifts the awake state of
+    /// all the others, across a 64-slot word boundary.  Every fifth UE is
+    /// handed a packet as it joins, so awake and asleep slots are
+    /// interleaved while the lane still grows.  Every third UE is configured
+    /// on two cells, every twelfth may aggregate both.
+    fn descending_city(seed: u64) -> ShardedNetwork {
+        let mut net = ShardedNetwork::new(city_config(), CellLoadProfile::none(), seed, 1);
+        for id in descending_ids() {
+            let k = id - 200;
+            let primary = (k / 3 % 6) as u16;
+            let mut cells = vec![CellId(primary)];
+            if k.is_multiple_of(3) {
+                cells.push(CellId((primary + 1) % 6));
+            }
+            let (cells, max_cells) = if id == WALKER {
+                (vec![CellId(3), CellId(4)], 1)
+            } else {
+                (cells, if k.is_multiple_of(12) { 2 } else { 1 })
+            };
+            let rssi = -84.0 - f64::from(k % 15);
+            net.add_ue(
+                UeConfig::new(UeId(id), cells, max_cells, rssi),
+                MobilityTrace::stationary(rssi),
+            );
+            if k.is_multiple_of(5) {
+                net.enqueue_packet(UeId(id), u64::from(id), 1500, Instant::ZERO);
+            }
+        }
+        net.set_cell_trace(
+            UeId(WALKER),
+            CellId(3),
+            MobilityTrace::from_secs(&[(0.0, -84.0), (1.0, -108.0)]),
+        );
+        net.set_cell_trace(
+            UeId(WALKER),
+            CellId(4),
+            MobilityTrace::from_secs(&[(0.0, -108.0), (1.0, -84.0)]),
+        );
+        net
+    }
+
+    /// The downlink packets of subframe `sf` in [`descending_city`]: short
+    /// enough load on each aggregating UE, one per cell at a time, to
+    /// activate its secondary, then silence; short bursts staggered across
+    /// the other UEs, and a trickle on some.
+    fn drive_descending(net: &mut ShardedNetwork, sf: u64) {
+        let now = Instant::from_millis(sf);
+        for id in descending_ids().filter(|id| *id != WALKER) {
+            let k = u64::from(id - 200);
+            let burst_at = 50 + 97 * (k % 11);
+            let heavy_at = if k < 36 { 400 } else { 600 };
+            let n = if (heavy_at..heavy_at + 150).contains(&sf) && k.is_multiple_of(12) {
+                15
+            } else if (burst_at..burst_at + 30).contains(&sf) && k.is_multiple_of(4) {
+                3
+            } else if (300..900).contains(&sf) && k % 7 == 1 && sf.is_multiple_of(20) {
+                1
+            } else {
+                0
+            };
+            for i in 0..n {
+                net.enqueue_packet(UeId(id), sf * 10_000 + k * 20 + i, 1500, now);
+            }
+        }
+    }
+
+    /// FNV-128 of [`descending_city`]'s stream: each subframe's report
+    /// JSON, every 100 subframes every UE's filtered RSRP towards each cell,
+    /// then every UE's final [`ue_view`].  Captured at the engine whose
+    /// awake lane was one `bool` per slot, zeroed and rebuilt every subframe
+    /// along with the per-slot PRB counts.
+    const DESCENDING_DIGEST: &str = "0035a8b05999336ddda42dbbd9ad6347";
+
+    /// Drive [`descending_city`] through 1,400 subframes, skipping
+    /// 1000..1020 (which wakes every sleeper), calling `look(net, sf,
+    /// report)` ahead of each subframe with the previous subframe's report.
+    fn run_descending(
+        net: &mut ShardedNetwork,
+        mut look: impl FnMut(&ShardedNetwork, u64, &NetworkTickReport),
+    ) -> String {
+        let mut report = NetworkTickReport::default();
+        let mut stream = String::new();
+        for sf in (0..1000u64).chain(1020..1400) {
+            look(net, sf, &report);
+            drive_descending(net, sf);
+            net.tick_into(Instant::from_millis(sf), &mut report);
+            stream.push_str(&serde_json::to_string(&report).unwrap());
+            if sf.is_multiple_of(100) {
+                for id in descending_ids() {
+                    for c in 0..6 {
+                        let rsrp = net.filtered_rsrp(UeId(id), CellId(c));
+                        stream.push_str(&format!("{rsrp:?}"));
+                    }
+                }
+            }
+        }
+        for id in descending_ids() {
+            stream.push_str(&ue_view(net, UeId(id)));
+        }
+        stream
+    }
+
+    /// A lane of more than one word, built against UeId order, reproduces
+    /// its pinned stream through bursts, sleep and wake, measurement
+    /// subframes, CA activations and an idle A3 handover.
+    #[test]
+    fn ues_added_in_descending_order_reproduce_their_stream() {
+        let mut net = descending_city(21);
+        let (mut asleep, mut awake) = (0usize, 0usize);
+        let (mut walker_was_asleep, mut walker_handed_over, mut walker_asleep_before) =
+            (false, false, false);
+        let mut activations = 0usize;
+        let stream = run_descending(&mut net, |net, sf, report| {
+            activations += report.ca_events.iter().filter(|e| e.activated).count();
+            if report.handovers.iter().any(|h| h.ue == UeId(WALKER)) {
+                walker_handed_over = true;
+                walker_was_asleep |= walker_asleep_before;
+            }
+            walker_asleep_before = !is_awake(net, WALKER);
+            if sf == 1 {
+                for id in descending_ids() {
+                    if is_awake(net, id) {
+                        awake += 1;
+                    } else {
+                        asleep += 1;
+                    }
+                }
+            }
+        });
+        assert!(net.lane.ues.len() > 64);
+        assert!(asleep > 0 && awake > 0, "{asleep} asleep, {awake} awake");
+        assert!(activations > 0, "no secondary activated");
+        assert!(
+            walker_handed_over && walker_was_asleep,
+            "no idle A3 handover"
+        );
+        assert_eq!(
+            pbe_stats::fnv1a_128_hex(stream.as_bytes()),
+            DESCENDING_DIGEST
+        );
+    }
+
     fn is_awake(net: &ShardedNetwork, ue: u32) -> bool {
         let slot = net.lane.slots.slot_of(UeId(ue)).expect("registered");
-        net.lane.awake[slot]
+        net.lane.awake.get(slot)
     }
 
     /// The pinned scenarios are not vacuous: each case sleeps, or stays

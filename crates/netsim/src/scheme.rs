@@ -78,13 +78,14 @@ impl SchemeTable {
 
     /// Build the receiver agent for a scheme: `None` if the scheme
     /// registers no receiver, so its flows carry no agent and the engine
-    /// never calls into one for them.
+    /// never calls into one for them.  `ctx` is called only for a scheme
+    /// that registers one.
     pub(crate) fn build_receiver(
         &self,
         id: &SchemeId,
-        ctx: &ReceiverCtx,
+        ctx: impl FnOnce() -> ReceiverCtx,
     ) -> Option<Box<dyn ReceiverAgent>> {
-        self.receivers.get(id).map(|factory| factory(ctx))
+        self.receivers.get(id).map(|factory| factory(&ctx()))
     }
 }
 
@@ -121,14 +122,15 @@ mod tests {
     #[test]
     fn pbe_gets_its_receiver_and_baselines_get_no_agent() {
         let table = SchemeTable::standard();
-        let pbe_rx = table.build_receiver(&pbe_core::PBE_SCHEME_ID, &rx_ctx());
+        let pbe_rx = table.build_receiver(&pbe_core::PBE_SCHEME_ID, rx_ctx);
         use pbe_stats::time::Instant;
         let mut pbe_rx = pbe_rx.expect("PBE registers a receiver");
         assert!(pbe_rx.on_packet(Instant::from_millis(1), 20.0).is_some());
+        let unused = || -> ReceiverCtx { panic!("a scheme without a receiver built its context") };
         assert!(table
-            .build_receiver(&SchemeId::new("BBR"), &rx_ctx())
+            .build_receiver(&SchemeId::new("BBR"), unused)
             .is_none());
-        assert!(table.build_receiver(&FIXED_SCHEME_ID, &rx_ctx()).is_none());
+        assert!(table.build_receiver(&FIXED_SCHEME_ID, unused).is_none());
     }
 
     #[test]

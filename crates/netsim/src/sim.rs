@@ -1018,13 +1018,12 @@ impl Simulation {
                 srtt: rtprop_hint,
                 pending: VecDeque::new(),
             });
-            let ctx = ReceiverCtx {
+            let agent = table.build_receiver(&scheme, || ReceiverCtx {
                 flow: f.id,
                 rnti: ran.net.rnti_of(f.ue).expect("flow UE registered"),
                 cells: vec![(cell, ran.total_prbs(cell))],
                 rng: decoder_rng.clone(),
-            };
-            let agent = table.build_receiver(&scheme, &ctx);
+            });
             receivers.push(Receiver {
                 config: f.clone(),
                 agent,
