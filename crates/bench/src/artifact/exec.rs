@@ -75,7 +75,7 @@ pub fn run_cached(
         let hit = store
             .as_deref()
             .and_then(|s| s.get(key))
-            .map(|p| ScenarioOutcome::new(p.spec, p.result, 0.0));
+            .map(|p| ScenarioOutcome::new(p.spec, p.key, p.result, 0.0));
         if let Some(outcome) = hit {
             slots[i] = Some(outcome);
             continue;
@@ -96,7 +96,8 @@ pub fn run_cached(
     let pool = WorkerPool::new(workers);
     for batch_indices in misses.chunks(batch) {
         let results = pool.run_collect(batch_indices.len(), |j| {
-            execute_guarded(&specs[batch_indices[j]])
+            let i = batch_indices[j];
+            execute_guarded(&specs[i], &keys[i])
         });
         for (&i, result) in batch_indices.iter().zip(results) {
             match result {
@@ -154,16 +155,16 @@ pub fn run_cached(
 
 /// Run one scenario on the calling (pool) thread with its panics
 /// contained: a panic comes back as its rendered message.  Never panics.
-fn execute_guarded(spec: &ScenarioSpec) -> Result<ScenarioOutcome, String> {
-    catch_unwind(AssertUnwindSafe(|| execute_one(spec)))
+fn execute_guarded(spec: &ScenarioSpec, key: &str) -> Result<ScenarioOutcome, String> {
+    catch_unwind(AssertUnwindSafe(|| execute_one(spec, key)))
         .map_err(|payload| panic_message(payload.as_ref()))
 }
 
-fn execute_one(spec: &ScenarioSpec) -> ScenarioOutcome {
+fn execute_one(spec: &ScenarioSpec, key: &str) -> ScenarioOutcome {
     let started = Instant::now();
     let result = Simulation::new(spec.sim_config()).run();
     let wall_ms = started.elapsed().as_secs_f64() * 1000.0;
-    ScenarioOutcome::new(spec.clone(), result, wall_ms)
+    ScenarioOutcome::new(spec.clone(), key.to_string(), result, wall_ms)
 }
 
 #[cfg(test)]

@@ -28,10 +28,11 @@ pub struct ScenarioOutcome {
 }
 
 impl ScenarioOutcome {
-    /// Assemble an outcome, deriving the content key and scheme/seed labels
-    /// from the spec.
-    pub fn new(spec: ScenarioSpec, result: SimResult, wall_ms: f64) -> Self {
-        let key = spec.content_key();
+    /// Assemble an outcome from the spec, its content `key` — which the
+    /// caller has already computed, so the spec is hashed once per point —
+    /// and the scheme/seed labels derived from the spec.
+    pub fn new(spec: ScenarioSpec, key: String, result: SimResult, wall_ms: f64) -> Self {
+        debug_assert_eq!(key, spec.content_key());
         let scheme = spec.scheme.id().to_string();
         let seed = spec.seed;
         ScenarioOutcome {

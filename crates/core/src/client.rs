@@ -210,10 +210,8 @@ impl PbeClient {
         if self.estimate_hold {
             // Post-handover: keep the pre-handover estimates until the new
             // serving cell's window holds enough real subframes to average.
-            let primary = self.monitor.config().cells.first().map(|(c, _)| *c);
-            let filled = primary.map(|c| self.monitor.window_len(c)).unwrap_or(0);
-            let need = self.monitor.config().window_subframes.clamp(1, 8);
-            if filled < need {
+            let need = self.monitor.window_subframes().clamp(1, 8);
+            if self.monitor.primary_window_len() < need {
                 return;
             }
             self.estimate_hold = false;
@@ -538,9 +536,9 @@ mod tests {
     fn rtprop_update_resizes_monitor_window() {
         let mut c = client();
         c.set_rtprop_ms(80.0);
-        assert_eq!(c.monitor_mut().config().window_subframes, 80);
+        assert_eq!(c.monitor_mut().window_subframes(), 80);
         c.set_rtprop_ms(1.0);
-        assert_eq!(c.monitor_mut().config().window_subframes, 4);
+        assert_eq!(c.monitor_mut().window_subframes(), 4);
     }
 
     #[test]

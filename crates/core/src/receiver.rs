@@ -25,7 +25,6 @@ use pbe_pdcch::decoder::{ControlChannelDecoder, DecoderConfig};
 use pbe_pdcch::fusion::FusedSubframe;
 use pbe_stats::time::Instant;
 use pbe_stats::DetRng;
-use std::collections::BTreeMap;
 
 /// A receiver-side, per-flow state machine that annotates acknowledgements.
 ///
@@ -97,9 +96,10 @@ pub type ReceiverFactory = Box<dyn Fn(&ReceiverCtx) -> Box<dyn ReceiverAgent> + 
 /// decoder has run: each decodes into its cell's reused buffer in `fused`,
 /// and the client ingests that one subframe unless the receiver is blind.
 pub struct PbeReceiverAgent {
-    decoders: BTreeMap<CellId, ControlChannelDecoder>,
+    /// One decoder per watched cell, index-aligned with `fused.per_cell`.
+    decoders: Vec<ControlChannelDecoder>,
     /// The current subframe's decoded messages, one entry per decoder in
-    /// `decoders` order; rebuilt only when the decoder set changes.
+    /// ascending cell order: the one list of the cells being decoded.
     fused: FusedSubframe,
     client: PbeClient,
     /// The subframe (exclusive) until which every decoder is blind: the end
@@ -112,22 +112,26 @@ pub struct PbeReceiverAgent {
 impl PbeReceiverAgent {
     /// Build the pipeline for a flow.
     pub fn new(ctx: &ReceiverCtx) -> Self {
-        let mut decoders = BTreeMap::new();
-        for (cell, total_prbs) in &ctx.cells {
-            decoders.insert(*cell, Self::decoder(*cell, *total_prbs, ctx.flow, &ctx.rng));
-        }
-        let fused = FusedSubframe {
-            subframe: 0,
-            per_cell: decoders.keys().map(|cell| (*cell, Vec::new())).collect(),
-        };
-        PbeReceiverAgent {
-            fused,
+        let mut agent = PbeReceiverAgent {
+            decoders: Vec::with_capacity(ctx.cells.len()),
+            fused: FusedSubframe {
+                subframe: 0,
+                per_cell: Vec::with_capacity(ctx.cells.len()),
+            },
             client: PbeClient::new(ctx.rnti, ctx.cells.clone()),
-            decoders,
             blind_until: 0,
             flow: ctx.flow,
             rng: ctx.rng.clone(),
+        };
+        // A cell listed twice keeps its last entry's decoder.
+        for &(cell, total_prbs) in &ctx.cells {
+            let decoder = Self::decoder(cell, total_prbs, ctx.flow, &ctx.rng);
+            match agent.slot(cell) {
+                Ok(at) => agent.decoders[at] = decoder,
+                Err(at) => agent.insert(at, cell, decoder),
+            }
         }
+        agent
     }
 
     /// The factory the scheme table registers under "PBE".
@@ -138,6 +142,17 @@ impl PbeReceiverAgent {
     /// The mobile client (for observers that want its estimates).
     pub fn client(&self) -> &PbeClient {
         &self.client
+    }
+
+    /// Where `cell` is (`Ok`) or would go (`Err`) in the cell-ordered lists.
+    fn slot(&self, cell: CellId) -> Result<usize, usize> {
+        self.fused.per_cell.binary_search_by_key(&cell, |(c, _)| *c)
+    }
+
+    /// Start decoding `cell` at `at` in both aligned lists.
+    fn insert(&mut self, at: usize, cell: CellId, decoder: ControlChannelDecoder) {
+        self.decoders.insert(at, decoder);
+        self.fused.per_cell.insert(at, (cell, Vec::new()));
     }
 
     fn decoder(cell: CellId, total_prbs: u16, flow: u32, rng: &DetRng) -> ControlChannelDecoder {
@@ -154,25 +169,20 @@ impl PbeReceiverAgent {
 
 impl ReceiverAgent for PbeReceiverAgent {
     fn on_carrier_event(&mut self, event: &CaEvent, total_prbs: u16) {
-        let per_cell = &mut self.fused.per_cell;
-        let slot = per_cell.binary_search_by_key(&event.cell, |(cell, _)| *cell);
+        let slot = self.slot(event.cell);
         if event.activated {
-            // A decoder started while the others are blind is blind too:
-            // every decoder shares the one window.
-            let (flow, rng, blind_until) = (self.flow, &self.rng, self.blind_until);
-            self.decoders.entry(event.cell).or_insert_with(|| {
-                let mut decoder = Self::decoder(event.cell, total_prbs, flow, rng);
-                decoder.set_resync_until(blind_until);
-                decoder
-            });
             if let Err(at) = slot {
-                per_cell.insert(at, (event.cell, Vec::new()));
+                // A decoder started while the others are blind is blind
+                // too: every decoder shares the one window.
+                let mut decoder = Self::decoder(event.cell, total_prbs, self.flow, &self.rng);
+                decoder.set_resync_until(self.blind_until);
+                self.insert(at, event.cell, decoder);
             }
             self.client.add_cell(event.cell, total_prbs);
         } else {
-            self.decoders.remove(&event.cell);
             if let Ok(at) = slot {
-                per_cell.remove(at);
+                self.decoders.remove(at);
+                self.fused.per_cell.remove(at);
             }
             self.client.remove_cell(event.cell);
         }
@@ -187,15 +197,14 @@ impl ReceiverAgent for PbeReceiverAgent {
         // One decoder, freshly re-tuning onto the target cell: everything
         // transmitted during the re-acquisition gap is invisible.  A gap
         // inside a longer decode-loss burst does not end the burst early.
-        self.decoders.clear();
         self.blind_until = self
             .blind_until
             .max(event.at.subframe_index() + reacquisition_gap_subframes);
         let mut decoder = Self::decoder(event.to, target_total_prbs, self.flow, &self.rng);
         decoder.set_resync_until(self.blind_until);
-        self.decoders.insert(event.to, decoder);
+        self.decoders.clear();
         self.fused.per_cell.clear();
-        self.fused.per_cell.push((event.to, Vec::new()));
+        self.insert(0, event.to, decoder);
         // A re-targeted monitor whose estimates are held until the new
         // cell's window carries real data.
         self.client.on_handover(event.to, target_total_prbs);
@@ -206,11 +215,10 @@ impl ReceiverAgent for PbeReceiverAgent {
         self.fused.subframe = subframe;
         debug_assert!(self
             .decoders
-            .keys()
-            .eq(self.fused.per_cell.iter().map(|(cell, _)| cell)));
-        for ((cell, decoder), (_, decoded)) in
-            self.decoders.iter_mut().zip(self.fused.per_cell.iter_mut())
-        {
+            .iter()
+            .map(ControlChannelDecoder::cell)
+            .eq(self.fused.per_cell.iter().map(|(cell, _)| *cell)));
+        for (decoder, (cell, decoded)) in self.decoders.iter_mut().zip(&mut self.fused.per_cell) {
             // Each decoder sees only its own cell's slice of the stream:
             // same decode (the decoder filters by cell anyway, and draws
             // randomness only for matching messages), far less scanning.
@@ -236,7 +244,7 @@ impl ReceiverAgent for PbeReceiverAgent {
         // rides the gap on its held estimate (the same path a handover gap
         // exercises).  A burst inside a longer gap does not shorten it.
         self.blind_until = self.blind_until.max(until_subframe);
-        for decoder in self.decoders.values_mut() {
+        for decoder in &mut self.decoders {
             decoder.set_resync_until(self.blind_until);
         }
         self.client.hold_estimates();
@@ -255,6 +263,11 @@ mod tests {
     use pbe_pdcch::batch::DciBatcher;
     use pbe_pdcch::fusion::MessageFusion;
     use proptest::prelude::*;
+
+    /// The cells the agent decodes, in decoder order.
+    fn decoded_cells(agent: &PbeReceiverAgent) -> Vec<CellId> {
+        agent.fused.per_cell.iter().map(|(cell, _)| *cell).collect()
+    }
 
     fn feed(agent: &mut impl ReceiverAgent, subframe: u64, messages: &[DciMessage]) {
         let mut batcher = DciBatcher::new();
@@ -316,10 +329,8 @@ mod tests {
             at: Instant::from_millis(61),
         };
         agent.on_handover(&event, 50, 40);
-        assert_eq!(
-            agent.decoders.keys().copied().collect::<Vec<_>>(),
-            vec![CellId(1)]
-        );
+        assert_eq!(decoded_cells(&agent), vec![CellId(1)]);
+        assert_eq!(agent.decoders.len(), 1);
         assert_eq!(agent.client().monitor().cells(), vec![CellId(1)]);
         // During the re-acquisition gap (subframes 61..101) the monitor sees
         // nothing and feedback rides on the pre-handover estimate.
@@ -503,7 +514,7 @@ mod tests {
     impl FusionReference {
         fn new(ctx: &ReceiverCtx) -> Self {
             let agent = PbeReceiverAgent::new(ctx);
-            let fusion = MessageFusion::new(agent.decoders.keys().copied().collect());
+            let fusion = MessageFusion::new(decoded_cells(&agent));
             FusionReference {
                 agent,
                 fusion,
@@ -515,8 +526,7 @@ mod tests {
     impl ReceiverAgent for FusionReference {
         fn on_carrier_event(&mut self, event: &CaEvent, total_prbs: u16) {
             self.agent.on_carrier_event(event, total_prbs);
-            let cells = self.agent.decoders.keys().copied().collect();
-            self.fusion.set_watched_cells(cells);
+            self.fusion.set_watched_cells(decoded_cells(&self.agent));
         }
 
         fn on_handover(&mut self, event: &HandoverEvent, prbs: u16, gap: u64) {
@@ -526,15 +536,16 @@ mod tests {
 
         fn on_subframe(&mut self, batch: &DciBatch<'_>) {
             let subframe = batch.subframe();
-            for (cell, decoder) in self.agent.decoders.iter_mut() {
-                let messages = batch.cell_messages(*cell);
+            let cells = self.agent.fused.per_cell.iter().map(|(cell, _)| *cell);
+            for (decoder, cell) in self.agent.decoders.iter_mut().zip(cells) {
+                let messages = batch.cell_messages(cell);
                 if decoder.is_resynchronising(subframe) {
                     decoder.decode_subframe(subframe, messages);
                     continue;
                 }
                 let decoded = decoder.decode_subframe(subframe, messages);
                 self.ready
-                    .extend(self.fusion.ingest(*cell, subframe, decoded));
+                    .extend(self.fusion.ingest(cell, subframe, decoded));
             }
             for fused in self.ready.drain(..) {
                 self.agent.client.on_subframe(&fused);

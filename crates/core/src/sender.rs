@@ -20,7 +20,7 @@
 
 use pbe_cc_algorithms::api::{AckInfo, CongestionControl, INITIAL_RATE_BPS, MSS_BYTES};
 use pbe_cc_algorithms::bbr::Bbr;
-use pbe_cc_algorithms::windowed::{WindowedMax, WindowedMin};
+use pbe_cc_algorithms::windowed::WindowedMax;
 use pbe_stats::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
@@ -65,12 +65,10 @@ pub struct PbeSender {
     fair_share_bps: f64,
     /// Smoothed fair share used for the restart detector.
     fair_share_smoothed: f64,
-    /// RTprop and BtlBw estimators (the same filters BBR uses).
-    rtprop: WindowedMin,
+    /// BtlBw estimator: the maximum delivery rate over the last 2 s.
     btl_bw: WindowedMax,
-    rtprop_hint: Duration,
     /// The embedded cellular-tailored BBR used in the Internet-bottleneck
-    /// state.
+    /// state.  It sees every ACK, so its RTprop estimate is the sender's.
     bbr: Bbr,
     /// End of the current draining phase.
     drain_until: Option<Instant>,
@@ -89,9 +87,7 @@ impl PbeSender {
             feedback_rate_bps: 0.0,
             fair_share_bps: 0.0,
             fair_share_smoothed: 0.0,
-            rtprop: WindowedMin::new(Duration::from_secs(10)),
             btl_bw: WindowedMax::new(Duration::from_secs(2)),
-            rtprop_hint,
             bbr: Bbr::new(rtprop_hint),
             drain_until: None,
             time_in_internet: Duration::ZERO,
@@ -103,16 +99,6 @@ impl PbeSender {
     /// Current operating state.
     pub fn state(&self) -> SenderState {
         self.state
-    }
-
-    /// Current round-trip propagation estimate.
-    pub fn rtprop(&self) -> Duration {
-        let v = self.rtprop.get();
-        if v.is_finite() && v > 0.0 {
-            Duration::from_secs_f64(v)
-        } else {
-            self.rtprop_hint
-        }
     }
 
     /// Current bottleneck-bandwidth estimate (maximum recent delivery rate).
@@ -134,7 +120,7 @@ impl PbeSender {
             None => return INITIAL_RATE_BPS,
         };
         let target = self.fair_share_bps.max(INITIAL_RATE_BPS);
-        let ramp_len = self.rtprop().as_secs_f64() * STARTUP_RTTS;
+        let ramp_len = self.bbr.rtprop().as_secs_f64() * STARTUP_RTTS;
         let elapsed = now.saturating_since(start).as_secs_f64();
         let frac = (elapsed / ramp_len.max(1e-3)).clamp(0.0, 1.0);
         from_rate + (target - from_rate) * frac
@@ -157,14 +143,12 @@ impl CongestionControl for PbeSender {
         }
         self.last_ack_time = now;
 
-        if ack.rtt.as_micros() > 0 {
-            self.rtprop.update(now, ack.rtt.as_secs_f64());
-        }
         if ack.delivery_rate_bps > 0.0 {
             self.btl_bw.update(now, ack.delivery_rate_bps);
         }
         // Keep the embedded BBR's model warm so the switch to the
-        // Internet-bottleneck state starts from sensible estimates.
+        // Internet-bottleneck state starts from sensible estimates; its
+        // RTprop filter is the one every state reads.
         self.bbr.on_ack(ack);
 
         let Some(fb) = ack.pbe else {
@@ -187,7 +171,7 @@ impl CongestionControl for PbeSender {
             SenderState::LinearIncrease => {
                 if fb.internet_bottleneck {
                     // The ramp overran a wired bottleneck: drain, then compete.
-                    self.drain_until = Some(now + self.rtprop());
+                    self.drain_until = Some(now + self.bbr.rtprop());
                     self.state = SenderState::Draining;
                 } else if self.ramp_rate(now) >= self.fair_share_bps && self.fair_share_bps > 0.0 {
                     self.state = SenderState::WirelessBottleneck;
@@ -195,7 +179,7 @@ impl CongestionControl for PbeSender {
             }
             SenderState::WirelessBottleneck => {
                 if fb.internet_bottleneck {
-                    self.drain_until = Some(now + self.rtprop());
+                    self.drain_until = Some(now + self.bbr.rtprop());
                     self.state = SenderState::Draining;
                 } else if self.fair_share_bps > self.fair_share_smoothed * RESTART_RATIO {
                     // A carrier activation (or a competitor leaving) opened a
@@ -259,7 +243,7 @@ impl CongestionControl for PbeSender {
             SenderState::InternetBottleneck => self.btl_bw_bps(),
             _ => self.pacing_rate_bps().max(self.btl_bw_bps() * 0.5),
         };
-        let bdp = rate / 8.0 * self.rtprop().as_secs_f64();
+        let bdp = rate / 8.0 * self.bbr.rtprop().as_secs_f64();
         ((bdp * CWND_GAIN) as u64).max(4 * MSS_BYTES)
     }
 

@@ -443,7 +443,6 @@ pub struct Backhaul {
     flaps: Vec<FlapWindow>,
     occupancy_buf: Vec<u64>,
     in_transit_packets: u64,
-    in_transit_bytes: u64,
     submitted_bytes: u64,
     delivered_bytes: u64,
     dropped_bytes: u64,
@@ -476,7 +475,6 @@ impl Backhaul {
             flaps: Vec::new(),
             occupancy_buf: Vec::new(),
             in_transit_packets: 0,
-            in_transit_bytes: 0,
             submitted_bytes: 0,
             delivered_bytes: 0,
             dropped_bytes: 0,
@@ -538,7 +536,6 @@ impl Backhaul {
         let seq = self.seq;
         self.seq += 1;
         self.in_transit_packets += 1;
-        self.in_transit_bytes += u64::from(bytes);
         self.submitted_bytes += u64::from(bytes);
         let entry = IngressEntry {
             flow,
@@ -643,7 +640,6 @@ impl Backhaul {
             }
             if dropped {
                 self.in_transit_packets -= 1;
-                self.in_transit_bytes -= u64::from(entry.bytes);
                 self.dropped_bytes += u64::from(entry.bytes);
                 continue;
             }
@@ -671,7 +667,6 @@ impl Backhaul {
         // 3. Release packets whose base-station arrival time has come.
         while let Some(((arrive_at, _), e)) = self.ready.pop_due(now) {
             self.in_transit_packets -= 1;
-            self.in_transit_bytes -= u64::from(e.bytes);
             self.delivered_bytes += u64::from(e.bytes);
             report.deliveries.push(DeliveryRecord {
                 flow: e.flow,
@@ -702,9 +697,10 @@ impl Backhaul {
         self.in_transit_packets
     }
 
-    /// Bytes currently inside the backhaul.
+    /// Bytes currently inside the backhaul: every submitted byte not yet
+    /// delivered or dropped.
     pub fn in_transit_bytes(&self) -> u64 {
-        self.in_transit_bytes
+        self.submitted_bytes - self.delivered_bytes - self.dropped_bytes
     }
 
     /// Total bytes ever submitted.

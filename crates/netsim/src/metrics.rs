@@ -63,14 +63,12 @@ impl OpenFault {
     }
 }
 
+/// One flow's books: the summary builder holds everything a delivery,
+/// and the sender's closing statistics, add; only losses are counted here.
 struct FlowMetrics {
     id: u32,
-    scheme: String,
     summary: FlowSummaryBuilder,
-    delivered: u64,
     lost: u64,
-    internet_bottleneck_fraction: f64,
-    carrier_aggregation_triggered: bool,
 }
 
 /// Accumulates the standard [`SimResult`] from the event stream.
@@ -114,12 +112,8 @@ impl MetricsCollector {
                 .iter()
                 .map(|f| FlowMetrics {
                     id: f.id,
-                    scheme: f.scheme.to_string(),
                     summary: FlowSummaryBuilder::new(f.scheme.to_string()),
-                    delivered: 0,
                     lost: 0,
-                    internet_bottleneck_fraction: 0.0,
-                    carrier_aggregation_triggered: false,
                 })
                 .collect(),
             index_of: flows.iter().enumerate().map(|(i, f)| (f.id, i)).collect(),
@@ -174,21 +168,19 @@ impl MetricsCollector {
     pub fn finish(mut self) -> SimResult {
         let flows = self
             .flows
-            .iter_mut()
+            .iter()
             .map(|m| {
-                m.summary
-                    .set_internet_bottleneck_fraction(m.internet_bottleneck_fraction);
-                m.summary
-                    .set_carrier_aggregation_triggered(m.carrier_aggregation_triggered);
                 let windows = m.summary.windows().windows();
+                let summary = m.summary.build();
                 FlowResult {
                     id: m.id,
-                    scheme: m.scheme.clone(),
-                    summary: m.summary.build(),
+                    scheme: summary.label.clone(),
                     throughput_timeline_mbps: windows.iter().map(|w| w.throughput_mbps).collect(),
                     delay_timeline_ms: windows.iter().map(|w| w.mean_delay_ms).collect(),
                     packets_lost: m.lost,
-                    packets_delivered: m.delivered,
+                    // Every delivery records one (finite) delay sample.
+                    packets_delivered: summary.packets,
+                    summary,
                 }
             })
             .collect();
@@ -239,7 +231,6 @@ impl Observer for MetricsCollector {
                 };
                 let m = &mut self.flows[idx];
                 if *delivered {
-                    m.delivered += 1;
                     m.summary.record_packet(*at, *bytes, *one_way);
                 } else {
                     m.lost += 1;
@@ -308,9 +299,9 @@ impl Observer for MetricsCollector {
                 let Some(&idx) = self.index_of.get(flow) else {
                     return;
                 };
-                let m = &mut self.flows[idx];
-                m.internet_bottleneck_fraction = *internet_bottleneck_fraction;
-                m.carrier_aggregation_triggered = *carrier_aggregation_triggered;
+                let summary = &mut self.flows[idx].summary;
+                summary.set_internet_bottleneck_fraction(*internet_bottleneck_fraction);
+                summary.set_carrier_aggregation_triggered(*carrier_aggregation_triggered);
             }
             SimEvent::BackhaulSampled { now, queued_bytes } => {
                 if self.bh_accum.len() < queued_bytes.len() {

@@ -82,7 +82,8 @@ pub struct SimConfig {
     /// Deterministic fault schedule: cell outages, backhaul link flaps and
     /// control-channel decode-loss bursts, all keyed purely by simulated
     /// time.  `None` (the default) injects nothing; a schedule is applied by
-    /// the driver loop.
+    /// the driver loop, and a run whose schedule targets a cell or flow it
+    /// does not configure panics at start.
     pub faults: Option<FaultSchedule>,
 }
 
@@ -239,10 +240,30 @@ struct FaultDriver {
 }
 
 impl FaultDriver {
-    fn new(schedule: Option<FaultSchedule>) -> Self {
-        let schedule = schedule.unwrap_or_default();
+    /// The run's fault schedule, checked against the cells and flows it
+    /// targets: a fault on a cell or flow the run does not have would do
+    /// nothing yet still be reported as a recovery record.
+    fn new(cfg: &SimConfig) -> Self {
+        let schedule = cfg.faults.clone().unwrap_or_default();
         if let Err(e) = schedule.validate() {
             panic!("invalid fault schedule: {e}");
+        }
+        let outages = &schedule.cell_outages;
+        if let Some(o) = outages.iter().find(|o| cfg.cellular.cell(o.cell).is_none()) {
+            panic!(
+                "invalid fault schedule: the cell outage of {} targets an unconfigured cell",
+                o.cell
+            );
+        }
+        let bursts = &schedule.decode_loss;
+        if let Some(d) = bursts
+            .iter()
+            .find(|d| cfg.flows.iter().all(|f| f.id != d.flow))
+        {
+            panic!(
+                "invalid fault schedule: the decode-loss burst of flow {} targets no configured flow",
+                d.flow
+            );
         }
         FaultDriver { schedule }
     }
@@ -767,7 +788,6 @@ impl Wire {
 /// Steps 4–6: the radio access network, narrated subframe by subframe.  The
 /// report and the DCI batcher are refilled in place every subframe.
 struct Ran {
-    cellular: CellularConfig,
     net: ShardedNetwork,
     report: NetworkTickReport,
     batcher: DciBatcher,
@@ -778,7 +798,7 @@ struct Ran {
 
 impl Ran {
     fn total_prbs(&self, cell: CellId) -> u16 {
-        let cell = self.cellular.cell(cell).expect("configured cell");
+        let cell = self.net.config().cell(cell).expect("configured cell");
         cell.total_prbs()
     }
 
@@ -806,7 +826,7 @@ impl Ran {
                 }
             }
         }
-        let gap = self.cellular.handover.reacquisition_gap_ms;
+        let gap = self.net.config().handover.reacquisition_gap_ms;
         for event in &report.handovers {
             let (at, ue, from, to) = (event.at, event.ue, event.from, event.to);
             sink.emit(SimEvent::Handover { at, ue, from, to });
@@ -970,10 +990,9 @@ impl Simulation {
         // The sink holds the observers for the run and hands them back after.
         let observers = std::mem::take(&mut self.observers);
         let mut sink = Sink { metrics, observers };
-        let faults = FaultDriver::new(cfg.faults.clone());
+        let faults = FaultDriver::new(cfg);
 
         let mut ran = Ran {
-            cellular: cfg.cellular.clone(),
             net: build_network(cfg),
             report: NetworkTickReport::default(),
             batcher: DciBatcher::new(),
@@ -1077,6 +1096,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::backhaul::BackhaulLinkSpec;
+    use crate::faults::{CellOutage, DecodeLossBurst};
     use pbe_cc_algorithms::api::SchemeName;
 
     fn quick(scheme: SchemeChoice, seconds: u64, load: CellLoadProfile) -> SimResult {
@@ -1272,6 +1292,51 @@ mod tests {
     #[should_panic(expected = "invalid trajectory: the entry for ue9 towards cell0")]
     fn a_trajectory_of_an_unknown_ue_is_rejected() {
         Simulation::new(with_trajectory(9, 0)).run();
+    }
+
+    /// A 10 ms single-flow run on the default three cells (0–2), flow 1,
+    /// with one fault.
+    fn with_fault(add: impl FnOnce(&mut FaultSchedule)) -> SimConfig {
+        let mut cfg = SimConfig::single_flow(
+            SchemeChoice::Pbe,
+            Duration::from_millis(10),
+            CellLoadProfile::none(),
+            1,
+        );
+        let mut schedule = FaultSchedule::none();
+        add(&mut schedule);
+        cfg.faults = Some(schedule);
+        cfg
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid fault schedule: the cell outage of cell7 targets an unconfigured cell"
+    )]
+    fn an_outage_of_an_unconfigured_cell_is_rejected() {
+        Simulation::new(with_fault(|s| {
+            s.cell_outages.push(CellOutage {
+                cell: CellId(7),
+                start_ms: 2,
+                end_ms: 5,
+            })
+        }))
+        .run();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid fault schedule: the decode-loss burst of flow 9 targets no configured flow"
+    )]
+    fn a_decode_loss_burst_of_an_unknown_flow_is_rejected() {
+        Simulation::new(with_fault(|s| {
+            s.decode_loss.push(DecodeLossBurst {
+                flow: 9,
+                start_ms: 2,
+                end_ms: 5,
+            })
+        }))
+        .run();
     }
 
     #[test]

@@ -45,15 +45,19 @@ const PA_THRESHOLD: f64 = 4.0;
 /// observed, in bits per PRB (a mid-range rate; the value is this model's).
 const DEFAULT_BITS_PER_PRB: f64 = 800.0;
 
-/// Static configuration of the monitor.
+/// What a monitor starts from: the input of [`CellStatusMonitor::new`],
+/// which takes it apart.  The monitor then owns each value and changes it
+/// through its own methods.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MonitorConfig {
     /// The user's own RNTI (the same across aggregated cells in this model).
     pub own_rnti: Rnti,
-    /// The cells to track and their total PRB count (`Pcell`).
+    /// The cells to track, the primary first, and their total PRB count
+    /// (`Pcell`).
     pub cells: Vec<(CellId, u16)>,
-    /// Sliding-window length in subframes; the congestion-control module
-    /// updates this to the measured round-trip propagation time.
+    /// Initial sliding-window length in subframes; the congestion-control
+    /// module resizes it to the measured round-trip propagation time
+    /// ([`CellStatusMonitor::set_window_subframes`]).
     pub window_subframes: usize,
 }
 
@@ -176,11 +180,22 @@ struct CellTracker {
     last_bits_per_prb: Option<f64>,
 }
 
+impl CellTracker {
+    fn new(total_prbs: u16) -> Self {
+        CellTracker {
+            total_prbs,
+            ..CellTracker::default()
+        }
+    }
+}
+
 /// The monitor itself: one tracker per watched cell.
 #[derive(Debug)]
 pub struct CellStatusMonitor {
-    config: MonitorConfig,
-    /// One tracker per watched cell (a handful at most, so a linear search
+    own_rnti: Rnti,
+    window_subframes: usize,
+    /// One tracker per watched cell, the primary first: the one list of the
+    /// cells the monitor watches (a handful at most, so a linear search
     /// beats a map).
     trackers: Vec<(CellId, CellTracker)>,
 }
@@ -190,65 +205,56 @@ impl CellStatusMonitor {
     pub fn new(config: MonitorConfig) -> Self {
         let trackers = config
             .cells
-            .iter()
-            .map(|&(cell, total_prbs)| {
-                (
-                    cell,
-                    CellTracker {
-                        total_prbs,
-                        ..CellTracker::default()
-                    },
-                )
-            })
+            .into_iter()
+            .map(|(cell, total_prbs)| (cell, CellTracker::new(total_prbs)))
             .collect();
-        CellStatusMonitor { config, trackers }
+        CellStatusMonitor {
+            own_rnti: config.own_rnti,
+            window_subframes: config.window_subframes,
+            trackers,
+        }
     }
 
-    /// The monitor's configuration.
-    pub fn config(&self) -> &MonitorConfig {
-        &self.config
+    /// The sliding-window length in subframes.
+    pub fn window_subframes(&self) -> usize {
+        self.window_subframes
     }
 
     /// Adjust the sliding window to the current round-trip propagation time
     /// (in subframes / milliseconds).
     pub fn set_window_subframes(&mut self, window: usize) {
-        self.config.window_subframes = window.max(1);
+        self.window_subframes = window.max(1);
     }
 
     /// Start tracking an additional cell (e.g. after a carrier activation).
     pub fn add_cell(&mut self, cell: CellId, total_prbs: u16) {
-        if self.tracker(cell).is_some() {
-            return;
+        if self.tracker(cell).is_none() {
+            self.trackers.push((cell, CellTracker::new(total_prbs)));
         }
-        self.config.cells.push((cell, total_prbs));
-        self.trackers.push((
-            cell,
-            CellTracker {
-                total_prbs,
-                ..CellTracker::default()
-            },
-        ));
     }
 
     /// Stop tracking a cell (after a carrier deactivation).  The primary cell
-    /// (the first configured cell) is never removed.
+    /// (the first tracked cell) is never removed.
     pub fn remove_cell(&mut self, cell: CellId) {
-        if self.config.cells.first().map(|(c, _)| *c) == Some(cell) {
-            return;
+        if self.trackers.first().map(|(c, _)| *c) != Some(cell) {
+            self.trackers.retain(|(c, _)| *c != cell);
         }
-        self.config.cells.retain(|(c, _)| *c != cell);
-        self.trackers.retain(|(c, _)| *c != cell);
     }
 
-    /// Cells currently tracked.
+    /// Cells currently tracked, the primary first.
     pub fn cells(&self) -> Vec<CellId> {
-        self.config.cells.iter().map(|(c, _)| *c).collect()
+        self.trackers.iter().map(|(c, _)| *c).collect()
     }
 
     /// Number of subframes currently folded into a cell's window (0 if the
     /// cell is untracked or nothing has been ingested since it was added).
     pub fn window_len(&self, cell: CellId) -> usize {
         self.tracker(cell).map_or(0, |t| t.window.len())
+    }
+
+    /// [`Self::window_len`] of the primary (first tracked) cell.
+    pub fn primary_window_len(&self) -> usize {
+        self.trackers.first().map_or(0, |(_, t)| t.window.len())
     }
 
     fn tracker(&self, cell: CellId) -> Option<&CellTracker> {
@@ -268,16 +274,8 @@ impl CellStatusMonitor {
     /// rather than reading the empty-window snapshot, which reports a fully
     /// idle cell.
     pub fn handover_to(&mut self, cell: CellId, total_prbs: u16) {
-        self.config.cells.clear();
-        self.config.cells.push((cell, total_prbs));
         self.trackers.clear();
-        self.trackers.push((
-            cell,
-            CellTracker {
-                total_prbs,
-                ..CellTracker::default()
-            },
-        ));
+        self.trackers.push((cell, CellTracker::new(total_prbs)));
     }
 
     /// Fold one fused subframe of decoded control messages into the window.
@@ -286,7 +284,7 @@ impl CellStatusMonitor {
             let messages = fused.cell_messages(*cell);
             let mut record = tracker.spare.take().unwrap_or_default();
             Self::fill_record(
-                &self.config,
+                self.own_rnti,
                 tracker.total_prbs,
                 fused.subframe,
                 messages,
@@ -297,7 +295,7 @@ impl CellStatusMonitor {
             }
             tracker.totals.add(&record);
             tracker.window.push_back(record);
-            while tracker.window.len() > self.config.window_subframes {
+            while tracker.window.len() > self.window_subframes {
                 let evicted = tracker.window.pop_front().expect("window is non-empty");
                 tracker.totals.remove(&evicted);
                 tracker.spare = Some(evicted);
@@ -308,7 +306,7 @@ impl CellStatusMonitor {
     /// Overwrite `record` with one subframe of a cell's messages, reusing
     /// its buffers.
     fn fill_record(
-        config: &MonitorConfig,
+        own_rnti: Rnti,
         total_prbs: u16,
         subframe: u64,
         messages: &[DciMessage],
@@ -329,7 +327,7 @@ impl CellStatusMonitor {
             }
             allocated += u32::from(m.num_prbs);
             record.users.push((m.rnti, m.num_prbs));
-            if m.rnti == config.own_rnti {
+            if m.rnti == own_rnti {
                 record.own_prbs += m.num_prbs;
                 record
                     .own_grants
@@ -383,9 +381,7 @@ impl CellStatusMonitor {
             .users
             .iter()
             .filter(|&&(rnti, ta, prbs)| {
-                rnti != self.config.own_rnti
-                    && ta > TA_THRESHOLD
-                    && prbs as f64 / ta as f64 > PA_THRESHOLD
+                rnti != self.own_rnti && ta > TA_THRESHOLD && prbs as f64 / ta as f64 > PA_THRESHOLD
             })
             .count();
         let own_bits_per_prb = tracker.last_bits_per_prb.unwrap_or(DEFAULT_BITS_PER_PRB);
@@ -407,7 +403,7 @@ impl CellStatusMonitor {
         })
     }
 
-    /// Snapshots of every tracked cell, in configuration order.
+    /// Snapshots of every tracked cell, the primary first.
     pub fn snapshots(&self) -> Vec<CellSnapshot> {
         let mut out = Vec::new();
         self.snapshots_into(&mut out);
@@ -418,12 +414,7 @@ impl CellStatusMonitor {
     /// per-subframe caller allocates nothing.
     pub fn snapshots_into(&self, out: &mut Vec<CellSnapshot>) {
         out.clear();
-        out.extend(
-            self.config
-                .cells
-                .iter()
-                .filter_map(|(c, _)| self.snapshot(*c)),
-        );
+        out.extend(self.trackers.iter().filter_map(|(c, _)| self.snapshot(*c)));
     }
 }
 
@@ -689,7 +680,7 @@ mod tests {
         let nf = n as f64;
         let mut active_users = 0usize;
         for (rnti, (ta, total_prbs)) in &per_user {
-            if *rnti == m.config.own_rnti {
+            if *rnti == m.own_rnti {
                 continue;
             }
             let pa = if *ta == 0 {

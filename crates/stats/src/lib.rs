@@ -37,7 +37,7 @@ pub use cdf::Cdf;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use hash::{fnv1a_128, fnv1a_128_hex};
 pub use jain::jain_index;
-pub use percentile::{percentile, OnlineStats};
+pub use percentile::percentile;
 pub use pool::WorkerPool;
 pub use rng::{derive_seed, DetRng};
 pub use summary::FlowSummary;

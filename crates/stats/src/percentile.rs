@@ -1,14 +1,10 @@
-//! Order statistics and running moments.
+//! Order statistics.
 //!
 //! The paper reports 10th/25th/50th/75th/90th/95th percentiles of one-way
 //! delay and of throughput averaged over 100 ms windows (Figures 12–14, 16,
 //! 18, 20, Table 1).  [`percentile`] implements the linear-interpolation
 //! estimator (type 7, the same convention MATLAB/NumPy use by default, which
-//! is what the authors' plotting scripts would have produced), and
-//! [`OnlineStats`] keeps a Welford running mean (plus count and maximum)
-//! for cheap averages.
-
-use serde::{Deserialize, Serialize};
+//! is what the authors' plotting scripts would have produced).
 
 /// Linear-interpolation percentile of a sample set.
 ///
@@ -55,59 +51,6 @@ pub fn median(samples: &[f64]) -> Option<f64> {
     percentile(samples, 50.0)
 }
 
-/// Running count / mean / max, the mean updated by Welford's algorithm.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Maximum observation (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.max)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,29 +78,6 @@ mod tests {
     fn percentile_ignores_non_finite() {
         let v = [1.0, f64::NAN, 3.0, f64::INFINITY];
         assert_eq!(percentile(&v, 50.0), Some(2.0));
-    }
-
-    #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.max(), None);
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn online_stats_ignores_nan() {
-        let mut s = OnlineStats::new();
-        s.push(1.0);
-        s.push(f64::NAN);
-        s.push(3.0);
-        assert_eq!(s.count(), 2);
-        assert!((s.mean() - 2.0).abs() < 1e-12);
     }
 
     /// The estimator as it was before [`sorted_finite`]: the reference the
@@ -219,16 +139,6 @@ mod tests {
             let a = percentile(&v, lo).unwrap();
             let b = percentile(&v, hi).unwrap();
             prop_assert!(a <= b + 1e-9);
-        }
-
-        #[test]
-        fn online_mean_matches_naive(v in proptest::collection::vec(-1e3f64..1e3, 1..300)) {
-            let mut s = OnlineStats::new();
-            for &x in &v {
-                s.push(x);
-            }
-            let naive = v.iter().sum::<f64>() / v.len() as f64;
-            prop_assert!((s.mean() - naive).abs() < 1e-6);
         }
     }
 }

@@ -5,7 +5,7 @@
 //! single value that the experiment harness can format as a table row or feed
 //! into cross-location CDFs (Fig. 12) and speedup ratios (Table 1).
 
-use crate::percentile::{percentile_of_sorted, sorted_finite, OnlineStats};
+use crate::percentile::{percentile_of_sorted, sorted_finite};
 use crate::time::{Duration, Instant};
 use crate::window::WindowAggregator;
 use serde::{Deserialize, Serialize};
@@ -41,13 +41,16 @@ pub struct FlowSummary {
 
 /// Builder that accumulates raw samples during a run and produces a
 /// [`FlowSummary`] at the end.
+///
+/// It keeps each quantity once: the delivered bytes in the window
+/// aggregator and the delays in push order.  Everything else — the byte
+/// total, the delay count, mean, maximum and percentiles — is derived from
+/// those two in [`build`](Self::build).
 #[derive(Debug, Clone)]
 pub struct FlowSummaryBuilder {
     label: String,
     windows: WindowAggregator,
     delays_ms: Vec<f64>,
-    delay_stats: OnlineStats,
-    total_bytes: u64,
     internet_bottleneck_fraction: f64,
     carrier_aggregation_triggered: bool,
 }
@@ -59,8 +62,6 @@ impl FlowSummaryBuilder {
             label: label.into(),
             windows: WindowAggregator::default(),
             delays_ms: Vec::new(),
-            delay_stats: OnlineStats::new(),
-            total_bytes: 0,
             internet_bottleneck_fraction: 0.0,
             carrier_aggregation_triggered: false,
         }
@@ -69,12 +70,10 @@ impl FlowSummaryBuilder {
     /// Record a packet delivered to the application at `t` with the given
     /// payload size and one-way delay.
     pub fn record_packet(&mut self, t: Instant, bytes: u64, one_way_delay: Duration) {
-        self.total_bytes += bytes;
         let delay_ms = one_way_delay.as_millis_f64();
         self.windows.record_delivery(t, bytes);
         self.windows.record_delay(t, delay_ms);
         self.delays_ms.push(delay_ms);
-        self.delay_stats.push(delay_ms);
     }
 
     /// Set the fraction of time spent in the Internet-bottleneck state.
@@ -105,16 +104,25 @@ impl FlowSummaryBuilder {
             }
         };
         let pcts = |sorted: &[f64]| [10.0, 25.0, 50.0, 75.0, 90.0].map(|p| pct(sorted, p));
+        // Count, Welford mean and maximum of the finite delays, in push
+        // order: the same operations in the same order as a running
+        // accumulator, so the same bits.
+        let (mut packets, mut mean, mut max) = (0u64, 0.0f64, f64::NEG_INFINITY);
+        for &x in self.delays_ms.iter().filter(|x| x.is_finite()) {
+            packets += 1;
+            mean += (x - mean) / packets as f64;
+            max = max.max(x);
+        }
         FlowSummary {
             label: self.label.clone(),
             avg_throughput_mbps: self.windows.average_throughput_mbps(),
             throughput_percentiles_mbps: pcts(&tp),
             delay_percentiles_ms: pcts(&delays),
-            avg_delay_ms: self.delay_stats.mean(),
+            avg_delay_ms: mean,
             p95_delay_ms: pct(&delays, 95.0),
-            max_delay_ms: self.delay_stats.max().unwrap_or(0.0),
-            total_bytes: self.total_bytes,
-            packets: self.delay_stats.count(),
+            max_delay_ms: if packets == 0 { 0.0 } else { max },
+            total_bytes: self.windows.total_bytes(),
+            packets,
             internet_bottleneck_fraction: self.internet_bottleneck_fraction,
             carrier_aggregation_triggered: self.carrier_aggregation_triggered,
         }
@@ -203,6 +211,54 @@ mod tests {
         assert!(real.throughput_speedup_vs(&empty).is_infinite());
         assert!(empty.p95_delay_reduction_vs(&real).is_infinite());
         assert_eq!(empty.packets, 0);
+    }
+
+    /// One fixed delivery stream: 20,000 packets over 4 s with bursty sizes
+    /// and delays from 5 ms to 2 s, so the Welford mean rounds differently
+    /// from the naive sum over the same samples.
+    fn fixed_stream() -> FlowSummaryBuilder {
+        let mut rng = crate::DetRng::new(40).split("summary-pin");
+        let mut b = FlowSummaryBuilder::new("pin");
+        for i in 0..20_000u64 {
+            let bytes = 40 + rng.uniform_usize(0, 1_461) as u64;
+            let spike = if rng.bernoulli(0.01) { 1_500_000 } else { 0 };
+            let delay_us = 5_000 + rng.uniform_usize(0, 80_000) as u64 + spike;
+            b.record_packet(
+                Instant::from_micros(i * 200 + rng.uniform_usize(0, 200) as u64),
+                bytes,
+                Duration::from_micros(delay_us),
+            );
+        }
+        b
+    }
+
+    /// The delay statistics are derived at `build()`; these bits were
+    /// captured from the running accumulator the builder used to keep
+    /// beside its samples, so the derivation must replay it exactly.
+    #[test]
+    fn summary_of_a_fixed_stream_is_pinned() {
+        let b = fixed_stream();
+        let s = b.build();
+        assert_eq!(s.avg_delay_ms.to_bits(), 0x404e_7ec8_c99d_6d4b);
+        assert_eq!(s.max_delay_ms.to_bits(), 0x4098_c3e7_6c8b_4396);
+        assert_eq!(s.packets, 20_000);
+        assert_eq!(s.total_bytes, 15_389_669);
+
+        // Count, maximum and byte total are exact; the Welford mean stays
+        // within rounding of the naive one.
+        let delays = &b.delays_ms;
+        assert_eq!(s.packets, delays.len() as u64);
+        assert_eq!(s.max_delay_ms, delays.iter().copied().fold(0.0, f64::max));
+        assert_eq!(
+            s.total_bytes,
+            b.windows().windows().iter().map(|w| w.bytes).sum()
+        );
+        let naive = delays.iter().sum::<f64>() / delays.len() as f64;
+        assert!(
+            (s.avg_delay_ms - naive).abs() < 1e-9 * naive,
+            "{} vs {naive}",
+            s.avg_delay_ms
+        );
     }
 
     #[test]
