@@ -11,7 +11,7 @@
 //! would produce — and the cache-equivalence tests in
 //! `crates/bench/tests/artifact.rs` pin that.
 
-use super::store::{PointFailure, ResultStore, StoredPoint};
+use super::store::{PointFailure, ResultStore};
 use crate::sweep::{ScenarioOutcome, ScenarioSpec, SweepReport};
 use pbe_netsim::Simulation;
 use pbe_stats::pool::{panic_message, WorkerPool};
@@ -103,14 +103,7 @@ pub fn run_cached(
             match result {
                 Ok(outcome) => {
                     if let Some(store) = store.as_deref_mut() {
-                        store.insert(
-                            figure,
-                            &StoredPoint {
-                                key: outcome.key.clone(),
-                                spec: outcome.spec.clone(),
-                                result: outcome.result.clone(),
-                            },
-                        )?;
+                        store.insert_parts(figure, &outcome.key, &outcome.spec, &outcome.result)?;
                     }
                     executed += 1;
                     slots[i] = Some(outcome);
@@ -235,6 +228,46 @@ mod tests {
         assert_eq!(
             resumed.failures, run.failures,
             "quarantine reported on resume"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Fresh points are persisted from borrowed parts; the blob and the
+    /// manifest line must be the bytes an owned [`StoredPoint`] of the
+    /// same outcome writes.
+    #[test]
+    fn fresh_points_store_the_bytes_of_an_owned_stored_point() {
+        use super::super::store::{ManifestEntry, StoredPoint};
+        let dir = std::env::temp_dir().join(format!("pbe_exec_bytes_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = ResultStore::open(&dir).unwrap();
+        let run = run_cached("fig_bytes", tiny_specs(), Some(&mut store), 1).unwrap();
+        assert_eq!(run.executed, 2);
+        let mut lines = Vec::new();
+        for outcome in &run.report.outcomes {
+            let blob = serde_json::to_string(&StoredPoint {
+                key: outcome.key.clone(),
+                spec: outcome.spec.clone(),
+                result: outcome.result.clone(),
+            })
+            .unwrap();
+            let stored =
+                std::fs::read_to_string(dir.join("points").join(format!("{}.json", outcome.key)))
+                    .unwrap();
+            assert_eq!(stored, blob, "blob of {}", outcome.key);
+            let entry = ManifestEntry {
+                key: outcome.key.clone(),
+                figure: "fig_bytes".to_string(),
+                label: outcome.spec.label.clone(),
+                scheme: outcome.spec.scheme.id().to_string(),
+                seed: outcome.spec.seed,
+                checksum: pbe_stats::fnv1a_128_hex(blob.as_bytes()),
+            };
+            lines.push(serde_json::to_string(&entry).unwrap() + "\n");
+        }
+        assert_eq!(
+            std::fs::read_to_string(store.manifest_path()).unwrap(),
+            lines.concat()
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -23,7 +23,7 @@
 
 use crate::sweep::ScenarioSpec;
 use pbe_netsim::SimResult;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write};
@@ -88,6 +88,24 @@ pub struct StoredPoint {
     pub spec: ScenarioSpec,
     /// The simulator's result for that spec.
     pub result: SimResult,
+}
+
+/// A borrowed [`StoredPoint`]: the same fields in the same order, so it
+/// serializes to the same bytes.
+struct StoredPointRef<'a> {
+    key: &'a str,
+    spec: &'a ScenarioSpec,
+    result: &'a SimResult,
+}
+
+impl Serialize for StoredPointRef<'_> {
+    fn serialize(&self) -> Value {
+        Value::Object(vec![
+            ("key".to_string(), self.key.serialize()),
+            ("spec".to_string(), self.spec.serialize()),
+            ("result".to_string(), self.result.serialize()),
+        ])
+    }
 }
 
 /// A content-addressed directory of executed grid points.
@@ -227,17 +245,31 @@ impl ResultStore {
     /// line last.  The manifest line carries a checksum of the blob's exact
     /// bytes so [`ResultStore::verify`] can detect later corruption.
     pub fn insert(&mut self, figure: &str, point: &StoredPoint) -> io::Result<()> {
-        let blob = serde_json::to_string(point).expect("stored point serializes");
+        self.insert_parts(figure, &point.key, &point.spec, &point.result)
+    }
+
+    /// [`ResultStore::insert`] from borrowed parts: writes the bytes a
+    /// [`StoredPoint`] of them serializes to, without copying the spec and
+    /// result into one.
+    pub fn insert_parts(
+        &mut self,
+        figure: &str,
+        key: &str,
+        spec: &ScenarioSpec,
+        result: &SimResult,
+    ) -> io::Result<()> {
+        let point = StoredPointRef { key, spec, result };
+        let blob = serde_json::to_string(&point).expect("stored point serializes");
         let entry = ManifestEntry {
-            key: point.key.clone(),
+            key: key.to_string(),
             figure: figure.to_string(),
-            label: point.spec.label.clone(),
-            scheme: point.spec.scheme.id().to_string(),
-            seed: point.spec.seed,
+            label: spec.label.clone(),
+            scheme: spec.scheme.id().to_string(),
+            seed: spec.seed,
             checksum: pbe_stats::fnv1a_128_hex(blob.as_bytes()),
         };
-        let path = self.point_path(&point.key);
-        let tmp = self.dir.join("points").join(format!(".{}.tmp", point.key));
+        let path = self.point_path(key);
+        let tmp = self.dir.join("points").join(format!(".{key}.tmp"));
         fs::write(&tmp, blob)?;
         fs::rename(&tmp, &path)?;
         let line = serde_json::to_string(&entry).expect("manifest entry serializes");

@@ -11,6 +11,7 @@ use pbe_netsim::{
 use pbe_stats::rng::derive_seed;
 use pbe_stats::time::Duration;
 use serde::{Deserialize, Serialize, Value};
+use std::collections::HashSet;
 
 /// One fully specified point of an evaluation grid.
 ///
@@ -167,14 +168,16 @@ impl ScenarioSpec {
     }
 
     /// Lower the spec onto a plain simulator configuration, substituting the
-    /// scheme under test into the swept flows.
+    /// scheme under test into the swept flows: every flow whose id
+    /// `sweep_flows` lists, each flow of a repeated id included.
     pub fn sim_config(&self) -> SimConfig {
+        let swept: HashSet<u32> = self.sweep_flows.iter().copied().collect();
         let flows = self
             .flows
             .iter()
             .map(|f| {
                 let mut f = f.clone();
-                if self.sweep_flows.contains(&f.id) {
+                if swept.contains(&f.id) {
                     f.scheme = self.scheme.clone();
                 }
                 f
@@ -383,6 +386,46 @@ mod tests {
         let cfg = spec.sim_config();
         assert_eq!(cfg.flows[0].scheme, SchemeChoice::named("BBR"));
         assert_eq!(cfg.flows[1].scheme, SchemeChoice::FixedRate);
+    }
+
+    #[test]
+    fn sim_config_lowers_interleaved_flows_like_a_scan_of_sweep_flows() {
+        let duration = Duration::from_secs(1);
+        let bulk = |id, scheme| FlowConfig::bulk(id, UeId(id), scheme, duration);
+        // Swept and background flows interleave; id 3 is both a swept and a
+        // background flow, and id 5 is swept twice.
+        let spec = ScenarioSpec::new("mix", SchemeChoice::named("Copa"), duration)
+            .flow(bulk(1, SchemeChoice::Pbe))
+            .background_flow(bulk(2, SchemeChoice::FixedRate))
+            .flow(bulk(3, SchemeChoice::Pbe))
+            .background_flow(bulk(4, SchemeChoice::named("CUBIC")))
+            .background_flow(bulk(3, SchemeChoice::FixedRate))
+            .flow(bulk(5, SchemeChoice::Pbe))
+            .flow(bulk(5, SchemeChoice::named("BBR")))
+            .background_flow(bulk(6, SchemeChoice::FixedRate));
+        let scanned: Vec<FlowConfig> = spec
+            .flows
+            .iter()
+            .map(|f| {
+                let mut f = f.clone();
+                if spec.sweep_flows.contains(&f.id) {
+                    f.scheme = spec.scheme.clone();
+                }
+                f
+            })
+            .collect();
+        let cfg = spec.sim_config();
+        assert_eq!(
+            serde_json::to_string(&cfg.flows).unwrap(),
+            serde_json::to_string(&scanned).unwrap()
+        );
+        let (copa, fixed) = (SchemeChoice::named("Copa"), SchemeChoice::FixedRate);
+        let schemes: Vec<&SchemeChoice> = cfg.flows.iter().map(|f| &f.scheme).collect();
+        let cubic = SchemeChoice::named("CUBIC");
+        assert_eq!(
+            schemes,
+            [&copa, &fixed, &copa, &cubic, &copa, &copa, &copa, &fixed]
+        );
     }
 
     #[test]

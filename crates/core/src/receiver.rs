@@ -263,6 +263,7 @@ mod tests {
     use pbe_pdcch::batch::DciBatcher;
     use pbe_pdcch::fusion::MessageFusion;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// The cells the agent decodes, in decoder order.
     fn decoded_cells(agent: &PbeReceiverAgent) -> Vec<CellId> {
@@ -503,41 +504,88 @@ mod tests {
 
     /// The receiver as it was before the in-place gather: every decoder's
     /// output goes through a [`MessageFusion`] stage and the client ingests
-    /// whatever subframes it completes.  Blindness and the decoder set are
-    /// the wrapped agent's, so only the gather differs.
+    /// whatever subframes it completes.  It keeps its own decoders, keyed by
+    /// cell, its own blindness and its own client, so a wrong decoder set
+    /// or a decoder paired with the wrong cell in the agent shows up as a
+    /// different estimate.
     struct FusionReference {
-        agent: PbeReceiverAgent,
+        decoders: BTreeMap<CellId, ControlChannelDecoder>,
         fusion: MessageFusion,
         ready: Vec<FusedSubframe>,
+        client: PbeClient,
+        blind_until: u64,
+        ctx: ReceiverCtx,
     }
 
     impl FusionReference {
         fn new(ctx: &ReceiverCtx) -> Self {
-            let agent = PbeReceiverAgent::new(ctx);
-            let fusion = MessageFusion::new(decoded_cells(&agent));
+            // A cell listed twice keeps its last entry's decoder.
+            let decoders: BTreeMap<CellId, ControlChannelDecoder> = ctx
+                .cells
+                .iter()
+                .map(|&(cell, prbs)| (cell, reference_decoder(ctx, cell, prbs, 0)))
+                .collect();
             FusionReference {
-                agent,
-                fusion,
+                fusion: MessageFusion::new(decoders.keys().copied().collect()),
+                decoders,
                 ready: Vec::new(),
+                client: PbeClient::new(ctx.rnti, ctx.cells.clone()),
+                blind_until: 0,
+                ctx: ctx.clone(),
             }
         }
+
+        fn decoder(&self, cell: CellId, total_prbs: u16) -> ControlChannelDecoder {
+            reference_decoder(&self.ctx, cell, total_prbs, self.blind_until)
+        }
+    }
+
+    /// A decoder of `cell` on the flow's per-cell random stream, blind until
+    /// `blind_until`.
+    fn reference_decoder(
+        ctx: &ReceiverCtx,
+        cell: CellId,
+        total_prbs: u16,
+        blind_until: u64,
+    ) -> ControlChannelDecoder {
+        let config = DecoderConfig {
+            total_prbs,
+            ..DecoderConfig::default()
+        };
+        let stream = u64::from(cell.0) << 16 | u64::from(ctx.flow);
+        let mut decoder =
+            ControlChannelDecoder::new(cell, config, ctx.rng.split_indexed("cell", stream));
+        decoder.set_resync_until(blind_until);
+        decoder
     }
 
     impl ReceiverAgent for FusionReference {
         fn on_carrier_event(&mut self, event: &CaEvent, total_prbs: u16) {
-            self.agent.on_carrier_event(event, total_prbs);
-            self.fusion.set_watched_cells(decoded_cells(&self.agent));
+            if event.activated {
+                if !self.decoders.contains_key(&event.cell) {
+                    let decoder = self.decoder(event.cell, total_prbs);
+                    self.decoders.insert(event.cell, decoder);
+                }
+                self.client.add_cell(event.cell, total_prbs);
+            } else {
+                self.decoders.remove(&event.cell);
+                self.client.remove_cell(event.cell);
+            }
+            self.fusion
+                .set_watched_cells(self.decoders.keys().copied().collect());
         }
 
         fn on_handover(&mut self, event: &HandoverEvent, prbs: u16, gap: u64) {
-            self.agent.on_handover(event, prbs, gap);
+            self.blind_until = self.blind_until.max(event.at.subframe_index() + gap);
+            let decoder = self.decoder(event.to, prbs);
+            self.decoders = BTreeMap::from([(event.to, decoder)]);
             self.fusion = MessageFusion::new(vec![event.to]);
+            self.client.on_handover(event.to, prbs);
         }
 
         fn on_subframe(&mut self, batch: &DciBatch<'_>) {
             let subframe = batch.subframe();
-            let cells = self.agent.fused.per_cell.iter().map(|(cell, _)| *cell);
-            for (decoder, cell) in self.agent.decoders.iter_mut().zip(cells) {
+            for (&cell, decoder) in &mut self.decoders {
                 let messages = batch.cell_messages(cell);
                 if decoder.is_resynchronising(subframe) {
                     decoder.decode_subframe(subframe, messages);
@@ -548,20 +596,24 @@ mod tests {
                     .extend(self.fusion.ingest(cell, subframe, decoded));
             }
             for fused in self.ready.drain(..) {
-                self.agent.client.on_subframe(&fused);
+                self.client.on_subframe(&fused);
             }
         }
 
         fn set_rtprop_ms(&mut self, rtprop_ms: f64) {
-            self.agent.set_rtprop_ms(rtprop_ms);
+            self.client.set_rtprop_ms(rtprop_ms);
         }
 
         fn on_decode_loss(&mut self, until_subframe: u64) {
-            self.agent.on_decode_loss(until_subframe);
+            self.blind_until = self.blind_until.max(until_subframe);
+            for decoder in self.decoders.values_mut() {
+                decoder.set_resync_until(self.blind_until);
+            }
+            self.client.hold_estimates();
         }
 
         fn on_packet(&mut self, at: Instant, one_way_delay_ms: f64) -> Option<PbeFeedback> {
-            self.agent.on_packet(at, one_way_delay_ms)
+            Some(self.client.on_packet(at, one_way_delay_ms))
         }
     }
 
@@ -637,7 +689,7 @@ mod tests {
                 reference.on_subframe(&batch);
                 prop_assert_eq!(
                     format!("{:?}", agent.client().capacity()),
-                    format!("{:?}", reference.agent.client().capacity()),
+                    format!("{:?}", reference.client.capacity()),
                     "subframe {}", sf
                 );
                 for k in 0..rng.uniform_usize(0, 4) as u64 {
