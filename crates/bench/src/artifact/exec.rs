@@ -31,8 +31,8 @@ pub struct CachedRun {
     pub executed: usize,
     /// Number of points served from the store.
     pub cached: usize,
-    /// Points that panicked, plus quarantined points skipped on resume — in
-    /// grid order.
+    /// Points that were invalid or panicked, plus quarantined points skipped
+    /// on resume — in grid order.
     pub failures: Vec<PointFailure>,
 }
 
@@ -43,13 +43,14 @@ pub struct CachedRun {
 /// byte-identical for every count.  `figure` labels the manifest entries of
 /// freshly executed points.
 ///
-/// Execution is failure-contained: a panicking scenario is caught and
-/// reported as a structured [`PointFailure`].  Failed points are quarantined
-/// in the store, so a later resume skips-and-reports them instead of
-/// re-poisoning every invocation, and **every other point still executes
-/// exactly once** — one poison point costs its own slot, never the sweep.
-/// A failed point is not retried: the simulation is deterministic, so it
-/// would panic again.
+/// Execution is failure-contained: a point whose configuration
+/// [`Simulation::validate`] rejects fails without simulating, a panicking
+/// one is caught, and both are reported as a structured [`PointFailure`].
+/// Failed points are quarantined in the store, so a later resume
+/// skips-and-reports them instead of re-poisoning every invocation, and
+/// **every other point still executes exactly once** — one poison point
+/// costs its own slot, never the sweep.  A failed point is not retried: the
+/// simulation is deterministic, so it would fail again.
 pub fn run_cached(
     figure: &str,
     specs: Vec<ScenarioSpec>,
@@ -148,6 +149,9 @@ pub fn run_cached(
 
 /// Run one scenario on the calling (pool) thread with its panics
 /// contained: a panic comes back as its rendered message.  Never panics.
+/// An invalid configuration fails before any simulation, because
+/// [`Simulation::run`] validates first and panics with the
+/// `invalid configuration: …` message.
 fn execute_guarded(spec: &ScenarioSpec, key: &str) -> Result<ScenarioOutcome, String> {
     catch_unwind(AssertUnwindSafe(|| execute_one(spec, key)))
         .map_err(|payload| panic_message(payload.as_ref()))

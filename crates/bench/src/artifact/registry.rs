@@ -167,6 +167,7 @@ pub fn find(name: &str) -> Option<FigureSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbe_netsim::Simulation;
     use std::collections::BTreeSet;
 
     /// The figures that compute in their renderer and expand no grid.
@@ -212,6 +213,26 @@ mod tests {
             sorted.sort();
             sorted.dedup();
             assert_eq!(sorted.len(), keys_a.len(), "{} keys are distinct", fig.name);
+        }
+    }
+
+    #[test]
+    fn every_registered_grid_validates_at_default_seconds_and_at_one() {
+        // Validation simulates nothing, so every figure's every point is
+        // checked in well under a second.
+        for fig in registry() {
+            for seconds in [fig.default_seconds, 1] {
+                for spec in (fig.grid)(seconds).expand() {
+                    let validated = Simulation::new(spec.sim_config()).validate();
+                    assert_eq!(
+                        validated,
+                        Ok(()),
+                        "{} at {seconds} s: {}",
+                        fig.name,
+                        spec.label
+                    );
+                }
+            }
         }
     }
 

@@ -48,7 +48,8 @@ pub struct ManifestEntry {
     pub checksum: String,
 }
 
-/// One line of `quarantine.jsonl`: a grid point whose simulation panicked.
+/// One line of `quarantine.jsonl`: a grid point whose configuration was
+/// invalid or whose simulation panicked.
 /// Quarantined keys are skipped-and-reported on resume instead of
 /// re-poisoning every invocation; deleting the file (or repairing the cause)
 /// lifts the quarantine.
@@ -64,7 +65,7 @@ pub struct PointFailure {
     pub scheme: String,
     /// The expanded experiment seed.
     pub seed: u64,
-    /// The rendered panic payload.
+    /// The configuration error, or the rendered panic payload.
     pub message: String,
 }
 

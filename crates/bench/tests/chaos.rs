@@ -1,13 +1,15 @@
 //! Failure-contained execution, end to end: a chaos scheme that panics
 //! mid-simulation runs through the same store-backed executor as every real
 //! sweep, inline and on pool worker threads, and the sweep completes with a
-//! structured failure instead of crashing.  The quarantine file must survive
-//! a store reopen (a new process), and `artifact verify --repair` must
-//! re-execute exactly the corrupted keys.
+//! structured failure instead of crashing; a point whose configuration is
+//! invalid fails the same way without simulating.  The quarantine file must
+//! survive a store reopen (a new process), and `artifact verify --repair`
+//! must re-execute exactly the corrupted keys.
 
 use pbe_bench::artifact::{run_artifact, run_cached, ArtifactArgs, ResultStore};
 use pbe_bench::sweep::{OutputFormat, ScenarioSpec, SweepGrid};
-use pbe_netsim::SchemeChoice;
+use pbe_cellular::config::CellId;
+use pbe_netsim::{CellOutage, FaultSchedule, SchemeChoice};
 use pbe_stats::time::Duration;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -77,6 +79,40 @@ fn quarantine_survives_a_reopen_and_nothing_reexecutes() {
     }
     assert_eq!(seen[0], seen[1], "one and two workers agree");
 
+    fs::remove_dir_all(&root).unwrap();
+}
+
+/// An invalid point fails validation before it simulates: it is the chaos
+/// point with an outage of a cell the network lacks, so had it run, it would
+/// have failed with the chaos panic instead.  It is quarantined like a
+/// panic, and the two healthy points each execute once.
+#[test]
+fn an_invalid_point_fails_without_running_and_is_quarantined() {
+    let root = temp_root("invalid");
+    let mut specs = chaos_specs();
+    let outage = CellOutage {
+        cell: CellId(9),
+        start_ms: 10,
+        end_ms: 20,
+    };
+    specs[2].faults = Some(FaultSchedule {
+        cell_outages: vec![outage],
+        ..FaultSchedule::none()
+    });
+    let mut store = ResultStore::open(&root).unwrap();
+    let run = run_cached("fig_invalid", specs.clone(), Some(&mut store), 2).unwrap();
+    assert_eq!((run.executed, run.report.outcomes.len()), (2, 2));
+    assert_eq!(run.failures.len(), 1);
+    assert_eq!(
+        run.failures[0].message,
+        "invalid configuration: UnknownOutageCell(CellId(9))"
+    );
+    let mut store = ResultStore::open(&root).unwrap();
+    let quarantined: Vec<_> = store.quarantined().into_iter().cloned().collect();
+    assert_eq!(quarantined, run.failures, "quarantine persisted");
+    let resumed = run_cached("fig_invalid", specs, Some(&mut store), 2).unwrap();
+    assert_eq!((resumed.executed, resumed.cached), (0, 2));
+    assert_eq!(resumed.failures, run.failures);
     fs::remove_dir_all(&root).unwrap();
 }
 

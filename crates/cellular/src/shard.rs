@@ -115,8 +115,11 @@ const ABSENT: u32 = u32::MAX;
 const FIRST_UE_RNTI: u16 = 0x0100;
 
 /// The last RNTI a foreground UE may hold: `0xFFF4`–`0xFFFF` are reserved
-/// (TS 36.321 Table 7.1-1), so a network registers at most 65,268 UEs.
+/// (TS 36.321 Table 7.1-1).
 const LAST_UE_RNTI: u16 = 0xFFF3;
+
+/// The most UEs a network registers, one per foreground RNTI: 65,268.
+pub const MAX_UES: usize = (LAST_UE_RNTI - FIRST_UE_RNTI) as usize + 1;
 
 /// How much weaker, in dB, a UE registered with one trace receives each
 /// further configured cell: secondary carriers typically sit at higher
@@ -542,7 +545,7 @@ impl ShardedNetwork {
     ///
     /// # Panics
     ///
-    /// If the network already registered 65,268 UEs (RNTIs
+    /// If the network already registered [`MAX_UES`] UEs (RNTIs
     /// `0x0100`–`0xFFF3`).
     pub fn add_ue_with_traces<'t>(
         &mut self,
@@ -553,7 +556,7 @@ impl ShardedNetwork {
         assert!(
             self.next_rnti <= LAST_UE_RNTI,
             "RNTI space exhausted: foreground RNTIs end at {LAST_UE_RNTI:#06X}, \
-             so a network holds at most 65,268 UEs"
+             so a network holds at most {MAX_UES} UEs"
         );
         let rnti = Rnti(self.next_rnti);
         self.next_rnti += 1;
@@ -1856,7 +1859,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "RNTI space exhausted")]
     fn the_foreground_rnti_space_ends_before_the_reserved_values() {
-        assert_eq!(usize::from(LAST_UE_RNTI - FIRST_UE_RNTI) + 1, 65_268);
+        assert_eq!(MAX_UES, 65_268);
         let mut net = ShardedNetwork::new(city_config(), CellLoadProfile::none(), 1, 1);
         // Skip to the last free RNTI rather than register 65,267 UEs first.
         net.next_rnti = LAST_UE_RNTI;

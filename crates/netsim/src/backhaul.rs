@@ -35,12 +35,13 @@
 //! `(time, submission sequence)` pairs, so results are a pure function of
 //! the configuration and the seed.
 
+use crate::config::ConfigError;
 use crate::faults::{FlapPolicy, LinkFlap};
 use crate::runs::MonotoneRuns;
 use crate::wired::LinkStats;
 use pbe_cellular::config::CellId;
 use pbe_stats::percentile::percentile_of_sorted;
-use pbe_stats::time::{transmission_time, Duration, Instant};
+use pbe_stats::time::{transmission_time, Duration, Instant, MICROS_PER_MS};
 use pbe_stats::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -98,7 +99,7 @@ pub struct BackhaulRoute {
 
 /// Configuration of the shared backhaul topology.
 ///
-/// When [`SimConfig::backhaul`](crate::sim::SimConfig) carries one of these,
+/// When [`SimConfig::backhaul`](crate::config::SimConfig) carries one of these,
 /// every flow's wired segment is routed through it (by the cell its UE is
 /// currently attached to) instead of through the flow's private
 /// [`WiredPath`](crate::wired::WiredPath).
@@ -141,57 +142,42 @@ impl BackhaulConfig {
         }
     }
 
-    /// Check the topology invariants the simulator relies on.
-    ///
-    /// Every route (and the default path) must reference existing links, use
-    /// each link at most once, and respect the single-predecessor rule: a
-    /// link is fed by exactly one upstream link across all routes, or is
-    /// always a route head.  Rates and queue limits must be positive.
-    pub fn validate(&self) -> Result<(), String> {
+    /// The topology rules the simulator relies on, the backhaul variants of
+    /// [`ConfigError`]: [`Simulation::validate`](crate::Simulation::validate)
+    /// and [`Backhaul::new`] both apply them.
+    pub fn validate(&self) -> Result<(), ConfigError> {
         for (i, l) in self.links.iter().enumerate() {
             if l.rate_bps <= 0.0 || l.rate_bps.is_nan() {
-                return Err(format!("link {i} ({}) has non-positive rate", l.name));
+                return Err(ConfigError::LinkRate(i));
             }
             if l.queue_limit_bytes == 0 {
-                return Err(format!("link {i} ({}) has a zero queue limit", l.name));
+                return Err(ConfigError::LinkQueue(i));
+            }
+        }
+        for (i, r) in self.routes.iter().enumerate() {
+            if self.routes[..i].iter().any(|other| other.cell == r.cell) {
+                return Err(ConfigError::DuplicateRoute(r.cell));
             }
         }
         // pred[link] = Some(None) head, Some(Some(p)) fed by p.
         let mut pred: Vec<Option<Option<usize>>> = vec![None; self.links.len()];
-        let mut seen_cells: Vec<CellId> = Vec::new();
-        let paths = self
-            .routes
-            .iter()
-            .map(|r| (&r.path, Some(r.cell)))
-            .chain(self.default_path.iter().map(|p| (p, None)));
-        for (path, cell) in paths {
-            if let Some(cell) = cell {
-                if seen_cells.contains(&cell) {
-                    return Err(format!("cell {} has two routes", cell.0));
-                }
-                seen_cells.push(cell);
-            }
+        let routes = self.routes.iter().map(|r| &r.path);
+        for path in routes.chain(&self.default_path) {
             if path.is_empty() {
-                return Err("a route has an empty path".to_string());
+                return Err(ConfigError::EmptyPath);
             }
             let mut prev: Option<usize> = None;
             for &link in path {
                 if link >= self.links.len() {
-                    return Err(format!("path references missing link {link}"));
+                    return Err(ConfigError::MissingLink(link));
                 }
                 if path.iter().filter(|&&l| l == link).count() > 1 {
-                    return Err(format!("path uses link {link} twice"));
+                    return Err(ConfigError::RepeatedLink(link));
                 }
                 match pred[link] {
                     None => pred[link] = Some(prev),
                     Some(existing) if existing == prev => {}
-                    Some(_) => {
-                        return Err(format!(
-                            "link {link} ({}) has two different upstream predecessors \
-                             (the backhaul must be a forest)",
-                            self.links[link].name
-                        ))
-                    }
+                    Some(_) => return Err(ConfigError::NotAForest(link)),
                 }
                 prev = Some(link);
             }
@@ -449,13 +435,14 @@ pub struct Backhaul {
 }
 
 impl Backhaul {
-    /// Build the runtime from a validated configuration.
+    /// Build the runtime from a configuration.
     ///
     /// # Panics
-    /// Panics if [`BackhaulConfig::validate`] rejects the configuration.
+    /// With the error's message, if [`BackhaulConfig::validate`] rejects the
+    /// configuration.
     pub fn new(cfg: BackhaulConfig) -> Self {
         if let Err(e) = cfg.validate() {
-            panic!("invalid backhaul configuration: {e}");
+            panic!("{e}");
         }
         let route_of_cell = cfg
             .routes
@@ -487,39 +474,36 @@ impl Backhaul {
     }
 
     /// Install the scheduled link flaps of a fault schedule, resolving link
-    /// names to indices.  While a flap window is open the link carries
-    /// nothing: arrivals wait for the window to close ([`FlapPolicy::Drain`],
-    /// still subject to the queue limit) or are refused at admission
-    /// ([`FlapPolicy::Drop`]), and a route that crosses a flapped link at
-    /// ingress time falls back to the default path when one is configured.
+    /// names to indices (validation rejects a name no link has).  While a
+    /// flap window is open the link carries nothing: arrivals wait for the
+    /// window to close ([`FlapPolicy::Drain`], still subject to the queue
+    /// limit) or are refused at admission ([`FlapPolicy::Drop`]), and a route
+    /// that crosses a flapped link at ingress time falls back to the default
+    /// path when one is configured.
     ///
     /// Windows only affect packets *arriving* inside them; a packet admitted
     /// just before the flap finishes serialising undisturbed.
-    pub fn set_flaps(&mut self, flaps: &[LinkFlap]) -> Result<(), String> {
-        let mut resolved = Vec::with_capacity(flaps.len());
-        for flap in flaps {
-            let link = self
-                .cfg
-                .links
-                .iter()
-                .position(|l| l.name == flap.link)
-                .ok_or_else(|| format!("link flap references unknown link `{}`", flap.link))?;
-            resolved.push(FlapWindow {
-                link,
-                start: Instant::from_millis(flap.start_ms),
-                end: Instant::from_millis(flap.end_ms),
-                drop: flap.policy == FlapPolicy::Drop,
-            });
-        }
-        self.flaps = resolved;
-        Ok(())
+    pub(crate) fn set_flaps(&mut self, flaps: &[LinkFlap]) {
+        let links = &self.cfg.links;
+        let resolve = |flap: &LinkFlap| FlapWindow {
+            link: (links.iter().position(|l| l.name == flap.link))
+                .expect("validated: every flap names a link"),
+            // Saturating: a window edge past the last representable instant
+            // is never reached.
+            start: Instant::from_micros(flap.start_ms.saturating_mul(MICROS_PER_MS)),
+            end: Instant::from_micros(flap.end_ms.saturating_mul(MICROS_PER_MS)),
+            drop: flap.policy == FlapPolicy::Drop,
+        };
+        self.flaps = flaps.iter().map(resolve).collect();
     }
 
     /// Submit a packet heading for `cell`, entering the first backhaul link
     /// at `ingress_at` (the send time plus the flow's server-side delay).
     ///
     /// # Panics
-    /// Panics if the cell has no route and no default path is configured.
+    /// With [`ConfigError::UnroutedCell`]'s message, if the cell has no route
+    /// and no default path is configured (validation rules that out for a
+    /// simulation).
     pub fn submit(
         &mut self,
         flow: usize,
@@ -531,7 +515,7 @@ impl Backhaul {
         let route = match self.route_of_cell.get(&cell) {
             Some(&r) => r,
             None if self.cfg.default_path.is_some() => usize::MAX,
-            None => panic!("no backhaul route for cell {} and no default path", cell.0),
+            None => panic!("{}", ConfigError::UnroutedCell(cell)),
         };
         let seq = self.seq;
         self.seq += 1;
@@ -954,7 +938,7 @@ mod tests {
             ],
             default_path: None,
         };
-        assert!(cfg.validate().is_err());
+        assert_eq!(cfg.validate(), Err(ConfigError::NotAForest(2)));
     }
 
     #[test]
@@ -968,7 +952,7 @@ mod tests {
             }],
             default_path: None,
         };
-        assert!(bad_index.validate().is_err());
+        assert_eq!(bad_index.validate(), Err(ConfigError::MissingLink(1)));
         let empty_path = BackhaulConfig {
             links: vec![link()],
             routes: vec![BackhaulRoute {
@@ -977,7 +961,7 @@ mod tests {
             }],
             default_path: None,
         };
-        assert!(empty_path.validate().is_err());
+        assert_eq!(empty_path.validate(), Err(ConfigError::EmptyPath));
         let duplicate_cell = BackhaulConfig {
             links: vec![link()],
             routes: vec![
@@ -992,7 +976,10 @@ mod tests {
             ],
             default_path: None,
         };
-        assert!(duplicate_cell.validate().is_err());
+        assert_eq!(
+            duplicate_cell.validate(),
+            Err(ConfigError::DuplicateRoute(CellId(0)))
+        );
     }
 
     #[test]
@@ -1018,8 +1005,7 @@ mod tests {
     #[test]
     fn draining_flap_holds_arrivals_until_the_window_closes() {
         let mut bh = Backhaul::new(one_link(None));
-        bh.set_flaps(&[flap("agg", 0, 10, FlapPolicy::Drain)])
-            .unwrap();
+        bh.set_flaps(&[flap("agg", 0, 10, FlapPolicy::Drain)]);
         bh.submit(0, CellId(0), 1, 1500, ms(0));
         let mut report = BackhaulTickReport::default();
         bh.tick(ms(9), &mut report);
@@ -1034,8 +1020,7 @@ mod tests {
     #[test]
     fn dropping_flap_refuses_arrivals_at_admission() {
         let mut bh = Backhaul::new(one_link(None));
-        bh.set_flaps(&[flap("agg", 0, 10, FlapPolicy::Drop)])
-            .unwrap();
+        bh.set_flaps(&[flap("agg", 0, 10, FlapPolicy::Drop)]);
         bh.submit(0, CellId(0), 1, 1500, ms(5));
         bh.submit(0, CellId(0), 2, 1500, ms(10));
         let mut report = BackhaulTickReport::default();
@@ -1063,8 +1048,7 @@ mod tests {
             default_path: Some(vec![1]),
         };
         let mut bh = Backhaul::new(cfg);
-        bh.set_flaps(&[flap("main", 0, 100, FlapPolicy::Drain)])
-            .unwrap();
+        bh.set_flaps(&[flap("main", 0, 100, FlapPolicy::Drain)]);
         bh.submit(0, CellId(0), 1, 1500, ms(0));
         bh.submit(0, CellId(0), 2, 1500, ms(150));
         let mut report = BackhaulTickReport::default();
@@ -1077,15 +1061,6 @@ mod tests {
         assert_eq!(report.deliveries[1].arrive_at, ms(156));
         assert_eq!(bh.link_stats(1).admitted_packets, 1);
         assert_eq!(bh.link_stats(0).admitted_packets, 1);
-    }
-
-    #[test]
-    fn set_flaps_rejects_unknown_link_names() {
-        let mut bh = Backhaul::new(one_link(None));
-        let err = bh
-            .set_flaps(&[flap("no-such-link", 0, 10, FlapPolicy::Drain)])
-            .unwrap_err();
-        assert!(err.contains("no-such-link"));
     }
 
     #[test]

@@ -39,8 +39,9 @@
 //! registry key, which flows select with
 //! [`SchemeChoice::named`](crate::flow::SchemeChoice::named).
 
+use crate::config::SimConfig;
 use crate::observer::Observer;
-use crate::sim::{SimConfig, SimResult, Simulation};
+use crate::sim::{SimResult, Simulation};
 use pbe_cc_algorithms::registry::{SchemeCtx, SchemeId};
 use pbe_cc_algorithms::CongestionControl;
 use pbe_core::receiver::ReceiverFactory;

@@ -119,42 +119,6 @@ impl FaultSchedule {
         self.rlf_detection_ms.unwrap_or(DEFAULT_RLF_DETECTION_MS)
     }
 
-    /// True when the schedule contains no fault of any kind.
-    pub fn is_empty(&self) -> bool {
-        self.cell_outages.is_empty() && self.link_flaps.is_empty() && self.decode_loss.is_empty()
-    }
-
-    /// Check window sanity: every fault must have `start_ms < end_ms`.
-    ///
-    /// Returns the first violation as a human-readable message.
-    pub fn validate(&self) -> Result<(), String> {
-        for o in &self.cell_outages {
-            if o.start_ms >= o.end_ms {
-                return Err(format!(
-                    "cell outage of {} has an empty window [{}, {})",
-                    o.cell, o.start_ms, o.end_ms
-                ));
-            }
-        }
-        for f in &self.link_flaps {
-            if f.start_ms >= f.end_ms {
-                return Err(format!(
-                    "link flap of `{}` has an empty window [{}, {})",
-                    f.link, f.start_ms, f.end_ms
-                ));
-            }
-        }
-        for d in &self.decode_loss {
-            if d.start_ms >= d.end_ms {
-                return Err(format!(
-                    "decode-loss burst of flow {} has an empty window [{}, {})",
-                    d.flow, d.start_ms, d.end_ms
-                ));
-            }
-        }
-        Ok(())
-    }
-
     /// True if `cell` is scheduled down at millisecond `t_ms`.
     pub fn cell_is_down(&self, cell: CellId, t_ms: u64) -> bool {
         self.cell_outages
@@ -208,7 +172,7 @@ mod tests {
     #[test]
     fn default_schedule_is_empty_and_elides_to_nothing() {
         let s = FaultSchedule::default();
-        assert!(s.is_empty());
+        assert_eq!(s, FaultSchedule::none());
         assert_eq!(s.rlf_detection(), DEFAULT_RLF_DETECTION_MS);
         let mut s = FaultSchedule::none();
         s.rlf_detection_ms = Some(100);
@@ -217,22 +181,43 @@ mod tests {
 
     #[test]
     fn validate_rejects_empty_windows() {
+        use crate::{ConfigError, SchemeChoice, SimConfig, Simulation};
+        let validate = |faults: &FaultSchedule| {
+            let mut cfg = SimConfig::single_flow(
+                SchemeChoice::Pbe,
+                pbe_stats::time::Duration::from_millis(10),
+                pbe_cellular::traffic::CellLoadProfile::none(),
+                1,
+            );
+            cfg.faults = Some(faults.clone());
+            Simulation::new(cfg).validate()
+        };
         let mut s = FaultSchedule::none();
         s.cell_outages.push(CellOutage {
             cell: CellId(1),
             start_ms: 100,
             end_ms: 100,
         });
-        assert!(s.validate().is_err());
+        let empty = ConfigError::EmptyWindow(FaultKind::CellOutage, "cell1".into(), 100, 100);
+        assert_eq!(validate(&s), Err(empty));
         s.cell_outages[0].end_ms = 200;
-        assert!(s.validate().is_ok());
+        assert_eq!(validate(&s), Ok(()));
+        s.decode_loss.push(DecodeLossBurst {
+            flow: 1,
+            start_ms: 5,
+            end_ms: 4,
+        });
+        let reversed = ConfigError::EmptyWindow(FaultKind::DecodeLoss, "1".into(), 5, 4);
+        assert_eq!(validate(&s), Err(reversed));
+        s.decode_loss.clear();
         s.link_flaps.push(LinkFlap {
             link: "agg".into(),
             start_ms: 5,
             end_ms: 4,
             policy: FlapPolicy::Drop,
         });
-        assert!(s.validate().is_err());
+        let flap = ConfigError::EmptyWindow(FaultKind::LinkFlap, "agg".into(), 5, 4);
+        assert_eq!(validate(&s), Err(flap));
     }
 
     #[test]

@@ -69,6 +69,7 @@
 
 pub mod backhaul;
 pub mod builder;
+pub mod config;
 pub mod faults;
 pub mod flow;
 pub mod metrics;
@@ -81,6 +82,7 @@ pub mod wired;
 
 pub use backhaul::{Backhaul, BackhaulConfig, BackhaulLinkResult, BackhaulLinkSpec, BackhaulRoute};
 pub use builder::SimBuilder;
+pub use config::{CellTrajectory, ConfigError, SimConfig};
 pub use faults::{
     CellOutage, DecodeLossBurst, FaultKind, FaultRecoveryRecord, FaultSchedule, FlapPolicy,
     LinkFlap,
@@ -91,5 +93,5 @@ pub use pbe_cellular::handover::HandoverEvent;
 pub use pbe_core::receiver::{ReceiverAgent, ReceiverCtx, ReceiverFactory};
 pub use rate::DeliveryRateEstimator;
 pub use scheme::FIXED_SCHEME_ID;
-pub use sim::{CellTrajectory, PrbInterval, SimConfig, SimResult, Simulation};
+pub use sim::{PrbInterval, SimResult, Simulation};
 pub use wired::{LinkStats, WiredPath};

@@ -91,7 +91,7 @@ pub enum SimEvent<'a> {
         internet_bottleneck: bool,
     },
     /// A shared-backhaul queue ECN-marked a packet (only emitted when
-    /// [`SimConfig::backhaul`](crate::sim::SimConfig) is configured).
+    /// [`SimConfig::backhaul`](crate::config::SimConfig) is configured).
     BackhaulMark {
         /// Flow id owning the marked packet.
         flow: u32,
@@ -143,7 +143,7 @@ pub enum SimEvent<'a> {
         p95_queue_delay_ms: f64,
     },
     /// A scheduled cell outage started or ended (only emitted when
-    /// [`SimConfig::faults`](crate::sim::SimConfig) schedules one).
+    /// [`SimConfig::faults`](crate::config::SimConfig) schedules one).
     FaultCellOutage {
         /// The cell going dark (or coming back).
         cell: CellId,

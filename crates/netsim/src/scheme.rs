@@ -52,28 +52,22 @@ impl SchemeTable {
         self.receivers.insert(id.into(), factory);
     }
 
+    /// True if the table builds a congestion controller for the scheme, or
+    /// it is the fixed-rate scheme, which has none.
+    pub(crate) fn knows(&self, id: &SchemeId) -> bool {
+        *id == FIXED_SCHEME_ID || self.registry.contains(id)
+    }
+
     /// Build the congestion controller for a scheme (`None` for the
-    /// fixed-rate scheme).
-    ///
-    /// # Panics
-    /// Panics if the scheme is entirely unknown, naming the key — a
-    /// mis-spelled scheme should fail loudly at flow setup, not run silently
-    /// uncontrolled.
+    /// fixed-rate scheme).  Validation rejects a scheme the table does not
+    /// [know](SchemeTable::knows).
     pub(crate) fn build_cc(
         &self,
         id: &SchemeId,
         ctx: &SchemeCtx,
     ) -> Option<Box<dyn CongestionControl>> {
-        if *id == FIXED_SCHEME_ID {
-            return None;
-        }
-        match self.registry.build(id, ctx) {
-            Some(cc) => Some(cc),
-            None => panic!(
-                "scheme `{id}` is not registered (known schemes: {:?})",
-                self.registry.ids()
-            ),
-        }
+        let cc = (*id != FIXED_SCHEME_ID).then(|| self.registry.build(id, ctx));
+        cc.map(|cc| cc.expect("validated: every flow's scheme is registered"))
     }
 
     /// Build the receiver agent for a scheme: `None` if the scheme
@@ -92,7 +86,10 @@ impl SchemeTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ConfigError, SchemeChoice, SimBuilder, SimConfig, Simulation};
+    use pbe_cc_algorithms::cubic::Cubic;
     use pbe_cellular::config::{CellId, Rnti};
+    use pbe_cellular::traffic::CellLoadProfile;
     use pbe_stats::time::Duration;
     use pbe_stats::DetRng;
 
@@ -134,8 +131,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not registered")]
-    fn unknown_scheme_panics_at_flow_setup() {
-        SchemeTable::standard().build_cc(&SchemeId::new("Typo"), &cc_ctx());
+    fn unknown_scheme_is_rejected_before_flow_setup() {
+        let cfg = SimConfig::single_flow(
+            SchemeChoice::named("Typo"),
+            Duration::from_millis(10),
+            CellLoadProfile::none(),
+            1,
+        );
+        let error = ConfigError::UnknownScheme(1, SchemeId::new("Typo"));
+        assert_eq!(Simulation::new(cfg.clone()).validate(), Err(error));
+        // A scheme registered through the builder counts.
+        let builder = SimBuilder::from_config(cfg);
+        let cubic = |ctx: &SchemeCtx| Box::new(Cubic::new(ctx.rtprop_hint)) as Box<_>;
+        assert_eq!(builder.scheme("Typo", cubic).build().validate(), Ok(()));
     }
 }

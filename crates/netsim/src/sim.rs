@@ -21,9 +21,10 @@
 //! every released packet until it is delivered or dropped, every loss takes
 //! one path back to its sender, and every event passes one sink.
 
-use crate::backhaul::{Backhaul, BackhaulConfig, BackhaulLinkResult, BackhaulTickReport};
+use crate::backhaul::{Backhaul, BackhaulLinkResult, BackhaulTickReport};
+use crate::config::{ConfigError, SimConfig};
 use crate::faults::{FaultRecoveryRecord, FaultSchedule, LinkFlap};
-use crate::flow::{AppModel, FlowConfig, FlowResult, SchemeChoice};
+use crate::flow::{AppModel, FlowConfig, FlowResult};
 use crate::metrics::MetricsCollector;
 use crate::observer::{Observer, SimEvent};
 use crate::rate::DeliveryRateEstimator;
@@ -36,109 +37,16 @@ use pbe_cc_algorithms::api::{
 use pbe_cc_algorithms::registry::SchemeCtx;
 use pbe_cellular::carrier::CaEvent;
 use pbe_cellular::channel::MobilityTrace;
-use pbe_cellular::config::{CellId, CellularConfig, UeConfig, UeId};
+use pbe_cellular::config::{CellId, UeId};
 use pbe_cellular::handover::HandoverEvent;
 use pbe_cellular::network::{Delivery, NetworkTickReport};
 use pbe_cellular::shard::ShardedNetwork;
-use pbe_cellular::traffic::CellLoadProfile;
 use pbe_core::receiver::{ReceiverAgent, ReceiverCtx};
 use pbe_pdcch::batch::DciBatcher;
 use pbe_stats::time::{Duration, Instant, MICROS_PER_MS};
 use pbe_stats::{DetRng, FxHashMap};
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-
-/// Configuration of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SimConfig {
-    /// Cellular-network configuration (cells, CA policy, overheads).
-    pub cellular: CellularConfig,
-    /// Background-traffic load profile applied to every cell.
-    pub load: CellLoadProfile,
-    /// Experiment seed; everything stochastic derives from it.
-    pub seed: u64,
-    /// Simulated duration.
-    pub duration: Duration,
-    /// Mobile devices and their mobility traces.
-    pub ues: Vec<(UeConfig, MobilityTrace)>,
-    /// End-to-end flows.
-    pub flows: Vec<FlowConfig>,
-    /// Per-cell trajectory overrides for multi-cell mobility: each entry
-    /// replaces the RSSI trace one UE sees towards one of its configured
-    /// cells, so different cells can strengthen and fade independently —
-    /// the prerequisite for any handover scenario.
-    pub trajectories: Vec<CellTrajectory>,
-    /// Accepted and ignored: the tick engine runs every cell on the calling
-    /// thread, and every shard count always produced the same bytes.  The
-    /// field stays because the repo benchmark (`benchmark/`) still sets it;
-    /// ROADMAP item 4 drops that use and item 7 deletes the field.
-    pub shards: Option<usize>,
-    /// Shared wired backhaul topology.  `None` (the default) keeps each flow
-    /// on its private [`WiredPath`]; `Some` routes every flow through the
-    /// shared link DAG by the cell its UE is attached to, re-routing on
-    /// handover.
-    pub backhaul: Option<BackhaulConfig>,
-    /// Deterministic fault schedule: cell outages, backhaul link flaps and
-    /// control-channel decode-loss bursts, all keyed purely by simulated
-    /// time.  `None` (the default) injects nothing; a schedule is applied by
-    /// the driver loop, and a run whose schedule targets a cell or flow it
-    /// does not configure panics at start.
-    pub faults: Option<FaultSchedule>,
-}
-
-/// One per-cell trajectory override of [`SimConfig::trajectories`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CellTrajectory {
-    /// The device the override applies to.
-    pub ue: UeId,
-    /// The configured cell whose trace is replaced.
-    pub cell: CellId,
-    /// The RSSI-versus-time trajectory towards that cell.
-    pub trace: MobilityTrace,
-}
-
-impl Default for SimConfig {
-    /// The default three-cell network with no background load, seed 0, a
-    /// 10-second horizon, and no devices, flows or overrides.
-    fn default() -> Self {
-        SimConfig {
-            cellular: CellularConfig::default(),
-            load: CellLoadProfile::none(),
-            seed: 0,
-            duration: Duration::from_secs(10),
-            ues: Vec::new(),
-            flows: Vec::new(),
-            trajectories: Vec::new(),
-            shards: None,
-            backhaul: None,
-            faults: None,
-        }
-    }
-}
-
-impl SimConfig {
-    /// A single-UE, single-flow scenario on the default three-cell network.
-    pub fn single_flow(
-        scheme: SchemeChoice,
-        duration: Duration,
-        load: CellLoadProfile,
-        seed: u64,
-    ) -> Self {
-        let ue = UeId(1);
-        SimConfig {
-            load,
-            seed,
-            duration,
-            ues: vec![(
-                UeConfig::new(ue, vec![CellId(0), CellId(1), CellId(2)], 3, -85.0),
-                MobilityTrace::stationary(-85.0),
-            )],
-            flows: vec![FlowConfig::bulk(1, ue, scheme, duration)],
-            ..SimConfig::default()
-        }
-    }
-}
 
 /// Per-UE average PRBs allocated by the primary cell over one 100 ms
 /// interval (the quantity plotted in the paper's Fig. 21).
@@ -240,34 +148,6 @@ struct FaultDriver {
 }
 
 impl FaultDriver {
-    /// The run's fault schedule, checked against the cells and flows it
-    /// targets: a fault on a cell or flow the run does not have would do
-    /// nothing yet still be reported as a recovery record.
-    fn new(cfg: &SimConfig) -> Self {
-        let schedule = cfg.faults.clone().unwrap_or_default();
-        if let Err(e) = schedule.validate() {
-            panic!("invalid fault schedule: {e}");
-        }
-        let outages = &schedule.cell_outages;
-        if let Some(o) = outages.iter().find(|o| cfg.cellular.cell(o.cell).is_none()) {
-            panic!(
-                "invalid fault schedule: the cell outage of {} targets an unconfigured cell",
-                o.cell
-            );
-        }
-        let bursts = &schedule.decode_loss;
-        if let Some(d) = bursts
-            .iter()
-            .find(|d| cfg.flows.iter().all(|f| f.id != d.flow))
-        {
-            panic!(
-                "invalid fault schedule: the decode-loss burst of flow {} targets no configured flow",
-                d.flow
-            );
-        }
-        FaultDriver { schedule }
-    }
-
     /// Step 0a: the fault boundaries crossing subframe `t_ms`.
     fn boundaries(&self, t_ms: u64, ran: &mut Ran, receivers: &mut [Receiver], sink: &mut Sink) {
         let at = Instant::from_millis(t_ms);
@@ -317,7 +197,8 @@ impl FaultDriver {
     fn radio_link_failures(&self, t_ms: u64, ran: &mut Ran, sink: &mut Sink) {
         let detection_ms = self.schedule.rlf_detection();
         for o in &self.schedule.cell_outages {
-            if t_ms == o.start_ms + detection_ms && self.schedule.cell_is_down(o.cell, t_ms) {
+            let rlf_ms = o.start_ms.saturating_add(detection_ms);
+            if t_ms == rlf_ms && self.schedule.cell_is_down(o.cell, t_ms) {
                 let at = Instant::from_millis(t_ms);
                 let outcome = ran.net.declare_rlf(o.cell, at, &mut ran.report.deliveries);
                 let reconnected: Vec<(UeId, CellId)> =
@@ -649,29 +530,18 @@ struct Wire {
 impl Wire {
     fn new(cfg: &SimConfig, serving_cell: Vec<CellId>, flaps: &[LinkFlap]) -> Self {
         let mut backhaul = cfg.backhaul.clone().map(Backhaul::new);
-        let mut paths = Vec::new();
-        for f in &cfg.flows {
+        if let Some(backhaul) = backhaul.as_mut() {
+            backhaul.set_flaps(flaps);
+        }
+        let paths = cfg.flows.iter().map(|f| {
             let d = f.server_one_way_delay;
-            paths.push(match (f.wired_bottleneck_bps, &backhaul) {
-                (None, _) => WiredPath::unconstrained(d),
-                (Some(rate), None) => WiredPath::with_bottleneck(d, rate, f.wired_queue_bytes),
-                (Some(_), Some(_)) => panic!(
-                    "invalid flow configuration: flow {} sets a private wired bottleneck, \
-                     which the shared backhaul would ignore",
-                    f.id
-                ),
-            });
-        }
-        if !flaps.is_empty() {
-            let bh = backhaul
-                .as_mut()
-                .expect("link flaps require a backhaul topology");
-            if let Err(e) = bh.set_flaps(flaps) {
-                panic!("invalid fault schedule: {e}");
+            match f.wired_bottleneck_bps {
+                None => WiredPath::unconstrained(d),
+                Some(rate) => WiredPath::with_bottleneck(d, rate, f.wired_queue_bytes),
             }
-        }
+        });
         Wire {
-            paths,
+            paths: paths.collect(),
             arrived: Vec::new(),
             backhaul,
             report: BackhaulTickReport::default(),
@@ -798,7 +668,11 @@ struct Ran {
 
 impl Ran {
     fn total_prbs(&self, cell: CellId) -> u16 {
-        let cell = self.net.config().cell(cell).expect("configured cell");
+        let cell = self
+            .net
+            .config()
+            .cell(cell)
+            .expect("validated: a known cell");
         cell.total_prbs()
     }
 
@@ -913,45 +787,23 @@ impl Receiver {
 /// The radio access network of `cfg`, each UE built once from its final
 /// per-cell traces.  An override replaces the trace towards the first
 /// configured position of its cell, and the last override of a pair wins.
-///
-/// # Panics
-///
-/// If a `trajectories` entry names a UE that `ues` does not hold, or a cell
-/// that is not one of that UE's configured cells: the override would apply
-/// to nothing.
 fn build_network(cfg: &SimConfig) -> ShardedNetwork {
     let mut net = ShardedNetwork::new(cfg.cellular.clone(), cfg.load, cfg.seed, 1);
-    // Each override, and whether a configured (UE, cell) pair looked it up.
-    let overrides: FxHashMap<(UeId, CellId), (&MobilityTrace, Cell<bool>)> = cfg
+    let overrides: FxHashMap<(UeId, CellId), &MobilityTrace> = cfg
         .trajectories
         .iter()
-        .map(|t| ((t.ue, t.cell), (&t.trace, Cell::new(false))))
+        .map(|t| ((t.ue, t.cell), &t.trace))
         .collect();
     let rows = cfg.ues.iter().map(|(u, _)| u.configured_cells.len()).sum();
     net.reserve(cfg.ues.len(), rows);
-    let mut claimed = 0;
     for (ue_cfg, trace) in &cfg.ues {
         let cells = &ue_cfg.configured_cells;
         // An override applies to the first position of its cell.
         let own_trace = |i: usize| {
-            let cell = cells[i];
-            let (own, configured) = overrides.get(&(ue_cfg.id, cell))?;
-            claimed += usize::from(!configured.replace(true));
-            Some(*own).filter(|_| !cells[..i].contains(&cell))
+            let own = overrides.get(&(ue_cfg.id, cells[i])).copied();
+            own.filter(|_| !cells[..i].contains(&cells[i]))
         };
         net.add_ue_with_traces(ue_cfg.clone(), trace, own_trace);
-    }
-    if claimed < overrides.len() {
-        let t = cfg
-            .trajectories
-            .iter()
-            .find(|t| !overrides[&(t.ue, t.cell)].1.get())
-            .expect("an override no configured pair claimed");
-        panic!(
-            "invalid trajectory: the entry for {} towards {} names no configured \
-             (UE, cell) pair, so it would be ignored",
-            t.ue, t.cell
-        );
     }
     net
 }
@@ -975,22 +827,32 @@ impl Simulation {
         }
     }
 
+    /// The first rule of [`ConfigError`] the configuration breaks.  Schemes
+    /// are looked up in this simulation's own table, so those registered
+    /// through [`SimBuilder`](crate::builder::SimBuilder) count.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.config.check(&self.table)
+    }
+
     /// Run the simulation to completion and produce the per-flow results.
     ///
     /// # Panics
     ///
-    /// If a UE id appears in more than one `ues` entry, if a flow names a UE
-    /// that `ues` does not hold, and on the invalid trajectories, wired
-    /// bottlenecks and fault schedules that the stages reject.
+    /// With its message, if [`Simulation::validate`] returns an error.
     #[deny(clippy::too_many_lines)]
     pub fn run(&mut self) -> SimResult {
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
         let (cfg, table) = (&self.config, &self.table);
         let primary_cell = cfg.cellular.cells.first().map_or(CellId(0), |c| c.id);
         let metrics = MetricsCollector::new(&cfg.flows, primary_cell);
         // The sink holds the observers for the run and hands them back after.
         let observers = std::mem::take(&mut self.observers);
         let mut sink = Sink { metrics, observers };
-        let faults = FaultDriver::new(cfg);
+        let faults = FaultDriver {
+            schedule: cfg.faults.clone().unwrap_or_default(),
+        };
 
         let mut ran = Ran {
             net: build_network(cfg),
@@ -1005,19 +867,8 @@ impl Simulation {
         // UE, which is also where its packets first route.
         let decoder_rng = DetRng::new(cfg.seed).split("decoders");
         let (mut flows, mut receivers, mut primary) = (Vec::new(), Vec::new(), Vec::new());
-        let mut ue_of: FxHashMap<UeId, &UeConfig> = FxHashMap::default();
-        for (ue_cfg, _) in &cfg.ues {
-            if ue_of.insert(ue_cfg.id, ue_cfg).is_some() {
-                panic!(
-                    "invalid UE list: {} is listed twice in `ues`, so its flows would be \
-                     served through one entry and monitored through another",
-                    ue_cfg.id
-                );
-            }
-        }
         for f in &cfg.flows {
-            let ue = ue_of.get(&f.ue);
-            let cell = ue.expect("flow UE configured").primary_cell();
+            let cell = ran.net.serving_cell(f.ue).expect("validated: a known UE");
             primary.push(cell);
             let rtprop_hint =
                 Duration::from_micros(2 * f.server_one_way_delay.as_micros() + 10_000);
@@ -1039,7 +890,7 @@ impl Simulation {
             });
             let agent = table.build_receiver(&scheme, || ReceiverCtx {
                 flow: f.id,
-                rnti: ran.net.rnti_of(f.ue).expect("flow UE registered"),
+                rnti: ran.net.rnti_of(f.ue).expect("validated: a known UE"),
                 cells: vec![(cell, ran.total_prbs(cell))],
                 rng: decoder_rng.clone(),
             });
@@ -1095,9 +946,13 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backhaul::BackhaulLinkSpec;
+    use crate::backhaul::{BackhaulConfig, BackhaulLinkSpec};
+    use crate::config::CellTrajectory;
     use crate::faults::{CellOutage, DecodeLossBurst};
+    use crate::flow::SchemeChoice;
     use pbe_cc_algorithms::api::SchemeName;
+    use pbe_cellular::config::{CellularConfig, UeConfig};
+    use pbe_cellular::traffic::CellLoadProfile;
 
     fn quick(scheme: SchemeChoice, seconds: u64, load: CellLoadProfile) -> SimResult {
         let cfg = SimConfig::single_flow(scheme, Duration::from_secs(seconds), load, 7);
@@ -1268,7 +1123,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid UE list: ue1 is listed twice")]
     fn a_repeated_ue_id_is_rejected() {
         let mut cfg = SimConfig::single_flow(
             SchemeChoice::Pbe,
@@ -1279,19 +1133,39 @@ mod tests {
         let mut twin = cfg.ues[0].clone();
         twin.0.configured_cells = vec![CellId(1)];
         cfg.ues.push(twin);
+        assert_eq!(
+            Simulation::new(cfg).validate(),
+            Err(ConfigError::DuplicateUe(UeId(1)))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid configuration: DuplicateUe(UeId(1))")]
+    fn run_panics_with_the_config_errors_message() {
+        let mut cfg = SimConfig::single_flow(
+            SchemeChoice::Pbe,
+            Duration::from_millis(10),
+            CellLoadProfile::none(),
+            1,
+        );
+        cfg.ues.push(cfg.ues[0].clone());
         Simulation::new(cfg).run();
     }
 
     #[test]
-    #[should_panic(expected = "invalid trajectory: the entry for ue1 towards cell7")]
     fn a_trajectory_towards_an_unconfigured_cell_is_rejected() {
-        Simulation::new(with_trajectory(1, 7)).run();
+        assert_eq!(
+            Simulation::new(with_trajectory(1, 7)).validate(),
+            Err(ConfigError::UnclaimedTrajectory(UeId(1), CellId(7)))
+        );
     }
 
     #[test]
-    #[should_panic(expected = "invalid trajectory: the entry for ue9 towards cell0")]
     fn a_trajectory_of_an_unknown_ue_is_rejected() {
-        Simulation::new(with_trajectory(9, 0)).run();
+        assert_eq!(
+            Simulation::new(with_trajectory(9, 0)).validate(),
+            Err(ConfigError::UnclaimedTrajectory(UeId(9), CellId(0)))
+        );
     }
 
     /// A 10 ms single-flow run on the default three cells (0–2), flow 1,
@@ -1310,33 +1184,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(
-        expected = "invalid fault schedule: the cell outage of cell7 targets an unconfigured cell"
-    )]
     fn an_outage_of_an_unconfigured_cell_is_rejected() {
-        Simulation::new(with_fault(|s| {
+        let cfg = with_fault(|s| {
             s.cell_outages.push(CellOutage {
                 cell: CellId(7),
                 start_ms: 2,
                 end_ms: 5,
             })
-        }))
-        .run();
+        });
+        assert_eq!(
+            Simulation::new(cfg).validate(),
+            Err(ConfigError::UnknownOutageCell(CellId(7)))
+        );
     }
 
     #[test]
-    #[should_panic(
-        expected = "invalid fault schedule: the decode-loss burst of flow 9 targets no configured flow"
-    )]
     fn a_decode_loss_burst_of_an_unknown_flow_is_rejected() {
-        Simulation::new(with_fault(|s| {
+        let cfg = with_fault(|s| {
             s.decode_loss.push(DecodeLossBurst {
                 flow: 9,
                 start_ms: 2,
                 end_ms: 5,
             })
-        }))
-        .run();
+        });
+        assert_eq!(
+            Simulation::new(cfg).validate(),
+            Err(ConfigError::UnknownDecodeLossFlow(9))
+        );
     }
 
     #[test]
@@ -1639,7 +1513,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid flow configuration: flow 1 sets a private wired bottleneck")]
     fn a_private_wired_bottleneck_behind_a_shared_backhaul_is_rejected() {
         // The shared backhaul replaces every private path, so the flow's
         // bottleneck would be silently ignored.
@@ -1651,7 +1524,10 @@ mod tests {
         );
         cfg.flows[0] = cfg.flows[0].clone().with_wired_bottleneck(12e6, 60_000);
         cfg.backhaul = Some(marking_aggregation(40e6, 150_000, 45_000));
-        Simulation::new(cfg).run();
+        assert_eq!(
+            Simulation::new(cfg).validate(),
+            Err(ConfigError::PrivateBottleneck(1))
+        );
     }
 
     #[test]
