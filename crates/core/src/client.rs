@@ -2,7 +2,9 @@
 //!
 //! The client runs next to the receiver on the mobile device.  Every
 //! subframe it folds the fused control-channel messages into the PDCCH
-//! monitor; every received data packet it (1) updates its one-way
+//! monitor and marks its estimates stale; every received data packet it
+//! (0) brings the estimates up to date if they are stale — monitor snapshots
+//! → Eqns. 1–4 → the Eqn. 5 translation — (1) updates its one-way
 //! propagation-delay estimate `Dprop` (the minimum delay over a 10-second
 //! window, §4.2.2, kept by a windowed-minimum filter), (2) checks the
 //! bottleneck-state switching rule — the delay threshold
@@ -12,9 +14,17 @@
 //! inter-packet interval, the bottleneck-state bit, and the fair-share cap
 //! `Cf` (§5).
 //!
-//! Both paths are cheap enough to run per packet and per subframe: a packet
-//! costs O(1) amortised (two windowed minima), and a subframe costs
-//! O(messages + users) (the monitor keeps running window totals), with no
+//! The estimates are computed only when read: by a packet, by an accessor
+//! ([`PbeClient::capacity`], [`PbeClient::transport_capacity_bps`]), or
+//! just before a call that changes what the monitor would report (a
+//! handover, a carrier change, a hold, [`PbeClient::monitor_mut`]).  That
+//! reads the same bits as estimating after every subframe: the estimator is
+//! stateless, the translator's table is a pure cache, and the one call that
+//! may come between an ingest and a read, [`PbeClient::set_rtprop_ms`],
+//! changes the window length, which no snapshot reads (it takes effect at
+//! the next ingest).  A subframe costs O(messages + users) (the monitor
+//! keeps running window totals), a packet O(1) amortised (two windowed
+//! minima) plus at most one estimate per ingested subframe, with no
 //! steady-state allocation.
 
 use crate::capacity::{CapacityEstimate, CapacityEstimator};
@@ -26,6 +36,7 @@ use pbe_pdcch::fusion::FusedSubframe;
 use pbe_pdcch::monitor::{CellSnapshot, CellStatusMonitor, MonitorConfig};
 use pbe_stats::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Which link the client currently believes is the connection's bottleneck.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -58,7 +69,6 @@ const DPROP_WINDOW: Duration = Duration::from_secs(10);
 pub struct PbeClient {
     monitor: CellStatusMonitor,
     estimator: CapacityEstimator,
-    translator: RateTranslator,
     state: BottleneckState,
     /// `Dprop`: the windowed minimum of the one-way delay (ms) over
     /// [`DPROP_WINDOW`].
@@ -70,14 +80,9 @@ pub struct PbeClient {
     consecutive_over: u64,
     consecutive_under: u64,
     rtprop_ms: f64,
-    /// Scratch for the monitor's per-cell snapshots, reused every subframe.
-    snapshots: Vec<CellSnapshot>,
-    /// Latest capacity estimate (physical layer).
-    last_estimate: CapacityEstimate,
-    /// Latest transport-layer capacity (bits per subframe).
-    last_ct: f64,
-    /// Latest fair-share transport-layer capacity (bits per subframe).
-    last_cf_t: f64,
+    /// The estimates, refreshed on read through `&self` (see the module
+    /// doc).
+    estimates: RefCell<Estimates>,
     /// True while the estimates are held at their pre-handover values
     /// because the re-targeted monitor's window is still (nearly) empty.
     estimate_hold: bool,
@@ -87,6 +92,59 @@ pub struct PbeClient {
     pub handovers: u64,
 }
 
+/// The client's capacity estimates and what refreshes them.
+#[derive(Debug)]
+struct Estimates {
+    /// True when the monitor has ingested a subframe that `latest` does not
+    /// reflect yet.
+    stale: bool,
+    latest: Latest,
+    translator: RateTranslator,
+    /// Scratch for the monitor's per-cell snapshots, reused every refresh.
+    snapshots: Vec<CellSnapshot>,
+}
+
+/// The estimates as of the last ingested (and not held) subframe.
+#[derive(Debug, Clone, Copy)]
+struct Latest {
+    /// Capacity estimate (physical layer).
+    capacity: CapacityEstimate,
+    /// Transport-layer available capacity (bits per subframe).
+    ct: f64,
+    /// Fair-share transport-layer capacity (bits per subframe).
+    cf_t: f64,
+}
+
+impl Estimates {
+    /// Apply Eqns. 1–5 to the monitor's current snapshots.
+    fn refresh(&mut self, monitor: &CellStatusMonitor, estimator: &CapacityEstimator) {
+        monitor.snapshots_into(&mut self.snapshots);
+        let capacity = estimator.estimate(&self.snapshots);
+        // Use the measured retransmission fraction when available (it already
+        // reflects the true transport-block error rate); otherwise fall back
+        // to the analytic Eqn. 5 solution at `BIT_ERROR_RATE`.
+        let retx = self
+            .snapshots
+            .iter()
+            .map(|s| s.own_retransmission_fraction)
+            .fold(0.0f64, f64::max);
+        let translator = &mut self.translator;
+        let mut translate = |cp| {
+            if retx > 0.0 {
+                translator.translate_with_tb_error(cp, retx)
+            } else {
+                translator.translate(cp, BIT_ERROR_RATE)
+            }
+        };
+        self.latest = Latest {
+            capacity,
+            ct: translate(capacity.available_bits_per_subframe),
+            cf_t: translate(capacity.fair_share_bits_per_subframe),
+        };
+        self.stale = false;
+    }
+}
+
 impl PbeClient {
     /// Create the client of the user `own_rnti`, aggregating `cells` (each
     /// with its total PRB count, the primary first).
@@ -94,22 +152,27 @@ impl PbeClient {
         PbeClient {
             monitor: CellStatusMonitor::new(MonitorConfig::new(own_rnti, cells)),
             estimator: CapacityEstimator::new(),
-            translator: RateTranslator::default(),
             state: BottleneckState::Wireless,
             dprop: WindowedMin::new(DPROP_WINDOW),
             standing_delay: WindowedMin::new(Duration::from_millis(40)),
             consecutive_over: 0,
             consecutive_under: 0,
             rtprop_ms: 40.0,
-            snapshots: Vec::new(),
-            last_estimate: CapacityEstimate {
-                fair_share_bits_per_subframe: 0.0,
-                available_bits_per_subframe: 0.0,
-                cells: 0,
-                max_active_users: 1,
-            },
-            last_ct: 0.0,
-            last_cf_t: 0.0,
+            estimates: RefCell::new(Estimates {
+                stale: false,
+                latest: Latest {
+                    capacity: CapacityEstimate {
+                        fair_share_bits_per_subframe: 0.0,
+                        available_bits_per_subframe: 0.0,
+                        cells: 0,
+                        max_active_users: 1,
+                    },
+                    ct: 0.0,
+                    cf_t: 0.0,
+                },
+                translator: RateTranslator::default(),
+                snapshots: Vec::new(),
+            }),
             estimate_hold: false,
             state_switches: 0,
             handovers: 0,
@@ -126,8 +189,12 @@ impl PbeClient {
         &self.monitor
     }
 
-    /// The monitor (e.g. to add a newly activated cell).
+    /// The monitor (e.g. to add a newly activated cell).  The estimates are
+    /// brought up to date first, so a change made through it reaches them
+    /// only with the next ingested subframe, like a change made through the
+    /// client's own methods.
     pub fn monitor_mut(&mut self) -> &mut CellStatusMonitor {
+        self.latest();
         &mut self.monitor
     }
 
@@ -140,6 +207,7 @@ impl PbeClient {
 
     /// Start tracking a newly activated secondary cell.
     pub fn add_cell(&mut self, cell: CellId, total_prbs: u16) {
+        self.latest();
         self.monitor.add_cell(cell, total_prbs);
     }
 
@@ -155,6 +223,7 @@ impl PbeClient {
     /// few genuine subframes (the re-acquisition gap itself produces no
     /// fused subframes, so the hold spans gap + fill).
     pub fn on_handover(&mut self, cell: CellId, total_prbs: u16) {
+        self.latest();
         self.monitor.handover_to(cell, total_prbs);
         self.estimate_hold = true;
         self.handovers += 1;
@@ -170,11 +239,13 @@ impl PbeClient {
     /// same rule as the post-handover hold: once the primary window again
     /// carries enough real subframes to average.
     pub fn hold_estimates(&mut self) {
+        self.latest();
         self.estimate_hold = true;
     }
 
     /// Stop tracking a deactivated secondary cell.
     pub fn remove_cell(&mut self, cell: CellId) {
+        self.latest();
         self.monitor.remove_cell(cell);
     }
 
@@ -195,16 +266,26 @@ impl PbeClient {
 
     /// Latest capacity estimate (physical layer).
     pub fn capacity(&self) -> CapacityEstimate {
-        self.last_estimate
+        self.latest().capacity
     }
 
     /// Latest transport-layer available capacity in bits per second.
     pub fn transport_capacity_bps(&self) -> f64 {
-        self.last_ct * 1000.0
+        self.latest().ct * 1000.0
     }
 
-    /// Fold one subframe of fused control messages into the monitor and
-    /// refresh the capacity estimates.
+    /// The estimates as of the last ingested subframe, refreshed now if
+    /// they are stale.
+    fn latest(&self) -> Latest {
+        let mut estimates = self.estimates.borrow_mut();
+        if estimates.stale {
+            estimates.refresh(&self.monitor, &self.estimator);
+        }
+        estimates.latest
+    }
+
+    /// Fold one subframe of fused control messages into the monitor; the
+    /// capacity estimates become stale unless they are held.
     pub fn on_subframe(&mut self, fused: &FusedSubframe) {
         self.monitor.ingest(fused);
         if self.estimate_hold {
@@ -216,39 +297,12 @@ impl PbeClient {
             }
             self.estimate_hold = false;
         }
-        self.monitor.snapshots_into(&mut self.snapshots);
-        self.last_estimate = self.estimator.estimate(&self.snapshots);
-        // Use the measured retransmission fraction when available (it already
-        // reflects the true transport-block error rate); otherwise fall back
-        // to the analytic Eqn. 5 solution at `BIT_ERROR_RATE`.
-        let retx = self
-            .snapshots
-            .iter()
-            .map(|s| s.own_retransmission_fraction)
-            .fold(0.0f64, f64::max);
-        self.last_ct = if retx > 0.0 {
-            self.translator
-                .translate_with_tb_error(self.last_estimate.available_bits_per_subframe, retx)
-        } else {
-            self.translator.translate(
-                self.last_estimate.available_bits_per_subframe,
-                BIT_ERROR_RATE,
-            )
-        };
-        self.last_cf_t = if retx > 0.0 {
-            self.translator
-                .translate_with_tb_error(self.last_estimate.fair_share_bits_per_subframe, retx)
-        } else {
-            self.translator.translate(
-                self.last_estimate.fair_share_bits_per_subframe,
-                BIT_ERROR_RATE,
-            )
-        };
+        self.estimates.get_mut().stale = true;
     }
 
     /// The `Npkt` consecutive-packet threshold of Eqn. 6.
     fn npkt_threshold(&self) -> u64 {
-        let ct_bits_per_subframe = self.last_ct.max(8.0 * MSS_BYTES as f64 / 1000.0);
+        let ct_bits_per_subframe = self.latest().ct.max(8.0 * MSS_BYTES as f64 / 1000.0);
         ((6.0 * ct_bits_per_subframe) / (MSS_BYTES as f64 * 8.0))
             .ceil()
             .max(2.0) as u64
@@ -307,14 +361,15 @@ impl PbeClient {
             0.0
         };
         let drain_factor = (1.0 - queue_ms / self.rtprop_ms).clamp(0.5, 1.0);
+        let latest = self.latest();
         let capacity_bps = match self.state {
-            BottleneckState::Wireless => self.last_ct * 1000.0 * drain_factor,
-            BottleneckState::Internet => self.last_cf_t * 1000.0,
+            BottleneckState::Wireless => latest.ct * 1000.0 * drain_factor,
+            BottleneckState::Internet => latest.cf_t * 1000.0,
         };
         PbeFeedback {
             capacity_interval_us: PbeFeedback::interval_from_rate(capacity_bps),
             internet_bottleneck: self.state == BottleneckState::Internet,
-            fair_share_rate_bps: self.last_cf_t * 1000.0,
+            fair_share_rate_bps: latest.cf_t * 1000.0,
         }
     }
 }
@@ -324,6 +379,8 @@ mod tests {
     use super::*;
     use pbe_cellular::dci::{DciFormat, DciMessage};
     use pbe_cellular::mcs::McsIndex;
+    use pbe_stats::DetRng;
+    use proptest::prelude::*;
 
     const OWN: Rnti = Rnti(0x0100);
     const OTHER: Rnti = Rnti(0x0200);
@@ -558,5 +615,102 @@ mod tests {
         assert_eq!(est.cells, 2);
         // Both cells fully available to the single user: 100 + 50 PRBs.
         assert!((est.available_bits_per_subframe - 150.0 * 1200.0).abs() < 1e-6);
+    }
+
+    /// Everything a caller can read of a client, as exact bits.
+    fn readings(c: &PbeClient) -> String {
+        format!(
+            "{:?} {:x} {} {:?} {} {}",
+            c.capacity(),
+            c.transport_capacity_bps().to_bits(),
+            c.npkt_threshold(),
+            c.state(),
+            c.is_holding_estimates(),
+            c.dprop_ms().to_bits(),
+        )
+    }
+
+    /// One subframe of random grants on cells 0–2: ours and a competitor's,
+    /// new data and (now and then) retransmissions.
+    fn random_fused(rng: &mut DetRng, subframe: u64) -> FusedSubframe {
+        let per_cell = (0..3u16)
+            .map(|cell| {
+                let messages = (0..rng.uniform_usize(0, 4))
+                    .map(|_| {
+                        let rnti = [OWN, OTHER][rng.uniform_usize(0, 2)];
+                        let mut m = dci(rnti, rng.uniform_usize(1, 40) as u16, subframe);
+                        m.cell = CellId(cell);
+                        m.new_data_indicator = rng.bernoulli(0.9);
+                        m
+                    })
+                    .collect();
+                (CellId(cell), messages)
+            })
+            .collect();
+        FusedSubframe { subframe, per_cell }
+    }
+
+    proptest! {
+        /// Estimating when read is estimating after every subframe: through
+        /// random interleavings of subframes, RTT updates, packets,
+        /// handovers, holds and carrier changes, a client that reads
+        /// nothing between packets and one read after every call (so it
+        /// estimates after every subframe) give the same feedback on every
+        /// packet and the same readings whenever they are read.
+        #[test]
+        fn estimating_when_read_matches_estimating_every_subframe(seed in 0u64..1_000_000_000) {
+            let mut rng = DetRng::new(seed);
+            let mut lazy = client();
+            let mut eager = client();
+            let mut now_us = 0;
+            for sf in 0..400u64 {
+                let fused = random_fused(&mut rng, sf);
+                lazy.on_subframe(&fused);
+                eager.on_subframe(&fused);
+                readings(&eager);
+                for _ in 0..rng.uniform_usize(0, 3) {
+                    let cell = CellId(rng.uniform_usize(0, 3) as u16);
+                    let prbs = [25, 50, 100][rng.uniform_usize(0, 3)];
+                    match rng.uniform_usize(0, 12) {
+                        0..=3 => {
+                            let rtprop = rng.uniform_usize(1, 120) as f64;
+                            lazy.set_rtprop_ms(rtprop);
+                            eager.set_rtprop_ms(rtprop);
+                        }
+                        4..=7 => {
+                            // Packets arrive in time order.
+                            now_us = now_us.max(sf * 1_000) + rng.uniform_usize(0, 300) as u64;
+                            let at = Instant::from_micros(now_us);
+                            let delay = 25.0 + 60.0 * rng.uniform();
+                            prop_assert_eq!(
+                                format!("{:?}", lazy.on_packet(at, delay)),
+                                format!("{:?}", eager.on_packet(at, delay)),
+                                "subframe {}", sf
+                            );
+                        }
+                        8 => {
+                            lazy.on_handover(cell, prbs);
+                            eager.on_handover(cell, prbs);
+                        }
+                        9 => {
+                            lazy.hold_estimates();
+                            eager.hold_estimates();
+                        }
+                        10 => {
+                            lazy.add_cell(cell, prbs);
+                            eager.add_cell(cell, prbs);
+                        }
+                        _ => {
+                            lazy.remove_cell(cell);
+                            eager.remove_cell(cell);
+                        }
+                    }
+                    readings(&eager);
+                }
+                if rng.bernoulli(0.1) {
+                    prop_assert_eq!(readings(&lazy), readings(&eager), "subframe {}", sf);
+                }
+            }
+        }
     }
 }

@@ -10,6 +10,14 @@
 //! paper's Fig. 10a — through this interface, so the simulator contains no
 //! PBE-specific wiring.
 //!
+//! Per subframe, a PBE agent's decoders take their cells' on-air decodes
+//! from the [`DciBatch`] (which decodes each cell once for every agent that
+//! listens to it) and apply their own misses, noise and plausibility filter;
+//! the client folds the gathered subframe into its monitor and nothing
+//! more.  Eqns. 1–5 run when a packet's ACK reads the estimate
+//! ([`PbeClient::on_packet`]), so subframes that no packet reads cost no
+//! estimate.
+//!
 //! The trait lives here (not in `pbe-netsim`) because the agent vocabulary —
 //! DCI messages, carrier events, PBE feedback — is defined below the
 //! simulator in the crate graph; `pbe-netsim` re-exports these types as part
@@ -218,12 +226,11 @@ impl ReceiverAgent for PbeReceiverAgent {
             .iter()
             .map(ControlChannelDecoder::cell)
             .eq(self.fused.per_cell.iter().map(|(cell, _)| *cell)));
-        for (decoder, (cell, decoded)) in self.decoders.iter_mut().zip(&mut self.fused.per_cell) {
-            // Each decoder sees only its own cell's slice of the stream:
-            // same decode (the decoder filters by cell anyway, and draws
-            // randomness only for matching messages), far less scanning.
+        for (decoder, (_, decoded)) in self.decoders.iter_mut().zip(&mut self.fused.per_cell) {
+            // The batch decodes each cell on air once for all receivers;
+            // this decoder adds its own misses, noise and filter.
             decoded.clear();
-            decoder.decode_into(subframe, batch.cell_messages(*cell), decoded);
+            decoder.decode_batch(batch, decoded);
         }
         // Feed nothing to the client during a re-acquisition gap or
         // decode-loss burst: a blind decoder's "empty subframe" is absence

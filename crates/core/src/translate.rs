@@ -20,7 +20,7 @@
 
 use pbe_cellular::channel::tb_error_probability;
 use pbe_cellular::config::PROTOCOL_OVERHEAD;
-use std::collections::HashMap;
+use pbe_stats::FxHashMap;
 
 /// Lookup-table quantisation of `Cp`, in bits per subframe.
 const CP_STEP: f64 = 500.0;
@@ -29,7 +29,7 @@ const CP_STEP: f64 = 500.0;
 #[derive(Debug, Clone, Default)]
 pub struct RateTranslator {
     /// Solutions keyed by quantised `Cp` and BER.
-    table: HashMap<(u64, u64), f64>,
+    table: FxHashMap<(u64, u64), f64>,
 }
 
 impl RateTranslator {
@@ -46,11 +46,20 @@ impl RateTranslator {
         // (1-γ)·Cp / 2 (every block retransmitted) from below.
         let mut lo = (1.0 - gamma) * cp / 2.0;
         let mut hi = (1.0 - gamma) * cp;
+        // `tb_error_probability(l, ber)` with `(1 − ber).ln()` taken once:
+        // the same product `l · ln(1 − ber)`, so the same bits.
+        let log_ok = (1.0 - ber).ln();
         for _ in 0..60 {
             let mid = 0.5 * (lo + hi);
-            // L is the transport block size in bits for one subframe.
+            // L is the transport block size in bits for one subframe (≥ 1).
             let l = mid.max(1.0) as u64;
-            let tb_err = tb_error_probability(l, ber);
+            let tb_err = if ber <= 0.0 {
+                0.0
+            } else if ber >= 1.0 {
+                1.0
+            } else {
+                1.0 - (l as f64 * log_ok).exp()
+            };
             let implied_cp = mid * (1.0 + tb_err) / (1.0 - gamma);
             if implied_cp > cp {
                 hi = mid;
@@ -250,7 +259,48 @@ mod tests {
         }
     }
 
+    /// [`RateTranslator::translate_exact`] with `tb_error_probability`
+    /// called inside the bisection, as it was before the logarithm was
+    /// hoisted out of it.
+    fn translate_unhoisted(cp: f64, ber: f64) -> f64 {
+        if cp <= 0.0 {
+            return 0.0;
+        }
+        let gamma = PROTOCOL_OVERHEAD;
+        let (mut lo, mut hi) = ((1.0 - gamma) * cp / 2.0, (1.0 - gamma) * cp);
+        for _ in 0..60 {
+            let mid = 0.5 * (lo + hi);
+            let tb_err = tb_error_probability(mid.max(1.0) as u64, ber);
+            if mid * (1.0 + tb_err) / (1.0 - gamma) > cp {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    #[test]
+    fn hoisted_logarithm_keeps_the_bits_at_the_ends_of_the_ber_range() {
+        let t = RateTranslator::default();
+        for &ber in &[0.0, -1e-6, 1.0, 2.0, 1e-300, 0.5] {
+            for &cp in &[1.0, 0.5, 4_000.0, 150_000.0] {
+                assert_eq!(
+                    t.translate_exact(cp, ber).to_bits(),
+                    translate_unhoisted(cp, ber).to_bits(),
+                    "cp={cp} ber={ber}"
+                );
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn hoisted_logarithm_keeps_the_bits(cp in 0.0f64..300_000.0, ber in 0.0f64..1e-4) {
+            let t = RateTranslator::default();
+            prop_assert_eq!(t.translate_exact(cp, ber).to_bits(), translate_unhoisted(cp, ber).to_bits());
+        }
+
         #[test]
         fn translation_is_bounded_and_positive(cp in 100.0f64..300_000.0, ber in 1e-7f64..1e-5) {
             let t = RateTranslator::default();

@@ -8,11 +8,18 @@
 //! position ... and trying all possible formats at each location until
 //! finding the correct message").
 //!
-//! The radio front end is simulated: the cell hands us the DCI messages it
-//! transmitted ([`pbe_cellular::dci::DciMessage`]); we re-encode them into
-//! their on-air form, optionally corrupt a fraction of candidates (RF
-//! impairments), and run the same search an over-the-air decoder would.
+//! The radio front end is simulated: the cell hands over the DCI messages it
+//! transmitted ([`pbe_cellular::dci::DciMessage`]).  Each message is encoded
+//! into its on-air form (payload plus RNTI-scrambled CRC) and blind-decoded
+//! from it (`OnAirDci`); that decode is the same for every receiver, so
+//! [`ControlChannelDecoder::decode_batch`] takes it from the subframe's
+//! [`DciBatch`], which decodes each cell's messages at most once for all the
+//! decoders of that cell.  Each decoder then applies its own impairments — a
+//! miss draw per message, noise candidates from its own random stream — and
+//! its own plausibility filter.  [`ControlChannelDecoder::decode_subframe`]
+//! does the on-air decode itself and then the same per-decoder steps.
 
+use crate::batch::DciBatch;
 use pbe_cellular::config::CellId;
 use pbe_cellular::dci::{DciFormat, DciMessage, EncodedDci};
 use pbe_stats::DetRng;
@@ -45,7 +52,7 @@ impl Default for DecoderConfig {
 }
 
 /// Cumulative decoder statistics.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DecoderStats {
     /// Subframes processed.
     pub subframes: u64,
@@ -82,11 +89,66 @@ impl DecoderStats {
     }
 }
 
+/// A transmitted DCI as a blind decoder recovers it from its unimpaired
+/// on-air form: the part of the decode every receiver of the cell shares.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OnAirDci {
+    /// DCI formats tried at the candidate before one passed the CRC.
+    formats_tried: u8,
+    /// The blind decode; `None` when the RNTI recovered from the CRC is not
+    /// a C-RNTI.
+    decoded: Option<DciMessage>,
+}
+
+impl OnAirDci {
+    /// Encode `msg` at search-space candidate `candidate_index` and
+    /// blind-decode it.
+    fn receive(msg: &DciMessage, candidate_index: u8) -> Self {
+        // Aggregation level depends on how robust the grant must be; the
+        // scheduler uses larger levels for users in worse conditions.
+        let aggregation_level = match msg.mcs.0 {
+            0..=6 => 8,
+            7..=16 => 4,
+            _ => 2,
+        };
+        let encoded = msg.encode(aggregation_level, candidate_index);
+        OnAirDci {
+            formats_tried: formats_tried(&encoded),
+            decoded: encoded.blind_decode(),
+        }
+    }
+}
+
+/// The on-air decodes of the messages `cell` transmitted in `subframe`, in
+/// stream order (the search-space candidates are numbered in that order).
+pub(crate) fn on_air(
+    cell: CellId,
+    subframe: u64,
+    transmitted: &[DciMessage],
+) -> impl Iterator<Item = OnAirDci> + '_ {
+    transmitted
+        .iter()
+        .filter(move |m| m.cell == cell && m.subframe == subframe)
+        .enumerate()
+        .map(|(i, m)| OnAirDci::receive(m, i as u8))
+}
+
+/// Number of DCI formats a decoder tries per candidate (all formats are
+/// attempted until one passes the CRC, paper §5 footnote 2).
+fn formats_tried(encoded: &EncodedDci) -> u8 {
+    // On average half the formats are tried before the right one; the
+    // exact count does not matter, only that the effort is accounted.
+    (DciFormat::ALL.len() as u8 / 2).max(1) + (encoded.aggregation_level > 4) as u8
+}
+
 /// Blind decoder for the control channel of one cell.
 #[derive(Debug)]
 pub struct ControlChannelDecoder {
     cell: CellId,
     config: DecoderConfig,
+    /// `exp(−λ)` of the per-subframe noise-candidate count's Poisson mean λ,
+    /// or `None` when λ ≤ 0 and no noise is drawn.
+    noise_limit: Option<f64>,
     rng: DetRng,
     stats: DecoderStats,
     /// Subframe before which the decoder is still re-acquiring the cell
@@ -97,9 +159,15 @@ pub struct ControlChannelDecoder {
 impl ControlChannelDecoder {
     /// Create a decoder for one cell.
     pub fn new(cell: CellId, config: DecoderConfig, rng: DetRng) -> Self {
+        let noise_mean = config.noise_candidate_probability * 8.0;
         ControlChannelDecoder {
             cell,
             config,
+            noise_limit: if noise_mean <= 0.0 {
+                None
+            } else {
+                Some((-noise_mean).exp())
+            },
             rng,
             stats: DecoderStats::default(),
             resync_until: None,
@@ -147,44 +215,59 @@ impl ControlChannelDecoder {
 
     /// [`Self::decode_subframe`] appending to a caller-owned buffer, so a
     /// per-subframe caller that clears and reuses `out` allocates nothing.
-    pub fn decode_into(
+    fn decode_into(
         &mut self,
         subframe: u64,
         transmitted: &[DciMessage],
         out: &mut Vec<DciMessage>,
     ) {
-        self.stats.subframes += 1;
-        if self.is_resynchronising(subframe) {
-            // Everything transmitted while re-tuning is lost to the monitor.
-            self.stats.missed += transmitted
-                .iter()
-                .filter(|m| m.cell == self.cell && m.subframe == subframe)
-                .count() as u64;
-            return;
+        if !self.blind(subframe, transmitted) {
+            self.impair(subframe, on_air(self.cell, subframe, transmitted), out);
         }
+    }
 
-        // Real messages: re-encode into their on-air form, walk the search
-        // space, and blind-decode each candidate.
-        let mut candidate_index = 0u8;
-        for msg in transmitted
+    /// Decode the batch's subframe into `out`, taking the on-air decode of
+    /// this decoder's cell from `batch`, which computes it once for every
+    /// decoder of the cell.  Appends exactly what [`Self::decode_subframe`]
+    /// returns for the cell's messages, with the same random draws.
+    pub fn decode_batch(&mut self, batch: &DciBatch<'_>, out: &mut Vec<DciMessage>) {
+        let subframe = batch.subframe();
+        if !self.blind(subframe, batch.cell_messages(self.cell)) {
+            self.impair(subframe, batch.on_air(self.cell).iter().copied(), out);
+        }
+    }
+
+    /// Count one subframe; while re-acquiring the cell, account every
+    /// message it transmitted in `subframe` as missed and return true.
+    fn blind(&mut self, subframe: u64, transmitted: &[DciMessage]) -> bool {
+        self.stats.subframes += 1;
+        if !self.is_resynchronising(subframe) {
+            return false;
+        }
+        // Everything transmitted while re-tuning is lost to the monitor.
+        self.stats.missed += transmitted
             .iter()
             .filter(|m| m.cell == self.cell && m.subframe == subframe)
-        {
-            // Aggregation level depends on how robust the grant must be; the
-            // scheduler uses larger levels for users in worse conditions.
-            let aggregation_level = match msg.mcs.0 {
-                0..=6 => 8,
-                7..=16 => 4,
-                _ => 2,
-            };
-            let encoded = msg.encode(aggregation_level, candidate_index);
-            candidate_index = candidate_index.wrapping_add(1);
-            self.stats.candidates_examined += u64::from(Self::formats_tried(&encoded));
+            .count() as u64;
+        true
+    }
+
+    /// This decoder's own part of a subframe's decode: a miss draw for every
+    /// transmitted message, its plausibility filter on what survives, then
+    /// the noise candidates of the empty positions.
+    fn impair(
+        &mut self,
+        subframe: u64,
+        on_air: impl Iterator<Item = OnAirDci>,
+        out: &mut Vec<DciMessage>,
+    ) {
+        for dci in on_air {
+            self.stats.candidates_examined += u64::from(dci.formats_tried);
             if self.rng.bernoulli(self.config.miss_probability) {
                 self.stats.missed += 1;
                 continue;
             }
-            match encoded.blind_decode().filter(|m| self.is_plausible(m)) {
+            match dci.decoded.filter(|m| self.is_plausible(m)) {
                 Some(m) => {
                     self.stats.decoded += 1;
                     out.push(m);
@@ -197,8 +280,8 @@ impl ControlChannelDecoder {
 
         // Noise candidates: empty positions the decoder still has to examine.
         let noise_positions = self
-            .rng
-            .poisson(self.config.noise_candidate_probability * 8.0);
+            .noise_limit
+            .map_or(0, |limit| self.rng.poisson_below(limit));
         for i in 0..noise_positions {
             self.stats.candidates_examined += 1;
             // Build garbage bits and check them the same way; the CRC/RNTI
@@ -242,21 +325,15 @@ impl ControlChannelDecoder {
         let bits_per_prb = f64::from(m.tbs_bits) / f64::from(m.num_prbs);
         (8.0..=3_400.0).contains(&bits_per_prb)
     }
-
-    /// Number of DCI formats a decoder tries per candidate (all formats are
-    /// attempted until one passes the CRC, paper §5 footnote 2).
-    fn formats_tried(encoded: &EncodedDci) -> u8 {
-        // On average half the formats are tried before the right one; the
-        // exact count does not matter, only that the effort is accounted.
-        (DciFormat::ALL.len() as u8 / 2).max(1) + (encoded.aggregation_level > 4) as u8
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::DciBatcher;
     use pbe_cellular::config::Rnti;
     use pbe_cellular::mcs::McsIndex;
+    use proptest::prelude::*;
 
     fn msg(cell: u16, subframe: u64, rnti: u16, prbs: u16) -> DciMessage {
         DciMessage {
@@ -400,5 +477,95 @@ mod tests {
         }
         assert_eq!(fresh.stats().decoded, reused.stats().decoded);
         assert_eq!(fresh.stats().noise_rejected, reused.stats().noise_rejected);
+    }
+
+    /// One subframe of random traffic on cells 0–3, cell by cell as the
+    /// network emits it: any format, size and MCS (so plausibility depends
+    /// on the decoder's cell size), now and then an RNTI outside the C-RNTI
+    /// range or a message of the next subframe, and now and then one
+    /// message moved out of its cell's run, which interleaves that cell.
+    fn random_stream(rng: &mut DetRng, subframe: u64) -> Vec<DciMessage> {
+        let mut out = Vec::new();
+        for cell in 0..4u16 {
+            for _ in 0..rng.uniform_usize(0, 6) {
+                let rnti = if rng.bernoulli(0.1) {
+                    rng.uniform_usize(0, usize::from(Rnti::FIRST_C_RNTI))
+                } else {
+                    rng.uniform_usize(usize::from(Rnti::FIRST_C_RNTI), 0x400)
+                };
+                let mut m = msg(
+                    cell,
+                    subframe,
+                    rnti as u16,
+                    rng.uniform_usize(1, 101) as u16,
+                );
+                m.format = DciFormat::ALL[rng.uniform_usize(0, DciFormat::ALL.len())];
+                m.first_prb = rng.uniform_usize(0, 40) as u16;
+                m.mcs = McsIndex(rng.uniform_usize(0, 29) as u8);
+                m.tbs_bits = rng.uniform_usize(100, 200_000) as u32;
+                m.subframe += u64::from(rng.bernoulli(0.05));
+                out.push(m);
+            }
+        }
+        if out.len() > 2 && rng.bernoulli(0.3) {
+            let m = out.remove(rng.uniform_usize(0, out.len()));
+            out.insert(rng.uniform_usize(0, out.len() + 1), m);
+        }
+        out
+    }
+
+    proptest! {
+        /// Decoding from the batch's shared on-air decode is decoding
+        /// alone: for decoders of overlapping cells with their own cell
+        /// sizes, miss and noise rates, streams and re-acquisition gaps,
+        /// `decode_batch` appends what `decode_into` appends (given the
+        /// cell's slice or the whole stream), keeps the same statistics and
+        /// leaves the decoder's stream at the same draw.
+        #[test]
+        fn shared_on_air_decode_matches_decoding_alone(seed in 0u64..1_000_000_000) {
+            let mut rng = DetRng::new(seed);
+            let mut pairs: Vec<(ControlChannelDecoder, ControlChannelDecoder)> = (0..rng
+                .uniform_usize(2, 7))
+                .map(|i| {
+                    let cell = CellId(rng.uniform_usize(0, 5) as u16);
+                    let config = DecoderConfig {
+                        miss_probability: [0.0, 0.002, 0.3][rng.uniform_usize(0, 3)],
+                        noise_candidate_probability: [0.0, 0.05, 0.5][rng.uniform_usize(0, 3)],
+                        total_prbs: [25, 50, 75, 100][rng.uniform_usize(0, 4)],
+                    };
+                    let stream = DetRng::new(seed).split_indexed("decoder", i as u64);
+                    let mut shared = ControlChannelDecoder::new(cell, config, stream.clone());
+                    let mut alone = ControlChannelDecoder::new(cell, config, stream);
+                    if rng.bernoulli(0.5) {
+                        let until = rng.uniform_usize(0, 40) as u64;
+                        shared.set_resync_until(until);
+                        alone.set_resync_until(until);
+                    }
+                    (shared, alone)
+                })
+                .collect();
+            let mut batcher = DciBatcher::new();
+            let (mut from_batch, mut from_messages) = (Vec::new(), Vec::new());
+            for sf in 0..60u64 {
+                let stream = random_stream(&mut rng, sf);
+                let batch = batcher.batch(sf, &stream);
+                for (shared, alone) in &mut pairs {
+                    from_batch.clear();
+                    from_messages.clear();
+                    shared.decode_batch(&batch, &mut from_batch);
+                    let messages = if rng.bernoulli(0.5) {
+                        batch.cell_messages(alone.cell())
+                    } else {
+                        &stream
+                    };
+                    alone.decode_into(sf, messages, &mut from_messages);
+                    prop_assert_eq!(&from_batch, &from_messages, "subframe {}", sf);
+                    prop_assert_eq!(shared.stats(), alone.stats(), "subframe {}", sf);
+                }
+            }
+            for (shared, alone) in &mut pairs {
+                prop_assert_eq!(shared.rng.next_u64(), alone.rng.next_u64());
+            }
+        }
     }
 }

@@ -143,7 +143,12 @@ impl DetRng {
         if mean <= 0.0 {
             return 0;
         }
-        let l = (-mean).exp();
+        self.poisson_below((-mean).exp())
+    }
+
+    /// [`Self::poisson`] of a positive mean, given its limit `l = exp(−mean)`,
+    /// for a caller that draws many samples of one mean.
+    pub fn poisson_below(&mut self, l: f64) -> u64 {
         let mut k = 0u64;
         let mut p = 1.0;
         loop {

@@ -2,11 +2,12 @@
 # Compare two checkouts on one benchmark workload, by the "Comparing two
 # commits" protocol of benchmark/README.md.
 #
-#   scripts/compare_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD PAIRS
+#   scripts/compare_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD PAIRS [FIRST_SEED]
 #
 # Runs `benchmark/run.sh --workload WORKLOAD --seconds 20 --trace 0` in each
 # checkout, PAIRS times each, alternating parent, change, change, parent, …
-# Pair i runs seed i on both sides.  Each checkout builds into its own
+# Pair i (from 1) runs seed FIRST_SEED + i − 1 (default FIRST_SEED 1) on both
+# sides, so a confirmation can use seeds an earlier comparison did not.  Each checkout builds into its own
 # CARGO_TARGET_DIR (DIR/.bench_build, which the repo's .gitignore names).
 #
 # Then prints, per end-to-end metric of the parent's BENCHMARK.json: both
@@ -17,15 +18,16 @@
 set -euo pipefail
 
 usage() {
-    echo "usage: scripts/compare_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD PAIRS" >&2
+    echo "usage: scripts/compare_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD PAIRS [FIRST_SEED]" >&2
     exit 2
 }
-[[ $# -eq 4 ]] || usage
+[[ $# -eq 4 || $# -eq 5 ]] || usage
 parent="$(cd "$1" && pwd)"
 change="$(cd "$2" && pwd)"
 workload="$3"
 pairs="$4"
-[[ "$pairs" =~ ^[1-9][0-9]*$ ]] || usage
+first="${5:-1}"
+[[ "$pairs" =~ ^[1-9][0-9]*$ && "$first" =~ ^[1-9][0-9]*$ ]] || usage
 for dir in "$parent" "$change"; do
     [[ -f "$dir/benchmark/run.sh" && -f "$dir/BENCHMARK.json" ]] ||
         { echo "$dir is not a checkout with benchmark/run.sh and BENCHMARK.json" >&2; exit 2; }
@@ -38,12 +40,14 @@ fi
 records="$(mktemp -d)"
 trap 'rm -rf "$records"' EXIT
 
-# run SIDE DIR SEED: one timed run; its stdout is kept as SIDE-SEED.out.
+# run SIDE DIR PAIR: one timed run of the pair's seed; its stdout is kept as
+# SIDE-PAIR.out.
 run() {
     local log="$records/$1-$3"
     if ! CARGO_TARGET_DIR="$2/.bench_build" bash "$2/benchmark/run.sh" \
-        --workload "$workload" --seed "$3" --seconds 20 --trace 0 >"$log.out" 2>"$log.err"; then
-        echo "$1 run of seed $3 failed:" >&2
+        --workload "$workload" --seed "$((first + $3 - 1))" --seconds 20 --trace 0 \
+        >"$log.out" 2>"$log.err"; then
+        echo "$1 run of seed $((first + $3 - 1)) failed:" >&2
         tail -n 20 "$log.err" >&2
         exit 1
     fi
@@ -60,12 +64,13 @@ for ((i = 1; i <= pairs; i++)); do
     echo "pair $i of $pairs done" >&2
 done
 
-python3 - "$records" "$pairs" "$workload" "$parent/BENCHMARK.json" <<'PY'
+python3 - "$records" "$pairs" "$workload" "$parent/BENCHMARK.json" "$first" <<'PY'
 import json
 import statistics
 import sys
 
 records, pairs, workload, manifest = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
+first = int(sys.argv[5])
 metrics = json.load(open(manifest))["end_to_end"]
 
 
@@ -81,7 +86,7 @@ ok = True
 for side, side_runs in runs.items():
     for seed, (record, _) in enumerate(side_runs, 1):
         if not record.get("correct") or record.get("failed"):
-            print(f"{side} seed {seed}: correct={record.get('correct')} failed={record.get('failed')}")
+            print(f"{side} seed {first + seed - 1}: correct={record.get('correct')} failed={record.get('failed')}")
             ok = False
 
 
@@ -96,7 +101,7 @@ def quartile_distance(xs):
     return q[2] - q[0]
 
 
-print(f"{workload}: {pairs} alternating pairs, seeds 1-{pairs}, --seconds 20")
+print(f"{workload}: {pairs} alternating pairs, seeds {first}-{first + pairs - 1}, --seconds 20")
 print(f"{'metric':<20} {'parent median':>14} {'change median':>14} {'change':>8} "
       f"{'parent IQR':>11} {'won':>6}  beyond IQR")
 for m in metrics:
@@ -115,10 +120,10 @@ for seed in range(1, pairs + 1):
     for m in metrics:
         name = m["name"]
         if name.startswith("sim_") and pr["metrics"][name]["value"] != cr["metrics"][name]["value"]:
-            differences.append(f"seed {seed} {name}: {pr['metrics'][name]['value']} -> "
+            differences.append(f"seed {first + seed - 1} {name}: {pr['metrics'][name]['value']} -> "
                                f"{cr['metrics'][name]['value']}")
     if pd != cd:
-        differences.append(f"seed {seed} result_digest: {pd} -> {cd}")
+        differences.append(f"seed {first + seed - 1} result_digest: {pd} -> {cd}")
 if differences:
     print("simulated metrics differ:")
     print("\n".join("  " + d for d in differences))
