@@ -333,12 +333,12 @@ dropped without re-execution"
             continue;
         };
         let seconds = args.seconds.unwrap_or(fig.default_seconds);
-        let specs: Vec<_> = (fig.grid)(seconds)
+        let (matched, specs): (BTreeSet<String>, Vec<_>) = (fig.grid)(seconds)
             .expand()
             .into_iter()
-            .filter(|s| bad_keys.contains(&s.content_key()))
-            .collect();
-        let matched: BTreeSet<String> = specs.iter().map(|s| s.content_key()).collect();
+            .map(|s| (s.content_key(), s))
+            .filter(|(key, _)| bad_keys.contains(key))
+            .unzip();
         for key in bad_keys.difference(&matched) {
             eprintln!(
                 "artifact verify: stale key {key} is not in {figure}'s current grid \

@@ -448,6 +448,31 @@ mod tests {
     }
 
     #[test]
+    fn json_nested_past_the_parser_limit_reads_as_absent() {
+        let dir = temp_store("deep");
+        let point = tiny_point(4);
+        ResultStore::open(&dir)
+            .unwrap()
+            .insert("figX", &point)
+            .unwrap();
+        let deep = "[".repeat(100_000);
+
+        // A manifest line 100,000 levels deep is skipped like any line that
+        // does not parse; the good line after it still counts.
+        let manifest = fs::read_to_string(dir.join("manifest.jsonl")).unwrap();
+        fs::write(dir.join("manifest.jsonl"), format!("{deep}\n{manifest}")).unwrap();
+        let store = ResultStore::open(&dir).unwrap();
+        assert_eq!(store.len(), 1);
+        assert!(store.contains(&point.key));
+
+        // A blob that deep is not served and fails verification.
+        fs::write(store.point_path(&point.key), &deep).unwrap();
+        assert!(store.get(&point.key).is_none());
+        assert_eq!(store.verify().len(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn verify_flags_corrupted_and_truncated_blobs() {
         let dir = temp_store("verify");
         let a = tiny_point(5);

@@ -57,4 +57,4 @@ pub use city::CityScale;
 pub use fanout::Fanout;
 pub use report::{OutputFormat, ReportWriter};
 pub use runner::{ScenarioOutcome, SweepReport};
-pub use spec::{canonical_json, canonical_value, content_key_of_value, ScenarioSpec, SweepGrid};
+pub use spec::{canonical_json, content_key_of_value, ScenarioSpec, SweepGrid};

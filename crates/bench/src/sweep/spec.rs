@@ -10,8 +10,10 @@ use pbe_netsim::{
 };
 use pbe_stats::rng::derive_seed;
 use pbe_stats::time::Duration;
+use pbe_stats::Fnv1a128;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashSet;
+use std::io;
 
 /// One fully specified point of an evaluation grid.
 ///
@@ -224,50 +226,85 @@ impl ScenarioSpec {
 // Content hashing
 // ---------------------------------------------------------------------------
 
-/// Canonicalize a serialized value tree for content hashing.
+/// Write a value tree's canonical JSON into `out`, in one walk over the
+/// borrowed tree.
 ///
 /// Two rules, applied recursively:
 ///
 /// 1. **Object entries sort by key**, so the hash is independent of struct
 ///    field declaration order and of the order a JSON file spelled them in.
+///    The sort is stable: entries of one key keep their order.
 /// 2. **Entries whose canonical value is `null`, `[]` or `{}` are dropped.**
 ///    Optional fields left at their default (`shards: None`,
 ///    `backhaul: None`, `trajectories: []`) do not contribute, so adding a
 ///    field at such a default keeps every stored key and benchmark input
-///    digest unchanged.
-pub fn canonical_value(v: &Value) -> Value {
+///    digest unchanged.  An object whose entries all drop is itself `{}`.
+///
+/// Arrays keep every item, `null`s included.  Keys and scalars render
+/// through serde_json's writer; nothing is cloned and, with a hash as the
+/// sink, no JSON text is built.
+fn write_canonical<W: io::Write>(out: &mut W, v: &Value) -> io::Result<()> {
     match v {
-        Value::Array(items) => Value::Array(items.iter().map(canonical_value).collect()),
-        Value::Object(entries) => {
-            let mut canon: Vec<(String, Value)> = entries
-                .iter()
-                .map(|(k, val)| (k.clone(), canonical_value(val)))
-                .filter(|(_, val)| match val {
-                    Value::Null => false,
-                    Value::Array(items) => !items.is_empty(),
-                    Value::Object(fields) => !fields.is_empty(),
-                    _ => true,
-                })
-                .collect();
-            canon.sort_by(|a, b| a.0.cmp(&b.0));
-            Value::Object(canon)
+        Value::Array(items) => {
+            out.write_all(b"[")?;
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.write_all(b",")?;
+                }
+                write_canonical(out, item)?;
+            }
+            out.write_all(b"]")
         }
-        other => other.clone(),
+        Value::Object(entries) => {
+            let mut kept: Vec<&(String, Value)> =
+                entries.iter().filter(|(_, val)| survives(val)).collect();
+            kept.sort_by(|a, b| a.0.cmp(&b.0));
+            out.write_all(b"{")?;
+            for (i, (key, val)) in kept.into_iter().enumerate() {
+                if i > 0 {
+                    out.write_all(b",")?;
+                }
+                serde_json::write_str(out, key)?;
+                out.write_all(b":")?;
+                write_canonical(out, val)?;
+            }
+            out.write_all(b"}")
+        }
+        scalar => serde_json::write_value(out, scalar),
     }
 }
 
-/// Render a value tree in canonical form (see [`canonical_value`]) as
-/// compact JSON — the exact byte string the content key hashes.
+/// Whether an object entry with this value survives rule 2 of
+/// [`write_canonical`]: its canonical value is not `null`, `[]` or `{}`.
+fn survives(v: &Value) -> bool {
+    match v {
+        Value::Null => false,
+        Value::Array(items) => !items.is_empty(),
+        Value::Object(entries) => entries.iter().any(|(_, val)| survives(val)),
+        _ => true,
+    }
+}
+
+/// A value tree's canonical serialization as compact JSON — the exact byte
+/// string the content key hashes: object entries sorted by key, entries
+/// whose canonical value is `null`, `[]` or `{}` dropped (see
+/// `docs/ARCHITECTURE.md` § "Key derivation").
 pub fn canonical_json(v: &Value) -> String {
-    serde_json::to_string(&canonical_value(v)).expect("canonical value renders")
+    let mut out = Vec::new();
+    write_canonical(&mut out, v).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("the JSON writer emits UTF-8")
 }
 
 /// Content key of an already-serialized value tree: 128-bit FNV-1a over the
-/// canonical JSON, as 32 hex digits.  Parsing a stored spec's JSON and
-/// hashing the parsed tree gives the same key the live
-/// [`ScenarioSpec::content_key`] computes.
+/// [canonical JSON](canonical_json), as 32 hex digits, written straight into
+/// the hash.  Parsing a stored spec's JSON and hashing the parsed tree gives
+/// the same key the live [`ScenarioSpec::content_key`] computes.
 pub fn content_key_of_value(v: &Value) -> String {
-    pbe_stats::fnv1a_128_hex(canonical_json(v).as_bytes())
+    // The walk writes a few bytes at a time; hashing them in buffered runs
+    // keeps the hash's per-byte dependency chain out of the walk's way.
+    let mut hash = io::BufWriter::with_capacity(8192, Fnv1a128::default());
+    write_canonical(&mut hash, v).expect("hashing cannot fail");
+    hash.into_inner().expect("hashing cannot fail").finish_hex()
 }
 
 /// A set of base scenarios crossed with a scheme axis and a seed axis.
@@ -361,6 +398,8 @@ impl SweepGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
 
     #[test]
     fn sim_config_substitutes_only_swept_flows() {
@@ -520,5 +559,110 @@ mod tests {
         );
         assert_eq!(back.label, "json");
         assert_eq!(back.sweep_flows, vec![1]);
+    }
+
+    /// Canonicalization as a sorted, pruned copy of the tree, rendered by
+    /// `serde_json::to_string`: the reference the one-pass walk is held to.
+    fn reference_canonical_value(v: &Value) -> Value {
+        match v {
+            Value::Array(items) => {
+                Value::Array(items.iter().map(reference_canonical_value).collect())
+            }
+            Value::Object(entries) => {
+                let mut canon: Vec<(String, Value)> = entries
+                    .iter()
+                    .map(|(k, val)| (k.clone(), reference_canonical_value(val)))
+                    .filter(|(_, val)| match val {
+                        Value::Null => false,
+                        Value::Array(items) => !items.is_empty(),
+                        Value::Object(fields) => !fields.is_empty(),
+                        _ => true,
+                    })
+                    .collect();
+                canon.sort_by(|a, b| a.0.cmp(&b.0));
+                Value::Object(canon)
+            }
+            other => other.clone(),
+        }
+    }
+
+    /// Random value trees with what canonicalization must get right: objects
+    /// whose entries all drop, `null` inside arrays, duplicate keys, escapes,
+    /// control characters and non-ASCII in keys and strings, whole floats,
+    /// floats at or above 1e16, `-0.0`, and `U128` and `I64` values.
+    struct RandomTree;
+
+    impl Strategy for RandomTree {
+        type Value = Value;
+        fn sample(&self, rng: &mut TestRng) -> Value {
+            random_tree(rng, 4)
+        }
+    }
+
+    const KEYS: [&str; 6] = ["a", "b", "B", "\u{e9}t\u{e9}", "q\"\\/", "\u{1}\n\t"];
+    const STRINGS: [&str; 5] = [
+        "",
+        "plain",
+        "\u{65e5}\u{672c} \u{1f980}",
+        "\r\u{8}\u{1f}",
+        "\"\\",
+    ];
+    const FLOATS: [f64; 7] = [-0.0, 0.0, 3.0, -1e15, 1e16, 4.2e21, 0.25];
+
+    fn pick<T: Copy>(rng: &mut TestRng, from: &[T]) -> T {
+        from[rng.below(from.len() as u64) as usize]
+    }
+
+    fn random_tree(rng: &mut TestRng, depth: u32) -> Value {
+        match rng.below(if depth == 0 { 8 } else { 12 }) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.next_u64() & 1 == 1),
+            2 => Value::U64(rng.next_u64() >> rng.below(64)),
+            3 => Value::I64(rng.next_u64() as i64),
+            4 => Value::U128(u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64())),
+            5 => Value::F64(pick(rng, &FLOATS)),
+            6 => Value::F64((rng.uniform() - 0.5) * 1e4),
+            7 => Value::Str(pick(rng, &STRINGS).to_string()),
+            8 => Value::Array(
+                (0..rng.below(4))
+                    .map(|_| random_tree(rng, depth - 1))
+                    .collect(),
+            ),
+            9 => all_entries_drop(rng, depth),
+            _ => Value::Object(
+                (0..rng.below(6))
+                    .map(|_| (pick(rng, &KEYS).to_string(), random_tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// An object whose every entry canonicalizes to `null`, `[]` or `{}`.
+    fn all_entries_drop(rng: &mut TestRng, depth: u32) -> Value {
+        Value::Object(
+            (0..1 + rng.below(3))
+                .map(|_| {
+                    let value = match rng.below(if depth == 0 { 3 } else { 4 }) {
+                        0 => Value::Null,
+                        1 => Value::Array(Vec::new()),
+                        2 => Value::Object(Vec::new()),
+                        _ => all_entries_drop(rng, depth - 1),
+                    };
+                    (pick(rng, &KEYS).to_string(), value)
+                })
+                .collect(),
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn the_walk_renders_and_keys_like_the_tree_reference(tree in RandomTree) {
+            let reference = serde_json::to_string(&reference_canonical_value(&tree)).unwrap();
+            prop_assert_eq!(canonical_json(&tree), reference.clone());
+            prop_assert_eq!(
+                content_key_of_value(&tree),
+                pbe_stats::fnv1a_128_hex(reference.as_bytes())
+            );
+        }
     }
 }

@@ -35,7 +35,7 @@ pub mod window;
 
 pub use cdf::Cdf;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use hash::{fnv1a_128, fnv1a_128_hex};
+pub use hash::{fnv1a_128, fnv1a_128_hex, Fnv1a128};
 pub use jain::jain_index;
 pub use percentile::percentile;
 pub use pool::WorkerPool;
