@@ -1,9 +1,10 @@
-//! Store-aware grid execution: run only the points whose key is missing.
+//! Store-aware grid execution: run only the points the store cannot serve.
 //!
 //! [`run_cached`] is the one grid executor: it takes expanded specs and
 //! returns a [`SweepReport`] in grid order.  Without a store every point
 //! executes; with one, each point is first looked up by content key.  Hits
-//! are served from disk with zero simulation; misses execute on the worker
+//! are served from disk with zero simulation; misses — absent keys and blobs
+//! that fail their manifest checksum alike — execute on the worker
 //! pool in small batches and are persisted as each batch completes, so an
 //! interrupted run resumes from its last finished batch instead of
 //! restarting.  Served and fresh outcomes are byte-identical by
@@ -67,8 +68,8 @@ pub fn run_cached(
     let started = Instant::now();
     let keys: Vec<String> = specs.iter().map(ScenarioSpec::content_key).collect();
 
-    // Phase 1: serve every present point from the store; skip-and-report
-    // quarantined keys; everything else is a miss.
+    // Phase 1: serve every present point whose blob passes its checksum;
+    // skip-and-report quarantined keys; everything else is a miss.
     let mut slots: Vec<Option<ScenarioOutcome>> = (0..specs.len()).map(|_| None).collect();
     let mut failures: Vec<(usize, PointFailure)> = Vec::new();
     let mut misses: Vec<usize> = Vec::new();
@@ -183,7 +184,7 @@ mod tests {
     }
 
     #[test]
-    fn without_a_store_everything_executes_and_matches_the_sweep_runner() {
+    fn without_a_store_everything_executes_like_plain_runs() {
         let specs = tiny_specs();
         let plain: Vec<_> = specs.iter().map(|s| (s, s.run())).collect();
         let run = run_cached("fig_test", specs.clone(), None, 1).unwrap();

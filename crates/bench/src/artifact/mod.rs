@@ -6,6 +6,7 @@
 //! pbe-bench artifact --figure fig16_17_mobility --seconds 4 --store results/
 //! pbe-bench artifact --figure table1 --format text
 //! pbe-bench artifact --list
+//! pbe-bench artifact verify --store results/
 //! ```
 //!
 //! The pipeline is three orthogonal pieces:
@@ -18,7 +19,8 @@
 //!   [content key](crate::sweep::ScenarioSpec::content_key), joined by an
 //!   append-only `manifest.jsonl`.
 //! * [`exec`] — [`run_cached`]: expand the grid, serve every point whose key
-//!   is present, execute and persist the rest.
+//!   is present and whose blob passes the store's integrity rule, execute and
+//!   persist the rest.
 //!
 //! Because the key is a canonical content hash of the expanded spec, the
 //! cache is invalidated by *meaning*, not by text: editing a figure's grid
@@ -27,6 +29,11 @@
 //! defaults changes nothing.  Simulation counts go to stderr; stdout stays
 //! byte-identical run to run, which is what the cache-equivalence tests and
 //! the CI smoke job `cmp` against.
+//!
+//! A stored blob that fails its manifest checksum is a miss like an absent
+//! one, so an ordinary run of its figure re-executes exactly that point.
+//! `artifact verify` applies the same rule to the whole store and only
+//! reports: it runs nothing.
 
 pub mod exec;
 pub mod figures;
@@ -38,14 +45,13 @@ pub use registry::{find, registry, FigureSpec};
 pub use store::{ManifestEntry, PointFailure, ResultStore, StoreIssue, StoredPoint};
 
 use crate::sweep::{OutputFormat, ReportWriter};
-use std::collections::{BTreeMap, BTreeSet};
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Usage string of the `artifact` subcommand.
 pub const USAGE: &str = "usage: pbe-bench artifact (--all | --figure NAME)... [--list] \
 [--store DIR] [--out DIR] [--seconds N] [--workers N] [--serial] [--format text|csv|json]\n\
-       pbe-bench artifact verify --store DIR [--repair [--seconds N] [--workers N] [--serial]]";
+       pbe-bench artifact verify --store DIR";
 
 /// Parsed command line of `pbe-bench artifact`.
 #[derive(Debug, Clone)]
@@ -69,8 +75,6 @@ pub struct ArtifactArgs {
     /// `verify` subcommand: check every stored blob against its manifest
     /// checksum instead of running figures.
     pub verify: bool,
-    /// With `verify`: drop corrupted points and re-execute exactly them.
-    pub repair: bool,
 }
 
 impl ArtifactArgs {
@@ -86,15 +90,14 @@ impl ArtifactArgs {
             workers: 0,
             format: OutputFormat::Csv,
             verify: false,
-            repair: false,
         };
         let mut it = args.iter();
         if args.first().map(String::as_str) == Some("verify") {
             parsed.verify = true;
             it.next();
         }
-        // Every flag given, under its long name: `verify` refuses the ones
-        // it would otherwise ignore.
+        // Every flag given, under its long name: `verify` refuses all but
+        // `--store`.
         let mut given: Vec<&str> = Vec::new();
         while let Some(arg) = it.next() {
             let flag = match arg.as_str() {
@@ -130,7 +133,6 @@ impl ArtifactArgs {
                         .map_err(|_| "--workers expects a count".to_string())?
                 }
                 "--serial" => parsed.workers = 1,
-                "--repair" => parsed.repair = true,
                 "--format" => {
                     parsed.format = match value_of("--format")?.as_str() {
                         "text" => OutputFormat::Text,
@@ -144,27 +146,16 @@ impl ArtifactArgs {
                 other => return Err(format!("unknown argument `{other}`")),
             }
         }
-        let first_of = |flags: &[&str]| given.iter().copied().find(|f| flags.contains(f));
         if parsed.verify {
             if parsed.store.is_none() {
                 return Err("artifact verify needs --store DIR".into());
             }
-            if let Some(flag) = first_of(&["--all", "--figure", "--list", "--out", "--format"]) {
+            if let Some(flag) = given.into_iter().find(|&f| f != "--store") {
                 return Err(format!(
-                    "artifact verify checks the whole store and prints no tables: {flag} does \
-                     not apply"
+                    "artifact verify checks the whole store and runs nothing: {flag} does not \
+                     apply"
                 ));
             }
-            if !parsed.repair {
-                if let Some(flag) = first_of(&["--seconds", "--workers", "--serial"]) {
-                    return Err(format!(
-                        "{flag} only applies to `artifact verify --repair`, which re-executes \
-                         points"
-                    ));
-                }
-            }
-        } else if parsed.repair {
-            return Err("--repair only applies to `artifact verify`".into());
         } else if !parsed.list && !parsed.all && parsed.figures.is_empty() {
             return Err("pick figures with --all or --figure NAME (or --list to see them)".into());
         }
@@ -218,7 +209,13 @@ pub struct ArtifactSummary {
 /// stay byte-identical).
 pub fn run_artifact(args: &ArtifactArgs) -> io::Result<ArtifactSummary> {
     if args.verify {
-        return verify_store(args);
+        let dir = args.store.as_deref().ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "artifact verify needs --store DIR",
+            )
+        })?;
+        return verify_store(dir);
     }
     let figures = args
         .selected()
@@ -275,19 +272,15 @@ fn report_failures(failures: &[PointFailure]) {
     }
 }
 
-/// `pbe-bench artifact verify [--repair]`: check every stored blob against
-/// its manifest checksum.
+/// `pbe-bench artifact verify --store DIR`: apply the store's integrity rule
+/// to every stored blob.
 ///
-/// Without `--repair` this is a health check: corrupted or truncated blobs
-/// are listed on stderr and the invocation fails, so CI can gate on store
-/// integrity.  With `--repair` each bad key is dropped and **exactly those
-/// keys** re-execute, by expanding the owning figure's grid and filtering it
-/// to the bad set — clean points are never touched (`executed` counts only
-/// the repairs).  Keys whose figure or spec no longer exists in the current
-/// grids are reported as stale and dropped without re-execution.
-fn verify_store(args: &ArtifactArgs) -> io::Result<ArtifactSummary> {
-    let dir = args.store.as_ref().expect("parse() requires --store");
-    let mut store = ResultStore::open(dir)?;
+/// A health check that runs nothing: each blob a figure run would refuse is
+/// listed on stderr and the invocation fails, so CI can gate on store
+/// integrity.  The next run of a refused point's figure re-executes exactly
+/// that point.
+fn verify_store(dir: &Path) -> io::Result<ArtifactSummary> {
+    let store = ResultStore::open(dir)?;
     let issues = store.verify();
     for issue in &issues {
         eprintln!(
@@ -295,75 +288,22 @@ fn verify_store(args: &ArtifactArgs) -> io::Result<ArtifactSummary> {
             issue.key, issue.figure, issue.problem
         );
     }
-    if issues.is_empty() {
-        eprintln!(
-            "artifact verify: {} point(s), every blob clean",
-            store.len()
-        );
-        return Ok(ArtifactSummary::default());
-    }
-    if !args.repair {
+    if !issues.is_empty() {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!(
-                "{} corrupted point(s) in {} (re-run with --repair to re-execute exactly them)",
+                "{} corrupted point(s) in {}: re-run their figures to re-execute exactly \
+                 them, or delete points/<key>.json of a key no current grid holds",
                 issues.len(),
                 dir.display()
             ),
         ));
     }
-
-    let mut bad_by_figure: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for issue in &issues {
-        store.invalidate(&issue.key)?;
-        bad_by_figure
-            .entry(issue.figure.clone())
-            .or_default()
-            .insert(issue.key.clone());
-    }
-    let mut summary = ArtifactSummary::default();
-    for (figure, bad_keys) in &bad_by_figure {
-        let Some(fig) = find(figure) else {
-            for key in bad_keys {
-                eprintln!(
-                    "artifact verify: stale key {key} belongs to unknown figure `{figure}`; \
-dropped without re-execution"
-                );
-            }
-            continue;
-        };
-        let seconds = args.seconds.unwrap_or(fig.default_seconds);
-        let (matched, specs): (BTreeSet<String>, Vec<_>) = (fig.grid)(seconds)
-            .expand()
-            .into_iter()
-            .map(|s| (s.content_key(), s))
-            .filter(|(key, _)| bad_keys.contains(key))
-            .unzip();
-        for key in bad_keys.difference(&matched) {
-            eprintln!(
-                "artifact verify: stale key {key} is not in {figure}'s current grid \
-(grid changed, or it ran with different --seconds); dropped without re-execution"
-            );
-        }
-        if specs.is_empty() {
-            continue;
-        }
-        let run = run_cached(fig.name, specs, Some(&mut store), args.workers)?;
-        report_failures(&run.failures);
-        eprintln!(
-            "artifact verify: {figure}: re-executed {} corrupted point(s)",
-            run.executed
-        );
-        summary.figures += 1;
-        summary.executed += run.executed;
-        summary.cached += run.cached;
-        summary.failed += run.failures.len();
-    }
     eprintln!(
-        "artifact verify: repaired {} point(s) across {} figure(s), {} failure(s)",
-        summary.executed, summary.figures, summary.failed
+        "artifact verify: {} point(s), every blob clean",
+        store.len()
     );
-    Ok(summary)
+    Ok(ArtifactSummary::default())
 }
 
 #[cfg(test)]
@@ -422,16 +362,14 @@ mod tests {
 
     #[test]
     fn parses_the_verify_subcommand_and_rejects_figure_flags_under_it() {
-        let a = parse(&["verify", "--store", "/tmp/s", "--repair", "--seconds", "2"]).unwrap();
+        let a = parse(&["verify", "--store", "/tmp/s"]).unwrap();
         assert!(a.verify);
-        assert!(a.repair);
-        assert_eq!(a.seconds, Some(2));
-        // verify needs a store; --repair belongs to verify alone.
+        assert_eq!(a.store.as_deref(), Some(std::path::Path::new("/tmp/s")));
+        // verify needs a store.
         assert!(parse(&["verify"]).is_err());
-        assert!(parse(&["--all", "--store", "/tmp/s", "--repair"]).is_err());
-        // verify checks the whole store and prints no tables, so a figure
-        // selection, an output directory or a format would be silently
-        // ignored: each is refused instead.
+        // verify checks the whole store and runs nothing, so every other
+        // flag would be silently ignored: each is refused instead, and
+        // `--repair` is no flag at all.
         for extra in [
             &["--all"][..],
             &["--figure", "table1"],
@@ -439,26 +377,22 @@ mod tests {
             &["--out", "/tmp/o"],
             &["--format", "json"],
             &["-f", "csv"],
-            &["--repair", "--format", "text"],
-        ] {
-            let mut line = vec!["verify", "--store", "/tmp/s"];
-            line.extend_from_slice(extra);
-            assert!(parse(&line).is_err(), "verify accepted {extra:?}");
-        }
-        // Only the repair path runs simulations: without --repair, the flags
-        // that size them are refused, wherever --repair would have gone.
-        for extra in [
-            &["--seconds", "2"][..],
+            &["--seconds", "2"],
             &["--workers", "2"],
             &["-w", "0"],
             &["--serial"],
         ] {
             let mut line = vec!["verify", "--store", "/tmp/s"];
             line.extend_from_slice(extra);
-            let err = parse(&line).expect_err("verify without --repair");
-            assert!(err.contains("--repair"), "{err}");
-            line.push("--repair");
-            assert!(parse(&line).is_ok(), "verify --repair refused {extra:?}");
+            let err = parse(&line).expect_err("verify with a figure flag");
+            assert!(err.contains("does not apply"), "{err}");
+        }
+        for line in [
+            &["verify", "--store", "/tmp/s", "--repair"][..],
+            &["--all", "--store", "/tmp/s", "--repair"],
+        ] {
+            let err = parse(line).expect_err("--repair");
+            assert_eq!(err, "unknown argument `--repair`");
         }
     }
 }

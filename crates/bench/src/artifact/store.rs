@@ -20,6 +20,14 @@
 //! then renamed into place), manifest line last, so a key listed in the
 //! manifest almost always has its blob — and the presence rule covers the
 //! window where it does not.
+//!
+//! One integrity rule decides what a present point is worth: its blob must
+//! still hash to the checksum its manifest line recorded at insert time,
+//! and parse.  [`ResultStore::get`] applies it on every read and
+//! [`ResultStore::verify`] applies it to every present point, so a blob that
+//! fails it — truncated, corrupted, or written by an older build — is never
+//! served: it is a miss, and the next run of its figure re-executes it and
+//! writes a fresh blob and manifest line (the last line wins).
 
 use crate::sweep::ScenarioSpec;
 use pbe_netsim::SimResult;
@@ -44,7 +52,7 @@ pub struct ManifestEntry {
     /// The expanded experiment seed.
     pub seed: u64,
     /// 128-bit FNV-1a over the blob's exact bytes, written at insert time so
-    /// `verify` can detect truncated or corrupted blobs.
+    /// every read can refuse a truncated or corrupted blob.
     pub checksum: String,
 }
 
@@ -114,7 +122,8 @@ impl Serialize for StoredPointRef<'_> {
 pub struct ResultStore {
     dir: PathBuf,
     /// Every parsed manifest line, in file order (duplicates possible when a
-    /// point was invalidated and re-run; the last line wins).
+    /// point's blob was deleted or refused and the point re-ran; the last
+    /// line wins).
     entries: Vec<ManifestEntry>,
     /// key → index into `entries`, restricted to keys whose blob exists.
     present: BTreeMap<String, usize>,
@@ -233,13 +242,39 @@ impl ResultStore {
     }
 
     /// Load a present point's blob.  Returns `None` for absent keys and for
-    /// blobs that no longer parse (both mean: re-execute).
+    /// blobs that fail the store's integrity rule — unreadable, not matching
+    /// their manifest checksum, or not parsing (all mean: re-execute); a
+    /// refused blob is named on stderr with the reason.
     pub fn get(&self, key: &str) -> Option<StoredPoint> {
-        if !self.contains(key) {
-            return None;
+        let entry = self.entry(key)?;
+        self.read_point(entry)
+            .map_err(|problem| {
+                eprintln!(
+                    "artifact store: refusing the blob of {key} ({}): {problem}; \
+                     the point will re-execute",
+                    entry.label
+                );
+            })
+            .ok()
+    }
+
+    /// The one integrity rule: read an entry's blob, check its bytes against
+    /// the manifest checksum, and parse it.  The error says which step
+    /// failed.
+    fn read_point(&self, entry: &ManifestEntry) -> Result<StoredPoint, String> {
+        let bytes = fs::read(self.point_path(&entry.key))
+            .map_err(|err| format!("blob unreadable: {err}"))?;
+        let actual = pbe_stats::fnv1a_128_hex(&bytes);
+        if actual != entry.checksum {
+            return Err(format!(
+                "checksum mismatch (manifest {}, blob {actual})",
+                entry.checksum
+            ));
         }
-        let text = fs::read_to_string(self.point_path(key)).ok()?;
-        serde_json::from_str(&text).ok()
+        std::str::from_utf8(&bytes)
+            .ok()
+            .and_then(|text| serde_json::from_str(text).ok())
+            .ok_or_else(|| "blob does not parse as a stored point".to_string())
     }
 
     /// Persist one executed point: blob first (temp file + rename), manifest
@@ -317,59 +352,25 @@ impl ResultStore {
         Ok(())
     }
 
-    /// Check every present point's blob against its manifest checksum.
+    /// Apply the store's integrity rule to every present point.
     ///
-    /// Reports, in manifest order: blobs whose bytes no longer match the
-    /// checksum recorded at insert time (truncation, corruption), and blobs
-    /// whose checksum matches but that do not parse as a [`StoredPoint`] of
-    /// this build.  A clean store returns an empty list.
+    /// Reports, in manifest order, each blob that `get` would refuse: one
+    /// that cannot be read, whose bytes no longer match the checksum recorded
+    /// at insert time (truncation, corruption), or whose checksum matches but
+    /// that does not parse as a [`StoredPoint`] of this build.  A clean store
+    /// returns an empty list.
     pub fn verify(&self) -> Vec<StoreIssue> {
-        let mut issues = Vec::new();
-        for entry in self.present_entries() {
-            let path = self.point_path(&entry.key);
-            let text = match fs::read_to_string(&path) {
-                Ok(text) => text,
-                Err(err) => {
-                    issues.push(StoreIssue {
-                        key: entry.key.clone(),
-                        figure: entry.figure.clone(),
-                        problem: format!("blob unreadable: {err}"),
-                    });
-                    continue;
-                }
-            };
-            let actual = pbe_stats::fnv1a_128_hex(text.as_bytes());
-            if actual != entry.checksum {
-                issues.push(StoreIssue {
+        self.present_entries()
+            .into_iter()
+            .filter_map(|entry| {
+                let problem = self.read_point(entry).err()?;
+                Some(StoreIssue {
                     key: entry.key.clone(),
                     figure: entry.figure.clone(),
-                    problem: format!(
-                        "checksum mismatch (manifest {}, blob {actual})",
-                        entry.checksum
-                    ),
-                });
-                continue;
-            }
-            if serde_json::from_str::<StoredPoint>(&text).is_err() {
-                issues.push(StoreIssue {
-                    key: entry.key.clone(),
-                    figure: entry.figure.clone(),
-                    problem: "blob does not parse as a stored point".to_string(),
-                });
-            }
-        }
-        issues
-    }
-
-    /// Drop a point: delete its blob so the key counts as absent and
-    /// re-executes.  Manifest lines are append-only history and stay.
-    pub fn invalidate(&mut self, key: &str) -> io::Result<()> {
-        self.present.remove(key);
-        let path = self.point_path(key);
-        if path.exists() {
-            fs::remove_file(path)?;
-        }
-        Ok(())
+                    problem,
+                })
+            })
+            .collect()
     }
 }
 
@@ -472,6 +473,21 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// `text` with the first digit of its first `"avg_throughput_mbps"`
+    /// value changed: still valid JSON, no longer the bytes that were hashed.
+    fn with_one_digit_changed(text: &str) -> String {
+        let field = "\"avg_throughput_mbps\":";
+        let at = text.find(field).expect("a result has a throughput") + field.len();
+        let digit = text.as_bytes()[at];
+        assert!(digit.is_ascii_digit(), "the value starts with a digit");
+        let other = if digit == b'9' {
+            '8'
+        } else {
+            char::from(digit + 1)
+        };
+        format!("{}{other}{}", &text[..at], &text[at + 1..])
+    }
+
     #[test]
     fn verify_flags_corrupted_and_truncated_blobs() {
         let dir = temp_store("verify");
@@ -482,23 +498,41 @@ mod tests {
         store.insert("figX", &b).unwrap();
         assert!(store.verify().is_empty(), "fresh store verifies clean");
 
-        // Truncate one blob (simulated torn write / disk trouble).
+        // Truncate one blob (simulated torn write / disk trouble), and change
+        // one digit of the other so that it still parses.
         let path = store.point_path(&a.key);
         let text = fs::read_to_string(&path).unwrap();
         fs::write(&path, &text[..text.len() / 2]).unwrap();
-        let issues = ResultStore::open(&dir).unwrap().verify();
-        assert_eq!(issues.len(), 1);
-        assert_eq!(issues[0].key, a.key);
-        assert!(issues[0].problem.contains("checksum mismatch"));
+        let path = store.point_path(&b.key);
+        let changed = with_one_digit_changed(&fs::read_to_string(&path).unwrap());
+        assert!(serde_json::from_str::<StoredPoint>(&changed).is_ok());
+        fs::write(&path, &changed).unwrap();
 
-        // Invalidating the bad key makes it absent; the good key verifies.
+        // Neither blob is served, and `verify` names both for the same reason.
         let mut store = ResultStore::open(&dir).unwrap();
-        store.invalidate(&a.key).unwrap();
-        assert!(!store.contains(&a.key));
-        assert!(store.contains(&b.key));
+        assert!(
+            store.get(&a.key).is_none(),
+            "a truncated blob is not served"
+        );
+        assert!(store.get(&b.key).is_none(), "a changed blob is not served");
+        let issues = store.verify();
+        let keys: Vec<&str> = issues.iter().map(|i| i.key.as_str()).collect();
+        assert_eq!(keys, [a.key.as_str(), b.key.as_str()]);
+        assert!(issues
+            .iter()
+            .all(|i| i.problem.contains("checksum mismatch")));
+
+        // A re-run re-inserts exactly the refused points and `verify` is clean.
+        let specs = vec![a.spec.clone(), b.spec.clone()];
+        let rerun = run_cached("figX", specs, Some(&mut store), 1).unwrap();
+        assert_eq!((rerun.executed, rerun.cached), (2, 0));
         let reopened = ResultStore::open(&dir).unwrap();
-        assert!(!reopened.contains(&a.key));
         assert!(reopened.verify().is_empty());
+        let served = reopened.get(&b.key).expect("the re-run blob is served");
+        assert_eq!(
+            serde_json::to_string(&served.result).unwrap(),
+            serde_json::to_string(&b.result).unwrap()
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

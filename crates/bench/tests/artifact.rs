@@ -30,7 +30,6 @@ fn args(store: &Path, out: &Path) -> ArtifactArgs {
         workers: 1,
         format: OutputFormat::Csv,
         verify: false,
-        repair: false,
     }
 }
 
@@ -54,7 +53,9 @@ fn dir_contents(dir: &Path) -> Vec<(String, Vec<u8>)> {
 /// Interrupt recovery: truncating the manifest's last K lines (what a kill
 /// mid-run leaves behind) makes the next invocation execute exactly those K
 /// points — and the final CSVs are byte-identical to the uninterrupted
-/// run's.  Deleting a single blob afterwards re-executes exactly that point.
+/// run's.  Deleting a single blob afterwards re-executes exactly that point,
+/// and so does changing one digit of another: a blob that fails its
+/// checksum is a miss even though it still parses.
 #[test]
 fn resume_executes_only_the_missing_points_and_reproduces_the_csvs() {
     let root = temp_root("resume");
@@ -88,21 +89,39 @@ fn resume_executes_only_the_missing_points_and_reproduces_the_csvs() {
 
     // Deleting one stored blob invalidates exactly that point.
     let manifest = fs::read_to_string(&manifest_path).unwrap();
-    let first_key = manifest
-        .lines()
-        .next()
-        .and_then(|line| {
-            let v = serde_json::parse(line).ok()?;
-            Some(v.get("key")?.as_str()?.to_string())
-        })
-        .expect("manifest line has a key");
-    fs::remove_file(store.join("points").join(format!("{first_key}.json"))).unwrap();
+    let blob_of = |line: &str| {
+        let v = serde_json::parse(line).expect("a manifest line parses");
+        let key = v.get("key").and_then(|k| k.as_str()).expect("a key");
+        store.join("points").join(format!("{key}.json"))
+    };
+    let mut lines = manifest.lines();
+    fs::remove_file(blob_of(lines.next().unwrap())).unwrap();
+
+    // Changing one digit of a second blob, which still parses, invalidates
+    // that point too.
+    let second = blob_of(lines.next().unwrap());
+    let blob = fs::read_to_string(&second).unwrap();
+    let field = "\"avg_throughput_mbps\":";
+    let at = blob.find(field).expect("a result has a throughput") + field.len();
+    let digit = blob.as_bytes()[at];
+    assert!(digit.is_ascii_digit(), "the value starts with a digit");
+    let other = if digit == b'9' {
+        '8'
+    } else {
+        char::from(digit + 1)
+    };
+    let changed = format!("{}{other}{}", &blob[..at], &blob[at + 1..]);
+    assert!(
+        serde_json::parse(&changed).is_ok(),
+        "the changed blob parses"
+    );
+    fs::write(&second, changed).unwrap();
 
     let repaired = run_artifact(&args(&store, &root.join("repaired"))).unwrap();
     assert_eq!(
         (repaired.executed, repaired.cached),
-        (1, POINTS - 1),
-        "deleting one blob re-executes exactly that point"
+        (2, POINTS - 2),
+        "the deleted and the changed blob re-execute, and only they"
     );
     assert_eq!(dir_contents(&root.join("repaired")), baseline);
 

@@ -3,8 +3,9 @@
 //! sweep, inline and on pool worker threads, and the sweep completes with a
 //! structured failure instead of crashing; a point whose configuration is
 //! invalid fails the same way without simulating.  The quarantine file must
-//! survive a store reopen (a new process), and `artifact verify --repair`
-//! must re-execute exactly the corrupted keys.
+//! survive a store reopen (a new process).  A corrupted blob is a miss:
+//! `artifact verify` names it, and the next run of its figure re-executes
+//! exactly that point.
 
 use pbe_bench::artifact::{run_artifact, run_cached, ArtifactArgs, ResultStore};
 use pbe_bench::sweep::{OutputFormat, ScenarioSpec, SweepGrid};
@@ -130,27 +131,20 @@ fn figure_args(store: &Path, out: &Path) -> ArtifactArgs {
         workers: 1,
         format: OutputFormat::Csv,
         verify: false,
-        repair: false,
     }
 }
 
-fn verify_args(store: &Path, repair: bool) -> ArtifactArgs {
+fn verify_args(store: &Path) -> ArtifactArgs {
     ArtifactArgs {
-        all: false,
         figures: Vec::new(),
-        list: false,
-        store: Some(store.to_path_buf()),
         out: None,
-        seconds: Some(1),
-        workers: 1,
-        format: OutputFormat::Csv,
         verify: true,
-        repair,
+        ..figure_args(store, store)
     }
 }
 
-/// `artifact verify` fails on a corrupted blob; `--repair` re-executes
-/// exactly that key and restores a clean store.
+/// `artifact verify` fails on a truncated blob; the next figure run
+/// re-executes exactly that point and leaves a clean store.
 #[test]
 fn verify_detects_corruption_and_repair_reexecutes_exactly_that_point() {
     let root = temp_root("verify");
@@ -169,19 +163,19 @@ fn verify_detects_corruption_and_repair_reexecutes_exactly_that_point() {
     let bytes = fs::read(&victim).unwrap();
     fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
 
-    // Health check: verify without --repair fails.
-    assert!(run_artifact(&verify_args(&store_dir, false)).is_err());
+    // Health check: verify fails.
+    assert!(run_artifact(&verify_args(&store_dir)).is_err());
 
-    // Repair: exactly the corrupted key re-executes.
-    let repaired = run_artifact(&verify_args(&store_dir, true)).unwrap();
+    // A figure run refuses the truncated blob and re-executes exactly it.
+    let rerun = run_artifact(&figure_args(&store_dir, &root.join("rerun"))).unwrap();
     assert_eq!(
-        (repaired.executed, repaired.failed),
-        (1, 0),
-        "repair re-executed exactly the corrupted point"
+        (rerun.executed, rerun.cached, rerun.failed),
+        (1, POINTS - 1, 0),
+        "the figure run re-executed exactly the corrupted point"
     );
 
     // The store is clean again and a figure run is all cache hits.
-    assert!(run_artifact(&verify_args(&store_dir, false)).is_ok());
+    assert!(run_artifact(&verify_args(&store_dir)).is_ok());
     let warm = run_artifact(&figure_args(&store_dir, &root.join("warm"))).unwrap();
     assert_eq!((warm.executed, warm.cached), (0, POINTS));
 

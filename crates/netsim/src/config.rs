@@ -114,9 +114,12 @@ impl SimConfig {
         }
         let cells: FxHashSet<CellId> = self.cellular.cells.iter().map(|c| c.id).collect();
         let mut ue_of = FxHashMap::with_capacity_and_hasher(self.ues.len(), Default::default());
-        for (ue, _) in &self.ues {
+        for (ue, trace) in &self.ues {
             if ue_of.insert(ue.id, ue).is_some() {
                 return Err(DuplicateUe(ue.id));
+            }
+            if trace.waypoints.is_empty() {
+                return Err(EmptyTrace(ue.id));
             }
             if ue.configured_cells.is_empty() || ue.max_aggregated_cells == 0 {
                 return Err(NoCell(ue.id));
@@ -126,6 +129,9 @@ impl SimConfig {
             }
         }
         for t in &self.trajectories {
+            if t.trace.waypoints.is_empty() {
+                return Err(EmptyTrajectory(t.ue, t.cell));
+            }
             let claimed = ue_of.get(&t.ue).map(|u| &u.configured_cells);
             if !claimed.is_some_and(|cells| cells.contains(&t.cell)) {
                 return Err(UnclaimedTrajectory(t.ue, t.cell));
@@ -203,6 +209,11 @@ pub enum ConfigError {
     NoCell(UeId),
     /// A UE configured on a cell `cellular.cells` lacks: it never attaches.
     UnknownCell(UeId, CellId),
+    /// A UE whose mobility trace has no waypoint (JSON can say so): it has
+    /// no RSSI to start from.
+    EmptyTrace(UeId),
+    /// A trajectory override of a (UE, cell) pair with no waypoint.
+    EmptyTrajectory(UeId, CellId),
     /// A trajectory of a (UE, cell) pair no UE configures: it is ignored.
     UnclaimedTrajectory(UeId, CellId),
     /// A flow id used twice: one flow would report both flows' events.
@@ -259,6 +270,7 @@ mod tests {
     use crate::faults::{CellOutage, DecodeLossBurst, FlapPolicy, LinkFlap};
     use crate::Simulation;
     use pbe_cc_algorithms::api::SchemeName;
+    use serde::Value;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn validate(cfg: &SimConfig) -> Result<(), ConfigError> {
@@ -380,6 +392,23 @@ mod tests {
     }
 
     #[test]
+    fn a_ue_with_an_empty_trace_is_rejected() {
+        // Before the rule, the run panicked building the UE ("a trace needs
+        // at least one waypoint"), in release builds too.
+        let mut cfg = rich();
+        cfg.ues[1].1.waypoints.clear();
+        assert_eq!(validate(&cfg), Err(ConfigError::EmptyTrace(UeId(2))));
+    }
+
+    #[test]
+    fn an_empty_trajectory_override_is_rejected() {
+        let mut cfg = rich();
+        cfg.trajectories[1].trace.waypoints.clear();
+        let empty = ConfigError::EmptyTrajectory(UeId(3), CellId(2));
+        assert_eq!(validate(&cfg), Err(empty));
+    }
+
+    #[test]
     fn a_flow_of_an_unknown_ue_is_rejected() {
         let mut cfg = rich();
         cfg.flows[1].ue = UeId(8);
@@ -494,7 +523,86 @@ mod tests {
         }
     }
 
+    /// Whether `v` is an array (`arrays`) or an object (`!arrays`).
+    fn is_site(v: &Value, arrays: bool) -> bool {
+        match v {
+            Value::Array(_) => arrays,
+            Value::Object(_) => !arrays,
+            _ => false,
+        }
+    }
+
+    fn children(v: &mut Value) -> Box<dyn Iterator<Item = &mut Value> + '_> {
+        match v {
+            Value::Array(items) => Box::new(items.iter_mut()),
+            Value::Object(fields) => Box::new(fields.iter_mut().map(|(_, c)| c)),
+            _ => Box::new(std::iter::empty()),
+        }
+    }
+
+    /// How many sites of the kind (see [`is_site`]) a JSON tree holds.
+    fn count_sites(v: &mut Value, arrays: bool) -> usize {
+        let own = usize::from(is_site(v, arrays));
+        own + children(v).map(|c| count_sites(c, arrays)).sum::<usize>()
+    }
+
+    /// The `n`-th site of the kind in a JSON tree, counted in pre-order.
+    fn nth_site<'a>(v: &'a mut Value, arrays: bool, n: &mut usize) -> Option<&'a mut Value> {
+        if is_site(v, arrays) {
+            if *n == 0 {
+                return Some(v);
+            }
+            *n -= 1;
+        }
+        children(v).find_map(|c| nth_site(c, arrays, n))
+    }
+
+    /// One structural edit of a config's JSON tree: `what` picks the edit,
+    /// `site` the array or object it applies to and `pick` the element.
+    fn edit_json(tree: &mut Value, (what, site, pick): (u8, usize, usize)) {
+        let arrays = what < 3;
+        let sites = count_sites(tree, arrays);
+        let Some(target) = nth_site(tree, arrays, &mut (site % sites.max(1))) else {
+            return;
+        };
+        match (what, target) {
+            (0, Value::Array(items)) if !items.is_empty() => {
+                items.remove(pick % items.len());
+            }
+            (1, Value::Array(items)) => items.clear(),
+            (2, Value::Array(items)) if !items.is_empty() => {
+                let i = pick % items.len();
+                items.insert(i, items[i].clone());
+            }
+            (3, Value::Object(fields)) if !fields.is_empty() => {
+                fields.remove(pick % fields.len());
+            }
+            _ => {}
+        }
+    }
+
     proptest::proptest! {
+        /// Whatever JSON parses as a config and validates runs: [`rich`]
+        /// serialized, edited structurally (drop an array element, empty an
+        /// array, duplicate an element, delete an object field) and parsed
+        /// back.
+        #[test]
+        fn never_panic_past_validation_of_edited_json(
+            edits in proptest::collection::vec((0u8..4, 0usize..4096, 0usize..64), 1..4),
+        ) {
+            let mut tree = serde_json::to_value(&rich()).unwrap();
+            for &edit in &edits {
+                edit_json(&mut tree, edit);
+            }
+            let text = serde_json::to_string(&tree).unwrap();
+            if let Ok(cfg) = serde_json::from_str::<SimConfig>(&text) {
+                if validate(&cfg).is_ok() {
+                    let run = catch_unwind(AssertUnwindSafe(|| Simulation::new(cfg).run()));
+                    proptest::prop_assert!(run.is_ok(), "a validated config panicked: {:?}", edits);
+                }
+            }
+        }
+
         #[test]
         fn never_panic_past_validation(
             mutations in proptest::collection::vec((0u8..24, 0usize..64, 0u64..1_000), 1..4),
